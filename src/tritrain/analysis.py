@@ -188,7 +188,7 @@ def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, l
             _, dz = softmax_cross_entropy(logits, train_y[idx])
             clf.zero_grads()
             clf.backward(dz)
-            opt.step(clf.named_params(), clf.named_grads())
+            opt.step({"clf": clf.theta}, {"clf": clf.grad})
     return clf
 
 

@@ -89,12 +89,9 @@ def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-free logistic: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -118,13 +115,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    logp = z[np.arange(n), labels] - lse
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    logp = z[rows, labels] - np.log(s[:, 0])
     np.clip(logp, -700.0, None, out=logp)
     loss = -logp.mean()
-    probs = softmax(logits)
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
+    grad = e / s
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 
@@ -137,12 +135,14 @@ def batch_norm_train(x, gamma, beta, eps, running_stats, momentum=0.9):
     Batch variance is the biased estimator.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] < 2:
+    n = x.shape[0]
+    if n < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    mean = x.mean(axis=0)
-    var = x.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    # sum / n is what mean() and var() compute, without their dispatch cost
+    mean = x.sum(axis=0) / n
     xc = x - mean
+    var = (xc * xc).sum(axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
     y = gamma * xhat + beta
     if running_stats["count"] == 0:
@@ -152,7 +152,7 @@ def batch_norm_train(x, gamma, beta, eps, running_stats, momentum=0.9):
         running_stats["mean"] = momentum * running_stats["mean"] + (1 - momentum) * mean
         running_stats["var"] = momentum * running_stats["var"] + (1 - momentum) * var
     running_stats["count"] += 1
-    cache = (xhat, inv_std, gamma, x.shape[0])
+    cache = (xhat, inv_std, gamma, n)
     return y, cache
 
 
@@ -213,6 +213,8 @@ def glorot_uniform(rng, d_in, d_out):
 
 
 class Layer:
+    """One layer kind. Its `params` and `grads` entries become views into the
+    flat buffers of the `Sequential` that owns it; update them in place."""
     spec: LayerSpec
 
     def __init__(self, spec: LayerSpec):
@@ -225,10 +227,6 @@ class Layer:
 
     def backward(self, dout):
         raise NotImplementedError
-
-    def zero_grads(self):
-        for k, p in self.params.items():
-            self.grads[k] = np.zeros_like(p)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Non-parameter state that a checkpoint must carry (e.g. BN stats)."""
@@ -243,7 +241,6 @@ class Affine(Layer):
         super().__init__(spec)
         self.params["W"] = glorot_uniform(rng, spec.in_dim, spec.out_dim)
         self.params["b"] = np.zeros((1, spec.out_dim))
-        self.zero_grads()
         self._x = None
 
     def forward(self, x, mode="train", rng=None):
@@ -289,7 +286,6 @@ class BatchNorm(Layer):
         d = spec.in_dim
         self.params["gamma"] = np.ones((1, d))
         self.params["beta"] = np.zeros((1, d))
-        self.zero_grads()
         self.running_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
         self._cache = None
 
@@ -355,7 +351,9 @@ def build_layer(spec: LayerSpec, rng) -> Layer:
 
 
 class Sequential:
-    """A stack of layers with cached forward state for one backward pass."""
+    """A stack of layers with cached forward state for one backward pass.
+    Parameters live in one flat float64 buffer `theta` and gradients in
+    `grad`; each layer's `params`/`grads` entries are views into them."""
 
     def __init__(self, specs: list[LayerSpec], rng):
         self.layers = [build_layer(s, rng) for s in specs]
@@ -363,6 +361,16 @@ class Sequential:
             if prev.out_dim != nxt.in_dim:
                 raise ConfigError(
                     f"layer chain broken: {prev.kind}({prev.out_dim}) -> {nxt.kind}({nxt.in_dim})")
+        size = sum(p.size for layer in self.layers for p in layer.params.values())
+        self.theta, self.grad = np.empty(size), np.zeros(size)
+        off = 0
+        for layer in self.layers:
+            for k, p in layer.params.items():
+                end = off + p.size
+                self.theta[off:end] = p.ravel()
+                layer.params[k] = self.theta[off:end].reshape(p.shape)
+                layer.grads[k] = self.grad[off:end].reshape(p.shape)
+                off = end
 
     @property
     def specs(self) -> list[LayerSpec]:
@@ -387,35 +395,29 @@ class Sequential:
         return dout
 
     def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()
+        self.grad.fill(0.0)
+
+    def named(self, which: str, prefix="") -> dict[str, np.ndarray]:
+        """`{prefix}{layer index}/{key}` -> array, for which in "params",
+        "grads" or "state" (non-parameter arrays such as BN statistics)."""
+        return {f"{prefix}{i}/{k}": a for i, layer in enumerate(self.layers)
+                for k, a in (layer.state_arrays() if which == "state"
+                             else getattr(layer, which)).items()}
 
     def named_params(self, prefix=""):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, p in layer.params.items():
-                out[f"{prefix}{i}/{k}"] = p
-        return out
+        return self.named("params", prefix)
 
     def named_grads(self, prefix=""):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, g in layer.grads.items():
-                out[f"{prefix}{i}/{k}"] = g
-        return out
-
-    def named_state(self, prefix=""):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for k, a in layer.state_arrays().items():
-                out[f"{prefix}{i}/{k}"] = a
-        return out
+        return self.named("grads", prefix)
 
     def set_params(self, named: dict[str, np.ndarray], prefix=""):
-        for i, layer in enumerate(self.layers):
-            for k in layer.params:
-                layer.params[k] = np.asarray(named[f"{prefix}{i}/{k}"], dtype=np.float64).copy()
-            layer.zero_grads()
+        """Copy named arrays into the parameter views; zero the gradients."""
+        for name, p in self.named_params(prefix).items():
+            src = np.asarray(named[name], dtype=np.float64)
+            if src.shape != p.shape:
+                raise ShapeError(f"parameter {name} shape {src.shape} != {p.shape}")
+            p[...] = src
+        self.zero_grads()
 
     def set_state(self, named: dict[str, np.ndarray], prefix=""):
         for i, layer in enumerate(self.layers):
@@ -440,7 +442,9 @@ class Optimizer:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         raise NotImplementedError
 
-    def _slot(self, name, param):
+    def _slot(self, name, param, grad):
+        if grad.shape != param.shape:
+            raise ShapeError(f"gradient shape {grad.shape} != param shape {param.shape} for {name}")
         if name not in self.slots:
             self.slots[name] = np.zeros_like(param)
         slot = self.slots[name]
@@ -468,9 +472,7 @@ class MomentumSGD(Optimizer):
     def step(self, params, grads):
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-            v = self._slot(name, p)
+            v = self._slot(name, p, g)
             v *= self.momentum
             v -= self.lr * g
             p += v
@@ -488,9 +490,7 @@ class Adagrad(Optimizer):
     def step(self, params, grads):
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {name}")
-            a = self._slot(name, p)
+            a = self._slot(name, p, g)
             a += g * g
             p -= self.lr * g / (np.sqrt(a) + self.eps)
 

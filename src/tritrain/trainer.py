@@ -113,26 +113,24 @@ def _batches(n: int, batch: int, iters: int | None, rng):
             yield rng.choice(n, size=batch, replace=False)
 
 
-def _step_params(state: TrainState, phase: str):
-    """Parameters the optimizer may touch in a phase, honoring the gates."""
-    net = state.net
-    params, grads = {}, {}
-    branches = ("f1", "f2") if phase == "labeling" else ("ft",)
-    gate = net.gates.from_f1_f2 if phase == "labeling" else net.gates.from_ft
-    names = list(branches) + (["f"] if gate else [])
-    for name in names:
-        params.update(getattr(net, name).named_params(prefix=f"{name}/"))
-        grads.update(getattr(net, name).named_grads(prefix=f"{name}/"))
-    return params, grads
+def _step_params(net: TriNet, phase: str):
+    """Flat parameter and gradient buffers the optimizer may touch in a
+    phase, one entry per sub-network, honoring the gates. The buffers are
+    never rebound, so the dicts stay valid for the whole phase."""
+    names = ("f1", "f2") if phase == "labeling" else ("ft",)
+    if net.gates.from_f1_f2 if phase == "labeling" else net.gates.from_ft:
+        names += ("f",)
+    return ({n: getattr(net, n).theta for n in names},
+            {n: getattr(net, n).grad for n in names})
 
 
 def _labeling_phase(state, pool_x, pool_y, cfg, iters):
     """Update f1/f2 (and gated f) by the joint objective; returns batch means."""
     es, ps = [], []
+    params, grads = _step_params(state.net, "labeling")
     for idx in _batches(len(pool_x), cfg.batch_labeling, iters, state.rng_train):
         e, parts = state.net.joint_labeling_loss(pool_x[idx], pool_y[idx],
                                                 mode="train", rng=state.rng_train)
-        params, grads = _step_params(state, "labeling")
         state.opt.step(params, grads)
         es.append(e)
         ps.append(parts["penalty"])
@@ -140,9 +138,9 @@ def _labeling_phase(state, pool_x, pool_y, cfg, iters):
 
 
 def _target_phase(state, pool_x, pool_y, cfg, iters):
+    params, grads = _step_params(state.net, "target")
     for idx in _batches(len(pool_x), cfg.batch_target, iters, state.rng_train):
         state.net.target_loss(pool_x[idx], pool_y[idx], mode="train", rng=state.rng_train)
-        params, grads = _step_params(state, "target")
         state.opt.step(params, grads)
 
 
@@ -183,13 +181,15 @@ def evaluate(net: TriNet, x, y, branch="ft") -> float:
     """Fraction of argmax-correct predictions in eval mode."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
+    if y is None:
+        raise ValueError("evaluation needs labels; the dataset has none")
     out = net.forward(x, branch=branch, mode="eval")
     return float(np.mean(out.predicted_class == np.asarray(y)))
 
 
 def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_p):
     accs = {b: float("nan") for b in TriNet.BRANCHES}
-    if eval_x is not None and len(eval_x) > 0:
+    if eval_x is not None and eval_y is not None and len(eval_x) > 0:
         accs = {b: evaluate(state.net, eval_x, eval_y, branch=b) for b in TriNet.BRANCHES}
     lab_acc = float("nan")
     if target_y_hidden is not None:

@@ -12,7 +12,8 @@ from . import nnlib
 from .nnlib import (Affine, ConfigError, LayerSpec, Sequential, ShapeError,
                     softmax, softmax_cross_entropy)
 
-CHECKPOINT_VERSION = 1
+# 2: optimizer slots are one flat array per sub-network (`slot/f`, `slot/f1`, ...)
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -149,23 +150,19 @@ class TriNet:
 
     # -- parameter plumbing -------------------------------------------------
 
+    def named(self, which: str) -> dict[str, np.ndarray]:
+        """`Sequential.named` over all four networks, keys prefixed `f/`, `f1/`, ..."""
+        return {k: v for name in ("f",) + self.BRANCHES
+                for k, v in getattr(self, name).named(which, f"{name}/").items()}
+
     def named_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("f",) + self.BRANCHES:
-            out.update(getattr(self, name).named_params(prefix=f"{name}/"))
-        return out
+        return self.named("params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("f",) + self.BRANCHES:
-            out.update(getattr(self, name).named_grads(prefix=f"{name}/"))
-        return out
+        return self.named("grads")
 
     def named_state(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in ("f",) + self.BRANCHES:
-            out.update(getattr(self, name).named_state(prefix=f"{name}/"))
-        return out
+        return self.named("state")
 
     def meta(self) -> dict:
         return {
@@ -186,7 +183,7 @@ class TriNet:
 def save_checkpoint(path, net: TriNet, optimizers=None, rng_states=None,
                     extra_meta=None):
     """Dump specs, parameters, BN statistics, optimizer slots and RNG state
-    into one npz file so a run can resume bit-exactly."""
+    into one npz file. The pseudo-label pool is not stored."""
     meta = net.meta()
     meta["optimizers"] = {}
     meta["rng_states"] = rng_states or {}
@@ -227,14 +224,12 @@ def load_checkpoint(path):
         branch_specs=[LayerSpec.from_dict(d) for d in meta["branch_specs"]],
         num_classes=meta["num_classes"], lam=meta["lambda"],
         gates=GradientGates(**meta["gates"]), seed=meta["seed"])
-    params = {k[len("param/"):]: v for k, v in arrays.items() if k.startswith("param/")}
-    state = {k[len("state/"):]: v for k, v in arrays.items() if k.startswith("state/")}
-    for name in ("f",) + TriNet.BRANCHES:
-        pfx = f"{name}/"
-        getattr(net, name).set_params(
-            {k[len(pfx):]: v for k, v in params.items() if k.startswith(pfx)})
-        getattr(net, name).set_state(
-            {k[len(pfx):]: v for k, v in state.items() if k.startswith(pfx)})
+    try:
+        for name in ("f",) + TriNet.BRANCHES:
+            getattr(net, name).set_params(arrays, prefix=f"param/{name}/")
+            getattr(net, name).set_state(arrays, prefix=f"state/{name}/")
+    except (KeyError, ShapeError) as exc:
+        raise IOError(f"checkpoint {path} does not match its specs: {exc}") from exc
     optimizers = {}
     for name, spec in meta.get("optimizers", {}).items():
         opt = nnlib.make_optimizer(spec["kind"], spec["lr"],

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tritrain import cli
+from tritrain import cli, datagen
 from tritrain.nnlib import ConfigError
 
 DATA_CFG = """\
@@ -205,6 +205,18 @@ def test_eval_corrupt_checkpoint_exits_io(trained_run, tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint")
     rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(data)])
     assert rc == cli.EXIT_IO
+
+
+def test_eval_without_target_labels_exits_config(trained_run, tmp_path, capsys):
+    data, run = trained_run
+    ds = datagen.load_dataset(data)
+    ds.target_y_hidden = None
+    unlabeled = tmp_path / "unlabeled"
+    datagen.save_dataset(unlabeled, ds)
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--data", str(unlabeled)])
+    assert rc == cli.EXIT_CONFIG
+    assert "labels" in capsys.readouterr().err
 
 
 def test_adist_reports_both_distances(trained_run, capsys):

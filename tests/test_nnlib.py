@@ -367,3 +367,129 @@ def test_forward_outputs_stay_finite():
     for _ in range(5):
         out = net.forward(rng.normal(scale=100, size=(16, 5)), mode="train")
         assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# kernels: bit identity with the reference formulas
+
+
+def _sigmoid_reference(x):
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _cross_entropy_reference(logits, labels):
+    n = logits.shape[0]
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z[np.arange(n), labels] - np.log(np.exp(z).sum(axis=1))
+    np.clip(logp, -700.0, None, out=logp)
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(n), labels] = 1.0
+    return -logp.mean(), (softmax(logits) - onehot) / n
+
+
+def test_sigmoid_bit_identical_to_reference():
+    special = np.array([[0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, np.nan]])
+    np.testing.assert_array_equal(sigmoid(special), _sigmoid_reference(special))
+    rng = np.random.default_rng(30)
+    for scale in (1.0, 10.0, 800.0):
+        x = rng.normal(scale=scale, size=(64, 16))
+        np.testing.assert_array_equal(sigmoid(x), _sigmoid_reference(x))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_softmax_cross_entropy_bit_identical_to_reference(k):
+    rng = np.random.default_rng(31)
+    for scale in (1.0, 50.0, 1e4):
+        logits = rng.normal(scale=scale, size=(64, k))
+        labels = rng.integers(0, k, size=64)
+        loss, grad = softmax_cross_entropy(logits, labels)
+        ref_loss, ref_grad = _cross_entropy_reference(logits, labels)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad, ref_grad)
+
+
+def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
+    rng = np.random.default_rng(32)
+    for n, d in ((64, 16), (128, 16), (2, 3), (37, 5)):
+        x = rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d))
+        gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+        stats = fresh_stats(d)
+        y, (xhat, inv_std, _, _) = batch_norm_train(x, gamma, beta, 1e-5, stats)
+        np.testing.assert_array_equal(stats["mean"], x.mean(axis=0))
+        np.testing.assert_array_equal(stats["var"], x.var(axis=0))
+        np.testing.assert_array_equal(inv_std, 1.0 / np.sqrt(x.var(axis=0) + 1e-5))
+        np.testing.assert_array_equal(y, gamma * ((x - x.mean(axis=0)) * inv_std) + beta)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter arena
+
+
+ARENA_SPECS = [LayerSpec("affine", 3, 5), LayerSpec("sigmoid", 5, 5),
+               LayerSpec("batch_norm", 5, 5), LayerSpec("affine", 5, 2)]
+
+
+def assert_views_of_arena(net):
+    for layer in net.layers:
+        for k in layer.params:
+            assert np.shares_memory(layer.params[k], net.theta)
+            assert np.shares_memory(layer.grads[k], net.grad)
+    assert sum(p.size for p in net.named_params().values()) == net.theta.size
+
+
+def _one_backward(net, rng):
+    net.zero_grads()
+    logits = net.forward(rng.normal(size=(8, 3)), mode="train")
+    _, dz = softmax_cross_entropy(logits, rng.integers(0, 2, size=8))
+    net.backward(dz)
+
+
+def test_arena_views_survive_zero_grads_set_params_and_steps():
+    rng = np.random.default_rng(33)
+    net = Sequential(ARENA_SPECS, rng)
+    assert_views_of_arena(net)
+    _one_backward(net, rng)
+    assert np.any(net.grad != 0)
+    net.zero_grads()
+    assert_views_of_arena(net)
+    assert not np.any(net.grad)
+    other = Sequential(ARENA_SPECS, np.random.default_rng(34))
+    net.set_params(other.named_params())
+    assert_views_of_arena(net)
+    np.testing.assert_array_equal(net.theta, other.theta)
+    for opt in (MomentumSGD(lr=0.1), Adagrad(lr=0.1)):
+        _one_backward(net, rng)
+        opt.step({"net": net.theta}, {"net": net.grad})
+        assert_views_of_arena(net)
+
+
+def test_set_params_rejects_wrong_shape():
+    net = Sequential(ARENA_SPECS, np.random.default_rng(35))
+    named = net.named_params()
+    named["0/b"] = np.zeros(5)     # (5,) would broadcast into (1, 5)
+    with pytest.raises(ShapeError):
+        net.set_params(named)
+
+
+@pytest.mark.parametrize("make_opt", [lambda: MomentumSGD(lr=0.05, momentum=0.9),
+                                      lambda: Adagrad(lr=0.05)])
+def test_flat_step_equals_per_parameter_step(make_opt):
+    flat = Sequential(ARENA_SPECS, np.random.default_rng(36))
+    per = Sequential(ARENA_SPECS, np.random.default_rng(36))
+    opt_flat, opt_per = make_opt(), make_opt()
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        g = rng.normal(size=flat.grad.shape)
+        flat.grad[...] = g
+        per.grad[...] = g
+        opt_flat.step({"net": flat.theta}, {"net": flat.grad})
+        opt_per.step(per.named_params(), per.named_grads())
+    np.testing.assert_array_equal(flat.theta, per.theta)
+    np.testing.assert_array_equal(
+        opt_flat.slots["net"],
+        np.concatenate([opt_per.slots[k].ravel() for k in per.named_params()]))

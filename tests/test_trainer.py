@@ -127,6 +127,24 @@ def test_closed_ft_gate_freezes_shared_trunk_in_target_phase():
             np.testing.assert_array_equal(before[k], after[k])
 
 
+@pytest.mark.parametrize("closed", ["labeling", "target"])
+def test_closed_gate_leaves_shared_arena_and_its_slot_untouched(closed):
+    # the open phase runs first, so f has a nonzero momentum slot that a
+    # wrongly stepped closed phase would keep applying
+    ds = blobs_dataset()
+    gates = GradientGates(from_f1_f2=closed != "labeling", from_ft=closed != "target")
+    cfg = small_cfg(gates=gates)
+    state = init_state(cfg, 2, ds.num_classes)
+    phases = {"labeling": trainer._labeling_phase, "target": trainer._target_phase}
+    open_phase = "target" if closed == "labeling" else "labeling"
+    phases[open_phase](state, ds.source_x, ds.source_y, cfg, 5)
+    theta, slot = state.net.f.theta.copy(), state.opt.slots["f"].copy()
+    assert np.any(slot)
+    phases[closed](state, ds.source_x, ds.source_y, cfg, 5)
+    np.testing.assert_array_equal(state.net.f.theta, theta)
+    np.testing.assert_array_equal(state.opt.slots["f"], slot)
+
+
 def test_closed_ft_gate_degrades_gracefully_on_easy_shift():
     # freezing the trunk against target gradients should cost little on a
     # nearly-separable shift
@@ -244,6 +262,20 @@ def test_evaluate_exact_fraction():
     out = state.net.forward(ds.source_x, branch="ft", mode="eval")
     expected = float(np.mean(out.predicted_class == ds.source_y))
     assert evaluate(state.net, ds.source_x, ds.source_y) == expected
+
+
+def test_evaluate_rejects_missing_labels():
+    net = build_net(small_cfg(), 2, 2)
+    with pytest.raises(ValueError, match="labels"):
+        evaluate(net, np.zeros((4, 2)), None)
+
+
+def test_run_without_eval_labels_reports_nan_accuracy():
+    ds = blobs_dataset()
+    hist, _ = run(ds.source_x, ds.source_y, ds.target_x, small_cfg(steps_k=1),
+                  eval_x=ds.target_x, eval_y=None)
+    for m in hist:
+        assert np.isnan([m.acc_f1, m.acc_f2, m.acc_ft]).all()
 
 
 def test_evaluate_rejects_empty():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -305,4 +307,57 @@ def test_corrupted_checkpoint_raises(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(IOError):
+        load_checkpoint(path)
+
+
+def _rewrite_checkpoint(path, edit):
+    """Apply edit(arrays, meta) to a saved checkpoint in place."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    edit(arrays, meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _flat_checkpoint(tmp_path):
+    net = small_net(seed=6)
+    rng = np.random.default_rng(12)
+    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
+    opt = MomentumSGD(lr=0.05)
+    opt.step({"f1": net.f1.theta, "f2": net.f2.theta, "f": net.f.theta},
+             {"f1": net.f1.grad, "f2": net.f2.grad, "f": net.f.grad})
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, net, optimizers={"main": opt})
+    return net, opt, path
+
+
+def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
+    net, opt, path = _flat_checkpoint(tmp_path)
+    with np.load(path) as z:
+        assert {"opt/main/slot/f", "opt/main/slot/f1", "opt/main/slot/f2"} <= set(z.files)
+    net2, opts, _, _ = load_checkpoint(path)
+    for name in ("f",) + TriNet.BRANCHES:
+        seq = getattr(net2, name)
+        np.testing.assert_array_equal(seq.theta, getattr(net, name).theta)
+        for layer in seq.layers:
+            for k in layer.params:
+                assert np.shares_memory(layer.params[k], seq.theta)
+                assert np.shares_memory(layer.grads[k], seq.grad)
+    for k, v in opt.slots.items():
+        np.testing.assert_array_equal(opts["main"].slots[k], v)
+
+
+def test_checkpoint_of_previous_version_is_rejected(tmp_path):
+    _, _, path = _flat_checkpoint(tmp_path)
+    _rewrite_checkpoint(path, lambda arrays, meta: meta.update(version=1))
+    with pytest.raises(IOError, match="version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_parameter_is_io_error(tmp_path):
+    _, _, path = _flat_checkpoint(tmp_path)
+    _rewrite_checkpoint(path, lambda arrays, meta: arrays.pop("param/f1/0/W"))
+    with pytest.raises(IOError, match="param/f1/0/W"):
         load_checkpoint(path)
