@@ -83,23 +83,49 @@ class BoundReport:
         return out
 
 
-def _disagreement_matrix(pred: np.ndarray) -> np.ndarray:
-    """D[i, j] = empirical rate at which hypotheses i and j disagree."""
-    p = pred.astype(np.float64)
-    n = p.shape[1]
+# Hypothesis rows per block of the pairwise divergence reduction. Each block
+# holds a few (rows, H) float64 temporaries: 128 x 3200 stumps is 3.3 MB,
+# and 10 MB at the 10_000-stump enumeration cap.
+_HDH_BLOCK = 128
+# float32 holds every integer up to 2**24 exactly, so pair counts over fewer
+# samples than that come out of a float32 matmul without rounding
+_MAX_EXACT_COUNT = 2 ** 24
+
+
+def _disagreement_block(p, m, n, i0, i1):
+    """Rows i0:i1, columns i0: of the rate at which hypotheses disagree,
+    from float32 0/1 predictions p and their row means m over n samples."""
     # mean[(a != b)] = mean[a] + mean[b] - 2 mean[a b] for 0/1 predictions
-    cross = p @ p.T / n
-    m = p.mean(axis=1)
-    return m[:, None] + m[None, :] - 2 * cross
+    cross = (p[i0:i1] @ p[i0:].T).astype(np.float64)
+    cross /= n
+    cross *= 2
+    d = m[i0:i1, None] + m[None, i0:]
+    d -= cross
+    return d
 
 
 def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray) -> float:
     """2 * sup over hypothesis pairs of |disagreement on source - on target|,
-    exact over the empirical distributions by enumerating every pair."""
+    exact over the empirical distributions by enumerating every pair.
+
+    Pair counts come from a float32 matmul over row blocks, exact because
+    each is an integer below 2**24. Both disagreement rates and their gap
+    are bitwise symmetric in (i, j), so only the upper triangle is visited,
+    and memory is O(block * H), not O(H**2)."""
     if len(s_x) == 0 or len(t_x) == 0:
         raise ValueError("empty sample set")
-    gap = _disagreement_matrix(h.predict(s_x)) - _disagreement_matrix(h.predict(t_x))
-    return float(2.0 * np.abs(gap).max())
+    if max(len(s_x), len(t_x)) >= _MAX_EXACT_COUNT:
+        raise ValueError(f"pair counts over {_MAX_EXACT_COUNT} or more samples "
+                         "are not exact in float32")
+    source, target = [(pred.astype(np.float32), pred.mean(axis=1), pred.shape[1])
+                      for pred in (h.predict(s_x), h.predict(t_x))]
+    best = 0.0
+    for i0 in range(0, len(h), _HDH_BLOCK):
+        i1 = min(i0 + _HDH_BLOCK, len(h))
+        gap = _disagreement_block(*source, i0, i1)
+        gap -= _disagreement_block(*target, i0, i1)
+        best = max(best, float(np.abs(gap, out=gap).max()))
+    return 2.0 * best
 
 
 def _risks(h: HypothesisClass, x, y) -> np.ndarray:
@@ -130,8 +156,10 @@ def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> Bo
     rs = _risks(h, sx, sy)
     rt = _risks(h, tx, ty)
     d = empirical_hdh_distance(h, sx, tx)
-    best, c = ideal_joint_error(h, s_xy, t_xy)
-    c += c_offset
+    # the ideal joint hypothesis, as ideal_joint_error finds it
+    total = rs + rt
+    best = int(np.argmin(total))
+    c = float(total[best]) + c_offset
     bound = rs + 0.5 * d + c
     bad = np.flatnonzero(rt > bound + _EPS)
     violations = [{"hypothesis": int(i), "target_risk": float(rt[i]),
@@ -141,22 +169,31 @@ def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> Bo
 
 
 def verify_rho_bound(h: HypothesisClass, s_xy, t_xy, pseudo_y,
-                     rho_offset: float = 0.0) -> BoundReport:
+                     rho_offset: float = 0.0,
+                     theorem1: BoundReport | None = None) -> BoundReport:
     """Check the pseudo-label extension: with rho the exact false-label
     fraction of the pseudo-labeled set, |risk on pseudo labels - true target
     risk| <= rho for every hypothesis, and hence
-    source+target risk <= source + pseudo-labeled risk + rho."""
+    source+target risk <= source + pseudo-labeled risk + rho.
+
+    `theorem1`, the report of `verify_theorem1` on the same h, s_xy and t_xy,
+    supplies the risks, the divergence and the ideal joint hypothesis, which
+    are otherwise computed here again."""
     sx, sy = s_xy
     tx, ty = t_xy
     pseudo_y = np.asarray(pseudo_y)
     if pseudo_y.shape[0] != len(tx):
         raise ValueError("pseudo labels must cover the same sample points as the true labels")
-    rs = _risks(h, sx, sy)
-    rt = _risks(h, tx, ty)
+    if theorem1 is None:
+        theorem1 = verify_theorem1(h, s_xy, t_xy)
+    elif len(theorem1.risks_source) != len(h):
+        raise ValueError("the theorem1 report covers a different hypothesis class")
+    rs, rt = theorem1.risks_source, theorem1.risks_target
+    best = theorem1.best_hypothesis
+    # the report's c_value may carry its c_offset
+    c = float(rs[best] + rt[best])
     rtl = _risks(h, tx, pseudo_y)
     rho = float(np.mean(pseudo_y != np.asarray(ty))) + rho_offset
-    d = empirical_hdh_distance(h, sx, tx)
-    best, c = ideal_joint_error(h, s_xy, t_xy)
     c_prime = float((rs + rtl).min())
     violations = []
     for i in np.flatnonzero(np.abs(rtl - rt) > rho + _EPS):
@@ -167,7 +204,7 @@ def verify_rho_bound(h: HypothesisClass, s_xy, t_xy, pseudo_y,
         violations.append({"hypothesis": int(i), "check": "chained",
                            "lhs": float(rs[i] + rt[i]), "rhs": float(chained[i])})
     return BoundReport(risks_source=rs, risks_target=rt, risks_pseudo=rtl,
-                       d_hdh=d, c_value=c, best_hypothesis=best,
+                       d_hdh=theorem1.d_hdh, c_value=c, best_hypothesis=best,
                        c_prime=c_prime, rho=rho, violations=violations)
 
 

@@ -1,8 +1,9 @@
 """Command-line surface: data generation, training, evaluation, divergence
 measurement and bound checking, driven by flat key=value config files.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error,
-4 verification failure (bound violations).
+Exit codes: 0 success, 2 configuration or input-data error, 3 I/O error,
+4 verification failure (bound violations), 5 training diverged (a
+non-finite batch loss).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VERIFY = 4
+EXIT_DIVERGED = 5
 
 DATA_KEYS = {"generator", "n_source", "n_target", "rotation_deg", "translation",
              "noise_sigma", "num_classes", "seed", "val_count", "dir",
@@ -245,7 +247,8 @@ def cmd_bound_check(args) -> int:
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
     pseudo_y = state.net.forward(ds.target_x, branch="f1", mode="eval").predicted_class
     report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y,
-                                        rho_offset=c_offset if args.inject_fault else 0.0)
+                                        rho_offset=c_offset if args.inject_fault else 0.0,
+                                        theorem1=report1)
     d_a = analysis.a_distance(ds.source_x, ds.target_x, seed=tcfg.seed)
     analysis.emit_report([], report2, out, d_a=d_a,
                          extra={"theorem1": report1.summary(),
@@ -311,6 +314,9 @@ def main(argv=None) -> int:
     except (IOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except trainer.DivergenceError as exc:
+        print(f"error: training diverged: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

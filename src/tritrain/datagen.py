@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -15,10 +16,10 @@ GENERATORS = ("two_moons", "gaussian_blobs")
 
 
 class ParseError(ValueError):
-    """Malformed sparse-text input; carries the offending line number."""
+    """Malformed input file; names the file and the offending line number."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int, message: str, path):
+        super().__init__(f"{path}, line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -173,19 +174,19 @@ def load_sparse_bow(path, dim: int):
             try:
                 label = int(fields[0])
             except ValueError:
-                raise ParseError(lineno, f"bad label field {fields[0]!r}") from None
+                raise ParseError(lineno, f"bad label field {fields[0]!r}", path) from None
             row = np.zeros(dim)
             for tok in fields[1:]:
                 try:
                     idx_s, val_s = tok.split(":", 1)
                     idx, val = int(idx_s), float(val_s)
                 except ValueError:
-                    raise ParseError(lineno, f"bad index:value token {tok!r}") from None
+                    raise ParseError(lineno, f"bad index:value token {tok!r}", path) from None
                 if not 0 <= idx < dim:
-                    raise ParseError(lineno, f"index {idx} out of range [0, {dim})")
+                    raise ParseError(lineno, f"index {idx} out of range [0, {dim})", path)
                 row[idx] = val
             if not np.all(np.isfinite(row)):
-                raise ParseError(lineno, "non-finite feature value")
+                raise ParseError(lineno, "non-finite feature value", path)
             rows.append(row)
             labels.append(0 if label == -1 else label)
     x = np.vstack(rows) if rows else np.empty((0, dim))
@@ -218,7 +219,9 @@ def _write_csv(path, x, y=None):
             w.writerow(row)
 
 
-def _read_csv(path):
+def _read_csv(path, num_classes: int):
+    """Features and, when the header ends in `label`, labels. Non-finite
+    features and labels outside [0, num_classes) are a ParseError."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r)
@@ -226,9 +229,16 @@ def _read_csv(path):
         nfeat = len(header) - (1 if has_label else 0)
         xs, ys = [], []
         for row in r:
-            xs.append([float(v) for v in row[:nfeat]])
+            feats = [float(v) for v in row[:nfeat]]
+            if not all(map(math.isfinite, feats)):
+                raise ParseError(r.line_num, "non-finite feature value", path)
+            xs.append(feats)
             if has_label:
-                ys.append(int(row[-1]))
+                label = int(row[-1])
+                if not 0 <= label < num_classes:
+                    raise ParseError(r.line_num, f"label {label} outside [0, {num_classes})",
+                                     path)
+                ys.append(label)
     x = np.array(xs) if xs else np.empty((0, nfeat))
     y = np.array(ys, dtype=np.int64) if has_label else None
     return x, y
@@ -255,14 +265,14 @@ def load_dataset(data_dir) -> DomainDataset:
     data_dir = Path(data_dir)
     with open(data_dir / "spec.json") as fh:
         sidecar = json.load(fh)
-    sx, sy = _read_csv(data_dir / "source.csv")
-    tx, ty = _read_csv(data_dir / "target.csv")
+    k = sidecar["num_classes"]
+    sx, sy = _read_csv(data_dir / "source.csv", k)
+    tx, ty = _read_csv(data_dir / "target.csv", k)
     vx = vy = None
     if (data_dir / "validation.csv").exists():
-        vx, vy = _read_csv(data_dir / "validation.csv")
+        vx, vy = _read_csv(data_dir / "validation.csv", k)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
-                         target_y_hidden=ty, val_x=vx, val_y=vy,
-                         num_classes=sidecar["num_classes"])
+                         target_y_hidden=ty, val_x=vx, val_y=vy, num_classes=k)
 
 
 def _ensure_dir(path):

@@ -212,15 +212,32 @@ def glorot_uniform(rng, d_in, d_out):
 # layer objects
 
 
+class ArrayViews(dict):
+    """Name -> array. Assigning to a name that is already bound copies into
+    the bound array, after a shape check, instead of rebinding it; so an
+    entry that views a flat buffer stays that view. Reads are plain dict
+    reads."""
+
+    def __setitem__(self, key, value):
+        bound = self.get(key)
+        if bound is None:
+            dict.__setitem__(self, key, value)
+        elif value is not bound:  # `d[k] += x` hands back the bound array
+            if np.shape(value) != bound.shape:
+                raise ShapeError(f"{key}: shape {np.shape(value)} != bound {bound.shape}")
+            bound[...] = value
+
+
 class Layer:
     """One layer kind. Its `params` and `grads` entries become views into the
-    flat buffers of the `Sequential` that owns it; update them in place."""
+    flat buffers of the `Sequential` that owns it; assigning to an entry
+    copies into the view."""
     spec: LayerSpec
 
     def __init__(self, spec: LayerSpec):
         self.spec = spec
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self.params = ArrayViews()
+        self.grads = ArrayViews()
 
     def forward(self, x, mode="train", rng=None):
         raise NotImplementedError
@@ -368,8 +385,8 @@ class Sequential:
             for k, p in layer.params.items():
                 end = off + p.size
                 self.theta[off:end] = p.ravel()
-                layer.params[k] = self.theta[off:end].reshape(p.shape)
-                layer.grads[k] = self.grad[off:end].reshape(p.shape)
+                dict.__setitem__(layer.params, k, self.theta[off:end].reshape(p.shape))
+                dict.__setitem__(layer.grads, k, self.grad[off:end].reshape(p.shape))
                 off = end
 
     @property

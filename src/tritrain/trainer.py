@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,11 @@ from .nnlib import ConfigError, LayerSpec, make_optimizer
 from .trinet import GradientGates, TriNet
 
 log = logging.getLogger(__name__)
+
+
+class DivergenceError(RuntimeError):
+    """A training batch produced a non-finite loss."""
+
 
 METRIC_FIELDS = ("step", "acc_f1", "acc_f2", "acc_ft", "labeling_acc",
                  "n_pseudo", "mean_E", "mean_penalty")
@@ -124,23 +130,31 @@ def _step_params(net: TriNet, phase: str):
             {n: getattr(net, n).grad for n in names})
 
 
-def _labeling_phase(state, pool_x, pool_y, cfg, iters):
-    """Update f1/f2 (and gated f) by the joint objective; returns batch means."""
+def _check_finite(loss, phase, where, batch):
+    if not math.isfinite(loss):
+        raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {batch}")
+
+
+def _labeling_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
+    """Update f1/f2 (and gated f) by the joint objective; returns batch means.
+    `where` ("pretrain" or "step k") names the phase in a DivergenceError."""
     es, ps = [], []
     params, grads = _step_params(state.net, "labeling")
-    for idx in _batches(len(pool_x), cfg.batch_labeling, iters, state.rng_train):
+    for b, idx in enumerate(_batches(len(pool_x), cfg.batch_labeling, iters, state.rng_train)):
         e, parts = state.net.joint_labeling_loss(pool_x[idx], pool_y[idx],
                                                 mode="train", rng=state.rng_train)
+        _check_finite(e, "labeling", where, b)
         state.opt.step(params, grads)
         es.append(e)
         ps.append(parts["penalty"])
     return (float(np.mean(es)), float(np.mean(ps))) if es else (float("nan"), float("nan"))
 
 
-def _target_phase(state, pool_x, pool_y, cfg, iters):
+def _target_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
     params, grads = _step_params(state.net, "target")
-    for idx in _batches(len(pool_x), cfg.batch_target, iters, state.rng_train):
-        state.net.target_loss(pool_x[idx], pool_y[idx], mode="train", rng=state.rng_train)
+    for b, idx in enumerate(_batches(len(pool_x), cfg.batch_target, iters, state.rng_train)):
+        loss = state.net.target_loss(pool_x[idx], pool_y[idx], mode="train", rng=state.rng_train)
+        _check_finite(loss, "target", where, b)
         state.opt.step(params, grads)
 
 
@@ -163,9 +177,11 @@ def adapt_step(state: TrainState, source_x, source_y, target_x,
         state.opt.lr = cfg.lr_decay_to
     pool_x = np.vstack([source_x, target_x[pseudo.indices]])
     pool_y = np.concatenate([source_y, pseudo.labels])
-    mean_e, mean_p = _labeling_phase(state, pool_x, pool_y, cfg, cfg.iter_per_phase)
+    where = f"step {step_k}"
+    mean_e, mean_p = _labeling_phase(state, pool_x, pool_y, cfg, cfg.iter_per_phase, where)
     if len(pseudo) >= 2:
-        _target_phase(state, target_x[pseudo.indices], pseudo.labels, cfg, cfg.iter_per_phase)
+        _target_phase(state, target_x[pseudo.indices], pseudo.labels, cfg,
+                      cfg.iter_per_phase, where)
     else:
         log.warning("step %d: pseudo-label set too small (%d); skipping target phase",
                     step_k, len(pseudo))

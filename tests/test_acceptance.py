@@ -38,14 +38,21 @@ def benchmark_runs(moons_benchmark_config):
         hist, state = run(ds.source_x, ds.source_y, ds.target_x, cfg,
                           eval_x=ds.target_x, eval_y=ds.target_y_hidden,
                           target_y_hidden=ds.target_y_hidden)
-        base_cfg = TrainConfig(**{**moons_benchmark_config, "steps_k": 0},
-                               seed=seed)
-        base_hist, _ = run(ds.source_x, ds.source_y, ds.target_x, base_cfg,
-                           eval_x=ds.target_x, eval_y=ds.target_y_hidden,
-                           target_y_hidden=ds.target_y_hidden)
+        # the source-only baseline is the pretrained net of step 0, which
+        # test_step_zero_is_the_source_only_baseline pins down
         runs.append({"seed": seed, "ds": ds, "hist": hist, "state": state,
-                     "baseline": base_hist[0].acc_ft})
+                     "baseline": hist[0].acc_ft})
     return runs
+
+
+def test_step_zero_is_the_source_only_baseline(benchmark_runs, moons_benchmark_config):
+    r = benchmark_runs[3]
+    ds = r["ds"]
+    cfg = TrainConfig(**{**moons_benchmark_config, "steps_k": 0}, seed=r["seed"])
+    base_hist, _ = run(ds.source_x, ds.source_y, ds.target_x, cfg,
+                       eval_x=ds.target_x, eval_y=ds.target_y_hidden,
+                       target_y_hidden=ds.target_y_hidden)
+    assert base_hist[0].acc_ft == r["hist"][0].acc_ft
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tritrain import analysis, datagen
 from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                distance_from_error, emit_report,
                                empirical_hdh_distance, ideal_joint_error,
@@ -91,6 +94,65 @@ def test_hdh_matches_pairwise_brute_force():
         tx = rng.uniform(0, 2, size=(4, 1))
         assert empirical_hdh_distance(h, sx, tx) == pytest.approx(
             _brute_force_hdh(h, sx, tx))
+
+
+def _dense_hdh(h, sx, tx):
+    """The O(H**2) formula: full source and target disagreement matrices."""
+    def disagreement(pred):
+        p = pred.astype(np.float64)
+        n = p.shape[1]
+        # mean[(a != b)] = mean[a] + mean[b] - 2 mean[a b] for 0/1 predictions
+        cross = p @ p.T / n
+        m = p.mean(axis=1)
+        return m[:, None] + m[None, :] - 2 * cross
+    gap = disagreement(h.predict(sx)) - disagreement(h.predict(tx))
+    return float(2.0 * np.abs(gap).max())
+
+
+def test_hdh_blocked_equals_dense_bit_for_bit():
+    block = analysis._HDH_BLOCK
+    sizes = [1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 5, 3 * block - 7]
+    rng = np.random.default_rng(20)
+    for i in range(240):
+        size = sizes[i % len(sizes)] if i < 160 else int(rng.integers(1, 3 * block))
+        d = int(rng.integers(1, 4))
+        sx = rng.normal(size=(int(rng.integers(1, 60)), d))
+        tx = rng.normal(size=(int(rng.integers(1, 60)), d)) + rng.normal(size=d)
+        if i % 5 == 0:
+            sx = np.round(sx, 1)   # ties between sample values and thresholds
+        h = HypothesisClass(dims=rng.integers(0, d, size=size),
+                            thresholds=np.round(rng.normal(size=size), 1),
+                            polarities=rng.choice([1, -1], size=size))
+        assert empirical_hdh_distance(h, sx, tx) == _dense_hdh(h, sx, tx), (i, size)
+
+
+def _bench_size_instance():
+    ds = datagen.generate(datagen.ShiftSpec(n_source=400, n_target=400, rotation_deg=30,
+                                            noise_sigma=0.1, seed=0))
+    h = make_stump_class(np.vstack([ds.source_x, ds.target_x]), max_thresholds_per_dim=1000)
+    return h, ds.source_x, ds.target_x
+
+
+def test_hdh_memory_is_not_quadratic_in_hypotheses():
+    # the dense H x H float64 matrices take 323 MiB on this instance
+    h, sx, tx = _bench_size_instance()
+    assert len(h) > 3000
+    tracemalloc.start()
+    try:
+        empirical_hdh_distance(h, sx, tx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+
+
+def test_hdh_rejects_counts_beyond_float32_exactness():
+    h = stump_class_1d([0.5])
+    huge = np.broadcast_to(np.zeros((1, 1)), (2 ** 24, 1))   # a view: no allocation
+    small = np.ones((3, 1))
+    for sx, tx in ((huge, small), (small, huge)):
+        with pytest.raises(ValueError, match="float32"):
+            empirical_hdh_distance(h, sx, tx)
 
 
 def test_hdh_rejects_empty():
@@ -216,6 +278,43 @@ def test_rho_fault_injection_is_detected():
     report = verify_rho_bound(h, s_xy, (tx, ty), pseudo,
                               rho_offset=-float(np.mean(pseudo != ty)) - 0.01)
     assert len(report.violations) > 0
+
+
+def _assert_reports_equal(a, b):
+    for f in dataclasses.fields(BoundReport):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, np.ndarray):
+            np.testing.assert_array_equal(va, vb)
+        else:
+            assert va == vb, f.name
+
+
+@pytest.mark.parametrize("c_offset, rho_offset", [(0.0, 0.0), (-0.1, 0.0),
+                                                  (0.0, -0.5), (-0.1, -0.5)])
+def test_rho_bound_reusing_theorem1_equals_standalone(c_offset, rho_offset):
+    rng = np.random.default_rng(19)
+    s_xy, t_xy = random_problem(rng)
+    tx, ty = t_xy
+    pseudo = np.where(rng.random(len(ty)) < 0.3, 1 - ty, ty)
+    h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
+    r1 = verify_theorem1(h, s_xy, t_xy, c_offset=c_offset)
+    shared = verify_rho_bound(h, s_xy, t_xy, pseudo, rho_offset=rho_offset, theorem1=r1)
+    alone = verify_rho_bound(h, s_xy, t_xy, pseudo, rho_offset=rho_offset)
+    _assert_reports_equal(shared, alone)
+    # both against the terms computed one by one
+    best, c = ideal_joint_error(h, s_xy, t_xy)
+    assert (r1.best_hypothesis, r1.c_value) == (best, c + c_offset)
+    assert (shared.best_hypothesis, shared.c_value) == (best, c)
+    assert r1.d_hdh == shared.d_hdh == _dense_hdh(h, s_xy[0], tx)
+    assert (len(shared.violations) > 0) == (rho_offset != 0.0)
+
+
+def test_rho_bound_rejects_theorem1_of_another_class():
+    rng = np.random.default_rng(21)
+    s_xy, (tx, ty) = random_problem(rng)
+    r1 = verify_theorem1(stump_class_1d([0.0, 1.0]), s_xy, (tx, ty))
+    with pytest.raises(ValueError, match="theorem1"):
+        verify_rho_bound(stump_class_1d([0.0]), s_xy, (tx, ty), ty, theorem1=r1)
 
 
 def test_rho_rejects_mismatched_pseudo_labels():

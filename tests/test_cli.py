@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tritrain import cli, datagen
+from tritrain import analysis, cli, datagen
 from tritrain.nnlib import ConfigError
 
 DATA_CFG = """\
@@ -166,6 +166,15 @@ def test_train_bad_activation_exits_config(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+def test_train_divergence_exits_diverged(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, TRAIN_CFG, "t.cfg")
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o"),
+                       "--set", "train.lr=1e6", "--set", "train.pretrain_iters=200"])
+    assert rc == cli.EXIT_DIVERGED
+    assert "phase of pretrain" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval / adist
 
@@ -219,6 +228,17 @@ def test_eval_without_target_labels_exits_config(trained_run, tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+def test_eval_on_non_finite_dataset_exits_config(trained_run, capsys):
+    data, run = trained_run
+    path = data / "target.csv"
+    lines = path.read_text().splitlines()
+    lines[1] = "nan," + lines[1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
+    assert rc == cli.EXIT_CONFIG
+    assert "target.csv, line 2: non-finite" in capsys.readouterr().err
+
+
 def test_adist_reports_both_distances(trained_run, capsys):
     data, run = trained_run
     rc = cli.main(["adist", "--checkpoint", str(run / "checkpoint.npz"),
@@ -253,6 +273,20 @@ def test_bound_check_fault_injection_exits_verify(tmp_path, capsys):
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(out),
                    "--inject-fault"])
     assert rc == cli.EXIT_VERIFY
+
+
+def test_bound_check_computes_the_divergence_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    hdh = analysis.empirical_hdh_distance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hdh(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "empirical_hdh_distance", counted)
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
+    assert cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_bound_check_rejects_oversized_instance(tmp_path, capsys):

@@ -197,3 +197,37 @@ def test_dataset_dim_mismatch_rejected():
     with pytest.raises(ConfigError):
         DomainDataset(source_x=np.zeros((3, 2)), source_y=np.zeros(3, dtype=np.int64),
                       target_x=np.zeros((3, 3)), num_classes=2)
+
+
+def _saved_dataset(tmp_path):
+    spec = ShiftSpec(n_source=20, n_target=20, seed=1)
+    save_dataset(tmp_path / "d", generate(spec), spec)
+    return tmp_path / "d"
+
+
+def _set_csv_field(path, lineno, col, value):
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split(",")
+    fields[col] = value
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_dataset_rejects_non_finite_features(tmp_path, value):
+    d = _saved_dataset(tmp_path)
+    _set_csv_field(d / "source.csv", 4, 1, value)
+    with pytest.raises(ParseError, match="non-finite") as e:
+        load_dataset(d)
+    assert "source.csv" in str(e.value)
+    assert e.value.lineno == 4
+
+
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_load_dataset_rejects_out_of_range_labels(tmp_path, label):
+    d = _saved_dataset(tmp_path)
+    _set_csv_field(d / "target.csv", 3, -1, label)
+    with pytest.raises(ParseError, match=r"outside \[0, 2\)") as e:
+        load_dataset(d)
+    assert "target.csv" in str(e.value)
+    assert e.value.lineno == 3

@@ -493,3 +493,27 @@ def test_flat_step_equals_per_parameter_step(make_opt):
     np.testing.assert_array_equal(
         opt_flat.slots["net"],
         np.concatenate([opt_per.slots[k].ravel() for k in per.named_params()]))
+
+
+def test_assigning_a_param_copies_into_the_arena():
+    net = Sequential(ARENA_SPECS, np.random.default_rng(38))
+    layer = net.layers[0]
+    W = layer.params["W"]
+    layer.params["W"] = np.eye(3, 5)
+    assert layer.params["W"] is W
+    np.testing.assert_array_equal(W, np.eye(3, 5))
+    _one_backward(net, np.random.default_rng(39))
+    MomentumSGD(lr=0.1).step({"net": net.theta}, {"net": net.grad})
+    assert not np.array_equal(layer.params["W"], np.eye(3, 5))
+    assert np.shares_memory(layer.params["W"], net.theta)
+    assert_views_of_arena(net)
+
+
+def test_assigning_a_param_of_wrong_shape_is_rejected():
+    net = Sequential(ARENA_SPECS, np.random.default_rng(40))
+    before = net.theta.copy()
+    with pytest.raises(ShapeError, match="b"):
+        net.layers[0].params["b"] = np.zeros(5)     # (5,) would broadcast into (1, 5)
+    with pytest.raises(ShapeError):
+        net.layers[0].grads["W"] = np.zeros((5, 3))
+    np.testing.assert_array_equal(net.theta, before)

@@ -330,3 +330,34 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     s_a, s_b = s_full.net.named_state(), resumed.net.named_state()
     for k in s_a:
         np.testing.assert_array_equal(s_a[k], s_b[k])
+
+
+# ---------------------------------------------------------------------------
+# divergence
+
+
+def test_divergent_pretraining_raises_naming_the_phase():
+    ds = blobs_dataset()
+    with np.errstate(all="ignore"), pytest.raises(
+            trainer.DivergenceError, match="labeling phase of pretrain: loss nan"):
+        run(ds.source_x, ds.source_y, ds.target_x, small_cfg(lr=1e6))
+
+
+@pytest.mark.parametrize("head, phase", [("f1", "labeling"), ("ft", "target")])
+def test_divergence_in_adaptation_names_the_step(head, phase):
+    ds = blobs_dataset()
+    cfg = small_cfg()
+    state = init_state(cfg, 2, ds.num_classes)
+    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40], step=0)
+    getattr(state.net, head).theta[0] = np.nan
+    with pytest.raises(trainer.DivergenceError, match=f"{phase} phase of step 2: loss nan at batch 0"):
+        adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, cfg, 2)
+
+
+def test_empty_phase_nan_mean_is_not_divergence():
+    ds = blobs_dataset()
+    cfg = small_cfg()
+    state = init_state(cfg, 2, ds.num_classes)
+    mean_e, mean_p = trainer._labeling_phase(state, ds.source_x[:1], ds.source_y[:1], cfg, 5)
+    assert np.isnan(mean_e) and np.isnan(mean_p)
