@@ -8,7 +8,7 @@ target-specific head.
 
 Run:  python3 demos/adaptation_two_moons.py
 """
-import numpy as np
+import dataclasses
 
 from tritrain import datagen, trainer
 
@@ -23,7 +23,7 @@ cfg = trainer.TrainConfig(steps_k=20, pretrain_iters=1000, iter_per_phase=100,
                           lam=0.01, hidden_dim=16, seed=0)
 
 # source-only baseline: pretrain, never adapt
-base_cfg = trainer.TrainConfig(**{**cfg.__dict__, "steps_k": 0})
+base_cfg = dataclasses.replace(cfg, steps_k=0)
 base_hist, _ = trainer.run(ds.source_x, ds.source_y, ds.target_x, base_cfg,
                            eval_x=ds.target_x, eval_y=ds.target_y_hidden,
                            target_y_hidden=ds.target_y_hidden)

@@ -4,7 +4,6 @@ enumerable stump classes, and exact verification of the generalization bound
 and its pseudo-label extension."""
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
-from .trainer import METRIC_FIELDS, StepMetrics
+from .trainer import StepMetrics, write_metrics_csv
 
 # float slack for comparisons between exactly-derived empirical quantities
 _EPS = 1e-9
@@ -274,7 +273,6 @@ def emit_report(history: list[StepMetrics], bound: BoundReport | None, out_dir,
     terms, violations). Returns the summary dict."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .trainer import write_metrics_csv
     write_metrics_csv(history, out_dir / "metrics.csv")
     summary = {"schema_version": REPORT_SCHEMA_VERSION,
                "num_steps": max((m.step for m in history), default=0)}

@@ -8,6 +8,7 @@ non-finite batch loss).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,16 +24,22 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 
-DATA_KEYS = {"generator", "n_source", "n_target", "rotation_deg", "translation",
-             "noise_sigma", "num_classes", "seed", "val_count", "dir",
-             "format", "source_path", "target_path", "dim"}
-TRAIN_KEYS = {"steps_k", "iter_per_phase", "pretrain_iters", "batch_labeling",
-              "batch_target", "optimizer", "lr", "momentum", "adagrad_eps",
-              "lr_decay_step", "lr_decay_to", "lambda", "hidden_dim",
-              "activation", "use_bn", "dropout_rate", "seed"}
-LABELING_KEYS = {"threshold", "n_init", "cap", "steps_divisor"}
-GATES_KEYS = {"from_f1_f2", "from_ft"}
-BOUND_KEYS = {"max_hypotheses", "max_samples", "thresholds_per_dim", "pretrain_iters"}
+# data keys that pick a dataset on disk instead of a generated ShiftSpec
+LOADER_KEYS = ("dir", "format", "source_path", "target_path", "dim")
+
+
+def _field_names(cls, skip=()) -> set:
+    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+
+
+# config section -> the keys it accepts; `train.lambda` sets TrainConfig.lam
+SECTION_KEYS = {
+    "data": _field_names(datagen.ShiftSpec) | set(LOADER_KEYS),
+    "train": _field_names(trainer.TrainConfig, skip=("lam", "labeling", "gates")) | {"lambda"},
+    "labeling": _field_names(labeler.LabelingConfig),
+    "gates": _field_names(trinet.GradientGates),
+    "bound": {"max_hypotheses", "max_samples", "thresholds_per_dim", "pretrain_iters"},
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -66,13 +73,13 @@ def load_config(path) -> dict:
     return parse_config_text(path.read_text())
 
 
-def _section(cfg: dict, prefix: str, allowed: set) -> dict:
+def _section(cfg: dict, prefix: str) -> dict:
     out = {}
     for key, val in cfg.items():
         if not key.startswith(prefix + "."):
             continue
         sub = key[len(prefix) + 1:]
-        if sub not in allowed:
+        if sub not in SECTION_KEYS[prefix]:
             raise ConfigError(f"unknown config key {key!r}")
         out[sub] = val
     return out
@@ -81,24 +88,23 @@ def _section(cfg: dict, prefix: str, allowed: set) -> dict:
 def _check_known(cfg: dict):
     for key in cfg:
         prefix = key.split(".", 1)[0]
-        if prefix not in ("data", "train", "labeling", "gates", "bound"):
+        if prefix not in SECTION_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
 
 
 def build_shift_spec(cfg: dict) -> datagen.ShiftSpec:
-    d = _section(cfg, "data", DATA_KEYS)
-    d.pop("val_count", None)
-    for k in ("dir", "format", "source_path", "target_path", "dim"):
+    d = _section(cfg, "data")
+    for k in LOADER_KEYS:
         d.pop(k, None)
     return datagen.ShiftSpec.from_dict(d)
 
 
 def build_train_config(cfg: dict, seed_override=None) -> trainer.TrainConfig:
-    t = _section(cfg, "train", TRAIN_KEYS)
+    t = _section(cfg, "train")
     if "lambda" in t:
         t["lam"] = t.pop("lambda")
-    lab = _section(cfg, "labeling", LABELING_KEYS)
-    gates = _section(cfg, "gates", GATES_KEYS)
+    lab = _section(cfg, "labeling")
+    gates = _section(cfg, "gates")
     if lab:
         t["labeling"] = labeler.LabelingConfig(**lab)
     if gates:
@@ -137,21 +143,17 @@ def _resolve(args) -> dict:
 
 
 def _load_dataset(cfg: dict):
-    d = _section(cfg, "data", DATA_KEYS)
+    d = _section(cfg, "data")
     if "dir" in d:
         return datagen.load_dataset(d["dir"])
     if d.get("format") == "sparse_bow":
         dim = int(d["dim"])
         sx, sy = datagen.load_sparse_bow(d["source_path"], dim)
         tx, ty = datagen.load_sparse_bow(d["target_path"], dim)
-        ds = datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx,
-                                   target_y_hidden=ty,
-                                   num_classes=int(max(sy.max(), ty.max())) + 1)
-    else:
-        ds = datagen.generate(build_shift_spec(cfg))
-    if d.get("val_count"):
-        ds = datagen.split(ds, int(d["val_count"]), seed=int(d.get("seed", 0)))
-    return ds
+        return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx,
+                                     target_y_hidden=ty,
+                                     num_classes=int(max(sy.max(), ty.max())) + 1)
+    return datagen.generate(build_shift_spec(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +166,6 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     write_manifest(out, "gen-data", cfg, args.config, spec.seed)
     ds = datagen.generate(spec)
-    val_count = _section(cfg, "data", DATA_KEYS).get("val_count", 0)
-    if val_count:
-        ds = datagen.split(ds, int(val_count), seed=spec.seed)
     datagen.save_dataset(out, ds, spec)
     print(f"wrote dataset ({ds.source_x.shape[0]} source, "
           f"{ds.target_x.shape[0]} target) to {out}")
@@ -220,7 +219,7 @@ def cmd_adist(args) -> int:
 
 def cmd_bound_check(args) -> int:
     cfg = _resolve(args)
-    b = _section(cfg, "bound", BOUND_KEYS)
+    b = _section(cfg, "bound")
     max_h = int(b.get("max_hypotheses", 2000))
     max_n = int(b.get("max_samples", 1000))
     out = Path(args.out)
@@ -241,9 +240,8 @@ def cmd_bound_check(args) -> int:
     t_xy = (ds.target_x, ds.target_y_hidden)
     report1 = analysis.verify_theorem1(hyp, s_xy, t_xy, c_offset=c_offset)
     # pseudo labels for the rho check come from a briefly pretrained net
-    tcfg = build_train_config(cfg)
-    tcfg = trainer.TrainConfig(**{**tcfg.__dict__, "steps_k": 0,
-                                  "pretrain_iters": int(b.get("pretrain_iters", 100))})
+    tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
+                               pretrain_iters=int(b.get("pretrain_iters", 100)))
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
     pseudo_y = state.net.forward(ds.target_x, branch="f1", mode="eval").predicted_class
     report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +67,10 @@ class DomainDataset:
     target_x: np.ndarray
     num_classes: int
     target_y_hidden: np.ndarray | None = None  # evaluation only, never trained on
-    val_x: np.ndarray | None = None
-    val_y: np.ndarray | None = None
 
     def __post_init__(self):
         if self.source_x.shape[1] != self.target_x.shape[1]:
             raise ConfigError("source and target feature dims differ")
-        if self.val_x is not None and self.val_x.shape[1] != self.source_x.shape[1]:
-            raise ConfigError("validation feature dim differs")
 
 
 def _moons(n, noise, rng):
@@ -127,35 +123,6 @@ def generate(spec: ShiftSpec) -> DomainDataset:
     tx = _shift(tx, spec)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
                          target_y_hidden=ty, num_classes=spec.num_classes)
-
-
-def split(ds: DomainDataset, val_count: int, seed: int = 0) -> DomainDataset:
-    """Move a seeded sample of labeled target rows into the validation split."""
-    if val_count == 0:
-        return ds
-    if ds.target_y_hidden is None:
-        raise ConfigError("cannot split a validation set without target labels")
-    n = ds.target_x.shape[0]
-    if val_count >= n:
-        raise ConfigError(f"val_count {val_count} must be smaller than the target pool {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    val_idx, rest = perm[:val_count], np.sort(perm[val_count:])
-    return DomainDataset(
-        source_x=ds.source_x, source_y=ds.source_y,
-        target_x=ds.target_x[rest], target_y_hidden=ds.target_y_hidden[rest],
-        val_x=ds.target_x[val_idx], val_y=ds.target_y_hidden[val_idx],
-        num_classes=ds.num_classes)
-
-
-def standardize_from_source(ds: DomainDataset) -> DomainDataset:
-    """Per-feature standardization fitted on source only (no target leakage)."""
-    mean = ds.source_x.mean(axis=0)
-    std = ds.source_x.std(axis=0)
-    std[std == 0] = 1.0
-    tf = lambda x: None if x is None else (x - mean) / std
-    return replace(ds, source_x=tf(ds.source_x), target_x=tf(ds.target_x),
-                   val_x=tf(ds.val_x))
 
 
 # ---------------------------------------------------------------------------
@@ -220,21 +187,30 @@ def _write_csv(path, x, y=None):
 
 
 def _read_csv(path, num_classes: int):
-    """Features and, when the header ends in `label`, labels. Non-finite
-    features and labels outside [0, num_classes) are a ParseError."""
+    """Features and, when the header ends in `label`, labels. A row without
+    one field per header column, a field that does not parse, a non-finite
+    feature or a label outside [0, num_classes) is a ParseError."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        has_label = header and header[-1] == "label"
+        header = next(r, None)
+        if not header:
+            raise ParseError(1, "missing header", path)
+        has_label = header[-1] == "label"
         nfeat = len(header) - (1 if has_label else 0)
         xs, ys = [], []
         for row in r:
-            feats = [float(v) for v in row[:nfeat]]
+            if len(row) != len(header):
+                raise ParseError(r.line_num, f"{len(row)} fields, header has {len(header)}",
+                                 path)
+            try:
+                feats = [float(v) for v in row[:nfeat]]
+                label = int(row[-1]) if has_label else None
+            except ValueError as exc:
+                raise ParseError(r.line_num, str(exc), path) from None
             if not all(map(math.isfinite, feats)):
                 raise ParseError(r.line_num, "non-finite feature value", path)
             xs.append(feats)
             if has_label:
-                label = int(row[-1])
                 if not 0 <= label < num_classes:
                     raise ParseError(r.line_num, f"label {label} outside [0, {num_classes})",
                                      path)
@@ -250,8 +226,6 @@ def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
     out_dir = _ensure_dir(out_dir)
     _write_csv(out_dir / "source.csv", ds.source_x, ds.source_y)
     _write_csv(out_dir / "target.csv", ds.target_x, ds.target_y_hidden)
-    if ds.val_x is not None:
-        _write_csv(out_dir / "validation.csv", ds.val_x, ds.val_y)
     sidecar = {"num_classes": ds.num_classes}
     if spec is not None:
         sidecar["shift_spec"] = spec.to_dict()
@@ -268,11 +242,8 @@ def load_dataset(data_dir) -> DomainDataset:
     k = sidecar["num_classes"]
     sx, sy = _read_csv(data_dir / "source.csv", k)
     tx, ty = _read_csv(data_dir / "target.csv", k)
-    vx = vy = None
-    if (data_dir / "validation.csv").exists():
-        vx, vy = _read_csv(data_dir / "validation.csv", k)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
-                         target_y_hidden=ty, val_x=vx, val_y=vy, num_classes=k)
+                         target_y_hidden=ty, num_classes=k)
 
 
 def _ensure_dir(path):

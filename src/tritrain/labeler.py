@@ -2,7 +2,6 @@
 agreement-plus-confidence filter applied to the two labeling heads."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,22 +89,3 @@ def labeling_accuracy(pls: PseudoLabelSet, true_labels: np.ndarray) -> float:
     if len(pls) == 0:
         return float("nan")
     return float(np.mean(pls.labels == np.asarray(true_labels)[pls.indices]))
-
-
-def write_pseudo_label_csv(pls: PseudoLabelSet, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target_index", "label", "confidence", "step"])
-        for i, y, c in zip(pls.indices, pls.labels, pls.confidences):
-            w.writerow([int(i), int(y), repr(float(c)), pls.step])
-
-
-def read_pseudo_label_csv(path) -> PseudoLabelSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    step = int(rows[0]["step"]) if rows else 0
-    return PseudoLabelSet(
-        indices=np.array([int(r["target_index"]) for r in rows], dtype=np.int64),
-        labels=np.array([int(r["label"]) for r in rows], dtype=np.int64),
-        confidences=np.array([float(r["confidence"]) for r in rows], dtype=np.float64),
-        step=step)

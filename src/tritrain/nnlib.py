@@ -5,7 +5,7 @@ passes can be checked against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,20 +50,6 @@ class LayerSpec:
                 raise ConfigError("bn_eps must be positive")
             if not 0.0 < self.bn_momentum < 1.0:
                 raise ConfigError("bn_momentum must lie in (0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "dropout_rate": self.dropout_rate,
-            "bn_eps": self.bn_eps,
-            "bn_momentum": self.bn_momentum,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +376,6 @@ class Sequential:
                 off = end
 
     @property
-    def specs(self) -> list[LayerSpec]:
-        return [l.spec for l in self.layers]
-
-    @property
     def in_dim(self) -> int:
         return self.layers[0].spec.in_dim
 
@@ -438,9 +420,14 @@ class Sequential:
 
     def set_state(self, named: dict[str, np.ndarray], prefix=""):
         for i, layer in enumerate(self.layers):
-            keys = layer.state_arrays().keys()
-            if keys:
-                layer.load_state_arrays({k: named[f"{prefix}{i}/{k}"] for k in keys})
+            arrays = {}
+            for k, cur in layer.state_arrays().items():
+                src = named[f"{prefix}{i}/{k}"]
+                if np.shape(src) != cur.shape:
+                    raise ShapeError(f"state {prefix}{i}/{k} shape {np.shape(src)} != {cur.shape}")
+                arrays[k] = src
+            if arrays:
+                layer.load_state_arrays(arrays)
 
 
 # ---------------------------------------------------------------------------

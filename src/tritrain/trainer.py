@@ -4,15 +4,17 @@ alternating (shared+labeling heads on source ∪ pseudo-labeled) and
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
-from dataclasses import dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import labeler, trinet
+from . import labeler
 from .labeler import LabelingConfig, PseudoLabelSet, candidate_count, label_candidates, sample_candidates
-from .nnlib import ConfigError, LayerSpec, make_optimizer
+from .nnlib import ConfigError, LayerSpec, ShapeError, make_optimizer
 from .trinet import GradientGates, TriNet
 
 log = logging.getLogger(__name__)
@@ -21,6 +23,10 @@ log = logging.getLogger(__name__)
 class DivergenceError(RuntimeError):
     """A training batch produced a non-finite loss."""
 
+
+# 3: the resolved TrainConfig replaces the layer specs; `load_state` rebuilds
+# the net through `init_state`
+CHECKPOINT_VERSION = 3
 
 METRIC_FIELDS = ("step", "acc_f1", "acc_f2", "acc_ft", "labeling_acc",
                  "n_pseudo", "mean_E", "mean_penalty")
@@ -71,6 +77,7 @@ class StepMetrics:
 
 @dataclass
 class TrainState:
+    cfg: TrainConfig
     net: TriNet
     opt: object
     rng_train: np.random.Generator
@@ -96,7 +103,7 @@ def init_state(cfg: TrainConfig, in_dim: int, num_classes: int) -> TrainState:
     ss = np.random.SeedSequence(cfg.seed).spawn(3)
     net = build_net(cfg, in_dim, num_classes)
     opt = make_optimizer(cfg.optimizer, cfg.lr, momentum=cfg.momentum, eps=cfg.adagrad_eps)
-    return TrainState(net=net, opt=opt,
+    return TrainState(cfg=cfg, net=net, opt=opt,
                       rng_train=np.random.default_rng(ss[1]),
                       rng_label=np.random.default_rng(ss[2]))
 
@@ -267,19 +274,66 @@ def read_metrics_csv(path):
 
 
 def save_state(path, state: TrainState):
-    trinet.save_checkpoint(
-        path, state.net, optimizers={"main": state.opt},
-        rng_states={"train": state.rng_train.bit_generator.state,
-                    "label": state.rng_label.bit_generator.state},
-        extra_meta={"step": state.step})
+    """One npz: a `__meta__` JSON record (version, resolved config, input and
+    class counts, the optimizer's current lr, step, RNG states) plus the
+    parameter, batch-norm and optimizer-slot arrays. The pseudo-label pool
+    is not stored."""
+    net = state.net
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.cfg),
+            "in_dim": net.f.in_dim, "num_classes": net.num_classes,
+            "lr": state.opt.lr, "step": state.step,
+            "rng_states": {"train": state.rng_train.bit_generator.state,
+                           "label": state.rng_label.bit_generator.state}}
+    arrays = {f"param/{k}": v for k, v in net.named_params().items()}
+    arrays.update({f"state/{k}": v for k, v in net.named_state().items()})
+    arrays.update({f"opt/main/{k}": v for k, v in state.opt.state_arrays().items()})
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
+                                       dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+# what reading or rebuilding a malformed checkpoint can raise
+_BAD_CHECKPOINT = (OSError, EOFError, zipfile.BadZipFile, ValueError, LookupError,
+                   TypeError, AttributeError)
+
+
+def _exact(cls, d: dict):
+    """cls(**d), requiring every field of the dataclass and no other."""
+    names = {f.name for f in fields(cls)}
+    if set(d) != names:
+        raise ValueError(f"{cls.__name__} fields missing {sorted(names - set(d))}, "
+                         f"unknown {sorted(set(d) - names)}")
+    return cls(**d)
 
 
 def load_state(path) -> TrainState:
-    net, opts, rng_states, extra = trinet.load_checkpoint(path)
-    rng_train, rng_label = np.random.default_rng(), np.random.default_rng()
-    if "train" in rng_states:
-        rng_train.bit_generator.state = rng_states["train"]
-    if "label" in rng_states:
-        rng_label.bit_generator.state = rng_states["label"]
-    return TrainState(net=net, opt=opts.get("main"), rng_train=rng_train,
-                      rng_label=rng_label, step=(extra or {}).get("step", 0))
+    """Rebuild the stored config, then the state by `init_state`, then copy
+    the arrays, lr, RNG states and step in. Anything unreadable, missing or
+    malformed is an IOError naming the path."""
+    try:
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+        if meta["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {meta['version']}")
+        c = dict(meta["config"])
+        c["labeling"] = _exact(LabelingConfig, c["labeling"])
+        c["gates"] = _exact(GradientGates, c["gates"])
+        state = init_state(_exact(TrainConfig, c), meta["in_dim"], meta["num_classes"])
+        for name in ("f",) + TriNet.BRANCHES:
+            seq = getattr(state.net, name)
+            seq.set_params(arrays, prefix=f"param/{name}/")
+            seq.set_state(arrays, prefix=f"state/{name}/")
+        state.opt.load_state_arrays({k[len("opt/main/"):]: v for k, v in arrays.items()
+                                     if k.startswith("opt/main/")})
+        for name, slot in state.opt.slots.items():
+            if slot.shape != getattr(state.net, name).theta.shape:
+                raise ShapeError(f"optimizer slot {name} shape {slot.shape}")
+        state.opt.lr = float(meta["lr"])
+        state.rng_train.bit_generator.state = meta["rng_states"]["train"]
+        state.rng_label.bit_generator.state = meta["rng_states"]["label"]
+        state.step = int(meta["step"])
+    except _BAD_CHECKPOINT as exc:
+        raise IOError(f"cannot load checkpoint {path}: {exc}") from exc
+    return state

@@ -3,17 +3,12 @@ target-specific head, with the first-layer weight-divergence penalty and
 gradient gates on the shared trunk."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnlib
 from .nnlib import (Affine, ConfigError, LayerSpec, Sequential, ShapeError,
                     softmax, softmax_cross_entropy)
-
-# 2: optimizer slots are one flat array per sub-network (`slot/f`, `slot/f1`, ...)
-CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -76,16 +71,12 @@ class TriNet:
         self.num_classes = num_classes
         self.lam = lam
         self.gates = gates or GradientGates()
-        self.seed = seed
         # independent sub-seeds so the three heads start differently
         ss = np.random.SeedSequence(seed).spawn(4)
         self.f = Sequential(f_specs, np.random.default_rng(ss[0]))
-        self.f1 = Sequential([LayerSpec(**s.to_dict()) for s in branch_specs],
-                             np.random.default_rng(ss[1]))
-        self.f2 = Sequential([LayerSpec(**s.to_dict()) for s in branch_specs],
-                             np.random.default_rng(ss[2]))
-        self.ft = Sequential([LayerSpec(**s.to_dict()) for s in branch_specs],
-                             np.random.default_rng(ss[3]))
+        self.f1 = Sequential(branch_specs, np.random.default_rng(ss[1]))
+        self.f2 = Sequential(branch_specs, np.random.default_rng(ss[2]))
+        self.ft = Sequential(branch_specs, np.random.default_rng(ss[3]))
 
     def branch(self, name: str) -> Sequential:
         if name not in self.BRANCHES:
@@ -163,80 +154,3 @@ class TriNet:
 
     def named_state(self) -> dict[str, np.ndarray]:
         return self.named("state")
-
-    def meta(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "num_classes": self.num_classes,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "gates": {"from_f1_f2": self.gates.from_f1_f2, "from_ft": self.gates.from_ft},
-            "f_specs": [s.to_dict() for s in self.f.specs],
-            "branch_specs": [s.to_dict() for s in self.f1.specs],
-        }
-
-
-# ---------------------------------------------------------------------------
-# checkpoint i/o
-
-
-def save_checkpoint(path, net: TriNet, optimizers=None, rng_states=None,
-                    extra_meta=None):
-    """Dump specs, parameters, BN statistics, optimizer slots and RNG state
-    into one npz file. The pseudo-label pool is not stored."""
-    meta = net.meta()
-    meta["optimizers"] = {}
-    meta["rng_states"] = rng_states or {}
-    if extra_meta:
-        meta["extra"] = extra_meta
-    arrays = {}
-    for k, v in net.named_params().items():
-        arrays[f"param/{k}"] = v
-    for k, v in net.named_state().items():
-        arrays[f"state/{k}"] = v
-    for name, opt in (optimizers or {}).items():
-        meta["optimizers"][name] = {"kind": opt.kind, "lr": opt.lr}
-        if isinstance(opt, nnlib.MomentumSGD):
-            meta["optimizers"][name]["momentum"] = opt.momentum
-        if isinstance(opt, nnlib.Adagrad):
-            meta["optimizers"][name]["eps"] = opt.eps
-        for k, v in opt.state_arrays().items():
-            arrays[f"opt/{name}/{k}"] = v
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_checkpoint(path):
-    """Rebuild (net, optimizers, rng_states, extra_meta) from a checkpoint."""
-    try:
-        with np.load(path) as z:
-            arrays = {k: z[k] for k in z.files}
-    except Exception as exc:
-        raise IOError(f"cannot read checkpoint {path}: {exc}") from exc
-    if "__meta__" not in arrays:
-        raise IOError(f"checkpoint {path} is missing its metadata record")
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise IOError(f"unsupported checkpoint version {meta.get('version')}")
-    net = TriNet(
-        f_specs=[LayerSpec.from_dict(d) for d in meta["f_specs"]],
-        branch_specs=[LayerSpec.from_dict(d) for d in meta["branch_specs"]],
-        num_classes=meta["num_classes"], lam=meta["lambda"],
-        gates=GradientGates(**meta["gates"]), seed=meta["seed"])
-    try:
-        for name in ("f",) + TriNet.BRANCHES:
-            getattr(net, name).set_params(arrays, prefix=f"param/{name}/")
-            getattr(net, name).set_state(arrays, prefix=f"state/{name}/")
-    except (KeyError, ShapeError) as exc:
-        raise IOError(f"checkpoint {path} does not match its specs: {exc}") from exc
-    optimizers = {}
-    for name, spec in meta.get("optimizers", {}).items():
-        opt = nnlib.make_optimizer(spec["kind"], spec["lr"],
-                                   momentum=spec.get("momentum", 0.9),
-                                   eps=spec.get("eps", 1e-8))
-        pfx = f"opt/{name}/"
-        opt.load_state_arrays({k[len(pfx):]: v for k, v in arrays.items()
-                               if k.startswith(pfx)})
-        optimizers[name] = opt
-    return net, optimizers, meta.get("rng_states", {}), meta.get("extra")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,26 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def rewrite_checkpoint(path, edit):
+    """Apply edit(arrays, meta) to a saved checkpoint in place."""
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
+    edit(arrays, meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+# checkpoint edits that loading must turn into an IOError
+MALFORMED_CHECKPOINTS = {
+    "version_2": lambda arrays, meta: meta.update(version=2),
+    "missing_config": lambda arrays, meta: meta.pop("config"),
+    "unknown_gates_field": lambda arrays, meta: meta["config"]["gates"].update(from_fx=True),
+    "wrong_in_dim": lambda arrays, meta: meta.update(in_dim=meta["in_dim"] + 1),
+}
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tritrain import analysis, cli, datagen
+from tritrain import analysis, cli, datagen, trainer
 from tritrain.nnlib import ConfigError
+
+from conftest import MALFORMED_CHECKPOINTS, rewrite_checkpoint
 
 DATA_CFG = """\
 # synthetic rotated moons
@@ -117,11 +120,24 @@ def test_gen_data_seed_override_changes_output(tmp_path):
     assert (a / "source.csv").read_bytes() != (b / "source.csv").read_bytes()
 
 
-def test_gen_data_val_split(tmp_path):
-    cfg = write_cfg(tmp_path, DATA_CFG + "data.val_count = 20\n")
-    out = tmp_path / "data"
-    cli.main(["gen-data", "--config", cfg, "--out", str(out)])
-    assert (out / "validation.csv").exists()
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_val_count_is_an_unknown_key(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, TRAIN_CFG + "data.val_count = 20\n")
+    rc = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "unknown config key 'data.val_count'" in capsys.readouterr().err
+
+
+def test_config_sections_follow_the_dataclass_fields():
+    keys = cli.SECTION_KEYS
+    assert keys["train"] >= {"steps_k", "lambda", "seed"} and "lam" not in keys["train"]
+    assert not keys["train"] & {"labeling", "gates"}
+    shift_fields = {f.name for f in dataclasses.fields(datagen.ShiftSpec)}
+    assert keys["data"] == shift_fields | set(cli.LOADER_KEYS)
+    assert keys["gates"] == {"from_f1_f2", "from_ft"}
+    cfg = cli.parse_config_text("train.lambda = 0.5\nlabeling.cap = 50000\ngates.from_ft = false\n")
+    tcfg = cli.build_train_config(cfg)
+    assert (tcfg.lam, tcfg.labeling.cap, tcfg.gates.from_ft) == (0.5, 50000, False)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +230,31 @@ def test_eval_corrupt_checkpoint_exits_io(trained_run, tmp_path, capsys):
     bad.write_bytes(b"not a checkpoint")
     rc = cli.main(["eval", "--checkpoint", str(bad), "--data", str(data)])
     assert rc == cli.EXIT_IO
+
+
+def test_eval_of_a_train_output_equals_in_memory_evaluate(trained_run, tmp_path, capsys):
+    data, run = trained_run
+    cfg = cli.load_config(run / "manifest.json")
+    ds = datagen.load_dataset(data)
+    _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, cli.build_train_config(cfg),
+                           eval_x=ds.target_x, eval_y=ds.target_y_hidden,
+                           target_y_hidden=ds.target_y_hidden)
+    expected = {b: trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden, branch=b)
+                for b in ("f1", "f2", "ft")}
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
+                   "--data", str(data), "--branch", "all"])
+    assert rc == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("edit", MALFORMED_CHECKPOINTS.values(), ids=MALFORMED_CHECKPOINTS)
+def test_eval_malformed_checkpoint_exits_io(trained_run, capsys, edit):
+    data, run = trained_run
+    rewrite_checkpoint(run / "checkpoint.npz", edit)
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
+    assert rc == cli.EXIT_IO
+    assert "checkpoint.npz" in capsys.readouterr().err
 
 
 def test_eval_without_target_labels_exits_config(trained_run, tmp_path, capsys):

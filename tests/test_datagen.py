@@ -4,8 +4,7 @@ import pytest
 from tritrain import analysis, trainer
 from tritrain.datagen import (DomainDataset, ParseError, ShiftSpec,
                               generate, load_dataset, load_sparse_bow,
-                              save_dataset, save_sparse_bow, split,
-                              standardize_from_source)
+                              save_dataset, save_sparse_bow)
 from tritrain.nnlib import ConfigError
 from tritrain.trainer import TrainConfig, evaluate, init_state, pretrain
 
@@ -92,38 +91,6 @@ def test_translation_moves_target_mean():
 
 
 # ---------------------------------------------------------------------------
-# split / standardize
-
-
-def test_split_zero_is_identity():
-    ds = generate(ShiftSpec(seed=0))
-    assert split(ds, 0) is ds
-
-
-def test_split_partitions_target():
-    ds = generate(ShiftSpec(n_target=2000, seed=0))
-    out = split(ds, 200, seed=1)
-    assert out.val_x.shape == (200, 2)
-    assert out.target_x.shape == (1800, 2)
-    pool = np.vstack([out.target_x, out.val_x])
-    assert sorted(map(tuple, pool)) == sorted(map(tuple, ds.target_x))
-
-
-def test_split_rejects_oversized_request():
-    ds = generate(ShiftSpec(seed=0))
-    with pytest.raises(ConfigError):
-        split(ds, len(ds.target_x))
-
-
-def test_standardize_uses_source_statistics_only():
-    ds = generate(ShiftSpec(translation=(10.0, 0.0), seed=2))
-    out = standardize_from_source(ds)
-    np.testing.assert_allclose(out.source_x.mean(axis=0), 0, atol=1e-12)
-    np.testing.assert_allclose(out.source_x.std(axis=0), 1, atol=1e-12)
-    assert abs(out.target_x[:, 0].mean()) > 1  # target keeps its offset
-
-
-# ---------------------------------------------------------------------------
 # sparse bag-of-words format
 
 
@@ -181,15 +148,13 @@ def test_sparse_bow_round_trip(tmp_path):
 
 def test_save_load_dataset_round_trip(tmp_path):
     spec = ShiftSpec(rotation_deg=30, n_target=600, seed=4)
-    ds = split(generate(spec), 100, seed=4)
+    ds = generate(spec)
     save_dataset(tmp_path / "d", ds, spec)
     back = load_dataset(tmp_path / "d")
     np.testing.assert_array_equal(back.source_x, ds.source_x)
     np.testing.assert_array_equal(back.source_y, ds.source_y)
     np.testing.assert_array_equal(back.target_x, ds.target_x)
     np.testing.assert_array_equal(back.target_y_hidden, ds.target_y_hidden)
-    np.testing.assert_array_equal(back.val_x, ds.val_x)
-    np.testing.assert_array_equal(back.val_y, ds.val_y)
     assert back.num_classes == ds.num_classes
 
 
@@ -231,3 +196,27 @@ def test_load_dataset_rejects_out_of_range_labels(tmp_path, label):
         load_dataset(d)
     assert "target.csv" in str(e.value)
     assert e.value.lineno == 3
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0.5,1", "2 fields, header has 3"),
+    ("0.5,0.25,1,7", "4 fields, header has 3"),
+    ("abc,0.25,1", "could not convert string to float: 'abc'"),
+    ("0.5,0.25,1.0", "invalid literal for int"),
+])
+def test_load_dataset_rejects_malformed_rows(tmp_path, line, message):
+    d = _saved_dataset(tmp_path)
+    lines = (d / "source.csv").read_text().splitlines()
+    lines[4] = line
+    (d / "source.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as e:
+        load_dataset(d)
+    assert "source.csv" in str(e.value)
+    assert e.value.lineno == 5
+
+
+def test_load_dataset_rejects_a_file_without_header(tmp_path):
+    d = _saved_dataset(tmp_path)
+    (d / "target.csv").write_text("")
+    with pytest.raises(ParseError, match="target.csv, line 1: missing header"):
+        load_dataset(d)

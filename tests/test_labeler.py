@@ -7,8 +7,7 @@ from scipy import stats as sstats
 from tritrain.labeler import (LabelingConfig, PseudoLabelSet,
                               assign_pseudo_labels, candidate_count,
                               label_candidates, labeling_accuracy,
-                              read_pseudo_label_csv, sample_candidates,
-                              write_pseudo_label_csv)
+                              sample_candidates)
 from tritrain.nnlib import ConfigError, ShapeError
 from tritrain.trinet import BranchOutput
 
@@ -162,7 +161,7 @@ def test_rule_matches_brute_force_on_random_pairs():
 
 
 # ---------------------------------------------------------------------------
-# labeling accuracy and audit dump
+# labeling accuracy
 
 
 def test_labeling_accuracy_all_correct():
@@ -185,15 +184,3 @@ def test_labeling_accuracy_matches_brute_force():
                          confidences=np.full(20, 0.91), step=2)
     expected = sum(int(labels[i] == truth[idx[i]]) for i in range(20)) / 20
     assert labeling_accuracy(pls, truth) == pytest.approx(expected)
-
-
-def test_pseudo_label_csv_round_trip(tmp_path):
-    pls = PseudoLabelSet(indices=np.array([5, 9, 1]), labels=np.array([0, 1, 1]),
-                         confidences=np.array([0.93, 0.99, 0.9050000000001]), step=3)
-    path = tmp_path / "pseudo.csv"
-    write_pseudo_label_csv(pls, path)
-    back = read_pseudo_label_csv(path)
-    np.testing.assert_array_equal(back.indices, pls.indices)
-    np.testing.assert_array_equal(back.labels, pls.labels)
-    np.testing.assert_array_equal(back.confidences, pls.confidences)
-    assert back.step == 3

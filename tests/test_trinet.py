@@ -1,15 +1,13 @@
-import json
-
 import numpy as np
 import pytest
 
 from tritrain.nnlib import (ConfigError, LayerSpec, MomentumSGD,
                             finite_difference_gradient, sigmoid,
                             softmax_cross_entropy)
-from tritrain.trinet import (GradientGates, TriNet, load_checkpoint,
-                             save_checkpoint, weight_divergence)
+from tritrain.trainer import TrainConfig, init_state, load_state, save_state
+from tritrain.trinet import GradientGates, TriNet, weight_divergence
 
-from conftest import rel_err
+from conftest import MALFORMED_CHECKPOINTS, rel_err, rewrite_checkpoint
 
 
 def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
@@ -280,84 +278,109 @@ def test_training_decreases_joint_loss():
         assert e1 < e0
 
 
-def test_checkpoint_round_trip(tmp_path):
-    net = small_net(lam=0.02, seed=5)
-    rng = np.random.default_rng(11)
-    x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
-    net.joint_labeling_loss(x, y)  # populate BN stats
-    opt = MomentumSGD(lr=0.05, momentum=0.9)
-    opt.step(net.named_params(), net.named_grads())
+def stepped_state(seed=6, lam=0.01):
+    """A training state whose net is `small_net(lam, seed=seed)`, after one
+    joint-loss step on f1, f2 and f (so BN statistics and slots are set)."""
+    state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed), 3, 3)
+    net = state.net
+    rng = np.random.default_rng(12)
+    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
+    state.opt.step({"f1": net.f1.theta, "f2": net.f2.theta, "f": net.f.theta},
+                   {"f1": net.f1.grad, "f2": net.f2.grad, "f": net.f.grad})
+    return state
+
+
+def saved_state(tmp_path):
+    state = stepped_state()
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net, optimizers={"main": opt},
-                    rng_states={"train": np.random.default_rng(3).bit_generator.state})
-    net2, opts, rng_states, _ = load_checkpoint(path)
-    for k, v in net.named_params().items():
-        np.testing.assert_array_equal(v, net2.named_params()[k])
-    for k, v in net.named_state().items():
-        np.testing.assert_array_equal(v, net2.named_state()[k])
-    for k, v in opt.state_arrays().items():
-        np.testing.assert_array_equal(v, opts["main"].state_arrays()[k])
-    assert rng_states["train"] == np.random.default_rng(3).bit_generator.state
-    a = net.forward(x, branch="ft", mode="eval")
-    b = net2.forward(x, branch="ft", mode="eval")
-    np.testing.assert_array_equal(a.probs, b.probs)
+    save_state(path, state)
+    return state, path
+
+
+def test_checkpoint_round_trip(tmp_path):
+    state = stepped_state(seed=5, lam=0.02)
+    state.opt.lr, state.step = 0.005, 7  # lr as after lr_decay_step
+    state.rng_train.random(3)
+    path = tmp_path / "ckpt.npz"
+    save_state(path, state)
+    back = load_state(path)
+    assert back.cfg == state.cfg and back.net.lam == 0.02
+    for which in ("params", "state"):
+        a, b = state.net.named(which), back.net.named(which)
+        assert a.keys() == b.keys()
+        for k in a:
+            np.testing.assert_array_equal(a[k], b[k])
+    a, b = state.opt.state_arrays(), back.opt.state_arrays()
+    assert a.keys() == b.keys()
+    for k in a:
+        np.testing.assert_array_equal(a[k], b[k])
+    assert back.opt.lr == 0.005 and back.step == 7
+    assert back.rng_train.bit_generator.state == state.rng_train.bit_generator.state
+    assert back.rng_label.bit_generator.state == state.rng_label.bit_generator.state
+    x = np.random.default_rng(11).normal(size=(8, 3))
+    np.testing.assert_array_equal(state.net.forward(x, branch="ft", mode="eval").probs,
+                                  back.net.forward(x, branch="ft", mode="eval").probs)
 
 
 def test_corrupted_checkpoint_raises(tmp_path):
     path = tmp_path / "bad.npz"
     path.write_bytes(b"not a checkpoint")
-    with pytest.raises(IOError):
-        load_checkpoint(path)
-
-
-def _rewrite_checkpoint(path, edit):
-    """Apply edit(arrays, meta) to a saved checkpoint in place."""
-    with np.load(path) as z:
-        arrays = {k: z[k] for k in z.files}
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode())
-    edit(arrays, meta)
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _flat_checkpoint(tmp_path):
-    net = small_net(seed=6)
-    rng = np.random.default_rng(12)
-    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
-    opt = MomentumSGD(lr=0.05)
-    opt.step({"f1": net.f1.theta, "f2": net.f2.theta, "f": net.f.theta},
-             {"f1": net.f1.grad, "f2": net.f2.grad, "f": net.f.grad})
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, net, optimizers={"main": opt})
-    return net, opt, path
+    with pytest.raises(IOError, match="bad.npz"):
+        load_state(path)
 
 
 def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
-    net, opt, path = _flat_checkpoint(tmp_path)
+    state, path = saved_state(tmp_path)
     with np.load(path) as z:
         assert {"opt/main/slot/f", "opt/main/slot/f1", "opt/main/slot/f2"} <= set(z.files)
-    net2, opts, _, _ = load_checkpoint(path)
+    back = load_state(path)
     for name in ("f",) + TriNet.BRANCHES:
-        seq = getattr(net2, name)
-        np.testing.assert_array_equal(seq.theta, getattr(net, name).theta)
+        seq = getattr(back.net, name)
+        np.testing.assert_array_equal(seq.theta, getattr(state.net, name).theta)
         for layer in seq.layers:
             for k in layer.params:
                 assert np.shares_memory(layer.params[k], seq.theta)
                 assert np.shares_memory(layer.grads[k], seq.grad)
-    for k, v in opt.slots.items():
-        np.testing.assert_array_equal(opts["main"].slots[k], v)
+    for k, v in state.opt.slots.items():
+        np.testing.assert_array_equal(back.opt.slots[k], v)
 
 
 def test_checkpoint_of_previous_version_is_rejected(tmp_path):
-    _, _, path = _flat_checkpoint(tmp_path)
-    _rewrite_checkpoint(path, lambda arrays, meta: meta.update(version=1))
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: meta.update(version=2))
     with pytest.raises(IOError, match="version"):
-        load_checkpoint(path)
+        load_state(path)
 
 
 def test_checkpoint_missing_parameter_is_io_error(tmp_path):
-    _, _, path = _flat_checkpoint(tmp_path)
-    _rewrite_checkpoint(path, lambda arrays, meta: arrays.pop("param/f1/0/W"))
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: arrays.pop("param/f1/0/W"))
     with pytest.raises(IOError, match="param/f1/0/W"):
-        load_checkpoint(path)
+        load_state(path)
+
+
+@pytest.mark.parametrize("edit", [
+    *MALFORMED_CHECKPOINTS.values(),
+    lambda arrays, meta: meta.pop("rng_states"),
+    lambda arrays, meta: meta["config"].pop("lr"),
+    lambda arrays, meta: meta["config"]["labeling"].update(threshold=2.0),
+    lambda arrays, meta: arrays.update({"opt/main/slot/f1": np.zeros(3)}),
+    lambda arrays, meta: arrays.update({"state/f/2/running_mean": np.zeros(5)}),
+], ids=[*MALFORMED_CHECKPOINTS, "missing_rng_states", "missing_config_field",
+        "rejected_config_value", "wrong_slot_shape", "wrong_state_shape"])
+def test_malformed_checkpoint_is_io_error_naming_the_path(tmp_path, edit):
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(IOError, match="ckpt.npz"):
+        load_state(path)
+
+
+def test_checkpoint_with_unparsable_metadata_is_io_error(tmp_path):
+    _, path = saved_state(tmp_path)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    arrays["__meta__"] = np.frombuffer(b"{not json", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(IOError, match="ckpt.npz"):
+        load_state(path)
