@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
+from . import nnlib
+from .nnlib import softmax_cross_entropy
 from .trainer import StepMetrics, write_metrics_csv
 
 # float slack for comparisons between exactly-derived empirical quantities
@@ -82,47 +83,118 @@ class BoundReport:
         return out
 
 
-# Hypothesis rows per block of the pairwise divergence reduction. Each block
-# holds a few (rows, H) float64 temporaries: 128 x 3200 stumps is 3.3 MB,
-# and 10 MB at the 10_000-stump enumeration cap.
+# Rows per block of the divergence scan and of its exact re-evaluation. A
+# scan block holds a few (rows, B) temporaries over the B base stumps, a
+# re-evaluation block a few (rows, H) float64 ones: 3.3 MB each for 128 rows
+# of 3200 stumps, and 10 MB at the 10_000-stump enumeration cap.
 _HDH_BLOCK = 128
 # float32 holds every integer up to 2**24 exactly, so pair counts over fewer
 # samples than that come out of a float32 matmul without rounding
 _MAX_EXACT_COUNT = 2 ** 24
 
 
-def _disagreement_block(p, m, n, i0, i1):
-    """Rows i0:i1, columns i0: of the rate at which hypotheses disagree,
-    from float32 0/1 predictions p and their row means m over n samples."""
-    # mean[(a != b)] = mean[a] + mean[b] - 2 mean[a b] for 0/1 predictions
-    cross = (p[i0:i1] @ p[i0:].T).astype(np.float64)
-    cross /= n
-    cross *= 2
-    d = m[i0:i1, None] + m[None, i0:]
-    d -= cross
-    return d
+def _numerator_dtype(n_s: int, n_t: int):
+    """The scan's numerators are integers of magnitude at most n_s * n_t:
+    exact in float32 below 2**24, and in float64 below 2**53."""
+    return np.float32 if n_s * n_t < _MAX_EXACT_COUNT else np.float64
+
+
+class _Domain:
+    """One domain's predictions: the 0/1 rows `p` of the base stumps and
+    their counts, and the count and mean of each distinct hypothesis, which
+    is base stump `base` or, where `neg`, its complement."""
+
+    def __init__(self, p, base, neg):
+        self.p, self.n, self.base, self.neg = p, p.shape[1], base, neg
+        self.count = np.count_nonzero(p, axis=1)
+        self.hyp_count = np.where(neg, self.n - self.count[base], self.count[base])
+        # what mean() of the 0/1 prediction row computes: its exact count / n
+        self.mean = self.hyp_count / self.n
+
+    def disagreement(self, rows, cols):
+        """Rate at which hypotheses `rows` disagree with hypotheses `cols`
+        (plain stumps before complements), in float64 and in the order
+        mean[a] + mean[b] - 2 mean[a b]. Every count is an exact integer."""
+        both = (self.p[self.base[rows]] @ self.p.T).astype(np.float64)
+        # count(not a, b) = count(b) - count(a, b)
+        flip = self.neg[rows]
+        both[flip] = self.count - both[flip]
+        # count(x, not b) = count(x) - count(x, b)
+        k = np.searchsorted(self.neg[cols], True)
+        cross = np.empty((len(rows), len(cols)))
+        cross[:, :k] = both[:, self.base[cols[:k]]]
+        np.subtract(self.hyp_count[rows, None], both[:, self.base[cols[k:]]], out=cross[:, k:])
+        cross /= self.n
+        cross *= 2
+        d = self.mean[rows, None] + self.mean[None, cols]
+        d -= cross
+        return d
 
 
 def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray) -> float:
     """2 * sup over hypothesis pairs of |disagreement on source - on target|,
-    exact over the empirical distributions by enumerating every pair.
+    exact over the empirical distributions: the result has the bits of
+    evaluating |D_s - D_t|, D = mean[a] + mean[b] - 2 mean[a b], in float64
+    on every pair and taking the max.
 
-    Pair counts come from a float32 matmul over row blocks, exact because
-    each is an integer below 2**24. Both disagreement rates and their gap
-    are bitwise symmetric in (i, j), so only the upper triangle is visited,
-    and memory is O(block * H), not O(H**2)."""
-    if len(s_x) == 0 or len(t_x) == 0:
+    Each hypothesis is a base stump (one unique dim and threshold) or its
+    complement. For base stumps a, b the disagreement count in a domain of
+    n samples is K = (c_a - A_ab) + (c_b - A_ab), with c the counts of 1s and
+    A_ab the count where both are 1; complements give K(a, not b) = n - K and
+    K(not a, not b) = K. So the integer numerator N = n_t K_s - n_s K_t of
+    the exact gap N / (n_s n_t) has the same |N| for all four polarity
+    pairs. A blocked matmul scan of the upper triangle of base pairs finds
+    the largest |N| exactly, in the dtype `_numerator_dtype` picks. Only the
+    hypotheses of the base rows that reach it are then evaluated with the
+    float formula, against every hypothesis. Memory is O(block * H), not
+    O(H**2)."""
+    n_s, n_t = len(s_x), len(t_x)
+    if n_s == 0 or n_t == 0:
         raise ValueError("empty sample set")
-    if max(len(s_x), len(t_x)) >= _MAX_EXACT_COUNT:
+    if max(n_s, n_t) >= _MAX_EXACT_COUNT:
         raise ValueError(f"pair counts over {_MAX_EXACT_COUNT} or more samples "
                          "are not exact in float32")
-    source, target = [(pred.astype(np.float32), pred.mean(axis=1), pred.shape[1])
-                      for pred in (h.predict(s_x), h.predict(t_x))]
+    # a complex key sorts and compares by dim, then by threshold
+    keys, inv = np.unique(h.dims + 1j * h.thresholds, return_inverse=True)
+    dims, ths = keys.real.astype(np.int64), keys.imag
+    p = np.empty((len(keys), n_s + n_t), dtype=_numerator_dtype(n_s, n_t))
+    np.greater(s_x[:, dims].T, ths[:, None], out=p[:, :n_s])
+    np.greater(t_x[:, dims].T, ths[:, None], out=p[:, n_s:])
+    # distinct hypotheses as (base stump, complemented): duplicates evaluate
+    # alike, so they cannot change the max; plain stumps come first
+    code = np.unique(inv + len(keys) * (h.polarities <= 0))
+    base, neg = code % len(keys), code >= len(keys)
+    source, target = _Domain(p[:, :n_s], base, neg), _Domain(p[:, n_s:], base, neg)
+
+    # N_ab = (u_a - M_ab) + (u_b - M_ab), every term at most n_s * n_t in
+    # magnitude, with u_a = n_t c_a,s - n_s c_a,t and M = n_t A_s - n_s A_t
+    u = (n_t * source.count - n_s * target.count).astype(p.dtype)
+    w = np.concatenate([np.full(n_s, n_t), np.full(n_t, -n_s)]).astype(p.dtype)
+    row_max = np.empty(len(keys), dtype=p.dtype)
+    for a0 in range(0, len(keys), _HDH_BLOCK):
+        a1 = min(a0 + _HDH_BLOCK, len(keys))
+        m = (p[a0:a1] * w) @ p[a0:].T
+        num = u[a0:a1, None] - m
+        m -= u[None, a0:]
+        num -= m
+        row_max[a0:a1] = np.abs(num, out=num).max(axis=1)
+    # The float formula is within 18 * 2**-53 of a pair's exact gap, and
+    # exact gaps differ by multiples of 1 / (n_s n_t). So a pair whose |N| is
+    # more than n_s n_t / 2**47 below the largest evaluates below the pair
+    # that reaches it: only base rows within `slack` of the largest can hold
+    # the max, and slack is 0 unless n_s n_t >= 2**47. When the largest |N|
+    # is 0, every row is a candidate, since rounding can leave non-zero gaps.
+    slack = (n_s * n_t) >> 47
+    cand = np.isin(base, np.flatnonzero(row_max >= row_max.max() - slack))
+    rows = np.flatnonzero(cand)
     best = 0.0
-    for i0 in range(0, len(h), _HDH_BLOCK):
-        i1 = min(i0 + _HDH_BLOCK, len(h))
-        gap = _disagreement_block(*source, i0, i1)
-        gap -= _disagreement_block(*target, i0, i1)
+    for i0 in range(0, len(rows), _HDH_BLOCK):
+        blk = rows[i0:i0 + _HDH_BLOCK]
+        # a pair of two candidates is evaluated in the earlier one's block;
+        # D and the gap are bitwise symmetric
+        cols = np.flatnonzero(~cand | (np.arange(len(code)) >= blk[0]))
+        gap = source.disagreement(blk, cols)
+        gap -= target.disagreement(blk, cols)
         best = max(best, float(np.abs(gap, out=gap).max()))
     return 2.0 * best
 
@@ -211,21 +283,34 @@ def verify_rho_bound(h: HypothesisClass, s_xy, t_xy, pseudo_y,
 # proxy A-distance
 
 
-def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, lr=0.1):
-    rng = np.random.default_rng(seed)
-    clf = Sequential([LayerSpec("affine", dim, 2)], rng)
-    opt = make_optimizer("adagrad", lr)
-    n = len(train_x)
+def _train_domain_classifiers(train_x, train_y, rngs, epochs=30, batch=64, lr=0.1):
+    """Linear softmax classifiers, one per leading slice of train_x (folds,
+    n, d), trained together as one stacked model with Adagrad. Each fold
+    draws from its own generator in the order a lone classifier would: its
+    glorot init, then one permutation per epoch. The stacked kernels keep
+    each slice's bits, so every fold trains as it would alone. Returns the
+    weights (folds, d, 2) and biases (folds, 1, 2)."""
+    folds, n, dim = train_x.shape
+    theta, grad = np.empty((folds, 2 * dim + 2)), np.empty((folds, 2 * dim + 2))
+    W, b = theta[:, :2 * dim].reshape(folds, dim, 2), theta[:, 2 * dim:].reshape(folds, 1, 2)
+    dW, db = grad[:, :2 * dim].reshape(folds, dim, 2), grad[:, 2 * dim:].reshape(folds, 1, 2)
+    for w, rng in zip(W, rngs):
+        w[...] = nnlib.glorot_uniform(rng, dim, 2)
+    b.fill(0.0)
+    opt = nnlib.make_optimizer("adagrad", lr)
+    fold = np.arange(folds)[:, None]
     for _ in range(epochs):
-        perm = rng.permutation(n)
+        perm = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch):
-            idx = perm[start:start + batch]
-            logits = clf.forward(train_x[idx], mode="train")
-            _, dz = softmax_cross_entropy(logits, train_y[idx])
-            clf.zero_grads()
-            clf.backward(dz)
-            opt.step({"clf": clf.theta}, {"clf": clf.grad})
-    return clf
+            idx = perm[:, start:start + batch]
+            xb = train_x[fold, idx]
+            _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
+            grad.fill(0.0)
+            _, gW, gb = nnlib.affine_backward(dz, xb, W)
+            dW += gW
+            db += gb
+            opt.step({"clf": theta}, {"clf": grad})
+    return W, b
 
 
 def distance_from_error(eps: float) -> float:
@@ -247,17 +332,16 @@ def a_distance(feats_s: np.ndarray, feats_t: np.ndarray,
     n_held = int(round(n * heldout_fraction))
     if n_held < 2 or n - n_held < 2:
         raise ValueError("each split needs at least 2 samples")
-    errs = []
+    if folds < 1:
+        raise ValueError("a_distance needs at least one fold")
     ss = np.random.SeedSequence(seed).spawn(folds)
-    for fold_seed in ss:
-        rng = np.random.default_rng(fold_seed)
-        perm = rng.permutation(n)
-        held, tr = perm[:n_held], perm[n_held:]
-        if len(np.unique(y[tr])) < 2 or len(np.unique(y[held])) < 2:
-            raise ValueError("a split ended up with fewer than 2 samples per domain")
-        clf = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
-        pred = clf.forward(x[held], mode="eval").argmax(axis=1)
-        errs.append(np.mean(pred != y[held]))
+    perm = np.array([np.random.default_rng(s).permutation(n) for s in ss])
+    held, tr = perm[:, :n_held], perm[:, n_held:]
+    if any(len(np.unique(y[rows])) < 2 for rows in (*held, *tr)):
+        raise ValueError("a split ended up with fewer than 2 samples per domain")
+    W, b = _train_domain_classifiers(x[tr], y[tr], [np.random.default_rng(s) for s in ss])
+    pred = nnlib.affine_forward(x[held], W, b).argmax(axis=-1)
+    errs = np.mean(pred != y[held], axis=-1)
     return distance_from_error(float(np.mean(errs)))
 
 

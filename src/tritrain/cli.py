@@ -147,6 +147,8 @@ def _load_dataset(cfg: dict):
     if "dir" in d:
         return datagen.load_dataset(d["dir"])
     if d.get("format") == "sparse_bow":
+        if "dim" not in d:
+            raise ConfigError("data.format = \"sparse_bow\" needs data.dim")
         dim = int(d["dim"])
         sx, sy = datagen.load_sparse_bow(d["source_path"], dim)
         tx, ty = datagen.load_sparse_bow(d["target_path"], dim)

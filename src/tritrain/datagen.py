@@ -237,9 +237,15 @@ def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
 def load_dataset(data_dir) -> DomainDataset:
     from pathlib import Path
     data_dir = Path(data_dir)
-    with open(data_dir / "spec.json") as fh:
-        sidecar = json.load(fh)
-    k = sidecar["num_classes"]
+    spec = data_dir / "spec.json"
+    with open(spec) as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}", spec) from None
+    k = sidecar.get("num_classes") if isinstance(sidecar, dict) else None
+    if type(k) is not int or k < 2:
+        raise ParseError(1, f"num_classes must be an integer >= 2, got {k!r}", spec)
     sx, sy = _read_csv(data_dir / "source.csv", k)
     tx, ty = _read_csv(data_dir / "target.csv", k)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,

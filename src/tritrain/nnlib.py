@@ -57,20 +57,24 @@ class LayerSpec:
 
 
 def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = xW + b with b broadcast over rows."""
+    """y = xW + b with b broadcast over rows. Operands may carry the same
+    leading model axes, x (..., n, d) and W (..., d, k); matmul then runs one
+    gemm per slice, with the bits of the 2-D call on that slice."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or W.ndim != 2 or x.shape[1] != W.shape[0]:
+    if (x.ndim < 2 or x.ndim != W.ndim or x.shape[:-2] != W.shape[:-2]
+            or x.shape[-1] != W.shape[-2]):
         raise ShapeError(f"affine: x {x.shape} incompatible with W {W.shape}")
-    b = np.asarray(b, dtype=np.float64).reshape(1, -1)
-    if b.shape[1] != W.shape[1]:
+    b = np.asarray(b, dtype=np.float64).reshape(*x.shape[:-2], 1, -1)
+    if b.shape[-1] != W.shape[-1]:
         raise ShapeError(f"affine: b {b.shape} incompatible with W {W.shape}")
     return x @ W + b
 
 
 def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray):
-    dx = dout @ W.T
-    dW = x.T @ dout
-    db = dout.sum(axis=0, keepdims=True)
+    """Gradients of `affine_forward`, slice by slice over leading axes."""
+    dx = dout @ W.swapaxes(-1, -2)
+    dW = x.swapaxes(-1, -2) @ dout
+    db = dout.sum(axis=-2, keepdims=True)
     return dx, dW, db
 
 
@@ -89,26 +93,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
-    Returns (loss, grad) with grad = (softmax - onehot) / batch_size.
+    Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
+    of shape (..., n, k) give one mean loss per leading slice, with labels of
+    shape (..., n).
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
-    n, k = logits.shape
+    if logits.ndim < 2:
+        raise ShapeError("logits need a batch and a class axis")
+    n, k = logits.shape[-2:]
     if k < 2:
         raise ShapeError("need at least 2 classes")
-    if labels.shape[0] != n:
+    if labels.shape[0] * k != logits.size:
         raise ShapeError("labels length must match the batch size")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    logp = z[rows, labels] - np.log(s[:, 0])
+    s = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(labels.shape[0])
+    logp = z.reshape(-1, k)[rows, labels] - np.log(s.ravel())
     np.clip(logp, -700.0, None, out=logp)
-    loss = -logp.mean()
+    loss = -logp.reshape(logits.shape[:-1]).mean(axis=-1)
     grad = e / s
-    grad[rows, labels] -= 1.0
+    grad.reshape(-1, k)[rows, labels] -= 1.0
     grad /= n
     return loss, grad
 

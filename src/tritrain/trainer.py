@@ -167,8 +167,9 @@ def _target_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
 
 def pretrain(state: TrainState, source_x, source_y, cfg: TrainConfig):
     """Train all four networks on mini-batches from the labeled source set."""
-    if len(source_x) == 0:
-        raise ValueError("source set is empty")
+    if len(source_x) < 2:
+        # mini-batches under 2 rows are dropped, so nothing would train
+        raise ValueError(f"training needs at least 2 source rows, got {len(source_x)}")
     iters = cfg.pretrain_iters if cfg.pretrain_iters is not None else cfg.iter_per_phase
     mean_e, mean_p = _labeling_phase(state, source_x, source_y, cfg, iters)
     _target_phase(state, source_x, source_y, cfg, iters)

@@ -12,6 +12,7 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                empirical_hdh_distance, ideal_joint_error,
                                make_stump_class, verify_rho_bound,
                                verify_theorem1)
+from tritrain.nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
 from tritrain.trainer import StepMetrics, read_metrics_csv
 
 
@@ -124,6 +125,50 @@ def test_hdh_blocked_equals_dense_bit_for_bit():
                             thresholds=np.round(rng.normal(size=size), 1),
                             polarities=rng.choice([1, -1], size=size))
         assert empirical_hdh_distance(h, sx, tx) == _dense_hdh(h, sx, tx), (i, size)
+
+
+def test_hdh_equals_dense_on_degenerate_classes():
+    # identical or duplicated samples (every pair's exact gap is 0), one
+    # polarity only, and duplicate stumps
+    rng = np.random.default_rng(22)
+    for i in range(90):
+        d = int(rng.integers(1, 4))
+        sx = np.round(rng.normal(size=(int(rng.integers(1, 40)), d)), 1)
+        other = np.round(rng.normal(size=(int(rng.integers(1, 40)), d)) + 0.5, 1)
+        tx = (sx, np.vstack([sx, sx]), other)[i % 3]
+        size = int(rng.integers(1, 200))
+        dims = rng.integers(0, d, size=size)
+        ths = np.round(rng.normal(size=size), 1)
+        pols = rng.choice([1, -1], size=size)
+        if i % 4 == 0:
+            pols = np.full(size, (1, -1)[(i // 4) % 2])
+        elif i % 4 == 1:
+            dup = rng.integers(0, size, size=size)
+            dims, ths, pols = dims[dup], ths[dup], pols[dup]
+        h = HypothesisClass(dims=dims, thresholds=ths, polarities=pols)
+        d_hdh = empirical_hdh_distance(h, sx, tx)
+        assert d_hdh == _dense_hdh(h, sx, tx), i
+        if i % 3 < 2:
+            assert d_hdh == 0.0
+
+
+def test_hdh_numerators_beyond_float32_take_float64(monkeypatch):
+    assert analysis._numerator_dtype(2 ** 12 - 1, 2 ** 12) is np.float32
+    assert analysis._numerator_dtype(2 ** 12, 2 ** 12) is np.float64
+    picked, pick = [], analysis._numerator_dtype
+
+    def spy(n_s, n_t):
+        picked.append(pick(n_s, n_t))
+        return picked[-1]
+
+    monkeypatch.setattr(analysis, "_numerator_dtype", spy)
+    rng = np.random.default_rng(23)
+    # n_s * n_t = 2**24; the source is one point repeated by a zero-stride view
+    sx = np.broadcast_to(rng.normal(size=(1, 2)), (2 ** 12, 2))
+    tx = rng.normal(size=(2 ** 12, 2))
+    h = make_stump_class(np.vstack([sx[:1], tx]), max_thresholds_per_dim=20)
+    assert empirical_hdh_distance(h, sx, tx) == _dense_hdh(h, sx, tx)
+    assert picked == [np.float64]
 
 
 def _bench_size_instance():
@@ -357,9 +402,71 @@ def test_a_distance_is_seed_deterministic():
     assert a_distance(s, t, seed=3) == a_distance(s, t, seed=3)
 
 
+def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, lr=0.1):
+    """The reference: one fold's classifier trained alone."""
+    rng = np.random.default_rng(seed)
+    clf = Sequential([LayerSpec("affine", dim, 2)], rng)
+    opt = make_optimizer("adagrad", lr)
+    n = len(train_x)
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
+            logits = clf.forward(train_x[idx], mode="train")
+            _, dz = softmax_cross_entropy(logits, train_y[idx])
+            clf.zero_grads()
+            clf.backward(dz)
+            opt.step({"clf": clf.theta}, {"clf": clf.grad})
+    return clf
+
+
+def _a_distance_fold_by_fold(feats_s, feats_t, heldout_fraction=0.5, folds=5, seed=0):
+    """The reference `a_distance`, training its folds one after another.
+    Returns d_A and each fold's training rows and classifier."""
+    x = np.vstack([feats_s, feats_t])
+    y = np.concatenate([np.zeros(len(feats_s), dtype=np.int64),
+                        np.ones(len(feats_t), dtype=np.int64)])
+    n_held = int(round(len(x) * heldout_fraction))
+    errs, trained = [], []
+    for fold_seed in np.random.SeedSequence(seed).spawn(folds):
+        perm = np.random.default_rng(fold_seed).permutation(len(x))
+        held, tr = perm[:n_held], perm[n_held:]
+        clf = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
+        errs.append(np.mean(clf.forward(x[held], mode="eval").argmax(axis=1) != y[held]))
+        trained.append((tr, clf))
+    return distance_from_error(float(np.mean(errs))), x, y, trained
+
+
+def test_a_distance_stacked_folds_equal_fold_by_fold_training():
+    rng = np.random.default_rng(24)
+    partial_batches = 0
+    for i in range(12):
+        d = int(rng.integers(1, 6))
+        n_s, n_t = rng.choice(np.arange(20, 160), size=2, replace=False)
+        s = rng.normal(size=(n_s, d))
+        t = rng.normal(size=(n_t, d)) + rng.uniform(0.2, 1.5)
+        seed = int(rng.integers(0, 100))
+        d_a, x, y, trained = _a_distance_fold_by_fold(s, t, seed=seed)
+        assert a_distance(s, t, seed=seed) == d_a, i
+        tr = np.array([rows for rows, _ in trained])
+        partial_batches += tr.shape[1] % 64 != 0
+        rngs = [np.random.default_rng(f) for f in np.random.SeedSequence(seed).spawn(5)]
+        W, b = analysis._train_domain_classifiers(x[tr], y[tr], rngs)
+        for f, (_, clf) in enumerate(trained):
+            np.testing.assert_array_equal(W[f], clf.layers[0].params["W"])
+            np.testing.assert_array_equal(b[f], clf.layers[0].params["b"])
+    assert partial_batches > 0
+
+
 def test_a_distance_rejects_empty():
     with pytest.raises(ValueError):
         a_distance(np.empty((0, 2)), np.ones((10, 2)))
+
+
+def test_a_distance_rejects_zero_folds():
+    rng = np.random.default_rng(25)
+    with pytest.raises(ValueError, match="fold"):
+        a_distance(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), folds=0)
 
 
 # ---------------------------------------------------------------------------

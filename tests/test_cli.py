@@ -182,6 +182,28 @@ def test_train_bad_activation_exits_config(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+def sparse_bow_cfg(tmp_path, source_rows, dim_line="data.dim = 3\n"):
+    (tmp_path / "a.txt").write_text(source_rows)
+    (tmp_path / "b.txt").write_text("1 0:1.0\n-1 1:2.0\n1 2:0.5\n-1 0:0.3\n")
+    data = (f'data.format = "sparse_bow"\ndata.source_path = "{tmp_path / "a.txt"}"\n'
+            f'data.target_path = "{tmp_path / "b.txt"}"\n' + dim_line)
+    return write_cfg(tmp_path, data + TRAIN_CFG[len(DATA_CFG):], "bow.cfg")
+
+
+def test_train_on_a_one_row_source_exits_config(tmp_path, capsys):
+    cfg = sparse_bow_cfg(tmp_path, "1 0:1.0\n")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "at least 2 source rows, got 1" in capsys.readouterr().err
+
+
+def test_train_sparse_bow_without_dim_exits_config(tmp_path, capsys):
+    cfg = sparse_bow_cfg(tmp_path, "1 0:1.0\n-1 1:1.0\n", dim_line="")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_CONFIG
+    assert "data.dim" in capsys.readouterr().err
+
+
 def test_train_divergence_exits_diverged(tmp_path, capsys):
     cfg = write_cfg(tmp_path, TRAIN_CFG, "t.cfg")
     with np.errstate(all="ignore"):
@@ -278,6 +300,16 @@ def test_eval_on_non_finite_dataset_exits_config(trained_run, capsys):
     rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
     assert rc == cli.EXIT_CONFIG
     assert "target.csv, line 2: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["{}", "not json", '{"num_classes": "2"}',
+                                  '{"num_classes": 1}', "[2]"])
+def test_eval_with_a_malformed_spec_json_exits_config(trained_run, capsys, spec):
+    data, run = trained_run
+    (data / "spec.json").write_text(spec)
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
+    assert rc == cli.EXIT_CONFIG
+    assert "spec.json" in capsys.readouterr().err
 
 
 def test_adist_reports_both_distances(trained_run, capsys):

@@ -426,6 +426,36 @@ def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
         np.testing.assert_array_equal(y, gamma * ((x - x.mean(axis=0)) * inv_std) + beta)
 
 
+def test_stacked_kernels_equal_the_2d_call_on_each_slice():
+    rng = np.random.default_rng(33)
+    for _ in range(300):
+        folds, n = int(rng.integers(1, 7)), int(rng.integers(1, 130))
+        d, k = int(rng.integers(1, 40)), int(rng.integers(2, 5))
+        x = rng.normal(size=(folds, n, d))
+        W = rng.normal(size=(folds, d, k))
+        b = rng.normal(size=(folds, 1, k))
+        labels = rng.integers(0, k, size=(folds, n))
+        y = affine_forward(x, W, b)
+        loss, dz = softmax_cross_entropy(y, labels)
+        dx, dW, db = affine_backward(dz, x, W)
+        assert loss.shape == (folds,)
+        for f in range(folds):
+            y_f = affine_forward(x[f], W[f], b[f])
+            loss_f, dz_f = softmax_cross_entropy(y_f, labels[f])
+            np.testing.assert_array_equal(y[f], y_f)
+            assert loss[f] == loss_f
+            np.testing.assert_array_equal(dz[f], dz_f)
+            for stacked, alone in zip((dx, dW, db), affine_backward(dz_f, x[f], W[f])):
+                np.testing.assert_array_equal(stacked[f], alone)
+
+
+def test_stacked_affine_rejects_mismatched_model_axes():
+    with pytest.raises(ShapeError):
+        affine_forward(np.zeros((3, 4, 2)), np.zeros((2, 2, 5)), np.zeros((3, 1, 5)))
+    with pytest.raises(ShapeError):
+        affine_forward(np.zeros((3, 4, 2)), np.zeros((2, 5)), np.zeros(5))
+
+
 # ---------------------------------------------------------------------------
 # flat parameter arena
 
