@@ -28,9 +28,8 @@ cfg = trainer.TrainConfig(steps_k=20, pretrain_iters=1000, iter_per_phase=100,
 _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, cfg)
 
 d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=0)
-d_feat = analysis.a_distance(state.net.features(ds.source_x, mode="eval"),
-                             state.net.features(ds.target_x, mode="eval"),
-                             seed=0)
+d_feat = analysis.a_distance(state.net.features(ds.source_x),
+                             state.net.features(ds.target_x), seed=0)
 print(f"\n30-degree rotation shift:")
 print(f"  d_A on raw inputs:       {d_raw:.3f}")
 print(f"  d_A on learned features: {d_feat:.3f}")

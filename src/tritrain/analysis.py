@@ -203,18 +203,6 @@ def _risks(h: HypothesisClass, x, y) -> np.ndarray:
     return (h.predict(x) != np.asarray(y)[None, :]).mean(axis=1)
 
 
-def ideal_joint_error(h: HypothesisClass, s_xy, t_xy):
-    """Exhaustive argmin of source risk + target risk; ties go to the first
-    hypothesis in enumeration order. Returns (index, combined error)."""
-    sx, sy = s_xy
-    tx, ty = t_xy
-    if len(sx) == 0 or len(tx) == 0:
-        raise ValueError("empty sample set")
-    total = _risks(h, sx, sy) + _risks(h, tx, ty)
-    best = int(np.argmin(total))
-    return best, float(total[best])
-
-
 def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> BoundReport:
     """Check, for every hypothesis, target risk <= source risk + half the
     divergence + the ideal-joint error. Holds exactly over empirical
@@ -227,7 +215,8 @@ def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> Bo
     rs = _risks(h, sx, sy)
     rt = _risks(h, tx, ty)
     d = empirical_hdh_distance(h, sx, tx)
-    # the ideal joint hypothesis, as ideal_joint_error finds it
+    # the ideal joint hypothesis: the exhaustive argmin of source + target
+    # risk, ties to the first hypothesis in enumeration order
     total = rs + rt
     best = int(np.argmin(total))
     c = float(total[best]) + c_offset

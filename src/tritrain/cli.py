@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -28,18 +29,45 @@ EXIT_DIVERGED = 5
 LOADER_KEYS = ("dir", "format", "source_path", "target_path", "dim")
 
 
-def _field_names(cls, skip=()) -> set:
-    return {f.name for f in dataclasses.fields(cls)} - set(skip)
+def _field_types(cls, skip=()) -> dict:
+    return {k: t for k, t in typing.get_type_hints(cls).items() if k not in skip}
 
 
-# config section -> the keys it accepts; `train.lambda` sets TrainConfig.lam
+# config section -> dataclass field -> its type; `train.lambda` sets TrainConfig.lam
+FIELD_TYPES = {
+    "data": _field_types(datagen.ShiftSpec),
+    "train": _field_types(trainer.TrainConfig, skip=("lam", "labeling", "gates")) | {"lambda": float},
+    "labeling": _field_types(labeler.LabelingConfig),
+    "gates": _field_types(trinet.GradientGates),
+}
+# config section -> the keys it accepts
 SECTION_KEYS = {
-    "data": _field_names(datagen.ShiftSpec) | set(LOADER_KEYS),
-    "train": _field_names(trainer.TrainConfig, skip=("lam", "labeling", "gates")) | {"lambda"},
-    "labeling": _field_names(labeler.LabelingConfig),
-    "gates": _field_names(trinet.GradientGates),
+    "data": set(FIELD_TYPES["data"]) | set(LOADER_KEYS),
+    "train": set(FIELD_TYPES["train"]),
+    "labeling": set(FIELD_TYPES["labeling"]),
+    "gates": set(FIELD_TYPES["gates"]),
     "bound": {"max_hypotheses", "max_samples", "thresholds_per_dim", "pretrain_iters"},
 }
+# field type -> (what the error calls it, the test a value must pass); an int
+# is a valid float, a bool is not a valid int, and a tuple comes as a JSON list
+_VALUE_CHECKS = {
+    bool: ("true or false", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list", lambda v: isinstance(v, (list, tuple))),
+}
+
+
+def _check_type(key: str, val, tp):
+    """ConfigError naming `key` unless `val` fits the field type `tp`; an
+    optional field (`int | None`) also takes null."""
+    options = typing.get_args(tp) or (tp,)
+    if val is None and type(None) in options:
+        return
+    name, ok = _VALUE_CHECKS[options[0]]
+    if not ok(val):
+        raise ConfigError(f"config key {key!r} must be {name}, got {val!r}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -69,7 +97,12 @@ def load_config(path) -> dict:
         with open(path) as fh:
             data = json.load(fh)
         # a manifest re-runs from its resolved snapshot
-        return data["config"] if "config" in data else data
+        if isinstance(data, dict) and "config" in data:
+            data = data["config"]
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object, "
+                              f"got {type(data).__name__}")
+        return data
     return parse_config_text(path.read_text())
 
 
@@ -81,6 +114,8 @@ def _section(cfg: dict, prefix: str) -> dict:
         sub = key[len(prefix) + 1:]
         if sub not in SECTION_KEYS[prefix]:
             raise ConfigError(f"unknown config key {key!r}")
+        if sub in FIELD_TYPES.get(prefix, {}):
+            _check_type(key, val, FIELD_TYPES[prefix][sub])
         out[sub] = val
     return out
 
@@ -196,9 +231,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = trainer.load_state(args.checkpoint)
     ds = datagen.load_dataset(args.data)
-    branches = ("f1", "f2", "ft") if args.branch == "all" else (args.branch,)
-    result = {b: trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden, branch=b)
-              for b in branches}
+    accs = trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden)
+    result = accs if args.branch == "all" else {args.branch: accs[args.branch]}
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
         with open(args.out, "w") as fh:
@@ -211,9 +245,8 @@ def cmd_adist(args) -> int:
     state = trainer.load_state(args.checkpoint)
     ds = datagen.load_dataset(args.data)
     d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=args.seed or 0)
-    feats_s = state.net.features(ds.source_x, mode="eval")
-    feats_t = state.net.features(ds.target_x, mode="eval")
-    d_feat = analysis.a_distance(feats_s, feats_t, seed=args.seed or 0)
+    d_feat = analysis.a_distance(state.net.features(ds.source_x),
+                                 state.net.features(ds.target_x), seed=args.seed or 0)
     result = {"d_A_raw": d_raw, "d_A_features": d_feat}
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK
@@ -245,7 +278,7 @@ def cmd_bound_check(args) -> int:
     tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
                                pretrain_iters=int(b.get("pretrain_iters", 100)))
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
-    pseudo_y = state.net.forward(ds.target_x, branch="f1", mode="eval").predicted_class
+    pseudo_y = state.net.forward(ds.target_x)["f1"].predicted_class
     report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y,
                                         rho_offset=c_offset if args.inject_fault else 0.0,
                                         theorem1=report1)

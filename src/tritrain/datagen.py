@@ -160,14 +160,6 @@ def load_sparse_bow(path, dim: int):
     return x, np.array(labels, dtype=np.int64)
 
 
-def save_sparse_bow(path, x, y):
-    with open(path, "w") as fh:
-        for row, label in zip(x, y):
-            nz = np.flatnonzero(row)
-            toks = " ".join(f"{i}:{float(row[i])!r}" for i in nz)
-            fh.write(f"{int(label)} {toks}".rstrip() + "\n")
-
-
 # ---------------------------------------------------------------------------
 # CSV dump / load for generated datasets
 

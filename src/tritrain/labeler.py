@@ -73,10 +73,8 @@ def assign_pseudo_labels(p1: BranchOutput, p2: BranchOutput, threshold: float):
 
 def label_candidates(net, target_x, candidate_idx, threshold: float, step: int) -> PseudoLabelSet:
     """Run both labeling heads over the sampled candidates and filter."""
-    x = target_x[candidate_idx]
-    p1 = net.forward(x, branch="f1", mode="eval")
-    p2 = net.forward(x, branch="f2", mode="eval")
-    rows, labels, conf = assign_pseudo_labels(p1, p2, threshold)
+    out = net.forward(target_x[candidate_idx])
+    rows, labels, conf = assign_pseudo_labels(out["f1"], out["f2"], threshold)
     return PseudoLabelSet(indices=np.asarray(candidate_idx)[rows],
                           labels=labels, confidences=conf, step=step)
 

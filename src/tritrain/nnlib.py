@@ -23,6 +23,9 @@ class StateError(RuntimeError):
 
 
 LAYER_KINDS = ("affine", "sigmoid", "relu", "batch_norm", "dropout")
+# batch-norm variance offset and running-statistics decay of every BatchNorm layer
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
 
 
 @dataclass
@@ -31,8 +34,6 @@ class LayerSpec:
     in_dim: int
     out_dim: int
     dropout_rate: float = 0.0
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.9
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -45,11 +46,6 @@ class LayerSpec:
                 raise ConfigError(f"{self.kind} layer needs in_dim == out_dim")
         if self.kind == "dropout" and not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if self.kind == "batch_norm":
-            if self.bn_eps <= 0:
-                raise ConfigError("bn_eps must be positive")
-            if not 0.0 < self.bn_momentum < 1.0:
-                raise ConfigError("bn_momentum must lie in (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +299,11 @@ class BatchNorm(Layer):
     def forward(self, x, mode="train", rng=None):
         if mode == "train":
             y, self._cache = batch_norm_train(
-                x, self.params["gamma"], self.params["beta"], self.spec.bn_eps,
-                self.running_stats, self.spec.bn_momentum)
+                x, self.params["gamma"], self.params["beta"], BN_EPS,
+                self.running_stats, BN_MOMENTUM)
             return y
         return batch_norm_eval(x, self.params["gamma"], self.params["beta"],
-                               self.running_stats, self.spec.bn_eps)
+                               self.running_stats, BN_EPS)
 
     def backward(self, dout):
         dx, dgamma, dbeta = batch_norm_backward(dout, self._cache)
@@ -387,10 +383,6 @@ class Sequential:
     def in_dim(self) -> int:
         return self.layers[0].spec.in_dim
 
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].spec.out_dim
-
     def forward(self, x, mode="train", rng=None):
         for layer in self.layers:
             x = layer.forward(x, mode=mode, rng=rng)
@@ -413,9 +405,6 @@ class Sequential:
 
     def named_params(self, prefix=""):
         return self.named("params", prefix)
-
-    def named_grads(self, prefix=""):
-        return self.named("grads", prefix)
 
     def set_params(self, named: dict[str, np.ndarray], prefix=""):
         """Copy named arrays into the parameter views; zero the gradients."""
@@ -443,8 +432,6 @@ class Sequential:
 
 
 class Optimizer:
-    kind = "base"
-
     def __init__(self, lr: float):
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
@@ -473,8 +460,6 @@ class Optimizer:
 
 
 class MomentumSGD(Optimizer):
-    kind = "momentum_sgd"
-
     def __init__(self, lr: float, momentum: float = 0.9):
         super().__init__(lr)
         if not 0.0 <= momentum < 1.0:
@@ -491,8 +476,6 @@ class MomentumSGD(Optimizer):
 
 
 class Adagrad(Optimizer):
-    kind = "adagrad"
-
     def __init__(self, lr: float, eps: float = 1e-8):
         super().__init__(lr)
         if eps <= 0:

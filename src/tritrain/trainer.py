@@ -117,10 +117,9 @@ def _batches(n: int, batch: int, iters: int | None, rng):
         return
     if iters is None:
         perm = rng.permutation(n)
+        # the last start is at most n - 2, so every chunk has >= 2 rows
         for start in range(0, n - 1, batch):
-            chunk = perm[start:start + batch]
-            if len(chunk) >= 2:
-                yield chunk
+            yield perm[start:start + batch]
     else:
         for _ in range(iters):
             yield rng.choice(n, size=batch, replace=False)
@@ -201,20 +200,21 @@ def adapt_step(state: TrainState, source_x, source_y, target_x,
     return new_pseudo, mean_e, mean_p
 
 
-def evaluate(net: TriNet, x, y, branch="ft") -> float:
-    """Fraction of argmax-correct predictions in eval mode."""
+def evaluate(net: TriNet, x, y) -> dict[str, float]:
+    """Each head's fraction of argmax-correct predictions, from one
+    eval-mode pass."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
     if y is None:
         raise ValueError("evaluation needs labels; the dataset has none")
-    out = net.forward(x, branch=branch, mode="eval")
-    return float(np.mean(out.predicted_class == np.asarray(y)))
+    y = np.asarray(y)
+    return {b: float(np.mean(out.predicted_class == y)) for b, out in net.forward(x).items()}
 
 
 def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_p):
     accs = {b: float("nan") for b in TriNet.BRANCHES}
     if eval_x is not None and eval_y is not None and len(eval_x) > 0:
-        accs = {b: evaluate(state.net, eval_x, eval_y, branch=b) for b in TriNet.BRANCHES}
+        accs = evaluate(state.net, eval_x, eval_y)
     lab_acc = float("nan")
     if target_y_hidden is not None:
         lab_acc = labeler.labeling_accuracy(pseudo, target_y_hidden)

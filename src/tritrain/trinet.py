@@ -83,14 +83,17 @@ class TriNet:
             raise ConfigError(f"unknown branch {name!r}; expected one of {self.BRANCHES}")
         return getattr(self, name)
 
-    def features(self, x, mode="eval", rng=None) -> np.ndarray:
-        """Shared representation F(x)."""
-        return self.f.forward(x, mode=mode, rng=rng)
+    def features(self, x) -> np.ndarray:
+        """Shared representation F(x), in eval mode."""
+        return self.f.forward(x, mode="eval")
 
-    def forward(self, x, branch="ft", mode="eval", rng=None) -> BranchOutput:
-        head = self.branch(branch)
-        h = self.f.forward(x, mode=mode, rng=rng)
-        return BranchOutput.from_logits(head.forward(h, mode=mode, rng=rng))
+    def forward(self, x) -> dict[str, BranchOutput]:
+        """Every head's output, keyed by branch, from one eval-mode pass of
+        the shared extractor. Eval mode draws no randomness, so sharing the
+        pass changes no bits. Training goes through the two objectives."""
+        h = self.features(x)
+        return {b: BranchOutput.from_logits(getattr(self, b).forward(h, mode="eval"))
+                for b in self.BRANCHES}
 
     def first_affine(self, branch: str) -> Affine:
         layer = self.branch(branch).layers[0]
@@ -148,9 +151,6 @@ class TriNet:
 
     def named_params(self) -> dict[str, np.ndarray]:
         return self.named("params")
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        return self.named("grads")
 
     def named_state(self) -> dict[str, np.ndarray]:
         return self.named("state")

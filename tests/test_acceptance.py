@@ -87,7 +87,7 @@ def _max_grad_rel_err(seed, use_bn):
             net.joint_labeling_loss(x, y, mode="train")
         else:
             net.target_loss(x, y, mode="train")
-        grads = {k: v.copy() for k, v in net.named_grads().items()}
+        grads = {k: v.copy() for k, v in net.named("grads").items()}
         for name, p in net.named_params().items():
             if name.startswith(skip):
                 continue
@@ -244,8 +244,7 @@ def test_acceptance_a_distance(benchmark_runs):
     for r in benchmark_runs:
         ds, net = r["ds"], r["state"].net
         d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=r["seed"])
-        d_feat = analysis.a_distance(net.features(ds.source_x, mode="eval"),
-                                     net.features(ds.target_x, mode="eval"),
+        d_feat = analysis.a_distance(net.features(ds.source_x), net.features(ds.target_x),
                                      seed=r["seed"])
         wins += int(d_feat <= d_raw + 0.2)
     ok = same < 0.2 and far > 1.8 and wins >= 8

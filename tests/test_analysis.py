@@ -9,9 +9,8 @@ import pytest
 from tritrain import analysis, datagen
 from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                distance_from_error, emit_report,
-                               empirical_hdh_distance, ideal_joint_error,
-                               make_stump_class, verify_rho_bound,
-                               verify_theorem1)
+                               empirical_hdh_distance, make_stump_class,
+                               verify_rho_bound, verify_theorem1)
 from tritrain.nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
 from tritrain.trainer import StepMetrics, read_metrics_csv
 
@@ -207,7 +206,15 @@ def test_hdh_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# ideal joint hypothesis
+# ideal joint hypothesis (verify_theorem1's best_hypothesis and c_value)
+
+
+def ideal_joint_error(h, s_xy, t_xy):
+    """Oracle: exhaustive argmin of source risk + target risk, ties to the
+    first hypothesis in enumeration order. Returns (index, combined error)."""
+    total = sum((h.predict(x) != np.asarray(y)[None, :]).mean(axis=1) for x, y in (s_xy, t_xy))
+    best = int(np.argmin(total))
+    return best, float(total[best])
 
 
 def test_ideal_joint_error_identical_domains():
@@ -215,7 +222,7 @@ def test_ideal_joint_error_identical_domains():
     x = rng.normal(size=(25, 2))
     y = rng.integers(0, 2, size=25)
     h = make_stump_class(x)
-    _, c = ideal_joint_error(h, (x, y), (x, y))
+    c = verify_theorem1(h, (x, y), (x, y)).c_value
     rs = (h.predict(x) != y[None, :]).mean(axis=1)
     assert c == pytest.approx(2 * rs.min())
 
@@ -224,16 +231,17 @@ def test_ideal_joint_error_perfect_stump():
     x = np.array([[-1.0], [-0.5], [0.5], [1.0]])
     y = np.array([0, 0, 1, 1])
     h = stump_class_1d([0.0])
-    best, c = ideal_joint_error(h, (x, y), (x, y))
-    assert c == 0.0
-    assert best == 0  # the positive-polarity stump, first in order
+    r = verify_theorem1(h, (x, y), (x, y))
+    assert r.c_value == 0.0
+    assert r.best_hypothesis == 0  # the positive-polarity stump, first in order
 
 
 def test_ideal_joint_error_matches_brute_force():
     rng = np.random.default_rng(4)
     s_xy, t_xy = random_problem(rng, n_s=20, n_t=20, d=1)
     h = make_stump_class(np.vstack([s_xy[0], t_xy[0]]))
-    best, c = ideal_joint_error(h, s_xy, t_xy)
+    r = verify_theorem1(h, s_xy, t_xy)
+    best, c = r.best_hypothesis, r.c_value
     totals = [(np.mean(h.predict(s_xy[0])[i] != s_xy[1])
                + np.mean(h.predict(t_xy[0])[i] != t_xy[1]))
               for i in range(len(h))]

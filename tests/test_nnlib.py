@@ -518,7 +518,7 @@ def test_flat_step_equals_per_parameter_step(make_opt):
         flat.grad[...] = g
         per.grad[...] = g
         opt_flat.step({"net": flat.theta}, {"net": flat.grad})
-        opt_per.step(per.named_params(), per.named_grads())
+        opt_per.step(per.named_params(), per.named("grads"))
     np.testing.assert_array_equal(flat.theta, per.theta)
     np.testing.assert_array_equal(
         opt_flat.slots["net"],

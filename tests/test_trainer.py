@@ -47,9 +47,8 @@ def test_config_rejects_tiny_batch_with_bn():
 
 def test_build_net_shapes():
     net = build_net(small_cfg(), in_dim=2, num_classes=3)
-    out = net.forward(np.zeros((4, 2)), branch="f1", mode="train",
-                      rng=np.random.default_rng(0))
-    assert out.probs.shape == (4, 3)
+    net.f.forward(np.zeros((4, 2)), mode="train")  # populate BN
+    assert net.forward(np.zeros((4, 2)))["f1"].probs.shape == (4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +60,8 @@ def test_pretrain_fits_separable_blobs():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y, cfg)
-    for b in ("f1", "f2", "ft"):
-        assert evaluate(state.net, ds.source_x, ds.source_y, branch=b) > 0.95
+    for acc in evaluate(state.net, ds.source_x, ds.source_y).values():
+        assert acc > 0.95
 
 
 def test_zero_iters_leaves_params_unchanged():
@@ -221,11 +220,11 @@ def test_oracle_pseudo_labels_recover_supervised_accuracy():
     for k in range(1, cfg.steps_k + 1):
         _, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
                              oracle, cfg, k)
-    acc_oracle = evaluate(state.net, ds.target_x, ds.target_y_hidden)
+    acc_oracle = evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"]
 
     sup = init_state(small_cfg(steps_k=0), 2, ds.num_classes)
     pretrain(sup, ds.target_x, ds.target_y_hidden, small_cfg(steps_k=0))
-    acc_sup = evaluate(sup.net, ds.target_x, ds.target_y_hidden)
+    acc_sup = evaluate(sup.net, ds.target_x, ds.target_y_hidden)["ft"]
     assert acc_oracle >= acc_sup - 0.05
 
 
@@ -259,9 +258,33 @@ def test_evaluate_exact_fraction():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y, cfg)
-    out = state.net.forward(ds.source_x, branch="ft", mode="eval")
-    expected = float(np.mean(out.predicted_class == ds.source_y))
+    outs = state.net.forward(ds.source_x)
+    expected = {b: float(np.mean(out.predicted_class == ds.source_y)) for b, out in outs.items()}
     assert evaluate(state.net, ds.source_x, ds.source_y) == expected
+
+
+def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
+    # one pass labels the candidates for f1 and f2, one scores all three heads
+    ds = blobs_dataset(rotation=20.0)
+    cfg = small_cfg()
+    state = init_state(cfg, 2, ds.num_classes)
+    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pseudo = PseudoLabelSet(indices=np.arange(50), labels=ds.target_y_hidden[:50], step=0)
+    modes = []
+    forward = state.net.f.forward
+
+    def spy(x, mode="train", rng=None):
+        modes.append(mode)
+        return forward(x, mode=mode, rng=rng)
+
+    monkeypatch.setattr(state.net.f, "forward", spy)
+    pseudo, mean_e, mean_p = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
+                                        pseudo, cfg, 1)
+    m = trainer._capture(state, pseudo, ds.target_x, ds.target_y_hidden,
+                         ds.target_y_hidden, 1, mean_e, mean_p)
+    assert modes.count("eval") == 2
+    assert (m.acc_f1, m.acc_f2, m.acc_ft) == tuple(
+        evaluate(state.net, ds.target_x, ds.target_y_hidden).values())
 
 
 def test_evaluate_rejects_missing_labels():

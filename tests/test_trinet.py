@@ -5,7 +5,7 @@ from tritrain.nnlib import (ConfigError, LayerSpec, MomentumSGD,
                             finite_difference_gradient, sigmoid,
                             softmax_cross_entropy)
 from tritrain.trainer import TrainConfig, init_state, load_state, save_state
-from tritrain.trinet import GradientGates, TriNet, weight_divergence
+from tritrain.trinet import BranchOutput, GradientGates, TriNet, weight_divergence
 
 from conftest import MALFORMED_CHECKPOINTS, rel_err, rewrite_checkpoint
 
@@ -25,20 +25,37 @@ def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
 def test_forward_probs_rows_sum_to_one():
     net = small_net()
     x = np.random.default_rng(0).normal(size=(10, 3))
-    for branch in TriNet.BRANCHES:
-        out = net.forward(x, branch=branch, mode="train",
-                          rng=np.random.default_rng(1))
+    net.f.forward(x, mode="train")  # populate BN
+    outs = net.forward(x)
+    assert tuple(outs) == TriNet.BRANCHES
+    for out in outs.values():
         np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
         np.testing.assert_array_equal(
             out.max_prob, out.probs[np.arange(10), out.predicted_class])
 
 
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_forward_equals_per_head_pass(use_bn):
+    # oracle: the extractor run again for each head on its own
+    net = small_net(seed=4, use_bn=use_bn)
+    x = np.random.default_rng(5).normal(size=(12, 3))
+    net.f.forward(x, mode="train")  # populate BN
+    outs = net.forward(x)
+    for b in TriNet.BRANCHES:
+        ref = BranchOutput.from_logits(
+            getattr(net, b).forward(net.f.forward(x, mode="eval"), mode="eval"))
+        out = outs[b]
+        assert (out.probs == ref.probs).all()
+        assert (out.predicted_class == ref.predicted_class).all()
+        assert (out.max_prob == ref.max_prob).all()
+
+
 def test_eval_forward_is_deterministic():
     net = small_net()
     x = np.random.default_rng(2).normal(size=(8, 3))
-    net.forward(x, branch="f1", mode="train", rng=np.random.default_rng(0))  # populate BN
-    a = net.forward(x, branch="f1", mode="eval")
-    b = net.forward(x, branch="f1", mode="eval")
+    net.f.forward(x, mode="train")  # populate BN
+    a = net.forward(x)["f1"]
+    b = net.forward(x)["f1"]
     np.testing.assert_array_equal(a.probs, b.probs)
 
 
@@ -54,7 +71,7 @@ def test_forward_reduces_to_logistic_regression():
     head.params["W"] = np.column_stack([np.zeros(2), w])
     head.params["b"] = np.zeros((1, 2))
     x = np.random.default_rng(3).normal(size=(20, 2))
-    out = net.forward(x, branch="f1", mode="eval")
+    out = net.forward(x)["f1"]
     np.testing.assert_allclose(out.probs[:, 1], sigmoid(x @ w), atol=1e-12)
 
 
@@ -69,7 +86,7 @@ def test_branches_initialized_differently():
 
 def test_unknown_branch_rejected():
     with pytest.raises(ConfigError):
-        small_net().forward(np.zeros((2, 3)), branch="f3")
+        small_net().branch("f3")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +202,7 @@ def test_joint_loss_full_gradient_matches_fd(use_bn):
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         net.joint_labeling_loss(x, y)
-        grads = {k: v.copy() for k, v in net.named_grads().items()}
+        grads = {k: v.copy() for k, v in net.named("grads").items()}
         params = net.named_params()
         for name, p in params.items():
             if name.startswith("ft/"):
@@ -202,7 +219,7 @@ def test_target_loss_gradient_matches_fd():
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         net.target_loss(x, y)
-        grads = {k: v.copy() for k, v in net.named_grads().items()}
+        grads = {k: v.copy() for k, v in net.named("grads").items()}
         for name, p in net.named_params().items():
             if name.startswith(("f1/", "f2/")):
                 continue
@@ -240,8 +257,8 @@ def test_gate_blocks_shared_update_from_labeling_heads():
     opt = MomentumSGD(lr=0.1)
     params = {**net.f1.named_params("f1/"), **net.f2.named_params("f2/"),
               **net.f.named_params("f/")}
-    grads = {**net.f1.named_grads("f1/"), **net.f2.named_grads("f2/"),
-             **net.f.named_grads("f/")}
+    grads = {**net.f1.named("grads", "f1/"), **net.f2.named("grads", "f2/"),
+             **net.f.named("grads", "f/")}
     opt.step(params, grads)
     for k, v in net.f.named_params().items():
         np.testing.assert_array_equal(v, before[k])
@@ -255,7 +272,7 @@ def test_gate_blocks_shared_update_from_target_head():
     net.target_loss(x, y)
     opt = MomentumSGD(lr=0.1)
     params = {**net.ft.named_params("ft/"), **net.f.named_params("f/")}
-    grads = {**net.ft.named_grads("ft/"), **net.f.named_grads("f/")}
+    grads = {**net.ft.named("grads", "ft/"), **net.f.named("grads", "f/")}
     opt.step(params, grads)
     for k, v in net.f.named_params().items():
         np.testing.assert_array_equal(v, before[k])
@@ -273,7 +290,7 @@ def test_training_decreases_joint_loss():
         y = rng.integers(0, 3, size=16)
         e0, _ = net.joint_labeling_loss(x, y)
         opt = MomentumSGD(lr=1e-3, momentum=0.0)
-        opt.step(net.named_params(), net.named_grads())
+        opt.step(net.named_params(), net.named("grads"))
         e1, _ = net.joint_labeling_loss(x, y)
         assert e1 < e0
 
@@ -318,8 +335,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.rng_train.bit_generator.state == state.rng_train.bit_generator.state
     assert back.rng_label.bit_generator.state == state.rng_label.bit_generator.state
     x = np.random.default_rng(11).normal(size=(8, 3))
-    np.testing.assert_array_equal(state.net.forward(x, branch="ft", mode="eval").probs,
-                                  back.net.forward(x, branch="ft", mode="eval").probs)
+    np.testing.assert_array_equal(state.net.forward(x)["ft"].probs,
+                                  back.net.forward(x)["ft"].probs)
 
 
 def test_corrupted_checkpoint_raises(tmp_path):
