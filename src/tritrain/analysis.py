@@ -271,8 +271,16 @@ def verify_rho_bound(h: HypothesisClass, s_xy, t_xy, pseudo_y,
 # ---------------------------------------------------------------------------
 # proxy A-distance
 
+# each split holds out this share of the pooled samples
+_HELDOUT_FRACTION = 0.5
+_FOLDS = 5
+# the Adagrad schedule of every domain classifier
+_EPOCHS = 30
+_BATCH = 64
+_LR = 0.1
 
-def _train_domain_classifiers(train_x, train_y, rngs, epochs=30, batch=64, lr=0.1):
+
+def _train_domain_classifiers(train_x, train_y, rngs):
     """Linear softmax classifiers, one per leading slice of train_x (folds,
     n, d), trained together as one stacked model with Adagrad. Each fold
     draws from its own generator in the order a lone classifier would: its
@@ -286,12 +294,12 @@ def _train_domain_classifiers(train_x, train_y, rngs, epochs=30, batch=64, lr=0.
     for w, rng in zip(W, rngs):
         w[...] = nnlib.glorot_uniform(rng, dim, 2)
     b.fill(0.0)
-    opt = nnlib.make_optimizer("adagrad", lr)
+    opt = nnlib.make_optimizer("adagrad", _LR)
     fold = np.arange(folds)[:, None]
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, batch):
-            idx = perm[:, start:start + batch]
+        for start in range(0, n, _BATCH):
+            idx = perm[:, start:start + _BATCH]
             xb = train_x[fold, idx]
             _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
             grad.fill(0.0)
@@ -307,23 +315,20 @@ def distance_from_error(eps: float) -> float:
     return float(np.clip(2.0 * (1.0 - 2.0 * eps), 0.0, 2.0))
 
 
-def a_distance(feats_s: np.ndarray, feats_t: np.ndarray,
-               heldout_fraction: float = 0.5, folds: int = 5, seed: int = 0) -> float:
+def a_distance(feats_s: np.ndarray, feats_t: np.ndarray, seed: int = 0) -> float:
     """Proxy domain divergence 2*(1 - 2*eps), where eps is the held-out error
-    of a linear domain classifier, averaged over seeded splits and clamped to
-    [0, 2]."""
+    of a linear domain classifier, averaged over `_FOLDS` seeded splits and
+    clamped to [0, 2]."""
     if len(feats_s) == 0 or len(feats_t) == 0:
         raise ValueError("empty feature set")
     x = np.vstack([feats_s, feats_t])
     y = np.concatenate([np.zeros(len(feats_s), dtype=np.int64),
                         np.ones(len(feats_t), dtype=np.int64)])
     n = len(x)
-    n_held = int(round(n * heldout_fraction))
+    n_held = int(round(n * _HELDOUT_FRACTION))
     if n_held < 2 or n - n_held < 2:
         raise ValueError("each split needs at least 2 samples")
-    if folds < 1:
-        raise ValueError("a_distance needs at least one fold")
-    ss = np.random.SeedSequence(seed).spawn(folds)
+    ss = np.random.SeedSequence(seed).spawn(_FOLDS)
     perm = np.array([np.random.default_rng(s).permutation(n) for s in ss])
     held, tr = perm[:, :n_held], perm[:, n_held:]
     if any(len(np.unique(y[rows])) < 2 for rows in (*held, *tr)):

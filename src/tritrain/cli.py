@@ -25,31 +25,34 @@ EXIT_IO = 3
 EXIT_VERIFY = 4
 EXIT_DIVERGED = 5
 
-# data keys that pick a dataset on disk instead of a generated ShiftSpec
-LOADER_KEYS = ("dir", "format", "source_path", "target_path", "dim")
+
+@dataclasses.dataclass
+class BoundCheckConfig:
+    """The `bound.*` keys: instance caps, stumps per dim, and the pretraining
+    of the net whose pseudo-labels the rho check uses."""
+    max_hypotheses: int = 2000
+    max_samples: int = 1000
+    thresholds_per_dim: int = 20
+    pretrain_iters: int = 100
 
 
 def _field_types(cls, skip=()) -> dict:
     return {k: t for k, t in typing.get_type_hints(cls).items() if k not in skip}
 
 
-# config section -> dataclass field -> its type; `train.lambda` sets TrainConfig.lam
-FIELD_TYPES = {
-    "data": _field_types(datagen.ShiftSpec),
+# data keys that pick a dataset on disk instead of a generated ShiftSpec
+LOADER_TYPES = {"dir": str, "format": str, "source_path": str, "target_path": str, "dim": int}
+# config section -> key -> its type: every key a config may hold. Most are
+# dataclass fields; `train.lambda` sets TrainConfig.lam
+SCHEMA = {
+    "data": _field_types(datagen.ShiftSpec) | LOADER_TYPES,
     "train": _field_types(trainer.TrainConfig, skip=("lam", "labeling", "gates")) | {"lambda": float},
     "labeling": _field_types(labeler.LabelingConfig),
     "gates": _field_types(trinet.GradientGates),
+    "bound": _field_types(BoundCheckConfig),
 }
-# config section -> the keys it accepts
-SECTION_KEYS = {
-    "data": set(FIELD_TYPES["data"]) | set(LOADER_KEYS),
-    "train": set(FIELD_TYPES["train"]),
-    "labeling": set(FIELD_TYPES["labeling"]),
-    "gates": set(FIELD_TYPES["gates"]),
-    "bound": {"max_hypotheses", "max_samples", "thresholds_per_dim", "pretrain_iters"},
-}
-# field type -> (what the error calls it, the test a value must pass); an int
-# is a valid float, a bool is not a valid int, and a tuple comes as a JSON list
+# type -> (what the error calls it, the test a value must pass); an int is a
+# valid float, a bool is not a valid int, and a tuple comes as a JSON list
 _VALUE_CHECKS = {
     bool: ("true or false", lambda v: type(v) is bool),
     int: ("an integer", lambda v: type(v) is int),
@@ -59,15 +62,27 @@ _VALUE_CHECKS = {
 }
 
 
-def _check_type(key: str, val, tp):
-    """ConfigError naming `key` unless `val` fits the field type `tp`; an
-    optional field (`int | None`) also takes null."""
+def _check_key(key: str, val):
+    """ConfigError naming `key` unless SCHEMA holds it and `val` fits its
+    type; an optional type (`int | None`) also takes null."""
+    section, _, name = key.partition(".")
+    tp = SCHEMA.get(section, {}).get(name)
+    if tp is None:
+        raise ConfigError(f"unknown config key {key!r}")
     options = typing.get_args(tp) or (tp,)
     if val is None and type(None) in options:
         return
-    name, ok = _VALUE_CHECKS[options[0]]
+    what, ok = _VALUE_CHECKS[options[0]]
     if not ok(val):
-        raise ConfigError(f"config key {key!r} must be {name}, got {val!r}")
+        raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
+
+
+def _literal(text: str):
+    """A JSON literal, or the bare string when `text` is not one."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def parse_config_text(text: str) -> dict:
@@ -81,11 +96,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        try:
-            cfg[key] = json.loads(val)
-        except json.JSONDecodeError:
-            cfg[key] = val
+        cfg[key.strip()] = _literal(val.strip())
     return cfg
 
 
@@ -107,34 +118,21 @@ def load_config(path) -> dict:
 
 
 def _section(cfg: dict, prefix: str) -> dict:
+    """The `prefix.*` keys without the prefix, each checked by `_check_key`."""
     out = {}
     for key, val in cfg.items():
-        if not key.startswith(prefix + "."):
-            continue
-        sub = key[len(prefix) + 1:]
-        if sub not in SECTION_KEYS[prefix]:
-            raise ConfigError(f"unknown config key {key!r}")
-        if sub in FIELD_TYPES.get(prefix, {}):
-            _check_type(key, val, FIELD_TYPES[prefix][sub])
-        out[sub] = val
+        if key.startswith(prefix + "."):
+            _check_key(key, val)
+            out[key[len(prefix) + 1:]] = val
     return out
 
 
-def _check_known(cfg: dict):
-    for key in cfg:
-        prefix = key.split(".", 1)[0]
-        if prefix not in SECTION_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-
-
 def build_shift_spec(cfg: dict) -> datagen.ShiftSpec:
-    d = _section(cfg, "data")
-    for k in LOADER_KEYS:
-        d.pop(k, None)
-    return datagen.ShiftSpec.from_dict(d)
+    return datagen.ShiftSpec(**{k: v for k, v in _section(cfg, "data").items()
+                                if k not in LOADER_TYPES})
 
 
-def build_train_config(cfg: dict, seed_override=None) -> trainer.TrainConfig:
+def build_train_config(cfg: dict) -> trainer.TrainConfig:
     t = _section(cfg, "train")
     if "lambda" in t:
         t["lam"] = t.pop("lambda")
@@ -144,8 +142,6 @@ def build_train_config(cfg: dict, seed_override=None) -> trainer.TrainConfig:
         t["labeling"] = labeler.LabelingConfig(**lab)
     if gates:
         t["gates"] = trinet.GradientGates(**gates)
-    if seed_override is not None:
-        t["seed"] = seed_override
     return trainer.TrainConfig(**t)
 
 
@@ -165,15 +161,23 @@ def _resolve(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        try:
-            cfg[key.strip()] = json.loads(val.strip())
-        except json.JSONDecodeError:
-            cfg[key.strip()] = val.strip()
-    _check_known(cfg)
-    if getattr(args, "seed", None) is not None:
+        cfg[key.strip()] = _literal(val.strip())
+    if args.seed is not None:
         if any(k.startswith("data.") for k in cfg):
             cfg["data.seed"] = args.seed
         cfg["train.seed"] = args.seed
+    for key, val in cfg.items():
+        _check_key(key, val)
+    # the data-source rule: sparse_bow is the one format, and these three
+    # keys come with it and with nothing else
+    sparse = "data.format" in cfg
+    if sparse and cfg["data.format"] != "sparse_bow":
+        raise ConfigError(f"config key 'data.format' must be \"sparse_bow\", "
+                          f"got {cfg['data.format']!r}")
+    for key in ("data.source_path", "data.target_path", "data.dim"):
+        if (key in cfg) != sparse:
+            raise ConfigError(f'data.format = "sparse_bow" needs {key}' if sparse
+                              else f'{key} needs data.format = "sparse_bow"')
     return cfg
 
 
@@ -181,12 +185,9 @@ def _load_dataset(cfg: dict):
     d = _section(cfg, "data")
     if "dir" in d:
         return datagen.load_dataset(d["dir"])
-    if d.get("format") == "sparse_bow":
-        if "dim" not in d:
-            raise ConfigError("data.format = \"sparse_bow\" needs data.dim")
-        dim = int(d["dim"])
-        sx, sy = datagen.load_sparse_bow(d["source_path"], dim)
-        tx, ty = datagen.load_sparse_bow(d["target_path"], dim)
+    if "format" in d:
+        sx, sy = datagen.load_sparse_bow(d["source_path"], d["dim"])
+        tx, ty = datagen.load_sparse_bow(d["target_path"], d["dim"])
         return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx,
                                      target_y_hidden=ty,
                                      num_classes=int(max(sy.max(), ty.max())) + 1)
@@ -254,33 +255,33 @@ def cmd_adist(args) -> int:
 
 def cmd_bound_check(args) -> int:
     cfg = _resolve(args)
-    b = _section(cfg, "bound")
-    max_h = int(b.get("max_hypotheses", 2000))
-    max_n = int(b.get("max_samples", 1000))
+    b = BoundCheckConfig(**_section(cfg, "bound"))
+    # pseudo labels for the rho check come from a briefly pretrained net
+    tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
+                               pretrain_iters=b.pretrain_iters)
     out = Path(args.out)
-    write_manifest(out, "bound-check", cfg, args.config, cfg.get("train.seed", 0))
+    write_manifest(out, "bound-check", cfg, args.config, tcfg.seed)
     ds = _load_dataset(cfg)
     n_total = len(ds.source_x) + len(ds.target_x)
-    if n_total > max_n:
-        raise ConfigError(f"instance too large: {n_total} samples > bound.max_samples={max_n}")
+    if n_total > b.max_samples:
+        raise ConfigError(f"instance too large: {n_total} samples > "
+                          f"bound.max_samples={b.max_samples}")
     if ds.num_classes != 2:
         raise ConfigError("bound checking is defined for binary tasks")
     hyp = analysis.make_stump_class(np.vstack([ds.source_x, ds.target_x]),
-                                    max_thresholds_per_dim=int(b.get("thresholds_per_dim", 20)))
-    if len(hyp) > max_h:
+                                    max_thresholds_per_dim=b.thresholds_per_dim)
+    if len(hyp) > b.max_hypotheses:
         raise ConfigError(f"instance too large: {len(hyp)} hypotheses > "
-                          f"bound.max_hypotheses={max_h}")
+                          f"bound.max_hypotheses={b.max_hypotheses}")
+    # train before the exhaustive check, so a bad train.* value fails first;
+    # each stage seeds itself, so the order moves no bits
+    _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
+    pseudo_y = state.net.forward(ds.target_x)["f1"].predicted_class
     c_offset = -0.1 if args.inject_fault else 0.0
     s_xy = (ds.source_x, ds.source_y)
     t_xy = (ds.target_x, ds.target_y_hidden)
     report1 = analysis.verify_theorem1(hyp, s_xy, t_xy, c_offset=c_offset)
-    # pseudo labels for the rho check come from a briefly pretrained net
-    tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
-                               pretrain_iters=int(b.get("pretrain_iters", 100)))
-    _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
-    pseudo_y = state.net.forward(ds.target_x)["f1"].predicted_class
-    report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y,
-                                        rho_offset=c_offset if args.inject_fault else 0.0,
+    report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y, rho_offset=c_offset,
                                         theorem1=report1)
     d_a = analysis.a_distance(ds.source_x, ds.target_x, seed=tcfg.seed)
     analysis.emit_report([], report2, out, d_a=d_a,

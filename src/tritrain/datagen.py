@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self):
+        self.translation = tuple(self.translation)
+        if len(self.translation) != 2:
+            raise ConfigError(f"translation must have 2 entries, got {list(self.translation)}")
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.generator == "two_moons" and self.num_classes != 2:
@@ -43,21 +46,6 @@ class ShiftSpec:
             raise ConfigError("noise_sigma must be positive")
         if min(self.n_source, self.n_target) < 2 * self.num_classes:
             raise ConfigError("need at least 2 samples per class per domain")
-
-    def to_dict(self) -> dict:
-        return {
-            "generator": self.generator, "n_source": self.n_source,
-            "n_target": self.n_target, "rotation_deg": self.rotation_deg,
-            "translation": list(self.translation), "noise_sigma": self.noise_sigma,
-            "num_classes": self.num_classes, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShiftSpec":
-        d = dict(d)
-        if "translation" in d:
-            d["translation"] = tuple(d["translation"])
-        return cls(**d)
 
 
 @dataclass
@@ -220,7 +208,7 @@ def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
     _write_csv(out_dir / "target.csv", ds.target_x, ds.target_y_hidden)
     sidecar = {"num_classes": ds.num_classes}
     if spec is not None:
-        sidecar["shift_spec"] = spec.to_dict()
+        sidecar["shift_spec"] = asdict(spec)
     with open(out_dir / "spec.json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -147,8 +147,7 @@ def _labeling_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
     es, ps = [], []
     params, grads = _step_params(state.net, "labeling")
     for b, idx in enumerate(_batches(len(pool_x), cfg.batch_labeling, iters, state.rng_train)):
-        e, parts = state.net.joint_labeling_loss(pool_x[idx], pool_y[idx],
-                                                mode="train", rng=state.rng_train)
+        e, parts = state.net.joint_labeling_loss(pool_x[idx], pool_y[idx], rng=state.rng_train)
         _check_finite(e, "labeling", where, b)
         state.opt.step(params, grads)
         es.append(e)
@@ -159,7 +158,7 @@ def _labeling_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
 def _target_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
     params, grads = _step_params(state.net, "target")
     for b, idx in enumerate(_batches(len(pool_x), cfg.batch_target, iters, state.rng_train)):
-        loss = state.net.target_loss(pool_x[idx], pool_y[idx], mode="train", rng=state.rng_train)
+        loss = state.net.target_loss(pool_x[idx], pool_y[idx], rng=state.rng_train)
         _check_finite(loss, "target", where, b)
         state.opt.step(params, grads)
 
@@ -173,6 +172,14 @@ def pretrain(state: TrainState, source_x, source_y, cfg: TrainConfig):
     mean_e, mean_p = _labeling_phase(state, source_x, source_y, cfg, iters)
     _target_phase(state, source_x, source_y, cfg, iters)
     return mean_e, mean_p
+
+
+def _relabel(state: TrainState, target_x, cfg: TrainConfig, step_k: int) -> PseudoLabelSet:
+    """A fresh pseudo-label set from a candidate sample of size
+    candidate_count(step_k)."""
+    count = candidate_count(step_k, len(target_x), cfg.labeling)
+    cand = sample_candidates(len(target_x), count, state.rng_label)
+    return label_candidates(state.net, target_x, cand, cfg.labeling.threshold, step_k)
 
 
 def adapt_step(state: TrainState, source_x, source_y, target_x,
@@ -192,10 +199,7 @@ def adapt_step(state: TrainState, source_x, source_y, target_x,
     else:
         log.warning("step %d: pseudo-label set too small (%d); skipping target phase",
                     step_k, len(pseudo))
-    count = candidate_count(step_k, len(target_x), cfg.labeling)
-    cand = sample_candidates(len(target_x), count, state.rng_label)
-    new_pseudo = label_candidates(state.net, target_x, cand,
-                                  cfg.labeling.threshold, step_k)
+    new_pseudo = _relabel(state, target_x, cfg, step_k)
     state.step = step_k
     return new_pseudo, mean_e, mean_p
 
@@ -224,19 +228,15 @@ def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_
 
 
 def run(source_x, source_y, target_x, cfg: TrainConfig,
-        eval_x=None, eval_y=None, target_y_hidden=None,
-        state: TrainState | None = None):
+        eval_x=None, eval_y=None, target_y_hidden=None):
     """Full procedure: pretrain on source, label an initial candidate pool,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head."""
     source_y = np.asarray(source_y, dtype=np.int64)
     num_classes = int(source_y.max()) + 1 if len(source_y) else 2
-    if state is None:
-        state = init_state(cfg, source_x.shape[1], num_classes)
+    state = init_state(cfg, source_x.shape[1], num_classes)
     mean_e, mean_p = pretrain(state, source_x, source_y, cfg)
-    count = candidate_count(0, len(target_x), cfg.labeling)
-    cand = sample_candidates(len(target_x), count, state.rng_label)
-    pseudo = label_candidates(state.net, target_x, cand, cfg.labeling.threshold, 0)
+    pseudo = _relabel(state, target_x, cfg, 0)
     history = [_capture(state, pseudo, eval_x, eval_y, target_y_hidden, 0, mean_e, mean_p)]
     for k in range(1, cfg.steps_k + 1):
         pseudo, mean_e, mean_p = adapt_step(state, source_x, source_y, target_x,

@@ -106,16 +106,16 @@ class TriNet:
 
     # -- objectives ---------------------------------------------------------
 
-    def joint_labeling_loss(self, x, y, mode="train", rng=None):
+    def joint_labeling_loss(self, x, y, rng=None):
         """Mean cross-entropy through both labeling heads plus the weight
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
         if len(x) == 0:
             raise ValueError("empty batch")
         self.zero_grads()
-        h = self.f.forward(x, mode=mode, rng=rng)
-        z1 = self.f1.forward(h, mode=mode, rng=rng)
-        z2 = self.f2.forward(h, mode=mode, rng=rng)
+        h = self.f.forward(x, mode="train", rng=rng)
+        z1 = self.f1.forward(h, mode="train", rng=rng)
+        z2 = self.f2.forward(h, mode="train", rng=rng)
         loss1, dz1 = softmax_cross_entropy(z1, y)
         loss2, dz2 = softmax_cross_entropy(z2, y)
         a1, a2 = self.first_affine("f1"), self.first_affine("f2")
@@ -128,14 +128,14 @@ class TriNet:
             self.f.backward(dh)
         return total, {"ce_f1": loss1, "ce_f2": loss2, "penalty": penalty}
 
-    def target_loss(self, x, y, mode="train", rng=None):
+    def target_loss(self, x, y, rng=None):
         """Mean cross-entropy through the target head. Populates grads for ft
         and, if the ft gate is open, the shared extractor."""
         if len(x) == 0:
             raise ValueError("empty batch")
         self.zero_grads()
-        h = self.f.forward(x, mode=mode, rng=rng)
-        zt = self.ft.forward(h, mode=mode, rng=rng)
+        h = self.f.forward(x, mode="train", rng=rng)
+        zt = self.ft.forward(h, mode="train", rng=rng)
         loss, dzt = softmax_cross_entropy(zt, y)
         dh = self.ft.backward(dzt)
         if self.gates.from_ft:

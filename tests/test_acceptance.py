@@ -66,9 +66,9 @@ def _loss_with_param(net, x, y, kind, name, arr):
     params[name][...] = arr
     try:
         if kind == "joint":
-            loss, _ = net.joint_labeling_loss(x, y, mode="train")
+            loss, _ = net.joint_labeling_loss(x, y)
             return loss
-        return net.target_loss(x, y, mode="train")
+        return net.target_loss(x, y)
     finally:
         params[name][...] = original
 
@@ -84,9 +84,9 @@ def _max_grad_rel_err(seed, use_bn):
     worst = 0.0
     for kind, skip in (("joint", ("ft/",)), ("target", ("f1/", "f2/"))):
         if kind == "joint":
-            net.joint_labeling_loss(x, y, mode="train")
+            net.joint_labeling_loss(x, y)
         else:
-            net.target_loss(x, y, mode="train")
+            net.target_loss(x, y)
         grads = {k: v.copy() for k, v in net.named("grads").items()}
         for name, p in net.named_params().items():
             if name.startswith(skip):

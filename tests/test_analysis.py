@@ -471,12 +471,6 @@ def test_a_distance_rejects_empty():
         a_distance(np.empty((0, 2)), np.ones((10, 2)))
 
 
-def test_a_distance_rejects_zero_folds():
-    rng = np.random.default_rng(25)
-    with pytest.raises(ValueError, match="fold"):
-        a_distance(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), folds=0)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 

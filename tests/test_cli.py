@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,8 @@ from tritrain import analysis, cli, datagen, trainer
 from tritrain.nnlib import ConfigError
 
 from conftest import MALFORMED_CHECKPOINTS, rewrite_checkpoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 DATA_CFG = """\
 # synthetic rotated moons
@@ -118,6 +123,42 @@ def test_json_config_that_is_not_an_object_exits_config(tmp_path, capsys, text):
     assert "cfg.json" in capsys.readouterr().err
 
 
+# each case names the key its error must name; every one is rejected by
+# `_resolve` or by the ShiftSpec gen-data builds, before any output is written
+CONFIG_ERRORS = [
+    ("bound-check", ["bound.thresholds_per_dim=2.5"], "bound.thresholds_per_dim"),
+    ("bound-check", ['bound.max_samples="abc"'], "bound.max_samples"),
+    ("gen-data", ["data.translation=[1]"], "translation"),
+    ("gen-data", ["data.translation=[1,2,3]"], "translation"),
+    ("train", ['data.format="sparse"'], "data.format"),
+    ("train", ['data.source_path="a.txt"'], "data.source_path"),
+    ("train", ['data.format="sparse_bow"', 'data.target_path="b.txt"', "data.dim=3"],
+     "data.source_path"),
+    ("train", ["data.dir=5"], "data.dir"),
+    ("gen-data", ["train.bogus=1"], "train.bogus"),
+    ("train", ["bound.bogus=1"], "bound.bogus"),
+]
+
+
+@pytest.mark.parametrize("command, items, named", CONFIG_ERRORS)
+def test_every_command_checks_every_key_before_any_work(tmp_path, capsys, command, items,
+                                                         named):
+    base = {"gen-data": DATA_CFG, "train": TRAIN_CFG, "bound-check": BOUND_CFG}[command]
+    args = [command, "--config", write_cfg(tmp_path, base), "--out", str(tmp_path / "o")]
+    for item in items:
+        args += ["--set", item]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    readme = (ROOT / "README.md").read_text()
+    documented = re.findall(r"^\| `(\w+\.\w+)` \|", readme, flags=re.M)
+    assert sorted(documented) == sorted(f"{section}.{key}" for section, types
+                                        in cli.SCHEMA.items() for key in types)
+
+
 # ---------------------------------------------------------------------------
 # gen-data
 
@@ -162,11 +203,11 @@ def test_val_count_is_an_unknown_key(tmp_path, capsys, command):
 
 
 def test_config_sections_follow_the_dataclass_fields():
-    keys = cli.SECTION_KEYS
+    keys = {section: set(types) for section, types in cli.SCHEMA.items()}
     assert keys["train"] >= {"steps_k", "lambda", "seed"} and "lam" not in keys["train"]
     assert not keys["train"] & {"labeling", "gates"}
     shift_fields = {f.name for f in dataclasses.fields(datagen.ShiftSpec)}
-    assert keys["data"] == shift_fields | set(cli.LOADER_KEYS)
+    assert keys["data"] == shift_fields | set(cli.LOADER_TYPES)
     assert keys["gates"] == {"from_f1_f2", "from_ft"}
     cfg = cli.parse_config_text("train.lambda = 0.5\nlabeling.cap = 50000\ngates.from_ft = false\n")
     tcfg = cli.build_train_config(cfg)
@@ -392,6 +433,29 @@ def test_bound_check_computes_the_divergence_once(tmp_path, capsys, monkeypatch)
     cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
     assert cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("item", ["train.lr=-1", "train.hidden_dim=2.5",
+                                  'train.activation="tanh"'])
+def test_bound_check_rejects_a_bad_train_value_before_the_exhaustive_check(
+        tmp_path, capsys, monkeypatch, item):
+    calls = []
+    verify = analysis.verify_theorem1
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "verify_theorem1", counted)
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
+    rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o"), "--set", item])
+    assert (rc, len(calls)) == (cli.EXIT_CONFIG, 0)
+
+
+def test_bound_check_accepts_the_benchmark_config(tmp_path, capsys):
+    text = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["BOUND_CONFIG"]
+    cfg = write_cfg(tmp_path, text, "b.cfg")
+    assert cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_bound_check_rejects_oversized_instance(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,18 @@ def test_moons_is_binary_only():
 def test_spec_round_trip():
     spec = ShiftSpec(generator="gaussian_blobs", rotation_deg=45,
                      translation=(1.0, -2.0), num_classes=4, seed=9)
-    assert ShiftSpec.from_dict(spec.to_dict()) == spec
+    assert ShiftSpec(**json.loads(json.dumps(dataclasses.asdict(spec)))) == spec
+
+
+def test_spec_json_bytes_for_a_fixed_spec(tmp_path):
+    spec = ShiftSpec(generator="gaussian_blobs", n_source=12, n_target=12, rotation_deg=45,
+                     translation=[1, -2.5], noise_sigma=0.2, num_classes=3, seed=9)
+    save_dataset(tmp_path, generate(spec), spec)
+    assert (tmp_path / "spec.json").read_text() == (
+        '{\n  "num_classes": 3,\n  "shift_spec": {\n    "generator": "gaussian_blobs",\n'
+        '    "n_source": 12,\n    "n_target": 12,\n    "noise_sigma": 0.2,\n'
+        '    "num_classes": 3,\n    "rotation_deg": 45,\n    "seed": 9,\n'
+        '    "translation": [\n      1,\n      -2.5\n    ]\n  }\n}\n')
 
 
 # ---------------------------------------------------------------------------
