@@ -83,10 +83,10 @@ class BoundReport:
         return out
 
 
-# Rows per block of the divergence scan and of its exact re-evaluation. A
-# scan block holds a few (rows, B) temporaries over the B base stumps, a
-# re-evaluation block a few (rows, H) float64 ones: 3.3 MB each for 128 rows
-# of 3200 stumps, and 10 MB at the 10_000-stump enumeration cap.
+# Rows per block of the divergence scan. A block holds a few (rows, B)
+# temporaries over the B base stumps: 0.8 MB each in float32 for 128 rows of
+# the 1600 base stumps of 3200 stumps, and at most 10 MB at the 10_000-stump
+# enumeration cap.
 _HDH_BLOCK = 128
 # float32 holds every integer up to 2**24 exactly, so pair counts over fewer
 # samples than that come out of a float32 matmul without rounding
@@ -99,43 +99,9 @@ def _numerator_dtype(n_s: int, n_t: int):
     return np.float32 if n_s * n_t < _MAX_EXACT_COUNT else np.float64
 
 
-class _Domain:
-    """One domain's predictions: the 0/1 rows `p` of the base stumps and
-    their counts, and the count and mean of each distinct hypothesis, which
-    is base stump `base` or, where `neg`, its complement."""
-
-    def __init__(self, p, base, neg):
-        self.p, self.n, self.base, self.neg = p, p.shape[1], base, neg
-        self.count = np.count_nonzero(p, axis=1)
-        self.hyp_count = np.where(neg, self.n - self.count[base], self.count[base])
-        # what mean() of the 0/1 prediction row computes: its exact count / n
-        self.mean = self.hyp_count / self.n
-
-    def disagreement(self, rows, cols):
-        """Rate at which hypotheses `rows` disagree with hypotheses `cols`
-        (plain stumps before complements), in float64 and in the order
-        mean[a] + mean[b] - 2 mean[a b]. Every count is an exact integer."""
-        both = (self.p[self.base[rows]] @ self.p.T).astype(np.float64)
-        # count(not a, b) = count(b) - count(a, b)
-        flip = self.neg[rows]
-        both[flip] = self.count - both[flip]
-        # count(x, not b) = count(x) - count(x, b)
-        k = np.searchsorted(self.neg[cols], True)
-        cross = np.empty((len(rows), len(cols)))
-        cross[:, :k] = both[:, self.base[cols[:k]]]
-        np.subtract(self.hyp_count[rows, None], both[:, self.base[cols[k:]]], out=cross[:, k:])
-        cross /= self.n
-        cross *= 2
-        d = self.mean[rows, None] + self.mean[None, cols]
-        d -= cross
-        return d
-
-
 def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray) -> float:
     """2 * sup over hypothesis pairs of |disagreement on source - on target|,
-    exact over the empirical distributions: the result has the bits of
-    evaluating |D_s - D_t|, D = mean[a] + mean[b] - 2 mean[a b], in float64
-    on every pair and taking the max.
+    exact over the empirical distributions and rounded once to float64.
 
     Each hypothesis is a base stump (one unique dim and threshold) or its
     complement. For base stumps a, b the disagreement count in a domain of
@@ -143,11 +109,9 @@ def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray)
     A_ab the count where both are 1; complements give K(a, not b) = n - K and
     K(not a, not b) = K. So the integer numerator N = n_t K_s - n_s K_t of
     the exact gap N / (n_s n_t) has the same |N| for all four polarity
-    pairs. A blocked matmul scan of the upper triangle of base pairs finds
-    the largest |N| exactly, in the dtype `_numerator_dtype` picks. Only the
-    hypotheses of the base rows that reach it are then evaluated with the
-    float formula, against every hypothesis. Memory is O(block * H), not
-    O(H**2)."""
+    pairs, and the divergence is 2 max |N| / (n_s n_t). A blocked matmul scan
+    of the upper triangle of base pairs finds the largest |N| exactly, in the
+    dtype `_numerator_dtype` picks. Memory is O(block * H), not O(H**2)."""
     n_s, n_t = len(s_x), len(t_x)
     if n_s == 0 or n_t == 0:
         raise ValueError("empty sample set")
@@ -155,48 +119,26 @@ def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray)
         raise ValueError(f"pair counts over {_MAX_EXACT_COUNT} or more samples "
                          "are not exact in float32")
     # a complex key sorts and compares by dim, then by threshold
-    keys, inv = np.unique(h.dims + 1j * h.thresholds, return_inverse=True)
+    keys = np.unique(h.dims + 1j * h.thresholds)
     dims, ths = keys.real.astype(np.int64), keys.imag
     p = np.empty((len(keys), n_s + n_t), dtype=_numerator_dtype(n_s, n_t))
     np.greater(s_x[:, dims].T, ths[:, None], out=p[:, :n_s])
     np.greater(t_x[:, dims].T, ths[:, None], out=p[:, n_s:])
-    # distinct hypotheses as (base stump, complemented): duplicates evaluate
-    # alike, so they cannot change the max; plain stumps come first
-    code = np.unique(inv + len(keys) * (h.polarities <= 0))
-    base, neg = code % len(keys), code >= len(keys)
-    source, target = _Domain(p[:, :n_s], base, neg), _Domain(p[:, n_s:], base, neg)
-
-    # N_ab = (u_a - M_ab) + (u_b - M_ab), every term at most n_s * n_t in
-    # magnitude, with u_a = n_t c_a,s - n_s c_a,t and M = n_t A_s - n_s A_t
-    u = (n_t * source.count - n_s * target.count).astype(p.dtype)
+    # N_ab = (u_a - M_ab) + (u_b - M_ab) with u_a = n_t c_a,s - n_s c_a,t and
+    # M = n_t A_s - n_s A_t: every term and partial sum is an integer of
+    # magnitude at most n_s * n_t
     w = np.concatenate([np.full(n_s, n_t), np.full(n_t, -n_s)]).astype(p.dtype)
-    row_max = np.empty(len(keys), dtype=p.dtype)
+    u = p @ w
+    best = 0
     for a0 in range(0, len(keys), _HDH_BLOCK):
         a1 = min(a0 + _HDH_BLOCK, len(keys))
         m = (p[a0:a1] * w) @ p[a0:].T
         num = u[a0:a1, None] - m
         m -= u[None, a0:]
         num -= m
-        row_max[a0:a1] = np.abs(num, out=num).max(axis=1)
-    # The float formula is within 18 * 2**-53 of a pair's exact gap, and
-    # exact gaps differ by multiples of 1 / (n_s n_t). So a pair whose |N| is
-    # more than n_s n_t / 2**47 below the largest evaluates below the pair
-    # that reaches it: only base rows within `slack` of the largest can hold
-    # the max, and slack is 0 unless n_s n_t >= 2**47. When the largest |N|
-    # is 0, every row is a candidate, since rounding can leave non-zero gaps.
-    slack = (n_s * n_t) >> 47
-    cand = np.isin(base, np.flatnonzero(row_max >= row_max.max() - slack))
-    rows = np.flatnonzero(cand)
-    best = 0.0
-    for i0 in range(0, len(rows), _HDH_BLOCK):
-        blk = rows[i0:i0 + _HDH_BLOCK]
-        # a pair of two candidates is evaluated in the earlier one's block;
-        # D and the gap are bitwise symmetric
-        cols = np.flatnonzero(~cand | (np.arange(len(code)) >= blk[0]))
-        gap = source.disagreement(blk, cols)
-        gap -= target.disagreement(blk, cols)
-        best = max(best, float(np.abs(gap, out=gap).max()))
-    return 2.0 * best
+        best = max(best, int(np.abs(num, out=num).max()))
+    # int / int is the exact quotient, correctly rounded
+    return 2 * best / (n_s * n_t)
 
 
 def _risks(h: HypothesisClass, x, y) -> np.ndarray:

@@ -35,6 +35,11 @@ class BoundCheckConfig:
     thresholds_per_dim: int = 20
     pretrain_iters: int = 100
 
+    def __post_init__(self):
+        if self.thresholds_per_dim < 1:
+            raise ConfigError(f"bound.thresholds_per_dim must be >= 1, "
+                              f"got {self.thresholds_per_dim}")
+
 
 def _field_types(cls, skip=()) -> dict:
     return {k: t for k, t in typing.get_type_hints(cls).items() if k not in skip}

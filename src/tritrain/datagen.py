@@ -7,6 +7,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -203,7 +204,8 @@ def _read_csv(path, num_classes: int):
 def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
     """Dump source.csv / target.csv (hidden labels included for evaluation)
     plus a sidecar spec.json recording provenance."""
-    out_dir = _ensure_dir(out_dir)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "source.csv", ds.source_x, ds.source_y)
     _write_csv(out_dir / "target.csv", ds.target_x, ds.target_y_hidden)
     sidecar = {"num_classes": ds.num_classes}
@@ -215,7 +217,6 @@ def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
 
 
 def load_dataset(data_dir) -> DomainDataset:
-    from pathlib import Path
     data_dir = Path(data_dir)
     spec = data_dir / "spec.json"
     with open(spec) as fh:
@@ -230,10 +231,3 @@ def load_dataset(data_dir) -> DomainDataset:
     tx, ty = _read_csv(data_dir / "target.csv", k)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
                          target_y_hidden=ty, num_classes=k)
-
-
-def _ensure_dir(path):
-    from pathlib import Path
-    p = Path(path)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

@@ -20,6 +20,8 @@ class LabelingConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+        if self.n_init < 0:
+            raise ConfigError(f"n_init must be >= 0, got {self.n_init}")
         if self.n_init > self.cap:
             raise ConfigError("n_init must not exceed the candidate cap")
         if self.steps_divisor < 1:

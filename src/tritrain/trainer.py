@@ -57,6 +57,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps_k < 0:
             raise ConfigError("steps_k must be >= 0")
+        for name in ("iter_per_phase", "pretrain_iters"):
+            iters = getattr(self, name)
+            if iters is not None and iters < 0:
+                raise ConfigError(f"{name} must be >= 0, got {iters}")
         if self.use_bn and min(self.batch_labeling, self.batch_target) < 2:
             raise ConfigError("batch sizes must be >= 2 when batch norm is active")
         if self.activation not in ("sigmoid", "relu"):
@@ -163,12 +167,16 @@ def _target_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
         state.opt.step(params, grads)
 
 
+def _pretrain_iters(cfg: TrainConfig) -> int | None:
+    return cfg.pretrain_iters if cfg.pretrain_iters is not None else cfg.iter_per_phase
+
+
 def pretrain(state: TrainState, source_x, source_y, cfg: TrainConfig):
     """Train all four networks on mini-batches from the labeled source set."""
     if len(source_x) < 2:
         # mini-batches under 2 rows are dropped, so nothing would train
         raise ValueError(f"training needs at least 2 source rows, got {len(source_x)}")
-    iters = cfg.pretrain_iters if cfg.pretrain_iters is not None else cfg.iter_per_phase
+    iters = _pretrain_iters(cfg)
     mean_e, mean_p = _labeling_phase(state, source_x, source_y, cfg, iters)
     _target_phase(state, source_x, source_y, cfg, iters)
     return mean_e, mean_p
@@ -232,6 +240,9 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     """Full procedure: pretrain on source, label an initial candidate pool,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head."""
+    if cfg.use_bn and _pretrain_iters(cfg) == 0:
+        raise ConfigError("pretraining runs no batch (pretrain_iters, or iter_per_phase when "
+                          "it is unset, is 0), so batch norm gets no running statistics")
     source_y = np.asarray(source_y, dtype=np.int64)
     num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     state = init_state(cfg, source_x.shape[1], num_classes)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,12 +93,33 @@ def test_hdh_matches_pairwise_brute_force():
     for _ in range(9):
         sx = rng.uniform(0, 2, size=(4, 1))
         tx = rng.uniform(0, 2, size=(4, 1))
-        assert empirical_hdh_distance(h, sx, tx) == pytest.approx(
-            _brute_force_hdh(h, sx, tx))
+        assert empirical_hdh_distance(h, sx, tx) == _brute_force_hdh(h, sx, tx)
+
+
+def _exact_hdh(h, sx, tx):
+    """The exact divergence 2 max |K_s / n_s - K_t / n_t| over hypothesis
+    pairs, K the integer disagreement counts of an int64 matmul, rounded
+    once to float64."""
+    def counts(pred):
+        p = pred.astype(np.int64)
+        c = p.sum(axis=1)
+        return c[:, None] + c[None, :] - 2 * (p @ p.T)
+    n_s, n_t = len(sx), len(tx)
+    num = np.abs(n_t * counts(h.predict(sx)) - n_s * counts(h.predict(tx))).max()
+    return float(Fraction(2 * int(num), n_s * n_t))
+
+
+# The dense formula below rounds each domain's D = m_a + m_b - 2 c_ab at
+# most 7 * 2**-53 away from its exact value (m and c are correctly rounded
+# counts / n, then a sum and a difference of values at most 2), and the gap
+# D_s - D_t adds one more rounding: 15 * 2**-53 per pair. Doubled, and with
+# the exact value's own rounding, it stays within 36 * 2**-53 of `_exact_hdh`.
+_DENSE_ROUNDING = 36 * 2.0 ** -53
 
 
 def _dense_hdh(h, sx, tx):
-    """The O(H**2) formula: full source and target disagreement matrices."""
+    """The O(H**2) float formula: full source and target disagreement
+    matrices."""
     def disagreement(pred):
         p = pred.astype(np.float64)
         n = p.shape[1]
@@ -109,7 +131,7 @@ def _dense_hdh(h, sx, tx):
     return float(2.0 * np.abs(gap).max())
 
 
-def test_hdh_blocked_equals_dense_bit_for_bit():
+def test_hdh_blocked_equals_exact_ratio():
     block = analysis._HDH_BLOCK
     sizes = [1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 5, 3 * block - 7]
     rng = np.random.default_rng(20)
@@ -123,10 +145,12 @@ def test_hdh_blocked_equals_dense_bit_for_bit():
         h = HypothesisClass(dims=rng.integers(0, d, size=size),
                             thresholds=np.round(rng.normal(size=size), 1),
                             polarities=rng.choice([1, -1], size=size))
-        assert empirical_hdh_distance(h, sx, tx) == _dense_hdh(h, sx, tx), (i, size)
+        d_hdh = empirical_hdh_distance(h, sx, tx)
+        assert d_hdh == _exact_hdh(h, sx, tx), (i, size)
+        assert abs(d_hdh - _dense_hdh(h, sx, tx)) <= _DENSE_ROUNDING, (i, size)
 
 
-def test_hdh_equals_dense_on_degenerate_classes():
+def test_hdh_equals_exact_ratio_on_degenerate_classes():
     # identical or duplicated samples (every pair's exact gap is 0), one
     # polarity only, and duplicate stumps
     rng = np.random.default_rng(22)
@@ -146,7 +170,7 @@ def test_hdh_equals_dense_on_degenerate_classes():
             dims, ths, pols = dims[dup], ths[dup], pols[dup]
         h = HypothesisClass(dims=dims, thresholds=ths, polarities=pols)
         d_hdh = empirical_hdh_distance(h, sx, tx)
-        assert d_hdh == _dense_hdh(h, sx, tx), i
+        assert d_hdh == _exact_hdh(h, sx, tx), i
         if i % 3 < 2:
             assert d_hdh == 0.0
 
@@ -166,7 +190,7 @@ def test_hdh_numerators_beyond_float32_take_float64(monkeypatch):
     sx = np.broadcast_to(rng.normal(size=(1, 2)), (2 ** 12, 2))
     tx = rng.normal(size=(2 ** 12, 2))
     h = make_stump_class(np.vstack([sx[:1], tx]), max_thresholds_per_dim=20)
-    assert empirical_hdh_distance(h, sx, tx) == _dense_hdh(h, sx, tx)
+    assert empirical_hdh_distance(h, sx, tx) == _exact_hdh(h, sx, tx)
     assert picked == [np.float64]
 
 
@@ -175,6 +199,13 @@ def _bench_size_instance():
                                             noise_sigma=0.1, seed=0))
     h = make_stump_class(np.vstack([ds.source_x, ds.target_x]), max_thresholds_per_dim=1000)
     return h, ds.source_x, ds.target_x
+
+
+def test_hdh_on_the_bench_instance_is_the_exact_ratio():
+    # the largest |N| is 38_800 over 400 * 400 pairs: 2 * 38_800 / 160_000
+    # is 97/200, where the dense float formula gives 0.4850000000000003
+    h, sx, tx = _bench_size_instance()
+    assert empirical_hdh_distance(h, sx, tx) == 0.485
 
 
 def test_hdh_memory_is_not_quadratic_in_hypotheses():
@@ -358,7 +389,7 @@ def test_rho_bound_reusing_theorem1_equals_standalone(c_offset, rho_offset):
     best, c = ideal_joint_error(h, s_xy, t_xy)
     assert (r1.best_hypothesis, r1.c_value) == (best, c + c_offset)
     assert (shared.best_hypothesis, shared.c_value) == (best, c)
-    assert r1.d_hdh == shared.d_hdh == _dense_hdh(h, s_xy[0], tx)
+    assert r1.d_hdh == shared.d_hdh == _exact_hdh(h, s_xy[0], tx)
     assert (len(shared.violations) > 0) == (rho_offset != 0.0)
 
 

@@ -256,6 +256,15 @@ def test_train_bad_activation_exits_config(tmp_path, capsys):
     assert rc == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("item", ["train.pretrain_iters=0", "train.pretrain_iters=-1",
+                                  "train.iter_per_phase=-2", "labeling.n_init=-5"])
+def test_train_out_of_range_value_exits_config_naming_the_key(tmp_path, capsys, item):
+    cfg = write_cfg(tmp_path, TRAIN_CFG, "t.cfg")
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--set", item])
+    assert rc == cli.EXIT_CONFIG
+    assert item.split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
 def sparse_bow_cfg(tmp_path, source_rows, dim_line="data.dim = 3\n"):
     (tmp_path / "a.txt").write_text(source_rows)
     (tmp_path / "b.txt").write_text("1 0:1.0\n-1 1:2.0\n1 2:0.5\n-1 0:0.3\n")
@@ -450,6 +459,15 @@ def test_bound_check_rejects_a_bad_train_value_before_the_exhaustive_check(
     cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o"), "--set", item])
     assert (rc, len(calls)) == (cli.EXIT_CONFIG, 0)
+
+
+@pytest.mark.parametrize("item", ["bound.pretrain_iters=0", "bound.thresholds_per_dim=0",
+                                  "bound.thresholds_per_dim=-1"])
+def test_bound_check_out_of_range_value_exits_config_naming_the_key(tmp_path, capsys, item):
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
+    rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o"), "--set", item])
+    assert rc == cli.EXIT_CONFIG
+    assert item.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
 def test_bound_check_accepts_the_benchmark_config(tmp_path, capsys):

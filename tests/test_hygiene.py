@@ -1,6 +1,7 @@
-"""Source hygiene checks that need no linter: every module-level import in
-`src/tritrain` is used, and every function, class and method there is named
-by the program itself (`src/`, `demos/` or `perfbench/`), not only by tests."""
+"""Source hygiene checks that need no linter: every import in `src/tritrain`
+sits at module level and is used, and every function, class and method there
+is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
+by tests."""
 import ast
 from pathlib import Path
 
@@ -44,6 +45,32 @@ def test_checker_flags_an_unused_import_and_only_that():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Import statements inside a function or class body."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += [f"line {n.lineno}: {ast.unparse(n)}" for n in ast.walk(node)
+                    if isinstance(n, (ast.Import, ast.ImportFrom))]
+    return out
+
+
+def test_checker_flags_a_nested_import_and_only_that():
+    source = ("import os\n"
+              "class A:\n"
+              "    def f(self):\n"
+              "        from json import dumps\n"
+              "        return dumps(os.sep)\n"
+              "def g():\n"
+              "    return os\n")
+    assert nested_imports(source) == ["line 4: from json import dumps"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
 
 
 def definitions(source: str) -> list[tuple[str, int]]:

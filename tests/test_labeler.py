@@ -64,6 +64,11 @@ def test_labeling_config_validation():
         LabelingConfig(n_init=50000, cap=40000)
 
 
+def test_labeling_config_rejects_negative_n_init():
+    with pytest.raises(ConfigError, match="n_init"):
+        LabelingConfig(n_init=-5)
+
+
 # ---------------------------------------------------------------------------
 # candidate sampling
 

@@ -40,6 +40,23 @@ def test_config_rejects_negative_steps():
         TrainConfig(steps_k=-1)
 
 
+@pytest.mark.parametrize("key", ["iter_per_phase", "pretrain_iters"])
+def test_config_rejects_negative_iterations(key):
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**{key: -1})
+
+
+@pytest.mark.parametrize("kw", [{"pretrain_iters": 0}, {"iter_per_phase": 0}])
+def test_run_rejects_pretraining_without_a_batch_under_batch_norm(kw):
+    ds = blobs_dataset(n=40)
+    cfg = small_cfg(**{"pretrain_iters": None, **kw})
+    with pytest.raises(ConfigError, match="pretrain_iters"):
+        run(ds.source_x, ds.source_y, ds.target_x, cfg)
+    history, _ = run(ds.source_x, ds.source_y, ds.target_x,
+                     small_cfg(**{"pretrain_iters": None, **kw, "use_bn": False, "steps_k": 0}))
+    assert len(history) == 1
+
+
 def test_config_rejects_tiny_batch_with_bn():
     with pytest.raises(ConfigError):
         TrainConfig(batch_labeling=1, use_bn=True)
