@@ -37,7 +37,7 @@ print(f"violations over {len(h)} hypotheses: {len(report.violations)}")
 rng = np.random.default_rng(1)
 flip = rng.random(len(ds.target_x)) < 0.2
 pseudo = np.where(flip, 1 - ds.target_y_hidden, ds.target_y_hidden)
-rho_report = analysis.verify_rho_bound(h, s_xy, t_xy, pseudo, theorem1=report)
+rho_report = analysis.verify_rho_bound(h, t_xy, pseudo, report)
 print(f"\npseudo labels with rho = {rho_report.rho:.3f}: "
       f"{len(rho_report.violations)} violations")
 

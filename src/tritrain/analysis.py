@@ -170,25 +170,21 @@ def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> Bo
                        best_hypothesis=best, violations=violations)
 
 
-def verify_rho_bound(h: HypothesisClass, s_xy, t_xy, pseudo_y,
-                     rho_offset: float = 0.0,
-                     theorem1: BoundReport | None = None) -> BoundReport:
+def verify_rho_bound(h: HypothesisClass, t_xy, pseudo_y, theorem1: BoundReport,
+                     rho_offset: float = 0.0) -> BoundReport:
     """Check the pseudo-label extension: with rho the exact false-label
     fraction of the pseudo-labeled set, |risk on pseudo labels - true target
     risk| <= rho for every hypothesis, and hence
     source+target risk <= source + pseudo-labeled risk + rho.
 
-    `theorem1`, the report of `verify_theorem1` on the same h, s_xy and t_xy,
-    supplies the risks, the divergence and the ideal joint hypothesis, which
-    are otherwise computed here again."""
-    sx, sy = s_xy
+    `theorem1`, the report of `verify_theorem1` on the same h, source and
+    target samples, supplies the risks, the divergence and the ideal joint
+    hypothesis."""
     tx, ty = t_xy
     pseudo_y = np.asarray(pseudo_y)
     if pseudo_y.shape[0] != len(tx):
         raise ValueError("pseudo labels must cover the same sample points as the true labels")
-    if theorem1 is None:
-        theorem1 = verify_theorem1(h, s_xy, t_xy)
-    elif len(theorem1.risks_source) != len(h):
+    if len(theorem1.risks_source) != len(h):
         raise ValueError("the theorem1 report covers a different hypothesis class")
     rs, rt = theorem1.risks_source, theorem1.risks_target
     best = theorem1.best_hypothesis

@@ -286,8 +286,7 @@ def cmd_bound_check(args) -> int:
     s_xy = (ds.source_x, ds.source_y)
     t_xy = (ds.target_x, ds.target_y_hidden)
     report1 = analysis.verify_theorem1(hyp, s_xy, t_xy, c_offset=c_offset)
-    report2 = analysis.verify_rho_bound(hyp, s_xy, t_xy, pseudo_y, rho_offset=c_offset,
-                                        theorem1=report1)
+    report2 = analysis.verify_rho_bound(hyp, t_xy, pseudo_y, report1, rho_offset=c_offset)
     d_a = analysis.a_distance(ds.source_x, ds.target_x, seed=tcfg.seed)
     analysis.emit_report([], report2, out, d_a=d_a,
                          extra={"theorem1": report1.summary(),

@@ -235,13 +235,6 @@ class Layer:
     def backward(self, dout):
         raise NotImplementedError
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Non-parameter state that a checkpoint must carry (e.g. BN stats)."""
-        return {}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        pass
-
 
 class Affine(Layer):
     def __init__(self, spec, rng):
@@ -293,7 +286,9 @@ class BatchNorm(Layer):
         d = spec.in_dim
         self.params["gamma"] = np.ones((1, d))
         self.params["beta"] = np.zeros((1, d))
-        self.running_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
+        # the count is a 1-element array, so a checkpoint can copy into it
+        self.running_stats = {"mean": np.zeros(d), "var": np.ones(d),
+                              "count": np.zeros(1, dtype=np.int64)}
         self._cache = None
 
     def forward(self, x, mode="train", rng=None):
@@ -310,18 +305,6 @@ class BatchNorm(Layer):
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
         return dx
-
-    def state_arrays(self):
-        return {
-            "running_mean": self.running_stats["mean"],
-            "running_var": self.running_stats["var"],
-            "running_count": np.array([self.running_stats["count"]], dtype=np.int64),
-        }
-
-    def load_state_arrays(self, arrays):
-        self.running_stats["mean"] = np.asarray(arrays["running_mean"], dtype=np.float64)
-        self.running_stats["var"] = np.asarray(arrays["running_var"], dtype=np.float64)
-        self.running_stats["count"] = int(arrays["running_count"][0])
 
 
 class Dropout(Layer):
@@ -396,36 +379,6 @@ class Sequential:
     def zero_grads(self):
         self.grad.fill(0.0)
 
-    def named(self, which: str, prefix="") -> dict[str, np.ndarray]:
-        """`{prefix}{layer index}/{key}` -> array, for which in "params",
-        "grads" or "state" (non-parameter arrays such as BN statistics)."""
-        return {f"{prefix}{i}/{k}": a for i, layer in enumerate(self.layers)
-                for k, a in (layer.state_arrays() if which == "state"
-                             else getattr(layer, which)).items()}
-
-    def named_params(self, prefix=""):
-        return self.named("params", prefix)
-
-    def set_params(self, named: dict[str, np.ndarray], prefix=""):
-        """Copy named arrays into the parameter views; zero the gradients."""
-        for name, p in self.named_params(prefix).items():
-            src = np.asarray(named[name], dtype=np.float64)
-            if src.shape != p.shape:
-                raise ShapeError(f"parameter {name} shape {src.shape} != {p.shape}")
-            p[...] = src
-        self.zero_grads()
-
-    def set_state(self, named: dict[str, np.ndarray], prefix=""):
-        for i, layer in enumerate(self.layers):
-            arrays = {}
-            for k, cur in layer.state_arrays().items():
-                src = named[f"{prefix}{i}/{k}"]
-                if np.shape(src) != cur.shape:
-                    raise ShapeError(f"state {prefix}{i}/{k} shape {np.shape(src)} != {cur.shape}")
-                arrays[k] = src
-            if arrays:
-                layer.load_state_arrays(arrays)
-
 
 # ---------------------------------------------------------------------------
 # optimizers
@@ -450,13 +403,6 @@ class Optimizer:
         if slot.shape != param.shape:
             raise ShapeError(f"optimizer slot {name} shape {slot.shape} != param {param.shape}")
         return slot
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"slot/{k}": v for k, v in self.slots.items()}
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.slots = {k[len("slot/"):]: np.asarray(v, dtype=np.float64).copy()
-                      for k, v in arrays.items() if k.startswith("slot/")}
 
 
 class MomentumSGD(Optimizer):

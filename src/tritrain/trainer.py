@@ -14,7 +14,7 @@ import numpy as np
 
 from . import labeler
 from .labeler import LabelingConfig, PseudoLabelSet, candidate_count, label_candidates, sample_candidates
-from .nnlib import ConfigError, LayerSpec, ShapeError, make_optimizer
+from .nnlib import BatchNorm, ConfigError, LayerSpec, ShapeError, make_optimizer
 from .trinet import GradientGates, TriNet
 
 log = logging.getLogger(__name__)
@@ -61,8 +61,10 @@ class TrainConfig:
             iters = getattr(self, name)
             if iters is not None and iters < 0:
                 raise ConfigError(f"{name} must be >= 0, got {iters}")
-        if self.use_bn and min(self.batch_labeling, self.batch_target) < 2:
-            raise ConfigError("batch sizes must be >= 2 when batch norm is active")
+        for name in ("batch_labeling", "batch_target"):
+            size = getattr(self, name)
+            if size < 2:
+                raise ConfigError(f"{name} must be >= 2, got {size}")
         if self.activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {self.activation!r}")
 
@@ -98,9 +100,7 @@ def build_net(cfg: TrainConfig, in_dim: int, num_classes: int) -> TriNet:
         f_specs.append(LayerSpec("dropout", h, h, dropout_rate=cfg.dropout_rate))
     if cfg.use_bn:
         f_specs.append(LayerSpec("batch_norm", h, h))
-    branch_specs = [LayerSpec("affine", h, num_classes)]
-    return TriNet(f_specs, branch_specs, num_classes, lam=cfg.lam,
-                  gates=cfg.gates, seed=cfg.seed)
+    return TriNet(f_specs, num_classes, lam=cfg.lam, gates=cfg.gates, seed=cfg.seed)
 
 
 def init_state(cfg: TrainConfig, in_dim: int, num_classes: int) -> TrainState:
@@ -285,20 +285,39 @@ def read_metrics_csv(path):
             for r in rows]
 
 
+# the four networks, in checkpoint order
+_NETS = ("f",) + TriNet.BRANCHES
+# prefix of a network's optimizer slot; the slots come in the order the
+# networks first stepped
+_SLOT = "opt/main/slot/"
+
+
+def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
+    """Every checkpoint array name, in file order, mapped to the live array
+    it holds: `param/<net>/<layer>/<key>` views into each network's theta,
+    `state/<net>/<layer>/running_{mean,var,count}` each batch-norm layer's
+    statistics, then `opt/main/slot/<net>` the optimizer slots."""
+    nets = [(name, getattr(state.net, name)) for name in _NETS]
+    arrays = {f"param/{name}/{i}/{k}": p for name, seq in nets
+              for i, layer in enumerate(seq.layers) for k, p in layer.params.items()}
+    arrays.update({f"state/{name}/{i}/running_{k}": v for name, seq in nets
+                   for i, layer in enumerate(seq.layers) if isinstance(layer, BatchNorm)
+                   for k, v in layer.running_stats.items()})
+    arrays.update({_SLOT + name: v for name, v in state.opt.slots.items()})
+    return arrays
+
+
 def save_state(path, state: TrainState):
     """One npz: a `__meta__` JSON record (version, resolved config, input and
     class counts, the optimizer's current lr, step, RNG states) plus the
-    parameter, batch-norm and optimizer-slot arrays. The pseudo-label pool
-    is not stored."""
+    `checkpoint_arrays`. The pseudo-label pool is not stored."""
     net = state.net
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.cfg),
             "in_dim": net.f.in_dim, "num_classes": net.num_classes,
             "lr": state.opt.lr, "step": state.step,
             "rng_states": {"train": state.rng_train.bit_generator.state,
                            "label": state.rng_label.bit_generator.state}}
-    arrays = {f"param/{k}": v for k, v in net.named_params().items()}
-    arrays.update({f"state/{k}": v for k, v in net.named_state().items()})
-    arrays.update({f"opt/main/{k}": v for k, v in state.opt.state_arrays().items()})
+    arrays = checkpoint_arrays(state)
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(),
                                        dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -321,8 +340,8 @@ def _exact(cls, d: dict):
 
 def load_state(path) -> TrainState:
     """Rebuild the stored config, then the state by `init_state`, then copy
-    the arrays, lr, RNG states and step in. Anything unreadable, missing or
-    malformed is an IOError naming the path."""
+    the `checkpoint_arrays`, lr, RNG states and step in. Anything unreadable,
+    missing, unknown or malformed is an IOError naming the path."""
     try:
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
@@ -333,15 +352,17 @@ def load_state(path) -> TrainState:
         c["labeling"] = _exact(LabelingConfig, c["labeling"])
         c["gates"] = _exact(GradientGates, c["gates"])
         state = init_state(_exact(TrainConfig, c), meta["in_dim"], meta["num_classes"])
-        for name in ("f",) + TriNet.BRANCHES:
-            seq = getattr(state.net, name)
-            seq.set_params(arrays, prefix=f"param/{name}/")
-            seq.set_state(arrays, prefix=f"state/{name}/")
-        state.opt.load_state_arrays({k[len("opt/main/"):]: v for k, v in arrays.items()
-                                     if k.startswith("opt/main/")})
-        for name, slot in state.opt.slots.items():
-            if slot.shape != getattr(state.net, name).theta.shape:
-                raise ShapeError(f"optimizer slot {name} shape {slot.shape}")
+        for name in [k[len(_SLOT):] for k in arrays if k.startswith(_SLOT)]:
+            if name in _NETS:
+                state.opt.slots[name] = np.zeros_like(getattr(state.net, name).theta)
+        live = checkpoint_arrays(state)
+        if live.keys() != arrays.keys():
+            raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "
+                             f"unknown {sorted(arrays.keys() - live.keys())}")
+        for key, dst in live.items():
+            if arrays[key].shape != dst.shape:
+                raise ShapeError(f"array {key} shape {arrays[key].shape} != {dst.shape}")
+            dst[...] = arrays[key]
         state.opt.lr = float(meta["lr"])
         state.rng_train.bit_generator.state = meta["rng_states"]["train"]
         state.rng_label.bit_generator.state = meta["rng_states"]["label"]

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnlib import (Affine, ConfigError, LayerSpec, Sequential, ShapeError,
-                    softmax, softmax_cross_entropy)
+from .nnlib import (ConfigError, LayerSpec, Sequential, ShapeError, softmax,
+                    softmax_cross_entropy)
 
 
 @dataclass
@@ -53,35 +53,25 @@ def weight_divergence(W1: np.ndarray, W2: np.ndarray):
 
 
 class TriNet:
-    """Shared extractor `f` feeding heads `f1`, `f2` (labeling) and `ft` (target)."""
+    """Shared extractor `f` feeding heads `f1`, `f2` (labeling) and `ft`
+    (target); each head is one affine layer to `num_classes` logits."""
 
     BRANCHES = ("f1", "f2", "ft")
 
-    def __init__(self, f_specs: list[LayerSpec], branch_specs: list[LayerSpec],
-                 num_classes: int, lam: float = 0.01,
+    def __init__(self, f_specs: list[LayerSpec], num_classes: int, lam: float = 0.01,
                  gates: GradientGates | None = None, seed: int = 0):
         if lam < 0:
             raise ConfigError("lambda must be non-negative")
-        if branch_specs[-1].out_dim != num_classes:
-            raise ConfigError("final branch layer must output num_classes logits")
-        if branch_specs[0].kind != "affine":
-            raise ConfigError("branch must start with an affine layer (penalty target)")
-        if f_specs[-1].out_dim != branch_specs[0].in_dim:
-            raise ConfigError("extractor output dim must match branch input dim")
         self.num_classes = num_classes
         self.lam = lam
         self.gates = gates or GradientGates()
+        head = [LayerSpec("affine", f_specs[-1].out_dim, num_classes)]
         # independent sub-seeds so the three heads start differently
         ss = np.random.SeedSequence(seed).spawn(4)
         self.f = Sequential(f_specs, np.random.default_rng(ss[0]))
-        self.f1 = Sequential(branch_specs, np.random.default_rng(ss[1]))
-        self.f2 = Sequential(branch_specs, np.random.default_rng(ss[2]))
-        self.ft = Sequential(branch_specs, np.random.default_rng(ss[3]))
-
-    def branch(self, name: str) -> Sequential:
-        if name not in self.BRANCHES:
-            raise ConfigError(f"unknown branch {name!r}; expected one of {self.BRANCHES}")
-        return getattr(self, name)
+        self.f1 = Sequential(head, np.random.default_rng(ss[1]))
+        self.f2 = Sequential(head, np.random.default_rng(ss[2]))
+        self.ft = Sequential(head, np.random.default_rng(ss[3]))
 
     def features(self, x) -> np.ndarray:
         """Shared representation F(x), in eval mode."""
@@ -94,11 +84,6 @@ class TriNet:
         h = self.features(x)
         return {b: BranchOutput.from_logits(getattr(self, b).forward(h, mode="eval"))
                 for b in self.BRANCHES}
-
-    def first_affine(self, branch: str) -> Affine:
-        layer = self.branch(branch).layers[0]
-        assert isinstance(layer, Affine)
-        return layer
 
     def zero_grads(self):
         for net in (self.f, self.f1, self.f2, self.ft):
@@ -118,7 +103,7 @@ class TriNet:
         z2 = self.f2.forward(h, mode="train", rng=rng)
         loss1, dz1 = softmax_cross_entropy(z1, y)
         loss2, dz2 = softmax_cross_entropy(z2, y)
-        a1, a2 = self.first_affine("f1"), self.first_affine("f2")
+        a1, a2 = self.f1.layers[0], self.f2.layers[0]
         penalty, gw1, gw2 = weight_divergence(a1.params["W"], a2.params["W"])
         total = loss1 + loss2 + self.lam * penalty
         dh = self.f1.backward(dz1) + self.f2.backward(dz2)
@@ -141,16 +126,3 @@ class TriNet:
         if self.gates.from_ft:
             self.f.backward(dh)
         return loss
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def named(self, which: str) -> dict[str, np.ndarray]:
-        """`Sequential.named` over all four networks, keys prefixed `f/`, `f1/`, ..."""
-        return {k: v for name in ("f",) + self.BRANCHES
-                for k, v in getattr(self, name).named(which, f"{name}/").items()}
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return self.named("params")
-
-    def named_state(self) -> dict[str, np.ndarray]:
-        return self.named("state")

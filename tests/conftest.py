@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from tritrain.trinet import TriNet
+
 # one visible line per acceptance criterion, flushed after the test run
 _acceptance_lines = []
 
@@ -29,6 +31,15 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max(initial=0.0) / denom)
 
 
+def named(net, which="params") -> dict[str, np.ndarray]:
+    """`<net>/<layer>/<key>` -> each layer's `params` or `grads` array, over
+    the four networks of a TriNet; a Sequential's keys are `<layer>/<key>`."""
+    nets = ([(f"{n}/", getattr(net, n)) for n in ("f",) + TriNet.BRANCHES]
+            if isinstance(net, TriNet) else [("", net)])
+    return {f"{prefix}{i}/{k}": a for prefix, seq in nets
+            for i, layer in enumerate(seq.layers) for k, a in getattr(layer, which).items()}
+
+
 def rewrite_checkpoint(path, edit):
     """Apply edit(arrays, meta) to a saved checkpoint in place."""
     with np.load(path) as z:
@@ -47,6 +58,9 @@ MALFORMED_CHECKPOINTS = {
     "unknown_gates_field": lambda arrays, meta: meta["config"]["gates"].update(from_fx=True),
     "wrong_in_dim": lambda arrays, meta: meta.update(in_dim=meta["in_dim"] + 1),
 }
+# arrays no checkpoint of the default net holds, each of which loading must
+# reject by name
+UNKNOWN_ARRAYS = ("param/f/9/W", "state/f/0/running_mean", "junk", "opt/main/other")
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import record_acceptance, rel_err
+from conftest import named, record_acceptance, rel_err
 from tritrain import analysis, cli, datagen, labeler, trainer, trinet
 from tritrain.labeler import LabelingConfig, candidate_count
 from tritrain.nnlib import LayerSpec
@@ -61,7 +61,7 @@ def test_step_zero_is_the_source_only_baseline(benchmark_runs, moons_benchmark_c
 
 def _loss_with_param(net, x, y, kind, name, arr):
     """Joint or target loss with one named parameter temporarily replaced."""
-    params = net.named_params()
+    params = named(net)
     original = params[name].copy()
     params[name][...] = arr
     try:
@@ -78,7 +78,7 @@ def _max_grad_rel_err(seed, use_bn):
     f_specs = [LayerSpec("affine", 3, 4), LayerSpec("sigmoid", 4, 4)]
     if use_bn:
         f_specs.append(LayerSpec("batch_norm", 4, 4))
-    net = TriNet(f_specs, [LayerSpec("affine", 4, 3)], 3, lam=0.01, seed=seed)
+    net = TriNet(f_specs, 3, lam=0.01, seed=seed)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, size=6)
     worst = 0.0
@@ -87,8 +87,8 @@ def _max_grad_rel_err(seed, use_bn):
             net.joint_labeling_loss(x, y)
         else:
             net.target_loss(x, y)
-        grads = {k: v.copy() for k, v in net.named("grads").items()}
-        for name, p in net.named_params().items():
+        grads = {k: v.copy() for k, v in named(net, "grads").items()}
+        for name, p in named(net).items():
             if name.startswith(skip):
                 continue
             fd = np.zeros_like(p)
@@ -140,7 +140,7 @@ def test_acceptance_bound_suite():
         r1 = analysis.verify_theorem1(h, (sx, sy), (tx, ty))
         noise = rng.random(n_t) < rng.uniform(0, 0.5)
         pseudo = np.where(noise, 1 - ty, ty)
-        r2 = analysis.verify_rho_bound(h, (sx, sy), (tx, ty), pseudo)
+        r2 = analysis.verify_rho_bound(h, (tx, ty), pseudo, r1)
         violations += len(r1.violations) + len(r2.violations)
     # negative control: a corrupted joint-error term on a tight instance
     rng = np.random.default_rng(99)

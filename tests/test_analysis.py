@@ -327,7 +327,7 @@ def test_rho_zero_when_pseudo_labels_exact():
     rng = np.random.default_rng(9)
     s_xy, (tx, ty) = random_problem(rng)
     h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
-    report = verify_rho_bound(h, s_xy, (tx, ty), ty)
+    report = verify_rho_bound(h, (tx, ty), ty, verify_theorem1(h, s_xy, (tx, ty)))
     assert report.rho == 0.0
     assert report.violations == []
     np.testing.assert_array_equal(report.risks_pseudo, report.risks_target)
@@ -337,7 +337,7 @@ def test_rho_one_when_all_labels_flipped():
     rng = np.random.default_rng(10)
     s_xy, (tx, ty) = random_problem(rng)
     h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
-    report = verify_rho_bound(h, s_xy, (tx, ty), 1 - ty)
+    report = verify_rho_bound(h, (tx, ty), 1 - ty, verify_theorem1(h, s_xy, (tx, ty)))
     assert report.rho == 1.0
     assert report.violations == []
 
@@ -349,7 +349,7 @@ def test_rho_bound_holds_for_noisy_pseudo_labels():
         noise = rng.random(len(ty)) < 0.3
         pseudo = np.where(noise, 1 - ty, ty)
         h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
-        report = verify_rho_bound(h, s_xy, (tx, ty), pseudo)
+        report = verify_rho_bound(h, (tx, ty), pseudo, verify_theorem1(h, s_xy, (tx, ty)))
         assert report.rho == pytest.approx(np.mean(noise))
         assert report.violations == []
 
@@ -359,7 +359,7 @@ def test_rho_fault_injection_is_detected():
     s_xy, (tx, ty) = random_problem(rng)
     pseudo = np.where(rng.random(len(ty)) < 0.4, 1 - ty, ty)
     h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
-    report = verify_rho_bound(h, s_xy, (tx, ty), pseudo,
+    report = verify_rho_bound(h, (tx, ty), pseudo, verify_theorem1(h, s_xy, (tx, ty)),
                               rho_offset=-float(np.mean(pseudo != ty)) - 0.01)
     assert len(report.violations) > 0
 
@@ -382,8 +382,10 @@ def test_rho_bound_reusing_theorem1_equals_standalone(c_offset, rho_offset):
     pseudo = np.where(rng.random(len(ty)) < 0.3, 1 - ty, ty)
     h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=10)
     r1 = verify_theorem1(h, s_xy, t_xy, c_offset=c_offset)
-    shared = verify_rho_bound(h, s_xy, t_xy, pseudo, rho_offset=rho_offset, theorem1=r1)
-    alone = verify_rho_bound(h, s_xy, t_xy, pseudo, rho_offset=rho_offset)
+    shared = verify_rho_bound(h, t_xy, pseudo, r1, rho_offset=rho_offset)
+    # standalone: from a report of its own, without the c_offset
+    alone = verify_rho_bound(h, t_xy, pseudo, verify_theorem1(h, s_xy, t_xy),
+                             rho_offset=rho_offset)
     _assert_reports_equal(shared, alone)
     # both against the terms computed one by one
     best, c = ideal_joint_error(h, s_xy, t_xy)
@@ -398,7 +400,7 @@ def test_rho_bound_rejects_theorem1_of_another_class():
     s_xy, (tx, ty) = random_problem(rng)
     r1 = verify_theorem1(stump_class_1d([0.0, 1.0]), s_xy, (tx, ty))
     with pytest.raises(ValueError, match="theorem1"):
-        verify_rho_bound(stump_class_1d([0.0]), s_xy, (tx, ty), ty, theorem1=r1)
+        verify_rho_bound(stump_class_1d([0.0]), (tx, ty), ty, r1)
 
 
 def test_rho_rejects_mismatched_pseudo_labels():
@@ -406,7 +408,7 @@ def test_rho_rejects_mismatched_pseudo_labels():
     s_xy, (tx, ty) = random_problem(rng)
     h = stump_class_1d([0.0])
     with pytest.raises(ValueError):
-        verify_rho_bound(h, s_xy, (tx, ty), ty[:-1])
+        verify_rho_bound(h, (tx, ty), ty[:-1], verify_theorem1(h, s_xy, (tx, ty)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +535,7 @@ def test_emit_report_rho_keys(tmp_path):
     rng = np.random.default_rng(18)
     s_xy, (tx, ty) = random_problem(rng)
     h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=5)
-    bound = verify_rho_bound(h, s_xy, (tx, ty), ty)
+    bound = verify_rho_bound(h, (tx, ty), ty, verify_theorem1(h, s_xy, (tx, ty)))
     summary = emit_report(make_history(), bound, tmp_path / "out")
     assert summary["rho"] == 0.0 and "C_prime" in summary
 

@@ -10,7 +10,7 @@ import pytest
 from tritrain import analysis, cli, datagen, trainer
 from tritrain.nnlib import ConfigError
 
-from conftest import MALFORMED_CHECKPOINTS, rewrite_checkpoint
+from conftest import MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, rewrite_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -265,6 +265,17 @@ def test_train_out_of_range_value_exits_config_naming_the_key(tmp_path, capsys, 
     assert item.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
+# batch sizes under 2 used to run no batch of their phase and exit 0
+@pytest.mark.parametrize("items", [["train.use_bn=false", "train.batch_labeling=1"],
+                                   ["train.use_bn=false", "train.batch_target=0"]])
+def test_train_batch_size_under_two_exits_config_naming_the_key(tmp_path, capsys, items):
+    cfg = write_cfg(tmp_path, TRAIN_CFG, "t.cfg")
+    sets = [a for item in items for a in ("--set", item)]
+    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "o")] + sets)
+    assert rc == cli.EXIT_CONFIG
+    assert items[-1].split(".")[1].split("=")[0] in capsys.readouterr().err
+
+
 def sparse_bow_cfg(tmp_path, source_rows, dim_line="data.dim = 3\n"):
     (tmp_path / "a.txt").write_text(source_rows)
     (tmp_path / "b.txt").write_text("1 0:1.0\n-1 1:2.0\n1 2:0.5\n-1 0:0.3\n")
@@ -359,6 +370,15 @@ def test_eval_malformed_checkpoint_exits_io(trained_run, capsys, edit):
     rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
     assert rc == cli.EXIT_IO
     assert "checkpoint.npz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", UNKNOWN_ARRAYS)
+def test_eval_checkpoint_with_an_unknown_array_exits_io_naming_it(trained_run, capsys, key):
+    data, run = trained_run
+    rewrite_checkpoint(run / "checkpoint.npz", lambda arrays, meta: arrays.update({key: np.zeros(4)}))
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
+    assert rc == cli.EXIT_IO
+    assert key in capsys.readouterr().err
 
 
 def test_eval_without_target_labels_exits_config(trained_run, tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Source hygiene checks that need no linter: every import in `src/tritrain`
-sits at module level and is used, and every function, class and method there
+sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
-by tests."""
+by tests, and every name the benchmark's tracer patches still exists."""
 import ast
+import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from tritrain import nnlib
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tritrain"
@@ -125,3 +129,30 @@ def test_checker_flags_an_unreached_definition_and_only_that():
 def test_every_definition_is_reached_by_the_program(path):
     program = [p.read_text() for p in PROGRAM]
     assert unreached(path.read_text(), program) == []
+
+
+def load_tracer():
+    """`perfbench/tracer.py` as a module, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_patch_site_exists():
+    # a deleted patched name otherwise shows only as a missing span in a
+    # traced benchmark run
+    missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
+               for owner, attr, _, _ in load_tracer().SITES if not hasattr(owner, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("kind", nnlib.LAYER_KINDS)
+def test_every_layer_kind_is_a_layer_subclass_the_tracer_counts(kind):
+    # the tracer counts layer calls on the direct Layer subclasses that
+    # define forward and backward themselves
+    layer = nnlib.build_layer(nnlib.LayerSpec(kind, 2, 2), np.random.default_rng(0))
+    cls = type(layer)
+    assert cls in nnlib.Layer.__subclasses__()
+    assert {"forward", "backward"} <= cls.__dict__.keys()

@@ -10,7 +10,7 @@ from tritrain.nnlib import (Adagrad, ConfigError, LayerSpec, MomentumSGD,
                             finite_difference_gradient, sigmoid, softmax,
                             softmax_cross_entropy)
 
-from conftest import rel_err
+from conftest import named, rel_err
 
 
 def fresh_stats(d):
@@ -356,8 +356,8 @@ def test_sequential_seed_reproducibility():
              LayerSpec("affine", 8, 2)]
     a = Sequential(specs, np.random.default_rng(12))
     b = Sequential(specs, np.random.default_rng(12))
-    for k, v in a.named_params().items():
-        np.testing.assert_array_equal(v, b.named_params()[k])
+    for k, v in named(a).items():
+        np.testing.assert_array_equal(v, named(b)[k])
 
 
 def test_forward_outputs_stay_finite():
@@ -469,7 +469,7 @@ def assert_views_of_arena(net):
         for k in layer.params:
             assert np.shares_memory(layer.params[k], net.theta)
             assert np.shares_memory(layer.grads[k], net.grad)
-    assert sum(p.size for p in net.named_params().values()) == net.theta.size
+    assert sum(p.size for p in named(net).values()) == net.theta.size
 
 
 def _one_backward(net, rng):
@@ -489,21 +489,14 @@ def test_arena_views_survive_zero_grads_set_params_and_steps():
     assert_views_of_arena(net)
     assert not np.any(net.grad)
     other = Sequential(ARENA_SPECS, np.random.default_rng(34))
-    net.set_params(other.named_params())
+    for k, p in named(net).items():
+        p[...] = named(other)[k]
     assert_views_of_arena(net)
     np.testing.assert_array_equal(net.theta, other.theta)
     for opt in (MomentumSGD(lr=0.1), Adagrad(lr=0.1)):
         _one_backward(net, rng)
         opt.step({"net": net.theta}, {"net": net.grad})
         assert_views_of_arena(net)
-
-
-def test_set_params_rejects_wrong_shape():
-    net = Sequential(ARENA_SPECS, np.random.default_rng(35))
-    named = net.named_params()
-    named["0/b"] = np.zeros(5)     # (5,) would broadcast into (1, 5)
-    with pytest.raises(ShapeError):
-        net.set_params(named)
 
 
 @pytest.mark.parametrize("make_opt", [lambda: MomentumSGD(lr=0.05, momentum=0.9),
@@ -518,11 +511,11 @@ def test_flat_step_equals_per_parameter_step(make_opt):
         flat.grad[...] = g
         per.grad[...] = g
         opt_flat.step({"net": flat.theta}, {"net": flat.grad})
-        opt_per.step(per.named_params(), per.named("grads"))
+        opt_per.step(named(per), named(per, "grads"))
     np.testing.assert_array_equal(flat.theta, per.theta)
     np.testing.assert_array_equal(
         opt_flat.slots["net"],
-        np.concatenate([opt_per.slots[k].ravel() for k in per.named_params()]))
+        np.concatenate([opt_per.slots[k].ravel() for k in named(per)]))
 
 
 def test_assigning_a_param_copies_into_the_arena():

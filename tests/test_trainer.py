@@ -6,11 +6,13 @@ import pytest
 from tritrain import datagen, trainer
 from tritrain.labeler import LabelingConfig, PseudoLabelSet
 from tritrain.nnlib import ConfigError
-from tritrain.trainer import (TrainConfig, adapt_step, build_net, evaluate,
-                              init_state, load_state, pretrain,
+from tritrain.trainer import (TrainConfig, adapt_step, build_net, checkpoint_arrays,
+                              evaluate, init_state, load_state, pretrain,
                               read_metrics_csv, run, save_state,
                               write_metrics_csv)
 from tritrain.trinet import GradientGates
+
+from conftest import named
 
 
 def blobs_dataset(seed=0, rotation=0.0, n=400):
@@ -28,7 +30,7 @@ def small_cfg(**kw):
 
 
 def snapshot(net):
-    return {k: v.copy() for k, v in net.named_params().items()}
+    return {k: v.copy() for k, v in named(net).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +89,7 @@ def test_zero_iters_leaves_params_unchanged():
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
     pretrain(state, ds.source_x, ds.source_y, cfg)
-    after = state.net.named_params()
+    after = named(state.net)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
 
@@ -109,7 +111,7 @@ def test_labeling_phase_never_touches_ft():
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
     trainer._labeling_phase(state, ds.source_x, ds.source_y, cfg, 20)
-    after = state.net.named_params()
+    after = named(state.net)
     for k in before:
         if k.startswith("ft/"):
             np.testing.assert_array_equal(before[k], after[k])
@@ -123,7 +125,7 @@ def test_target_phase_never_touches_f1_f2():
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
     trainer._target_phase(state, ds.source_x, ds.source_y, cfg, 20)
-    after = state.net.named_params()
+    after = named(state.net)
     for k in before:
         if k.startswith(("f1/", "f2/")):
             np.testing.assert_array_equal(before[k], after[k])
@@ -137,7 +139,7 @@ def test_closed_ft_gate_freezes_shared_trunk_in_target_phase():
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
     trainer._target_phase(state, ds.source_x, ds.source_y, cfg, 20)
-    after = state.net.named_params()
+    after = named(state.net)
     for k in before:
         if k.startswith("f/"):
             np.testing.assert_array_equal(before[k], after[k])
@@ -219,7 +221,7 @@ def test_run_is_seed_deterministic():
                  target_y_hidden=ds.target_y_hidden)
     for a, b in zip(h1, h2):
         assert a == b
-    p1, p2 = s1.net.named_params(), s2.net.named_params()
+    p1, p2 = named(s1.net), named(s2.net)
     for k in p1:
         np.testing.assert_array_equal(p1[k], p2[k])
 
@@ -251,10 +253,10 @@ def test_tiny_pseudo_set_skips_target_phase():
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y, cfg)
     empty = PseudoLabelSet(step=0)
-    before = {k: v.copy() for k, v in state.net.named_params().items()
+    before = {k: v.copy() for k, v in named(state.net).items()
               if k.startswith("ft/")}
     adapt_step(state, ds.source_x, ds.source_y, ds.target_x, empty, cfg, 1)
-    after = state.net.named_params()
+    after = named(state.net)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
 
@@ -364,12 +366,10 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
         pseudo, _, _ = adapt_step(resumed, ds.source_x, ds.source_y,
                                   ds.target_x, pseudo, cfg, k)
 
-    p_full, p_res = s_full.net.named_params(), resumed.net.named_params()
-    for k in p_full:
-        np.testing.assert_array_equal(p_full[k], p_res[k])
-    s_a, s_b = s_full.net.named_state(), resumed.net.named_state()
-    for k in s_a:
-        np.testing.assert_array_equal(s_a[k], s_b[k])
+    a, b = checkpoint_arrays(s_full), checkpoint_arrays(resumed)
+    for k in a:
+        if k.startswith(("param/", "state/")):
+            np.testing.assert_array_equal(a[k], b[k])
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
+import re
+
 import numpy as np
 import pytest
 
 from tritrain.nnlib import (ConfigError, LayerSpec, MomentumSGD,
                             finite_difference_gradient, sigmoid,
                             softmax_cross_entropy)
-from tritrain.trainer import TrainConfig, init_state, load_state, save_state
+from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state,
+                              save_state)
 from tritrain.trinet import BranchOutput, GradientGates, TriNet, weight_divergence
 
-from conftest import MALFORMED_CHECKPOINTS, rel_err, rewrite_checkpoint
+from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, named, rel_err,
+                      rewrite_checkpoint)
 
 
 def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
     f_specs = [LayerSpec("affine", 3, 4), LayerSpec("sigmoid", 4, 4)]
     if use_bn:
         f_specs.append(LayerSpec("batch_norm", 4, 4))
-    return TriNet(f_specs, [LayerSpec("affine", 4, 3)], num_classes=3,
-                  lam=lam, gates=gates, seed=seed)
+    return TriNet(f_specs, num_classes=3, lam=lam, gates=gates, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +64,11 @@ def test_eval_forward_is_deterministic():
 
 def test_forward_reduces_to_logistic_regression():
     # identity extractor + hand-set 2-class head = closed-form sigmoid
-    net = TriNet([LayerSpec("affine", 2, 2)], [LayerSpec("affine", 2, 2)],
-                 num_classes=2, lam=0.0, seed=0)
+    net = TriNet([LayerSpec("affine", 2, 2)], num_classes=2, lam=0.0, seed=0)
     f = net.f.layers[0]
     f.params["W"] = np.eye(2)
     f.params["b"] = np.zeros((1, 2))
-    head = net.first_affine("f1")
+    head = net.f1.layers[0]
     w = np.array([0.7, -1.3])
     head.params["W"] = np.column_stack([np.zeros(2), w])
     head.params["b"] = np.zeros((1, 2))
@@ -77,16 +79,11 @@ def test_forward_reduces_to_logistic_regression():
 
 def test_branches_initialized_differently():
     net = small_net()
-    w1 = net.first_affine("f1").params["W"]
-    w2 = net.first_affine("f2").params["W"]
-    wt = net.first_affine("ft").params["W"]
+    w1 = net.f1.layers[0].params["W"]
+    w2 = net.f2.layers[0].params["W"]
+    wt = net.ft.layers[0].params["W"]
     assert not np.array_equal(w1, w2)
     assert not np.array_equal(w1, wt)
-
-
-def test_unknown_branch_rejected():
-    with pytest.raises(ConfigError):
-        small_net().branch("f3")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ def test_joint_loss_lambda_scales_penalty():
 
 def _loss_with_param(net, x, y, kind, name, arr):
     """Loss evaluated with one named parameter temporarily replaced."""
-    param = net.named_params()[name]
+    param = named(net)[name]
     saved = param.copy()
     param[...] = arr
     try:
@@ -202,8 +199,8 @@ def test_joint_loss_full_gradient_matches_fd(use_bn):
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         net.joint_labeling_loss(x, y)
-        grads = {k: v.copy() for k, v in net.named("grads").items()}
-        params = net.named_params()
+        grads = {k: v.copy() for k, v in named(net, "grads").items()}
+        params = named(net)
         for name, p in params.items():
             if name.startswith("ft/"):
                 continue
@@ -219,8 +216,8 @@ def test_target_loss_gradient_matches_fd():
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
         net.target_loss(x, y)
-        grads = {k: v.copy() for k, v in net.named("grads").items()}
-        for name, p in net.named_params().items():
+        grads = {k: v.copy() for k, v in named(net, "grads").items()}
+        for name, p in named(net).items():
             if name.startswith(("f1/", "f2/")):
                 continue
             num = finite_difference_gradient(
@@ -230,7 +227,7 @@ def test_target_loss_gradient_matches_fd():
 
 def test_target_loss_perfect_prediction():
     net = small_net(seed=9)
-    head = net.first_affine("ft")
+    head = net.ft.layers[0]
     # drive the true class logit sky-high
     head.params["b"] = np.array([[1000.0, 0.0, 0.0]])
     head.params["W"] = np.zeros((4, 3))
@@ -252,15 +249,13 @@ def test_gate_blocks_shared_update_from_labeling_heads():
     net = small_net(gates=GradientGates(from_f1_f2=False, from_ft=True), seed=1)
     rng = np.random.default_rng(9)
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
-    before = {k: v.copy() for k, v in net.f.named_params().items()}
+    before = {k: v.copy() for k, v in named(net.f).items()}
     net.joint_labeling_loss(x, y)
     opt = MomentumSGD(lr=0.1)
-    params = {**net.f1.named_params("f1/"), **net.f2.named_params("f2/"),
-              **net.f.named_params("f/")}
-    grads = {**net.f1.named("grads", "f1/"), **net.f2.named("grads", "f2/"),
-             **net.f.named("grads", "f/")}
+    params = {k: v for k, v in named(net).items() if not k.startswith("ft/")}
+    grads = {k: v for k, v in named(net, "grads").items() if not k.startswith("ft/")}
     opt.step(params, grads)
-    for k, v in net.f.named_params().items():
+    for k, v in named(net.f).items():
         np.testing.assert_array_equal(v, before[k])
 
 
@@ -268,13 +263,13 @@ def test_gate_blocks_shared_update_from_target_head():
     net = small_net(gates=GradientGates(from_f1_f2=True, from_ft=False), seed=1)
     rng = np.random.default_rng(10)
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
-    before = {k: v.copy() for k, v in net.f.named_params().items()}
+    before = {k: v.copy() for k, v in named(net.f).items()}
     net.target_loss(x, y)
     opt = MomentumSGD(lr=0.1)
-    params = {**net.ft.named_params("ft/"), **net.f.named_params("f/")}
-    grads = {**net.ft.named("grads", "ft/"), **net.f.named("grads", "f/")}
+    params = {k: v for k, v in named(net).items() if k.startswith(("ft/", "f/"))}
+    grads = {k: v for k, v in named(net, "grads").items() if k.startswith(("ft/", "f/"))}
     opt.step(params, grads)
-    for k, v in net.f.named_params().items():
+    for k, v in named(net.f).items():
         np.testing.assert_array_equal(v, before[k])
 
 
@@ -290,15 +285,16 @@ def test_training_decreases_joint_loss():
         y = rng.integers(0, 3, size=16)
         e0, _ = net.joint_labeling_loss(x, y)
         opt = MomentumSGD(lr=1e-3, momentum=0.0)
-        opt.step(net.named_params(), net.named("grads"))
+        opt.step(named(net), named(net, "grads"))
         e1, _ = net.joint_labeling_loss(x, y)
         assert e1 < e0
 
 
-def stepped_state(seed=6, lam=0.01):
+def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd"):
     """A training state whose net is `small_net(lam, seed=seed)`, after one
     joint-loss step on f1, f2 and f (so BN statistics and slots are set)."""
-    state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed), 3, 3)
+    state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed, optimizer=optimizer),
+                       3, 3)
     net = state.net
     rng = np.random.default_rng(12)
     net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
@@ -322,13 +318,8 @@ def test_checkpoint_round_trip(tmp_path):
     save_state(path, state)
     back = load_state(path)
     assert back.cfg == state.cfg and back.net.lam == 0.02
-    for which in ("params", "state"):
-        a, b = state.net.named(which), back.net.named(which)
-        assert a.keys() == b.keys()
-        for k in a:
-            np.testing.assert_array_equal(a[k], b[k])
-    a, b = state.opt.state_arrays(), back.opt.state_arrays()
-    assert a.keys() == b.keys()
+    a, b = checkpoint_arrays(state), checkpoint_arrays(back)
+    assert list(a) == list(b)
     for k in a:
         np.testing.assert_array_equal(a[k], b[k])
     assert back.opt.lr == 0.005 and back.step == 7
@@ -383,8 +374,11 @@ def test_checkpoint_missing_parameter_is_io_error(tmp_path):
     lambda arrays, meta: meta["config"]["labeling"].update(threshold=2.0),
     lambda arrays, meta: arrays.update({"opt/main/slot/f1": np.zeros(3)}),
     lambda arrays, meta: arrays.update({"state/f/2/running_mean": np.zeros(5)}),
+    # (4,) would broadcast into (1, 4)
+    lambda arrays, meta: arrays.update({"param/f/0/b": np.zeros(4)}),
 ], ids=[*MALFORMED_CHECKPOINTS, "missing_rng_states", "missing_config_field",
-        "rejected_config_value", "wrong_slot_shape", "wrong_state_shape"])
+        "rejected_config_value", "wrong_slot_shape", "wrong_state_shape",
+        "wrong_param_shape"])
 def test_malformed_checkpoint_is_io_error_naming_the_path(tmp_path, edit):
     _, path = saved_state(tmp_path)
     rewrite_checkpoint(path, edit)
@@ -401,3 +395,43 @@ def test_checkpoint_with_unparsable_metadata_is_io_error(tmp_path):
         np.savez(fh, **arrays)
     with pytest.raises(IOError, match="ckpt.npz"):
         load_state(path)
+
+
+@pytest.mark.parametrize("key", UNKNOWN_ARRAYS)
+def test_checkpoint_with_an_unknown_array_is_io_error_naming_it(tmp_path, key):
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: arrays.update({key: np.zeros(4)}))
+    with pytest.raises(IOError, match=re.escape(key)) as exc:
+        load_state(path)
+    assert "ckpt.npz" in str(exc.value)
+
+
+# the version-3 layout of `stepped_state`: in_dim 3, hidden_dim 4, 3 classes,
+# batch norm at layer 2 of f, and slots for the three networks that stepped
+STEPPED_LAYOUT = sorted(
+    [(f"param/f/0/{k}", "float64", s) for k, s in (("W", (3, 4)), ("b", (1, 4)))]
+    + [(f"param/f/2/{k}", "float64", (1, 4)) for k in ("gamma", "beta")]
+    + [(f"param/{n}/0/{k}", "float64", s) for n in TriNet.BRANCHES
+       for k, s in (("W", (4, 3)), ("b", (1, 3)))]
+    + [("state/f/2/running_mean", "float64", (4,)), ("state/f/2/running_var", "float64", (4,)),
+       ("state/f/2/running_count", "int64", (1,))]
+    + [("opt/main/slot/f", "float64", (24,)), ("opt/main/slot/f1", "float64", (15,)),
+       ("opt/main/slot/f2", "float64", (15,))])
+
+
+@pytest.mark.parametrize("optimizer", ["momentum_sgd", "adagrad"])
+def test_checkpoint_layout_is_pinned(tmp_path, optimizer):
+    path = tmp_path / "ckpt.npz"
+    save_state(path, stepped_state(optimizer=optimizer))
+    with np.load(path) as z:
+        layout = sorted((k, str(z[k].dtype), z[k].shape) for k in z.files if k != "__meta__")
+        assert str(z["__meta__"].dtype) == "uint8"
+    assert layout == STEPPED_LAYOUT
+
+
+@pytest.mark.parametrize("optimizer", ["momentum_sgd", "adagrad"])
+def test_saving_a_loaded_checkpoint_is_byte_identical(tmp_path, optimizer):
+    path, again = tmp_path / "ckpt.npz", tmp_path / "again.npz"
+    save_state(path, stepped_state(optimizer=optimizer))
+    save_state(again, load_state(path))
+    assert again.read_bytes() == path.read_bytes()
