@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import runpy
@@ -448,6 +449,25 @@ def test_bound_check_fault_injection_exits_verify(tmp_path, capsys):
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(out),
                    "--inject-fault"])
     assert rc == cli.EXIT_VERIFY
+
+
+# sha256 of report.json for BOUND_CFG, clean and with --inject-fault: a
+# change that moves a bit of the bound check edits a literal here
+BOUND_REPORT_DIGESTS = {
+    "clean": (cli.EXIT_OK, "25dc4dd3edb97a9d5aa3c40410a6b4ce4266521ad27f7c16ede81d4512dafbb2"),
+    "fault": (cli.EXIT_VERIFY, "58585852722d11b6149af3de343568dcefd0f480740fbc83324fa8f79d7c315c"),
+}
+
+
+@pytest.mark.parametrize("key", BOUND_REPORT_DIGESTS)
+def test_bound_check_report_bytes_are_pinned(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
+    out = tmp_path / key
+    extra = ["--inject-fault"] if key == "fault" else []
+    rc = cli.main(["bound-check", "--config", cfg, "--out", str(out)] + extra)
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    # BLAS and numpy releases can move float bits, so name the version
+    assert (rc, digest) == BOUND_REPORT_DIGESTS[key], f"numpy {np.__version__}"
 
 
 def test_bound_check_computes_the_divergence_once(tmp_path, capsys, monkeypatch):
