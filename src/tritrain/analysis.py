@@ -33,31 +33,25 @@ class HypothesisClass:
     def __len__(self):
         return len(self.dims)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """(num_hypotheses, num_samples) matrix of 0/1 predictions."""
-        above = x[:, self.dims].T > self.thresholds[:, None]
-        pred = np.where(self.polarities[:, None] > 0, above, ~above)
-        return pred.astype(np.int8)
-
 
 def make_stump_class(x: np.ndarray, max_thresholds_per_dim: int = 20) -> HypothesisClass:
     """Stumps at midpoints between sorted sample values, subsampled to a cap,
-    with both polarities per threshold."""
-    dims, ths, pols = [], [], []
+    with both polarities per threshold: dim by dim, each threshold's stump
+    and then its complement."""
+    per_dim = []
     for d in range(x.shape[1]):
         vals = np.unique(x[:, d])
         mids = (vals[:-1] + vals[1:]) / 2 if len(vals) > 1 else vals
         if len(mids) > max_thresholds_per_dim:
             sel = np.linspace(0, len(mids) - 1, max_thresholds_per_dim).astype(int)
             mids = mids[sel]
-        for t in mids:
-            for pol in (1, -1):
-                dims.append(d)
-                ths.append(t)
-                pols.append(pol)
-    return HypothesisClass(dims=np.array(dims, dtype=np.int64),
-                           thresholds=np.array(ths, dtype=np.float64),
-                           polarities=np.array(pols, dtype=np.int64))
+        per_dim.append(mids)
+    # the empty float64 head fixes the dtype, also for no or integer thresholds
+    ths = np.concatenate([np.empty(0), *per_dim])
+    return HypothesisClass(
+        dims=np.repeat(np.arange(x.shape[1], dtype=np.int64), [2 * len(m) for m in per_dim]),
+        thresholds=np.repeat(ths, 2),
+        polarities=np.tile(np.array([1, -1], dtype=np.int64), len(ths)))
 
 
 @dataclass
@@ -83,20 +77,11 @@ class BoundReport:
         return out
 
 
-# Rows per block of the divergence scan. A block holds a few (rows, B)
-# temporaries over the B base stumps: 0.8 MB each in float32 for 128 rows of
-# the 1600 base stumps of 3200 stumps, and at most 10 MB at the 10_000-stump
-# enumeration cap.
+# Threshold rows per block of a divergence table. A block holds a few
+# (rows, W) int64 temporaries over the W base stumps of the later dims:
+# 0.8 MB each for 128 rows of the 800 partners at 3200 stumps in 2-D, and
+# 2.6 MB at the 10_000-stump enumeration cap.
 _HDH_BLOCK = 128
-# float32 holds every integer up to 2**24 exactly, so pair counts over fewer
-# samples than that come out of a float32 matmul without rounding
-_MAX_EXACT_COUNT = 2 ** 24
-
-
-def _numerator_dtype(n_s: int, n_t: int):
-    """The scan's numerators are integers of magnitude at most n_s * n_t:
-    exact in float32 below 2**24, and in float64 below 2**53."""
-    return np.float32 if n_s * n_t < _MAX_EXACT_COUNT else np.float64
 
 
 def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray) -> float:
@@ -104,45 +89,106 @@ def empirical_hdh_distance(h: HypothesisClass, s_x: np.ndarray, t_x: np.ndarray)
     exact over the empirical distributions and rounded once to float64.
 
     Each hypothesis is a base stump (one unique dim and threshold) or its
-    complement. For base stumps a, b the disagreement count in a domain of
-    n samples is K = (c_a - A_ab) + (c_b - A_ab), with c the counts of 1s and
-    A_ab the count where both are 1; complements give K(a, not b) = n - K and
-    K(not a, not b) = K. So the integer numerator N = n_t K_s - n_s K_t of
-    the exact gap N / (n_s n_t) has the same |N| for all four polarity
-    pairs, and the divergence is 2 max |N| / (n_s n_t). A blocked matmul scan
-    of the upper triangle of base pairs finds the largest |N| exactly, in the
-    dtype `_numerator_dtype` picks. Memory is O(block * H), not O(H**2)."""
+    complement. The gap of a pair is N / (n_s n_t), with the integer
+    numerator N = n_t K_s - n_s K_t and K a domain's disagreement count.
+    Complementing either stump keeps |N|, so the divergence is
+    2 max |N| / (n_s n_t) over base pairs, counted here on the complements
+    [x <= t]: N_ab = u_a + u_b - 2 M_ab, where u_a = n_t c_s - n_s c_t
+    weights the counts c of samples at or below a's threshold, and M_ab
+    weights the counts at or below both thresholds.
+
+    - Two stumps on one dim nest, so M_ab = u_a for a the lower threshold,
+      and the dim's largest |N| is max u - min u.
+    - For two dims, M is the 2-D prefix sum of the weighted histogram of
+      the samples' threshold ranks. One table per dim spans the stumps of
+      every later dim, built in blocks of threshold rows from the lowest up
+      with the prefix row carried: O(block * B) memory for B base stumps.
+
+    Every count is an exact int64."""
     n_s, n_t = len(s_x), len(t_x)
     if n_s == 0 or n_t == 0:
         raise ValueError("empty sample set")
-    if max(n_s, n_t) >= _MAX_EXACT_COUNT:
-        raise ValueError(f"pair counts over {_MAX_EXACT_COUNT} or more samples "
-                         "are not exact in float32")
     # a complex key sorts and compares by dim, then by threshold
     keys = np.unique(h.dims + 1j * h.thresholds)
+    if len(keys) == 0:
+        return 0.0
     dims, ths = keys.real.astype(np.int64), keys.imag
-    p = np.empty((len(keys), n_s + n_t), dtype=_numerator_dtype(n_s, n_t))
-    np.greater(s_x[:, dims].T, ths[:, None], out=p[:, :n_s])
-    np.greater(t_x[:, dims].T, ths[:, None], out=p[:, n_s:])
-    # N_ab = (u_a - M_ab) + (u_b - M_ab) with u_a = n_t c_a,s - n_s c_a,t and
-    # M = n_t A_s - n_s A_t: every term and partial sum is an integer of
-    # magnitude at most n_s * n_t
-    w = np.concatenate([np.full(n_s, n_t), np.full(n_t, -n_s)]).astype(p.dtype)
-    u = p @ w
-    best = 0
-    for a0 in range(0, len(keys), _HDH_BLOCK):
-        a1 = min(a0 + _HDH_BLOCK, len(keys))
-        m = (p[a0:a1] * w) @ p[a0:].T
-        num = u[a0:a1, None] - m
-        m -= u[None, a0:]
-        num -= m
-        best = max(best, int(np.abs(num, out=num).max()))
+    used, starts = np.unique(dims, return_index=True)
+    ends = np.append(starts[1:], len(keys))
+    x = np.concatenate([s_x[:, used], t_x[:, used]])
+    # rank[s, i]: the key of the lowest threshold of dim used[i] at or above
+    # sample s, ends[i] when the sample lies above them all
+    rank = np.stack([np.searchsorted(ths[a:b], x[:, i]) + a
+                     for i, (a, b) in enumerate(zip(starts, ends))], axis=1)
+    target = np.repeat(np.array([0, 1]), [n_s, n_t])
+
+    def weighted(bins, size, scale):
+        """scale * (n_t * source count - n_s * target count) per bin; the
+        target's bins come offset by size."""
+        c = np.bincount(bins.ravel(), minlength=2 * size)
+        w, c_t = c[:size], c[size:]
+        w *= scale * n_t
+        c_t *= scale * n_s
+        w -= c_t
+        return w
+
+    # the weights of all samples sum to 0, so one running sum over every key
+    # restarts at each dim: a dim's samples above its thresholds land on the
+    # next dim's first key, and the last dim's on one extra bin
+    u = np.cumsum(weighted(rank + (len(keys) + 1) * target[:, None], len(keys) + 1, 1)[:-1])
+    best = int((np.maximum.reduceat(u, starts) - np.minimum.reduceat(u, starts)).max())
+    for i in range(len(used) - 1):
+        # columns: the keys of the later dims, then one column that takes
+        # the samples above the last dim's thresholds
+        p0 = ends[i]
+        width = len(keys) - p0 + 1
+        n_rows = ends[i] - starts[i]
+        rows = rank[:, i] - starts[i]
+        part = rank[:, i + 1:] - p0
+        # a row's weight restarts at the end of each later dim
+        part_end = ends[i + 1:] - p0
+        # the prefix row below the block: M is 0 below the first row
+        carry = np.append(u[p0:], 0)
+        for r0 in range(0, n_rows, _HDH_BLOCK):
+            r1 = min(r0 + _HDH_BLOCK, n_rows)
+            sel = np.flatnonzero((rows >= r0) & (rows < r1))
+            nr = r1 - r0
+            r = rows[sel] - r0 + nr * target[sel]
+            v = weighted((r * width)[:, None] + part[sel], nr * width, -2).reshape(nr, width)
+            v[:, part_end] -= weighted(r, nr, -2)[:, None]
+            np.cumsum(v, axis=1, out=v)
+            v[0] += carry
+            np.cumsum(v, axis=0, out=v)
+            carry = v[-1]
+            # v[a, b] = u_b - 2 M_ab, so N_ab = u_a + v[a, b]
+            u_a = u[starts[i] + r0:starts[i] + r1]
+            best = max(best, int((v[:, :-1].max(axis=1) + u_a).max()),
+                       int(-(v[:, :-1].min(axis=1) + u_a).min()))
     # int / int is the exact quotient, correctly rounded
     return 2 * best / (n_s * n_t)
 
 
 def _risks(h: HypothesisClass, x, y) -> np.ndarray:
-    return (h.predict(x) != np.asarray(y)[None, :]).mean(axis=1)
+    """Each hypothesis's 0-1 risk on (x, y), from the label counts on either
+    side of its threshold; a label outside {0, 1} errs under both
+    polarities. count / n is the correctly rounded quotient that the mean
+    of the 0/1 error vector gives."""
+    y = np.asarray(y)
+    errors = np.empty(len(h), dtype=np.int64)
+    for d in np.unique(h.dims):
+        stumps = np.flatnonzero(h.dims == d)
+        order = np.argsort(x[:, d], kind="stable")
+        ys = y[order]
+        # k: the samples at or below each threshold, a prefix of the sort
+        k = np.searchsorted(x[order, d], h.thresholds[stumps], side="right")
+        below = [np.concatenate([[0], np.cumsum(ys == c)])[k] for c in (0, 1)]
+        above = [np.count_nonzero(ys == c) - b for c, b in zip((0, 1), below)]
+        # [x > t] errs above on labels other than 1 and below on labels
+        # other than 0; its complement the other way round
+        base = (len(ys) - k - above[1]) + (k - below[0])
+        complement = (len(ys) - k - above[0]) + (k - below[1])
+        errors[stumps] = np.where(h.polarities[stumps] > 0, base, complement)
+    return errors / len(y)
 
 
 def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> BoundReport:
@@ -164,8 +210,8 @@ def verify_theorem1(h: HypothesisClass, s_xy, t_xy, c_offset: float = 0.0) -> Bo
     c = float(total[best]) + c_offset
     bound = rs + 0.5 * d + c
     bad = np.flatnonzero(rt > bound + _EPS)
-    violations = [{"hypothesis": int(i), "target_risk": float(rt[i]),
-                   "bound": float(bound[i])} for i in bad]
+    violations = [{"hypothesis": i, "target_risk": r, "bound": b}
+                  for i, r, b in zip(bad.tolist(), rt[bad].tolist(), bound[bad].tolist())]
     return BoundReport(risks_source=rs, risks_target=rt, d_hdh=d, c_value=c,
                        best_hypothesis=best, violations=violations)
 
@@ -193,14 +239,14 @@ def verify_rho_bound(h: HypothesisClass, t_xy, pseudo_y, theorem1: BoundReport,
     rtl = _risks(h, tx, pseudo_y)
     rho = float(np.mean(pseudo_y != np.asarray(ty))) + rho_offset
     c_prime = float((rs + rtl).min())
-    violations = []
-    for i in np.flatnonzero(np.abs(rtl - rt) > rho + _EPS):
-        violations.append({"hypothesis": int(i), "check": "risk_gap",
-                           "gap": float(abs(rtl[i] - rt[i])), "rho": rho})
-    chained = rs + rtl + rho
-    for i in np.flatnonzero(rs + rt > chained + _EPS):
-        violations.append({"hypothesis": int(i), "check": "chained",
-                           "lhs": float(rs[i] + rt[i]), "rhs": float(chained[i])})
+    gap = np.abs(rtl - rt)
+    bad = np.flatnonzero(gap > rho + _EPS)
+    violations = [{"hypothesis": i, "check": "risk_gap", "gap": g, "rho": rho}
+                  for i, g in zip(bad.tolist(), gap[bad].tolist())]
+    lhs, chained = rs + rt, rs + rtl + rho
+    bad = np.flatnonzero(lhs > chained + _EPS)
+    violations += [{"hypothesis": i, "check": "chained", "lhs": l, "rhs": r}
+                   for i, l, r in zip(bad.tolist(), lhs[bad].tolist(), chained[bad].tolist())]
     return BoundReport(risks_source=rs, risks_target=rt, risks_pseudo=rtl,
                        d_hdh=theorem1.d_hdh, c_value=c, best_hypothesis=best,
                        c_prime=c_prime, rho=rho, violations=violations)
@@ -299,7 +345,5 @@ def emit_report(history: list[StepMetrics], bound: BoundReport | None, out_dir,
         summary["d_A"] = d_a
     if extra:
         summary.update(extra)
-    with open(out_dir / "report.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "report.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

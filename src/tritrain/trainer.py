@@ -67,6 +67,19 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 2, got {size}")
         if self.activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {self.activation!r}")
+        if self.optimizer not in ("momentum_sgd", "adagrad"):
+            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        # written as `not (in range)` so that NaN fails too
+        for name in ("lr", "adagrad_eps", "lr_decay_to"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("dropout_rate", "momentum"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.lam >= 0:
+            raise ConfigError(f"lambda (lam) must be >= 0, got {self.lam}")
 
 
 @dataclass

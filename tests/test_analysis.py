@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,18 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                verify_rho_bound, verify_theorem1)
 from tritrain.nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
 from tritrain.trainer import StepMetrics, read_metrics_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def stump_predictions(h, x):
+    """The oracle: the (hypotheses, samples) matrix of 0/1 predictions."""
+    above = x[:, h.dims].T > h.thresholds[:, None]
+    return np.where(h.polarities[:, None] > 0, above, ~above).astype(np.int8)
+
+
+def oracle_risks(h, x, y):
+    return (stump_predictions(h, x) != np.asarray(y)[None, :]).mean(axis=1)
 
 
 def stump_class_1d(thresholds):
@@ -39,9 +55,12 @@ def random_problem(rng, n_s=30, n_t=30, d=2):
 def test_stump_predictions_both_polarities():
     h = stump_class_1d([0.5])
     x = np.array([[0.0], [1.0]])
-    pred = h.predict(x)
+    pred = stump_predictions(h, x)
     np.testing.assert_array_equal(pred[0], [0, 1])   # positive polarity
     np.testing.assert_array_equal(pred[1], [1, 0])   # complement
+    # a label outside {0, 1} errs under both polarities
+    np.testing.assert_array_equal(analysis._risks(h, x, np.array([0, 1])), [0.0, 1.0])
+    np.testing.assert_array_equal(analysis._risks(h, x, np.array([2, 1])), [0.5, 1.0])
 
 
 def test_make_stump_class_respects_cap():
@@ -50,11 +69,68 @@ def test_make_stump_class_respects_cap():
     assert len(h) == 3 * 10 * 2
 
 
+def _stump_class_by_loop(x, max_thresholds_per_dim):
+    """The reference enumeration, one stump at a time."""
+    dims, ths, pols = [], [], []
+    for d in range(x.shape[1]):
+        vals = np.unique(x[:, d])
+        mids = (vals[:-1] + vals[1:]) / 2 if len(vals) > 1 else vals
+        if len(mids) > max_thresholds_per_dim:
+            mids = mids[np.linspace(0, len(mids) - 1, max_thresholds_per_dim).astype(int)]
+        for t in mids:
+            for pol in (1, -1):
+                dims.append(d)
+                ths.append(t)
+                pols.append(pol)
+    return (np.array(dims, dtype=np.int64), np.array(ths, dtype=np.float64),
+            np.array(pols, dtype=np.int64))
+
+
+def test_make_stump_class_equals_the_per_threshold_loop():
+    rng = np.random.default_rng(25)
+    for i in range(30):
+        d = int(rng.integers(1, 6))
+        x = np.round(rng.normal(size=(int(rng.integers(1, 80)), d)), int(rng.integers(0, 3)))
+        x[:, int(rng.integers(0, d))] = rng.normal()   # a dim with one unique value
+        if i % 5 == 0:
+            x = x.astype(np.int64)
+        cap = int(rng.integers(1, 40))
+        h = make_stump_class(x, max_thresholds_per_dim=cap)
+        for got, want in zip((h.dims, h.thresholds, h.polarities), _stump_class_by_loop(x, cap)):
+            assert got.dtype == want.dtype, i
+            np.testing.assert_array_equal(got, want)
+
+
 def test_enumeration_size_limit():
     with pytest.raises(ValueError):
         HypothesisClass(dims=np.zeros(10_001, dtype=np.int64),
                         thresholds=np.zeros(10_001),
                         polarities=np.ones(10_001, dtype=np.int64))
+
+
+def test_risks_equal_the_prediction_oracle_bit_for_bit():
+    # arbitrary and single polarity, duplicate stumps, ties between sample
+    # values and thresholds, one-sample domains, labels outside {0, 1}
+    rng = np.random.default_rng(26)
+    for i in range(120):
+        d = int(rng.integers(1, 5))
+        n = 1 if i % 6 == 0 else int(rng.integers(2, 90))
+        x = np.round(rng.normal(size=(n, d)), 1)
+        y = rng.integers(0, 2, size=n)
+        if i % 4 == 1:
+            y = rng.integers(-1, 4, size=n)
+        size = int(rng.integers(1, 300))
+        dims = rng.integers(0, d, size=size)
+        ths = np.round(rng.normal(size=size), 1)
+        pols = rng.choice([1, -1], size=size)
+        if i % 4 == 2:
+            pols = np.full(size, (1, -1)[(i // 4) % 2])
+        elif i % 4 == 3:
+            dup = rng.integers(0, size, size=size)
+            dims, ths, pols = dims[dup], ths[dup], pols[dup]
+        h = HypothesisClass(dims=dims, thresholds=ths, polarities=pols)
+        got, want = analysis._risks(h, x, y), oracle_risks(h, x, y)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), i
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +153,7 @@ def test_hdh_bounded_by_two():
 
 
 def _brute_force_hdh(h, sx, tx):
-    ps, pt = h.predict(sx), h.predict(tx)
+    ps, pt = stump_predictions(h, sx), stump_predictions(h, tx)
     best = 0.0
     for i, j in itertools.product(range(len(h)), repeat=2):
         ds = np.mean(ps[i] != ps[j])
@@ -105,7 +181,8 @@ def _exact_hdh(h, sx, tx):
         c = p.sum(axis=1)
         return c[:, None] + c[None, :] - 2 * (p @ p.T)
     n_s, n_t = len(sx), len(tx)
-    num = np.abs(n_t * counts(h.predict(sx)) - n_s * counts(h.predict(tx))).max()
+    num = np.abs(n_t * counts(stump_predictions(h, sx))
+                 - n_s * counts(stump_predictions(h, tx))).max()
     return float(Fraction(2 * int(num), n_s * n_t))
 
 
@@ -127,27 +204,48 @@ def _dense_hdh(h, sx, tx):
         cross = p @ p.T / n
         m = p.mean(axis=1)
         return m[:, None] + m[None, :] - 2 * cross
-    gap = disagreement(h.predict(sx)) - disagreement(h.predict(tx))
+    gap = disagreement(stump_predictions(h, sx)) - disagreement(stump_predictions(h, tx))
     return float(2.0 * np.abs(gap).max())
 
 
-def test_hdh_blocked_equals_exact_ratio():
-    block = analysis._HDH_BLOCK
-    sizes = [1, 2, block - 1, block, block + 1, 2 * block, 2 * block + 5, 3 * block - 7]
+def test_hdh_blocked_equals_exact_ratio(monkeypatch):
+    # block edges: a dim's thresholds fill a whole number of blocks, one
+    # row more or less, or a single partial block
     rng = np.random.default_rng(20)
-    for i in range(240):
-        size = sizes[i % len(sizes)] if i < 160 else int(rng.integers(1, 3 * block))
-        d = int(rng.integers(1, 4))
-        sx = rng.normal(size=(int(rng.integers(1, 60)), d))
-        tx = rng.normal(size=(int(rng.integers(1, 60)), d)) + rng.normal(size=d)
-        if i % 5 == 0:
-            sx = np.round(sx, 1)   # ties between sample values and thresholds
-        h = HypothesisClass(dims=rng.integers(0, d, size=size),
-                            thresholds=np.round(rng.normal(size=size), 1),
-                            polarities=rng.choice([1, -1], size=size))
-        d_hdh = empirical_hdh_distance(h, sx, tx)
-        assert d_hdh == _exact_hdh(h, sx, tx), (i, size)
-        assert abs(d_hdh - _dense_hdh(h, sx, tx)) <= _DENSE_ROUNDING, (i, size)
+    for block in (1, 2, 7, 128):
+        monkeypatch.setattr(analysis, "_HDH_BLOCK", block)
+        for i in range(60):
+            d = int(rng.integers(1, 4))
+            per_dim = [int(rng.choice([1, 2, block - 1, block, block + 1, 2 * block + 1]))
+                       if i % 2 == 0 else int(rng.integers(1, 80)) for _ in range(d)]
+            dims = np.repeat(np.arange(d), np.maximum(per_dim, 1))
+            size = len(dims)
+            sx = rng.normal(size=(int(rng.integers(1, 60)), d))
+            tx = rng.normal(size=(int(rng.integers(1, 60)), d)) + rng.normal(size=d)
+            ths = rng.normal(size=size)
+            if i % 5 == 0:
+                sx, ths = np.round(sx, 1), np.round(ths, 1)   # ties and duplicate stumps
+            h = HypothesisClass(dims=dims, thresholds=ths,
+                                polarities=rng.choice([1, -1], size=size))
+            d_hdh = empirical_hdh_distance(h, sx, tx)
+            assert d_hdh == _exact_hdh(h, sx, tx), (block, i)
+            assert abs(d_hdh - _dense_hdh(h, sx, tx)) <= _DENSE_ROUNDING, (block, i)
+
+
+@pytest.mark.parametrize("d", [10, 50])
+def test_hdh_equals_exact_ratio_in_many_dims(d):
+    # every dim pairs with every later one in a single table per dim
+    rng = np.random.default_rng(27 + d)
+    for i in range(3):
+        sx = np.round(rng.normal(size=(int(rng.integers(20, 70)), d)), 1)
+        tx = np.round(rng.normal(size=(int(rng.integers(20, 70)), d))
+                      + rng.normal(scale=0.7, size=d), 1)
+        h = make_stump_class(np.vstack([sx, tx]), max_thresholds_per_dim=int(rng.integers(2, 12)))
+        if i == 2:   # a subset of the dims, in shuffled order
+            keep = rng.permutation(len(h))[:len(h) // 3]
+            h = HypothesisClass(dims=h.dims[keep], thresholds=h.thresholds[keep],
+                                polarities=h.polarities[keep])
+        assert empirical_hdh_distance(h, sx, tx) == _exact_hdh(h, sx, tx), i
 
 
 def test_hdh_equals_exact_ratio_on_degenerate_classes():
@@ -175,23 +273,13 @@ def test_hdh_equals_exact_ratio_on_degenerate_classes():
             assert d_hdh == 0.0
 
 
-def test_hdh_numerators_beyond_float32_take_float64(monkeypatch):
-    assert analysis._numerator_dtype(2 ** 12 - 1, 2 ** 12) is np.float32
-    assert analysis._numerator_dtype(2 ** 12, 2 ** 12) is np.float64
-    picked, pick = [], analysis._numerator_dtype
-
-    def spy(n_s, n_t):
-        picked.append(pick(n_s, n_t))
-        return picked[-1]
-
-    monkeypatch.setattr(analysis, "_numerator_dtype", spy)
+def test_hdh_is_exact_at_2_24_sample_pairs():
     rng = np.random.default_rng(23)
     # n_s * n_t = 2**24; the source is one point repeated by a zero-stride view
     sx = np.broadcast_to(rng.normal(size=(1, 2)), (2 ** 12, 2))
     tx = rng.normal(size=(2 ** 12, 2))
     h = make_stump_class(np.vstack([sx[:1], tx]), max_thresholds_per_dim=20)
     assert empirical_hdh_distance(h, sx, tx) == _exact_hdh(h, sx, tx)
-    assert picked == [np.float64]
 
 
 def _bench_size_instance():
@@ -221,13 +309,20 @@ def test_hdh_memory_is_not_quadratic_in_hypotheses():
     assert peak <= 64 * 2 ** 20
 
 
-def test_hdh_rejects_counts_beyond_float32_exactness():
-    h = stump_class_1d([0.5])
-    huge = np.broadcast_to(np.zeros((1, 1)), (2 ** 24, 1))   # a view: no allocation
-    small = np.ones((3, 1))
-    for sx, tx in ((huge, small), (small, huge)):
-        with pytest.raises(ValueError, match="float32"):
-            empirical_hdh_distance(h, sx, tx)
+def test_hdh_memory_at_the_enumeration_cap_in_2d():
+    # 10_000 stumps, 2500 thresholds per dim: the dense matrices would take
+    # 1.5 GiB, one table of the two dims 48 MiB
+    rng = np.random.default_rng(28)
+    sx, tx = rng.normal(size=(2500, 2)), rng.normal(size=(2500, 2)) + 0.3
+    h = make_stump_class(np.vstack([sx, tx]), max_thresholds_per_dim=2500)
+    assert len(h) == 10_000
+    tracemalloc.start()
+    try:
+        empirical_hdh_distance(h, sx, tx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
 
 
 def test_hdh_rejects_empty():
@@ -243,7 +338,7 @@ def test_hdh_rejects_empty():
 def ideal_joint_error(h, s_xy, t_xy):
     """Oracle: exhaustive argmin of source risk + target risk, ties to the
     first hypothesis in enumeration order. Returns (index, combined error)."""
-    total = sum((h.predict(x) != np.asarray(y)[None, :]).mean(axis=1) for x, y in (s_xy, t_xy))
+    total = sum(oracle_risks(h, x, y) for x, y in (s_xy, t_xy))
     best = int(np.argmin(total))
     return best, float(total[best])
 
@@ -254,7 +349,7 @@ def test_ideal_joint_error_identical_domains():
     y = rng.integers(0, 2, size=25)
     h = make_stump_class(x)
     c = verify_theorem1(h, (x, y), (x, y)).c_value
-    rs = (h.predict(x) != y[None, :]).mean(axis=1)
+    rs = oracle_risks(h, x, y)
     assert c == pytest.approx(2 * rs.min())
 
 
@@ -273,9 +368,8 @@ def test_ideal_joint_error_matches_brute_force():
     h = make_stump_class(np.vstack([s_xy[0], t_xy[0]]))
     r = verify_theorem1(h, s_xy, t_xy)
     best, c = r.best_hypothesis, r.c_value
-    totals = [(np.mean(h.predict(s_xy[0])[i] != s_xy[1])
-               + np.mean(h.predict(t_xy[0])[i] != t_xy[1]))
-              for i in range(len(h))]
+    ps, pt = stump_predictions(h, s_xy[0]), stump_predictions(h, t_xy[0])
+    totals = [np.mean(ps[i] != s_xy[1]) + np.mean(pt[i] != t_xy[1]) for i in range(len(h))]
     assert c == pytest.approx(min(totals))
     assert best == int(np.argmin(totals))
 
@@ -545,3 +639,16 @@ def test_emit_report_empty_history(tmp_path):
     assert read_metrics_csv(tmp_path / "out" / "metrics.csv") == []
     with open(tmp_path / "out" / "report.json") as fh:
         assert json.load(fh)["num_steps"] == 0
+
+
+# ---------------------------------------------------------------------------
+# demo
+
+
+def test_bound_verification_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "bound_verification.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "violations over" in proc.stdout

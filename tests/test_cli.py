@@ -138,6 +138,18 @@ CONFIG_ERRORS = [
     ("train", ["data.dir=5"], "data.dir"),
     ("gen-data", ["train.bogus=1"], "train.bogus"),
     ("train", ["bound.bogus=1"], "bound.bogus"),
+    # range checks of TrainConfig, one per key
+    ("train", ["train.lr=0"], "lr must be > 0"),
+    ("train", ["train.lr=NaN"], "lr must be > 0"),
+    ("train", ['train.optimizer="adam"'], "optimizer"),
+    ("train", ["train.hidden_dim=0"], "hidden_dim"),
+    ("train", ["train.dropout_rate=1"], "dropout_rate"),
+    ("train", ["train.momentum=-0.1"], "momentum"),
+    ("train", ["train.lambda=-1"], "lambda"),
+    ("train", ["train.adagrad_eps=0"], "adagrad_eps"),
+    # a negative decayed rate used to run gradient ascent and exit 0
+    ("train", ["train.lr_decay_step=0", "train.lr_decay_to=-1"], "lr_decay_to"),
+    ("bound-check", ["train.momentum=1"], "momentum"),
 ]
 
 
