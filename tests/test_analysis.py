@@ -271,6 +271,9 @@ def test_hdh_equals_exact_ratio_on_degenerate_classes():
         assert d_hdh == _exact_hdh(h, sx, tx), i
         if i % 3 < 2:
             assert d_hdh == 0.0
+    empty = HypothesisClass(dims=np.empty(0, dtype=np.int64), thresholds=np.empty(0),
+                            polarities=np.empty(0, dtype=np.int64))
+    assert empirical_hdh_distance(empty, sx, tx) == 0.0
 
 
 def test_hdh_is_exact_at_2_24_sample_pairs():
@@ -296,33 +299,30 @@ def test_hdh_on_the_bench_instance_is_the_exact_ratio():
     assert empirical_hdh_distance(h, sx, tx) == 0.485
 
 
+def _hdh_peak_bytes(h, sx, tx):
+    tracemalloc.start()
+    try:
+        empirical_hdh_distance(h, sx, tx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_hdh_memory_is_not_quadratic_in_hypotheses():
     # the dense H x H float64 matrices take 323 MiB on this instance
     h, sx, tx = _bench_size_instance()
     assert len(h) > 3000
-    tracemalloc.start()
-    try:
-        empirical_hdh_distance(h, sx, tx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2 ** 20
+    assert _hdh_peak_bytes(h, sx, tx) <= 64 * 2 ** 20
 
 
 def test_hdh_memory_at_the_enumeration_cap_in_2d():
     # 10_000 stumps, 2500 thresholds per dim: the dense matrices would take
-    # 1.5 GiB, one table of the two dims 48 MiB
+    # 1.5 GiB, one whole table of the two dims 48 MiB
     rng = np.random.default_rng(28)
     sx, tx = rng.normal(size=(2500, 2)), rng.normal(size=(2500, 2)) + 0.3
     h = make_stump_class(np.vstack([sx, tx]), max_thresholds_per_dim=2500)
     assert len(h) == 10_000
-    tracemalloc.start()
-    try:
-        empirical_hdh_distance(h, sx, tx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2 ** 20
+    assert _hdh_peak_bytes(h, sx, tx) <= 64 * 2 ** 20
 
 
 def test_hdh_rejects_empty():
