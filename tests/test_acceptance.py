@@ -6,6 +6,7 @@ data/amazon/books.txt and data/amazon/dvd.txt (relative to the repository
 root, `<label> <index>:<value> ...` lines, 0-based indices, 5000 features)
 and is skipped when they are absent.
 """
+import hashlib
 import time
 from pathlib import Path
 
@@ -281,6 +282,63 @@ def test_acceptance_determinism(tmp_path):
                       "metrics.csv byte-identical" if identical
                       else "metrics.csv differs")
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# pinned training bits: a change that moves them edits a literal here
+
+# sha256 of each `benchmark_runs` history's metrics.csv, by seed
+BENCHMARK_METRICS_DIGESTS = (
+    "ceaef4ff870f50a0b485e6c4423c58c64e3a5495d65747c9c133a8b8259244b9",
+    "a17c07e3f6b99a4bde16b49dcaf8c2523487a7957ba05feeb0eb53c890f5f282",
+    "fd0498db2fec3f244dda3e1e70ac6d0307d2ad29392ed455f2449f3ff0901cb8",
+    "4eda0337946a585fc22f7cf5e293cf8debcb15415e02a089c0298451be267f37",
+    "f89c0c4607223c3615b6e9e01a2110e2c05e15356716ea3f3dc4f583b68473d7",
+    "918e34f4e45803e506b2357c9903e760c23beadbe7c4261fc26d84eff0c31881",
+    "5dd4c6aa519f3f6250d85e4be638614ce49df4abf38e08b9d623cbc9a3ce7c96",
+    "766c11eb44f942745028fd117a77096bba0d541cad594ae3472230b419a697e4",
+    "aabb72dbe3b449cc2a561e77f4000be025ea7c65bd2269f91a25a2412880e61a",
+    "68e0d3003cd19667ea1da6ca83ddfbceb66f5cf43283b8ee78b06f40769e42b5",
+)
+
+# the paths the benchmark config leaves out: relu, dropout, Adagrad, a closed
+# `from_ft` gate, an lr decay inside the run and shuffled-pass adaptation
+# phases; every step has a target phase
+SHORT_RUN_CFG = "\n".join([
+    'data.generator = "two_moons"', "data.n_source = 120", "data.n_target = 120",
+    "data.rotation_deg = 30", "data.noise_sigma = 0.1", "data.seed = 1",
+    "train.steps_k = 4", "train.pretrain_iters = 40", "train.batch_labeling = 32",
+    "train.batch_target = 16", 'train.optimizer = "adagrad"', "train.lr = 0.05",
+    "train.lr_decay_step = 2", "train.lr_decay_to = 0.01", 'train.activation = "relu"',
+    "train.dropout_rate = 0.2", "train.hidden_dim = 8", "train.seed = 1",
+    "gates.from_ft = false", "labeling.n_init = 60", "labeling.threshold = 0.8", ""])
+SHORT_RUN_DIGESTS = {
+    "metrics.csv": "c1e734b08f97862d37e634392a03869b2fcd9df5f47d82caad1c421a38b96cdf",
+    "checkpoint.npz": "3329c3f1a2e4f650e3c5f88e8f4344b91494e2ee2702ba7d43782072f222bed0",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_benchmark_metrics_bytes_are_pinned(benchmark_runs, tmp_path):
+    digests = []
+    for r in benchmark_runs:
+        path = tmp_path / f"metrics_{r['seed']}.csv"
+        trainer.write_metrics_csv(r["hist"], path)
+        digests.append(_sha256(path))
+    # BLAS and numpy releases can move float bits, so name the version
+    assert tuple(digests) == BENCHMARK_METRICS_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_short_run_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SHORT_RUN_CFG)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    digests = {name: _sha256(out / name) for name in SHORT_RUN_DIGESTS}
+    assert digests == SHORT_RUN_DIGESTS, f"numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------------------

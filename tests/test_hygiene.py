@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every import in `src/tritrain`
 sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
-by tests, and every name the benchmark's tracer patches still exists."""
+by tests, every name the benchmark's tracer patches still exists, and every
+by-name import of a name it patches on a module is patched too."""
 import ast
 import importlib.util
+import types
 from pathlib import Path
 
 import numpy as np
@@ -156,3 +158,46 @@ def test_every_layer_kind_is_a_layer_subclass_the_tracer_counts(kind):
     cls = type(layer)
     assert cls in nnlib.Layer.__subclasses__()
     assert {"forward", "backward"} <= cls.__dict__.keys()
+
+
+def by_name_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each `from .<module> import <name>`, or the same
+    from `tritrain.<module>`, at module level."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.level == 0 and not node.module.startswith("tritrain."):
+                continue
+            out |= {(node.module.removeprefix("tritrain."), a.name) for a in node.names}
+    return out
+
+
+def untraced_imports(sources: dict[str, str], sites) -> list[str]:
+    """`<module>: <name>` for each module in `sources` that binds, with a
+    by-name import, a name the sites patch on the module defining it,
+    while no site patches that name on the importing module itself. The
+    importer then calls its own binding, which the patch never reaches."""
+    on_modules = {(owner.__name__.rsplit(".", 1)[-1], attr)
+                  for owner, attr, *_ in sites if isinstance(owner, types.ModuleType)}
+    out = []
+    for module, source in sorted(sources.items()):
+        for lib, name in sorted(by_name_imports(source)):
+            if (lib, name) in on_modules and (module, name) not in on_modules:
+                out.append(f"{module}: {name}")
+    return out
+
+
+def test_checker_flags_an_untraced_by_name_import_and_only_that():
+    lib, user = types.ModuleType("tritrain.lib"), types.ModuleType("tritrain.user")
+    sites = [(lib, "traced", "lib.traced", None), (lib, "also", "lib.also", None),
+             (user, "also", "lib.also", None)]
+    sources = {"user": "from .lib import traced, also, plain\nfrom . import lib\n",
+               "other": "from tritrain.lib import traced\nfrom numpy import also\n"}
+    assert untraced_imports(sources, sites) == ["other: traced", "user: traced"]
+
+
+def test_every_by_name_import_of_a_patched_function_is_a_patch_site():
+    # a by-name binding escapes the patch on the defining module, so its
+    # calls would silently drop out of that span
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert untraced_imports(sources, load_tracer().SITES) == []
