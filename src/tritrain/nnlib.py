@@ -362,10 +362,6 @@ class Sequential:
                 dict.__setitem__(layer.grads, k, self.grad[off:end].reshape(p.shape))
                 off = end
 
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0].spec.in_dim
-
     def forward(self, x, mode="train", rng=None):
         for layer in self.layers:
             x = layer.forward(x, mode=mode, rng=rng)

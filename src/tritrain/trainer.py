@@ -143,14 +143,15 @@ def _batches(n: int, batch: int, iters: int | None, rng):
 
 
 def _step_params(net: TriNet, phase: str):
-    """Flat parameter and gradient buffers the optimizer may touch in a
-    phase, one entry per sub-network, honoring the gates. The buffers are
-    never rebound, so the dicts stay valid for the whole phase."""
-    names = ("f1", "f2") if phase == "labeling" else ("ft",)
+    """Flat parameter and gradient buffers the optimizer may touch in a phase,
+    one entry per sub-network (a head's arena row), honoring the gates. The
+    buffers are never rebound, so the dicts stay valid for the whole phase."""
+    rows = slice(0, 2) if phase == "labeling" else slice(2, 3)
+    params = dict(zip(TriNet.BRANCHES[rows], net.theta[rows]))
+    grads = dict(zip(TriNet.BRANCHES[rows], net.grad[rows]))
     if net.gates.from_f1_f2 if phase == "labeling" else net.gates.from_ft:
-        names += ("f",)
-    return ({n: getattr(net, n).theta for n in names},
-            {n: getattr(net, n).grad for n in names})
+        params["f"], grads["f"] = net.f.theta, net.f.grad
+    return params, grads
 
 
 def _check_finite(loss, phase, where, batch):
@@ -298,8 +299,6 @@ def read_metrics_csv(path):
             for r in rows]
 
 
-# the four networks, in checkpoint order
-_NETS = ("f",) + TriNet.BRANCHES
 # prefix of a network's optimizer slot; the slots come in the order the
 # networks first stepped
 _SLOT = "opt/main/slot/"
@@ -307,15 +306,15 @@ _SLOT = "opt/main/slot/"
 
 def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint array name, in file order, mapped to the live array
-    it holds: `param/<net>/<layer>/<key>` views into each network's theta,
-    `state/<net>/<layer>/running_{mean,var,count}` each batch-norm layer's
-    statistics, then `opt/main/slot/<net>` the optimizer slots."""
-    nets = [(name, getattr(state.net, name)) for name in _NETS]
-    arrays = {f"param/{name}/{i}/{k}": p for name, seq in nets
-              for i, layer in enumerate(seq.layers) for k, p in layer.params.items()}
-    arrays.update({f"state/{name}/{i}/running_{k}": v for name, seq in nets
-                   for i, layer in enumerate(seq.layers) if isinstance(layer, BatchNorm)
-                   for k, v in layer.running_stats.items()})
+    it holds: `param/<net>/<layer>/<key>` views into f's theta and each
+    head's arena row, `state/f/<layer>/running_{mean,var,count}` each
+    batch-norm layer's statistics, then `opt/main/slot/<net>` the slots."""
+    net, layers = state.net, list(enumerate(state.net.f.layers))
+    arrays = {f"param/f/{i}/{k}": p for i, layer in layers for k, p in layer.params.items()}
+    for i, head in enumerate(TriNet.BRANCHES):
+        arrays[f"param/{head}/0/W"], arrays[f"param/{head}/0/b"] = net.W[i], net.b[i]
+    arrays.update({f"state/f/{i}/running_{k}": v for i, layer in layers
+                   if isinstance(layer, BatchNorm) for k, v in layer.running_stats.items()})
     arrays.update({_SLOT + name: v for name, v in state.opt.slots.items()})
     return arrays
 
@@ -326,7 +325,7 @@ def save_state(path, state: TrainState):
     `checkpoint_arrays`. The pseudo-label pool is not stored."""
     net = state.net
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.cfg),
-            "in_dim": net.f.in_dim, "num_classes": net.num_classes,
+            "in_dim": net.f.layers[0].spec.in_dim, "num_classes": net.num_classes,
             "lr": state.opt.lr, "step": state.step,
             "rng_states": {"train": state.rng_train.bit_generator.state,
                            "label": state.rng_label.bit_generator.state}}
@@ -365,9 +364,10 @@ def load_state(path) -> TrainState:
         c["labeling"] = _exact(LabelingConfig, c["labeling"])
         c["gates"] = _exact(GradientGates, c["gates"])
         state = init_state(_exact(TrainConfig, c), meta["in_dim"], meta["num_classes"])
+        flat = dict(zip(("f",) + TriNet.BRANCHES, [state.net.f.theta, *state.net.theta]))
         for name in [k[len(_SLOT):] for k in arrays if k.startswith(_SLOT)]:
-            if name in _NETS:
-                state.opt.slots[name] = np.zeros_like(getattr(state.net, name).theta)
+            if name in flat:
+                state.opt.slots[name] = np.zeros_like(flat[name])
         live = checkpoint_arrays(state)
         if live.keys() != arrays.keys():
             raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnlib import (ConfigError, LayerSpec, Sequential, ShapeError, softmax,
+from . import nnlib
+from .nnlib import (ConfigError, LayerSpec, Sequential, ShapeError, glorot_uniform, softmax,
                     softmax_cross_entropy)
 
 
@@ -53,8 +54,10 @@ def weight_divergence(W1: np.ndarray, W2: np.ndarray):
 
 
 class TriNet:
-    """Shared extractor `f` feeding heads `f1`, `f2` (labeling) and `ft`
-    (target); each head is one affine layer to `num_classes` logits."""
+    """Shared extractor `f` feeding heads f1, f2 (labeling) and ft (target),
+    each one affine layer to `num_classes` logits. Row i of the arena `theta`
+    (3, d·k + k) is head BRANCHES[i]'s W (d, k) then b (k), viewed as `W`
+    (3, d, k) and `b` (3, 1, k); `grad`, `dW` and `db` mirror them."""
 
     BRANCHES = ("f1", "f2", "ft")
 
@@ -65,13 +68,14 @@ class TriNet:
         self.num_classes = num_classes
         self.lam = lam
         self.gates = gates or GradientGates()
-        head = [LayerSpec("affine", f_specs[-1].out_dim, num_classes)]
+        d, k = f_specs[-1].out_dim, num_classes
         # independent sub-seeds so the three heads start differently
         ss = np.random.SeedSequence(seed).spawn(4)
         self.f = Sequential(f_specs, np.random.default_rng(ss[0]))
-        self.f1 = Sequential(head, np.random.default_rng(ss[1]))
-        self.f2 = Sequential(head, np.random.default_rng(ss[2]))
-        self.ft = Sequential(head, np.random.default_rng(ss[3]))
+        self.theta, self.grad = np.zeros((3, d * k + k)), np.zeros((3, d * k + k))
+        self.W, self.dW = (a[:, :d * k].reshape(3, d, k) for a in (self.theta, self.grad))
+        self.b, self.db = (a[:, d * k:].reshape(3, 1, k) for a in (self.theta, self.grad))
+        self.W[...] = [glorot_uniform(np.random.default_rng(s), d, k) for s in ss[1:]]
 
     def features(self, x) -> np.ndarray:
         """Shared representation F(x), in eval mode."""
@@ -79,50 +83,50 @@ class TriNet:
 
     def forward(self, x) -> dict[str, BranchOutput]:
         """Every head's output, keyed by branch, from one eval-mode pass of
-        the shared extractor. Eval mode draws no randomness, so sharing the
-        pass changes no bits. Training goes through the two objectives."""
+        the shared extractor and one stacked affine call for the heads.
+        Eval mode draws no randomness, so sharing the pass changes no bits.
+        Training goes through the two objectives."""
         h = self.features(x)
-        return {b: BranchOutput.from_logits(getattr(self, b).forward(h, mode="eval"))
-                for b in self.BRANCHES}
-
-    def zero_grads(self):
-        for net in (self.f, self.f1, self.f2, self.ft):
-            net.zero_grads()
+        # a view, not a copy per head: an eval set can be large
+        z = nnlib.affine_forward(np.broadcast_to(h, (3, *h.shape)), self.W, self.b)
+        return {b: BranchOutput.from_logits(z[i]) for i, b in enumerate(self.BRANCHES)}
 
     # -- objectives ---------------------------------------------------------
+
+    def _heads_loss(self, rows: slice, x, y, rng, gate: bool) -> np.ndarray:
+        """Mean cross-entropy of each head in `rows`, from one train-mode pass
+        of f and one stacked affine call each way. Zeroes every gradient, then
+        fills those of the heads in `rows` and, if `gate`, of f."""
+        if len(x) == 0:
+            raise ValueError("empty batch")
+        self.f.zero_grads()
+        self.grad.fill(0.0)
+        h = self.f.forward(x, mode="train", rng=rng)
+        W = self.W[rows]
+        # per-head copies: at batch size they cost less than np.broadcast_to
+        hs = h[None].repeat(len(W), axis=0)
+        z = nnlib.affine_forward(hs, W, self.b[rows])
+        loss, dz = softmax_cross_entropy(z, np.asarray(y)[None].repeat(len(W), axis=0))
+        dx, dW, db = nnlib.affine_backward(dz, hs, W)
+        self.dW[rows] += dW
+        self.db[rows] += db
+        if gate:
+            # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
+            self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])
+        return loss
 
     def joint_labeling_loss(self, x, y, rng=None):
         """Mean cross-entropy through both labeling heads plus the weight
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
-        if len(x) == 0:
-            raise ValueError("empty batch")
-        self.zero_grads()
-        h = self.f.forward(x, mode="train", rng=rng)
-        z1 = self.f1.forward(h, mode="train", rng=rng)
-        z2 = self.f2.forward(h, mode="train", rng=rng)
-        loss1, dz1 = softmax_cross_entropy(z1, y)
-        loss2, dz2 = softmax_cross_entropy(z2, y)
-        a1, a2 = self.f1.layers[0], self.f2.layers[0]
-        penalty, gw1, gw2 = weight_divergence(a1.params["W"], a2.params["W"])
-        total = loss1 + loss2 + self.lam * penalty
-        dh = self.f1.backward(dz1) + self.f2.backward(dz2)
-        a1.grads["W"] += self.lam * gw1
-        a2.grads["W"] += self.lam * gw2
-        if self.gates.from_f1_f2:
-            self.f.backward(dh)
-        return total, {"ce_f1": loss1, "ce_f2": loss2, "penalty": penalty}
+        ce = self._heads_loss(slice(0, 2), x, y, rng, self.gates.from_f1_f2)
+        penalty, gw1, gw2 = weight_divergence(self.W[0], self.W[1])
+        self.dW[0] += self.lam * gw1
+        self.dW[1] += self.lam * gw2
+        total = ce[0] + ce[1] + self.lam * penalty
+        return total, {"ce_f1": ce[0], "ce_f2": ce[1], "penalty": penalty}
 
     def target_loss(self, x, y, rng=None):
         """Mean cross-entropy through the target head. Populates grads for ft
         and, if the ft gate is open, the shared extractor."""
-        if len(x) == 0:
-            raise ValueError("empty batch")
-        self.zero_grads()
-        h = self.f.forward(x, mode="train", rng=rng)
-        zt = self.ft.forward(h, mode="train", rng=rng)
-        loss, dzt = softmax_cross_entropy(zt, y)
-        dh = self.ft.backward(dzt)
-        if self.gates.from_ft:
-            self.f.backward(dh)
-        return loss
+        return self._heads_loss(slice(2, 3), x, y, rng, self.gates.from_ft)[0]

@@ -33,11 +33,17 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def named(net, which="params") -> dict[str, np.ndarray]:
     """`<net>/<layer>/<key>` -> each layer's `params` or `grads` array, over
-    the four networks of a TriNet; a Sequential's keys are `<layer>/<key>`."""
-    nets = ([(f"{n}/", getattr(net, n)) for n in ("f",) + TriNet.BRANCHES]
-            if isinstance(net, TriNet) else [("", net)])
-    return {f"{prefix}{i}/{k}": a for prefix, seq in nets
-            for i, layer in enumerate(seq.layers) for k, a in getattr(layer, which).items()}
+    the four networks of a TriNet, where head `<h>/0/W` and `<h>/0/b` are
+    views into the head's arena row; a Sequential's keys are `<layer>/<key>`."""
+    seq = net.f if isinstance(net, TriNet) else net
+    prefix = "f/" if isinstance(net, TriNet) else ""
+    out = {f"{prefix}{i}/{k}": a for i, layer in enumerate(seq.layers)
+           for k, a in getattr(layer, which).items()}
+    if isinstance(net, TriNet):
+        W, b = (net.W, net.b) if which == "params" else (net.dW, net.db)
+        for i, head in enumerate(TriNet.BRANCHES):
+            out[f"{head}/0/W"], out[f"{head}/0/b"] = W[i], b[i]
+    return out
 
 
 def rewrite_checkpoint(path, edit):

@@ -390,7 +390,7 @@ def test_divergence_in_adaptation_names_the_step(head, phase):
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y, cfg)
     pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40], step=0)
-    getattr(state.net, head).theta[0] = np.nan
+    named(state.net)[f"{head}/0/W"][0, 0] = np.nan
     with pytest.raises(trainer.DivergenceError, match=f"{phase} phase of step 2: loss nan at batch 0"):
         adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, cfg, 2)
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from tritrain import nnlib
 from tritrain.nnlib import (ConfigError, LayerSpec, MomentumSGD,
                             finite_difference_gradient, sigmoid,
                             softmax_cross_entropy)
@@ -39,14 +40,15 @@ def test_forward_probs_rows_sum_to_one():
 
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_forward_equals_per_head_pass(use_bn):
-    # oracle: the extractor run again for each head on its own
+    # oracle: the extractor run again for each head, and the head as one
+    # 2-D affine call on its own arena row
     net = small_net(seed=4, use_bn=use_bn)
     x = np.random.default_rng(5).normal(size=(12, 3))
     net.f.forward(x, mode="train")  # populate BN
     outs = net.forward(x)
-    for b in TriNet.BRANCHES:
-        ref = BranchOutput.from_logits(
-            getattr(net, b).forward(net.f.forward(x, mode="eval"), mode="eval"))
+    for i, b in enumerate(TriNet.BRANCHES):
+        h = net.f.forward(x, mode="eval")
+        ref = BranchOutput.from_logits(nnlib.affine_forward(h, net.W[i], net.b[i]))
         out = outs[b]
         assert (out.probs == ref.probs).all()
         assert (out.predicted_class == ref.predicted_class).all()
@@ -68,10 +70,9 @@ def test_forward_reduces_to_logistic_regression():
     f = net.f.layers[0]
     f.params["W"] = np.eye(2)
     f.params["b"] = np.zeros((1, 2))
-    head = net.f1.layers[0]
     w = np.array([0.7, -1.3])
-    head.params["W"] = np.column_stack([np.zeros(2), w])
-    head.params["b"] = np.zeros((1, 2))
+    net.W[0] = np.column_stack([np.zeros(2), w])
+    net.b[0] = np.zeros((1, 2))
     x = np.random.default_rng(3).normal(size=(20, 2))
     out = net.forward(x)["f1"]
     np.testing.assert_allclose(out.probs[:, 1], sigmoid(x @ w), atol=1e-12)
@@ -79,11 +80,21 @@ def test_forward_reduces_to_logistic_regression():
 
 def test_branches_initialized_differently():
     net = small_net()
-    w1 = net.f1.layers[0].params["W"]
-    w2 = net.f2.layers[0].params["W"]
-    wt = net.ft.layers[0].params["W"]
+    w1, w2, wt = net.W
     assert not np.array_equal(w1, w2)
     assert not np.array_equal(w1, wt)
+
+
+def test_each_head_row_starts_from_its_own_seed_stream():
+    # row i is the glorot draw of spawn key (i + 1,), with a zero bias, as
+    # a one-layer Sequential of its own would start
+    net = small_net(seed=7)
+    streams = np.random.SeedSequence(7).spawn(4)[1:]
+    for i, s in enumerate(streams):
+        np.testing.assert_array_equal(
+            net.W[i], nnlib.glorot_uniform(np.random.default_rng(s), 4, 3))
+    assert not net.b.any()
+    assert net.theta.shape == net.grad.shape == (3, 4 * 3 + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +170,8 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     y = rng.integers(0, 3, size=8)
     total, parts = net.joint_labeling_loss(x, y)
     h = net.f.forward(x, mode="train")
-    ce1, _ = softmax_cross_entropy(net.f1.forward(h), y)
-    ce2, _ = softmax_cross_entropy(net.f2.forward(h), y)
+    ce1, _ = softmax_cross_entropy(nnlib.affine_forward(h, net.W[0], net.b[0]), y)
+    ce2, _ = softmax_cross_entropy(nnlib.affine_forward(h, net.W[1], net.b[1]), y)
     assert total == pytest.approx(ce1 + ce2, rel=1e-9)
 
 
@@ -227,10 +238,9 @@ def test_target_loss_gradient_matches_fd():
 
 def test_target_loss_perfect_prediction():
     net = small_net(seed=9)
-    head = net.ft.layers[0]
     # drive the true class logit sky-high
-    head.params["b"] = np.array([[1000.0, 0.0, 0.0]])
-    head.params["W"] = np.zeros((4, 3))
+    net.b[2] = np.array([[1000.0, 0.0, 0.0]])
+    net.W[2] = np.zeros((4, 3))
     loss = net.target_loss(np.random.default_rng(8).normal(size=(4, 3)),
                            np.zeros(4, dtype=np.int64))
     assert loss == pytest.approx(0.0, abs=1e-9)
@@ -298,8 +308,8 @@ def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd"):
     net = state.net
     rng = np.random.default_rng(12)
     net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
-    state.opt.step({"f1": net.f1.theta, "f2": net.f2.theta, "f": net.f.theta},
-                   {"f1": net.f1.grad, "f2": net.f2.grad, "f": net.f.grad})
+    state.opt.step({"f1": net.theta[0], "f2": net.theta[1], "f": net.f.theta},
+                   {"f1": net.grad[0], "f2": net.grad[1], "f": net.f.grad})
     return state
 
 
@@ -342,13 +352,21 @@ def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
     with np.load(path) as z:
         assert {"opt/main/slot/f", "opt/main/slot/f1", "opt/main/slot/f2"} <= set(z.files)
     back = load_state(path)
-    for name in ("f",) + TriNet.BRANCHES:
-        seq = getattr(back.net, name)
-        np.testing.assert_array_equal(seq.theta, getattr(state.net, name).theta)
-        for layer in seq.layers:
-            for k in layer.params:
-                assert np.shares_memory(layer.params[k], seq.theta)
-                assert np.shares_memory(layer.grads[k], seq.grad)
+    net = back.net
+    np.testing.assert_array_equal(net.f.theta, state.net.f.theta)
+    np.testing.assert_array_equal(net.theta, state.net.theta)
+    for layer in net.f.layers:
+        for k in layer.params:
+            assert np.shares_memory(layer.params[k], net.f.theta)
+            assert np.shares_memory(layer.grads[k], net.f.grad)
+    for view in (net.W, net.b):
+        assert np.shares_memory(view, net.theta)
+    for view in (net.dW, net.db):
+        assert np.shares_memory(view, net.grad)
+    arrays = checkpoint_arrays(back)
+    for i, head in enumerate(TriNet.BRANCHES):
+        for k in ("W", "b"):
+            assert np.shares_memory(arrays[f"param/{head}/0/{k}"], net.theta[i])
     for k, v in state.opt.slots.items():
         np.testing.assert_array_equal(back.opt.slots[k], v)
 
