@@ -186,17 +186,22 @@ def _resolve(args) -> dict:
     return cfg
 
 
-def _load_dataset(cfg: dict):
+def _generated_spec(cfg: dict) -> datagen.ShiftSpec | None:
+    """The ShiftSpec of a generated dataset, None for one read from disk.
+    Commands build it before any output, so a bad `data.*` value fails first."""
+    return None if {"data.dir", "data.format"} & cfg.keys() else build_shift_spec(cfg)
+
+
+def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
+    if spec is not None:
+        return datagen.generate(spec)
     d = _section(cfg, "data")
     if "dir" in d:
         return datagen.load_dataset(d["dir"])
-    if "format" in d:
-        sx, sy = datagen.load_sparse_bow(d["source_path"], d["dim"])
-        tx, ty = datagen.load_sparse_bow(d["target_path"], d["dim"])
-        return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx,
-                                     target_y_hidden=ty,
-                                     num_classes=int(max(sy.max(), ty.max())) + 1)
-    return datagen.generate(build_shift_spec(cfg))
+    sx, sy = datagen.load_sparse_bow(d["source_path"], d["dim"])
+    tx, ty = datagen.load_sparse_bow(d["target_path"], d["dim"])
+    return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx, target_y_hidden=ty,
+                                 num_classes=int(max(sy.max(), ty.max())) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +223,10 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve(args)
     tcfg = build_train_config(cfg)
+    spec = _generated_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "train", cfg, args.config, tcfg.seed)
-    ds = _load_dataset(cfg)
+    ds = _load_dataset(cfg, spec)
     history, state = trainer.run(
         ds.source_x, ds.source_y, ds.target_x, tcfg,
         eval_x=ds.target_x, eval_y=ds.target_y_hidden,
@@ -264,9 +270,10 @@ def cmd_bound_check(args) -> int:
     # pseudo labels for the rho check come from a briefly pretrained net
     tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
                                pretrain_iters=b.pretrain_iters)
+    spec = _generated_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "bound-check", cfg, args.config, tcfg.seed)
-    ds = _load_dataset(cfg)
+    ds = _load_dataset(cfg, spec)
     n_total = len(ds.source_x) + len(ds.target_x)
     if n_total > b.max_samples:
         raise ConfigError(f"instance too large: {n_total} samples > "

@@ -40,13 +40,18 @@ class ShiftSpec:
         if len(self.translation) != 2:
             raise ConfigError(f"translation must have 2 entries, got {list(self.translation)}")
         if self.generator not in GENERATORS:
-            raise ConfigError(f"unknown generator {self.generator!r}")
+            raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
+        if self.num_classes < 2:
+            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.generator == "two_moons" and self.num_classes != 2:
-            raise ConfigError("two_moons is a 2-class generator")
-        if self.noise_sigma <= 0:
-            raise ConfigError("noise_sigma must be positive")
-        if min(self.n_source, self.n_target) < 2 * self.num_classes:
-            raise ConfigError("need at least 2 samples per class per domain")
+            raise ConfigError(f"num_classes must be 2 for two_moons, got {self.num_classes}")
+        # written as `not (in range)` so that NaN fails too
+        if not self.noise_sigma > 0:
+            raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        for name in ("n_source", "n_target"):
+            if getattr(self, name) < 2 * self.num_classes:
+                raise ConfigError(f"{name} must be >= 2 per class ({2 * self.num_classes}), "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass

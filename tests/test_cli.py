@@ -125,7 +125,8 @@ def test_json_config_that_is_not_an_object_exits_config(tmp_path, capsys, text):
 
 
 # each case names the key its error must name; every one is rejected by
-# `_resolve` or by the ShiftSpec gen-data builds, before any output is written
+# `_resolve` or by the ShiftSpec each command builds, before any output is
+# written
 CONFIG_ERRORS = [
     ("bound-check", ["bound.thresholds_per_dim=2.5"], "bound.thresholds_per_dim"),
     ("bound-check", ['bound.max_samples="abc"'], "bound.max_samples"),
@@ -150,6 +151,14 @@ CONFIG_ERRORS = [
     # a negative decayed rate used to run gradient ascent and exit 0
     ("train", ["train.lr_decay_step=0", "train.lr_decay_to=-1"], "lr_decay_to"),
     ("bound-check", ["train.momentum=1"], "momentum"),
+    # ShiftSpec ranges; train and bound-check used to check them only after
+    # writing manifest.json, with messages that named no key
+    ("train", ["data.n_source=-5"], "n_source"),
+    ("train", ["data.noise_sigma=0"], "noise_sigma"),
+    ("bound-check", ["data.n_source=-5"], "n_source"),
+    ("bound-check", ["data.noise_sigma=0"], "noise_sigma"),
+    ("gen-data", ["data.noise_sigma=NaN"], "noise_sigma"),
+    ("gen-data", ['data.generator="gaussian_blobs"', "data.num_classes=0"], "num_classes"),
 ]
 
 
