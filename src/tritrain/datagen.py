@@ -125,7 +125,8 @@ def generate(spec: ShiftSpec) -> DomainDataset:
 
 def load_sparse_bow(path, dim: int):
     """Parse sparse text into a dense float64 matrix of width `dim` plus an
-    integer label vector. Labels -1 are mapped to 0 (common binary encoding)."""
+    integer label vector. Labels -1 are mapped to 0 (common binary encoding);
+    any other negative label is a ParseError."""
     rows, labels = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -136,6 +137,8 @@ def load_sparse_bow(path, dim: int):
                 label = int(fields[0])
             except ValueError:
                 raise ParseError(lineno, f"bad label field {fields[0]!r}", path) from None
+            if label < -1:
+                raise ParseError(lineno, f"label {label} is negative and not -1", path)
             row = np.zeros(dim)
             for tok in fields[1:]:
                 try:

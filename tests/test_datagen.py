@@ -138,6 +138,15 @@ def test_sparse_bow_rejects_bad_label(tmp_path):
         load_sparse_bow(path, dim=2)
 
 
+def test_sparse_bow_rejects_a_negative_label_other_than_minus_one(tmp_path):
+    # -1 reads as 0; -3 used to reach training and fail there, naming no line
+    path = tmp_path / "bad.txt"
+    path.write_text("-1 0:1.0\n-3 1:1.0\n")
+    with pytest.raises(ParseError, match=r"bad\.txt, line 2: label -3") as e:
+        load_sparse_bow(path, dim=2)
+    assert e.value.lineno == 2
+
+
 def test_sparse_bow_rejects_out_of_range_index(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 5:1.0\n")
