@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,6 +40,12 @@ class ShiftSpec:
         self.translation = tuple(self.translation)
         if len(self.translation) != 2:
             raise ConfigError(f"translation must have 2 entries, got {list(self.translation)}")
+        for name, values in (("rotation_deg", [self.rotation_deg]),
+                             ("translation", self.translation)):
+            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must hold finite numbers, got {list(values)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.generator not in GENERATORS:
             raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
         if self.num_classes < 2:

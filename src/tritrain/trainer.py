@@ -80,6 +80,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not self.lam >= 0:
             raise ConfigError(f"lambda (lam) must be >= 0, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

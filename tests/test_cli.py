@@ -159,6 +159,13 @@ CONFIG_ERRORS = [
     ("bound-check", ["data.noise_sigma=0"], "noise_sigma"),
     ("gen-data", ["data.noise_sigma=NaN"], "noise_sigma"),
     ("gen-data", ['data.generator="gaussian_blobs"', "data.num_classes=0"], "num_classes"),
+    # a NaN shift used to train on an all-NaN target and exit 0, and a
+    # negative seed failed in numpy, naming no key
+    ("train", ["data.rotation_deg=NaN"], "rotation_deg"),
+    ("train", ["data.translation=[NaN, 0]"], "translation"),
+    ("gen-data", ['data.translation=["a", 1]'], "translation"),
+    ("train", ["data.seed=-1"], "seed"),
+    ("train", ["train.seed=-1"], "seed"),
 ]
 
 
