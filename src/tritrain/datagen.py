@@ -169,17 +169,17 @@ def load_sparse_bow(path, dim: int):
 
 
 def _write_csv(path, x, y=None):
+    """A header, then one row per sample: its features and, given y, its
+    label; csv writes each float as its repr, so a row reads back exactly."""
+    header = [f"x{i}" for i in range(x.shape[1])]
+    rows = x.tolist()
+    if y is not None:
+        header.append("label")
+        rows = [row + [label] for row, label in zip(rows, y.tolist())]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = [f"x{i}" for i in range(x.shape[1])]
-        if y is not None:
-            header.append("label")
         w.writerow(header)
-        for i in range(x.shape[0]):
-            row = [repr(float(v)) for v in x[i]]
-            if y is not None:
-                row.append(int(y[i]))
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _read_csv(path, num_classes: int):

@@ -7,8 +7,9 @@ import csv
 import json
 import logging
 import math
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -27,9 +28,6 @@ class DivergenceError(RuntimeError):
 # 3: the resolved TrainConfig replaces the layer specs; `load_state` rebuilds
 # the net through `init_state`
 CHECKPOINT_VERSION = 3
-
-METRIC_FIELDS = ("step", "acc_f1", "acc_f2", "acc_ft", "labeling_acc",
-                 "n_pseudo", "mean_E", "mean_penalty")
 
 
 @dataclass
@@ -86,6 +84,7 @@ class TrainConfig:
 
 @dataclass
 class StepMetrics:
+    """One metrics.csv row; the fields, in order, are its columns."""
     step: int
     acc_f1: float
     acc_f2: float
@@ -278,27 +277,20 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
 
 
 def write_metrics_csv(history, path):
+    """A header of StepMetrics's field names, then one row per step; csv
+    writes each float as its repr, so a row reads back exactly."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(METRIC_FIELDS)
-        for m in history:
-            w.writerow([m.step,
-                        repr(m.acc_f1), repr(m.acc_f2), repr(m.acc_ft),
-                        repr(m.labeling_acc), m.n_pseudo,
-                        repr(m.mean_E), repr(m.mean_penalty)])
+        w.writerow(f.name for f in fields(StepMetrics))
+        w.writerows(astuple(m) for m in history)
 
 
 def read_metrics_csv(path):
+    """The StepMetrics of a metrics.csv, each column cast to its field's type."""
+    types = typing.get_type_hints(StepMetrics)
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [StepMetrics(step=int(r["step"]),
-                        acc_f1=float(r["acc_f1"]), acc_f2=float(r["acc_f2"]),
-                        acc_ft=float(r["acc_ft"]),
-                        labeling_acc=float(r["labeling_acc"]),
-                        n_pseudo=int(r["n_pseudo"]),
-                        mean_E=float(r["mean_E"]),
-                        mean_penalty=float(r["mean_penalty"]))
-            for r in rows]
+        return [StepMetrics(**{k: types[k](v) for k, v in row.items()})
+                for row in csv.DictReader(fh)]
 
 
 # prefix of a network's optimizer slot; the slots come in the order the

@@ -17,7 +17,6 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                empirical_hdh_distance, make_stump_class,
                                verify_rho_bound, verify_theorem1)
 from tritrain.nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
-from tritrain.trainer import StepMetrics, read_metrics_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -602,42 +601,40 @@ def test_a_distance_rejects_empty():
 # report emission
 
 
-def make_history():
-    return [StepMetrics(step=i, acc_f1=0.8, acc_f2=0.81, acc_ft=0.7 + 0.01 * i,
-                        labeling_acc=0.9, n_pseudo=100 * i, mean_E=1.0,
-                        mean_penalty=0.1) for i in range(3)]
+def reports(seed):
+    """The theorem-1 and rho reports of a random problem, with the true
+    target labels as the pseudo labels."""
+    rng = np.random.default_rng(seed)
+    s_xy, (tx, ty) = random_problem(rng)
+    h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=5)
+    theorem1 = verify_theorem1(h, s_xy, (tx, ty))
+    return theorem1, verify_rho_bound(h, (tx, ty), ty, theorem1)
 
 
 def test_emit_report_files_and_contents(tmp_path):
-    rng = np.random.default_rng(17)
-    s_xy, t_xy = random_problem(rng)
-    h = make_stump_class(np.vstack([s_xy[0], t_xy[0]]), max_thresholds_per_dim=5)
-    bound = verify_theorem1(h, s_xy, t_xy)
-    summary = emit_report(make_history(), bound, tmp_path / "out", d_a=1.23,
-                          extra={"note": "x"})
-    with open(tmp_path / "out" / "report.json") as fh:
+    theorem1, rho = reports(17)
+    summary = emit_report(theorem1, rho, 1.23, tmp_path)
+    with open(tmp_path / "report.json") as fh:
         on_disk = json.load(fh)
     assert on_disk == summary
     for key in ("d_hdh", "C", "d_A", "num_violations", "violations",
-                "schema_version", "note"):
+                "schema_version", "theorem1", "theorem1_violations"):
         assert key in on_disk
     assert on_disk["d_A"] == 1.23
-    assert read_metrics_csv(tmp_path / "out" / "metrics.csv") == make_history()
+    assert on_disk["theorem1"] == theorem1.summary()
 
 
 def test_emit_report_rho_keys(tmp_path):
-    rng = np.random.default_rng(18)
-    s_xy, (tx, ty) = random_problem(rng)
-    h = make_stump_class(np.vstack([s_xy[0], tx]), max_thresholds_per_dim=5)
-    bound = verify_rho_bound(h, (tx, ty), ty, verify_theorem1(h, s_xy, (tx, ty)))
-    summary = emit_report(make_history(), bound, tmp_path / "out")
+    summary = emit_report(*reports(18), 0.5, tmp_path)
     assert summary["rho"] == 0.0 and "C_prime" in summary
 
 
 def test_emit_report_empty_history(tmp_path):
-    emit_report([], None, tmp_path / "out")
-    assert read_metrics_csv(tmp_path / "out" / "metrics.csv") == []
-    with open(tmp_path / "out" / "report.json") as fh:
+    # the bound check has no steps: num_steps is 0, and the CLI, not
+    # emit_report, writes the header-only metrics.csv
+    emit_report(*reports(19), 0.0, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+    with open(tmp_path / "report.json") as fh:
         assert json.load(fh)["num_steps"] == 0
 
 

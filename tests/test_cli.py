@@ -485,6 +485,9 @@ BOUND_REPORT_DIGESTS = {
     "clean": (cli.EXIT_OK, "25dc4dd3edb97a9d5aa3c40410a6b4ce4266521ad27f7c16ede81d4512dafbb2"),
     "fault": (cli.EXIT_VERIFY, "58585852722d11b6149af3de343568dcefd0f480740fbc83324fa8f79d7c315c"),
 }
+# sha256 of the header-only metrics.csv that bound-check writes beside
+# report.json; the benchmark digests both files
+BOUND_METRICS_DIGEST = "3d33f0a7152479f97a16478abdfd0ec8834eab028b003c485a8cee2c03e9b30d"
 
 
 @pytest.mark.parametrize("key", BOUND_REPORT_DIGESTS)
@@ -496,6 +499,7 @@ def test_bound_check_report_bytes_are_pinned(tmp_path, capsys, key):
     digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     # BLAS and numpy releases can move float bits, so name the version
     assert (rc, digest) == BOUND_REPORT_DIGESTS[key], f"numpy {np.__version__}"
+    assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == BOUND_METRICS_DIGEST
 
 
 def test_bound_check_computes_the_divergence_once(tmp_path, capsys, monkeypatch):
