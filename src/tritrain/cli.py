@@ -168,7 +168,8 @@ def _resolve(args) -> dict:
         key, _, val = item.partition("=")
         cfg[key.strip()] = _literal(val.strip())
     if args.seed is not None:
-        if any(k.startswith("data.") for k in cfg):
+        # only a generator reads data.seed
+        if not _on_disk(cfg):
             cfg["data.seed"] = args.seed
         cfg["train.seed"] = args.seed
     for key, val in cfg.items():
@@ -186,10 +187,15 @@ def _resolve(args) -> dict:
     return cfg
 
 
+def _on_disk(cfg: dict) -> list[str]:
+    """The keys that pick a dataset on disk instead of a generated one."""
+    return sorted({"data.dir", "data.format"} & cfg.keys())
+
+
 def _generated_spec(cfg: dict) -> datagen.ShiftSpec | None:
     """The ShiftSpec of a generated dataset, None for one read from disk.
     Commands build it before any output, so a bad `data.*` value fails first."""
-    return None if {"data.dir", "data.format"} & cfg.keys() else build_shift_spec(cfg)
+    return None if _on_disk(cfg) else build_shift_spec(cfg)
 
 
 def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
@@ -210,6 +216,9 @@ def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
+    if _on_disk(cfg):
+        raise ConfigError(f"gen-data writes a generated dataset and takes no "
+                          f"{' or '.join(_on_disk(cfg))}")
     spec = build_shift_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "gen-data", cfg, args.config, spec.seed)

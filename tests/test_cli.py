@@ -166,6 +166,10 @@ CONFIG_ERRORS = [
     ("gen-data", ['data.translation=["a", 1]'], "translation"),
     ("train", ["data.seed=-1"], "seed"),
     ("train", ["train.seed=-1"], "seed"),
+    # gen-data used to ignore these, exit 0 and write the default moons
+    ("gen-data", ['data.dir="d0"'], "data.dir"),
+    ("gen-data", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
+                  'data.target_path="b.txt"', "data.dim=3"], "data.format"),
 ]
 
 
@@ -221,6 +225,24 @@ def test_gen_data_seed_override_changes_output(tmp_path):
     cli.main(["gen-data", "--config", cfg, "--out", str(a)])
     cli.main(["gen-data", "--config", cfg, "--out", str(b), "--seed", "7"])
     assert (a / "source.csv").read_bytes() != (b / "source.csv").read_bytes()
+
+
+def test_seed_override_sets_data_seed_only_for_generated_data(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path, DATA_CFG),
+                     "--out", str(data)]) == cli.EXIT_OK
+    train_keys = TRAIN_CFG[len(DATA_CFG):]
+    seeds = {}
+    for name, text in [("generated", TRAIN_CFG), ("defaults", train_keys),
+                       ("dir", f'data.dir = "{data}"\n' + train_keys)]:
+        out = tmp_path / name
+        args = ["train", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                "--seed", "3", "--set", "train.steps_k=0"]
+        assert cli.main(args) == cli.EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        seeds[name] = (config.get("data.seed"), config["train.seed"])
+    # no generator reads data.seed for a dataset on disk
+    assert seeds == {"generated": (3, 3), "defaults": (3, 3), "dir": (None, 3)}
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])
