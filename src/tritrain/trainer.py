@@ -347,7 +347,9 @@ def _exact(cls, d: dict):
 def load_state(path) -> TrainState:
     """Rebuild the stored config, then the state by `init_state`, then copy
     the `checkpoint_arrays`, lr, RNG states and step in. Anything unreadable,
-    missing, unknown or malformed is an IOError naming the path."""
+    missing, unknown or malformed is an IOError naming the path, and so is
+    an array no trained net holds: a non-finite value, a batch-norm
+    `running_count` below 1 or a negative `running_var`."""
     try:
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
@@ -367,9 +369,16 @@ def load_state(path) -> TrainState:
             raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "
                              f"unknown {sorted(arrays.keys() - live.keys())}")
         for key, dst in live.items():
-            if arrays[key].shape != dst.shape:
-                raise ShapeError(f"array {key} shape {arrays[key].shape} != {dst.shape}")
-            dst[...] = arrays[key]
+            a = arrays[key]
+            if a.shape != dst.shape:
+                raise ShapeError(f"array {key} shape {a.shape} != {dst.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"array {key} holds a non-finite value")
+            if key.endswith("running_count") and (a < 1).any():
+                raise ValueError(f"array {key} is {a.tolist()}: batch norm saw no batch")
+            if key.endswith("running_var") and (a < 0).any():
+                raise ValueError(f"array {key} holds a negative variance")
+            dst[...] = a
         state.opt.lr = float(meta["lr"])
         state.rng_train.bit_generator.state = meta["rng_states"]["train"]
         state.rng_label.bit_generator.state = meta["rng_states"]["label"]

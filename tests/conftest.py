@@ -57,12 +57,28 @@ def rewrite_checkpoint(path, edit):
         np.savez(fh, **arrays)
 
 
+# arrays, each filled with a value no trained net holds, that loading must
+# reject by name; every checkpoint of a net with batch norm at layer 2 of f
+# has them
+UNTRAINED_ARRAYS = {
+    "nan_param": ("param/f/0/W", np.nan),
+    "inf_slot": ("opt/main/slot/f1", np.inf),
+    "zero_bn_count": ("state/f/2/running_count", 0),
+    "negative_bn_var": ("state/f/2/running_var", -1.0),
+}
+
+
+def _fill(key, value):
+    return lambda arrays, meta: arrays[key].fill(value)
+
+
 # checkpoint edits that loading must turn into an IOError
 MALFORMED_CHECKPOINTS = {
     "version_2": lambda arrays, meta: meta.update(version=2),
     "missing_config": lambda arrays, meta: meta.pop("config"),
     "unknown_gates_field": lambda arrays, meta: meta["config"]["gates"].update(from_fx=True),
     "wrong_in_dim": lambda arrays, meta: meta.update(in_dim=meta["in_dim"] + 1),
+    **{name: _fill(key, value) for name, (key, value) in UNTRAINED_ARRAYS.items()},
 }
 # arrays no checkpoint of the default net holds, each of which loading must
 # reject by name

@@ -11,7 +11,7 @@ import pytest
 from tritrain import analysis, cli, datagen, trainer
 from tritrain.nnlib import ConfigError
 
-from conftest import MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, rewrite_checkpoint
+from conftest import MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, rewrite_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -421,6 +421,17 @@ def test_eval_malformed_checkpoint_exits_io(trained_run, capsys, edit):
     rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
     assert rc == cli.EXIT_IO
     assert "checkpoint.npz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", UNTRAINED_ARRAYS)
+def test_adist_on_an_array_no_trained_net_holds_exits_io_naming_it(trained_run, capsys, name):
+    # eval printed 0.5 per head on a NaN weight, adist a d_A_features, both
+    # exiting 0; a zero batch-norm count was a StateError traceback
+    data, run = trained_run
+    rewrite_checkpoint(run / "checkpoint.npz", MALFORMED_CHECKPOINTS[name])
+    rc = cli.main(["adist", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data)])
+    assert rc == cli.EXIT_IO
+    assert UNTRAINED_ARRAYS[name][0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", UNKNOWN_ARRAYS)

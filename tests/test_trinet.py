@@ -11,7 +11,7 @@ from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_s
                               save_state)
 from tritrain.trinet import BranchOutput, GradientGates, TriNet, weight_divergence
 
-from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, named, rel_err,
+from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, named, rel_err,
                       rewrite_checkpoint)
 
 
@@ -412,6 +412,14 @@ def test_checkpoint_with_unparsable_metadata_is_io_error(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(IOError, match="ckpt.npz"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("name", UNTRAINED_ARRAYS)
+def test_checkpoint_array_no_trained_net_holds_is_io_error_naming_it(tmp_path, name):
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, MALFORMED_CHECKPOINTS[name])
+    with pytest.raises(IOError, match=re.escape(UNTRAINED_ARRAYS[name][0])):
         load_state(path)
 
 
