@@ -6,6 +6,7 @@ passes can be checked against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -202,32 +203,16 @@ def glorot_uniform(rng, d_in, d_out):
 # layer objects
 
 
-class ArrayViews(dict):
-    """Name -> array. Assigning to a name that is already bound copies into
-    the bound array, after a shape check, instead of rebinding it; so an
-    entry that views a flat buffer stays that view. Reads are plain dict
-    reads."""
-
-    def __setitem__(self, key, value):
-        bound = self.get(key)
-        if bound is None:
-            dict.__setitem__(self, key, value)
-        elif value is not bound:  # `d[k] += x` hands back the bound array
-            if np.shape(value) != bound.shape:
-                raise ShapeError(f"{key}: shape {np.shape(value)} != bound {bound.shape}")
-            bound[...] = value
-
-
 class Layer:
-    """One layer kind. Its `params` and `grads` entries become views into the
-    flat buffers of the `Sequential` that owns it; assigning to an entry
-    copies into the view."""
+    """One layer kind. The `Sequential` that owns it rebinds its `params` and
+    `grads` to read-only maps of views into its flat buffers: an entry can
+    be written in place (`[...] =`) but not rebound."""
     spec: LayerSpec
 
     def __init__(self, spec: LayerSpec):
         self.spec = spec
-        self.params = ArrayViews()
-        self.grads = ArrayViews()
+        self.params = {}
+        self.grads = {}
 
     def forward(self, x, mode="train", rng=None):
         raise NotImplementedError
@@ -249,8 +234,8 @@ class Affine(Layer):
 
     def backward(self, dout):
         dx, dW, db = affine_backward(dout, self._x, self.params["W"])
-        self.grads["W"] += dW
-        self.grads["b"] += db
+        np.add(self.grads["W"], dW, out=self.grads["W"])
+        np.add(self.grads["b"], db, out=self.grads["b"])
         return dx
 
 
@@ -302,8 +287,8 @@ class BatchNorm(Layer):
 
     def backward(self, dout):
         dx, dgamma, dbeta = batch_norm_backward(dout, self._cache)
-        self.grads["gamma"] += dgamma
-        self.grads["beta"] += dbeta
+        np.add(self.grads["gamma"], dgamma, out=self.grads["gamma"])
+        np.add(self.grads["beta"], dbeta, out=self.grads["beta"])
         return dx
 
 
@@ -343,7 +328,8 @@ def build_layer(spec: LayerSpec, rng) -> Layer:
 class Sequential:
     """A stack of layers with cached forward state for one backward pass.
     Parameters live in one flat float64 buffer `theta` and gradients in
-    `grad`; each layer's `params`/`grads` entries are views into them."""
+    `grad`; each layer's `params`/`grads` are read-only maps of views into
+    them, so no entry can come detached from the buffers."""
 
     def __init__(self, specs: list[LayerSpec], rng):
         self.layers = [build_layer(s, rng) for s in specs]
@@ -355,12 +341,14 @@ class Sequential:
         self.theta, self.grad = np.empty(size), np.zeros(size)
         off = 0
         for layer in self.layers:
+            params, grads = {}, {}
             for k, p in layer.params.items():
                 end = off + p.size
                 self.theta[off:end] = p.ravel()
-                dict.__setitem__(layer.params, k, self.theta[off:end].reshape(p.shape))
-                dict.__setitem__(layer.grads, k, self.grad[off:end].reshape(p.shape))
+                params[k] = self.theta[off:end].reshape(p.shape)
+                grads[k] = self.grad[off:end].reshape(p.shape)
                 off = end
+            layer.params, layer.grads = MappingProxyType(params), MappingProxyType(grads)
 
     def forward(self, x, mode="train", rng=None):
         for layer in self.layers:

@@ -68,8 +68,8 @@ def test_forward_reduces_to_logistic_regression():
     # identity extractor + hand-set 2-class head = closed-form sigmoid
     net = TriNet([LayerSpec("affine", 2, 2)], num_classes=2, lam=0.0, seed=0)
     f = net.f.layers[0]
-    f.params["W"] = np.eye(2)
-    f.params["b"] = np.zeros((1, 2))
+    f.params["W"][...] = np.eye(2)
+    f.params["b"][...] = np.zeros((1, 2))
     w = np.array([0.7, -1.3])
     net.W[0] = np.column_stack([np.zeros(2), w])
     net.b[0] = np.zeros((1, 2))
