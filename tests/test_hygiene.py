@@ -1,10 +1,12 @@
 """Source hygiene checks that need no linter: every import in `src/tritrain`
 sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
-by tests, every name the benchmark's tracer patches still exists, and every
-by-name import of a name it patches on a module is patched too."""
+by tests, every name the benchmark's tracer patches still exists, every
+by-name import of a name it patches on a module is patched too, and the
+benchmark trains with the acceptance fixture's config."""
 import ast
 import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from tritrain import nnlib
+from tritrain.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "tritrain"
@@ -133,11 +136,13 @@ def test_every_definition_is_reached_by_the_program(path):
     assert unreached(path.read_text(), program) == []
 
 
-def load_tracer():
-    """`perfbench/tracer.py` as a module, loaded from its file as it is."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  ROOT / "perfbench" / "tracer.py")
+def load_bench(name):
+    """`perfbench/<name>.py` as a module, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up here
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -146,8 +151,14 @@ def test_every_benchmark_patch_site_exists():
     # a deleted patched name otherwise shows only as a missing span in a
     # traced benchmark run
     missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
-               for owner, attr, _, _ in load_tracer().SITES if not hasattr(owner, attr)]
+               for owner, attr, _, _ in load_bench("tracer").SITES if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_bench_moons_config_is_the_acceptance_fixtures(moons_benchmark_config):
+    # workloads.py says MOONS_CONFIG is that fixture's config, unchanged
+    bench = load_bench("workloads").MOONS_CONFIG
+    assert TrainConfig(**bench) == TrainConfig(**moons_benchmark_config)
 
 
 @pytest.mark.parametrize("kind", nnlib.LAYER_KINDS)
@@ -200,4 +211,4 @@ def test_every_by_name_import_of_a_patched_function_is_a_patch_site():
     # a by-name binding escapes the patch on the defining module, so its
     # calls would silently drop out of that span
     sources = {p.stem: p.read_text() for p in MODULES}
-    assert untraced_imports(sources, load_tracer().SITES) == []
+    assert untraced_imports(sources, load_bench("tracer").SITES) == []
