@@ -216,9 +216,8 @@ def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    if _on_disk(cfg):
-        raise ConfigError(f"gen-data writes a generated dataset and takes no "
-                          f"{' or '.join(_on_disk(cfg))}")
+    if keys := _on_disk(cfg):
+        raise ConfigError(f"gen-data writes a generated dataset and takes no {' or '.join(keys)}")
     spec = build_shift_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "gen-data", cfg, args.config, spec.seed)
