@@ -143,86 +143,76 @@ def _batches(n: int, batch: int, iters: int | None, rng):
             yield rng.choice(n, size=batch, replace=False)
 
 
-def _step_params(net: TriNet, phase: str):
-    """Flat parameter and gradient buffers the optimizer may touch in a phase,
-    one entry per sub-network (a head's arena row), honoring the gates. The
-    buffers are never rebound, so the dicts stay valid for the whole phase."""
-    rows = slice(0, 2) if phase == "labeling" else slice(2, 3)
+def _phase(state: TrainState, phase: str, x, y, iters, where: str):
+    """Train the heads of `phase` and, if its gate is open, f on mini-batches
+    of (x, y). Returns the batch means of the loss and, labeling only, of the
+    weight penalty, NaN where none ran. `where` ("pretrain" or "step k")
+    names the phase in a DivergenceError."""
+    net = state.net
+    rows, gate = TriNet.PHASES[phase]
+    # one entry per head's arena row, then f's; the buffers are never rebound
     params = dict(zip(TriNet.BRANCHES[rows], net.theta[rows]))
     grads = dict(zip(TriNet.BRANCHES[rows], net.grad[rows]))
-    if net.gates.from_f1_f2 if phase == "labeling" else net.gates.from_ft:
+    if getattr(net.gates, gate):
         params["f"], grads["f"] = net.f.theta, net.f.grad
-    return params, grads
-
-
-def _check_finite(loss, phase, where, batch):
-    if not math.isfinite(loss):
-        raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {batch}")
-
-
-def _labeling_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
-    """Update f1/f2 (and gated f) by the joint objective; returns batch means.
-    `where` ("pretrain" or "step k") names the phase in a DivergenceError."""
-    es, ps = [], []
-    params, grads = _step_params(state.net, "labeling")
-    for b, idx in enumerate(_batches(len(pool_x), cfg.batch_labeling, iters, state.rng_train)):
-        e, parts = state.net.joint_labeling_loss(pool_x[idx], pool_y[idx], rng=state.rng_train)
-        _check_finite(e, "labeling", where, b)
+    losses, penalties = [], []
+    batch = getattr(state.cfg, f"batch_{phase}")
+    for b, idx in enumerate(_batches(len(x), batch, iters, state.rng_train)):
+        if phase == "labeling":
+            loss, parts = net.joint_labeling_loss(x[idx], y[idx], rng=state.rng_train)
+            penalties.append(parts["penalty"])
+        else:
+            loss = net.target_loss(x[idx], y[idx], rng=state.rng_train)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
         state.opt.step(params, grads)
-        es.append(e)
-        ps.append(parts["penalty"])
-    return (float(np.mean(es)), float(np.mean(ps))) if es else (float("nan"), float("nan"))
-
-
-def _target_phase(state, pool_x, pool_y, cfg, iters, where="pretrain"):
-    params, grads = _step_params(state.net, "target")
-    for b, idx in enumerate(_batches(len(pool_x), cfg.batch_target, iters, state.rng_train)):
-        loss = state.net.target_loss(pool_x[idx], pool_y[idx], rng=state.rng_train)
-        _check_finite(loss, "target", where, b)
-        state.opt.step(params, grads)
+        losses.append(loss)
+    return tuple(float(np.mean(v)) if v else float("nan") for v in (losses, penalties))
 
 
 def _pretrain_iters(cfg: TrainConfig) -> int | None:
     return cfg.pretrain_iters if cfg.pretrain_iters is not None else cfg.iter_per_phase
 
 
-def pretrain(state: TrainState, source_x, source_y, cfg: TrainConfig):
+def pretrain(state: TrainState, source_x, source_y):
     """Train all four networks on mini-batches from the labeled source set."""
     if len(source_x) < 2:
         # mini-batches under 2 rows are dropped, so nothing would train
         raise ValueError(f"training needs at least 2 source rows, got {len(source_x)}")
-    iters = _pretrain_iters(cfg)
-    mean_e, mean_p = _labeling_phase(state, source_x, source_y, cfg, iters)
-    _target_phase(state, source_x, source_y, cfg, iters)
+    iters = _pretrain_iters(state.cfg)
+    mean_e, mean_p = _phase(state, "labeling", source_x, source_y, iters, "pretrain")
+    _phase(state, "target", source_x, source_y, iters, "pretrain")
     return mean_e, mean_p
 
 
-def _relabel(state: TrainState, target_x, cfg: TrainConfig, step_k: int) -> PseudoLabelSet:
+def _relabel(state: TrainState, target_x, step_k: int) -> PseudoLabelSet:
     """A fresh pseudo-label set from a candidate sample of size
     candidate_count(step_k)."""
-    count = candidate_count(step_k, len(target_x), cfg.labeling)
+    lab = state.cfg.labeling
+    count = candidate_count(step_k, len(target_x), lab)
     cand = sample_candidates(len(target_x), count, state.rng_label)
-    return label_candidates(state.net, target_x, cand, cfg.labeling.threshold, step_k)
+    return label_candidates(state.net, target_x, cand, lab.threshold, step_k)
 
 
 def adapt_step(state: TrainState, source_x, source_y, target_x,
-               pseudo: PseudoLabelSet, cfg: TrainConfig, step_k: int):
+               pseudo: PseudoLabelSet, step_k: int):
     """One adaptation step: train on source ∪ pseudo-labeled, then on the
     pseudo-labeled pool alone, then rebuild the pseudo-label set from a fresh
     candidate sample of size candidate_count(step_k)."""
+    cfg = state.cfg
     if cfg.lr_decay_step is not None and step_k > cfg.lr_decay_step:
         state.opt.lr = cfg.lr_decay_to
     pool_x = np.vstack([source_x, target_x[pseudo.indices]])
     pool_y = np.concatenate([source_y, pseudo.labels])
     where = f"step {step_k}"
-    mean_e, mean_p = _labeling_phase(state, pool_x, pool_y, cfg, cfg.iter_per_phase, where)
+    mean_e, mean_p = _phase(state, "labeling", pool_x, pool_y, cfg.iter_per_phase, where)
     if len(pseudo) >= 2:
-        _target_phase(state, target_x[pseudo.indices], pseudo.labels, cfg,
-                      cfg.iter_per_phase, where)
+        _phase(state, "target", target_x[pseudo.indices], pseudo.labels, cfg.iter_per_phase,
+               where)
     else:
         log.warning("step %d: pseudo-label set too small (%d); skipping target phase",
                     step_k, len(pseudo))
-    new_pseudo = _relabel(state, target_x, cfg, step_k)
+    new_pseudo = _relabel(state, target_x, step_k)
     state.step = step_k
     return new_pseudo, mean_e, mean_p
 
@@ -261,12 +251,11 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     source_y = np.asarray(source_y, dtype=np.int64)
     num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     state = init_state(cfg, source_x.shape[1], num_classes)
-    mean_e, mean_p = pretrain(state, source_x, source_y, cfg)
-    pseudo = _relabel(state, target_x, cfg, 0)
+    mean_e, mean_p = pretrain(state, source_x, source_y)
+    pseudo = _relabel(state, target_x, 0)
     history = [_capture(state, pseudo, eval_x, eval_y, target_y_hidden, 0, mean_e, mean_p)]
     for k in range(1, cfg.steps_k + 1):
-        pseudo, mean_e, mean_p = adapt_step(state, source_x, source_y, target_x,
-                                            pseudo, cfg, k)
+        pseudo, mean_e, mean_p = adapt_step(state, source_x, source_y, target_x, pseudo, k)
         history.append(_capture(state, pseudo, eval_x, eval_y, target_y_hidden,
                                 k, mean_e, mean_p))
     return history, state

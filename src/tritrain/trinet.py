@@ -60,6 +60,8 @@ class TriNet:
     (3, d, k) and `b` (3, 1, k); `grad`, `dW` and `db` mirror them."""
 
     BRANCHES = ("f1", "f2", "ft")
+    # phase -> (its heads' arena rows, the GradientGates field opening f to it)
+    PHASES = {"labeling": (slice(0, 2), "from_f1_f2"), "target": (slice(2, 3), "from_ft")}
 
     def __init__(self, f_specs: list[LayerSpec], num_classes: int, lam: float = 0.01,
                  gates: GradientGates | None = None, seed: int = 0):
@@ -93,12 +95,13 @@ class TriNet:
 
     # -- objectives ---------------------------------------------------------
 
-    def _heads_loss(self, rows: slice, x, y, rng, gate: bool) -> np.ndarray:
-        """Mean cross-entropy of each head in `rows`, from one train-mode pass
+    def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
+        """Mean cross-entropy of each head of `phase`, from one train-mode pass
         of f and one stacked affine call each way. Zeroes every gradient, then
-        fills those of the heads in `rows` and, if `gate`, of f."""
+        fills those of the phase's heads and, if its gate is open, of f."""
         if len(x) == 0:
             raise ValueError("empty batch")
+        rows, gate = self.PHASES[phase]
         self.f.zero_grads()
         self.grad.fill(0.0)
         h = self.f.forward(x, mode="train", rng=rng)
@@ -110,7 +113,7 @@ class TriNet:
         dx, dW, db = nnlib.affine_backward(dz, hs, W)
         self.dW[rows] += dW
         self.db[rows] += db
-        if gate:
+        if getattr(self.gates, gate):
             # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
             self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])
         return loss
@@ -119,7 +122,7 @@ class TriNet:
         """Mean cross-entropy through both labeling heads plus the weight
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
-        ce = self._heads_loss(slice(0, 2), x, y, rng, self.gates.from_f1_f2)
+        ce = self._heads_loss("labeling", x, y, rng)
         penalty, gw1, gw2 = weight_divergence(self.W[0], self.W[1])
         self.dW[0] += self.lam * gw1
         self.dW[1] += self.lam * gw2
@@ -129,4 +132,4 @@ class TriNet:
     def target_loss(self, x, y, rng=None):
         """Mean cross-entropy through the target head. Populates grads for ft
         and, if the ft gate is open, the shared extractor."""
-        return self._heads_loss(slice(2, 3), x, y, rng, self.gates.from_ft)[0]
+        return self._heads_loss("target", x, y, rng)[0]

@@ -79,7 +79,7 @@ def test_blob_half_turn_flips_binary_labels():
     cfg = TrainConfig(steps_k=0, pretrain_iters=300, batch_labeling=32,
                       batch_target=32, lr=0.05, hidden_dim=8, seed=0)
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     assert evaluate(state.net, ds.source_x, ds.source_y)["ft"] > 0.95
     assert evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"] < 0.05
 
@@ -91,7 +91,7 @@ def test_rotated_moons_hurt_source_only_model():
         cfg = TrainConfig(steps_k=0, pretrain_iters=400, batch_labeling=64,
                           batch_target=64, lr=0.05, hidden_dim=16, seed=seed)
         state = init_state(cfg, 2, 2)
-        pretrain(state, ds.source_x, ds.source_y, cfg)
+        pretrain(state, ds.source_x, ds.source_y)
         accs.append(evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"])
     mean = float(np.mean(accs))
     assert 0.5 < mean < 0.95  # hurt by the shift but above chance

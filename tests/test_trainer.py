@@ -78,7 +78,7 @@ def test_pretrain_fits_separable_blobs():
     ds = blobs_dataset()
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     for acc in evaluate(state.net, ds.source_x, ds.source_y).values():
         assert acc > 0.95
 
@@ -88,7 +88,7 @@ def test_zero_iters_leaves_params_unchanged():
     cfg = small_cfg(pretrain_iters=0)
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     after = named(state.net)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
@@ -98,7 +98,7 @@ def test_pretrain_rejects_empty_source():
     cfg = small_cfg()
     state = init_state(cfg, 2, 2)
     with pytest.raises(ValueError):
-        pretrain(state, np.empty((0, 2)), np.empty(0, dtype=np.int64), cfg)
+        pretrain(state, np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_labeling_phase_never_touches_ft():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
-    trainer._labeling_phase(state, ds.source_x, ds.source_y, cfg, 20)
+    trainer._phase(state, "labeling", ds.source_x, ds.source_y, 20, "pretrain")
     after = named(state.net)
     for k in before:
         if k.startswith("ft/"):
@@ -124,7 +124,7 @@ def test_target_phase_never_touches_f1_f2():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
-    trainer._target_phase(state, ds.source_x, ds.source_y, cfg, 20)
+    trainer._phase(state, "target", ds.source_x, ds.source_y, 20, "pretrain")
     after = named(state.net)
     for k in before:
         if k.startswith(("f1/", "f2/")):
@@ -138,7 +138,7 @@ def test_closed_ft_gate_freezes_shared_trunk_in_target_phase():
     cfg = small_cfg(gates=GradientGates(from_f1_f2=True, from_ft=False))
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
-    trainer._target_phase(state, ds.source_x, ds.source_y, cfg, 20)
+    trainer._phase(state, "target", ds.source_x, ds.source_y, 20, "pretrain")
     after = named(state.net)
     for k in before:
         if k.startswith("f/"):
@@ -153,12 +153,11 @@ def test_closed_gate_leaves_shared_arena_and_its_slot_untouched(closed):
     gates = GradientGates(from_f1_f2=closed != "labeling", from_ft=closed != "target")
     cfg = small_cfg(gates=gates)
     state = init_state(cfg, 2, ds.num_classes)
-    phases = {"labeling": trainer._labeling_phase, "target": trainer._target_phase}
     open_phase = "target" if closed == "labeling" else "labeling"
-    phases[open_phase](state, ds.source_x, ds.source_y, cfg, 5)
+    trainer._phase(state, open_phase, ds.source_x, ds.source_y, 5, "pretrain")
     theta, slot = state.net.f.theta.copy(), state.opt.slots["f"].copy()
     assert np.any(slot)
-    phases[closed](state, ds.source_x, ds.source_y, cfg, 5)
+    trainer._phase(state, closed, ds.source_x, ds.source_y, 5, "pretrain")
     np.testing.assert_array_equal(state.net.f.theta, theta)
     np.testing.assert_array_equal(state.opt.slots["f"], slot)
 
@@ -232,17 +231,16 @@ def test_oracle_pseudo_labels_recover_supervised_accuracy():
     ds = blobs_dataset(rotation=40.0)
     cfg = small_cfg(steps_k=3)
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     idx = np.arange(len(ds.target_x))
     oracle = PseudoLabelSet(indices=idx, labels=ds.target_y_hidden,
                             confidences=np.ones(len(idx)), step=0)
     for k in range(1, cfg.steps_k + 1):
-        _, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
-                             oracle, cfg, k)
+        _, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x, oracle, k)
     acc_oracle = evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"]
 
     sup = init_state(small_cfg(steps_k=0), 2, ds.num_classes)
-    pretrain(sup, ds.target_x, ds.target_y_hidden, small_cfg(steps_k=0))
+    pretrain(sup, ds.target_x, ds.target_y_hidden)
     acc_sup = evaluate(sup.net, ds.target_x, ds.target_y_hidden)["ft"]
     assert acc_oracle >= acc_sup - 0.05
 
@@ -251,11 +249,11 @@ def test_tiny_pseudo_set_skips_target_phase():
     ds = blobs_dataset()
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     empty = PseudoLabelSet(step=0)
     before = {k: v.copy() for k, v in named(state.net).items()
               if k.startswith("ft/")}
-    adapt_step(state, ds.source_x, ds.source_y, ds.target_x, empty, cfg, 1)
+    adapt_step(state, ds.source_x, ds.source_y, ds.target_x, empty, 1)
     after = named(state.net)
     for k in before:
         np.testing.assert_array_equal(before[k], after[k])
@@ -276,7 +274,7 @@ def test_evaluate_exact_fraction():
     ds = blobs_dataset()
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     outs = state.net.forward(ds.source_x)
     expected = {b: float(np.mean(out.predicted_class == ds.source_y)) for b, out in outs.items()}
     assert evaluate(state.net, ds.source_x, ds.source_y) == expected
@@ -287,7 +285,7 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
     ds = blobs_dataset(rotation=20.0)
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     pseudo = PseudoLabelSet(indices=np.arange(50), labels=ds.target_y_hidden[:50], step=0)
     modes = []
     forward = state.net.f.forward
@@ -298,7 +296,7 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
 
     monkeypatch.setattr(state.net.f, "forward", spy)
     pseudo, mean_e, mean_p = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
-                                        pseudo, cfg, 1)
+                                        pseudo, 1)
     m = trainer._capture(state, pseudo, ds.target_x, ds.target_y_hidden,
                          ds.target_y_hidden, 1, mean_e, mean_p)
     assert modes.count("eval") == 2
@@ -350,21 +348,19 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
 
     # run two steps manually, checkpoint, reload, finish
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     count = trainer.candidate_count(0, len(ds.target_x), cfg.labeling)
     cand = trainer.sample_candidates(len(ds.target_x), count, state.rng_label)
     pseudo = trainer.label_candidates(state.net, ds.target_x, cand,
                                       cfg.labeling.threshold, 0)
     for k in (1, 2):
-        pseudo, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
-                                  pseudo, cfg, k)
+        pseudo, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, k)
     path = tmp_path / "ckpt.npz"
     save_state(path, state)
     resumed = load_state(path)
     assert resumed.step == 2
     for k in (3, 4):
-        pseudo, _, _ = adapt_step(resumed, ds.source_x, ds.source_y,
-                                  ds.target_x, pseudo, cfg, k)
+        pseudo, _, _ = adapt_step(resumed, ds.source_x, ds.source_y, ds.target_x, pseudo, k)
 
     a, b = checkpoint_arrays(s_full), checkpoint_arrays(resumed)
     for k in a:
@@ -388,16 +384,17 @@ def test_divergence_in_adaptation_names_the_step(head, phase):
     ds = blobs_dataset()
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    pretrain(state, ds.source_x, ds.source_y, cfg)
+    pretrain(state, ds.source_x, ds.source_y)
     pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40], step=0)
     named(state.net)[f"{head}/0/W"][0, 0] = np.nan
     with pytest.raises(trainer.DivergenceError, match=f"{phase} phase of step 2: loss nan at batch 0"):
-        adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, cfg, 2)
+        adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, 2)
 
 
 def test_empty_phase_nan_mean_is_not_divergence():
     ds = blobs_dataset()
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
-    mean_e, mean_p = trainer._labeling_phase(state, ds.source_x[:1], ds.source_y[:1], cfg, 5)
+    mean_e, mean_p = trainer._phase(state, "labeling", ds.source_x[:1], ds.source_y[:1], 5,
+                                    "pretrain")
     assert np.isnan(mean_e) and np.isnan(mean_p)
