@@ -275,8 +275,7 @@ def cmd_bound_check(args) -> int:
     cfg = _resolve(args)
     b = BoundCheckConfig(**_section(cfg, "bound"))
     # pseudo labels for the rho check come from a briefly pretrained net
-    tcfg = dataclasses.replace(build_train_config(cfg), steps_k=0,
-                               pretrain_iters=b.pretrain_iters)
+    tcfg = build_train_config(cfg | {"train.steps_k": 0, "train.pretrain_iters": b.pretrain_iters})
     spec = _generated_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "bound-check", cfg, args.config, tcfg.seed)

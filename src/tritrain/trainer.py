@@ -80,6 +80,9 @@ class TrainConfig:
             raise ConfigError(f"lambda (lam) must be >= 0, got {self.lam}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.use_bn and _pretrain_iters(self) == 0:
+            raise ConfigError("pretraining runs no batch (pretrain_iters, or iter_per_phase when "
+                              "it is unset, is 0), so batch norm gets no running statistics")
 
 
 @dataclass
@@ -245,9 +248,6 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     """Full procedure: pretrain on source, label an initial candidate pool,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head."""
-    if cfg.use_bn and _pretrain_iters(cfg) == 0:
-        raise ConfigError("pretraining runs no batch (pretrain_iters, or iter_per_phase when "
-                          "it is unset, is 0), so batch norm gets no running statistics")
     source_y = np.asarray(source_y, dtype=np.int64)
     num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     state = init_state(cfg, source_x.shape[1], num_classes)

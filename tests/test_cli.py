@@ -316,6 +316,19 @@ def test_train_out_of_range_value_exits_config_naming_the_key(tmp_path, capsys, 
     assert item.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
+# both used to exit 2 only after writing manifest.json
+@pytest.mark.parametrize("command, base, item", [("train", TRAIN_CFG, "train.pretrain_iters=0"),
+                                                 ("bound-check", BOUND_CFG, "bound.pretrain_iters=0")])
+def test_pretraining_without_a_batch_under_batch_norm_writes_no_output(tmp_path, capsys,
+                                                                        command, base, item):
+    cfg = write_cfg(tmp_path, base)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", cfg, "--out", str(out), "--set", item])
+    assert rc == cli.EXIT_CONFIG
+    assert "pretrain_iters" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 # batch sizes under 2 used to run no batch of their phase and exit 0
 @pytest.mark.parametrize("items", [["train.use_bn=false", "train.batch_labeling=1"],
                                    ["train.use_bn=false", "train.batch_target=0"]])

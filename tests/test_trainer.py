@@ -50,10 +50,10 @@ def test_config_rejects_negative_iterations(key):
 
 @pytest.mark.parametrize("kw", [{"pretrain_iters": 0}, {"iter_per_phase": 0}])
 def test_run_rejects_pretraining_without_a_batch_under_batch_norm(kw):
+    # the rule reads only the config, so building one breaks it
     ds = blobs_dataset(n=40)
-    cfg = small_cfg(**{"pretrain_iters": None, **kw})
     with pytest.raises(ConfigError, match="pretrain_iters"):
-        run(ds.source_x, ds.source_y, ds.target_x, cfg)
+        small_cfg(**{"pretrain_iters": None, **kw})
     history, _ = run(ds.source_x, ds.source_y, ds.target_x,
                      small_cfg(**{"pretrain_iters": None, **kw, "use_bn": False, "steps_k": 0}))
     assert len(history) == 1
@@ -85,7 +85,8 @@ def test_pretrain_fits_separable_blobs():
 
 def test_zero_iters_leaves_params_unchanged():
     ds = blobs_dataset()
-    cfg = small_cfg(pretrain_iters=0)
+    # batch norm needs a pretraining batch, so the config leaves it out
+    cfg = small_cfg(pretrain_iters=0, use_bn=False)
     state = init_state(cfg, 2, ds.num_classes)
     before = snapshot(state.net)
     pretrain(state, ds.source_x, ds.source_y)
