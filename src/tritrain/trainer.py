@@ -337,8 +337,9 @@ def load_state(path) -> TrainState:
     """Rebuild the stored config, then the state by `init_state`, then copy
     the `checkpoint_arrays`, lr, RNG states and step in. Anything unreadable,
     missing, unknown or malformed is an IOError naming the path, and so is
-    an array no trained net holds: a non-finite value, a batch-norm
-    `running_count` below 1 or a negative `running_var`."""
+    a value no trained run writes: an array with a non-finite value, a
+    batch-norm `running_count` below 1 or a negative `running_var`, an `lr`
+    that is not finite and > 0, or a `step` that is not an integer >= 0."""
     try:
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
@@ -368,10 +369,15 @@ def load_state(path) -> TrainState:
             if key.endswith("running_var") and (a < 0).any():
                 raise ValueError(f"array {key} holds a negative variance")
             dst[...] = a
-        state.opt.lr = float(meta["lr"])
+        lr, step = meta["lr"], meta["step"]
+        # NaN fails the range too; a bool is no number here
+        if type(lr) not in (int, float) or not 0 < lr < math.inf:
+            raise ValueError(f"lr {lr!r} is not a finite number > 0")
+        if type(step) is not int or step < 0:
+            raise ValueError(f"step {step!r} is not an integer >= 0")
+        state.opt.lr, state.step = float(lr), step
         state.rng_train.bit_generator.state = meta["rng_states"]["train"]
         state.rng_label.bit_generator.state = meta["rng_states"]["label"]
-        state.step = int(meta["step"])
     except _BAD_CHECKPOINT as exc:
         raise IOError(f"cannot load checkpoint {path}: {exc}") from exc
     return state

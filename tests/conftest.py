@@ -78,6 +78,9 @@ MALFORMED_CHECKPOINTS = {
     "missing_config": lambda arrays, meta: meta.pop("config"),
     "unknown_gates_field": lambda arrays, meta: meta["config"]["gates"].update(from_fx=True),
     "wrong_in_dim": lambda arrays, meta: meta.update(in_dim=meta["in_dim"] + 1),
+    # a resumed run would ascend the gradient, or count steps from below 0
+    "negative_lr": lambda arrays, meta: meta.update(lr=-1.0),
+    "negative_step": lambda arrays, meta: meta.update(step=-5),
     **{name: _fill(key, value) for name, (key, value) in UNTRAINED_ARRAYS.items()},
 }
 # arrays no checkpoint of the default net holds, each of which loading must

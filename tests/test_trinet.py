@@ -415,6 +415,19 @@ def test_checkpoint_with_unparsable_metadata_is_io_error(tmp_path):
         load_state(path)
 
 
+# each used to load: lr as float(value), step as int(value)
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1.0), ("lr", 0), ("lr", float("nan")), ("lr", float("inf")), ("lr", True),
+    ("step", -5), ("step", 2.5), ("step", 2.0), ("step", True)])
+def test_checkpoint_lr_or_step_no_trained_run_writes_is_io_error_naming_it(tmp_path, key,
+                                                                             value):
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, lambda arrays, meta: meta.update({key: value}))
+    with pytest.raises(IOError, match=f"ckpt.npz: {key} ") as exc:
+        load_state(path)
+    assert repr(value) in str(exc.value)
+
+
 @pytest.mark.parametrize("name", UNTRAINED_ARRAYS)
 def test_checkpoint_array_no_trained_net_holds_is_io_error_naming_it(tmp_path, name):
     _, path = saved_state(tmp_path)
