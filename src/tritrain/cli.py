@@ -248,9 +248,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _checkpoint_and_dataset(args, classes: bool):
+    """The `--checkpoint` state and the `--data` dataset, after a ConfigError
+    naming both paths unless the dataset has the checkpoint's feature count
+    and, if `classes`, its class count."""
     state = trainer.load_state(args.checkpoint)
     ds = datagen.load_dataset(args.data)
+    counts = {"features": (ds.target_x.shape[1], state.net.f.layers[0].spec.in_dim)}
+    if classes:
+        counts["classes"] = (ds.num_classes, state.net.num_classes)
+    for what, (have, want) in counts.items():
+        if have != want:
+            raise ConfigError(f"dataset {args.data} has {have} {what}, but checkpoint "
+                              f"{args.checkpoint} was trained on {want}")
+    return state, ds
+
+
+def cmd_eval(args) -> int:
+    state, ds = _checkpoint_and_dataset(args, classes=True)
     accs = trainer.evaluate(state.net, ds.target_x, ds.target_y_hidden)
     result = accs if args.branch == "all" else {args.branch: accs[args.branch]}
     text = json.dumps(result, indent=2, sort_keys=True)
@@ -261,11 +276,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adist(args) -> int:
-    state = trainer.load_state(args.checkpoint)
-    ds = datagen.load_dataset(args.data)
-    d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=args.seed or 0)
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    state, ds = _checkpoint_and_dataset(args, classes=False)
+    d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=args.seed)
     d_feat = analysis.a_distance(state.net.features(ds.source_x),
-                                 state.net.features(ds.target_x), seed=args.seed or 0)
+                                 state.net.features(ds.target_x), seed=args.seed)
     result = {"d_A_raw": d_raw, "d_A_features": d_feat}
     print(json.dumps(result, indent=2, sort_keys=True))
     return EXIT_OK

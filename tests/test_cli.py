@@ -489,6 +489,46 @@ def test_eval_with_a_malformed_spec_json_exits_config(trained_run, capsys, spec)
     assert "spec.json" in capsys.readouterr().err
 
 
+def mismatched_dataset(tmp_path, data, what):
+    """The dataset at `data` with an extra zero feature, or a 3-class
+    blobs dataset, saved under tmp_path."""
+    if what == "features":
+        ds = datagen.load_dataset(data)
+        ds.source_x, ds.target_x = (np.hstack([x, np.zeros((len(x), 1))])
+                                    for x in (ds.source_x, ds.target_x))
+    else:
+        ds = datagen.generate(datagen.ShiftSpec(generator="gaussian_blobs", num_classes=3,
+                                                n_source=30, n_target=30))
+    out = tmp_path / f"other_{what}"
+    datagen.save_dataset(out, ds)
+    return out
+
+
+# eval printed {"ft": 0.0} and exited 0 on a 3-class dataset, and a
+# 3-feature dataset failed in an affine call naming neither file
+@pytest.mark.parametrize("command, what, have, want", [
+    ("eval", "features", 3, 2), ("eval", "classes", 3, 2), ("adist", "features", 3, 2)])
+def test_a_dataset_that_does_not_fit_the_checkpoint_exits_config_naming_both(
+        trained_run, tmp_path, capsys, command, what, have, want):
+    data, run = trained_run
+    other = mismatched_dataset(tmp_path, data, what)
+    ckpt = run / "checkpoint.npz"
+    rc = cli.main([command, "--checkpoint", str(ckpt), "--data", str(other)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG and captured.out == ""
+    assert (f"dataset {other} has {have} {what}, but checkpoint {ckpt} was trained on {want}"
+            in captured.err)
+
+
+def test_adist_rejects_a_negative_seed_by_name(trained_run, capsys):
+    # numpy used to reject it, naming no option
+    data, run = trained_run
+    rc = cli.main(["adist", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data),
+                   "--seed", "-1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_adist_reports_both_distances(trained_run, capsys):
     data, run = trained_run
     rc = cli.main(["adist", "--checkpoint", str(run / "checkpoint.npz"),
