@@ -2,11 +2,14 @@
 sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
 by tests, every name the benchmark's tracer patches still exists, every
-by-name import of a name it patches on a module is patched too, and the
-benchmark trains with the acceptance fixture's config."""
+argument its counter hooks read sits where they read it, every by-name
+import of a name it patches on a module is patched too, and the benchmark
+trains with the acceptance fixture's config."""
 import ast
 import importlib.util
+import inspect
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -153,6 +156,44 @@ def test_every_benchmark_patch_site_exists():
     missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
                for owner, attr, _, _ in load_bench("tracer").SITES if not hasattr(owner, attr)]
     assert missing == []
+
+
+def hook_reads(hook) -> list[tuple[int, str]]:
+    """(position, name) of each `_arg(args, kwargs, position, name)` call in
+    a counter hook's source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    return [(n.args[2].value, n.args[3].value) for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_arg"]
+
+
+def misread_args(sites) -> list[str]:
+    """`<span>: <name> at <position>` for each argument a site's hook reads
+    where the patched function's signature has no parameter of that name.
+    A call passing it by position then hands the hook another argument."""
+    out = []
+    for owner, attr, span, hook in sites:
+        if hook is None:
+            continue
+        params = list(inspect.signature(getattr(owner, attr)).parameters)
+        out += [f"{span}: {name} at {pos}" for pos, name in hook_reads(hook)
+                if params[pos:pos + 1] != [name]]
+    return out
+
+
+def test_checker_flags_a_misread_argument_and_only_that():
+    pool_bytes = load_bench("tracer")._pool_bytes
+    lib = types.ModuleType("lib")
+    lib.kept = lambda state, source_x, source_y, target_x, pseudo, step_k: None
+    lib.swapped = lambda state, source_y, source_x, target_x, pseudo, step_k: None
+    lib.short = lambda state, source_x, source_y, target_x: None
+    sites = [(lib, "kept", "kept", pool_bytes), (lib, "swapped", "swapped", pool_bytes),
+             (lib, "short", "short", pool_bytes), (lib, "short", "untraced", None)]
+    assert misread_args(sites) == ["swapped: source_x at 1", "short: pseudo at 4"]
+
+
+def test_every_tracer_hook_reads_the_arguments_it_names():
+    # _pool_bytes reads adapt_step's source_x, target_x and pseudo by position
+    assert misread_args(load_bench("tracer").SITES) == []
 
 
 def test_bench_moons_config_is_the_acceptance_fixtures(moons_benchmark_config):
