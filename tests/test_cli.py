@@ -317,11 +317,11 @@ def test_train_out_of_range_value_exits_config_naming_the_key(tmp_path, capsys, 
 
 
 # both used to exit 2 only after writing manifest.json
-@pytest.mark.parametrize("command, base, item", [("train", TRAIN_CFG, "train.pretrain_iters=0"),
-                                                 ("bound-check", BOUND_CFG, "bound.pretrain_iters=0")])
+@pytest.mark.parametrize("command, item", [("train", "train.pretrain_iters=0"),
+                                           ("bound-check", "bound.pretrain_iters=0")])
 def test_pretraining_without_a_batch_under_batch_norm_writes_no_output(tmp_path, capsys,
-                                                                        command, base, item):
-    cfg = write_cfg(tmp_path, base)
+                                                                        command, item):
+    cfg = write_cfg(tmp_path, {"train": TRAIN_CFG, "bound-check": BOUND_CFG}[command])
     out = tmp_path / "o"
     rc = cli.main([command, "--config", cfg, "--out", str(out), "--set", item])
     assert rc == cli.EXIT_CONFIG
