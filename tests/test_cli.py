@@ -166,14 +166,14 @@ CONFIG_ERRORS = [
     ("gen-data", ['data.translation=["a", 1]'], "translation"),
     ("train", ["data.seed=-1"], "seed"),
     ("train", ["train.seed=-1"], "seed"),
-    # batch norm with no pretraining batch used to exit 2 only after
-    # writing manifest.json
-    ("train", ["train.pretrain_iters=0"], "pretrain_iters"),
-    ("bound-check", ["bound.pretrain_iters=0"], "pretrain_iters"),
     # gen-data used to ignore these, exit 0 and write the default moons
     ("gen-data", ['data.dir="d0"'], "data.dir"),
     ("gen-data", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
                   'data.target_path="b.txt"', "data.dim=3"], "data.format"),
+    # batch norm with no pretraining batch used to exit 2 only after
+    # writing manifest.json
+    ("train", ["train.pretrain_iters=0"], "pretrain_iters"),
+    ("bound-check", ["bound.pretrain_iters=0"], "pretrain_iters"),
 ]
 
 
