@@ -497,18 +497,18 @@ def mismatched_dataset(tmp_path, data, what):
 
 # eval printed {"ft": 0.0} and exited 0 on a 3-class dataset, and a
 # 3-feature dataset failed in an affine call naming neither file
-@pytest.mark.parametrize("command, what, have, want", [
-    ("eval", "features", 3, 2), ("eval", "classes", 3, 2), ("adist", "features", 3, 2)])
+@pytest.mark.parametrize("command, what", [("eval", "features"), ("eval", "classes"),
+                                           ("adist", "features")])
 def test_a_dataset_that_does_not_fit_the_checkpoint_exits_config_naming_both(
-        trained_run, tmp_path, capsys, command, what, have, want):
+        trained_run, tmp_path, capsys, command, what):
     data, run = trained_run
     other = mismatched_dataset(tmp_path, data, what)
     ckpt = run / "checkpoint.npz"
     rc = cli.main([command, "--checkpoint", str(ckpt), "--data", str(other)])
     captured = capsys.readouterr()
     assert rc == cli.EXIT_CONFIG and captured.out == ""
-    assert (f"dataset {other} has {have} {what}, but checkpoint {ckpt} was trained on {want}"
-            in captured.err)
+    # the checkpoint is of 2-feature, 2-class moons
+    assert f"dataset {other} has 3 {what}, but checkpoint {ckpt} was trained on 2" in captured.err
 
 
 def test_adist_rejects_a_negative_seed_by_name(trained_run, capsys):
