@@ -286,7 +286,8 @@ def _train_domain_classifiers(train_x, train_y, rngs):
             xb = train_x[fold, idx]
             _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
             grad.fill(0.0)
-            _, gW, gb = nnlib.affine_backward(dz, xb, W)
+            # without W, no input gradient is computed; nothing reads it
+            _, gW, gb = nnlib.affine_backward(dz, xb)
             dW += gW
             db += gb
             opt.step({"clf": theta}, {"clf": grad})

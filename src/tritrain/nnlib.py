@@ -67,18 +67,27 @@ def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ W + b
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray):
-    """Gradients of `affine_forward`, slice by slice over leading axes."""
-    dx = dout @ W.swapaxes(-1, -2)
+def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None):
+    """Gradients of `affine_forward`, slice by slice over leading axes. The
+    input gradient dx needs W; without it dx is None, for a first layer
+    whose input gradient nothing reads."""
+    dx = None if W is None else dout @ W.swapaxes(-1, -2)
     dW = x.swapaxes(-1, -2) @ dout
-    db = dout.sum(axis=-2, keepdims=True)
+    db = np.add.reduce(dout, axis=-2, keepdims=True)
     return dx, dW, db
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic: exp only ever sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Overflow-free logistic: exp only ever sees -|x|. The numerator
+    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.sign(x)
+    np.maximum(e, num, out=num)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -92,7 +101,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
     of shape (..., n, k) give one mean loss per leading slice, with labels of
-    shape (..., n).
+    shape (..., n). Log-probabilities are clipped at -700.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64).ravel()
@@ -103,63 +112,88 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
         raise ShapeError("need at least 2 classes")
     if labels.shape[0] * k != logits.size:
         raise ShapeError("labels length must match the batch size")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
+    # read as unsigned, a negative label is 2**63 or more
+    if np.maximum.reduce(labels.view(np.uint64), initial=0) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    z = logits - logits.max(axis=-1, keepdims=True)
+    # a fold of np.maximum over the classes is the exact max, and cheaper
+    # than a reduction over a short axis
+    m = logits[..., 0]
+    for j in range(1, k):
+        m = np.maximum(m, logits[..., j])
+    z = logits - m[..., None]
     e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(labels.shape[0])
-    logp = z.reshape(-1, k)[rows, labels] - np.log(s.ravel())
-    np.clip(logp, -700.0, None, out=logp)
-    loss = -logp.reshape(logits.shape[:-1]).mean(axis=-1)
-    grad = e / s
-    grad.reshape(-1, k)[rows, labels] -= 1.0
+    s = np.add.reduce(e, axis=-1, keepdims=True)
+    # flat index of each row's label entry
+    at = np.arange(0, labels.shape[0] * k, k)
+    at += labels
+    logp = z.take(at).reshape(s.shape[:-1])
+    logp -= np.log(s[..., 0])
+    np.maximum(logp, -700.0, out=logp)
+    loss = -(np.add.reduce(logp, axis=-1) / n)
+    grad = np.divide(e, s, out=e)
+    grad.reshape(-1)[at] -= 1.0
     grad /= n
     return loss, grad
 
 
-def batch_norm_train(x, gamma, beta, eps, running_stats, momentum=0.9):
+def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
     """Standardize each column with batch statistics, then scale and shift.
 
-    Mutates running_stats (keys "mean", "var", "count") via an exponential
-    moving average. Returns (y, cache) where cache feeds batch_norm_backward.
-    Batch variance is the biased estimator.
+    `running` (2, d) holds the running mean and variance as its rows and
+    `count` (1,) the batches seen; both are updated in place, the rows by
+    an exponential moving average. Returns (y, cache) where cache feeds
+    batch_norm_backward. Batch variance is the biased estimator.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    # sum / n is what mean() and var() compute, without their dispatch cost
-    mean = x.sum(axis=0) / n
-    xc = x - mean
-    var = (xc * xc).sum(axis=0) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    y = gamma * xhat + beta
-    if running_stats["count"] == 0:
-        running_stats["mean"] = mean.copy()
-        running_stats["var"] = var.copy()
+    # numpy converts an int operand to the same float64, only slower
+    n = float(n)
+    # the batch mean and variance, as rows like `running`'s; sum / n is
+    # what mean() and var() compute, without their dispatch cost
+    stats = np.empty((2, x.shape[1]))
+    np.divide(np.add.reduce(x, axis=0), n, out=stats[0])
+    xc = x - stats[0]
+    np.divide(np.add.reduce(xc * xc, axis=0), n, out=stats[1])
+    inv_std = stats[1] + eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat = np.multiply(xc, inv_std, out=xc)
+    y = gamma * xhat
+    y += beta
+    if count[0] == 0:
+        running[...] = stats
     else:
-        running_stats["mean"] = momentum * running_stats["mean"] + (1 - momentum) * mean
-        running_stats["var"] = momentum * running_stats["var"] + (1 - momentum) * var
-    running_stats["count"] += 1
+        running *= momentum
+        stats *= 1 - momentum
+        running += stats
+    count[0] += 1
     cache = (xhat, inv_std, gamma, n)
     return y, cache
 
 
 def batch_norm_backward(dout, cache):
     xhat, inv_std, gamma, n = cache
-    dgamma = (dout * xhat).sum(axis=0, keepdims=True)
-    dbeta = dout.sum(axis=0, keepdims=True)
-    dxhat = dout * gamma
-    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-    return dx, dgamma, dbeta
+    # the four column sums dbeta, sum(dxhat), dgamma and sum(dxhat * xhat)
+    # from one reduction; each (n, d) slab of the buffer sums its rows in
+    # the order a lone (n, d) array does
+    buf = np.empty((4, *xhat.shape))
+    buf[0] = dout
+    dxhat = np.multiply(dout, gamma, out=buf[1])
+    np.multiply(buf[:2], xhat, out=buf[2:])
+    sums = np.add.reduce(buf, axis=1)
+    dx = n * dxhat
+    dx -= sums[1]
+    dx -= xhat * sums[3]
+    dx *= inv_std / n
+    return dx, sums[2:3], sums[0:1]
 
 
-def batch_norm_eval(x, gamma, beta, running_stats, eps):
-    if running_stats["count"] == 0:
+def batch_norm_eval(x, gamma, beta, running, count, eps):
+    if count[0] == 0:
         raise StateError("batch norm running statistics are unpopulated; train first")
-    xhat = (x - running_stats["mean"]) / np.sqrt(running_stats["var"] + eps)
+    xhat = (x - running[0]) / np.sqrt(running[1] + eps)
     return gamma * xhat + beta
 
 
@@ -227,13 +261,16 @@ class Affine(Layer):
         self.params["W"] = glorot_uniform(rng, spec.in_dim, spec.out_dim)
         self.params["b"] = np.zeros((1, spec.out_dim))
         self._x = None
+        # False on the first layer of a Sequential: its backward then returns
+        # no input gradient, which nothing reads
+        self.input_grad = True
 
     def forward(self, x, mode="train", rng=None):
         self._x = x
         return affine_forward(x, self.params["W"], self.params["b"])
 
     def backward(self, dout):
-        dx, dW, db = affine_backward(dout, self._x, self.params["W"])
+        dx, dW, db = affine_backward(dout, self._x, self.params["W"] if self.input_grad else None)
         np.add(self.grads["W"], dW, out=self.grads["W"])
         np.add(self.grads["b"], db, out=self.grads["b"])
         return dx
@@ -271,19 +308,23 @@ class BatchNorm(Layer):
         d = spec.in_dim
         self.params["gamma"] = np.ones((1, d))
         self.params["beta"] = np.zeros((1, d))
-        # the count is a 1-element array, so a checkpoint can copy into it
-        self.running_stats = {"mean": np.zeros(d), "var": np.ones(d),
-                              "count": np.zeros(1, dtype=np.int64)}
+        # running mean and variance as the rows of one array, updated in
+        # place; the count is a 1-element array, so a checkpoint can copy
+        # into it. `running_stats` names read-only views of both.
+        self._running = np.array([np.zeros(d), np.ones(d)])
+        self._count = np.zeros(1, dtype=np.int64)
+        self.running_stats = MappingProxyType({"mean": self._running[0],
+                                               "var": self._running[1], "count": self._count})
         self._cache = None
 
     def forward(self, x, mode="train", rng=None):
         if mode == "train":
             y, self._cache = batch_norm_train(
                 x, self.params["gamma"], self.params["beta"], BN_EPS,
-                self.running_stats, BN_MOMENTUM)
+                self._running, self._count, BN_MOMENTUM)
             return y
         return batch_norm_eval(x, self.params["gamma"], self.params["beta"],
-                               self.running_stats, BN_EPS)
+                               self._running, self._count, BN_EPS)
 
     def backward(self, dout):
         dx, dgamma, dbeta = batch_norm_backward(dout, self._cache)
@@ -349,6 +390,8 @@ class Sequential:
                 grads[k] = self.grad[off:end].reshape(p.shape)
                 off = end
             layer.params, layer.grads = MappingProxyType(params), MappingProxyType(grads)
+        if isinstance(self.layers[0], Affine):
+            self.layers[0].input_grad = False
 
     def forward(self, x, mode="train", rng=None):
         for layer in self.layers:
@@ -356,9 +399,10 @@ class Sequential:
         return x
 
     def backward(self, dout):
+        """Accumulate every layer's parameter gradients. The gradient w.r.t.
+        the net's input is never read; a first affine layer skips it."""
         for layer in reversed(self.layers):
             dout = layer.backward(dout)
-        return dout
 
     def zero_grads(self):
         self.grad.fill(0.0)

@@ -38,7 +38,8 @@ class BranchOutput:
 
 
 def weight_divergence(W1: np.ndarray, W2: np.ndarray):
-    """Entrywise absolute sum of W1^T W2 with its L1 subgradients (sign(0)=0).
+    """Entrywise absolute sum of W1^T W2 and its L1 subgradients (sign(0)=0)
+    w.r.t. W1 and W2, stacked as one (2, d, k) array.
 
     W1, W2 are the first affine weights of the two labeling heads; the penalty
     pushes the heads toward orthogonal input weightings.
@@ -47,10 +48,13 @@ def weight_divergence(W1: np.ndarray, W2: np.ndarray):
         raise ShapeError(f"weight shapes differ: {W1.shape} vs {W2.shape}")
     m = W1.T @ W2
     s = np.sign(m)
-    value = np.abs(m).sum()
-    grad_w1 = W2 @ s.T
-    grad_w2 = W1 @ s
-    return value, grad_w1, grad_w2
+    value = np.add.reduce(np.abs(m), axis=None)
+    # both subgradients in one buffer, so a caller can scale and add them
+    # with one call each
+    grads = np.empty((2, *W1.shape))
+    np.matmul(W2, s.T, out=grads[0])
+    np.matmul(W1, s, out=grads[1])
+    return value, grads
 
 
 class TriNet:
@@ -105,14 +109,15 @@ class TriNet:
         self.f.zero_grads()
         self.grad.fill(0.0)
         h = self.f.forward(x, mode="train", rng=rng)
-        W = self.W[rows]
-        # per-head copies: at batch size they cost less than np.broadcast_to
-        hs = h[None].repeat(len(W), axis=0)
+        W, dW, db = self.W[rows], self.dW[rows], self.db[rows]
+        # the target head reads h itself; the labeling heads get a copy
+        # each, which at batch size costs less than np.broadcast_to
+        hs = h[None] if len(W) == 1 else h[None].repeat(len(W), axis=0)
         z = nnlib.affine_forward(hs, W, self.b[rows])
         loss, dz = softmax_cross_entropy(z, np.asarray(y)[None].repeat(len(W), axis=0))
-        dx, dW, db = nnlib.affine_backward(dz, hs, W)
-        self.dW[rows] += dW
-        self.db[rows] += db
+        dx, gW, gb = nnlib.affine_backward(dz, hs, W)
+        np.add(dW, gW, out=dW)
+        np.add(db, gb, out=db)
         if getattr(self.gates, gate):
             # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
             self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])
@@ -123,9 +128,10 @@ class TriNet:
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
         ce = self._heads_loss("labeling", x, y, rng)
-        penalty, gw1, gw2 = weight_divergence(self.W[0], self.W[1])
-        self.dW[0] += self.lam * gw1
-        self.dW[1] += self.lam * gw2
+        penalty, grads = weight_divergence(self.W[0], self.W[1])
+        grads *= self.lam
+        dW = self.dW[:2]
+        np.add(dW, grads, out=dW)
         total = ce[0] + ce[1] + self.lam * penalty
         return total, {"ce_f1": ce[0], "ce_f2": ce[1], "penalty": penalty}
 

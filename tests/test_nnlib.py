@@ -14,7 +14,9 @@ from conftest import named, rel_err
 
 
 def fresh_stats(d):
-    return {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
+    """Unpopulated running statistics: the (2, d) rows mean and variance,
+    and the batch count."""
+    return np.array([np.zeros(d), np.ones(d)]), np.zeros(1, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -119,14 +121,14 @@ def test_ce_grad_matches_finite_differences():
 
 def test_bn_constant_column_maps_to_beta():
     x = np.full((5, 1), 7.0)
-    y, _ = batch_norm_train(x, np.ones((1, 1)), np.full((1, 1), 5.0), 1e-5, fresh_stats(1))
+    y, _ = batch_norm_train(x, np.ones((1, 1)), np.full((1, 1), 5.0), 1e-5, *fresh_stats(1))
     np.testing.assert_allclose(y, 5.0, atol=1e-9)
 
 
 def test_bn_normalizes_columns():
     rng = np.random.default_rng(4)
     x = rng.normal(loc=3.0, scale=2.0, size=(64, 3))
-    y, _ = batch_norm_train(x, np.ones((1, 3)), np.zeros((1, 3)), 1e-10, fresh_stats(3))
+    y, _ = batch_norm_train(x, np.ones((1, 3)), np.zeros((1, 3)), 1e-10, *fresh_stats(3))
     assert np.abs(y.mean(axis=0)).max() < 1e-8
     assert np.abs(y.var(axis=0) - 1.0).max() < 1e-6
 
@@ -134,7 +136,7 @@ def test_bn_normalizes_columns():
 def test_bn_requires_batch_of_two():
     with pytest.raises(ValueError):
         batch_norm_train(np.ones((1, 2)), np.ones((1, 2)), np.zeros((1, 2)),
-                         1e-5, fresh_stats(2))
+                         1e-5, *fresh_stats(2))
 
 
 def test_bn_grads_match_finite_differences():
@@ -144,13 +146,13 @@ def test_bn_grads_match_finite_differences():
         gamma = rng.normal(size=(1, 3))
         beta = rng.normal(size=(1, 3))
         up = rng.normal(size=(8, 3))
-        _, cache = batch_norm_train(x, gamma, beta, 1e-5, fresh_stats(3))
+        _, cache = batch_norm_train(x, gamma, beta, 1e-5, *fresh_stats(3))
         dx, dgamma, dbeta = batch_norm_backward(up, cache)
 
         def loss(xx=None, g=None, b=None):
             out, _ = batch_norm_train(x if xx is None else xx,
                                       gamma if g is None else g,
-                                      beta if b is None else b, 1e-5, fresh_stats(3))
+                                      beta if b is None else b, 1e-5, *fresh_stats(3))
             return (out * up).sum()
 
         assert rel_err(dx, finite_difference_gradient(lambda v: loss(xx=v), x.copy())) < 1e-5
@@ -161,25 +163,24 @@ def test_bn_grads_match_finite_differences():
 def test_bn_eval_at_running_mean_is_zero():
     stats = fresh_stats(2)
     rng = np.random.default_rng(5)
-    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, stats)
-    y = batch_norm_eval(stats["mean"].reshape(1, -1), np.ones((1, 2)), np.zeros((1, 2)),
-                        stats, 1e-5)
+    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, *stats)
+    y = batch_norm_eval(stats[0][:1], np.ones((1, 2)), np.zeros((1, 2)), *stats, 1e-5)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
 
 def test_bn_eval_gamma_zero_gives_beta():
     stats = fresh_stats(2)
     rng = np.random.default_rng(6)
-    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, stats)
+    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, *stats)
     y = batch_norm_eval(rng.normal(size=(4, 2)), np.zeros((1, 2)), np.full((1, 2), 2.5),
-                        stats, 1e-5)
+                        *stats, 1e-5)
     np.testing.assert_allclose(y, 2.5, atol=1e-12)
 
 
 def test_bn_eval_unpopulated_stats_raise():
     with pytest.raises(StateError):
         batch_norm_eval(np.zeros((2, 2)), np.ones((1, 2)), np.zeros((1, 2)),
-                        fresh_stats(2), 1e-5)
+                        *fresh_stats(2), 1e-5)
 
 
 def test_bn_eval_centering_converges_monte_carlo():
@@ -189,9 +190,9 @@ def test_bn_eval_centering_converges_monte_carlo():
     gamma, beta = np.ones((1, 2)), np.zeros((1, 2))
     for _ in range(200):
         batch_norm_train(rng.normal(loc=1.5, scale=0.7, size=(128, 2)),
-                         gamma, beta, 1e-5, stats)
+                         gamma, beta, 1e-5, *stats)
     test_x = rng.normal(loc=1.5, scale=0.7, size=(5000, 2))
-    y = batch_norm_eval(test_x, gamma, beta, stats, 1e-5)
+    y = batch_norm_eval(test_x, gamma, beta, *stats, 1e-5)
     assert np.abs(y.mean(axis=0)).max() < 0.1
 
 
@@ -418,12 +419,125 @@ def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
     for n, d in ((64, 16), (128, 16), (2, 3), (37, 5)):
         x = rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d))
         gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
-        stats = fresh_stats(d)
-        y, (xhat, inv_std, _, _) = batch_norm_train(x, gamma, beta, 1e-5, stats)
-        np.testing.assert_array_equal(stats["mean"], x.mean(axis=0))
-        np.testing.assert_array_equal(stats["var"], x.var(axis=0))
+        running, count = fresh_stats(d)
+        y, (xhat, inv_std, _, _) = batch_norm_train(x, gamma, beta, 1e-5, running, count)
+        np.testing.assert_array_equal(running[0], x.mean(axis=0))
+        np.testing.assert_array_equal(running[1], x.var(axis=0))
         np.testing.assert_array_equal(inv_std, 1.0 / np.sqrt(x.var(axis=0) + 1e-5))
         np.testing.assert_array_equal(y, gamma * ((x - x.mean(axis=0)) * inv_std) + beta)
+
+
+# The formulas the kernels had before they were rewritten for fewer numpy
+# calls; each rewrite must give the same bits.
+
+
+def _sigmoid_where(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _cross_entropy_stacked(logits, labels):
+    labels = np.asarray(labels, dtype=np.int64).ravel()
+    n, k = logits.shape[-2:]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(labels.shape[0])
+    logp = z.reshape(-1, k)[rows, labels] - np.log(s.ravel())
+    np.clip(logp, -700.0, None, out=logp)
+    loss = -logp.reshape(logits.shape[:-1]).mean(axis=-1)
+    grad = e / s
+    grad.reshape(-1, k)[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+def _batch_norm_train_dict(x, gamma, beta, eps, running_stats, momentum=0.9):
+    n = x.shape[0]
+    mean = x.sum(axis=0) / n
+    xc = x - mean
+    var = (xc * xc).sum(axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv_std
+    y = gamma * xhat + beta
+    if running_stats["count"] == 0:
+        running_stats["mean"] = mean.copy()
+        running_stats["var"] = var.copy()
+    else:
+        running_stats["mean"] = momentum * running_stats["mean"] + (1 - momentum) * mean
+        running_stats["var"] = momentum * running_stats["var"] + (1 - momentum) * var
+    running_stats["count"] += 1
+    return y, (xhat, inv_std, gamma, n)
+
+
+def _batch_norm_backward_sums(dout, cache):
+    xhat, inv_std, gamma, n = cache
+    dgamma = (dout * xhat).sum(axis=0, keepdims=True)
+    dbeta = dout.sum(axis=0, keepdims=True)
+    dxhat = dout * gamma
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, dgamma, dbeta
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def test_sigmoid_bits_equal_the_where_formula():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                        tiny, -tiny, 1e-310, -1e-310, 1e3, -1e3, 36.0, -36.0])
+    assert_same_bits(sigmoid(special), _sigmoid_where(special))
+    rng = np.random.default_rng(41)
+    for scale in (1.0, 10.0, 800.0):
+        x = rng.normal(scale=scale, size=(64, 16))
+        assert_same_bits(sigmoid(x), _sigmoid_where(x))
+    x = rng.normal(scale=30.0, size=100_000)
+    assert_same_bits(sigmoid(x), _sigmoid_where(x))
+
+
+@pytest.mark.parametrize("k", [2, 3, 9])
+@pytest.mark.parametrize("lead", [(), (1,), (2,), (5,)], ids=["2d", "1x", "2x", "5x"])
+def test_softmax_cross_entropy_bits_equal_the_stacked_formula(k, lead):
+    # k = 9 sums its classes pairwise, k < 8 one by one
+    rng = np.random.default_rng(42)
+    n = 128 if lead == (1,) else 64
+    for scale in (1.0, 50.0, 1e4):
+        logits = rng.normal(scale=scale, size=(*lead, n, k))
+        labels = rng.integers(0, k, size=(*lead, n))
+        # a row whose label sits 1000 below its max hits the -700 clip
+        logits[..., 0, :] = 0.0
+        logits[..., 0, 0] = -1000.0
+        labels[..., 0] = 0
+        loss, grad = softmax_cross_entropy(logits, labels)
+        ref_loss, ref_grad = _cross_entropy_stacked(logits, labels)
+        assert_same_bits(loss, ref_loss)
+        assert_same_bits(grad, ref_grad)
+    assert softmax_cross_entropy(logits[..., :1, :], labels[..., :1])[0].max() == 700.0
+
+
+@pytest.mark.parametrize("n, d", [(64, 16), (128, 16), (2, 3), (37, 5), (64, 1), (16, 50)])
+def test_batch_norm_bits_equal_the_dict_formulas(n, d):
+    # the first call copies the batch statistics, later ones average them
+    rng = np.random.default_rng(43)
+    running, count = fresh_stats(d)
+    ref_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
+    gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+    for call in range(4):
+        x = rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d))
+        y, cache = batch_norm_train(x, gamma, beta, 1e-5, running, count, 0.9)
+        ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
+        assert_same_bits(y, ref_y)
+        for a, b in zip(cache[:2], ref_cache[:2]):
+            assert_same_bits(a, b)
+        assert_same_bits(running[0], ref_stats["mean"])
+        assert_same_bits(running[1], ref_stats["var"])
+        assert count[0] == ref_stats["count"] == call + 1
+        up = rng.normal(size=(n, d))
+        for a, b in zip(batch_norm_backward(up, cache), _batch_norm_backward_sums(up, ref_cache)):
+            assert_same_bits(a, b)
 
 
 def test_stacked_kernels_equal_the_2d_call_on_each_slice():

@@ -1,4 +1,5 @@
 import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -104,27 +105,27 @@ def test_each_head_row_starts_from_its_own_seed_stream():
 def test_weight_divergence_orthogonal_and_zero():
     w1 = np.eye(2)
     w2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    value, _, _ = weight_divergence(w1, w2)
+    value, _ = weight_divergence(w1, w2)
     assert value == pytest.approx(2.0)
-    value, _, _ = weight_divergence(w1, np.zeros((2, 2)))
+    value, _ = weight_divergence(w1, np.zeros((2, 2)))
     assert value == 0.0
 
 
 def test_weight_divergence_identity():
     for d in (2, 5, 9):
-        value, _, _ = weight_divergence(np.eye(d), np.eye(d))
+        value, _ = weight_divergence(np.eye(d), np.eye(d))
         assert value == pytest.approx(float(d))
 
 
 def test_weight_divergence_symmetry_and_permutation_invariance():
     rng = np.random.default_rng(4)
     w1, w2 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    v12, g1, g2 = weight_divergence(w1, w2)
-    v21, h2, h1 = weight_divergence(w2, w1)
+    v12, (g1, g2) = weight_divergence(w1, w2)
+    v21, (h2, h1) = weight_divergence(w2, w1)
     assert v12 == pytest.approx(v21)
     np.testing.assert_allclose(g1, h1)
     perm = rng.permutation(3)
-    vp, _, _ = weight_divergence(w1[:, perm], w2[:, perm])
+    vp, _ = weight_divergence(w1[:, perm], w2[:, perm])
     assert vp == pytest.approx(v12)
 
 
@@ -132,7 +133,7 @@ def test_weight_divergence_diagonal_lower_bound():
     rng = np.random.default_rng(5)
     for _ in range(10):
         w = rng.normal(size=(4, 3))
-        value, _, _ = weight_divergence(w, w)
+        value, _ = weight_divergence(w, w)
         assert value >= (w ** 2).sum() - 1e-12
         assert value > 0
 
@@ -142,7 +143,7 @@ def test_weight_divergence_grads_match_brute_force_and_fd():
         rng = np.random.default_rng(seed)
         w1 = rng.normal(size=(3, 2)) + 0.5 * np.sign(rng.normal(size=(3, 2)))
         w2 = rng.normal(size=(3, 2)) + 0.5 * np.sign(rng.normal(size=(3, 2)))
-        value, g1, g2 = weight_divergence(w1, w2)
+        value, (g1, g2) = weight_divergence(w1, w2)
         # independent entrywise recomputation
         brute = sum(abs(sum(w1[a, i] * w2[a, j] for a in range(3)))
                     for i in range(2) for j in range(2))
@@ -338,6 +339,30 @@ def test_checkpoint_round_trip(tmp_path):
     x = np.random.default_rng(11).normal(size=(8, 3))
     np.testing.assert_array_equal(state.net.forward(x)["ft"].probs,
                                   back.net.forward(x)["ft"].probs)
+
+
+def npz_members(path) -> dict[str, bytes]:
+    """The bytes of each array file in a checkpoint; the zip's own
+    timestamps are left out."""
+    with zipfile.ZipFile(path) as z:
+        return {name: z.read(name) for name in z.namelist()}
+
+
+def test_running_statistics_round_trip_byte_identical_and_stay_live(tmp_path):
+    # batch norm updates its running mean and variance in place, as the rows
+    # of one array; the checkpoint names views of those rows
+    state, path = saved_state(tmp_path)
+    back = load_state(path)
+    save_state(tmp_path / "again.npz", back)
+    assert npz_members(tmp_path / "again.npz") == npz_members(path)
+    x = np.random.default_rng(13).normal(size=(8, 3))
+    for s, name in ((state, "a.npz"), (back, "b.npz")):
+        s.net.f.forward(x, mode="train")
+        save_state(tmp_path / name, s)
+    later = npz_members(tmp_path / "a.npz")
+    assert later == npz_members(tmp_path / "b.npz")
+    moved = {k for k, v in later.items() if v != npz_members(path)[k]}
+    assert moved == {f"state/f/2/running_{k}.npy" for k in ("mean", "var", "count")}
 
 
 def test_corrupted_checkpoint_raises(tmp_path):
