@@ -238,7 +238,7 @@ def cmd_train(args) -> int:
     history, state = trainer.run(
         ds.source_x, ds.source_y, ds.target_x, tcfg,
         eval_x=ds.target_x, eval_y=ds.target_y_hidden,
-        target_y_hidden=ds.target_y_hidden)
+        target_y_hidden=ds.target_y_hidden, num_classes=ds.num_classes)
     trainer.write_metrics_csv(history, out / "metrics.csv")
     trainer.save_state(out / "checkpoint.npz", state)
     final = history[-1]
@@ -309,7 +309,8 @@ def cmd_bound_check(args) -> int:
                           f"bound.max_hypotheses={b.max_hypotheses}")
     # train before the exhaustive check, so a bad train.* value fails first;
     # each stage seeds itself, so the order moves no bits
-    _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg)
+    _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg,
+                           num_classes=ds.num_classes)
     pseudo_y = state.net.forward(ds.target_x)["f1"].predicted_class
     c_offset = -0.1 if args.inject_fault else 0.0
     s_xy = (ds.source_x, ds.source_y)

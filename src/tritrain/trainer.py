@@ -244,12 +244,14 @@ def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_
 
 
 def run(source_x, source_y, target_x, cfg: TrainConfig,
-        eval_x=None, eval_y=None, target_y_hidden=None):
+        eval_x=None, eval_y=None, target_y_hidden=None, num_classes=None):
     """Full procedure: pretrain on source, label an initial candidate pool,
     then steps_k adaptation steps. Returns (history, state); the reported
-    model is the target-specific head."""
+    model is the target-specific head. The heads have `num_classes` outputs,
+    the dataset's class count; without it, the largest source label + 1."""
     source_y = np.asarray(source_y, dtype=np.int64)
-    num_classes = int(source_y.max()) + 1 if len(source_y) else 2
+    if num_classes is None:
+        num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     state = init_state(cfg, source_x.shape[1], num_classes)
     mean_e, mean_p = pretrain(state, source_x, source_y)
     pseudo = _relabel(state, target_x, 0)

@@ -511,6 +511,27 @@ def test_a_dataset_that_does_not_fit_the_checkpoint_exits_config_naming_both(
     assert f"dataset {other} has 3 {what}, but checkpoint {ckpt} was trained on 2" in captured.err
 
 
+def test_train_takes_the_class_count_from_the_dataset(tmp_path, capsys):
+    # a 3-class dataset whose source rows hold only labels 0 and 1 trained
+    # 2-class heads, and eval then rejected the run's own dataset
+    ds = datagen.generate(datagen.ShiftSpec(generator="gaussian_blobs", num_classes=3,
+                                            n_source=60, n_target=60))
+    keep = ds.source_y < 2
+    ds.source_x, ds.source_y = ds.source_x[keep], ds.source_y[keep]
+    assert (len(ds.source_y), set(ds.source_y.tolist())) == (40, {0, 1})
+    data, run = tmp_path / "data", tmp_path / "run"
+    datagen.save_dataset(data, ds)
+    cfg = write_cfg(tmp_path, f'data.dir = "{data}"\n' + TRAIN_CFG[len(DATA_CFG):])
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == cli.EXIT_OK
+    state = trainer.load_state(run / "checkpoint.npz")
+    assert state.net.num_classes == 3 and state.net.W.shape[-1] == 3
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data),
+                   "--branch", "all"])
+    assert rc == cli.EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) == {"f1", "f2", "ft"}
+
+
 def test_adist_rejects_a_negative_seed_by_name(trained_run, capsys):
     # numpy used to reject it, naming no option
     data, run = trained_run
