@@ -638,6 +638,20 @@ def test_emit_report_empty_history(tmp_path):
         assert json.load(fh)["num_steps"] == 0
 
 
+@pytest.mark.parametrize("counts", [(0, 0), (1, 0), (0, 1), (4, 7)])
+def test_emit_report_bytes_are_the_indented_encoders(tmp_path, counts):
+    # the record lists are encoded without `indent`, and laid out by hand
+    theorem1, rho = reports(20)
+    theorem1.violations = [{"hypothesis": i, "target_risk": i / 7, "bound": -1e-17}
+                           for i in range(counts[0])]
+    rho.violations = [{"hypothesis": i, "check": "risk_gap", "gap": 0.1 * i, "rho": 1 / 3}
+                      if i % 2 else {"hypothesis": i, "check": "chained", "lhs": 2.5, "rhs": 1e300}
+                      for i in range(counts[1])]
+    summary = emit_report(theorem1, rho, 0.25, tmp_path)
+    expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "report.json").read_text() == expected
+
+
 # ---------------------------------------------------------------------------
 # demo
 
