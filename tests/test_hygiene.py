@@ -3,8 +3,9 @@ sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
 by tests, every name the benchmark's tracer patches still exists, every
 argument its counter hooks read sits where they read it, every by-name
-import of a name it patches on a module is patched too, and the benchmark
-trains with the acceptance fixture's config."""
+import of a name it patches on a module is patched too, a tiny traced run
+of each workload's code calls every span that workload expects, and the
+benchmark trains with the acceptance fixture's config."""
 import ast
 import importlib.util
 import inspect
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrain import nnlib
+from tritrain import cli, datagen, nnlib, trainer
 from tritrain.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -156,6 +157,47 @@ def test_every_benchmark_patch_site_exists():
     missing = [f"{getattr(owner, '__qualname__', owner.__name__)}.{attr}"
                for owner, attr, _, _ in load_bench("tracer").SITES if not hasattr(owner, attr)]
     assert missing == []
+
+
+TINY_BOUND_CFG = """\
+data.generator = "two_moons"
+data.n_source = 60
+data.n_target = 60
+train.hidden_dim = 8
+bound.pretrain_iters = 3
+bound.thresholds_per_dim = 10
+"""
+
+
+def traced_span_calls(run) -> dict[str, int]:
+    """Calls per span name while `run()` runs under the benchmark's tracer."""
+    with load_bench("tracer").Tracer().installed() as tracer:
+        run()
+    return tracer.span_calls()
+
+
+def tiny_moons_run():
+    ds = datagen.generate(datagen.ShiftSpec(generator="two_moons", n_source=60, n_target=60,
+                                            rotation_deg=30, noise_sigma=0.1))
+    trainer.run(ds.source_x, ds.source_y, ds.target_x,
+                TrainConfig(steps_k=2, iter_per_phase=3, hidden_dim=8),
+                eval_x=ds.target_x, eval_y=ds.target_y_hidden)
+
+
+@pytest.mark.parametrize("workload", ["MoonsSweep", "BoundCli"])
+def test_every_expected_benchmark_span_records_a_call(tmp_path, capsys, workload):
+    # a kernel the training path stops calling through its module, say one
+    # inlined into its caller, leaves its span at zero: a traced benchmark
+    # run then fails its patch-site check
+    if workload == "MoonsSweep":
+        calls = traced_span_calls(tiny_moons_run)
+    else:
+        config = tmp_path / "bound.cfg"
+        config.write_text(TINY_BOUND_CFG)
+        argv = ["bound-check", "--config", str(config), "--out", str(tmp_path / "out")]
+        calls = traced_span_calls(lambda: cli.main(argv))
+    expected = getattr(load_bench("workloads"), workload).expected_spans
+    assert [span for span in expected if not calls.get(span)] == []
 
 
 def hook_reads(hook) -> list[tuple[int, str]]:
