@@ -318,6 +318,13 @@ SHORT_RUN_DIGESTS = {
 }
 
 
+# the short run with an extractor without batch norm: affine, relu, dropout
+SHORT_RUN_NO_BN_DIGESTS = {
+    "metrics.csv": "399a4bd750650bd08423f18e6bad885372d4d1e8bff62b962b3c5a169bb0d96d",
+    "checkpoint.npz": "c8bc03bfc6eb0971e2cbd12309a6e8cbecc0b44e57a85ab5673068072d8320af",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -339,6 +346,15 @@ def test_short_run_bytes_are_pinned(tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     digests = {name: _sha256(out / name) for name in SHORT_RUN_DIGESTS}
     assert digests == SHORT_RUN_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_short_run_without_batch_norm_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SHORT_RUN_CFG + "train.use_bn = false\n")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    digests = {name: _sha256(out / name) for name in SHORT_RUN_NO_BN_DIGESTS}
+    assert digests == SHORT_RUN_NO_BN_DIGESTS, f"numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------------------

@@ -301,14 +301,16 @@ def test_training_decreases_joint_loss():
         assert e1 < e0
 
 
-def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd"):
-    """A training state whose net is `small_net(lam, seed=seed)`, after one
-    joint-loss step on f1, f2 and f (so BN statistics and slots are set)."""
-    state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed, optimizer=optimizer),
-                       3, 3)
+def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd", **extractor):
+    """A training state whose net is `small_net(lam, seed=seed)`, or the
+    extractor the `TrainConfig` fields `extractor` give, after one joint-loss
+    step on f1, f2 and f (so BN statistics and slots are set)."""
+    state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed, optimizer=optimizer,
+                                   **extractor), 3, 3)
     net = state.net
     rng = np.random.default_rng(12)
-    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8))
+    # dropout draws from `rng` after the batch; nothing else does
+    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8), rng=rng)
     state.opt.step({"f1": net.theta[0], "f2": net.theta[1], "f": net.f.theta},
                    {"f1": net.grad[0], "f2": net.grad[1], "f": net.f.grad})
     return state
@@ -483,14 +485,50 @@ STEPPED_LAYOUT = sorted(
        ("opt/main/slot/f2", "float64", (15,))])
 
 
-@pytest.mark.parametrize("optimizer", ["momentum_sgd", "adagrad"])
-def test_checkpoint_layout_is_pinned(tmp_path, optimizer):
+
+
+def extractor_layout(bn_at):
+    """The version-3 layout of a `stepped_state`, in file order, with batch
+    norm at layer `bn_at` of f, or without it for None."""
+    bn = [] if bn_at is None else [bn_at]
+    return ([("param/f/0/W", "float64", (3, 4)), ("param/f/0/b", "float64", (1, 4))]
+            + [(f"param/f/{i}/{k}", "float64", (1, 4)) for i in bn for k in ("gamma", "beta")]
+            + [(f"param/{n}/0/{k}", "float64", s) for n in TriNet.BRANCHES
+               for k, s in (("W", (4, 3)), ("b", (1, 3)))]
+            + [(f"state/f/{i}/running_{k}", t, s) for i in bn
+               for k, t, s in (("mean", "float64", (4,)), ("var", "float64", (4,)),
+                               ("count", "int64", (1,)))]
+            + [("opt/main/slot/f1", "float64", (15,)), ("opt/main/slot/f2", "float64", (15,)),
+               ("opt/main/slot/f", "float64", (24 if bn else 16,))])
+
+
+# every extractor `build_net` makes: its TrainConfig fields, and the layer of
+# f that batch norm sits at, after the activation and any dropout
+EXTRACTORS = {
+    "sigmoid": (dict(activation="sigmoid", dropout_rate=0.0, use_bn=False), None),
+    "sigmoid-bn": (dict(activation="sigmoid", dropout_rate=0.0, use_bn=True), 2),
+    "sigmoid-dropout": (dict(activation="sigmoid", dropout_rate=0.2, use_bn=False), None),
+    "sigmoid-dropout-bn": (dict(activation="sigmoid", dropout_rate=0.2, use_bn=True), 3),
+    "relu": (dict(activation="relu", dropout_rate=0.0, use_bn=False), None),
+    "relu-bn": (dict(activation="relu", dropout_rate=0.0, use_bn=True), 2),
+    "relu-dropout": (dict(activation="relu", dropout_rate=0.2, use_bn=False), None),
+    "relu-dropout-bn": (dict(activation="relu", dropout_rate=0.2, use_bn=True), 3),
+}
+
+
+@pytest.mark.parametrize("optimizer, extractor, bn_at", [
+    ("momentum_sgd", {}, 2), ("adagrad", {}, 2),
+    *[("momentum_sgd", fields, bn_at) for fields, bn_at in EXTRACTORS.values()],
+], ids=["momentum_sgd", "adagrad", *EXTRACTORS])
+def test_checkpoint_layout_is_pinned(tmp_path, optimizer, extractor, bn_at):
     path = tmp_path / "ckpt.npz"
-    save_state(path, stepped_state(optimizer=optimizer))
+    save_state(path, stepped_state(optimizer=optimizer, **extractor))
     with np.load(path) as z:
-        layout = sorted((k, str(z[k].dtype), z[k].shape) for k in z.files if k != "__meta__")
+        layout = [(k, str(z[k].dtype), z[k].shape) for k in z.files if k != "__meta__"]
         assert str(z["__meta__"].dtype) == "uint8"
-    assert layout == STEPPED_LAYOUT
+    assert layout == extractor_layout(bn_at)
+    if not extractor:
+        assert sorted(layout) == STEPPED_LAYOUT
 
 
 @pytest.mark.parametrize("optimizer", ["momentum_sgd", "adagrad"])
