@@ -4,8 +4,9 @@ is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
 by tests, every name the benchmark's tracer patches still exists, every
 argument its counter hooks read sits where they read it, every by-name
 import of a name it patches on a module is patched too, a tiny traced run
-of each workload's code calls every span that workload expects, and the
-benchmark trains with the acceptance fixture's config."""
+of each workload's code calls every span that workload expects, the
+benchmark trains with the acceptance fixture's config, and each snippet of
+the mutation table occurs once in `src/`."""
 import ast
 import importlib.util
 import inspect
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mutants import MUTANTS
 from tritrain import cli, datagen, nnlib, trainer
 from tritrain.trainer import TrainConfig
 
@@ -295,3 +297,11 @@ def test_every_by_name_import_of_a_patched_function_is_a_patch_site():
     # calls would silently drop out of that span
     sources = {p.stem: p.read_text() for p in MODULES}
     assert untraced_imports(sources, load_bench("tracer").SITES) == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_snippet_occurs_once_in_src(mutant):
+    # a change that moves a snippet moves its mutant too; otherwise
+    # `python tests/mutants.py` would mutate nothing there
+    assert mutant.file.startswith("src/")
+    assert (ROOT / mutant.file).read_text().count(mutant.snippet) == 1
