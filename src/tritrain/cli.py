@@ -254,7 +254,7 @@ def _checkpoint_and_dataset(args, classes: bool):
     and, if `classes`, its class count."""
     state = trainer.load_state(args.checkpoint)
     ds = datagen.load_dataset(args.data)
-    counts = {"features": (ds.target_x.shape[1], state.net.f.layers[0].spec.in_dim)}
+    counts = {"features": (ds.target_x.shape[1], state.net.f.in_dim)}
     if classes:
         counts["classes"] = (ds.num_classes, state.net.num_classes)
     for what, (have, want) in counts.items():

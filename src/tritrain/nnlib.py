@@ -1,11 +1,11 @@
-"""Dense-network building blocks: layers, losses, optimizers, gradient checking.
+"""Dense-network building blocks: kernels, the shared extractor, losses and
+optimizers.
 
 Everything runs in float64 and keeps gradients explicit so analytic backward
 passes can be checked against central finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -23,30 +23,9 @@ class StateError(RuntimeError):
     """Operation requires state that has not been populated yet."""
 
 
-LAYER_KINDS = ("affine", "sigmoid", "relu", "batch_norm", "dropout")
-# batch-norm variance offset and running-statistics decay of every BatchNorm layer
+# batch-norm variance offset and running-statistics decay of the extractor
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
-
-
-@dataclass
-class LayerSpec:
-    kind: str
-    in_dim: int
-    out_dim: int
-    dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "affine":
-            if self.in_dim <= 0 or self.out_dim <= 0:
-                raise ConfigError("affine layer needs positive in_dim and out_dim")
-        else:
-            if self.in_dim != self.out_dim:
-                raise ConfigError(f"{self.kind} layer needs in_dim == out_dim")
-        if self.kind == "dropout" and not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -201,31 +180,9 @@ def dropout_train(x, rate, rng):
     """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate)."""
     if rate >= 1.0:
         raise ConfigError("dropout rate must be < 1")
-    if rate <= 0.0:
-        return x.copy(), np.ones_like(x)
     keep = rng.random(x.shape) >= rate
     mask = keep / (1.0 - rate)
     return x * mask, mask
-
-
-def finite_difference_gradient(f, x, h=1e-5):
-    """Central-difference gradient of a scalar function of a 2-D array."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + h
-        fp = f(x)
-        x[idx] = orig - h
-        fm = f(x)
-        x[idx] = orig
-        grad[idx] = (fp - fm) / (2 * h)
-        it.iternext()
-    return grad
 
 
 def glorot_uniform(rng, d_in, d_out):
@@ -234,175 +191,98 @@ def glorot_uniform(rng, d_in, d_out):
 
 
 # ---------------------------------------------------------------------------
-# layer objects
+# the shared extractor
 
 
 class Layer:
-    """One layer kind. The `Sequential` that owns it rebinds its `params` and
-    `grads` to read-only maps of views into its flat buffers: an entry can
-    be written in place (`[...] =`) but not rebound."""
-    spec: LayerSpec
+    """Base of `Sequential`. The benchmark's tracer counts calls to the
+    `forward` and `backward` of this class's direct subclasses."""
 
-    def __init__(self, spec: LayerSpec):
-        self.spec = spec
-        self.params = {}
-        self.grads = {}
+
+class Sequential(Layer):
+    """The shared extractor f: affine, then sigmoid or relu, then inverted
+    dropout if `dropout_rate` > 0, then batch norm if `use_bn`.
+
+    Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
+    then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
+    `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
+    them. `params` and `grads` are read-only maps of the same views, and
+    `running_stats` of batch norm's running mean, variance and batch count,
+    keyed `<i>/<name>` with <i> the part's position in the chain, as
+    checkpoints name them."""
+
+    def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
+                 use_bn: bool, rng):
+        if activation not in ("sigmoid", "relu"):
+            raise ConfigError(f"unsupported activation {activation!r}")
+        d, h = in_dim, hidden_dim
+        self.in_dim, self.activation, self.dropout_rate = in_dim, activation, dropout_rate
+        self.theta = np.zeros(d * h + (3 if use_bn else 1) * h)
+        self.grad = np.zeros_like(self.theta)
+        self.W, self.dW = (a[:d * h].reshape(d, h) for a in (self.theta, self.grad))
+        # the (1, h) rows after W: b, then gamma and beta
+        (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
+                                          for a in (self.theta, self.grad))
+        self.W[...] = glorot_uniform(rng, d, h)
+        params, grads = {"0/W": self.W, "0/b": self.b}, {"0/W": self.dW, "0/b": self.db}
+        self.running_stats, self._running = MappingProxyType({}), None
+        if use_bn:
+            (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
+            self.gamma.fill(1.0)
+            # batch norm sits after the activation and any dropout
+            at = "3/" if dropout_rate > 0 else "2/"
+            params |= {at + "gamma": self.gamma, at + "beta": self.beta}
+            grads |= {at + "gamma": self.dgamma, at + "beta": self.dbeta}
+            # running mean and variance as the rows of one array, updated in
+            # place; the count is a 1-element array, so a checkpoint can copy
+            # into it
+            self._running = np.array([np.zeros(h), np.ones(h)])
+            self._count = np.zeros(1, dtype=np.int64)
+            self.running_stats = MappingProxyType({
+                at + "running_mean": self._running[0], at + "running_var": self._running[1],
+                at + "running_count": self._count})
+        self.params, self.grads = MappingProxyType(params), MappingProxyType(grads)
 
     def forward(self, x, mode="train", rng=None):
-        raise NotImplementedError
-
-    def backward(self, dout):
-        raise NotImplementedError
-
-
-class Affine(Layer):
-    def __init__(self, spec, rng):
-        super().__init__(spec)
-        self.params["W"] = glorot_uniform(rng, spec.in_dim, spec.out_dim)
-        self.params["b"] = np.zeros((1, spec.out_dim))
-        self._x = None
-        # False on the first layer of a Sequential: its backward then returns
-        # no input gradient, which nothing reads
-        self.input_grad = True
-
-    def forward(self, x, mode="train", rng=None):
+        """f(x); train mode draws dropout masks from `rng`, uses batch
+        statistics and keeps what `backward` reads."""
         self._x = x
-        return affine_forward(x, self.params["W"], self.params["b"])
-
-    def backward(self, dout):
-        dx, dW, db = affine_backward(dout, self._x, self.params["W"] if self.input_grad else None)
-        np.add(self.grads["W"], dW, out=self.grads["W"])
-        np.add(self.grads["b"], db, out=self.grads["b"])
-        return dx
-
-
-class Sigmoid(Layer):
-    def __init__(self, spec, rng=None):
-        super().__init__(spec)
-        self._y = None
-
-    def forward(self, x, mode="train", rng=None):
-        self._y = sigmoid(x)
-        return self._y
-
-    def backward(self, dout):
-        return dout * self._y * (1.0 - self._y)
-
-
-class Relu(Layer):
-    def __init__(self, spec, rng=None):
-        super().__init__(spec)
+        z = affine_forward(x, self.W, self.b)
+        if self.activation == "sigmoid":
+            z = self._act = sigmoid(z)
+        else:
+            self._act = z > 0
+            z = np.where(self._act, z, 0.0)
         self._mask = None
-
-    def forward(self, x, mode="train", rng=None):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, dout):
-        return dout * self._mask
-
-
-class BatchNorm(Layer):
-    def __init__(self, spec, rng=None):
-        super().__init__(spec)
-        d = spec.in_dim
-        self.params["gamma"] = np.ones((1, d))
-        self.params["beta"] = np.zeros((1, d))
-        # running mean and variance as the rows of one array, updated in
-        # place; the count is a 1-element array, so a checkpoint can copy
-        # into it. `running_stats` names read-only views of both.
-        self._running = np.array([np.zeros(d), np.ones(d)])
-        self._count = np.zeros(1, dtype=np.int64)
-        self.running_stats = MappingProxyType({"mean": self._running[0],
-                                               "var": self._running[1], "count": self._count})
-        self._cache = None
-
-    def forward(self, x, mode="train", rng=None):
+        if mode == "train" and self.dropout_rate > 0:
+            if rng is None:
+                raise StateError("dropout in training mode needs an rng")
+            z, self._mask = dropout_train(z, self.dropout_rate, rng)
+        if self._running is None:
+            return z
         if mode == "train":
-            y, self._cache = batch_norm_train(
-                x, self.params["gamma"], self.params["beta"], BN_EPS,
-                self._running, self._count, BN_MOMENTUM)
-            return y
-        return batch_norm_eval(x, self.params["gamma"], self.params["beta"],
-                               self._running, self._count, BN_EPS)
+            z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS,
+                                           self._running, self._count, BN_MOMENTUM)
+            return z
+        return batch_norm_eval(z, self.gamma, self.beta, self._running, self._count, BN_EPS)
 
     def backward(self, dout):
-        dx, dgamma, dbeta = batch_norm_backward(dout, self._cache)
-        np.add(self.grads["gamma"], dgamma, out=self.grads["gamma"])
-        np.add(self.grads["beta"], dbeta, out=self.grads["beta"])
-        return dx
-
-
-class Dropout(Layer):
-    def __init__(self, spec, rng=None):
-        super().__init__(spec)
-        self._mask = None
-
-    def forward(self, x, mode="train", rng=None):
-        if mode != "train" or self.spec.dropout_rate == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise StateError("dropout in training mode needs an rng")
-        y, self._mask = dropout_train(x, self.spec.dropout_rate, rng)
-        return y
-
-    def backward(self, dout):
-        if self._mask is None:
-            return dout
-        return dout * self._mask
-
-
-_LAYER_CLASSES = {
-    "affine": Affine,
-    "sigmoid": Sigmoid,
-    "relu": Relu,
-    "batch_norm": BatchNorm,
-    "dropout": Dropout,
-}
-
-
-def build_layer(spec: LayerSpec, rng) -> Layer:
-    return _LAYER_CLASSES[spec.kind](spec, rng)
-
-
-class Sequential:
-    """A stack of layers with cached forward state for one backward pass.
-    Parameters live in one flat float64 buffer `theta` and gradients in
-    `grad`; each layer's `params`/`grads` are read-only maps of views into
-    them, so no entry can come detached from the buffers."""
-
-    def __init__(self, specs: list[LayerSpec], rng):
-        self.layers = [build_layer(s, rng) for s in specs]
-        for prev, nxt in zip(specs, specs[1:]):
-            if prev.out_dim != nxt.in_dim:
-                raise ConfigError(
-                    f"layer chain broken: {prev.kind}({prev.out_dim}) -> {nxt.kind}({nxt.in_dim})")
-        size = sum(p.size for layer in self.layers for p in layer.params.values())
-        self.theta, self.grad = np.empty(size), np.zeros(size)
-        off = 0
-        for layer in self.layers:
-            params, grads = {}, {}
-            for k, p in layer.params.items():
-                end = off + p.size
-                self.theta[off:end] = p.ravel()
-                params[k] = self.theta[off:end].reshape(p.shape)
-                grads[k] = self.grad[off:end].reshape(p.shape)
-                off = end
-            layer.params, layer.grads = MappingProxyType(params), MappingProxyType(grads)
-        if isinstance(self.layers[0], Affine):
-            self.layers[0].input_grad = False
-
-    def forward(self, x, mode="train", rng=None):
-        for layer in self.layers:
-            x = layer.forward(x, mode=mode, rng=rng)
-        return x
-
-    def backward(self, dout):
-        """Accumulate every layer's parameter gradients. The gradient w.r.t.
-        the net's input is never read; a first affine layer skips it."""
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
+        """Accumulate the parameter gradients of the last train-mode
+        forward. The gradient w.r.t. f's input is never read, so the first
+        layer computes none."""
+        if self._running is not None:
+            dout, dgamma, dbeta = batch_norm_backward(dout, self._bn)
+            np.add(self.dgamma, dgamma, out=self.dgamma)
+            np.add(self.dbeta, dbeta, out=self.dbeta)
+        if self._mask is not None:
+            dout = dout * self._mask
+        if self.activation == "sigmoid":
+            dout = dout * self._act * (1.0 - self._act)
+        else:
+            dout = dout * self._act
+        _, dW, db = affine_backward(dout, self._x)
+        np.add(self.dW, dW, out=self.dW)
+        np.add(self.db, db, out=self.db)
 
     def zero_grads(self):
         self.grad.fill(0.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import labeler
 from .labeler import LabelingConfig, PseudoLabelSet, candidate_count, label_candidates, sample_candidates
-from .nnlib import BatchNorm, ConfigError, LayerSpec, ShapeError, make_optimizer
+from .nnlib import ConfigError, ShapeError, make_optimizer
 from .trinet import GradientGates, TriNet
 
 log = logging.getLogger(__name__)
@@ -111,13 +111,8 @@ class TrainState:
 def build_net(cfg: TrainConfig, in_dim: int, num_classes: int) -> TriNet:
     """Shared extractor: affine -> activation [-> dropout] [-> batch norm];
     each head: a single softmax-producing affine layer."""
-    h = cfg.hidden_dim
-    f_specs = [LayerSpec("affine", in_dim, h), LayerSpec(cfg.activation, h, h)]
-    if cfg.dropout_rate > 0:
-        f_specs.append(LayerSpec("dropout", h, h, dropout_rate=cfg.dropout_rate))
-    if cfg.use_bn:
-        f_specs.append(LayerSpec("batch_norm", h, h))
-    return TriNet(f_specs, num_classes, lam=cfg.lam, gates=cfg.gates, seed=cfg.seed)
+    return TriNet(in_dim, num_classes, cfg.hidden_dim, cfg.activation, cfg.dropout_rate,
+                  cfg.use_bn, lam=cfg.lam, gates=cfg.gates, seed=cfg.seed)
 
 
 def init_state(cfg: TrainConfig, in_dim: int, num_classes: int) -> TrainState:
@@ -292,14 +287,13 @@ _SLOT = "opt/main/slot/"
 def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint array name, in file order, mapped to the live array
     it holds: `param/<net>/<layer>/<key>` views into f's theta and each
-    head's arena row, `state/f/<layer>/running_{mean,var,count}` each
-    batch-norm layer's statistics, then `opt/main/slot/<net>` the slots."""
-    net, layers = state.net, list(enumerate(state.net.f.layers))
-    arrays = {f"param/f/{i}/{k}": p for i, layer in layers for k, p in layer.params.items()}
+    head's arena row, `state/f/<layer>/running_{mean,var,count}` f's
+    batch-norm statistics, then `opt/main/slot/<net>` the slots."""
+    net = state.net
+    arrays = {f"param/f/{k}": p for k, p in net.f.params.items()}
     for i, head in enumerate(TriNet.BRANCHES):
         arrays[f"param/{head}/0/W"], arrays[f"param/{head}/0/b"] = net.W[i], net.b[i]
-    arrays.update({f"state/f/{i}/running_{k}": v for i, layer in layers
-                   if isinstance(layer, BatchNorm) for k, v in layer.running_stats.items()})
+    arrays.update({f"state/f/{k}": v for k, v in net.f.running_stats.items()})
     arrays.update({_SLOT + name: v for name, v in state.opt.slots.items()})
     return arrays
 
@@ -310,7 +304,7 @@ def save_state(path, state: TrainState):
     `checkpoint_arrays`. The pseudo-label pool is not stored."""
     net = state.net
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.cfg),
-            "in_dim": net.f.layers[0].spec.in_dim, "num_classes": net.num_classes,
+            "in_dim": net.f.in_dim, "num_classes": net.num_classes,
             "lr": state.opt.lr, "step": state.step,
             "rng_states": {"train": state.rng_train.bit_generator.state,
                            "label": state.rng_label.bit_generator.state}}

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nnlib
-from .nnlib import (ConfigError, LayerSpec, Sequential, ShapeError, glorot_uniform, softmax,
+from .nnlib import (ConfigError, Sequential, ShapeError, glorot_uniform, softmax,
                     softmax_cross_entropy)
 
 
@@ -58,8 +58,9 @@ def weight_divergence(W1: np.ndarray, W2: np.ndarray):
 
 
 class TriNet:
-    """Shared extractor `f` feeding heads f1, f2 (labeling) and ft (target),
-    each one affine layer to `num_classes` logits. Row i of the arena `theta`
+    """Shared extractor `f` (an `nnlib.Sequential` from `in_dim` to
+    `hidden_dim` = d) feeding heads f1, f2 (labeling) and ft (target), each
+    one affine layer to `num_classes` = k logits. Row i of the arena `theta`
     (3, d·k + k) is head BRANCHES[i]'s W (d, k) then b (k), viewed as `W`
     (3, d, k) and `b` (3, 1, k); `grad`, `dW` and `db` mirror them."""
 
@@ -67,17 +68,19 @@ class TriNet:
     # phase -> (its heads' arena rows, the GradientGates field opening f to it)
     PHASES = {"labeling": (slice(0, 2), "from_f1_f2"), "target": (slice(2, 3), "from_ft")}
 
-    def __init__(self, f_specs: list[LayerSpec], num_classes: int, lam: float = 0.01,
-                 gates: GradientGates | None = None, seed: int = 0):
+    def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 50,
+                 activation: str = "sigmoid", dropout_rate: float = 0.0, use_bn: bool = True,
+                 lam: float = 0.01, gates: GradientGates | None = None, seed: int = 0):
         if lam < 0:
             raise ConfigError("lambda must be non-negative")
         self.num_classes = num_classes
         self.lam = lam
         self.gates = gates or GradientGates()
-        d, k = f_specs[-1].out_dim, num_classes
+        d, k = hidden_dim, num_classes
         # independent sub-seeds so the three heads start differently
         ss = np.random.SeedSequence(seed).spawn(4)
-        self.f = Sequential(f_specs, np.random.default_rng(ss[0]))
+        self.f = Sequential(in_dim, d, activation, dropout_rate, use_bn,
+                            np.random.default_rng(ss[0]))
         self.theta, self.grad = np.zeros((3, d * k + k)), np.zeros((3, d * k + k))
         self.W, self.dW = (a[:, :d * k].reshape(3, d, k) for a in (self.theta, self.grad))
         self.b, self.db = (a[:, d * k:].reshape(3, 1, k) for a in (self.theta, self.grad))

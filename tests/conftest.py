@@ -31,14 +31,33 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max(initial=0.0) / denom)
 
 
+def finite_difference_gradient(f, x, h=1e-5):
+    """Central-difference gradient of a scalar function of a 2-D array."""
+    if h <= 0:
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + h
+        fp = f(x)
+        x[idx] = orig - h
+        fm = f(x)
+        x[idx] = orig
+        grad[idx] = (fp - fm) / (2 * h)
+        it.iternext()
+    return grad
+
+
 def named(net, which="params") -> dict[str, np.ndarray]:
-    """`<net>/<layer>/<key>` -> each layer's `params` or `grads` array, over
-    the four networks of a TriNet, where head `<h>/0/W` and `<h>/0/b` are
-    views into the head's arena row; a Sequential's keys are `<layer>/<key>`."""
+    """`<net>/<layer>/<key>` -> each `params` or `grads` array, over the
+    four networks of a TriNet, where head `<h>/0/W` and `<h>/0/b` are views
+    into the head's arena row; an extractor's keys are `<layer>/<key>`."""
     seq = net.f if isinstance(net, TriNet) else net
     prefix = "f/" if isinstance(net, TriNet) else ""
-    out = {f"{prefix}{i}/{k}": a for i, layer in enumerate(seq.layers)
-           for k, a in getattr(layer, which).items()}
+    out = {prefix + k: a for k, a in getattr(seq, which).items()}
     if isinstance(net, TriNet):
         W, b = (net.W, net.b) if which == "params" else (net.dW, net.db)
         for i, head in enumerate(TriNet.BRANCHES):

@@ -61,24 +61,23 @@ MUTANTS = (
            ("tests/test_analysis.py::test_a_distance_stacked_folds_equal_fold_by_fold_training",)),
     # f's backward: the activations', dropout's and the first layer's dW
     Mutant("sigmoid_backward_without_its_derivative", "src/tritrain/nnlib.py",
-           "        return dout * self._y * (1.0 - self._y)",
-           "        return dout * self._y",
+           "            dout = dout * self._act * (1.0 - self._act)",
+           "            dout = dout * self._act",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("relu_backward_passes_every_unit", "src/tritrain/nnlib.py",
-           "        return np.where(self._mask, x, 0.0)\n\n"
-           "    def backward(self, dout):\n        return dout * self._mask",
-           "        return np.where(self._mask, x, 0.0)\n\n"
-           "    def backward(self, dout):\n        return dout",
+           "        else:\n            dout = dout * self._act\n",
+           "        else:\n            dout = dout\n",
            ("tests/test_nnlib.py::test_sigmoid_relu_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("dropout_backward_without_its_mask", "src/tritrain/nnlib.py",
-           "            return dout\n        return dout * self._mask",
-           "            return dout\n        return dout",
-           ("tests/test_acceptance.py::test_short_run_bytes_are_pinned",)),
+           "            dout = dout * self._mask",
+           "            dout = dout",
+           ("tests/test_acceptance.py::test_acceptance_gradient_suite",
+            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
-           "np.add(self.grads[\"W\"], dW, out=self.grads[\"W\"])",
-           "np.add(self.grads[\"W\"], 0.5 * dW, out=self.grads[\"W\"])",
+           "np.add(self.dW, dW, out=self.dW)",
+           "np.add(self.dW, 0.5 * dW, out=self.dW)",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",

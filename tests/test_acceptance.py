@@ -16,7 +16,6 @@ import pytest
 from conftest import named, record_acceptance, rel_err
 from tritrain import analysis, cli, datagen, labeler, trainer, trinet
 from tritrain.labeler import LabelingConfig, candidate_count
-from tritrain.nnlib import LayerSpec
 from tritrain.trainer import TrainConfig, evaluate, run
 from tritrain.trinet import BranchOutput, TriNet
 
@@ -60,34 +59,40 @@ def test_step_zero_is_the_source_only_baseline(benchmark_runs, moons_benchmark_c
 # criterion 1: analytic gradients match finite differences
 
 
-def _loss_with_param(net, x, y, kind, name, arr):
-    """Joint or target loss with one named parameter temporarily replaced."""
+def _loss(net, x, y, kind, seed):
+    """Joint or target loss, with the dropout masks of generator `seed`,
+    the same on every call."""
+    rng = np.random.default_rng(seed)
+    if kind == "joint":
+        loss, _ = net.joint_labeling_loss(x, y, rng=rng)
+        return loss
+    return net.target_loss(x, y, rng=rng)
+
+
+def _loss_with_param(net, x, y, kind, name, arr, seed):
+    """`_loss` with one named parameter temporarily replaced."""
     params = named(net)
     original = params[name].copy()
     params[name][...] = arr
     try:
-        if kind == "joint":
-            loss, _ = net.joint_labeling_loss(x, y)
-            return loss
-        return net.target_loss(x, y)
+        return _loss(net, x, y, kind, seed)
     finally:
         params[name][...] = original
 
 
-def _max_grad_rel_err(seed, use_bn):
+# the extractors `build_net` makes, each with and without batch norm
+EXTRACTORS = [("sigmoid", 0.0), ("sigmoid", 0.2), ("relu", 0.0), ("relu", 0.2)]
+
+
+def _max_grad_rel_err(seed, activation, dropout_rate, use_bn):
     rng = np.random.default_rng(seed)
-    f_specs = [LayerSpec("affine", 3, 4), LayerSpec("sigmoid", 4, 4)]
-    if use_bn:
-        f_specs.append(LayerSpec("batch_norm", 4, 4))
-    net = TriNet(f_specs, 3, lam=0.01, seed=seed)
+    net = TriNet(3, 3, hidden_dim=4, activation=activation, dropout_rate=dropout_rate,
+                 use_bn=use_bn, lam=0.01, seed=seed)
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, size=6)
     worst = 0.0
     for kind, skip in (("joint", ("ft/",)), ("target", ("f1/", "f2/"))):
-        if kind == "joint":
-            net.joint_labeling_loss(x, y)
-        else:
-            net.target_loss(x, y)
+        _loss(net, x, y, kind, seed)
         grads = {k: v.copy() for k, v in named(net, "grads").items()}
         for name, p in named(net).items():
             if name.startswith(skip):
@@ -100,8 +105,8 @@ def _max_grad_rel_err(seed, use_bn):
                 up, dn = p.copy(), p.copy()
                 up[i] += h
                 dn[i] -= h
-                fd[i] = (_loss_with_param(net, x, y, kind, name, up)
-                         - _loss_with_param(net, x, y, kind, name, dn)) / (2 * h)
+                fd[i] = (_loss_with_param(net, x, y, kind, name, up, seed)
+                         - _loss_with_param(net, x, y, kind, name, dn, seed)) / (2 * h)
             worst = max(worst, rel_err(grads[name], fd))
     return worst
 
@@ -110,7 +115,9 @@ def test_acceptance_gradient_suite():
     start = time.time()
     worst = 0.0
     for seed in range(20):
-        worst = max(worst, _max_grad_rel_err(seed, use_bn=bool(seed % 2)))
+        for activation, dropout_rate in EXTRACTORS:
+            worst = max(worst, _max_grad_rel_err(seed, activation, dropout_rate,
+                                                 use_bn=bool(seed % 2)))
     elapsed = time.time() - start
     ok = worst < 1e-4 and elapsed < 60
     record_acceptance("gradient suite (20 seeds, all layer types)", ok,

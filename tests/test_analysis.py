@@ -16,7 +16,8 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                distance_from_error, emit_report,
                                empirical_hdh_distance, make_stump_class,
                                verify_rho_bound, verify_theorem1)
-from tritrain.nnlib import LayerSpec, Sequential, make_optimizer, softmax_cross_entropy
+from tritrain.nnlib import (affine_backward, affine_forward, glorot_uniform, make_optimizer,
+                            softmax_cross_entropy)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -537,21 +538,21 @@ def test_a_distance_is_seed_deterministic():
 
 
 def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, lr=0.1):
-    """The reference: one fold's classifier trained alone."""
+    """The reference: one fold's classifier trained alone, its W (dim, 2)
+    and b (1, 2) one flat buffer for the optimizer."""
     rng = np.random.default_rng(seed)
-    clf = Sequential([LayerSpec("affine", dim, 2)], rng)
+    theta = np.concatenate([glorot_uniform(rng, dim, 2).ravel(), np.zeros(2)])
+    W, b = theta[:2 * dim].reshape(dim, 2), theta[2 * dim:].reshape(1, 2)
     opt = make_optimizer("adagrad", lr)
     n = len(train_x)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            logits = clf.forward(train_x[idx], mode="train")
-            _, dz = softmax_cross_entropy(logits, train_y[idx])
-            clf.zero_grads()
-            clf.backward(dz)
-            opt.step({"clf": clf.theta}, {"clf": clf.grad})
-    return clf
+            _, dz = softmax_cross_entropy(affine_forward(train_x[idx], W, b), train_y[idx])
+            _, dW, db = affine_backward(dz, train_x[idx])
+            opt.step({"clf": theta}, {"clf": np.concatenate([dW.ravel(), db.ravel()])})
+    return W, b
 
 
 def _a_distance_fold_by_fold(feats_s, feats_t, heldout_fraction=0.5, folds=5, seed=0):
@@ -565,9 +566,9 @@ def _a_distance_fold_by_fold(feats_s, feats_t, heldout_fraction=0.5, folds=5, se
     for fold_seed in np.random.SeedSequence(seed).spawn(folds):
         perm = np.random.default_rng(fold_seed).permutation(len(x))
         held, tr = perm[:n_held], perm[n_held:]
-        clf = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
-        errs.append(np.mean(clf.forward(x[held], mode="eval").argmax(axis=1) != y[held]))
-        trained.append((tr, clf))
+        W, b = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
+        errs.append(np.mean(affine_forward(x[held], W, b).argmax(axis=1) != y[held]))
+        trained.append((tr, (W, b)))
     return distance_from_error(float(np.mean(errs))), x, y, trained
 
 
@@ -586,9 +587,9 @@ def test_a_distance_stacked_folds_equal_fold_by_fold_training():
         partial_batches += tr.shape[1] % 64 != 0
         rngs = [np.random.default_rng(f) for f in np.random.SeedSequence(seed).spawn(5)]
         W, b = analysis._train_domain_classifiers(x[tr], y[tr], rngs)
-        for f, (_, clf) in enumerate(trained):
-            np.testing.assert_array_equal(W[f], clf.layers[0].params["W"])
-            np.testing.assert_array_equal(b[f], clf.layers[0].params["b"])
+        for f, (_, (W_f, b_f)) in enumerate(trained):
+            np.testing.assert_array_equal(W[f], W_f)
+            np.testing.assert_array_equal(b[f], b_f)
     assert partial_batches > 0
 
 

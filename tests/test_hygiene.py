@@ -28,8 +28,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PROGRAM = sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 # definitions kept though only tests reach them
 REACH_ALLOWLIST = {
-    "finite_difference_gradient",  # the oracle of the acceptance gradient check
-    "read_metrics_csv",            # the metrics.csv reader that resuming a run will use
+    "read_metrics_csv",  # the metrics.csv reader that resuming a run will use
 }
 
 
@@ -131,7 +130,7 @@ def test_checker_flags_an_unreached_definition_and_only_that():
               "    def unused(self): pass\n"
               "def helper(): return A().used()\n"
               "def orphan(): pass\n"
-              "def finite_difference_gradient(): pass\n")
+              "def read_metrics_csv(): pass\n")
     caller = "helper(); getattr(A, 'by_string')\n"
     assert unreached(source, [source, caller]) == ["line 5: unused", "line 7: orphan"]
 
@@ -246,14 +245,26 @@ def test_bench_moons_config_is_the_acceptance_fixtures(moons_benchmark_config):
     assert TrainConfig(**bench) == TrainConfig(**moons_benchmark_config)
 
 
-@pytest.mark.parametrize("kind", nnlib.LAYER_KINDS)
+# every extractor `build_net` makes: activation, dropout rate, batch norm
+EXTRACTORS = [(a, p, bn) for a in ("sigmoid", "relu") for p in (0.0, 0.2) for bn in (False, True)]
+# the parts of an extractor, and which extractors hold each
+LAYER_KINDS = {"affine": lambda a, p, bn: True, "sigmoid": lambda a, p, bn: a == "sigmoid",
+               "relu": lambda a, p, bn: a == "relu", "dropout": lambda a, p, bn: p > 0,
+               "batch_norm": lambda a, p, bn: bn}
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
 def test_every_layer_kind_is_a_layer_subclass_the_tracer_counts(kind):
     # the tracer counts layer calls on the direct Layer subclasses that
-    # define forward and backward themselves
-    layer = nnlib.build_layer(nnlib.LayerSpec(kind, 2, 2), np.random.default_rng(0))
-    cls = type(layer)
-    assert cls in nnlib.Layer.__subclasses__()
-    assert {"forward", "backward"} <= cls.__dict__.keys()
+    # define forward and backward themselves; f runs each kind inside one
+    extractors = [e for e in EXTRACTORS if LAYER_KINDS[kind](*e)]
+    assert extractors
+    for activation, dropout_rate, use_bn in extractors:
+        cfg = TrainConfig(hidden_dim=2, activation=activation, dropout_rate=dropout_rate,
+                          use_bn=use_bn)
+        cls = type(trainer.build_net(cfg, 2, 2).f)
+        assert cls in nnlib.Layer.__subclasses__()
+        assert {"forward", "backward"} <= cls.__dict__.keys()
 
 
 def by_name_imports(source: str) -> set[tuple[str, str]]:

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from tritrain import nnlib
-from tritrain.nnlib import (Adagrad, ConfigError, LayerSpec, MomentumSGD,
+from tritrain.nnlib import (Adagrad, ConfigError, MomentumSGD,
                             Sequential, ShapeError, StateError,
                             affine_backward, affine_forward,
                             batch_norm_backward, batch_norm_eval,
-                            batch_norm_train, dropout_train,
-                            finite_difference_gradient, sigmoid, softmax,
+                            batch_norm_train, dropout_train, sigmoid, softmax,
                             softmax_cross_entropy)
 
-from conftest import named, rel_err
+from conftest import finite_difference_gradient, named, rel_err
 
 
 def fresh_stats(d):
@@ -325,46 +323,41 @@ def test_fd_rejects_bad_step():
 
 
 # ---------------------------------------------------------------------------
-# activations and layer stacks
+# the extractor
 
 
 def test_sigmoid_relu_grads_match_finite_differences():
+    # through the first layer's dW: the activation's backward is what
+    # carries the upstream gradient there
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(4, 3)) + 0.1  # keep relu away from its kink
+        x = rng.normal(size=(4, 3))
         up = rng.normal(size=(4, 3))
         for kind in ("sigmoid", "relu"):
-            layer = nnlib.build_layer(LayerSpec(kind, 3, 3), rng)
-            layer.forward(x)
-            dx = layer.backward(up)
-            num = finite_difference_gradient(
-                lambda v: (nnlib.build_layer(LayerSpec(kind, 3, 3), rng).forward(v) * up).sum(),
-                x.copy())
-            assert rel_err(dx, num) < 1e-4
+            f = Sequential(3, 3, kind, 0.0, False, rng)
+            f.forward(x)
+            f.backward(up)
+            # the differences perturb the live view f.W in place
+            num = finite_difference_gradient(lambda w: (f.forward(x) * up).sum(), f.W)
+            assert rel_err(f.dW, num) < 1e-4
 
 
-def test_layer_spec_validation():
-    with pytest.raises(ConfigError):
-        LayerSpec("sigmoid", 3, 4)
-    with pytest.raises(ConfigError):
-        LayerSpec("affine", 0, 4)
-    with pytest.raises(ConfigError):
-        LayerSpec("nope", 2, 2)
+def test_extractor_rejects_an_unknown_activation():
+    with pytest.raises(ConfigError, match="tanh"):
+        Sequential(2, 2, "tanh", 0.0, True, np.random.default_rng(0))
 
 
 def test_sequential_seed_reproducibility():
-    specs = [LayerSpec("affine", 4, 8), LayerSpec("sigmoid", 8, 8),
-             LayerSpec("affine", 8, 2)]
-    a = Sequential(specs, np.random.default_rng(12))
-    b = Sequential(specs, np.random.default_rng(12))
+    a = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
+    b = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
+    assert named(a).keys() == {"0/W", "0/b", "2/gamma", "2/beta"}
     for k, v in named(a).items():
         np.testing.assert_array_equal(v, named(b)[k])
 
 
 def test_forward_outputs_stay_finite():
     rng = np.random.default_rng(13)
-    net = Sequential([LayerSpec("affine", 5, 7), LayerSpec("relu", 7, 7),
-                      LayerSpec("batch_norm", 7, 7), LayerSpec("affine", 7, 3)], rng)
+    net = Sequential(5, 7, "relu", 0.0, True, rng)
     for _ in range(5):
         out = net.forward(rng.normal(scale=100, size=(16, 5)), mode="train")
         assert np.all(np.isfinite(out))
@@ -574,35 +567,35 @@ def test_stacked_affine_rejects_mismatched_model_axes():
 # flat parameter arena
 
 
-ARENA_SPECS = [LayerSpec("affine", 3, 5), LayerSpec("sigmoid", 5, 5),
-               LayerSpec("batch_norm", 5, 5), LayerSpec("affine", 5, 2)]
+def arena_net(seed):
+    """An extractor from 3 inputs to 5 units with batch norm."""
+    return Sequential(3, 5, "sigmoid", 0.0, True, np.random.default_rng(seed))
 
 
 def assert_views_of_arena(net):
-    for layer in net.layers:
-        for k in layer.params:
-            assert np.shares_memory(layer.params[k], net.theta)
-            assert np.shares_memory(layer.grads[k], net.grad)
+    for k in net.params:
+        assert np.shares_memory(net.params[k], net.theta)
+        assert np.shares_memory(net.grads[k], net.grad)
     assert sum(p.size for p in named(net).values()) == net.theta.size
 
 
 def _one_backward(net, rng):
     net.zero_grads()
     logits = net.forward(rng.normal(size=(8, 3)), mode="train")
-    _, dz = softmax_cross_entropy(logits, rng.integers(0, 2, size=8))
+    _, dz = softmax_cross_entropy(logits, rng.integers(0, 5, size=8))
     net.backward(dz)
 
 
 def test_arena_views_survive_zero_grads_set_params_and_steps():
     rng = np.random.default_rng(33)
-    net = Sequential(ARENA_SPECS, rng)
+    net = arena_net(33)
     assert_views_of_arena(net)
     _one_backward(net, rng)
     assert np.any(net.grad != 0)
     net.zero_grads()
     assert_views_of_arena(net)
     assert not np.any(net.grad)
-    other = Sequential(ARENA_SPECS, np.random.default_rng(34))
+    other = arena_net(34)
     for k, p in named(net).items():
         p[...] = named(other)[k]
     assert_views_of_arena(net)
@@ -616,8 +609,8 @@ def test_arena_views_survive_zero_grads_set_params_and_steps():
 @pytest.mark.parametrize("make_opt", [lambda: MomentumSGD(lr=0.05, momentum=0.9),
                                       lambda: Adagrad(lr=0.05)])
 def test_flat_step_equals_per_parameter_step(make_opt):
-    flat = Sequential(ARENA_SPECS, np.random.default_rng(36))
-    per = Sequential(ARENA_SPECS, np.random.default_rng(36))
+    flat = arena_net(36)
+    per = arena_net(36)
     opt_flat, opt_per = make_opt(), make_opt()
     rng = np.random.default_rng(37)
     for _ in range(5):
@@ -633,25 +626,24 @@ def test_flat_step_equals_per_parameter_step(make_opt):
 
 
 def test_assigning_a_param_raises_and_keeps_the_arena():
-    net = Sequential(ARENA_SPECS, np.random.default_rng(38))
-    layer = net.layers[0]
-    W, before = layer.params["W"], net.theta.copy()
+    net = arena_net(38)
+    W, before = net.params["0/W"], net.theta.copy()
     with pytest.raises(TypeError):
-        layer.params["W"] = np.eye(3, 5)
-    assert layer.params["W"] is W
+        net.params["0/W"] = np.eye(3, 5)
+    assert net.params["0/W"] is W
     np.testing.assert_array_equal(net.theta, before)
     W_before = W.copy()
     _one_backward(net, np.random.default_rng(39))
     MomentumSGD(lr=0.1).step({"net": net.theta}, {"net": net.grad})
-    assert not np.array_equal(layer.params["W"], W_before)
+    assert not np.array_equal(net.params["0/W"], W_before)
     assert_views_of_arena(net)
 
 
 def test_assigning_a_param_of_wrong_shape_is_rejected():
-    net = Sequential(ARENA_SPECS, np.random.default_rng(40))
+    net = arena_net(40)
     before = net.theta.copy()
     with pytest.raises(TypeError):
-        net.layers[0].params["b"] = np.zeros(5)
+        net.params["0/b"] = np.zeros(5)
     with pytest.raises(TypeError):
-        net.layers[0].grads["W"] = np.zeros((5, 3))
+        net.grads["0/W"] = np.zeros((5, 3))
     np.testing.assert_array_equal(net.theta, before)

@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 
 from tritrain import nnlib
-from tritrain.nnlib import (ConfigError, LayerSpec, MomentumSGD,
-                            finite_difference_gradient, sigmoid,
-                            softmax_cross_entropy)
+from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax_cross_entropy
 from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state,
                               save_state)
 from tritrain.trinet import BranchOutput, GradientGates, TriNet, weight_divergence
 
-from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, named, rel_err,
-                      rewrite_checkpoint)
+from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS,
+                      finite_difference_gradient, named, rel_err, rewrite_checkpoint)
 
 
 def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
-    f_specs = [LayerSpec("affine", 3, 4), LayerSpec("sigmoid", 4, 4)]
-    if use_bn:
-        f_specs.append(LayerSpec("batch_norm", 4, 4))
-    return TriNet(f_specs, num_classes=3, lam=lam, gates=gates, seed=seed)
+    return TriNet(3, num_classes=3, hidden_dim=4, use_bn=use_bn, lam=lam, gates=gates,
+                  seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +62,17 @@ def test_eval_forward_is_deterministic():
 
 
 def test_forward_reduces_to_logistic_regression():
-    # identity extractor + hand-set 2-class head = closed-form sigmoid
-    net = TriNet([LayerSpec("affine", 2, 2)], num_classes=2, lam=0.0, seed=0)
-    f = net.f.layers[0]
-    f.params["W"][...] = np.eye(2)
-    f.params["b"][...] = np.zeros((1, 2))
+    # identity weights without batch norm + hand-set 2-class head =
+    # closed-form logistic regression on the sigmoid features
+    net = TriNet(2, num_classes=2, hidden_dim=2, use_bn=False, lam=0.0, seed=0)
+    net.f.W[...] = np.eye(2)
+    net.f.b[...] = np.zeros((1, 2))
     w = np.array([0.7, -1.3])
     net.W[0] = np.column_stack([np.zeros(2), w])
     net.b[0] = np.zeros((1, 2))
     x = np.random.default_rng(3).normal(size=(20, 2))
     out = net.forward(x)["f1"]
-    np.testing.assert_allclose(out.probs[:, 1], sigmoid(x @ w), atol=1e-12)
+    np.testing.assert_allclose(out.probs[:, 1], sigmoid(sigmoid(x) @ w), atol=1e-12)
 
 
 def test_branches_initialized_differently():
@@ -88,7 +84,7 @@ def test_branches_initialized_differently():
 
 def test_each_head_row_starts_from_its_own_seed_stream():
     # row i is the glorot draw of spawn key (i + 1,), with a zero bias, as
-    # a one-layer Sequential of its own would start
+    # a lone affine layer of its own would start
     net = small_net(seed=7)
     streams = np.random.SeedSequence(7).spawn(4)[1:]
     for i, s in enumerate(streams):
@@ -382,10 +378,9 @@ def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
     net = back.net
     np.testing.assert_array_equal(net.f.theta, state.net.f.theta)
     np.testing.assert_array_equal(net.theta, state.net.theta)
-    for layer in net.f.layers:
-        for k in layer.params:
-            assert np.shares_memory(layer.params[k], net.f.theta)
-            assert np.shares_memory(layer.grads[k], net.f.grad)
+    for k in net.f.params:
+        assert np.shares_memory(net.f.params[k], net.f.theta)
+        assert np.shares_memory(net.f.grads[k], net.f.grad)
     for view in (net.W, net.b):
         assert np.shares_memory(view, net.theta)
     for view in (net.dW, net.db):
