@@ -15,6 +15,8 @@ from .nnlib import softmax_cross_entropy
 
 # float slack for comparisons between exactly-derived empirical quantities
 _EPS = 1e-9
+# the most stumps a class may hold: exhaustive checks are quadratic in it
+MAX_HYPOTHESES = 10_000
 
 
 @dataclass
@@ -26,8 +28,10 @@ class HypothesisClass:
     polarities: np.ndarray  # +1: predict 1 above threshold; -1: below
 
     def __post_init__(self):
-        if len(self) > 10_000:
-            raise ValueError("hypothesis class too large to enumerate exhaustively")
+        if len(self) > MAX_HYPOTHESES:
+            raise ValueError(f"hypothesis class of {len(self)} stumps is too large to enumerate "
+                             f"exhaustively: at most {MAX_HYPOTHESES}, and at most "
+                             f"bound.max_hypotheses in bound-check")
 
     def __len__(self):
         return len(self.dims)

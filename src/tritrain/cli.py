@@ -36,6 +36,9 @@ class BoundCheckConfig:
     pretrain_iters: int = 100
 
     def __post_init__(self):
+        if self.max_hypotheses > analysis.MAX_HYPOTHESES:
+            raise ConfigError(f"bound.max_hypotheses must be <= {analysis.MAX_HYPOTHESES}, "
+                              f"the most stumps a class may hold, got {self.max_hypotheses}")
         if self.thresholds_per_dim < 1:
             raise ConfigError(f"bound.thresholds_per_dim must be >= 1, "
                               f"got {self.thresholds_per_dim}")
@@ -184,6 +187,8 @@ def _resolve(args) -> dict:
         if (key in cfg) != sparse:
             raise ConfigError(f'data.format = "sparse_bow" needs {key}' if sparse
                               else f'{key} needs data.format = "sparse_bow"')
+    if sparse and cfg["data.dim"] < 1:
+        raise ConfigError(f"config key 'data.dim' must be >= 1, got {cfg['data.dim']}")
     return cfg
 
 

@@ -183,9 +183,10 @@ def _write_csv(path, x, y=None):
 
 
 def _read_csv(path, num_classes: int):
-    """Features and, when the header ends in `label`, labels. A row without
-    one field per header column, a field that does not parse, a non-finite
-    feature or a label outside [0, num_classes) is a ParseError."""
+    """Features and, when the header ends in `label`, labels. A header with
+    no feature column, a row without one field per header column, a field
+    that does not parse, a non-finite feature or a label outside
+    [0, num_classes) is a ParseError."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
@@ -193,6 +194,8 @@ def _read_csv(path, num_classes: int):
             raise ParseError(1, "missing header", path)
         has_label = header[-1] == "label"
         nfeat = len(header) - (1 if has_label else 0)
+        if nfeat < 1:
+            raise ParseError(1, "no feature column", path)
         xs, ys = [], []
         for row in r:
             if len(row) != len(header):

@@ -215,6 +215,9 @@ class Sequential(Layer):
                  use_bn: bool, rng):
         if activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {activation!r}")
+        if in_dim < 1 or hidden_dim < 1:
+            raise ConfigError(f"the extractor needs in_dim and hidden_dim >= 1, "
+                              f"got {in_dim} and {hidden_dim}")
         d, h = in_dim, hidden_dim
         self.in_dim, self.activation, self.dropout_rate = in_dim, activation, dropout_rate
         self.theta = np.zeros(d * h + (3 if use_bn else 1) * h)

@@ -174,6 +174,17 @@ CONFIG_ERRORS = [
     # writing manifest.json
     ("train", ["train.pretrain_iters=0"], "pretrain_iters"),
     ("bound-check", ["bound.pretrain_iters=0"], "pretrain_iters"),
+    # a zero-width input used to fail only after writing manifest.json,
+    # naming no key
+    ("train", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
+               'data.target_path="b.txt"', "data.dim=0"], "data.dim"),
+    ("train", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
+               'data.target_path="b.txt"', "data.dim=-1"], "data.dim"),
+    ("bound-check", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
+                     'data.target_path="b.txt"', "data.dim=0"], "data.dim"),
+    # a cap above the enumeration limit used to fail only after writing
+    # manifest.json, naming no key
+    ("bound-check", ["bound.max_hypotheses=20000"], "bound.max_hypotheses"),
 ]
 
 
@@ -575,6 +586,21 @@ def test_bound_check_fault_injection_exits_verify(tmp_path, capsys):
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(out),
                    "--inject-fault"])
     assert rc == cli.EXIT_VERIFY
+
+
+def test_bound_check_names_the_size_of_a_class_over_the_enumeration_cap(tmp_path, capsys):
+    # with the default bound.max_hypotheses, the class itself rejects its
+    # size before the command's own cap check can
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
+    args = ["bound-check", "--config", cfg, "--out", str(tmp_path / "o")]
+    for item in ("data.n_source=1500", "data.n_target=1500", "bound.max_samples=3000",
+                 "bound.thresholds_per_dim=3000", "bound.max_hypotheses=2000"):
+        args += ["--set", item]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    size = re.search(r"class of (\d+) stumps", err)
+    assert size and int(size[1]) > analysis.MAX_HYPOTHESES
+    assert "bound.max_hypotheses" in err
 
 
 # sha256 of report.json for BOUND_CFG, clean and with --inject-fault: a

@@ -251,3 +251,11 @@ def test_load_dataset_rejects_a_file_without_header(tmp_path):
     (d / "target.csv").write_text("")
     with pytest.raises(ParseError, match="target.csv, line 1: missing header"):
         load_dataset(d)
+
+
+def test_load_dataset_rejects_a_file_without_a_feature_column(tmp_path):
+    # it used to load as zero-width rows, which only the net rejected
+    d = _saved_dataset(tmp_path)
+    (d / "source.csv").write_text("label\n0\n1\n")
+    with pytest.raises(ParseError, match="source.csv, line 1: no feature column"):
+        load_dataset(d)

@@ -342,9 +342,12 @@ def test_sigmoid_relu_grads_match_finite_differences():
             assert rel_err(f.dW, num) < 1e-4
 
 
-def test_extractor_rejects_an_unknown_activation():
+def test_extractor_rejects_an_unknown_activation_or_a_zero_width():
     with pytest.raises(ConfigError, match="tanh"):
         Sequential(2, 2, "tanh", 0.0, True, np.random.default_rng(0))
+    for in_dim, hidden_dim in ((0, 2), (2, 0)):
+        with pytest.raises(ConfigError, match="in_dim and hidden_dim >= 1"):
+            Sequential(in_dim, hidden_dim, "sigmoid", 0.0, True, np.random.default_rng(0))
 
 
 def test_sequential_seed_reproducibility():
