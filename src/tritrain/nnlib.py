@@ -251,6 +251,7 @@ class Sequential(Layer):
         statistics and keeps what `backward` reads."""
         self._x = x
         z = affine_forward(x, self.W, self.b)
+        # what the activation's backward reads: sigmoid's output, relu's mask
         if self.activation == "sigmoid":
             z = self._act = sigmoid(z)
         else:
