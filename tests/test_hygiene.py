@@ -15,7 +15,6 @@ import textwrap
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mutants import MUTANTS
