@@ -316,7 +316,7 @@ def cmd_bound_check(args) -> int:
     # each stage seeds itself, so the order moves no bits
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg,
                            num_classes=ds.num_classes)
-    pseudo_y = state.net.forward(ds.target_x)["f1"].predicted_class
+    pseudo_y = state.net.forward(ds.target_x)[0].argmax(axis=1)
     c_offset = -0.1 if args.inject_fault else 0.0
     s_xy = (ds.source_x, ds.source_y)
     t_xy = (ds.target_x, ds.target_y_hidden)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nnlib import ConfigError, ShapeError
-from .trinet import BranchOutput
 
 
 @dataclass
@@ -60,23 +59,25 @@ def sample_candidates(n_targets: int, count: int, rng) -> np.ndarray:
     return rng.choice(n_targets, size=count, replace=False)
 
 
-def assign_pseudo_labels(p1: BranchOutput, p2: BranchOutput, threshold: float):
+def assign_pseudo_labels(p1: np.ndarray, p2: np.ndarray, threshold: float):
     """Keep a row iff both heads predict the same class and at least one of
-    them is confident beyond the threshold. Returns (kept_rows, labels,
+    them is confident beyond the threshold. p1 and p2 are the two labeling
+    heads' (n, k) class probabilities. Returns (kept_rows, labels,
     confidences) where kept_rows index into the candidate batch."""
-    if p1.probs.shape[0] != p2.probs.shape[0]:
+    if p1.shape[0] != p2.shape[0]:
         raise ShapeError("prediction row counts differ")
-    agree = p1.predicted_class == p2.predicted_class
-    conf = np.maximum(p1.max_prob, p2.max_prob)
+    c1 = p1.argmax(axis=1)
+    agree = c1 == p2.argmax(axis=1)
+    conf = np.maximum(p1.max(axis=1), p2.max(axis=1))
     keep = agree & (conf > threshold)
     rows = np.flatnonzero(keep)
-    return rows, p1.predicted_class[rows], conf[rows]
+    return rows, c1[rows], conf[rows]
 
 
 def label_candidates(net, target_x, candidate_idx, threshold: float, step: int) -> PseudoLabelSet:
     """Run both labeling heads over the sampled candidates and filter."""
-    out = net.forward(target_x[candidate_idx])
-    rows, labels, conf = assign_pseudo_labels(out["f1"], out["f2"], threshold)
+    probs = net.forward(target_x[candidate_idx])
+    rows, labels, conf = assign_pseudo_labels(probs[0], probs[1], threshold)
     return PseudoLabelSet(indices=np.asarray(candidate_idx)[rows],
                           labels=labels, confidences=conf, step=step)
 

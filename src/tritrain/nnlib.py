@@ -6,8 +6,6 @@ passes can be checked against central finite differences.
 """
 from __future__ import annotations
 
-from types import MappingProxyType
-
 import numpy as np
 
 
@@ -70,9 +68,11 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    """Probabilities over the last axis, slice by slice over any leading
+    axes, each slice with the bits of the 2-D call on it."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -206,10 +206,9 @@ class Sequential(Layer):
     Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
     then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
     `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
-    them. `params` and `grads` are read-only maps of the same views, and
-    `running_stats` of batch norm's running mean, variance and batch count,
-    keyed `<i>/<name>` with <i> the part's position in the chain, as
-    checkpoints name them."""
+    them. Batch norm's running mean and variance are the rows of `running`
+    (2, hidden) and its batch count is `count` (1,). Without batch norm,
+    `gamma`, `beta`, their gradients, `running` and `count` are None."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
                  use_bn: bool, rng):
@@ -227,24 +226,15 @@ class Sequential(Layer):
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
                                           for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
-        params, grads = {"0/W": self.W, "0/b": self.b}, {"0/W": self.dW, "0/b": self.db}
-        self.running_stats, self._running = MappingProxyType({}), None
+        self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
         if use_bn:
             (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
             self.gamma.fill(1.0)
-            # batch norm sits after the activation and any dropout
-            at = "3/" if dropout_rate > 0 else "2/"
-            params |= {at + "gamma": self.gamma, at + "beta": self.beta}
-            grads |= {at + "gamma": self.dgamma, at + "beta": self.dbeta}
             # running mean and variance as the rows of one array, updated in
             # place; the count is a 1-element array, so a checkpoint can copy
             # into it
-            self._running = np.array([np.zeros(h), np.ones(h)])
-            self._count = np.zeros(1, dtype=np.int64)
-            self.running_stats = MappingProxyType({
-                at + "running_mean": self._running[0], at + "running_var": self._running[1],
-                at + "running_count": self._count})
-        self.params, self.grads = MappingProxyType(params), MappingProxyType(grads)
+            self.running = np.array([np.zeros(h), np.ones(h)])
+            self.count = np.zeros(1, dtype=np.int64)
 
     def forward(self, x, mode="train", rng=None):
         """f(x); train mode draws dropout masks from `rng`, uses batch
@@ -262,19 +252,19 @@ class Sequential(Layer):
             if rng is None:
                 raise StateError("dropout in training mode needs an rng")
             z, self._mask = dropout_train(z, self.dropout_rate, rng)
-        if self._running is None:
+        if self.running is None:
             return z
         if mode == "train":
             z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS,
-                                           self._running, self._count, BN_MOMENTUM)
+                                           self.running, self.count, BN_MOMENTUM)
             return z
-        return batch_norm_eval(z, self.gamma, self.beta, self._running, self._count, BN_EPS)
+        return batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS)
 
     def backward(self, dout):
         """Accumulate the parameter gradients of the last train-mode
         forward. The gradient w.r.t. f's input is never read, so the first
         layer computes none."""
-        if self._running is not None:
+        if self.running is not None:
             dout, dgamma, dbeta = batch_norm_backward(dout, self._bn)
             np.add(self.dgamma, dgamma, out=self.dgamma)
             np.add(self.dbeta, dbeta, out=self.dbeta)

@@ -223,7 +223,8 @@ def evaluate(net: TriNet, x, y) -> dict[str, float]:
     if y is None:
         raise ValueError("evaluation needs labels; the dataset has none")
     y = np.asarray(y)
-    return {b: float(np.mean(out.predicted_class == y)) for b, out in net.forward(x).items()}
+    pred = net.forward(x).argmax(axis=-1)
+    return {b: float(np.mean(pred[i] == y)) for i, b in enumerate(TriNet.BRANCHES)}
 
 
 def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_p):
@@ -288,12 +289,19 @@ def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint array name, in file order, mapped to the live array
     it holds: `param/<net>/<layer>/<key>` views into f's theta and each
     head's arena row, `state/f/<layer>/running_{mean,var,count}` f's
-    batch-norm statistics, then `opt/main/slot/<net>` the slots."""
-    net = state.net
-    arrays = {f"param/f/{k}": p for k, p in net.f.params.items()}
+    batch-norm statistics, then `opt/main/slot/<net>` the slots. <layer> is
+    the part's position in f's chain: the affine layer is 0, the
+    activation 1, dropout 2 if any, then batch norm."""
+    net, f = state.net, state.net.f
+    arrays = {"param/f/0/W": f.W, "param/f/0/b": f.b}
+    bn = "f/3/" if f.dropout_rate > 0 else "f/2/"
+    if f.running is not None:
+        arrays |= {f"param/{bn}gamma": f.gamma, f"param/{bn}beta": f.beta}
     for i, head in enumerate(TriNet.BRANCHES):
         arrays[f"param/{head}/0/W"], arrays[f"param/{head}/0/b"] = net.W[i], net.b[i]
-    arrays.update({f"state/f/{k}": v for k, v in net.f.running_stats.items()})
+    if f.running is not None:
+        arrays |= {f"state/{bn}running_mean": f.running[0],
+                   f"state/{bn}running_var": f.running[1], f"state/{bn}running_count": f.count}
     arrays.update({_SLOT + name: v for name, v in state.opt.slots.items()})
     return arrays
 

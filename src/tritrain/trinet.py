@@ -23,20 +23,6 @@ class GradientGates:
             raise ConfigError("at least one gradient gate must stay open")
 
 
-@dataclass
-class BranchOutput:
-    probs: np.ndarray
-    predicted_class: np.ndarray
-    max_prob: np.ndarray
-
-    @classmethod
-    def from_logits(cls, logits: np.ndarray) -> "BranchOutput":
-        probs = softmax(logits)
-        pred = probs.argmax(axis=1)
-        return cls(probs=probs, predicted_class=pred,
-                   max_prob=probs[np.arange(probs.shape[0]), pred])
-
-
 def weight_divergence(W1: np.ndarray, W2: np.ndarray):
     """Entrywise absolute sum of W1^T W2 and its L1 subgradients (sign(0)=0)
     w.r.t. W1 and W2, stacked as one (2, d, k) array.
@@ -90,15 +76,14 @@ class TriNet:
         """Shared representation F(x), in eval mode."""
         return self.f.forward(x, mode="eval")
 
-    def forward(self, x) -> dict[str, BranchOutput]:
-        """Every head's output, keyed by branch, from one eval-mode pass of
-        the shared extractor and one stacked affine call for the heads.
-        Eval mode draws no randomness, so sharing the pass changes no bits.
-        Training goes through the two objectives."""
+    def forward(self, x) -> np.ndarray:
+        """Every head's class probabilities, (3, n, k) in BRANCHES order,
+        from one eval-mode pass of the shared extractor, one stacked affine
+        call and one softmax. Eval mode draws no randomness, so sharing the
+        pass changes no bits. Training goes through the two objectives."""
         h = self.features(x)
         # a view, not a copy per head: an eval set can be large
-        z = nnlib.affine_forward(np.broadcast_to(h, (3, *h.shape)), self.W, self.b)
-        return {b: BranchOutput.from_logits(z[i]) for i, b in enumerate(self.BRANCHES)}
+        return softmax(nnlib.affine_forward(np.broadcast_to(h, (3, *h.shape)), self.W, self.b))
 
     # -- objectives ---------------------------------------------------------
 

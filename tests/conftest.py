@@ -51,17 +51,23 @@ def finite_difference_gradient(f, x, h=1e-5):
     return grad
 
 
+# an extractor's parameter views, in arena order
+VIEWS = ("W", "b", "gamma", "beta")
+
+
 def named(net, which="params") -> dict[str, np.ndarray]:
-    """`<net>/<layer>/<key>` -> each `params` or `grads` array, over the
-    four networks of a TriNet, where head `<h>/0/W` and `<h>/0/b` are views
-    into the head's arena row; an extractor's keys are `<layer>/<key>`."""
+    """`<net>/<view>` -> each parameter view, or with "grads" its gradient
+    view (`dW`, `db`, ...), over the four networks of a TriNet, where head
+    `<h>/W` and `<h>/b` are views into the head's arena row; an extractor's
+    keys are its view names, `gamma` and `beta` only with batch norm."""
     seq = net.f if isinstance(net, TriNet) else net
     prefix = "f/" if isinstance(net, TriNet) else ""
-    out = {prefix + k: a for k, a in getattr(seq, which).items()}
+    d = "" if which == "params" else "d"
+    out = {prefix + k: getattr(seq, d + k) for k in VIEWS if getattr(seq, k) is not None}
     if isinstance(net, TriNet):
         W, b = (net.W, net.b) if which == "params" else (net.dW, net.db)
         for i, head in enumerate(TriNet.BRANCHES):
-            out[f"{head}/0/W"], out[f"{head}/0/b"] = W[i], b[i]
+            out[f"{head}/W"], out[f"{head}/b"] = W[i], b[i]
     return out
 
 

@@ -17,7 +17,8 @@ from conftest import named, record_acceptance, rel_err
 from tritrain import analysis, cli, datagen, labeler, trainer, trinet
 from tritrain.labeler import LabelingConfig, candidate_count
 from tritrain.trainer import TrainConfig, evaluate, run
-from tritrain.trinet import BranchOutput, TriNet
+from tritrain.nnlib import softmax
+from tritrain.trinet import TriNet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -173,14 +174,14 @@ def test_acceptance_labeler_oracle():
     rng = np.random.default_rng(7)
     for _ in range(500):
         n, k = rng.integers(1, 20), rng.integers(2, 8)
-        p1 = BranchOutput.from_logits(rng.normal(scale=3, size=(n, k)))
-        p2 = BranchOutput.from_logits(rng.normal(scale=3, size=(n, k)))
+        p1 = softmax(rng.normal(scale=3, size=(n, k)))
+        p2 = softmax(rng.normal(scale=3, size=(n, k)))
         th = rng.uniform(0.3, 0.99)
         rows, labels, conf = labeler.assign_pseudo_labels(p1, p2, th)
         exp_rows, exp_labels, exp_conf = [], [], []
         for i in range(n):
-            c1, c2 = int(p1.probs[i].argmax()), int(p2.probs[i].argmax())
-            m = max(p1.probs[i, c1], p2.probs[i, c2])
+            c1, c2 = int(p1[i].argmax()), int(p2[i].argmax())
+            m = max(p1[i, c1], p2[i, c2])
             if c1 == c2 and m > th:
                 exp_rows.append(i)
                 exp_labels.append(c1)

@@ -8,12 +8,12 @@ from tritrain.labeler import (LabelingConfig, PseudoLabelSet,
                               assign_pseudo_labels, candidate_count,
                               label_candidates, labeling_accuracy,
                               sample_candidates)
-from tritrain.nnlib import ConfigError, ShapeError
-from tritrain.trinet import BranchOutput
+from tritrain.nnlib import ConfigError, ShapeError, softmax
 
 
-def branch_output(probs):
-    return BranchOutput.from_logits(np.log(np.asarray(probs, dtype=np.float64)))
+def head_probs(probs):
+    """A head's (n, k) probabilities, as the softmax of their logs."""
+    return softmax(np.log(np.asarray(probs, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +104,8 @@ def test_sample_uniformity_chi_square():
 
 
 def test_agreement_with_one_confident_classifier():
-    p1 = branch_output([[0.97, 0.03]])
-    p2 = branch_output([[0.60, 0.40]])
+    p1 = head_probs([[0.97, 0.03]])
+    p2 = head_probs([[0.60, 0.40]])
     rows, labels, conf = assign_pseudo_labels(p1, p2, threshold=0.95)
     np.testing.assert_array_equal(rows, [0])
     np.testing.assert_array_equal(labels, [0])
@@ -113,31 +113,31 @@ def test_agreement_with_one_confident_classifier():
 
 
 def test_disagreement_rejected():
-    p1 = branch_output([[0.99, 0.01]])
-    p2 = branch_output([[0.01, 0.99]])
+    p1 = head_probs([[0.99, 0.01]])
+    p2 = head_probs([[0.01, 0.99]])
     rows, _, _ = assign_pseudo_labels(p1, p2, threshold=0.5)
     assert len(rows) == 0
 
 
 def test_agreement_without_confidence_rejected():
-    p1 = branch_output([[0.85, 0.15]])
-    p2 = branch_output([[0.88, 0.12]])
+    p1 = head_probs([[0.85, 0.15]])
+    p2 = head_probs([[0.88, 0.12]])
     rows, _, _ = assign_pseudo_labels(p1, p2, threshold=0.9)
     assert len(rows) == 0
 
 
 def test_row_count_mismatch():
     with pytest.raises(ShapeError):
-        assign_pseudo_labels(branch_output([[0.5, 0.5]]),
-                             branch_output([[0.5, 0.5], [0.5, 0.5]]), 0.9)
+        assign_pseudo_labels(head_probs([[0.5, 0.5]]),
+                             head_probs([[0.5, 0.5], [0.5, 0.5]]), 0.9)
 
 
 def _brute_force_rule(p1, p2, threshold):
     rows, labels, confs = [], [], []
-    for i in range(p1.probs.shape[0]):
-        c1 = int(np.argmax(p1.probs[i]))
-        c2 = int(np.argmax(p2.probs[i]))
-        m1, m2 = p1.probs[i, c1], p2.probs[i, c2]
+    for i in range(p1.shape[0]):
+        c1 = int(np.argmax(p1[i]))
+        c2 = int(np.argmax(p2[i]))
+        m1, m2 = p1[i, c1], p2[i, c2]
         if c1 == c2 and max(m1, m2) > threshold:
             rows.append(i)
             labels.append(c1)
@@ -150,8 +150,8 @@ def test_rule_matches_brute_force_on_random_pairs():
     for trial in range(1000):
         n = rng.integers(1, 12)
         k = rng.integers(2, 6)
-        p1 = BranchOutput.from_logits(rng.normal(scale=3, size=(n, k)))
-        p2 = BranchOutput.from_logits(rng.normal(scale=3, size=(n, k)))
+        p1 = softmax(rng.normal(scale=3, size=(n, k)))
+        p2 = softmax(rng.normal(scale=3, size=(n, k)))
         threshold = rng.uniform(0.3, 0.99)
         rows, labels, conf = assign_pseudo_labels(p1, p2, threshold)
         brows, blabels, bconf = _brute_force_rule(p1, p2, threshold)

@@ -10,7 +10,7 @@ from tritrain.trainer import (TrainConfig, adapt_step, build_net, checkpoint_arr
                               evaluate, init_state, load_state, pretrain,
                               read_metrics_csv, run, save_state,
                               write_metrics_csv)
-from tritrain.trinet import GradientGates
+from tritrain.trinet import GradientGates, TriNet
 
 from conftest import named
 
@@ -67,7 +67,7 @@ def test_config_rejects_tiny_batch_with_bn():
 def test_build_net_shapes():
     net = build_net(small_cfg(), in_dim=2, num_classes=3)
     net.f.forward(np.zeros((4, 2)), mode="train")  # populate BN
-    assert net.forward(np.zeros((4, 2)))["f1"].probs.shape == (4, 3)
+    assert net.forward(np.zeros((4, 2))).shape == (3, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +276,9 @@ def test_evaluate_exact_fraction():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
-    outs = state.net.forward(ds.source_x)
-    expected = {b: float(np.mean(out.predicted_class == ds.source_y)) for b, out in outs.items()}
+    probs = state.net.forward(ds.source_x)
+    expected = {b: sum(int(np.argmax(p) == y) for p, y in zip(probs[i], ds.source_y))
+                / len(ds.source_y) for i, b in enumerate(TriNet.BRANCHES)}
     assert evaluate(state.net, ds.source_x, ds.source_y) == expected
 
 
@@ -387,7 +388,7 @@ def test_divergence_in_adaptation_names_the_step(head, phase):
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
     pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40], step=0)
-    named(state.net)[f"{head}/0/W"][0, 0] = np.nan
+    named(state.net)[f"{head}/W"][0, 0] = np.nan
     with pytest.raises(trainer.DivergenceError, match=f"{phase} phase of step 2: loss nan at batch 0"):
         adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, 2)
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from tritrain import nnlib
-from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax_cross_entropy
+from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax, softmax_cross_entropy
 from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state,
                               save_state)
-from tritrain.trinet import BranchOutput, GradientGates, TriNet, weight_divergence
+from tritrain.trinet import GradientGates, TriNet, weight_divergence
 
 from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS,
                       finite_difference_gradient, named, rel_err, rewrite_checkpoint)
@@ -27,38 +27,31 @@ def test_forward_probs_rows_sum_to_one():
     net = small_net()
     x = np.random.default_rng(0).normal(size=(10, 3))
     net.f.forward(x, mode="train")  # populate BN
-    outs = net.forward(x)
-    assert tuple(outs) == TriNet.BRANCHES
-    for out in outs.values():
-        np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-9)
-        np.testing.assert_array_equal(
-            out.max_prob, out.probs[np.arange(10), out.predicted_class])
+    probs = net.forward(x)
+    assert probs.shape == (len(TriNet.BRANCHES), 10, 3)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_forward_equals_per_head_pass(use_bn):
     # oracle: the extractor run again for each head, and the head as one
-    # 2-D affine call on its own arena row
+    # 2-D affine call and softmax on its own arena row
     net = small_net(seed=4, use_bn=use_bn)
     x = np.random.default_rng(5).normal(size=(12, 3))
     net.f.forward(x, mode="train")  # populate BN
-    outs = net.forward(x)
-    for i, b in enumerate(TriNet.BRANCHES):
+    probs = net.forward(x)
+    assert probs.shape == (len(TriNet.BRANCHES), 12, 3)
+    for i in range(len(TriNet.BRANCHES)):
         h = net.f.forward(x, mode="eval")
-        ref = BranchOutput.from_logits(nnlib.affine_forward(h, net.W[i], net.b[i]))
-        out = outs[b]
-        assert (out.probs == ref.probs).all()
-        assert (out.predicted_class == ref.predicted_class).all()
-        assert (out.max_prob == ref.max_prob).all()
+        ref = softmax(nnlib.affine_forward(h, net.W[i], net.b[i]))
+        assert probs[i].tobytes() == ref.tobytes()
 
 
 def test_eval_forward_is_deterministic():
     net = small_net()
     x = np.random.default_rng(2).normal(size=(8, 3))
     net.f.forward(x, mode="train")  # populate BN
-    a = net.forward(x)["f1"]
-    b = net.forward(x)["f1"]
-    np.testing.assert_array_equal(a.probs, b.probs)
+    np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
 
 def test_forward_reduces_to_logistic_regression():
@@ -71,8 +64,7 @@ def test_forward_reduces_to_logistic_regression():
     net.W[0] = np.column_stack([np.zeros(2), w])
     net.b[0] = np.zeros((1, 2))
     x = np.random.default_rng(3).normal(size=(20, 2))
-    out = net.forward(x)["f1"]
-    np.testing.assert_allclose(out.probs[:, 1], sigmoid(sigmoid(x) @ w), atol=1e-12)
+    np.testing.assert_allclose(net.forward(x)[0, :, 1], sigmoid(sigmoid(x) @ w), atol=1e-12)
 
 
 def test_branches_initialized_differently():
@@ -335,8 +327,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.rng_train.bit_generator.state == state.rng_train.bit_generator.state
     assert back.rng_label.bit_generator.state == state.rng_label.bit_generator.state
     x = np.random.default_rng(11).normal(size=(8, 3))
-    np.testing.assert_array_equal(state.net.forward(x)["ft"].probs,
-                                  back.net.forward(x)["ft"].probs)
+    np.testing.assert_array_equal(state.net.forward(x), back.net.forward(x))
 
 
 def npz_members(path) -> dict[str, bytes]:
@@ -378,9 +369,9 @@ def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
     net = back.net
     np.testing.assert_array_equal(net.f.theta, state.net.f.theta)
     np.testing.assert_array_equal(net.theta, state.net.theta)
-    for k in net.f.params:
-        assert np.shares_memory(net.f.params[k], net.f.theta)
-        assert np.shares_memory(net.f.grads[k], net.f.grad)
+    for k in ("W", "b", "gamma", "beta"):
+        assert np.shares_memory(getattr(net.f, k), net.f.theta)
+        assert np.shares_memory(getattr(net.f, "d" + k), net.f.grad)
     for view in (net.W, net.b):
         assert np.shares_memory(view, net.theta)
     for view in (net.dW, net.db):
