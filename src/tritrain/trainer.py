@@ -353,7 +353,18 @@ def load_state(path) -> TrainState:
         c = dict(meta["config"])
         c["labeling"] = _exact(LabelingConfig, c["labeling"])
         c["gates"] = _exact(GradientGates, c["gates"])
-        state = init_state(_exact(TrainConfig, c), meta["in_dim"], meta["num_classes"])
+        cfg = _exact(TrainConfig, c)
+        # the sizes the net is built from, against the stored weights, before
+        # `init_state` allocates anything
+        sizes = {"param/f/0/W": (meta["in_dim"], cfg.hidden_dim),
+                 "param/f1/0/W": (cfg.hidden_dim, meta["num_classes"])}
+        for key, shape in sizes.items():
+            if key not in arrays:
+                raise ValueError(f"arrays missing {[key]}")
+            if arrays[key].shape != shape:
+                raise ShapeError(f"array {key} shape {arrays[key].shape} != {shape}, "
+                                 f"the in_dim, hidden_dim and num_classes of __meta__")
+        state = init_state(cfg, meta["in_dim"], meta["num_classes"])
         flat = dict(zip(("f",) + TriNet.BRANCHES, [state.net.f.theta, *state.net.theta]))
         for name in [k[len(_SLOT):] for k in arrays if k.startswith(_SLOT)]:
             if name in flat:

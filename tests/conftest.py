@@ -106,6 +106,11 @@ MALFORMED_CHECKPOINTS = {
     # a resumed run would ascend the gradient, or count steps from below 0
     "negative_lr": lambda arrays, meta: meta.update(lr=-1.0),
     "negative_step": lambda arrays, meta: meta.update(step=-5),
+    # sizes that do not fit the stored weights and that numpy refuses to
+    # allocate at once; building the net from them was a MemoryError
+    "huge_in_dim": lambda arrays, meta: meta.update(in_dim=10**12),
+    "huge_num_classes": lambda arrays, meta: meta.update(num_classes=10**11),
+    "huge_hidden_dim": lambda arrays, meta: meta["config"].update(hidden_dim=10**11),
     **{name: _fill(key, value) for name, (key, value) in UNTRAINED_ARRAYS.items()},
 }
 # arrays no checkpoint of the default net holds, each of which loading must

@@ -398,6 +398,28 @@ def test_checkpoint_missing_parameter_is_io_error(tmp_path):
         load_state(path)
 
 
+def _pop_and(key, edit):
+    return lambda arrays, meta: (arrays.pop(key), edit(arrays, meta))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (MALFORMED_CHECKPOINTS["huge_in_dim"], "array param/f/0/W shape"),
+    (MALFORMED_CHECKPOINTS["huge_num_classes"], "array param/f1/0/W shape"),
+    (MALFORMED_CHECKPOINTS["huge_hidden_dim"], "array param/f/0/W shape"),
+    # without the stored weight there is nothing to size against
+    (_pop_and("param/f/0/W", MALFORMED_CHECKPOINTS["huge_in_dim"]),
+     "arrays missing ['param/f/0/W']"),
+], ids=["in_dim", "num_classes", "hidden_dim", "in_dim_without_its_weight"])
+def test_a_net_size_that_does_not_fit_the_stored_weights_names_the_key(tmp_path, edit,
+                                                                         message):
+    # checked before the net is built, so a size numpy cannot allocate
+    # never reaches it
+    _, path = saved_state(tmp_path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(IOError, match=re.escape(message)):
+        load_state(path)
+
+
 @pytest.mark.parametrize("edit", [
     *MALFORMED_CHECKPOINTS.values(),
     lambda arrays, meta: meta.pop("rng_states"),
