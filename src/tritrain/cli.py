@@ -211,8 +211,11 @@ def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
         return datagen.load_dataset(d["dir"])
     sx, sy = datagen.load_sparse_bow(d["source_path"], d["dim"])
     tx, ty = datagen.load_sparse_bow(d["target_path"], d["dim"])
+    # at least 2 classes, as a dataset directory must declare, so that an
+    # empty file reaches `run`'s row-count check
+    k = int(max(sy.max(initial=1), ty.max(initial=1))) + 1
     return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx, target_y_hidden=ty,
-                                 num_classes=int(max(sy.max(), ty.max())) + 1)
+                                 num_classes=k)
 
 
 # ---------------------------------------------------------------------------
