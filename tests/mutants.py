@@ -87,7 +87,8 @@ MUTANTS = (
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",
            "    xhat = (x - running[0]) / np.sqrt(running[1] + eps)",
            "    xhat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + eps)",
-           ("tests/test_acceptance.py::test_short_run_bytes_are_pinned",)),
+           ("tests/test_nnlib.py::test_bn_eval_standardizes_with_the_running_statistics",
+            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("cross_entropy_gradient_unscaled", "src/tritrain/nnlib.py",
            "    grad /= n\n",
            "",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,19 @@ def test_bn_eval_at_running_mean_is_zero():
     batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, *stats)
     y = batch_norm_eval(stats[0][:1], np.ones((1, 2)), np.zeros((1, 2)), *stats, 1e-5)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
+
+
+def test_bn_eval_standardizes_with_the_running_statistics():
+    # the batch's own mean and variance are far from the running ones
+    running = np.array([[0.5, -1.0, 2.0], [0.25, 4.0, 1.5]])
+    gamma, beta = np.array([[1.5, -0.5, 2.0]]), np.array([[0.1, 0.2, -0.3]])
+    x = np.random.default_rng(8).normal(loc=10.0, scale=5.0, size=(6, 3))
+    y = batch_norm_eval(x, gamma, beta, running, np.array([3]), 1e-5)
+    expected = [[gamma[0, j] * ((x[i, j] - running[0, j]) / math.sqrt(running[1, j] + 1e-5))
+                 + beta[0, j] for j in range(3)] for i in range(6)]
+    np.testing.assert_array_equal(y, expected)
+    on_batch = gamma * (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 1e-5) + beta
+    assert not np.allclose(y, on_batch)
 
 
 def test_bn_eval_gamma_zero_gives_beta():
