@@ -6,7 +6,8 @@ argument its counter hooks read sits where they read it, every by-name
 import of a name it patches on a module is patched too, a tiny traced run
 of each workload's code calls every span that workload expects, the
 benchmark trains with the acceptance fixture's config, and each snippet of
-the mutation table occurs once in `src/`."""
+the mutation table occurs once in `src/` and each of its test ids names a
+test function in its file."""
 import ast
 import importlib.util
 import inspect
@@ -307,6 +308,33 @@ def test_every_by_name_import_of_a_patched_function_is_a_patch_site():
     # calls would silently drop out of that span
     sources = {p.stem: p.read_text() for p in MODULES}
     assert untraced_imports(sources, load_bench("tracer").SITES) == []
+
+
+def unresolved_test_ids(mutants) -> list[str]:
+    """Each test id of the mutants that names no test function defined at
+    the top level of its file; a `[param]` suffix is ignored."""
+    out = []
+    for test_id in sorted({t for m in mutants for t in m.tests}):
+        path, _, name = test_id.partition("::")
+        tree = ast.parse((ROOT / path).read_text()) if (ROOT / path).is_file() else None
+        defined = {n.name for n in getattr(tree, "body", []) if isinstance(n, ast.FunctionDef)}
+        if name.split("[")[0] not in defined:
+            out.append(test_id)
+    return out
+
+
+def test_checker_flags_an_unresolved_mutant_test_id_and_only_that():
+    mutant = MUTANTS[0]._replace(tests=(
+        "tests/test_hygiene.py::test_every_mutant_snippet_occurs_once_in_src[tanh_sigmoid]",
+        "tests/test_hygiene.py::test_no_such_test", "tests/test_none.py::test_x"))
+    assert unresolved_test_ids([mutant]) == ["tests/test_hygiene.py::test_no_such_test",
+                                             "tests/test_none.py::test_x"]
+
+
+def test_every_mutant_test_id_names_a_test_in_its_file():
+    # after a rename, `python tests/mutants.py` would collect nothing for the
+    # old id and report pytest's exit 4 as a surviving mutant
+    assert unresolved_test_ids(MUTANTS) == []
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
