@@ -316,9 +316,8 @@ def unresolved_test_ids(mutants) -> list[str]:
     out = []
     for test_id in sorted({t for m in mutants for t in m.tests}):
         path, _, name = test_id.partition("::")
-        tree = ast.parse((ROOT / path).read_text()) if (ROOT / path).is_file() else None
-        defined = {n.name for n in getattr(tree, "body", []) if isinstance(n, ast.FunctionDef)}
-        if name.split("[")[0] not in defined:
+        body = ast.parse((ROOT / path).read_text()).body if (ROOT / path).is_file() else []
+        if name.split("[")[0] not in {n.name for n in body if isinstance(n, ast.FunctionDef)}:
             out.append(test_id)
     return out
 

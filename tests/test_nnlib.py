@@ -643,4 +643,3 @@ def test_flat_step_equals_per_parameter_step(make_opt):
     np.testing.assert_array_equal(
         opt_flat.slots["net"],
         np.concatenate([opt_per.slots[k].ravel() for k in named(per)]))
-
