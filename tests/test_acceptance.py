@@ -309,6 +309,23 @@ BENCHMARK_METRICS_DIGESTS = (
     "68e0d3003cd19667ea1da6ca83ddfbceb66f5cf43283b8ee78b06f40769e42b5",
 )
 
+# the columns a change that only moves rounding must leave as they are
+ACCURACY_COLUMNS = ("acc_f1", "acc_f2", "acc_ft", "labeling_acc", "n_pseudo")
+# sha256 of the repr of each `benchmark_runs` history's accuracy columns, a
+# list of [acc_f1, acc_f2, acc_ft, labeling_acc, n_pseudo] per step, by seed
+BENCHMARK_ACCURACY_DIGESTS = (
+    "ff1b4c7fa774684fc5b101bc325c6903beece6881f04103aa22e3f656ebb187d",
+    "a4e122a5ec0f06ba15061f333c37e36bb9c3fcaebf4a1d4ba001a1661a71b3a6",
+    "8d38dc38582c72c49f74197cb40c8d7733b093cac8d0213b5dcab13afaffea3c",
+    "4c77075a7852a79b91fff8bc2d8cb63fdc64dbb813e8bcca6d3230b9b67e2e71",
+    "bf833a74113009b949ceb99d86873bc3dfbf82dbd89dc0922c36f2531d6efaf4",
+    "a9d5ac11bc6b3c2670c00891846a58b508749dcc38c98711735794485b31513c",
+    "64a37bc2f2c5066744bdad2c9f8776407c91c5fd0f754cdbd022bcb9b5ae58b7",
+    "9b2d1f0bfd422073e955a4a0b3225769d061a25b680dbfe693f534e7a774c31e",
+    "1fc7ae99f270e6bfaa048f16aaa1da8930e5eb44eb03df27ffde184f23cb28dc",
+    "5319550c1fdb91a4ae726b37640eeb384ddfc9cf3575e37db842ee93e1e29dc2",
+)
+
 # the paths the benchmark config leaves out: relu, dropout, Adagrad, a closed
 # `from_ft` gate, an lr decay inside the run and shuffled-pass adaptation
 # phases; every step has a target phase
@@ -345,6 +362,16 @@ def test_benchmark_metrics_bytes_are_pinned(benchmark_runs, tmp_path):
         digests.append(_sha256(path))
     # BLAS and numpy releases can move float bits, so name the version
     assert tuple(digests) == BENCHMARK_METRICS_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_benchmark_accuracy_columns_are_pinned(benchmark_runs):
+    digests = []
+    for r in benchmark_runs:
+        rows = [[getattr(m, c) for c in ACCURACY_COLUMNS] for m in r["hist"]]
+        digests.append(hashlib.sha256(repr(rows).encode()).hexdigest())
+    moved = [seed for seed, (a, b) in enumerate(zip(digests, BENCHMARK_ACCURACY_DIGESTS))
+             if a != b]
+    assert not moved, f"accuracy columns moved on seeds {moved}, numpy {np.__version__}"
 
 
 def test_short_run_bytes_are_pinned(tmp_path):
