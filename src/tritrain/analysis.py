@@ -272,8 +272,10 @@ def _train_domain_classifiers(train_x, train_y, rngs):
     n, d), trained together as one stacked model with Adagrad. Each fold
     draws from its own generator in the order a lone classifier would: its
     glorot init, then one permutation per epoch. The stacked kernels keep
-    each slice's bits, so every fold trains as it would alone. Returns the
-    weights (folds, d, 2) and biases (folds, 1, 2)."""
+    each slice's bits, so every fold trains as it would alone. Each batch
+    goes to the kernels as columns (folds, d, batch), so the logits are
+    (folds, 2, batch). Returns the weights (folds, d, 2) and biases
+    (folds, 1, 2)."""
     folds, n, dim = train_x.shape
     theta, grad = np.empty((folds, 2 * dim + 2)), np.empty((folds, 2 * dim + 2))
     W, b = theta[:, :2 * dim].reshape(folds, dim, 2), theta[:, 2 * dim:].reshape(folds, 1, 2)
@@ -287,7 +289,7 @@ def _train_domain_classifiers(train_x, train_y, rngs):
         perm = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, _BATCH):
             idx = perm[:, start:start + _BATCH]
-            xb = train_x[fold, idx]
+            xb = train_x[fold, idx].swapaxes(-1, -2)
             _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
             grad.fill(0.0)
             # without W, no input gradient is computed; nothing reads it
@@ -322,7 +324,7 @@ def a_distance(feats_s: np.ndarray, feats_t: np.ndarray, seed: int = 0) -> float
     if any(len(np.unique(y[rows])) < 2 for rows in (*held, *tr)):
         raise ValueError("a split ended up with fewer than 2 samples per domain")
     W, b = _train_domain_classifiers(x[tr], y[tr], [np.random.default_rng(s) for s in ss])
-    pred = nnlib.affine_forward(x[held], W, b).argmax(axis=-1)
+    pred = nnlib.affine_forward(x[held].swapaxes(-1, -2), W, b).argmax(axis=-2)
     errs = np.mean(pred != y[held], axis=-1)
     return distance_from_error(float(np.mean(errs)))
 

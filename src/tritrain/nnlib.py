@@ -31,26 +31,31 @@ BN_MOMENTUM = 0.9
 
 
 def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y = xW + b with b broadcast over rows. Operands may carry the same
-    leading model axes, x (..., n, d) and W (..., d, k); matmul then runs one
-    gemm per slice, with the bits of the 2-D call on that slice."""
+    """z = Wᵀx + b for x (..., d, n), one column per batch row, and W
+    (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k, n).
+    W may carry leading model axes that a 2-D x lacks, and then that x feeds
+    every model. matmul runs one gemm per slice, with the bits of the 2-D
+    call on that slice."""
     x = np.asarray(x, dtype=np.float64)
-    if (x.ndim < 2 or x.ndim != W.ndim or x.shape[:-2] != W.shape[:-2]
-            or x.shape[-1] != W.shape[-2]):
+    if (x.ndim < 2 or W.ndim < 2 or x.shape[:-2] not in ((), W.shape[:-2])
+            or x.shape[-2] != W.shape[-2]):
         raise ShapeError(f"affine: x {x.shape} incompatible with W {W.shape}")
-    b = np.asarray(b, dtype=np.float64).reshape(*x.shape[:-2], 1, -1)
-    if b.shape[-1] != W.shape[-1]:
+    b = np.asarray(b, dtype=np.float64).reshape(*W.shape[:-2], -1, 1)
+    if b.shape[-2] != W.shape[-1]:
         raise ShapeError(f"affine: b {b.shape} incompatible with W {W.shape}")
-    return x @ W + b
+    z = np.matmul(W.swapaxes(-1, -2), x)
+    z += b
+    return z
 
 
 def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None):
-    """Gradients of `affine_forward`, slice by slice over leading axes. The
-    input gradient dx needs W; without it dx is None, for a first layer
-    whose input gradient nothing reads."""
-    dx = None if W is None else dout @ W.swapaxes(-1, -2)
-    dW = x.swapaxes(-1, -2) @ dout
-    db = np.add.reduce(dout, axis=-2, keepdims=True)
+    """Gradients of `affine_forward`, slice by slice over leading axes, with
+    dW and db in W's and b's stored shapes. The input gradient dx needs W;
+    without it dx is None, for a first layer whose input gradient nothing
+    reads."""
+    dx = None if W is None else W @ dout
+    dW = x @ dout.swapaxes(-1, -2)
+    db = np.add.reduce(dout, axis=-1)[..., None, :]
     return dx, dW, db
 
 
@@ -68,79 +73,90 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Probabilities over the last axis, slice by slice over any leading
-    axes, each slice with the bits of the 2-D call on it."""
-    z = logits - logits.max(axis=-1, keepdims=True)
+    """Probabilities over the class axis -2 of logits (..., k, n), column by
+    column."""
+    z = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-2, keepdims=True)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
-    of shape (..., n, k) give one mean loss per leading slice, with labels of
-    shape (..., n). Log-probabilities are clipped at -700.
+    of shape (..., k, n), one column per batch row, give one mean loss per
+    leading slice. Labels have shape (..., n); a trailing part of it, such
+    as (n,), labels every leading slice alike. Log-probabilities are clipped
+    at -700.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    # C order keeps each batch row contiguous and makes the flat indices
+    # below address `grad` itself
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim < 2:
-        raise ShapeError("logits need a batch and a class axis")
-    n, k = logits.shape[-2:]
+        raise ShapeError("logits need a class and a batch axis")
+    *lead, k, n = logits.shape
     if k < 2:
         raise ShapeError("need at least 2 classes")
-    if labels.shape[0] * k != logits.size:
-        raise ShapeError("labels length must match the batch size")
+    if labels.ndim == 0 or labels.shape != (*lead, n)[-labels.ndim:]:
+        raise ShapeError(f"labels {labels.shape} do not fit logits {logits.shape}")
     # read as unsigned, a negative label is 2**63 or more
-    if np.maximum.reduce(labels.view(np.uint64), initial=0) >= k:
+    if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    # a fold of np.maximum over the classes is the exact max, and cheaper
-    # than a reduction over a short axis
-    m = logits[..., 0]
+    # a fold of np.maximum over the class rows is the exact max; each call
+    # runs numpy's inner loop once over a whole batch row
+    m = logits[..., 0, :]
     for j in range(1, k):
-        m = np.maximum(m, logits[..., j])
-    z = logits - m[..., None]
+        m = np.maximum(m, logits[..., j, :])
+    z = logits - m[..., None, :]
     e = np.exp(z)
-    s = np.add.reduce(e, axis=-1, keepdims=True)
-    # flat index of each row's label entry
-    at = np.arange(0, labels.shape[0] * k, k)
-    at += labels
-    logp = z.take(at).reshape(s.shape[:-1])
-    logp -= np.log(s[..., 0])
+    # a reduction over a non-contiguous axis adds the class rows in order
+    s = np.add.reduce(e, axis=-2)
+    # flat index of each column's label entry: (slice * k + label) * n + column
+    at = np.arange(logits.size).reshape(logits.shape)[..., 0, :] + labels * n
+    logp = z.take(at)
+    logp -= np.log(s)
     np.maximum(logp, -700.0, out=logp)
-    loss = -(np.add.reduce(logp, axis=-1) / n)
-    grad = np.divide(e, s, out=e)
+    # a/-n is -(a/n), to the bit
+    loss = np.add.reduce(logp, axis=-1) / -n
+    grad = np.divide(e, s[..., None, :], out=e)
     grad.reshape(-1)[at] -= 1.0
     grad /= n
     return loss, grad
 
 
 def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
-    """Standardize each column with batch statistics, then scale and shift.
+    """Standardize each feature row of x (d, n) with its batch statistics,
+    then scale and shift by gamma and beta, (1, d) as stored.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
     an exponential moving average. Returns (y, cache) where cache feeds
     batch_norm_backward. Batch variance is the biased estimator.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
+    # C order keeps each feature's batch row contiguous
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
     # numpy converts an int operand to the same float64, only slower
     n = float(n)
-    # the batch mean and variance, as rows like `running`'s; sum / n is
-    # what mean() and var() compute, without their dispatch cost
-    stats = np.empty((2, x.shape[1]))
-    np.divide(np.add.reduce(x, axis=0), n, out=stats[0])
-    xc = x - stats[0]
-    np.divide(np.add.reduce(xc * xc, axis=0), n, out=stats[1])
-    inv_std = stats[1] + eps
+    # the batch mean and variance as (d, 1) columns; sum / n is what mean()
+    # and var() compute, without their dispatch cost
+    stats = np.empty((2, x.shape[0], 1))
+    mean, var = stats[0], stats[1]
+    np.add.reduce(x, axis=-1, keepdims=True, out=mean)
+    mean /= n
+    xc = x - mean
+    np.add.reduce(np.multiply(xc, xc), axis=-1, keepdims=True, out=var)
+    var /= n
+    inv_std = var + eps
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat = np.multiply(xc, inv_std, out=xc)
-    y = gamma * xhat
-    y += beta
+    y = gamma.T * xhat
+    y += beta.T
+    stats = stats[..., 0]
     if count[0] == 0:
         running[...] = stats
     else:
@@ -153,34 +169,39 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
 
 
 def batch_norm_backward(dout, cache):
+    """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta, the
+    last two (1, d) as stored."""
     xhat, inv_std, gamma, n = cache
-    # the four column sums dbeta, sum(dxhat), dgamma and sum(dxhat * xhat)
-    # from one reduction; each (n, d) slab of the buffer sums its rows in
-    # the order a lone (n, d) array does
+    # the four row sums dbeta, sum(dxhat), dgamma and sum(dxhat * xhat)
+    # from one reduction over the batch axis
     buf = np.empty((4, *xhat.shape))
     buf[0] = dout
-    dxhat = np.multiply(dout, gamma, out=buf[1])
+    dxhat = np.multiply(dout, gamma.T, out=buf[1])
     np.multiply(buf[:2], xhat, out=buf[2:])
-    sums = np.add.reduce(buf, axis=1)
+    sums = np.add.reduce(buf, axis=-1, keepdims=True)
     dx = n * dxhat
     dx -= sums[1]
     dx -= xhat * sums[3]
     dx *= inv_std / n
-    return dx, sums[2:3], sums[0:1]
+    return dx, sums[2].T, sums[0].T
 
 
 def batch_norm_eval(x, gamma, beta, running, count, eps):
     if count[0] == 0:
         raise StateError("batch norm running statistics are unpopulated; train first")
-    xhat = (x - running[0]) / np.sqrt(running[1] + eps)
-    return gamma * xhat + beta
+    mean, var = running[..., None]
+    xhat = (x - mean) / np.sqrt(var + eps)
+    return gamma.T * xhat + beta.T
 
 
 def dropout_train(x, rate, rng):
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate)."""
+    """Inverted dropout: zero with probability `rate`, scale survivors by
+    1/(1-rate). The uniforms are drawn in the transposed order, so for an x
+    (d, n) they come batch row by batch row, as for the same batch stored
+    (n, d)."""
     if rate >= 1.0:
         raise ConfigError("dropout rate must be < 1")
-    keep = rng.random(x.shape) >= rate
+    keep = rng.random(x.shape[::-1]).T >= rate
     mask = keep / (1.0 - rate)
     return x * mask, mask
 
@@ -237,24 +258,28 @@ class Sequential(Layer):
             self.count = np.zeros(1, dtype=np.int64)
 
     def forward(self, x, mode="train", rng=None):
-        """f(x); train mode draws dropout masks from `rng`, uses batch
-        statistics and keeps what `backward` reads."""
-        self._x = x
-        z = affine_forward(x, self.W, self.b)
+        """f of the rows of x (n, in_dim), returned as columns (hidden, n).
+        Train mode draws dropout masks from `rng`, uses batch statistics and
+        keeps what `backward` reads; eval mode keeps nothing."""
+        train = mode == "train"
+        xt = np.asarray(x).T
+        z = affine_forward(xt, self.W, self.b)
         # what the activation's backward reads: sigmoid's output, relu's mask
         if self.activation == "sigmoid":
-            z = self._act = sigmoid(z)
+            z = act = sigmoid(z)
         else:
-            self._act = z > 0
-            z = np.where(self._act, z, 0.0)
-        self._mask = None
-        if mode == "train" and self.dropout_rate > 0:
+            act = z > 0
+            z = np.where(act, z, 0.0)
+        mask = None
+        if train and self.dropout_rate > 0:
             if rng is None:
                 raise StateError("dropout in training mode needs an rng")
-            z, self._mask = dropout_train(z, self.dropout_rate, rng)
+            z, mask = dropout_train(z, self.dropout_rate, rng)
+        if train:
+            self._xt, self._act, self._mask = xt, act, mask
         if self.running is None:
             return z
-        if mode == "train":
+        if train:
             z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS,
                                            self.running, self.count, BN_MOMENTUM)
             return z
@@ -262,8 +287,8 @@ class Sequential(Layer):
 
     def backward(self, dout):
         """Accumulate the parameter gradients of the last train-mode
-        forward. The gradient w.r.t. f's input is never read, so the first
-        layer computes none."""
+        forward, from dout (hidden, n). The gradient w.r.t. f's input is
+        never read, so the first layer computes none."""
         if self.running is not None:
             dout, dgamma, dbeta = batch_norm_backward(dout, self._bn)
             np.add(self.dgamma, dgamma, out=self.dgamma)
@@ -274,7 +299,7 @@ class Sequential(Layer):
             dout = dout * self._act * (1.0 - self._act)
         else:
             dout = dout * self._act
-        _, dW, db = affine_backward(dout, self._x)
+        _, dW, db = affine_backward(dout, self._xt)
         np.add(self.dW, dW, out=self.dW)
         np.add(self.db, db, out=self.db)
 

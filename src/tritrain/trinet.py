@@ -73,17 +73,18 @@ class TriNet:
         self.W[...] = [glorot_uniform(np.random.default_rng(s), d, k) for s in ss[1:]]
 
     def features(self, x) -> np.ndarray:
-        """Shared representation F(x), in eval mode."""
-        return self.f.forward(x, mode="eval")
+        """Shared representation F(x) of the rows of x, (n, hidden), in
+        eval mode."""
+        return self.f.forward(x, mode="eval").T
 
     def forward(self, x) -> np.ndarray:
-        """Every head's class probabilities, (3, n, k) in BRANCHES order,
-        from one eval-mode pass of the shared extractor, one stacked affine
-        call and one softmax. Eval mode draws no randomness, so sharing the
-        pass changes no bits. Training goes through the two objectives."""
-        h = self.features(x)
-        # a view, not a copy per head: an eval set can be large
-        return softmax(nnlib.affine_forward(np.broadcast_to(h, (3, *h.shape)), self.W, self.b))
+        """Every head's class probabilities for the rows of x, (3, n, k) in
+        BRANCHES order, from one eval-mode pass of the shared extractor, one
+        stacked affine call and one softmax. Eval mode draws no randomness,
+        so sharing the pass changes no bits. Training goes through the two
+        objectives."""
+        h = self.f.forward(x, mode="eval")
+        return softmax(nnlib.affine_forward(h, self.W, self.b)).swapaxes(-1, -2)
 
     # -- objectives ---------------------------------------------------------
 
@@ -96,14 +97,12 @@ class TriNet:
         rows, gate = self.PHASES[phase]
         self.f.zero_grads()
         self.grad.fill(0.0)
+        # f's columns h (d, n) and the labels y (n,) serve every head as they are
         h = self.f.forward(x, mode="train", rng=rng)
         W, dW, db = self.W[rows], self.dW[rows], self.db[rows]
-        # the target head reads h itself; the labeling heads get a copy
-        # each, which at batch size costs less than np.broadcast_to
-        hs = h[None] if len(W) == 1 else h[None].repeat(len(W), axis=0)
-        z = nnlib.affine_forward(hs, W, self.b[rows])
-        loss, dz = softmax_cross_entropy(z, np.asarray(y)[None].repeat(len(W), axis=0))
-        dx, gW, gb = nnlib.affine_backward(dz, hs, W)
+        z = nnlib.affine_forward(h, W, self.b[rows])
+        loss, dz = softmax_cross_entropy(z, y)
+        dx, gW, gb = nnlib.affine_backward(dz, h, W)
         np.add(dW, gW, out=dW)
         np.add(db, gb, out=db)
         if getattr(self.gates, gate):

@@ -85,10 +85,28 @@ MUTANTS = (
            "",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",
-           "    xhat = (x - running[0]) / np.sqrt(running[1] + eps)",
-           "    xhat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + eps)",
+           "    xhat = (x - mean) / np.sqrt(var + eps)",
+           "    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)"
+           " + eps)",
            ("tests/test_nnlib.py::test_bn_eval_standardizes_with_the_running_statistics",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    # the (features, batch) layout: statistics and normalisation must run
+    # over the right axis; both mutants keep every shape valid
+    Mutant("batch_norm_statistics_over_the_feature_axis", "src/tritrain/nnlib.py",
+           "    stats = np.empty((2, x.shape[0], 1))\n    mean, var = stats[0], stats[1]\n"
+           "    np.add.reduce(x, axis=-1, keepdims=True, out=mean)\n    mean /= n\n"
+           "    xc = x - mean\n"
+           "    np.add.reduce(np.multiply(xc, xc), axis=-1, keepdims=True, out=var)\n",
+           "    stats = np.empty((2, 1, x.shape[1]))\n    mean, var = stats[0], stats[1]\n"
+           "    np.add.reduce(x, axis=0, keepdims=True, out=mean)\n    mean /= n\n"
+           "    xc = x - mean\n"
+           "    np.add.reduce(np.multiply(xc, xc), axis=0, keepdims=True, out=var)\n",
+           ("tests/test_nnlib.py::test_bn_normalizes_columns",)),
+    Mutant("softmax_normalised_over_the_batch_axis", "src/tritrain/nnlib.py",
+           "    return e / e.sum(axis=-2, keepdims=True)",
+           "    return e / e.sum(axis=-1, keepdims=True)",
+           ("tests/test_nnlib.py::test_softmax_rows_sum_to_one",
+            "tests/test_trinet.py::test_forward_probs_rows_sum_to_one")),
     Mutant("cross_entropy_gradient_unscaled", "src/tritrain/nnlib.py",
            "    grad /= n\n",
            "",

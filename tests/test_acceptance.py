@@ -174,8 +174,9 @@ def test_acceptance_labeler_oracle():
     rng = np.random.default_rng(7)
     for _ in range(500):
         n, k = rng.integers(1, 20), rng.integers(2, 8)
-        p1 = softmax(rng.normal(scale=3, size=(n, k)))
-        p2 = softmax(rng.normal(scale=3, size=(n, k)))
+        # each head's (n, k) probabilities, as TriNet.forward returns them
+        p1 = softmax(rng.normal(scale=3, size=(n, k)).T).T
+        p2 = softmax(rng.normal(scale=3, size=(n, k)).T).T
         th = rng.uniform(0.3, 0.99)
         rows, labels, conf = labeler.assign_pseudo_labels(p1, p2, th)
         exp_rows, exp_labels, exp_conf = [], [], []

@@ -549,8 +549,10 @@ def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, l
         perm = rng.permutation(n)
         for start in range(0, n, batch):
             idx = perm[start:start + batch]
-            _, dz = softmax_cross_entropy(affine_forward(train_x[idx], W, b), train_y[idx])
-            _, dW, db = affine_backward(dz, train_x[idx])
+            # the batch's rows as (d, batch) columns
+            xb = train_x[idx].T
+            _, dz = softmax_cross_entropy(affine_forward(xb, W, b), train_y[idx])
+            _, dW, db = affine_backward(dz, xb)
             opt.step({"clf": theta}, {"clf": np.concatenate([dW.ravel(), db.ravel()])})
     return W, b
 
@@ -567,7 +569,7 @@ def _a_distance_fold_by_fold(feats_s, feats_t, heldout_fraction=0.5, folds=5, se
         perm = np.random.default_rng(fold_seed).permutation(len(x))
         held, tr = perm[:n_held], perm[n_held:]
         W, b = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
-        errs.append(np.mean(affine_forward(x[held], W, b).argmax(axis=1) != y[held]))
+        errs.append(np.mean(affine_forward(x[held].T, W, b).argmax(axis=0) != y[held]))
         trained.append((tr, (W, b)))
     return distance_from_error(float(np.mean(errs))), x, y, trained
 

@@ -12,8 +12,9 @@ from tritrain.nnlib import ConfigError, ShapeError, softmax
 
 
 def head_probs(probs):
-    """A head's (n, k) probabilities, as the softmax of their logs."""
-    return softmax(np.log(np.asarray(probs, dtype=np.float64)))
+    """A head's (n, k) probabilities, as the softmax of their logs taken
+    over the class axis of their (k, n) transpose."""
+    return softmax(np.log(np.asarray(probs, dtype=np.float64)).T).T
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,8 @@ def test_rule_matches_brute_force_on_random_pairs():
     for trial in range(1000):
         n = rng.integers(1, 12)
         k = rng.integers(2, 6)
-        p1 = softmax(rng.normal(scale=3, size=(n, k)))
-        p2 = softmax(rng.normal(scale=3, size=(n, k)))
+        p1 = softmax(rng.normal(scale=3, size=(n, k)).T).T
+        p2 = softmax(rng.normal(scale=3, size=(n, k)).T).T
         threshold = rng.uniform(0.3, 0.99)
         rows, labels, conf = assign_pseudo_labels(p1, p2, threshold)
         brows, blabels, bconf = _brute_force_rule(p1, p2, threshold)

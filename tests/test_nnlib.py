@@ -13,6 +13,13 @@ from tritrain.nnlib import (Adagrad, ConfigError, MomentumSGD,
 from conftest import finite_difference_gradient, named, rel_err
 
 
+def cols(a):
+    """The (features, batch) layout of row-major samples a (..., n, d): a
+    C-contiguous (..., d, n) copy, as the training path holds its
+    activations."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+
+
 def fresh_stats(d):
     """Unpopulated running statistics: the (2, d) rows mean and variance,
     and the batch count."""
@@ -24,27 +31,27 @@ def fresh_stats(d):
 
 
 def test_affine_identity():
-    y = affine_forward(np.array([[1.0, 2.0]]), np.eye(2), np.zeros(2))
-    np.testing.assert_array_equal(y, [[1.0, 2.0]])
+    y = affine_forward(np.array([[1.0], [2.0]]), np.eye(2), np.zeros(2))
+    np.testing.assert_array_equal(y, [[1.0], [2.0]])
 
 
 def test_affine_zero_input_passes_bias():
     W = np.random.default_rng(0).normal(size=(2, 2))
-    y = affine_forward(np.zeros((1, 2)), W, np.array([3.0, -1.0]))
-    np.testing.assert_array_equal(y, [[3.0, -1.0]])
+    y = affine_forward(np.zeros((2, 1)), W, np.array([3.0, -1.0]))
+    np.testing.assert_array_equal(y, [[3.0], [-1.0]])
 
 
 def test_affine_shape_mismatch():
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((1, 3)), np.eye(2), np.zeros(2))
+        affine_forward(np.zeros((3, 1)), np.eye(2), np.zeros(2))
 
 
 def test_affine_grad_matches_finite_differences():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 4))
+    x = cols(rng.normal(size=(3, 4)))
     W = rng.normal(size=(4, 2))
     b = rng.normal(size=(1, 2))
-    dout = np.ones((3, 2))
+    dout = np.ones((2, 3))
     _, dW, db = affine_backward(dout, x, W)
     num_W = finite_difference_gradient(lambda w: affine_forward(x, w, b).sum(), W.copy())
     num_b = finite_difference_gradient(lambda bb: affine_forward(x, W, bb).sum(), b.copy())
@@ -56,10 +63,10 @@ def test_affine_grad_randomized_suite():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         n, din, dout_d = rng.integers(2, 7, size=3)
-        x = rng.normal(size=(n, din))
+        x = cols(rng.normal(size=(n, din)))
         W = rng.normal(size=(din, dout_d))
         b = rng.normal(size=(1, dout_d))
-        up = rng.normal(size=(n, dout_d))
+        up = cols(rng.normal(size=(n, dout_d)))
         dx, dW, db = affine_backward(up, x, W)
         f = lambda w: (affine_forward(x, w, b) * up).sum()
         assert rel_err(dW, finite_difference_gradient(f, W.copy())) < 1e-4
@@ -72,13 +79,13 @@ def test_affine_grad_randomized_suite():
 
 
 def test_uniform_logits_loss_is_log_k():
-    loss, _ = softmax_cross_entropy(np.zeros((4, 10)), np.array([0, 3, 9, 5]))
+    loss, _ = softmax_cross_entropy(np.zeros((10, 4)), np.array([0, 3, 9, 5]))
     assert loss == pytest.approx(np.log(10), abs=1e-12)
 
 
 def test_confident_correct_prediction():
-    logits = np.zeros((1, 3))
-    logits[0, 1] = 1000.0
+    logits = np.zeros((3, 1))
+    logits[1, 0] = 1000.0
     loss, grad = softmax_cross_entropy(logits, np.array([1]))
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert np.abs(grad).max() < 1e-9
@@ -86,19 +93,20 @@ def test_confident_correct_prediction():
 
 def test_label_out_of_range():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
+        softmax_cross_entropy(np.zeros((3, 1)), np.array([3]))
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
-    p = softmax(rng.normal(scale=10, size=(50, 7)))
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+    # one column per row of the batch
+    p = softmax(cols(rng.normal(scale=10, size=(50, 7))))
+    np.testing.assert_allclose(p.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_ce_loss_nonnegative():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        logits = rng.normal(scale=5, size=(6, 4))
+        logits = cols(rng.normal(scale=5, size=(6, 4)))
         labels = rng.integers(0, 4, size=6)
         loss, _ = softmax_cross_entropy(logits, labels)
         assert loss >= 0.0
@@ -107,7 +115,7 @@ def test_ce_loss_nonnegative():
 def test_ce_grad_matches_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        logits = rng.normal(size=(2, 3))
+        logits = cols(rng.normal(size=(2, 3)))
         labels = rng.integers(0, 3, size=2)
         _, grad = softmax_cross_entropy(logits, labels)
         num = finite_difference_gradient(
@@ -120,32 +128,32 @@ def test_ce_grad_matches_finite_differences():
 
 
 def test_bn_constant_column_maps_to_beta():
-    x = np.full((5, 1), 7.0)
+    x = np.full((1, 5), 7.0)
     y, _ = batch_norm_train(x, np.ones((1, 1)), np.full((1, 1), 5.0), 1e-5, *fresh_stats(1))
     np.testing.assert_allclose(y, 5.0, atol=1e-9)
 
 
 def test_bn_normalizes_columns():
     rng = np.random.default_rng(4)
-    x = rng.normal(loc=3.0, scale=2.0, size=(64, 3))
+    x = cols(rng.normal(loc=3.0, scale=2.0, size=(64, 3)))
     y, _ = batch_norm_train(x, np.ones((1, 3)), np.zeros((1, 3)), 1e-10, *fresh_stats(3))
-    assert np.abs(y.mean(axis=0)).max() < 1e-8
-    assert np.abs(y.var(axis=0) - 1.0).max() < 1e-6
+    assert np.abs(y.mean(axis=1)).max() < 1e-8
+    assert np.abs(y.var(axis=1) - 1.0).max() < 1e-6
 
 
 def test_bn_requires_batch_of_two():
     with pytest.raises(ValueError):
-        batch_norm_train(np.ones((1, 2)), np.ones((1, 2)), np.zeros((1, 2)),
+        batch_norm_train(np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 2)),
                          1e-5, *fresh_stats(2))
 
 
 def test_bn_grads_match_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=(8, 3))
+        x = cols(rng.normal(size=(8, 3)))
         gamma = rng.normal(size=(1, 3))
         beta = rng.normal(size=(1, 3))
-        up = rng.normal(size=(8, 3))
+        up = cols(rng.normal(size=(8, 3)))
         _, cache = batch_norm_train(x, gamma, beta, 1e-5, *fresh_stats(3))
         dx, dgamma, dbeta = batch_norm_backward(up, cache)
 
@@ -163,8 +171,10 @@ def test_bn_grads_match_finite_differences():
 def test_bn_eval_at_running_mean_is_zero():
     stats = fresh_stats(2)
     rng = np.random.default_rng(5)
-    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, *stats)
-    y = batch_norm_eval(stats[0][:1], np.ones((1, 2)), np.zeros((1, 2)), *stats, 1e-5)
+    batch_norm_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), 1e-5,
+                     *stats)
+    # the running mean as a batch of one column
+    y = batch_norm_eval(cols(stats[0][:1]), np.ones((1, 2)), np.zeros((1, 2)), *stats, 1e-5)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
 
@@ -172,20 +182,22 @@ def test_bn_eval_standardizes_with_the_running_statistics():
     # the batch's own mean and variance are far from the running ones
     running = np.array([[0.5, -1.0, 2.0], [0.25, 4.0, 1.5]])
     gamma, beta = np.array([[1.5, -0.5, 2.0]]), np.array([[0.1, 0.2, -0.3]])
-    x = np.random.default_rng(8).normal(loc=10.0, scale=5.0, size=(6, 3))
+    x = cols(np.random.default_rng(8).normal(loc=10.0, scale=5.0, size=(6, 3)))
     y = batch_norm_eval(x, gamma, beta, running, np.array([3]), 1e-5)
-    expected = [[gamma[0, j] * ((x[i, j] - running[0, j]) / math.sqrt(running[1, j] + 1e-5))
-                 + beta[0, j] for j in range(3)] for i in range(6)]
+    expected = [[gamma[0, j] * ((x[j, i] - running[0, j]) / math.sqrt(running[1, j] + 1e-5))
+                 + beta[0, j] for i in range(6)] for j in range(3)]
     np.testing.assert_array_equal(y, expected)
-    on_batch = gamma * (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 1e-5) + beta
+    on_batch = (gamma.T * (x - x.mean(axis=1, keepdims=True))
+                / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5) + beta.T)
     assert not np.allclose(y, on_batch)
 
 
 def test_bn_eval_gamma_zero_gives_beta():
     stats = fresh_stats(2)
     rng = np.random.default_rng(6)
-    batch_norm_train(rng.normal(size=(16, 2)), np.ones((1, 2)), np.zeros((1, 2)), 1e-5, *stats)
-    y = batch_norm_eval(rng.normal(size=(4, 2)), np.zeros((1, 2)), np.full((1, 2), 2.5),
+    batch_norm_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), 1e-5,
+                     *stats)
+    y = batch_norm_eval(cols(rng.normal(size=(4, 2))), np.zeros((1, 2)), np.full((1, 2), 2.5),
                         *stats, 1e-5)
     np.testing.assert_allclose(y, 2.5, atol=1e-12)
 
@@ -202,11 +214,11 @@ def test_bn_eval_centering_converges_monte_carlo():
     rng = np.random.default_rng(7)
     gamma, beta = np.ones((1, 2)), np.zeros((1, 2))
     for _ in range(200):
-        batch_norm_train(rng.normal(loc=1.5, scale=0.7, size=(128, 2)),
+        batch_norm_train(cols(rng.normal(loc=1.5, scale=0.7, size=(128, 2))),
                          gamma, beta, 1e-5, *stats)
-    test_x = rng.normal(loc=1.5, scale=0.7, size=(5000, 2))
+    test_x = cols(rng.normal(loc=1.5, scale=0.7, size=(5000, 2)))
     y = batch_norm_eval(test_x, gamma, beta, *stats, 1e-5)
-    assert np.abs(y.mean(axis=0)).max() < 0.1
+    assert np.abs(y.mean(axis=1)).max() < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +359,8 @@ def test_sigmoid_relu_grads_match_finite_differences():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(4, 3))
-        up = rng.normal(size=(4, 3))
+        # f's output is (hidden, n): one column per row of x
+        up = cols(rng.normal(size=(4, 3)))
         for kind in ("sigmoid", "relu"):
             f = Sequential(3, 3, kind, 0.0, False, rng)
             f.forward(x)
@@ -395,12 +408,13 @@ def _sigmoid_reference(x):
 
 
 def _cross_entropy_reference(logits, labels):
-    n = logits.shape[0]
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z[np.arange(n), labels] - np.log(np.exp(z).sum(axis=1))
+    k, n = logits.shape
+    cols_n = np.arange(n)
+    z = logits - logits.max(axis=0, keepdims=True)
+    logp = z[labels, cols_n] - np.log(np.exp(z).sum(axis=0))
     np.clip(logp, -700.0, None, out=logp)
     onehot = np.zeros_like(logits)
-    onehot[np.arange(n), labels] = 1.0
+    onehot[labels, cols_n] = 1.0
     return -logp.mean(), (softmax(logits) - onehot) / n
 
 
@@ -417,7 +431,7 @@ def test_sigmoid_bit_identical_to_reference():
 def test_softmax_cross_entropy_bit_identical_to_reference(k):
     rng = np.random.default_rng(31)
     for scale in (1.0, 50.0, 1e4):
-        logits = rng.normal(scale=scale, size=(64, k))
+        logits = cols(rng.normal(scale=scale, size=(64, k)))
         labels = rng.integers(0, k, size=64)
         loss, grad = softmax_cross_entropy(logits, labels)
         ref_loss, ref_grad = _cross_entropy_reference(logits, labels)
@@ -428,18 +442,20 @@ def test_softmax_cross_entropy_bit_identical_to_reference(k):
 def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
     rng = np.random.default_rng(32)
     for n, d in ((64, 16), (128, 16), (2, 3), (37, 5)):
-        x = rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d))
+        x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
         gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
         running, count = fresh_stats(d)
         y, (xhat, inv_std, _, _) = batch_norm_train(x, gamma, beta, 1e-5, running, count)
-        np.testing.assert_array_equal(running[0], x.mean(axis=0))
-        np.testing.assert_array_equal(running[1], x.var(axis=0))
-        np.testing.assert_array_equal(inv_std, 1.0 / np.sqrt(x.var(axis=0) + 1e-5))
-        np.testing.assert_array_equal(y, gamma * ((x - x.mean(axis=0)) * inv_std) + beta)
+        mean, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
+        np.testing.assert_array_equal(running[0], mean[:, 0])
+        np.testing.assert_array_equal(running[1], var[:, 0])
+        np.testing.assert_array_equal(inv_std, 1.0 / np.sqrt(var + 1e-5))
+        np.testing.assert_array_equal(y, gamma.T * ((x - mean) * inv_std) + beta.T)
 
 
 # The formulas the kernels had before they were rewritten for fewer numpy
-# calls; each rewrite must give the same bits.
+# calls, applied to (features, batch) arrays; each kernel must give the
+# same bits.
 
 
 def _sigmoid_where(x):
@@ -448,29 +464,29 @@ def _sigmoid_where(x):
 
 
 def _cross_entropy_stacked(logits, labels):
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    n, k = logits.shape[-2:]
-    z = logits - logits.max(axis=-1, keepdims=True)
+    n = logits.shape[-1]
+    labels = np.broadcast_to(labels, (*logits.shape[:-2], n))[..., None, :]
+    z = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(z)
-    s = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(labels.shape[0])
-    logp = z.reshape(-1, k)[rows, labels] - np.log(s.ravel())
+    s = e.sum(axis=-2, keepdims=True)
+    logp = np.take_along_axis(z, labels, axis=-2) - np.log(s)
     np.clip(logp, -700.0, None, out=logp)
-    loss = -logp.reshape(logits.shape[:-1]).mean(axis=-1)
+    loss = -logp[..., 0, :].mean(axis=-1)
     grad = e / s
-    grad.reshape(-1, k)[rows, labels] -= 1.0
+    np.put_along_axis(grad, labels, np.take_along_axis(grad, labels, axis=-2) - 1.0, axis=-2)
     grad /= n
     return loss, grad
 
 
 def _batch_norm_train_dict(x, gamma, beta, eps, running_stats, momentum=0.9):
-    n = x.shape[0]
-    mean = x.sum(axis=0) / n
+    n = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / n
     xc = x - mean
-    var = (xc * xc).sum(axis=0) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv_std
-    y = gamma * xhat + beta
+    y = gamma.T * xhat + beta.T
+    mean, var = mean[:, 0], var[:, 0]
     if running_stats["count"] == 0:
         running_stats["mean"] = mean.copy()
         running_stats["var"] = var.copy()
@@ -483,10 +499,11 @@ def _batch_norm_train_dict(x, gamma, beta, eps, running_stats, momentum=0.9):
 
 def _batch_norm_backward_sums(dout, cache):
     xhat, inv_std, gamma, n = cache
-    dgamma = (dout * xhat).sum(axis=0, keepdims=True)
-    dbeta = dout.sum(axis=0, keepdims=True)
-    dxhat = dout * gamma
-    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    dgamma = (dout * xhat).sum(axis=-1, keepdims=True).T
+    dbeta = dout.sum(axis=-1, keepdims=True).T
+    dxhat = dout * gamma.T
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
     return dx, dgamma, dbeta
 
 
@@ -512,21 +529,43 @@ def test_sigmoid_bits_equal_the_where_formula():
 @pytest.mark.parametrize("k", [2, 3, 9])
 @pytest.mark.parametrize("lead", [(), (1,), (2,), (5,)], ids=["2d", "1x", "2x", "5x"])
 def test_softmax_cross_entropy_bits_equal_the_stacked_formula(k, lead):
-    # k = 9 sums its classes pairwise, k < 8 one by one
+    # the class axis is not the contiguous one, so both add the classes in
+    # order for every k
     rng = np.random.default_rng(42)
     n = 128 if lead == (1,) else 64
     for scale in (1.0, 50.0, 1e4):
-        logits = rng.normal(scale=scale, size=(*lead, n, k))
+        logits = cols(rng.normal(scale=scale, size=(*lead, n, k)))
         labels = rng.integers(0, k, size=(*lead, n))
-        # a row whose label sits 1000 below its max hits the -700 clip
-        logits[..., 0, :] = 0.0
+        # a column whose label sits 1000 below its max hits the -700 clip
+        logits[..., :, 0] = 0.0
         logits[..., 0, 0] = -1000.0
         labels[..., 0] = 0
         loss, grad = softmax_cross_entropy(logits, labels)
         ref_loss, ref_grad = _cross_entropy_stacked(logits, labels)
         assert_same_bits(loss, ref_loss)
         assert_same_bits(grad, ref_grad)
-    assert softmax_cross_entropy(logits[..., :1, :], labels[..., :1])[0].max() == 700.0
+        # one label row shared by every slice, as the heads share theirs
+        shared = labels[(0,) * len(lead)]
+        for a, b in zip(softmax_cross_entropy(logits, shared),
+                        _cross_entropy_stacked(logits, shared)):
+            assert_same_bits(a, b)
+    assert softmax_cross_entropy(logits[..., :1], labels[..., :1])[0].max() == 700.0
+
+
+def test_softmax_cross_entropy_of_a_strided_view_equals_that_of_a_copy():
+    # a view whose batch axis is not contiguous, such as rows seen as columns
+    rng = np.random.default_rng(44)
+    rows, labels = rng.normal(size=(64, 3)), rng.integers(0, 3, size=64)
+    for a, b in zip(softmax_cross_entropy(rows.T, labels), softmax_cross_entropy(cols(rows), labels)):
+        assert_same_bits(a, b)
+
+
+def test_softmax_cross_entropy_rejects_labels_that_do_not_fit():
+    logits = np.zeros((2, 3, 4))
+    for labels in (np.zeros(5, dtype=np.int64), np.zeros((3, 4), dtype=np.int64),
+                   np.zeros((1, 4), dtype=np.int64), np.int64(0)):
+        with pytest.raises(ShapeError):
+            softmax_cross_entropy(logits, labels)
 
 
 @pytest.mark.parametrize("n, d", [(64, 16), (128, 16), (2, 3), (37, 5), (64, 1), (16, 50)])
@@ -537,7 +576,7 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     ref_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
     gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
     for call in range(4):
-        x = rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d))
+        x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
         y, cache = batch_norm_train(x, gamma, beta, 1e-5, running, count, 0.9)
         ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
         assert_same_bits(y, ref_y)
@@ -546,7 +585,7 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
         assert_same_bits(running[0], ref_stats["mean"])
         assert_same_bits(running[1], ref_stats["var"])
         assert count[0] == ref_stats["count"] == call + 1
-        up = rng.normal(size=(n, d))
+        up = cols(rng.normal(size=(n, d)))
         for a, b in zip(batch_norm_backward(up, cache), _batch_norm_backward_sums(up, ref_cache)):
             assert_same_bits(a, b)
 
@@ -556,7 +595,7 @@ def test_stacked_kernels_equal_the_2d_call_on_each_slice():
     for _ in range(300):
         folds, n = int(rng.integers(1, 7)), int(rng.integers(1, 130))
         d, k = int(rng.integers(1, 40)), int(rng.integers(2, 5))
-        x = rng.normal(size=(folds, n, d))
+        x = cols(rng.normal(size=(folds, n, d)))
         W = rng.normal(size=(folds, d, k))
         b = rng.normal(size=(folds, 1, k))
         labels = rng.integers(0, k, size=(folds, n))
@@ -564,6 +603,9 @@ def test_stacked_kernels_equal_the_2d_call_on_each_slice():
         loss, dz = softmax_cross_entropy(y, labels)
         dx, dW, db = affine_backward(dz, x, W)
         assert loss.shape == (folds,)
+        # one 2-D x feeding every slice, as f's output feeds the heads
+        y_shared = affine_forward(x[0], W, b)
+        dx_s, dW_s, db_s = affine_backward(dz, x[0], W)
         for f in range(folds):
             y_f = affine_forward(x[f], W[f], b[f])
             loss_f, dz_f = softmax_cross_entropy(y_f, labels[f])
@@ -572,13 +614,16 @@ def test_stacked_kernels_equal_the_2d_call_on_each_slice():
             np.testing.assert_array_equal(dz[f], dz_f)
             for stacked, alone in zip((dx, dW, db), affine_backward(dz_f, x[f], W[f])):
                 np.testing.assert_array_equal(stacked[f], alone)
+            np.testing.assert_array_equal(y_shared[f], affine_forward(x[0], W[f], b[f]))
+            for shared, alone in zip((dx_s, dW_s, db_s), affine_backward(dz[f], x[0], W[f])):
+                np.testing.assert_array_equal(shared[f], alone)
 
 
 def test_stacked_affine_rejects_mismatched_model_axes():
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((3, 4, 2)), np.zeros((2, 2, 5)), np.zeros((3, 1, 5)))
+        affine_forward(np.zeros((3, 2, 4)), np.zeros((2, 2, 5)), np.zeros((3, 1, 5)))
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((3, 4, 2)), np.zeros((2, 5)), np.zeros(5))
+        affine_forward(np.zeros((3, 2, 4)), np.zeros((2, 5)), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ def test_forward_probs_rows_sum_to_one():
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_forward_equals_per_head_pass(use_bn):
     # oracle: the extractor run again for each head, and the head as one
-    # 2-D affine call and softmax on its own arena row
+    # 2-D affine call and softmax on its own arena row, on (features, batch)
+    # columns; each head's (n, k) slice is that result transposed
     net = small_net(seed=4, use_bn=use_bn)
     x = np.random.default_rng(5).normal(size=(12, 3))
     net.f.forward(x, mode="train")  # populate BN
@@ -44,7 +45,26 @@ def test_forward_equals_per_head_pass(use_bn):
     for i in range(len(TriNet.BRANCHES)):
         h = net.f.forward(x, mode="eval")
         ref = softmax(nnlib.affine_forward(h, net.W[i], net.b[i]))
-        assert probs[i].tobytes() == ref.tobytes()
+        assert probs[i].tobytes() == ref.T.tobytes()
+
+
+@pytest.mark.parametrize("activation, dropout_rate", [("sigmoid", 0.0), ("relu", 0.2)])
+def test_eval_forward_keeps_no_array_of_its_batch(activation, dropout_rate):
+    # a training batch first, whose cache the extractor may keep; then an
+    # eval set of another size, of which it must keep nothing
+    net = TriNet(3, num_classes=3, hidden_dim=4, activation=activation,
+                 dropout_rate=dropout_rate, seed=0)
+    rng = np.random.default_rng(6)
+    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, 8), rng=rng)
+    x = rng.normal(size=(37, 3))
+    net.forward(x)
+    net.features(x)
+    held = []
+    for value in vars(net.f).values():
+        held += value if isinstance(value, tuple) else [value]
+    for a in held:
+        if isinstance(a, np.ndarray):
+            assert not np.shares_memory(a, x) and 37 not in a.shape, a.shape
 
 
 def test_eval_forward_is_deterministic():
