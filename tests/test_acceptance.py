@@ -298,16 +298,16 @@ def test_acceptance_determinism(tmp_path):
 
 # sha256 of each `benchmark_runs` history's metrics.csv, by seed
 BENCHMARK_METRICS_DIGESTS = (
-    "ceaef4ff870f50a0b485e6c4423c58c64e3a5495d65747c9c133a8b8259244b9",
-    "a17c07e3f6b99a4bde16b49dcaf8c2523487a7957ba05feeb0eb53c890f5f282",
-    "fd0498db2fec3f244dda3e1e70ac6d0307d2ad29392ed455f2449f3ff0901cb8",
-    "4eda0337946a585fc22f7cf5e293cf8debcb15415e02a089c0298451be267f37",
-    "f89c0c4607223c3615b6e9e01a2110e2c05e15356716ea3f3dc4f583b68473d7",
-    "918e34f4e45803e506b2357c9903e760c23beadbe7c4261fc26d84eff0c31881",
-    "5dd4c6aa519f3f6250d85e4be638614ce49df4abf38e08b9d623cbc9a3ce7c96",
-    "766c11eb44f942745028fd117a77096bba0d541cad594ae3472230b419a697e4",
-    "aabb72dbe3b449cc2a561e77f4000be025ea7c65bd2269f91a25a2412880e61a",
-    "68e0d3003cd19667ea1da6ca83ddfbceb66f5cf43283b8ee78b06f40769e42b5",
+    "bfd17abde1f719b4bdb44804721a4d6138e8dcab8a44c1d52bc9608d9bacdd10",
+    "d27ee68c7a44b45f4f4b5b211a14b1c17e6d84e7ce53c9c637fbd62a0a8a91c0",
+    "c458f4dfd798974254c9c5eb463de405e38f8c3daf6614adb8a2d05d36075551",
+    "7903b5c762d4dd0f2694b83676e61ba0ea3cf8ac6087337fd5e10ba2fb785b75",
+    "ced1fd78a6cc6247ec85931d5efbc56d3a54b28629d8d192b9bc61c155755ef5",
+    "2b507e66c651fff85a9497f9d0c94df4658d776f8b77c18bcb5c5efa09de2ad5",
+    "8bf45be45f49a01a0e903010613365b06c607f9124eeec3f885a35b4471c64db",
+    "3596004b5152d9fdf13526fb7e280590bde09634b84d635bf97b7789e3c9c010",
+    "2fe1f18625b53d410739dc0dd30de19174c95e11a3d026be2cf81373445373d1",
+    "3c691b0d229f44b1ba5fc9a0f5ba0b559b3b60bdbaa0137e20c171434af493e9",
 )
 
 # the columns a change that only moves rounding must leave as they are
@@ -339,15 +339,15 @@ SHORT_RUN_CFG = "\n".join([
     "train.dropout_rate = 0.2", "train.hidden_dim = 8", "train.seed = 1",
     "gates.from_ft = false", "labeling.n_init = 60", "labeling.threshold = 0.8", ""])
 SHORT_RUN_DIGESTS = {
-    "metrics.csv": "c1e734b08f97862d37e634392a03869b2fcd9df5f47d82caad1c421a38b96cdf",
-    "checkpoint.npz": "3329c3f1a2e4f650e3c5f88e8f4344b91494e2ee2702ba7d43782072f222bed0",
+    "metrics.csv": "7cd96dfc4f8be8a2c7ec705a4f1554a4903120bf47f2f711e13811ebbdfecc76",
+    "checkpoint.npz": "4f5d5001c78821c66bc43f5f6c77d3245da05ddb3f3d21f786e3022e16d78340",
 }
 
 
 # the short run with an extractor without batch norm: affine, relu, dropout
 SHORT_RUN_NO_BN_DIGESTS = {
-    "metrics.csv": "399a4bd750650bd08423f18e6bad885372d4d1e8bff62b962b3c5a169bb0d96d",
-    "checkpoint.npz": "c8bc03bfc6eb0971e2cbd12309a6e8cbecc0b44e57a85ab5673068072d8320af",
+    "metrics.csv": "b675f4cbc75c9df35252c8f52c4821d3b34c2aca68e2395cd3de6c0a5443f08d",
+    "checkpoint.npz": "ae6d90a09d7947f2bdc8bb3c5a8d90f9aaa1b7ae8cd430d311e65edac4ac64b6",
 }
 
 
