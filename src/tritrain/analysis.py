@@ -291,11 +291,8 @@ def _train_domain_classifiers(train_x, train_y, rngs):
             idx = perm[:, start:start + _BATCH]
             xb = train_x[fold, idx].swapaxes(-1, -2)
             _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
-            grad.fill(0.0)
             # without W, no input gradient is computed; nothing reads it
-            _, gW, gb = nnlib.affine_backward(dz, xb)
-            dW += gW
-            db += gb
+            nnlib.affine_backward(dz, xb, out=(dW, db))
             opt.step({"clf": theta}, {"clf": grad})
     return W, b
 

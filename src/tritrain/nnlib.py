@@ -6,6 +6,9 @@ passes can be checked against central finite differences.
 """
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 
@@ -48,14 +51,18 @@ def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None):
+def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, out=None):
     """Gradients of `affine_forward`, slice by slice over leading axes, with
     dW and db in W's and b's stored shapes. The input gradient dx needs W;
     without it dx is None, for a first layer whose input gradient nothing
-    reads."""
+    reads. `out`, a (dW, db) pair of arrays in those shapes such as arena
+    views, receives the gradients in place of new arrays."""
     dx = None if W is None else W @ dout
-    dW = x @ dout.swapaxes(-1, -2)
-    db = np.add.reduce(dout, axis=-1)[..., None, :]
+    if out is None:
+        return dx, x @ dout.swapaxes(-1, -2), np.add.reduce(dout, axis=-1)[..., None, :]
+    dW, db = out
+    np.matmul(x, dout.swapaxes(-1, -2), out=dW)
+    np.add.reduce(dout, axis=-1, out=db[..., 0, :])
     return dx, dW, db
 
 
@@ -78,6 +85,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-2, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-2, keepdims=True)
+
+
+@functools.lru_cache(maxsize=8)
+def _label_base(shape: tuple) -> np.ndarray:
+    """Flat index of each column's class-0 entry in a C-ordered array of
+    `shape` (..., k, n), as an (..., n) array: slice * k * n + column.
+    Read-only, since every call of a shape shares it."""
+    *lead, k, n = shape
+    base = (np.arange(math.prod(lead))[:, None] * (k * n) + np.arange(n)).reshape(*lead, n)
+    base.flags.writeable = False
+    return base
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -113,7 +131,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     # a reduction over a non-contiguous axis adds the class rows in order
     s = np.add.reduce(e, axis=-2)
     # flat index of each column's label entry: (slice * k + label) * n + column
-    at = np.arange(logits.size).reshape(logits.shape)[..., 0, :] + labels * n
+    at = _label_base(logits.shape) + labels * n
     logp = z.take(at)
     logp -= np.log(s)
     np.maximum(logp, -700.0, out=logp)
@@ -286,22 +304,20 @@ class Sequential(Layer):
         return batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS)
 
     def backward(self, dout):
-        """Accumulate the parameter gradients of the last train-mode
-        forward, from dout (hidden, n). The gradient w.r.t. f's input is
+        """Write the parameter gradients of the last train-mode forward into
+        `grad`, from dout (hidden, n). The gradient w.r.t. f's input is
         never read, so the first layer computes none."""
         if self.running is not None:
             dout, dgamma, dbeta = batch_norm_backward(dout, self._bn)
-            np.add(self.dgamma, dgamma, out=self.dgamma)
-            np.add(self.dbeta, dbeta, out=self.dbeta)
+            np.copyto(self.dgamma, dgamma)
+            np.copyto(self.dbeta, dbeta)
         if self._mask is not None:
             dout = dout * self._mask
         if self.activation == "sigmoid":
             dout = dout * self._act * (1.0 - self._act)
         else:
             dout = dout * self._act
-        _, dW, db = affine_backward(dout, self._xt)
-        np.add(self.dW, dW, out=self.dW)
-        np.add(self.db, db, out=self.db)
+        affine_backward(dout, self._xt, out=(self.dW, self.db))
 
     def zero_grads(self):
         self.grad.fill(0.0)

@@ -153,6 +153,10 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     grads = dict(zip(TriNet.BRANCHES[rows], net.grad[rows]))
     if getattr(net.gates, gate):
         params["f"], grads["f"] = net.f.theta, net.f.grad
+    # the objectives write every gradient the phase steps; a closed gate
+    # leaves f's at this zero
+    net.f.zero_grads()
+    net.grad.fill(0.0)
     losses, penalties = [], []
     batch = getattr(state.cfg, f"batch_{phase}")
     for b, idx in enumerate(_batches(len(x), batch, iters, state.rng_train)):

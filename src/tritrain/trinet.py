@@ -90,21 +90,18 @@ class TriNet:
 
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
         """Mean cross-entropy of each head of `phase`, from one train-mode pass
-        of f and one stacked affine call each way. Zeroes every gradient, then
-        fills those of the phase's heads and, if its gate is open, of f."""
+        of f and one stacked affine call each way. Writes the gradients of
+        the phase's heads and, if its gate is open, of f; every other
+        gradient keeps its value."""
         if len(x) == 0:
             raise ValueError("empty batch")
         rows, gate = self.PHASES[phase]
-        self.f.zero_grads()
-        self.grad.fill(0.0)
         # f's columns h (d, n) and the labels y (n,) serve every head as they are
         h = self.f.forward(x, mode="train", rng=rng)
-        W, dW, db = self.W[rows], self.dW[rows], self.db[rows]
+        W = self.W[rows]
         z = nnlib.affine_forward(h, W, self.b[rows])
         loss, dz = softmax_cross_entropy(z, y)
-        dx, gW, gb = nnlib.affine_backward(dz, h, W)
-        np.add(dW, gW, out=dW)
-        np.add(db, gb, out=db)
+        dx, _, _ = nnlib.affine_backward(dz, h, W, out=(self.dW[rows], self.db[rows]))
         if getattr(self.gates, gate):
             # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
             self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])

@@ -76,8 +76,8 @@ MUTANTS = (
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
-           "np.add(self.dW, dW, out=self.dW)",
-           "np.add(self.dW, 0.5 * dW, out=self.dW)",
+           "        affine_backward(dout, self._xt, out=(self.dW, self.db))\n",
+           "        affine_backward(dout, self._xt, out=(self.dW, self.db))\n        self.dW *= 0.5\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
