@@ -66,14 +66,15 @@ def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None
     return dx, dW, db
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
     """Overflow-free logistic: exp only ever sees -|x|. The numerator
-    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below."""
+    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below. `out`, an
+    array of x's shape, receives the result."""
     x = np.asarray(x, dtype=np.float64)
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.sign(x)
+    num = np.sign(x, out=out)
     np.maximum(e, num, out=num)
     e += 1.0
     return np.divide(num, e, out=num)
@@ -143,9 +144,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad
 
 
-def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
+def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None):
     """Standardize each feature row of x (d, n) with its batch statistics,
-    then scale and shift by gamma and beta, (1, d) as stored.
+    then scale and shift by gamma and beta, (1, d) as stored, into `out`
+    if given.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
@@ -172,7 +174,7 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
     np.sqrt(inv_std, out=inv_std)
     np.divide(1.0, inv_std, out=inv_std)
     xhat = np.multiply(xc, inv_std, out=xc)
-    y = gamma.T * xhat
+    y = np.multiply(gamma.T, xhat, out=out)
     y += beta.T
     stats = stats[..., 0]
     if count[0] == 0:
@@ -186,42 +188,50 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9):
     return y, cache
 
 
-def batch_norm_backward(dout, cache):
+def batch_norm_backward(dout, cache, out=None):
     """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta, the
-    last two (1, d) as stored."""
+    last two (1, d) as stored. `out`, a (2, d) array such as the arena rows
+    of dgamma then dbeta, receives those two.
+
+    With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
+    ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
+    and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
     xhat, inv_std, gamma, n = cache
-    # the four row sums dbeta, sum(dxhat), dgamma and sum(dxhat * xhat)
-    # from one reduction over the batch axis
-    buf = np.empty((4, *xhat.shape))
-    buf[0] = dout
-    dxhat = np.multiply(dout, gamma.T, out=buf[1])
-    np.multiply(buf[:2], xhat, out=buf[2:])
-    sums = np.add.reduce(buf, axis=-1, keepdims=True)
-    dx = n * dxhat
-    dx -= sums[1]
-    dx -= xhat * sums[3]
-    dx *= inv_std / n
-    return dx, sums[2].T, sums[0].T
+    # both row sums from one reduction over the batch axis
+    buf = np.empty((2, *xhat.shape))
+    np.multiply(dout, xhat, out=buf[0])
+    buf[1] = dout
+    sums = np.add.reduce(buf, axis=-1, out=out)
+    dgamma, dbeta = sums[..., None]
+    dx = n * dout
+    dx -= dbeta
+    dx -= xhat * dgamma
+    scale = gamma.T * inv_std
+    scale /= n
+    dx *= scale
+    return dx, sums[:1], sums[1:]
 
 
-def batch_norm_eval(x, gamma, beta, running, count, eps):
+def batch_norm_eval(x, gamma, beta, running, count, eps, out=None):
     if count[0] == 0:
         raise StateError("batch norm running statistics are unpopulated; train first")
     mean, var = running[..., None]
     xhat = (x - mean) / np.sqrt(var + eps)
-    return gamma.T * xhat + beta.T
+    y = np.multiply(gamma.T, xhat, out=out)
+    y += beta.T
+    return y
 
 
-def dropout_train(x, rate, rng):
+def dropout_train(x, rate, rng, out=None):
     """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate). The uniforms are drawn in the transposed order, so for an x
-    (d, n) they come batch row by batch row, as for the same batch stored
-    (n, d)."""
+    1/(1-rate), into `out` if given. The uniforms are drawn in the
+    transposed order, so for an x (d, n) they come batch row by batch row,
+    as for the same batch stored (n, d)."""
     if rate >= 1.0:
         raise ConfigError("dropout rate must be < 1")
     keep = rng.random(x.shape[::-1]).T >= rate
     mask = keep / (1.0 - rate)
-    return x * mask, mask
+    return np.multiply(x, mask, out=out), mask
 
 
 def glorot_uniform(rng, d_in, d_out):
@@ -247,7 +257,8 @@ class Sequential(Layer):
     `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
     them. Batch norm's running mean and variance are the rows of `running`
     (2, hidden) and its batch count is `count` (1,). Without batch norm,
-    `gamma`, `beta`, their gradients, `running` and `count` are None."""
+    `gamma`, `beta`, their gradients, `running` and `count` are None.
+    `backward` writes every gradient of `grad` it reaches; nothing adds."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
                  use_bn: bool, rng):
@@ -265,9 +276,14 @@ class Sequential(Layer):
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
                                           for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
+        # the last train-mode output with its ones row, reused while the
+        # batch size stays
+        self._out = None
         self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
         if use_bn:
             (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
+            # dgamma and dbeta as the rows of one array, for one reduction
+            self._dbn = self.grad[d * h + h:].reshape(2, h)
             self.gamma.fill(1.0)
             # running mean and variance as the rows of one array, updated in
             # place; the count is a 1-element array, so a checkpoint can copy
@@ -275,42 +291,61 @@ class Sequential(Layer):
             self.running = np.array([np.zeros(h), np.ones(h)])
             self.count = np.zeros(1, dtype=np.int64)
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, ones_row=False):
         """f of the rows of x (n, in_dim), returned as columns (hidden, n).
-        Train mode draws dropout masks from `rng`, uses batch statistics and
-        keeps what `backward` reads; eval mode keeps nothing."""
+        With `ones_row` they are the first rows of a (hidden + 1, n) array
+        whose last row is 1, which maps through a head's (hidden + 1, k)
+        weights-then-bias matrix to logits in one matmul; the last part of
+        f writes straight into it. Train mode draws dropout masks from
+        `rng`, uses batch statistics and keeps what `backward` reads, with
+        that array, which the next train-mode batch of the same size
+        overwrites; eval mode keeps nothing."""
         train = mode == "train"
         xt = np.asarray(x).T
         z = affine_forward(xt, self.W, self.b)
+        out = self._ones_row_array(z.shape[-1], train) if ones_row else None
+        # the last part of f, batch norm, else dropout, else the activation,
+        # writes into h; an activation before another part runs in place
+        h = None if out is None else out[:-1]
+        bn, drop = self.running is not None, train and self.dropout_rate > 0
+        act_out = z if bn or drop or h is None else h
         # what the activation's backward reads: sigmoid's output, relu's mask
         if self.activation == "sigmoid":
-            z = act = sigmoid(z)
+            z = act = sigmoid(z, out=act_out)
         else:
             act = z > 0
-            z = np.where(act, z, 0.0)
+            z = np.maximum(z, 0.0, out=act_out)
         mask = None
-        if train and self.dropout_rate > 0:
+        if drop:
             if rng is None:
                 raise StateError("dropout in training mode needs an rng")
-            z, mask = dropout_train(z, self.dropout_rate, rng)
+            z, mask = dropout_train(z, self.dropout_rate, rng, out=None if bn else h)
         if train:
             self._xt, self._act, self._mask = xt, act, mask
-        if self.running is None:
-            return z
-        if train:
-            z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS,
-                                           self.running, self.count, BN_MOMENTUM)
-            return z
-        return batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS)
+        if bn and train:
+            z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running,
+                                           self.count, BN_MOMENTUM, out=h)
+        elif bn:
+            z = batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=h)
+        return z if out is None else out
+
+    def _ones_row_array(self, n, train):
+        """A (hidden + 1, n) array whose last row is 1. Train mode keeps one
+        and makes a new one only when the batch size changes."""
+        out = self._out if train else None
+        if out is None or out.shape[1] != n:
+            out = np.empty((self.W.shape[1] + 1, n))
+            out[-1] = 1.0
+            if train:
+                self._out = out
+        return out
 
     def backward(self, dout):
         """Write the parameter gradients of the last train-mode forward into
         `grad`, from dout (hidden, n). The gradient w.r.t. f's input is
         never read, so the first layer computes none."""
         if self.running is not None:
-            dout, dgamma, dbeta = batch_norm_backward(dout, self._bn)
-            np.copyto(self.dgamma, dgamma)
-            np.copyto(self.dbeta, dbeta)
+            dout, _, _ = batch_norm_backward(dout, self._bn, out=self._dbn)
         if self._mask is not None:
             dout = dout * self._mask
         if self.activation == "sigmoid":

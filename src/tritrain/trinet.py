@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nnlib
 from .nnlib import (ConfigError, Sequential, ShapeError, glorot_uniform, softmax,
                     softmax_cross_entropy)
 
@@ -48,7 +47,11 @@ class TriNet:
     `hidden_dim` = d) feeding heads f1, f2 (labeling) and ft (target), each
     one affine layer to `num_classes` = k logits. Row i of the arena `theta`
     (3, d·k + k) is head BRANCHES[i]'s W (d, k) then b (k), viewed as `W`
-    (3, d, k) and `b` (3, 1, k); `grad`, `dW` and `db` mirror them."""
+    (3, d, k) and `b` (3, 1, k), and as one matrix `Wb` (3, d + 1, k) whose
+    last row is b; `grad`, `dW`, `db` and `dWb` mirror them. A head's
+    logits are Wbᵀ applied to f's output with a ones row appended, and its
+    gradient dWb is that output times the logits' gradient, one matmul
+    each."""
 
     BRANCHES = ("f1", "f2", "ft")
     # phase -> (its heads' arena rows, the GradientGates field opening f to it)
@@ -68,8 +71,9 @@ class TriNet:
         self.f = Sequential(in_dim, d, activation, dropout_rate, use_bn,
                             np.random.default_rng(ss[0]))
         self.theta, self.grad = np.zeros((3, d * k + k)), np.zeros((3, d * k + k))
-        self.W, self.dW = (a[:, :d * k].reshape(3, d, k) for a in (self.theta, self.grad))
-        self.b, self.db = (a[:, d * k:].reshape(3, 1, k) for a in (self.theta, self.grad))
+        self.Wb, self.dWb = (a.reshape(3, d + 1, k) for a in (self.theta, self.grad))
+        self.W, self.dW = self.Wb[:, :d], self.dWb[:, :d]
+        self.b, self.db = self.Wb[:, d:], self.dWb[:, d:]
         self.W[...] = [glorot_uniform(np.random.default_rng(s), d, k) for s in ss[1:]]
 
     def features(self, x) -> np.ndarray:
@@ -80,29 +84,29 @@ class TriNet:
     def forward(self, x) -> np.ndarray:
         """Every head's class probabilities for the rows of x, (3, n, k) in
         BRANCHES order, from one eval-mode pass of the shared extractor, one
-        stacked affine call and one softmax. Eval mode draws no randomness,
-        so sharing the pass changes no bits. Training goes through the two
+        stacked matmul and one softmax. Eval mode draws no randomness, so
+        sharing the pass changes no bits. Training goes through the two
         objectives."""
-        h = self.f.forward(x, mode="eval")
-        return softmax(nnlib.affine_forward(h, self.W, self.b)).swapaxes(-1, -2)
+        h = self.f.forward(x, mode="eval", ones_row=True)
+        return softmax(np.matmul(self.Wb.swapaxes(-1, -2), h)).swapaxes(-1, -2)
 
     # -- objectives ---------------------------------------------------------
 
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
         """Mean cross-entropy of each head of `phase`, from one train-mode pass
-        of f and one stacked affine call each way. Writes the gradients of
-        the phase's heads and, if its gate is open, of f; every other
-        gradient keeps its value."""
+        of f and one stacked matmul each way. Writes the gradients of the
+        phase's heads and, if its gate is open, of f; every other gradient
+        keeps its value."""
         if len(x) == 0:
             raise ValueError("empty batch")
         rows, gate = self.PHASES[phase]
-        # f's columns h (d, n) and the labels y (n,) serve every head as they are
-        h = self.f.forward(x, mode="train", rng=rng)
-        W = self.W[rows]
-        z = nnlib.affine_forward(h, W, self.b[rows])
-        loss, dz = softmax_cross_entropy(z, y)
-        dx, _, _ = nnlib.affine_backward(dz, h, W, out=(self.dW[rows], self.db[rows]))
+        # f's columns with their ones row, h (d + 1, n), and the labels y
+        # (n,) serve every head as they are
+        h = self.f.forward(x, mode="train", rng=rng, ones_row=True)
+        loss, dz = softmax_cross_entropy(np.matmul(self.Wb[rows].swapaxes(-1, -2), h), y)
+        np.matmul(h, dz.swapaxes(-1, -2), out=self.dWb[rows])
         if getattr(self.gates, gate):
+            dx = self.W[rows] @ dz
             # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
             self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])
         return loss

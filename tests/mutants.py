@@ -81,7 +81,7 @@ MUTANTS = (
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
-           "    dx -= xhat * sums[3]\n",
+           "    dx -= xhat * dgamma\n",
            "",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",

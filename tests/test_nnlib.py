@@ -498,12 +498,11 @@ def _batch_norm_train_dict(x, gamma, beta, eps, running_stats, momentum=0.9):
 
 
 def _batch_norm_backward_sums(dout, cache):
+    # dx from the two row sums, with gamma * inv_std / n applied once
     xhat, inv_std, gamma, n = cache
     dgamma = (dout * xhat).sum(axis=-1, keepdims=True).T
     dbeta = dout.sum(axis=-1, keepdims=True).T
-    dxhat = dout * gamma.T
-    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=-1, keepdims=True)
-                          - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
+    dx = (n * dout - dbeta.T - xhat * dgamma.T) * (gamma.T * inv_std / n)
     return dx, dgamma, dbeta
 
 

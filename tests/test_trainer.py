@@ -292,9 +292,9 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
     modes = []
     forward = state.net.f.forward
 
-    def spy(x, mode="train", rng=None):
+    def spy(x, mode="train", **kwargs):
         modes.append(mode)
-        return forward(x, mode=mode, rng=rng)
+        return forward(x, mode=mode, **kwargs)
 
     monkeypatch.setattr(state.net.f, "forward", spy)
     pseudo, mean_e, mean_p = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,

@@ -34,17 +34,19 @@ def test_forward_probs_rows_sum_to_one():
 
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_forward_equals_per_head_pass(use_bn):
-    # oracle: the extractor run again for each head, and the head as one
-    # 2-D affine call and softmax on its own arena row, on (features, batch)
-    # columns; each head's (n, k) slice is that result transposed
+    # oracle: the extractor run again for each head, its (features, batch)
+    # columns stacked on a row of ones, and the head as one 2-D matmul of
+    # its arena row read as W on b, then softmax; each head's (n, k) slice
+    # is that result transposed
     net = small_net(seed=4, use_bn=use_bn)
     x = np.random.default_rng(5).normal(size=(12, 3))
     net.f.forward(x, mode="train")  # populate BN
     probs = net.forward(x)
     assert probs.shape == (len(TriNet.BRANCHES), 12, 3)
     for i in range(len(TriNet.BRANCHES)):
-        h = net.f.forward(x, mode="eval")
-        ref = softmax(nnlib.affine_forward(h, net.W[i], net.b[i]))
+        h = np.vstack([net.f.forward(x, mode="eval"), np.ones((1, 12))])
+        Wb = np.vstack([net.W[i], net.b[i]])
+        ref = softmax(Wb.T @ h)
         assert probs[i].tobytes() == ref.T.tobytes()
 
 
