@@ -298,16 +298,16 @@ def test_acceptance_determinism(tmp_path):
 
 # sha256 of each `benchmark_runs` history's metrics.csv, by seed
 BENCHMARK_METRICS_DIGESTS = (
-    "bfd17abde1f719b4bdb44804721a4d6138e8dcab8a44c1d52bc9608d9bacdd10",
-    "d27ee68c7a44b45f4f4b5b211a14b1c17e6d84e7ce53c9c637fbd62a0a8a91c0",
-    "c458f4dfd798974254c9c5eb463de405e38f8c3daf6614adb8a2d05d36075551",
-    "7903b5c762d4dd0f2694b83676e61ba0ea3cf8ac6087337fd5e10ba2fb785b75",
-    "ced1fd78a6cc6247ec85931d5efbc56d3a54b28629d8d192b9bc61c155755ef5",
-    "2b507e66c651fff85a9497f9d0c94df4658d776f8b77c18bcb5c5efa09de2ad5",
-    "8bf45be45f49a01a0e903010613365b06c607f9124eeec3f885a35b4471c64db",
-    "3596004b5152d9fdf13526fb7e280590bde09634b84d635bf97b7789e3c9c010",
-    "2fe1f18625b53d410739dc0dd30de19174c95e11a3d026be2cf81373445373d1",
-    "3c691b0d229f44b1ba5fc9a0f5ba0b559b3b60bdbaa0137e20c171434af493e9",
+    "75d3366e6a419915f0df49241460014d2b1082a0b58ecbbb85d5ad412f906dd3",
+    "cda0acebf2e8eee8ad884c59258495f89236e5025f3edfe696889de4570b45b6",
+    "9ad41ae0b44f25c3c745b695e94bcc497a1d7a7858b349c50e17e6ead0fa5bd2",
+    "1a556f436c9fd1f421019f2978647611a131058b34a6bbad1bb78577f888016a",
+    "83a87f3d1174b3bc04913142fcfea13dfd9cdf8e818eca2f19d2dc51dba0fdd4",
+    "125e422bb8aaaaaab8bdbd1c8f073ab9796ee4781d192317fb214248a361e149",
+    "c2201004f7891164359dfa67bcbf7520ebeb12816afa3657d46cdd8b3d0fb1e4",
+    "cc84e72301dddc56370fb6eb736a7ad14c925bf286d4d25b7eecc1e2ad54609e",
+    "7051c8213e86b0414ad9762ac2522383b2968feef3cf41c3e9b87f40c6ea5e11",
+    "8744b2f9582f0517920d27d546017befb0be668c9a86cf4f332422bd8950aaaf",
 )
 
 # the columns a change that only moves rounding must leave as they are
@@ -339,15 +339,15 @@ SHORT_RUN_CFG = "\n".join([
     "train.dropout_rate = 0.2", "train.hidden_dim = 8", "train.seed = 1",
     "gates.from_ft = false", "labeling.n_init = 60", "labeling.threshold = 0.8", ""])
 SHORT_RUN_DIGESTS = {
-    "metrics.csv": "7cd96dfc4f8be8a2c7ec705a4f1554a4903120bf47f2f711e13811ebbdfecc76",
-    "checkpoint.npz": "4f5d5001c78821c66bc43f5f6c77d3245da05ddb3f3d21f786e3022e16d78340",
+    "metrics.csv": "b6912f377622907a250debfa110e48d643b5e3dc77d3f4df4553d79c0becd679",
+    "checkpoint.npz": "04190cc71634acf0bb17230f0578a08d2d86cf8a0ebdd04ca251b37e1056ef71",
 }
 
 
 # the short run with an extractor without batch norm: affine, relu, dropout
 SHORT_RUN_NO_BN_DIGESTS = {
-    "metrics.csv": "b675f4cbc75c9df35252c8f52c4821d3b34c2aca68e2395cd3de6c0a5443f08d",
-    "checkpoint.npz": "ae6d90a09d7947f2bdc8bb3c5a8d90f9aaa1b7ae8cd430d311e65edac4ac64b6",
+    "metrics.csv": "75bd27678bcfbd3998a1f062ef85f3fa165f75595e79e5f2ec9bc6fb9d8e6f78",
+    "checkpoint.npz": "708c8c42203bb0892a9dcbff60d763a48f101f927fdd93c279d1f3c5449ba4b4",
 }
 
 
