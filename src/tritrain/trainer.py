@@ -219,6 +219,13 @@ def adapt_step(state: TrainState, source_x, source_y, target_x,
     return new_pseudo, mean_e, mean_p
 
 
+def _check_labels(name: str, y, rows_name: str, rows) -> None:
+    """A ValueError naming `name` unless y, if given, has one label per row
+    of `rows`."""
+    if y is not None and len(y) != len(rows):
+        raise ValueError(f"{name} has length {len(y)}, but {rows_name} has {len(rows)} rows")
+
+
 def evaluate(net: TriNet, x, y) -> dict[str, float]:
     """Each head's fraction of argmax-correct predictions, from one
     eval-mode pass."""
@@ -226,6 +233,7 @@ def evaluate(net: TriNet, x, y) -> dict[str, float]:
         raise ValueError("empty evaluation set")
     if y is None:
         raise ValueError("evaluation needs labels; the dataset has none")
+    _check_labels("y", y, "x", x)
     y = np.asarray(y)
     pred = net.forward(x).argmax(axis=-1)
     return {b: float(np.mean(pred[i] == y)) for i, b in enumerate(TriNet.BRANCHES)}
@@ -248,7 +256,12 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     """Full procedure: pretrain on source, label an initial candidate pool,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head. The heads have `num_classes` outputs,
-    the dataset's class count; without it, the largest source label + 1."""
+    the dataset's class count; without it, the largest source label + 1.
+    Each label array needs one label per row it labels, or nothing trains."""
+    _check_labels("source_y", source_y, "source_x", source_x)
+    _check_labels("target_y_hidden", target_y_hidden, "target_x", target_x)
+    if eval_x is not None:
+        _check_labels("eval_y", eval_y, "eval_x", eval_x)
     source_y = np.asarray(source_y, dtype=np.int64)
     if num_classes is None:
         num_classes = int(source_y.max()) + 1 if len(source_y) else 2

@@ -84,6 +84,10 @@ MUTANTS = (
            "    dx -= xhat * dgamma\n",
            "",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
+    Mutant("batch_norm_backward_without_its_gamma_factor", "src/tritrain/nnlib.py",
+           "    scale = gamma.T * inv_std\n",
+           "    scale = inv_std * 1.0\n",
+           ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",
            "    xhat = (x - mean) / np.sqrt(var + eps)",
            "    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)"
@@ -107,6 +111,17 @@ MUTANTS = (
            "    return e / e.sum(axis=-1, keepdims=True)",
            ("tests/test_nnlib.py::test_softmax_rows_sum_to_one",
             "tests/test_trinet.py::test_forward_probs_rows_sum_to_one")),
+    # the heads' bias rides in their matmul on f's ones row; gradients are
+    # written, so a second batch must not see the first one's
+    Mutant("heads_ones_row_written_as_zero", "src/tritrain/nnlib.py",
+           "            out[-1] = 1.0\n",
+           "            out[-1] = 0.0\n",
+           ("tests/test_trinet.py::test_forward_equals_per_head_pass",
+            "tests/test_trinet.py::test_target_loss_perfect_prediction")),
+    Mutant("objective_adds_into_its_gradient", "src/tritrain/trinet.py",
+           "        np.matmul(h, dz.swapaxes(-1, -2), out=self.dWb[rows])\n",
+           "        self.dWb[rows] += h @ dz.swapaxes(-1, -2)\n",
+           ("tests/test_trinet.py::test_objective_writes_its_gradients_not_adds_to_them",)),
     Mutant("cross_entropy_gradient_unscaled", "src/tritrain/nnlib.py",
            "    grad /= n\n",
            "",

@@ -659,10 +659,19 @@ def test_emit_report_bytes_are_the_indented_encoders(tmp_path, counts):
 # demo
 
 
-def test_bound_verification_demo_runs():
+# the start of each demo's closing line
+DEMO_CLOSING_LINES = {
+    "adaptation_two_moons.py": "adapted target accuracy: ",
+    "bound_verification.py": "fault injection (C lowered by 0.1 on a tight instance): ",
+    "divergence_measurement.py": "  d_A on learned features: ",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_bound_verification_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "bound_verification.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "violations over" in proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith(DEMO_CLOSING_LINES[demo]), proc.stdout

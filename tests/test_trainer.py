@@ -163,6 +163,17 @@ def test_closed_gate_leaves_shared_arena_and_its_slot_untouched(closed):
     np.testing.assert_array_equal(state.opt.slots["f"], slot)
 
 
+@pytest.mark.parametrize("phase", ["labeling", "target"])
+def test_phase_under_a_closed_gate_leaves_f_grad_at_its_start_zero(phase):
+    field = TriNet.PHASES[phase][1]
+    gates = GradientGates(**{f: f != field for f in ("from_f1_f2", "from_ft")})
+    state = init_state(small_cfg(gates=gates), 2, 2)
+    state.net.f.grad.fill(7.0)
+    ds = blobs_dataset(n=64)
+    trainer._phase(state, phase, ds.source_x, ds.source_y, 3, "test")
+    assert state.net.f.grad.tobytes() == np.zeros_like(state.net.f.grad).tobytes()
+
+
 def test_closed_ft_gate_degrades_gracefully_on_easy_shift():
     # freezing the trunk against target gradients should cost little on a
     # nearly-separable shift
@@ -304,6 +315,37 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
     assert modes.count("eval") == 2
     assert (m.acc_f1, m.acc_f2, m.acc_ft) == tuple(
         evaluate(state.net, ds.target_x, ds.target_y_hidden).values())
+
+
+def moons_60():
+    return datagen.generate(datagen.ShiftSpec(generator="two_moons", n_source=60, n_target=60,
+                                              rotation_deg=30, noise_sigma=0.1, seed=0))
+
+
+# (argument, its length) for 60 + 60 rows; without the check the first three
+# ran to the end and the last failed mid-pretraining with an IndexError
+LABEL_LENGTHS = [("source_y", 67), ("eval_y", 1), ("target_y_hidden", 120), ("source_y", 30)]
+
+
+@pytest.mark.parametrize("name, length", LABEL_LENGTHS,
+                         ids=[f"{name}-{length}" for name, length in LABEL_LENGTHS])
+def test_run_rejects_labels_of_another_length_naming_them(name, length):
+    ds = moons_60()
+    labels = {"source_y": ds.source_y, "eval_y": ds.target_y_hidden,
+              "target_y_hidden": ds.target_y_hidden}
+    labels[name] = np.resize(labels[name], length)
+    rows = {"source_y": "source_x", "eval_y": "eval_x", "target_y_hidden": "target_x"}[name]
+    with pytest.raises(ValueError, match=rf"^{name} has length {length}, but {rows} has 60 rows$"):
+        run(ds.source_x, labels["source_y"], ds.target_x, small_cfg(), eval_x=ds.target_x,
+            eval_y=labels["eval_y"], target_y_hidden=labels["target_y_hidden"])
+
+
+def test_evaluate_rejects_labels_of_another_length():
+    # a 1-element y broadcast against every prediction
+    ds = moons_60()
+    net = build_net(small_cfg(use_bn=False), 2, 2)
+    with pytest.raises(ValueError, match=r"^y has length 1, but x has 60 rows$"):
+        evaluate(net, ds.target_x, ds.target_y_hidden[:1])
 
 
 def test_evaluate_rejects_missing_labels():

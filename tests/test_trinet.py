@@ -39,7 +39,9 @@ def test_forward_equals_per_head_pass(use_bn):
     # its arena row read as W on b, then softmax; each head's (n, k) slice
     # is that result transposed
     net = small_net(seed=4, use_bn=use_bn)
-    x = np.random.default_rng(5).normal(size=(12, 3))
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(12, 3))
+    net.b[...] = rng.normal(size=net.b.shape)
     net.f.forward(x, mode="train")  # populate BN
     probs = net.forward(x)
     assert probs.shape == (len(TriNet.BRANCHES), 12, 3)
@@ -255,6 +257,35 @@ def test_target_loss_perfect_prediction():
     loss = net.target_loss(np.random.default_rng(8).normal(size=(4, 3)),
                            np.zeros(4, dtype=np.int64))
     assert loss == pytest.approx(0.0, abs=1e-9)
+
+
+# extractors with and without batch norm, and relu with dropout
+WRITING_EXTRACTORS = {"sigmoid": {"use_bn": False}, "sigmoid_bn": {"use_bn": True},
+              "relu_dropout_bn": {"activation": "relu", "dropout_rate": 0.2}}
+
+
+@pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
+@pytest.mark.parametrize("objective", ["joint", "target"])
+def test_objective_writes_its_gradients_not_adds_to_them(objective, extractor):
+    # a second call on another batch of the same size, which reuses f's
+    # output array, leaves every gradient its phase steps as a fresh net's
+    # one call on that batch does, from the same seed and rng state
+    def call(net, batch, rng):
+        if objective == "joint":
+            net.joint_labeling_loss(*batch, rng=rng)
+        else:
+            net.target_loss(*batch, rng=rng)
+
+    rng = np.random.default_rng(21)
+    first, second = ((rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)) for _ in range(2))
+    twice, once = (TriNet(3, num_classes=3, hidden_dim=4, lam=0.05, seed=2,
+                          **WRITING_EXTRACTORS[extractor]) for _ in range(2))
+    call(twice, first, np.random.default_rng(0))
+    call(twice, second, np.random.default_rng(1))
+    call(once, second, np.random.default_rng(1))
+    rows = TriNet.PHASES["labeling" if objective == "joint" else "target"][0]
+    assert twice.grad[rows].tobytes() == once.grad[rows].tobytes()
+    assert twice.f.grad.tobytes() == once.f.grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
