@@ -148,9 +148,10 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     names the phase in a DivergenceError."""
     net = state.net
     rows, gate = TriNet.PHASES[phase]
-    # one entry per head's arena row, then f's; the buffers are never rebound
-    params = dict(zip(TriNet.BRANCHES[rows], net.theta[rows]))
-    grads = dict(zip(TriNet.BRANCHES[rows], net.grad[rows]))
+    # the phase's heads as one block of arena rows keyed by their names, then
+    # f; the buffers are never rebound
+    heads = TriNet.BRANCHES[rows]
+    params, grads = {heads: net.theta[rows]}, {heads: net.grad[rows]}
     if getattr(net.gates, gate):
         params["f"], grads["f"] = net.f.theta, net.f.grad
     # the objectives write every gradient the phase steps; a closed gate
@@ -160,11 +161,13 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     losses, penalties = [], []
     batch = getattr(state.cfg, f"batch_{phase}")
     for b, idx in enumerate(_batches(len(x), batch, iters, state.rng_train)):
+        # the rows of x[idx], from a call that costs a fraction of indexing's
+        xb, yb = x.take(idx, axis=0), y[idx]
         if phase == "labeling":
-            loss, parts = net.joint_labeling_loss(x[idx], y[idx], rng=state.rng_train)
+            loss, parts = net.joint_labeling_loss(xb, yb, rng=state.rng_train)
             penalties.append(parts["penalty"])
         else:
-            loss = net.target_loss(x[idx], y[idx], rng=state.rng_train)
+            loss = net.target_loss(xb, yb, rng=state.rng_train)
         if not math.isfinite(loss):
             raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
         state.opt.step(params, grads)
@@ -298,7 +301,7 @@ def read_metrics_csv(path):
 
 
 # prefix of a network's optimizer slot; the slots come in the order the
-# networks first stepped
+# networks first stepped, a phase's heads in arena order
 _SLOT = "opt/main/slot/"
 
 
@@ -319,7 +322,10 @@ def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     if f.running is not None:
         arrays |= {f"state/{bn}running_mean": f.running[0],
                    f"state/{bn}running_var": f.running[1], f"state/{bn}running_count": f.count}
-    arrays.update({_SLOT + name: v for name, v in state.opt.slots.items()})
+    # the slot of a block of heads, keyed by their names, holds one row each
+    for key, slot in state.opt.slots.items():
+        names, rows = (key, slot) if isinstance(key, tuple) else ((key,), (slot,))
+        arrays.update({_SLOT + name: row for name, row in zip(names, rows)})
     return arrays
 
 
@@ -382,10 +388,15 @@ def load_state(path) -> TrainState:
                 raise ShapeError(f"array {key} shape {arrays[key].shape} != {shape}, "
                                  f"the in_dim, hidden_dim and num_classes of __meta__")
         state = init_state(cfg, meta["in_dim"], meta["num_classes"])
-        flat = dict(zip(("f",) + TriNet.BRANCHES, [state.net.f.theta, *state.net.theta]))
+        # each network's optimizer key and the buffer it steps, as `_phase`
+        # steps them
+        keys = {"f": ("f", state.net.f.theta)}
+        for rows, _ in TriNet.PHASES.values():
+            heads = TriNet.BRANCHES[rows]
+            keys |= dict.fromkeys(heads, (heads, state.net.theta[rows]))
         for name in [k[len(_SLOT):] for k in arrays if k.startswith(_SLOT)]:
-            if name in flat:
-                state.opt.slots[name] = np.zeros_like(flat[name])
+            if name in keys and keys[name][0] not in state.opt.slots:
+                state.opt.slots[keys[name][0]] = np.zeros_like(keys[name][1])
         live = checkpoint_arrays(state)
         if live.keys() != arrays.keys():
             raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "

@@ -352,8 +352,9 @@ def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd", **extractor):
     rng = np.random.default_rng(12)
     # dropout draws from `rng` after the batch; nothing else does
     net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8), rng=rng)
-    state.opt.step({"f1": net.theta[0], "f2": net.theta[1], "f": net.f.theta},
-                   {"f1": net.grad[0], "f2": net.grad[1], "f": net.f.grad})
+    # as `trainer._phase` steps them: f1 and f2 as one block of arena rows
+    state.opt.step({("f1", "f2"): net.theta[:2], "f": net.f.theta},
+                   {("f1", "f2"): net.grad[:2], "f": net.f.grad})
     return state
 
 
