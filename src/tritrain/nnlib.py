@@ -305,10 +305,12 @@ class Sequential(Layer):
         z = affine_forward(xt, self.W, self.b)
         out = self._ones_row_array(z.shape[-1], train) if ones_row else None
         # the last part of f, batch norm, else dropout, else the activation,
-        # writes into h; an activation before another part runs in place
+        # writes into h. An activation before another part writes a new
+        # array: in place over z, sigmoid measured up to 2x slower in
+        # training
         h = None if out is None else out[:-1]
         bn, drop = self.running is not None, train and self.dropout_rate > 0
-        act_out = z if bn or drop or h is None else h
+        act_out = None if bn or drop else h
         # what the activation's backward reads: sigmoid's output, relu's mask
         if self.activation == "sigmoid":
             z = act = sigmoid(z, out=act_out)
