@@ -351,6 +351,24 @@ SHORT_RUN_NO_BN_DIGESTS = {
 }
 
 
+# the paths neither short run nor the benchmark config takes: three classes
+# of gaussian blobs, sigmoid with dropout before batch norm, a closed
+# `from_f1_f2` gate, momentum SGD with fixed-length phases, and a pseudo pool
+# smaller than `batch_target`, so the target phase's batch size changes from
+# phase to phase (64, 21, 6, 12, 16)
+BLOBS_RUN_CFG = "\n".join([
+    'data.generator = "gaussian_blobs"', "data.num_classes = 3", "data.n_source = 120",
+    "data.n_target = 120", "data.rotation_deg = 30", "data.noise_sigma = 0.5", "data.seed = 2",
+    "train.steps_k = 4", "train.pretrain_iters = 30", "train.iter_per_phase = 10",
+    "train.batch_labeling = 32", "train.batch_target = 64", "train.lr = 0.05",
+    "train.dropout_rate = 0.2", "train.hidden_dim = 8", "train.seed = 2",
+    "gates.from_f1_f2 = false", "labeling.n_init = 30", "labeling.threshold = 0.8", ""])
+BLOBS_RUN_DIGESTS = {
+    "metrics.csv": "0ceaf538e09ae1231b7a76d765aabfb4bfe9e3887c88cb595605d7bfadfe314b",
+    "checkpoint.npz": "777132608b0a9ebc8d7a0cfde20582f02888cd770c710ae831b204498ecbdd0d",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -391,6 +409,17 @@ def test_short_run_without_batch_norm_bytes_are_pinned(tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     digests = {name: _sha256(out / name) for name in SHORT_RUN_NO_BN_DIGESTS}
     assert digests == SHORT_RUN_NO_BN_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_blobs_run_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "blobs.cfg"
+    cfg.write_text(BLOBS_RUN_CFG)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    sizes = [m.n_pseudo for m in trainer.read_metrics_csv(out / "metrics.csv")]
+    assert sizes == [21, 6, 12, 16, 19]
+    digests = {name: _sha256(out / name) for name in BLOBS_RUN_DIGESTS}
+    assert digests == BLOBS_RUN_DIGESTS, f"numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------------------
