@@ -284,6 +284,7 @@ def _train_domain_classifiers(train_x, train_y, rngs):
         w[...] = nnlib.glorot_uniform(rng, dim, 2)
     b.fill(0.0)
     opt = nnlib.make_optimizer("adagrad", _LR)
+    bound = opt.bind({"clf": theta}, {"clf": grad})
     fold = np.arange(folds)[:, None]
     for _ in range(_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
@@ -293,7 +294,7 @@ def _train_domain_classifiers(train_x, train_y, rngs):
             _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
             # without W, no input gradient is computed; nothing reads it
             nnlib.affine_backward(dz, xb, out=(dW, db))
-            opt.step({"clf": theta}, {"clf": grad})
+            opt.step(bound)
     return W, b
 
 

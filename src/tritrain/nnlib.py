@@ -24,21 +24,24 @@ class StateError(RuntimeError):
     """Operation requires state that has not been populated yet."""
 
 
-# batch-norm variance offset and running-statistics decay of the extractor
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.9
+# Float operands of the training step are float64 0-d arrays: numpy converts
+# a Python number operand anew on every call, at about a small ufunc's cost.
+# Batch norm's variance offset and running-statistics decay in the extractor:
+BN_EPS, BN_MOMENTUM = np.array(1e-5), np.array(0.9)
+# the unit, and the floor of a log-probability
+_ONE, _LOG_P_MIN = np.array(1.0), np.array(-700.0)
 
 
 # ---------------------------------------------------------------------------
 # functional ops
 
 
-def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """z = Wᵀx + b for x (..., d, n), one column per batch row, and W
-    (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k, n).
-    W may carry leading model axes that a 2-D x lacks, and then that x feeds
-    every model. matmul runs one gemm per slice, with the bits of the 2-D
-    call on that slice."""
+    (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k, n),
+    in `out` if given. W may carry leading model axes that a 2-D x lacks,
+    and then that x feeds every model. matmul runs one gemm per slice, with
+    the bits of the 2-D call on that slice."""
     x = np.asarray(x, dtype=np.float64)
     if (x.ndim < 2 or W.ndim < 2 or x.shape[:-2] not in ((), W.shape[:-2])
             or x.shape[-2] != W.shape[-2]):
@@ -46,7 +49,7 @@ def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64).reshape(*W.shape[:-2], -1, 1)
     if b.shape[-2] != W.shape[-1]:
         raise ShapeError(f"affine: b {b.shape} incompatible with W {W.shape}")
-    z = np.matmul(W.swapaxes(-1, -2), x)
+    z = np.matmul(W.swapaxes(-1, -2), x, out=out)
     z += b
     return z
 
@@ -66,17 +69,17 @@ def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None
     return dx, dW, db
 
 
-def sigmoid(x: np.ndarray, out=None) -> np.ndarray:
+def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Overflow-free logistic: exp only ever sees -|x|. The numerator
-    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below. `out`, an
-    array of x's shape, receives the result."""
+    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below. `out` and
+    `scratch`, arrays of x's shape, receive the result and exp's."""
     x = np.asarray(x, dtype=np.float64)
-    e = np.abs(x)
+    e = np.abs(x, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
     num = np.sign(x, out=out)
     np.maximum(e, num, out=num)
-    e += 1.0
+    e += _ONE
     return np.divide(num, e, out=num)
 
 
@@ -99,14 +102,24 @@ def _label_base(shape: tuple) -> np.ndarray:
     return base
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def cross_entropy_buffers(shape: tuple):
+    """`softmax_cross_entropy`'s buffers for logits of `shape` (..., k, n):
+    shifted logits, later the gradient; column maxima, later sums; the labels'
+    flat indices and log-probabilities; the label base; n and -n."""
+    col, n = (*shape[:-2], shape[-1]), float(shape[-1])
+    return (np.empty(shape), np.empty(col), np.empty(col, dtype=np.int64), np.empty(col),
+            _label_base(tuple(shape)), np.array(n), np.array(-n))
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
     of shape (..., k, n), one column per batch row, give one mean loss per
     leading slice. Labels have shape (..., n); a trailing part of it, such
     as (n,), labels every leading slice alike. Log-probabilities are clipped
-    at -700.
+    at -700. `ws`, the `cross_entropy_buffers` of the logits' shape, holds
+    every intermediate, and grad is its first; without it they are new.
     """
     # C order keeps each batch row contiguous and makes the flat indices
     # below address `grad` itself
@@ -122,32 +135,42 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     # read as unsigned, a negative label is 2**63 or more
     if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= k:
         raise ValueError(f"labels must lie in [0, {k})")
+    z, s, at, logp, base, n_op, neg_n = cross_entropy_buffers(logits.shape) if ws is None else ws
     # a fold of np.maximum over the class rows is the exact max; each call
     # runs numpy's inner loop once over a whole batch row
-    m = logits[..., 0, :]
-    for j in range(1, k):
-        m = np.maximum(m, logits[..., j, :])
-    z = logits - m[..., None, :]
-    e = np.exp(z)
+    np.maximum(logits[..., 0, :], logits[..., 1, :], out=s)
+    for j in range(2, k):
+        np.maximum(s, logits[..., j, :], out=s)
+    np.subtract(logits, s[..., None, :], out=z)
+    # flat index of each column's label entry: (slice * k + label) * n + column;
+    # the labels were checked, so no index clips
+    np.multiply(labels, n, out=at)
+    at += base
+    z.take(at, out=logp, mode="clip")
+    e = np.exp(z, out=z)
     # a reduction over a non-contiguous axis adds the class rows in order
-    s = np.add.reduce(e, axis=-2)
-    # flat index of each column's label entry: (slice * k + label) * n + column
-    at = _label_base(logits.shape) + labels * n
-    logp = z.take(at)
-    logp -= np.log(s)
-    np.maximum(logp, -700.0, out=logp)
-    # a/-n is -(a/n), to the bit
-    loss = np.add.reduce(logp, axis=-1) / -n
+    np.add.reduce(e, axis=-2, out=s)
     grad = np.divide(e, s[..., None, :], out=e)
-    grad.reshape(-1)[at] -= 1.0
-    grad /= n
+    logp -= np.log(s, out=s)
+    np.maximum(logp, _LOG_P_MIN, out=logp)
+    # a/-n is -(a/n), to the bit
+    loss = np.add.reduce(logp, axis=-1) / neg_n
+    grad.reshape(-1)[at] -= _ONE
+    grad /= n_op
     return loss, grad
 
 
-def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None):
+def batch_norm_buffers(d: int, n: int):
+    """`batch_norm_train`'s buffers for x (d, n): the (d, 1) mean, variance
+    and inverse std of one array, the centred x, later x̂, its square, n."""
+    return np.empty((3, d, 1)), np.empty((d, n)), np.empty((d, n)), np.array(float(n))
+
+
+def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None, ws=None):
     """Standardize each feature row of x (d, n) with its batch statistics,
     then scale and shift by gamma and beta, (1, d) as stored, into `out`
-    if given.
+    if given. `ws`, x's `batch_norm_buffers`, holds the intermediates, x̂
+    among them; without it they are new.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
@@ -156,27 +179,23 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None
     """
     # C order keeps each feature's batch row contiguous
     x = np.ascontiguousarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    if n < 2:
+    if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    # numpy converts an int operand to the same float64, only slower
-    n = float(n)
-    # the batch mean and variance as (d, 1) columns; sum / n is what mean()
-    # and var() compute, without their dispatch cost
-    stats = np.empty((2, x.shape[0], 1))
-    mean, var = stats[0], stats[1]
+    stats, xc, sq, n = batch_norm_buffers(*x.shape) if ws is None else ws
+    # sum / n is what mean() and var() compute, without their dispatch cost
+    mean, var, inv_std = stats[0], stats[1], stats[2]
     np.add.reduce(x, axis=-1, keepdims=True, out=mean)
     mean /= n
-    xc = x - mean
-    np.add.reduce(np.multiply(xc, xc), axis=-1, keepdims=True, out=var)
+    np.subtract(x, mean, out=xc)
+    np.add.reduce(np.multiply(xc, xc, out=sq), axis=-1, keepdims=True, out=var)
     var /= n
-    inv_std = var + eps
+    np.add(var, eps, out=inv_std)
     np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
+    np.divide(_ONE, inv_std, out=inv_std)
     xhat = np.multiply(xc, inv_std, out=xc)
     y = np.multiply(gamma.T, xhat, out=out)
     y += beta.T
-    stats = stats[..., 0]
+    stats = stats[:2, :, 0]
     if count[0] == 0:
         running[...] = stats
     else:
@@ -188,24 +207,25 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None
     return y, cache
 
 
-def batch_norm_backward(dout, cache, out=None):
+def batch_norm_backward(dout, cache, out=None, buf=None):
     """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta, the
     last two (1, d) as stored. `out`, a (2, d) array such as the arena rows
-    of dgamma then dbeta, receives those two.
+    of dgamma then dbeta, receives those two, and `buf`, a (2, d, n) array,
+    the intermediates; dx is its second row.
 
     With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
     ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
     and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
     xhat, inv_std, gamma, n = cache
     # both row sums from one reduction over the batch axis
-    buf = np.empty((2, *xhat.shape))
+    buf = np.empty((2, *xhat.shape)) if buf is None else buf
     np.multiply(dout, xhat, out=buf[0])
     buf[1] = dout
     sums = np.add.reduce(buf, axis=-1, out=out)
     dgamma, dbeta = sums[..., None]
-    dx = n * dout
+    dx = np.multiply(dout, n, out=buf[1])
     dx -= dbeta
-    dx -= xhat * dgamma
+    dx -= np.multiply(xhat, dgamma, out=buf[0])
     scale = gamma.T * inv_std
     scale /= n
     dx *= scale
@@ -276,9 +296,8 @@ class Sequential(Layer):
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
                                           for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
-        # the last train-mode output with its ones row, reused while the
-        # batch size stays
-        self._out = None
+        # the train-mode workspace, kept while the batch size stays
+        self._ws = None
         self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
         if use_bn:
             (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
@@ -295,65 +314,71 @@ class Sequential(Layer):
         """f of the rows of x (n, in_dim), returned as columns (hidden, n).
         With `ones_row` they are the first rows of a (hidden + 1, n) array
         whose last row is 1, which maps through a head's (hidden + 1, k)
-        weights-then-bias matrix to logits in one matmul; the last part of
-        f writes straight into it. Train mode draws dropout masks from
-        `rng`, uses batch statistics and keeps what `backward` reads, with
-        that array, which the next train-mode batch of the same size
-        overwrites; eval mode keeps nothing."""
+        weights-then-bias matrix to logits in one matmul. Each part writes a
+        `_workspace` buffer, the last part those rows. Train mode draws
+        dropout masks from `rng`, uses batch statistics and keeps its
+        workspace, with what `backward` reads, while the batch size stays:
+        the next such batch overwrites its output. Eval mode uses a new
+        workspace and keeps nothing. Another mode is a ConfigError."""
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
-        xt = np.asarray(x).T
-        z = affine_forward(xt, self.W, self.b)
-        out = self._ones_row_array(z.shape[-1], train) if ones_row else None
-        # the last part of f, batch norm, else dropout, else the activation,
-        # writes into h. An activation before another part writes a new
-        # array: in place over z, sigmoid measured up to 2x slower in
-        # training
-        h = None if out is None else out[:-1]
         bn, drop = self.running is not None, train and self.dropout_rate > 0
-        act_out = None if bn or drop else h
+        if drop and rng is None:
+            raise StateError("dropout in training mode needs an rng")
+        xt = np.asarray(x).T
+        ws = self._ws if train else None
+        if ws is None or ws["out"].shape[1] != xt.shape[-1]:
+            ws = self._workspace(xt.shape[-1])
+        h = ws["h"]
+        z = affine_forward(xt, self.W, self.b, out=ws["z"])
+        # the last part of f, batch norm, else dropout, else the activation,
+        # writes into h. An activation before another part writes its own
+        # buffer: in place over z, sigmoid measured up to 2x slower
+        act_out = ws["act"] if bn or drop else h
         # what the activation's backward reads: sigmoid's output, relu's mask
         if self.activation == "sigmoid":
-            z = act = sigmoid(z, out=act_out)
+            z = act = sigmoid(z, out=act_out, scratch=ws["e"])
         else:
-            act = z > 0
+            act = np.greater(z, 0.0, out=ws["mask"])
             z = np.maximum(z, 0.0, out=act_out)
-        mask = None
+        mask = cache = None
         if drop:
-            if rng is None:
-                raise StateError("dropout in training mode needs an rng")
-            z, mask = dropout_train(z, self.dropout_rate, rng, out=None if bn else h)
-        if train:
-            self._xt, self._act, self._mask = xt, act, mask
+            z, mask = dropout_train(z, self.dropout_rate, rng, out=ws["z"] if bn else h)
         if bn and train:
-            z, self._bn = batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running,
-                                           self.count, BN_MOMENTUM, out=h)
+            _, cache = batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running,
+                                        self.count, BN_MOMENTUM, out=h, ws=ws["bn"])
         elif bn:
-            z = batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=h)
-        return z if out is None else out
+            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=h)
+        if train:
+            self._ws, self._xt, self._act, self._mask, self._bn = ws, xt, act, mask, cache
+        return ws["out"] if ones_row else h
 
-    def _ones_row_array(self, n, train):
-        """A (hidden + 1, n) array whose last row is 1. Train mode keeps one
-        and makes a new one only when the batch size changes."""
-        out = self._out if train else None
-        if out is None or out.shape[1] != n:
-            out = np.empty((self.W.shape[1] + 1, n))
-            out[-1] = 1.0
-            if train:
-                self._out = out
-        return out
+    def _workspace(self, n):
+        """A batch of n rows' buffers: `out` (hidden + 1, n), last row 1, first
+        rows `h`; `z`, `act`, sigmoid's `e`, relu's `mask`, batch norm's."""
+        d = self.W.shape[1]
+        out = np.empty((d + 1, n))
+        out[-1] = 1.0
+        z, act, e = np.empty((3, d, n))
+        return {"out": out, "h": out[:-1], "z": z, "act": act, "e": e,
+                "mask": np.empty((d, n), dtype=bool), "bn": batch_norm_buffers(d, n),
+                "bwd": np.empty((2, d, n))}
 
     def backward(self, dout):
         """Write the parameter gradients of the last train-mode forward into
-        `grad`, from dout (hidden, n). The gradient w.r.t. f's input is
-        never read, so the first layer computes none."""
+        `grad`, from dout (hidden, n), in its workspace; a StateError if none
+        ran. f's input gradient is never read, so the first layer makes none."""
+        ws = self._ws
+        if ws is None:
+            raise StateError("backward needs a train-mode forward first")
         if self.running is not None:
-            dout, _, _ = batch_norm_backward(dout, self._bn, out=self._dbn)
+            dout, _, _ = batch_norm_backward(dout, self._bn, out=self._dbn, buf=ws["bwd"])
         if self._mask is not None:
-            dout = dout * self._mask
+            dout = np.multiply(dout, self._mask, out=ws["z"])
+        dout = np.multiply(dout, self._act, out=ws["z"])
         if self.activation == "sigmoid":
-            dout = dout * self._act * (1.0 - self._act)
-        else:
-            dout = dout * self._act
+            dout *= np.subtract(_ONE, self._act, out=ws["e"])
         affine_backward(dout, self._xt, out=(self.dW, self.db))
 
     def zero_grads(self):
@@ -371,7 +396,13 @@ class Optimizer:
         self.lr = lr
         self.slots: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def bind(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """(param, grad, slot, (2, *shape) scratch) of each param, checked by
+        `_slot`; `step` of the list is `step(params, grads)` while none rebinds."""
+        return [(p, grads[name], self._slot(name, p, grads[name]), np.empty((2, *p.shape)))
+                for name, p in params.items()]
+
+    def step(self, params, grads=None):
         raise NotImplementedError
 
     def _slot(self, name, param, grad):
@@ -392,12 +423,11 @@ class MomentumSGD(Optimizer):
             raise ConfigError("momentum must lie in [0, 1)")
         self.momentum = momentum
 
-    def step(self, params, grads):
-        for name, p in params.items():
-            g = grads[name]
-            v = self._slot(name, p, g)
+    def step(self, params, grads=None):
+        for p, g, v, t in params if grads is None else self.bind(params, grads):
             v *= self.momentum
-            v -= self.lr * g
+            # g·lr is lr·g, to the bit
+            v -= np.multiply(g, self.lr, out=t[0])
             p += v
 
 
@@ -408,12 +438,13 @@ class Adagrad(Optimizer):
             raise ConfigError("adagrad eps must be positive")
         self.eps = eps
 
-    def step(self, params, grads):
-        for name, p in params.items():
-            g = grads[name]
-            a = self._slot(name, p, g)
-            a += g * g
-            p -= self.lr * g / (np.sqrt(a) + self.eps)
+    def step(self, params, grads=None):
+        for p, g, a, t in params if grads is None else self.bind(params, grads):
+            a += np.multiply(g, g, out=t[0])
+            lr_g, root = np.multiply(g, self.lr, out=t[0]), np.sqrt(a, out=t[1])
+            root += self.eps
+            lr_g /= root
+            p -= lr_g
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9, eps: float = 1e-8) -> Optimizer:

@@ -149,7 +149,7 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     net = state.net
     rows, gate = TriNet.PHASES[phase]
     # the phase's heads as one block of arena rows keyed by their names, then
-    # f; the buffers are never rebound
+    # f; never rebound, they are bound once, at the first batch
     heads = TriNet.BRANCHES[rows]
     params, grads = {heads: net.theta[rows]}, {heads: net.grad[rows]}
     if getattr(net.gates, gate):
@@ -170,7 +170,9 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
             loss = net.target_loss(xb, yb, rng=state.rng_train)
         if not math.isfinite(loss):
             raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
-        state.opt.step(params, grads)
+        if b == 0:
+            bound = state.opt.bind(params, grads)
+        state.opt.step(bound)
         losses.append(loss)
     return tuple(float(np.mean(v)) if v else float("nan") for v in (losses, penalties))
 

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nnlib import (ConfigError, Sequential, ShapeError, glorot_uniform, softmax,
-                    softmax_cross_entropy)
+from .nnlib import (ConfigError, Sequential, ShapeError, cross_entropy_buffers, glorot_uniform,
+                    softmax, softmax_cross_entropy)
 
 
 @dataclass
@@ -75,6 +75,8 @@ class TriNet:
         self.W, self.dW = self.Wb[:, :d], self.dWb[:, :d]
         self.b, self.db = self.Wb[:, d:], self.dWb[:, d:]
         self.W[...] = [glorot_uniform(np.random.default_rng(s), d, k) for s in ss[1:]]
+        # the workspace of the last objective call's phase and batch size
+        self._ws = None
 
     def features(self, x) -> np.ndarray:
         """Shared representation F(x) of the rows of x, (n, hidden), in
@@ -92,23 +94,36 @@ class TriNet:
 
     # -- objectives ---------------------------------------------------------
 
+    def _workspace(self, phase: str, n: int) -> dict:
+        """A batch of n rows of `phase`: its gate, its S heads' Wbᵀ, dWb, W and
+        logits (S, k, n), their `cross_entropy_buffers`, dz first, and dx."""
+        rows, gate = self.PHASES[phase]
+        logits = np.empty((len(self.Wb[rows]), self.num_classes, n))
+        ce = cross_entropy_buffers(logits.shape)
+        return {"key": (phase, n), "gate": gate, "WbT": self.Wb[rows].swapaxes(-1, -2),
+                "dWb": self.dWb[rows], "W": self.W[rows], "logits": logits, "ce": ce,
+                "dzT": ce[0].swapaxes(-1, -2), "dx": np.empty((len(logits), self.W.shape[1], n))}
+
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
         """Mean cross-entropy of each head of `phase`, from one train-mode pass
-        of f and one stacked matmul each way. Writes the gradients of the
-        phase's heads and, if its gate is open, of f; every other gradient
-        keeps its value."""
+        of f and one stacked matmul each way, in a workspace made again when
+        the phase or batch size changes. Writes the gradients of the phase's
+        heads and, if its gate is open, of f; every other keeps its value."""
         if len(x) == 0:
             raise ValueError("empty batch")
-        rows, gate = self.PHASES[phase]
+        ws = self._ws
+        if ws is None or ws["key"] != (phase, len(x)):
+            ws = self._ws = self._workspace(phase, len(x))
         # f's columns with their ones row, h (d + 1, n), and the labels y
         # (n,) serve every head as they are
         h = self.f.forward(x, mode="train", rng=rng, ones_row=True)
-        loss, dz = softmax_cross_entropy(np.matmul(self.Wb[rows].swapaxes(-1, -2), h), y)
-        np.matmul(h, dz.swapaxes(-1, -2), out=self.dWb[rows])
-        if getattr(self.gates, gate):
-            dx = self.W[rows] @ dz
+        loss, dz = softmax_cross_entropy(np.matmul(ws["WbT"], h, out=ws["logits"]), y,
+                                         ws=ws["ce"])
+        np.matmul(h, ws["dzT"], out=ws["dWb"])
+        if getattr(self.gates, ws["gate"]):
+            dx = np.matmul(ws["W"], dz, out=ws["dx"])
             # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
-            self.f.backward(dx[0] if len(dx) == 1 else dx[0] + dx[1])
+            self.f.backward(dx[0] if len(dx) == 1 else np.add(dx[0], dx[1], out=dx[0]))
         return loss
 
     def joint_labeling_loss(self, x, y, rng=None):

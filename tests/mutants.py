@@ -42,7 +42,7 @@ MUTANTS = (
            "    if True:\n        params[\"f\"], grads[\"f\"]",
            ("tests/test_trainer.py::test_closed_gate_leaves_shared_arena_and_its_slot_untouched",)),
     Mutant("f_backpropagated_under_closed_gate", "src/tritrain/trinet.py",
-           "        if getattr(self.gates, gate):",
+           "        if getattr(self.gates, ws[\"gate\"]):",
            "        if True:",
            ("tests/test_trinet.py::test_gate_blocks_shared_update_from_labeling_heads",
             "tests/test_trinet.py::test_gate_blocks_shared_update_from_target_head")),
@@ -61,17 +61,17 @@ MUTANTS = (
            ("tests/test_analysis.py::test_a_distance_stacked_folds_equal_fold_by_fold_training",)),
     # f's backward: the activations', dropout's and the first layer's dW
     Mutant("sigmoid_backward_without_its_derivative", "src/tritrain/nnlib.py",
-           "            dout = dout * self._act * (1.0 - self._act)",
-           "            dout = dout * self._act",
+           "            dout *= np.subtract(_ONE, self._act, out=ws[\"e\"])\n",
+           "            pass\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("relu_backward_passes_every_unit", "src/tritrain/nnlib.py",
-           "        else:\n            dout = dout * self._act\n",
-           "        else:\n            dout = dout\n",
+           "            act = np.greater(z, 0.0, out=ws[\"mask\"])",
+           "            act = np.greater(z, -np.inf, out=ws[\"mask\"])",
            ("tests/test_nnlib.py::test_sigmoid_relu_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("dropout_backward_without_its_mask", "src/tritrain/nnlib.py",
-           "            dout = dout * self._mask",
+           "            dout = np.multiply(dout, self._mask, out=ws[\"z\"])",
            "            dout = dout",
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
@@ -81,13 +81,30 @@ MUTANTS = (
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
-           "    dx -= xhat * dgamma\n",
+           "    dx -= np.multiply(xhat, dgamma, out=buf[0])\n",
            "",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     Mutant("batch_norm_backward_without_its_gamma_factor", "src/tritrain/nnlib.py",
            "    scale = gamma.T * inv_std\n",
            "    scale = inv_std * 1.0\n",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
+    # the workspace: each buffer holds what its readers expect, and a new
+    # batch size gets new buffers
+    Mutant("batch_norm_backward_reads_the_squared_deviations", "src/tritrain/nnlib.py",
+           "    cache = (xhat, inv_std, gamma, n)",
+           "    cache = (sq, inv_std, gamma, n)",
+           ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",
+            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    Mutant("workspace_kept_after_the_batch_size_changes", "src/tritrain/trinet.py",
+           "        if ws is None or ws[\"key\"] != (phase, len(x)):",
+           "        if ws is None or ws[\"key\"][0] != phase:",
+           ("tests/test_trinet.py::test_objectives_at_changing_batch_sizes_equal_fresh_nets",
+            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
+           "    np.negative(e, out=e)\n",
+           "",
+           ("tests/test_nnlib.py::test_sigmoid_bit_identical_to_reference",
+            "tests/test_nnlib.py::test_sigmoid_bits_equal_the_where_formula")),
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",
            "    xhat = (x - mean) / np.sqrt(var + eps)",
            "    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)"
@@ -97,14 +114,15 @@ MUTANTS = (
     # the (features, batch) layout: statistics and normalisation must run
     # over the right axis; both mutants keep every shape valid
     Mutant("batch_norm_statistics_over_the_feature_axis", "src/tritrain/nnlib.py",
-           "    stats = np.empty((2, x.shape[0], 1))\n    mean, var = stats[0], stats[1]\n"
+           "    mean, var, inv_std = stats[0], stats[1], stats[2]\n"
            "    np.add.reduce(x, axis=-1, keepdims=True, out=mean)\n    mean /= n\n"
-           "    xc = x - mean\n"
-           "    np.add.reduce(np.multiply(xc, xc), axis=-1, keepdims=True, out=var)\n",
-           "    stats = np.empty((2, 1, x.shape[1]))\n    mean, var = stats[0], stats[1]\n"
+           "    np.subtract(x, mean, out=xc)\n"
+           "    np.add.reduce(np.multiply(xc, xc, out=sq), axis=-1, keepdims=True, out=var)\n",
+           "    stats = np.empty((3, 1, x.shape[1]))\n"
+           "    mean, var, inv_std = stats[0], stats[1], stats[2]\n"
            "    np.add.reduce(x, axis=0, keepdims=True, out=mean)\n    mean /= n\n"
-           "    xc = x - mean\n"
-           "    np.add.reduce(np.multiply(xc, xc), axis=0, keepdims=True, out=var)\n",
+           "    np.subtract(x, mean, out=xc)\n"
+           "    np.add.reduce(np.multiply(xc, xc, out=sq), axis=0, keepdims=True, out=var)\n",
            ("tests/test_nnlib.py::test_bn_normalizes_columns",)),
     Mutant("softmax_normalised_over_the_batch_axis", "src/tritrain/nnlib.py",
            "    return e / e.sum(axis=-2, keepdims=True)",
@@ -114,16 +132,16 @@ MUTANTS = (
     # the heads' bias rides in their matmul on f's ones row; gradients are
     # written, so a second batch must not see the first one's
     Mutant("heads_ones_row_written_as_zero", "src/tritrain/nnlib.py",
-           "            out[-1] = 1.0\n",
-           "            out[-1] = 0.0\n",
+           "        out[-1] = 1.0\n",
+           "        out[-1] = 0.0\n",
            ("tests/test_trinet.py::test_forward_equals_per_head_pass",
             "tests/test_trinet.py::test_target_loss_perfect_prediction")),
     Mutant("objective_adds_into_its_gradient", "src/tritrain/trinet.py",
-           "        np.matmul(h, dz.swapaxes(-1, -2), out=self.dWb[rows])\n",
-           "        self.dWb[rows] += h @ dz.swapaxes(-1, -2)\n",
+           "        np.matmul(h, ws[\"dzT\"], out=ws[\"dWb\"])\n",
+           "        ws[\"dWb\"] += h @ ws[\"dzT\"]\n",
            ("tests/test_trinet.py::test_objective_writes_its_gradients_not_adds_to_them",)),
     Mutant("cross_entropy_gradient_unscaled", "src/tritrain/nnlib.py",
-           "    grad /= n\n",
+           "    grad /= n_op\n",
            "",
            ("tests/test_nnlib.py::test_ce_grad_matches_finite_differences",)),
     Mutant("weight_divergence_transposed_sign", "src/tritrain/trinet.py",

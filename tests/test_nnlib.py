@@ -378,6 +378,37 @@ def test_extractor_rejects_an_unknown_activation_or_a_zero_width():
             Sequential(in_dim, hidden_dim, "sigmoid", 0.0, True, np.random.default_rng(0))
 
 
+def test_extractor_rejects_an_unknown_mode_by_name():
+    # "Train" used to run eval mode, update no statistics and keep no cache,
+    # so the next backward reused the previous batch's
+    rng = np.random.default_rng(14)
+    f = Sequential(3, 4, "sigmoid", 0.0, True, rng)
+    x = rng.normal(size=(8, 3))
+    f.forward(x, mode="train")
+    running, count = f.running.copy(), f.count.copy()
+    for mode in ("Train", "test", None):
+        with pytest.raises(ConfigError, match=repr(mode)):
+            f.forward(rng.normal(size=(8, 3)), mode=mode)
+    np.testing.assert_array_equal(f.running, running)
+    np.testing.assert_array_equal(f.count, count)
+
+
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_backward_without_a_train_mode_forward_is_a_state_error(use_bn):
+    # it used to raise a bare AttributeError; an eval-mode forward keeps
+    # nothing a backward could read
+    rng = np.random.default_rng(15)
+    f = Sequential(3, 4, "sigmoid", 0.0, use_bn, rng)
+    with pytest.raises(StateError, match="train-mode forward"):
+        f.backward(np.ones((4, 8)))
+    if use_bn:
+        f.count.fill(1)  # eval mode needs populated running statistics
+    f.forward(rng.normal(size=(8, 3)), mode="eval")
+    with pytest.raises(StateError, match="train-mode forward"):
+        f.backward(np.ones((4, 8)))
+    assert not f.grad.any()
+
+
 def test_sequential_seed_reproducibility():
     a = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
     b = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
@@ -557,6 +588,20 @@ def test_softmax_cross_entropy_of_a_strided_view_equals_that_of_a_copy():
     rows, labels = rng.normal(size=(64, 3)), rng.integers(0, 3, size=64)
     for a, b in zip(softmax_cross_entropy(rows.T, labels), softmax_cross_entropy(cols(rows), labels)):
         assert_same_bits(a, b)
+
+
+def test_cross_entropy_results_keep_their_values_after_the_next_call():
+    # only a caller's workspace is reused; a call without one returns new
+    # arrays, at every shape
+    rng = np.random.default_rng(45)
+    for shape in ((3, 64), (2, 2, 64)):
+        first, second = (rng.normal(size=shape) for _ in range(2))
+        labels = rng.integers(0, shape[-2], size=64)
+        loss, grad = softmax_cross_entropy(first, labels)
+        kept = loss.copy(), grad.copy()
+        softmax_cross_entropy(second, labels)
+        assert_same_bits(loss, kept[0])
+        assert_same_bits(grad, kept[1])
 
 
 def test_softmax_cross_entropy_rejects_labels_that_do_not_fit():

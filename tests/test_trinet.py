@@ -1,12 +1,14 @@
+import copy
 import re
 import zipfile
 
 import numpy as np
 import pytest
 
-from tritrain import nnlib
+from tritrain import datagen, nnlib
+from tritrain.labeler import LabelingConfig
 from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax, softmax_cross_entropy
-from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state,
+from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state, run,
                               save_state)
 from tritrain.trinet import GradientGates, TriNet, weight_divergence
 
@@ -286,6 +288,104 @@ def test_objective_writes_its_gradients_not_adds_to_them(objective, extractor):
     rows = TriNet.PHASES["labeling" if objective == "joint" else "target"][0]
     assert twice.grad[rows].tobytes() == once.grad[rows].tobytes()
     assert twice.f.grad.tobytes() == once.f.grad.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the objectives' workspace
+
+
+def _objective(net, kind, x, y, seed):
+    """The joint or target objective on (x, y), with the dropout masks of
+    generator `seed`: (loss, penalty or None)."""
+    rng = np.random.default_rng(seed)
+    if kind == "joint":
+        loss, parts = net.joint_labeling_loss(x, y, rng=rng)
+        return loss, parts["penalty"]
+    return net.target_loss(x, y, rng=rng), None
+
+
+@pytest.mark.parametrize("kind", ["joint", "target"])
+def test_returned_arrays_keep_their_values_after_the_next_call(kind):
+    # what a caller receives is its own; only f's train-mode output is the
+    # one array the next batch of that size overwrites, as its docstring says
+    net = TriNet(3, num_classes=3, hidden_dim=4, dropout_rate=0.2, seed=3)
+    rng = np.random.default_rng(31)
+    batches = [(rng.normal(size=(64, 3)), rng.integers(0, 3, size=64)) for _ in range(2)]
+    first = _objective(net, kind, *batches[0], seed=1)
+    kept = copy.deepcopy(first)
+    probs = net.forward(batches[0][0])
+    kept_probs = probs.copy()
+    _, grads = weight_divergence(net.W[0], net.W[1])
+    kept_grads = grads.copy()
+    _objective(net, kind, *batches[1], seed=2)
+    net.forward(batches[1][0])
+    weight_divergence(net.W[1], net.W[2])
+    assert first == kept
+    assert probs.tobytes() == kept_probs.tobytes()
+    assert grads.tobytes() == kept_grads.tobytes()
+    out = net.f.forward(batches[0][0], mode="train", rng=rng)
+    assert np.shares_memory(out, net.f.forward(batches[1][0], mode="train", rng=rng))
+
+
+@pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
+def test_objectives_at_changing_batch_sizes_equal_fresh_nets(extractor):
+    # batch sizes 64, 128, 64 through each objective in turn, so its phase's
+    # workspace is made, made again for the new size and again for the old
+    # one; every call gives the loss and gradients of a fresh net's single
+    # call
+    rng = np.random.default_rng(32)
+    calls = [(kind, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
+             for kind in ("joint", "target") for n in (64, 128, 64)]
+
+    def make():
+        return TriNet(3, num_classes=3, hidden_dim=4, lam=0.05, seed=4,
+                      **WRITING_EXTRACTORS[extractor])
+
+    net = make()
+    for i, (kind, x, y) in enumerate(calls):
+        fresh = make()
+        assert _objective(net, kind, x, y, seed=i) == _objective(fresh, kind, x, y, seed=i)
+        rows = TriNet.PHASES["labeling" if kind == "joint" else "target"][0]
+        assert net.grad[rows].tobytes() == fresh.grad[rows].tobytes()
+        assert net.f.grad.tobytes() == fresh.f.grad.tobytes()
+
+
+def trained_net():
+    """The net of a short moons run, with 4 hidden units and batch norm,
+    after pretraining and two adaptation steps."""
+    ds = datagen.generate(datagen.ShiftSpec(generator="two_moons", n_source=80, n_target=80,
+                                            rotation_deg=30, noise_sigma=0.1, seed=5))
+    cfg = TrainConfig(steps_k=2, pretrain_iters=200, iter_per_phase=50, batch_labeling=16,
+                      batch_target=16, lr=0.1, hidden_dim=4, seed=5,
+                      labeling=LabelingConfig(n_init=40))
+    _, state = run(ds.source_x, ds.source_y, ds.target_x, cfg)
+    return state.net
+
+
+@pytest.mark.parametrize("kind", ["joint", "target"])
+def test_gradients_match_fd_at_a_trained_state(kind):
+    # at init the heads' b and f's beta are 0, gamma is 1 and the running
+    # statistics are 0 and 1, so a gradient that drops or swaps one of them
+    # can pass there; after training none of them is near its init value
+    net = trained_net()
+    f = net.f
+    for a, init in ((net.b, 0.0), (f.gamma, 1.0), (f.beta, 0.0), (f.running[0], 0.0),
+                    (f.running[1], 1.0)):
+        assert np.abs(a - init).max() > 0.05
+    rng = np.random.default_rng(33)
+    x, y = rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)
+    # a call at another batch size first, so the checked calls reuse a
+    # workspace made for theirs rather than a fresh one
+    _loss_with_param(net, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), kind, "f/b", f.b)
+    _objective(net, kind, x, y, seed=0)
+    grads = {k: v.copy() for k, v in named(net, "grads").items()}
+    skip = ("ft/",) if kind == "joint" else ("f1/", "f2/")
+    for name, p in named(net).items():
+        if name.startswith(skip):
+            continue
+        num = finite_difference_gradient(
+            lambda v, n=name: _loss_with_param(net, x, y, kind, n, v), p.copy())
+        assert rel_err(grads[name], num) < 1e-4, name
 
 
 # ---------------------------------------------------------------------------
