@@ -329,7 +329,7 @@ class Sequential(Layer):
         xt = np.asarray(x).T
         ws = self._ws if train else None
         if ws is None or ws["out"].shape[1] != xt.shape[-1]:
-            ws = self._workspace(xt.shape[-1])
+            ws = self._workspace(xt.shape[-1], train)
         h = ws["h"]
         z = affine_forward(xt, self.W, self.b, out=ws["z"])
         # the last part of f, batch norm, else dropout, else the activation,
@@ -340,7 +340,7 @@ class Sequential(Layer):
         if self.activation == "sigmoid":
             z = act = sigmoid(z, out=act_out, scratch=ws["e"])
         else:
-            act = np.greater(z, 0.0, out=ws["mask"])
+            act = np.greater(z, 0.0, out=ws.get("mask"))
             z = np.maximum(z, 0.0, out=act_out)
         mask = cache = None
         if drop:
@@ -354,16 +354,19 @@ class Sequential(Layer):
             self._ws, self._xt, self._act, self._mask, self._bn = ws, xt, act, mask, cache
         return ws["out"] if ones_row else h
 
-    def _workspace(self, n):
+    def _workspace(self, n, train):
         """A batch of n rows' buffers: `out` (hidden + 1, n), last row 1, first
-        rows `h`; `z`, `act`, sigmoid's `e`, relu's `mask`, batch norm's."""
+        rows `h`; `z`, `act`, sigmoid's `e`; in train mode relu's `mask` and
+        batch norm's, forward and backward."""
         d = self.W.shape[1]
         out = np.empty((d + 1, n))
         out[-1] = 1.0
-        z, act, e = np.empty((3, d, n))
-        return {"out": out, "h": out[:-1], "z": z, "act": act, "e": e,
-                "mask": np.empty((d, n), dtype=bool), "bn": batch_norm_buffers(d, n),
-                "bwd": np.empty((2, d, n))}
+        ws = {"out": out, "h": out[:-1], "z": np.empty((d, n)), "act": np.empty((d, n)),
+              "e": np.empty((d, n))}
+        if train:
+            ws.update(mask=np.empty((d, n), dtype=bool), bn=batch_norm_buffers(d, n),
+                      bwd=np.empty((2, d, n)))
+        return ws
 
     def backward(self, dout):
         """Write the parameter gradients of the last train-mode forward into
