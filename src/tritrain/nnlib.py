@@ -161,8 +161,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
 
 
 def batch_norm_buffers(d: int, n: int):
-    """`batch_norm_train`'s buffers for x (d, n): the (d, 1) mean, variance
-    and inverse std of one array, the centred x, later x̂, its square, n."""
+    """`batch_norm_train`'s buffers for x (d, n): mean, variance and inverse
+    std as (d, 1) columns of one array; centred x, later x̂; its square; n."""
     return np.empty((3, d, 1)), np.empty((d, n)), np.empty((d, n)), np.array(float(n))
 
 
@@ -444,10 +444,9 @@ class Adagrad(Optimizer):
     def step(self, params, grads=None):
         for p, g, a, t in params if grads is None else self.bind(params, grads):
             a += np.multiply(g, g, out=t[0])
-            lr_g, root = np.multiply(g, self.lr, out=t[0]), np.sqrt(a, out=t[1])
+            root = np.sqrt(a, out=t[1])
             root += self.eps
-            lr_g /= root
-            p -= lr_g
+            p -= np.divide(np.multiply(g, self.lr, out=t[0]), root, out=t[0])
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9, eps: float = 1e-8) -> Optimizer:
