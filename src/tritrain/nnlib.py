@@ -401,7 +401,7 @@ class Optimizer:
 
     def bind(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         """(param, grad, slot, (2, *shape) scratch) of each param, checked by
-        `_slot`; `step` of the list is `step(params, grads)` while none rebinds."""
+        `_slot`. While no array is rebound, `step(bound)` is `step(params, grads)`."""
         return [(p, grads[name], self._slot(name, p, grads[name]), np.empty((2, *p.shape)))
                 for name, p in params.items()]
 

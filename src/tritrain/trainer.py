@@ -149,7 +149,7 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     net = state.net
     rows, gate = TriNet.PHASES[phase]
     # the phase's heads as one block of arena rows keyed by their names, then
-    # f; never rebound, they are bound once, at the first batch
+    # f; the buffers are never rebound, so the first batch binds them once
     heads = TriNet.BRANCHES[rows]
     params, grads = {heads: net.theta[rows]}, {heads: net.grad[rows]}
     if getattr(net.gates, gate):

@@ -95,8 +95,9 @@ class TriNet:
     # -- objectives ---------------------------------------------------------
 
     def _workspace(self, phase: str, n: int) -> dict:
-        """A batch of n rows of `phase`: its gate, its S heads' Wbᵀ, dWb, W and
-        logits (S, k, n), their `cross_entropy_buffers`, dz first, and dx."""
+        """Buffers and views for n rows of `phase`: its gate field, its S heads'
+        Wbᵀ, dWb, W and logits (S, k, n), their `cross_entropy_buffers` (dz
+        first, also as dzᵀ) and dx (S, d, n)."""
         rows, gate = self.PHASES[phase]
         logits = np.empty((len(self.Wb[rows]), self.num_classes, n))
         ce = cross_entropy_buffers(logits.shape)

@@ -376,7 +376,7 @@ def test_gradients_match_fd_at_a_trained_state(kind):
     x, y = rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)
     # a call at another batch size first, so the checked calls reuse a
     # workspace made for theirs rather than a fresh one
-    _loss_with_param(net, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), kind, "f/b", f.b)
+    _objective(net, kind, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), seed=0)
     _objective(net, kind, x, y, seed=0)
     grads = {k: v.copy() for k, v in named(net, "grads").items()}
     skip = ("ft/",) if kind == "joint" else ("f1/", "f2/")
