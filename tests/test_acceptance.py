@@ -369,8 +369,48 @@ BLOBS_RUN_DIGESTS = {
 }
 
 
+# the benchmark config, two adaptation steps long: momentum SGD with both
+# gates open, so the checkpoint holds the slots of f1, f2, f and ft in the
+# order they first stepped
+MOMENTUM_RUN_CFG = "\n".join([
+    'data.generator = "two_moons"', "data.n_source = 500", "data.n_target = 500",
+    "data.rotation_deg = 30", "data.noise_sigma = 0.1", "data.seed = 0",
+    "train.steps_k = 2", "train.pretrain_iters = 1000", "train.iter_per_phase = 100",
+    "train.batch_labeling = 64", "train.batch_target = 128", "train.lr = 0.05",
+    "train.lambda = 0.01", "train.hidden_dim = 16", 'train.activation = "sigmoid"',
+    "train.seed = 0", ""])
+MOMENTUM_RUN_DIGESTS = {
+    "metrics.csv": "321584e1d4e5db63278355c568127e52e8c2637035214400001e13f3bf347a2a",
+    "checkpoint.npz": "ce123030f31a2c7510530bd6daca1aafd6ccfaa28a99c3d45751a4479bb596f3",
+}
+
+
+# a run in which ft never steps: no pretraining batch, and a threshold no
+# pseudo label reaches, so every target phase is skipped
+NO_TARGET_STEP_CFG = "\n".join([
+    'data.generator = "two_moons"', "data.n_source = 120", "data.n_target = 120",
+    "data.rotation_deg = 30", "data.noise_sigma = 0.1", "data.seed = 1",
+    "train.steps_k = 3", "train.pretrain_iters = 0", "train.iter_per_phase = 10",
+    "train.batch_labeling = 32", "train.batch_target = 16", "train.lr = 0.05",
+    "train.use_bn = false", "train.hidden_dim = 8", "train.seed = 1",
+    "labeling.n_init = 60", "labeling.threshold = 0.99", ""])
+NO_TARGET_STEP_DIGESTS = {
+    "metrics.csv": "0b5f77c20cabd565034e6c84488213f4c30036498f40d3c4ab8f4e9f4895babd",
+    "checkpoint.npz": "772c89f556cf3a76d9eed771a6dfb5dd1d4ad36f28adea6610e73a1c01dab84f",
+}
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _train(tmp_path, cfg_text) -> Path:
+    """The output directory of a `train` call on `cfg_text`."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    return out
 
 
 def test_benchmark_metrics_bytes_are_pinned(benchmark_runs, tmp_path):
@@ -420,6 +460,26 @@ def test_blobs_run_bytes_are_pinned(tmp_path):
     assert sizes == [21, 6, 12, 16, 19]
     digests = {name: _sha256(out / name) for name in BLOBS_RUN_DIGESTS}
     assert digests == BLOBS_RUN_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_momentum_run_bytes_are_pinned(tmp_path):
+    out = _train(tmp_path, MOMENTUM_RUN_CFG)
+    with np.load(out / "checkpoint.npz") as z:
+        slots = [k for k in z.files if k.startswith("opt/")]
+    assert slots == [f"opt/main/slot/{n}" for n in ("f1", "f2", "f", "ft")]
+    digests = {name: _sha256(out / name) for name in MOMENTUM_RUN_DIGESTS}
+    assert digests == MOMENTUM_RUN_DIGESTS, f"numpy {np.__version__}"
+
+
+def test_run_in_which_ft_never_steps_writes_no_ft_slot_and_is_pinned(tmp_path):
+    out = _train(tmp_path, NO_TARGET_STEP_CFG)
+    sizes = [m.n_pseudo for m in trainer.read_metrics_csv(out / "metrics.csv")]
+    assert max(sizes) < 2
+    with np.load(out / "checkpoint.npz") as z:
+        slots = [k for k in z.files if k.startswith("opt/")]
+    assert slots == [f"opt/main/slot/{n}" for n in ("f1", "f2", "f")]
+    digests = {name: _sha256(out / name) for name in NO_TARGET_STEP_DIGESTS}
+    assert digests == NO_TARGET_STEP_DIGESTS, f"numpy {np.__version__}"
 
 
 # ---------------------------------------------------------------------------
