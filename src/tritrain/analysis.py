@@ -286,12 +286,16 @@ def _train_domain_classifiers(train_x, train_y, rngs):
     opt = nnlib.make_optimizer("adagrad", _LR)
     bound = opt.bind({"clf": theta}, {"clf": grad})
     fold = np.arange(folds)[:, None]
+    # the cross-entropy buffers of each batch size: _BATCH and the last batch's
+    ce = {m: nnlib.cross_entropy_buffers((folds, 2, m))
+          for m in {min(n, _BATCH), n % _BATCH or _BATCH}}
     for _ in range(_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, _BATCH):
             idx = perm[:, start:start + _BATCH]
             xb = train_x[fold, idx].swapaxes(-1, -2)
-            _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx])
+            _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx],
+                                          ws=ce[idx.shape[1]])
             # without W, no input gradient is computed; nothing reads it
             nnlib.affine_backward(dz, xb, out=(dW, db))
             opt.step(bound)

@@ -160,17 +160,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
     return loss, grad
 
 
-def batch_norm_buffers(d: int, n: int):
-    """`batch_norm_train`'s buffers for x (d, n): mean, variance and inverse
-    std as (d, 1) columns of one array; centred x, later x̂; its square; n."""
-    return np.empty((3, d, 1)), np.empty((d, n)), np.empty((d, n)), np.array(float(n))
+def batch_norm_buffers(d: int, n: int, momentum=BN_MOMENTUM):
+    """`batch_norm_train`'s buffers for x (d, n) and `momentum`: mean,
+    variance and inverse std as (d, 1) columns of one array; centred x,
+    later x̂; its square; n; 1 - momentum, the new statistics' weight."""
+    return (np.empty((3, d, 1)), np.empty((d, n)), np.empty((d, n)), np.array(float(n)),
+            np.array(_ONE - momentum))
 
 
 def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None, ws=None):
     """Standardize each feature row of x (d, n) with its batch statistics,
     then scale and shift by gamma and beta, (1, d) as stored, into `out`
-    if given. `ws`, x's `batch_norm_buffers`, holds the intermediates, x̂
-    among them; without it they are new.
+    if given. `ws`, the `batch_norm_buffers` of x and `momentum`, holds the
+    intermediates, x̂ among them; without it they are new.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
@@ -181,7 +183,7 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    stats, xc, sq, n = batch_norm_buffers(*x.shape) if ws is None else ws
+    stats, xc, sq, n, rate = batch_norm_buffers(*x.shape, momentum) if ws is None else ws
     # sum / n is what mean() and var() compute, without their dispatch cost
     mean, var, inv_std = stats[0], stats[1], stats[2]
     np.add.reduce(x, axis=-1, keepdims=True, out=mean)
@@ -200,7 +202,7 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None
         running[...] = stats
     else:
         running *= momentum
-        stats *= 1 - momentum
+        stats *= rate
         running += stats
     count[0] += 1
     cache = (xhat, inv_std, gamma, n)
@@ -275,13 +277,14 @@ class Sequential(Layer):
     Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
     then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
     `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
-    them. Batch norm's running mean and variance are the rows of `running`
-    (2, hidden) and its batch count is `count` (1,). Without batch norm,
-    `gamma`, `beta`, their gradients, `running` and `count` are None.
+    them; `arena`, an owner's zero-filled (theta, grad) views of `size`
+    elements, if given. Batch norm's running mean and variance are the rows
+    of `running` (2, hidden) and its batch count is `count` (1,). Without batch
+    norm, `gamma`, `beta`, their gradients, `running` and `count` are None.
     `backward` writes every gradient of `grad` it reaches; nothing adds."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
-                 use_bn: bool, rng):
+                 use_bn: bool, rng, arena=None):
         if activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {activation!r}")
         if in_dim < 1 or hidden_dim < 1:
@@ -289,8 +292,7 @@ class Sequential(Layer):
                               f"got {in_dim} and {hidden_dim}")
         d, h = in_dim, hidden_dim
         self.in_dim, self.activation, self.dropout_rate = in_dim, activation, dropout_rate
-        self.theta = np.zeros(d * h + (3 if use_bn else 1) * h)
-        self.grad = np.zeros_like(self.theta)
+        self.theta, self.grad = arena or (np.zeros(n := self.size(d, h, use_bn)), np.zeros(n))
         self.W, self.dW = (a[:d * h].reshape(d, h) for a in (self.theta, self.grad))
         # the (1, h) rows after W: b, then gamma and beta
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
@@ -309,6 +311,10 @@ class Sequential(Layer):
             # into it
             self.running = np.array([np.zeros(h), np.ones(h)])
             self.count = np.zeros(1, dtype=np.int64)
+
+    @staticmethod
+    def size(in_dim: int, hidden_dim: int, use_bn: bool) -> int:
+        return (in_dim + (3 if use_bn else 1)) * hidden_dim
 
     def forward(self, x, mode="train", rng=None, ones_row=False):
         """f of the rows of x (n, in_dim), returned as columns (hidden, n).
@@ -393,27 +399,28 @@ class Sequential(Layer):
 
 
 class Optimizer:
+    # the float operands of an update are float64 0-d arrays; `lr` is the
+    # learning rate's as a float, and each step reads it anew
+    lr = property(lambda self: float(self._lr), lambda self, lr: self._lr.fill(lr))
+
     def __init__(self, lr: float):
         if lr <= 0:
             raise ConfigError("learning rate must be positive")
-        self.lr = lr
+        self._lr = np.array(float(lr))
         self.slots: dict[str, np.ndarray] = {}
 
-    def bind(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+    def bind(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             span=slice(None)):
         """(param, grad, slot, (2, *shape) scratch) of each param, checked by
-        `_slot`. While no array is rebound, `step(bound)` is `step(params, grads)`."""
-        return [(p, grads[name], self._slot(name, p, grads[name]), np.empty((2, *p.shape)))
-                for name, p in params.items()]
-
-    def step(self, params, grads=None):
-        raise NotImplementedError
+        `_slot`, each cut to `span` of its leading axis. While no array is
+        rebound, `step(bound)` is `step(params, grads)` on that span."""
+        return [(p[span], grads[n][span], self._slot(n, p, grads[n])[span],
+                 np.empty((2, *p[span].shape))) for n, p in params.items()]
 
     def _slot(self, name, param, grad):
         if grad.shape != param.shape:
             raise ShapeError(f"gradient shape {grad.shape} != param shape {param.shape} for {name}")
-        if name not in self.slots:
-            self.slots[name] = np.zeros_like(param)
-        slot = self.slots[name]
+        slot = self.slots.setdefault(name, np.zeros_like(param))
         if slot.shape != param.shape:
             raise ShapeError(f"optimizer slot {name} shape {slot.shape} != param {param.shape}")
         return slot
@@ -424,13 +431,13 @@ class MomentumSGD(Optimizer):
         super().__init__(lr)
         if not 0.0 <= momentum < 1.0:
             raise ConfigError("momentum must lie in [0, 1)")
-        self.momentum = momentum
+        self.momentum = np.array(float(momentum))
 
     def step(self, params, grads=None):
         for p, g, v, t in params if grads is None else self.bind(params, grads):
             v *= self.momentum
             # g·lr is lr·g, to the bit
-            v -= np.multiply(g, self.lr, out=t[0])
+            v -= np.multiply(g, self._lr, out=t[0])
             p += v
 
 
@@ -439,14 +446,14 @@ class Adagrad(Optimizer):
         super().__init__(lr)
         if eps <= 0:
             raise ConfigError("adagrad eps must be positive")
-        self.eps = eps
+        self.eps = np.array(float(eps))
 
     def step(self, params, grads=None):
         for p, g, a, t in params if grads is None else self.bind(params, grads):
             a += np.multiply(g, g, out=t[0])
             root = np.sqrt(a, out=t[1])
             root += self.eps
-            p -= np.divide(np.multiply(g, self.lr, out=t[0]), root, out=t[0])
+            p -= np.divide(np.multiply(g, self._lr, out=t[0]), root, out=t[0])
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9, eps: float = 1e-8) -> Optimizer:

@@ -106,6 +106,8 @@ class TrainState:
     rng_train: np.random.Generator
     rng_label: np.random.Generator
     step: int = 0
+    # the networks that have stepped, in first-step order, their slots' order
+    stepped: list[str] = field(default_factory=list)
 
 
 def build_net(cfg: TrainConfig, in_dim: int, num_classes: int) -> TriNet:
@@ -147,17 +149,10 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     weight penalty, NaN where none ran. `where` ("pretrain" or "step k")
     names the phase in a DivergenceError."""
     net = state.net
-    rows, gate = TriNet.PHASES[phase]
-    # the phase's heads as one block of arena rows keyed by their names, then
-    # f; the buffers are never rebound, so the first batch binds them once
-    heads = TriNet.BRANCHES[rows]
-    params, grads = {heads: net.theta[rows]}, {heads: net.grad[rows]}
-    if getattr(net.gates, gate):
-        params["f"], grads["f"] = net.f.theta, net.f.grad
+    names, span = net.span(phase)
     # the objectives write every gradient the phase steps; a closed gate
     # leaves f's at this zero
     net.f.zero_grads()
-    net.grad.fill(0.0)
     losses, penalties = [], []
     batch = getattr(state.cfg, f"batch_{phase}")
     for b, idx in enumerate(_batches(len(x), batch, iters, state.rng_train)):
@@ -171,7 +166,9 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
         if not math.isfinite(loss):
             raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
         if b == 0:
-            bound = state.opt.bind(params, grads)
+            # the arena is never rebound, so the first batch binds its span once
+            bound = state.opt.bind({_ARENA: net.theta}, {_ARENA: net.grad}, span)
+            state.stepped += [n for n in names if n not in state.stepped]
         state.opt.step(bound)
         losses.append(loss)
     return tuple(float(np.mean(v)) if v else float("nan") for v in (losses, penalties))
@@ -302,32 +299,30 @@ def read_metrics_csv(path):
                 for row in csv.DictReader(fh)]
 
 
-# prefix of a network's optimizer slot; the slots come in the order the
-# networks first stepped, a phase's heads in arena order
-_SLOT = "opt/main/slot/"
+# prefix of a network's optimizer slot, its span of the slot of the arena,
+# which the optimizer knows by the name _ARENA
+_SLOT, _ARENA = "opt/main/slot/", "net"
 
 
 def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint array name, in file order, mapped to the live array
-    it holds: `param/<net>/<layer>/<key>` views into f's theta and each
-    head's arena row, `state/f/<layer>/running_{mean,var,count}` f's
-    batch-norm statistics, then `opt/main/slot/<net>` the slots. <layer> is
-    the part's position in f's chain: the affine layer is 0, the
-    activation 1, dropout 2 if any, then batch norm."""
+    it holds: `param/<net>/<layer>/<key>` views into the arena,
+    `state/f/<layer>/running_{mean,var,count}` f's batch-norm statistics,
+    then `opt/main/slot/<net>` the slots of the networks that stepped, in
+    `state.stepped` order. <layer> is the part's position in f's chain: the
+    affine layer is 0, the activation 1, dropout 2 if any, then batch
+    norm."""
     net, f = state.net, state.net.f
     arrays = {"param/f/0/W": f.W, "param/f/0/b": f.b}
     bn = "f/3/" if f.dropout_rate > 0 else "f/2/"
     if f.running is not None:
         arrays |= {f"param/{bn}gamma": f.gamma, f"param/{bn}beta": f.beta}
-    for i, head in enumerate(TriNet.BRANCHES):
-        arrays[f"param/{head}/0/W"], arrays[f"param/{head}/0/b"] = net.W[i], net.b[i]
+    for head, Wb in net.Wb.items():
+        arrays[f"param/{head}/0/W"], arrays[f"param/{head}/0/b"] = Wb[:-1], Wb[-1:]
     if f.running is not None:
         arrays |= {f"state/{bn}running_mean": f.running[0],
                    f"state/{bn}running_var": f.running[1], f"state/{bn}running_count": f.count}
-    # the slot of a block of heads, keyed by their names, holds one row each
-    for key, slot in state.opt.slots.items():
-        names, rows = (key, slot) if isinstance(key, tuple) else ((key,), (slot,))
-        arrays.update({_SLOT + name: row for name, row in zip(names, rows)})
+    arrays |= {_SLOT + name: state.opt.slots[_ARENA][net.spans[name]] for name in state.stepped}
     return arrays
 
 
@@ -390,15 +385,9 @@ def load_state(path) -> TrainState:
                 raise ShapeError(f"array {key} shape {arrays[key].shape} != {shape}, "
                                  f"the in_dim, hidden_dim and num_classes of __meta__")
         state = init_state(cfg, meta["in_dim"], meta["num_classes"])
-        # each network's optimizer key and the buffer it steps, as `_phase`
-        # steps them
-        keys = {"f": ("f", state.net.f.theta)}
-        for rows, _ in TriNet.PHASES.values():
-            heads = TriNet.BRANCHES[rows]
-            keys |= dict.fromkeys(heads, (heads, state.net.theta[rows]))
-        for name in [k[len(_SLOT):] for k in arrays if k.startswith(_SLOT)]:
-            if name in keys and keys[name][0] not in state.opt.slots:
-                state.opt.slots[keys[name][0]] = np.zeros_like(keys[name][1])
+        state.stepped = [k[len(_SLOT):] for k in arrays
+                         if k.startswith(_SLOT) and k[len(_SLOT):] in state.net.spans]
+        state.opt.slots[_ARENA] = np.zeros_like(state.net.theta)
         live = checkpoint_arrays(state)
         if live.keys() != arrays.keys():
             raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "

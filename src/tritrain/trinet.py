@@ -45,17 +45,18 @@ def weight_divergence(W1: np.ndarray, W2: np.ndarray):
 class TriNet:
     """Shared extractor `f` (an `nnlib.Sequential` from `in_dim` to
     `hidden_dim` = d) feeding heads f1, f2 (labeling) and ft (target), each
-    one affine layer to `num_classes` = k logits. Row i of the arena `theta`
-    (3, d·k + k) is head BRANCHES[i]'s W (d, k) then b (k), viewed as `W`
-    (3, d, k) and `b` (3, 1, k), and as one matrix `Wb` (3, d + 1, k) whose
-    last row is b; `grad`, `dW`, `db` and `dWb` mirror them. A head's
-    logits are Wbᵀ applied to f's output with a ones row appended, and its
-    gradient dWb is that output times the logits' gradient, one matmul
-    each."""
+    one affine layer to `num_classes` = k logits. Every parameter lives in
+    the flat arena `theta` laid out f1 f2 | f | ft, gradients in `grad`, and
+    `spans` maps each network to its slice. f takes its slices as its own
+    `theta` and `grad`; a head's are W (d, k) then b (k), viewed as one
+    matrix `Wb[head]` (d + 1, k) whose last row is b, and `dWb[head]`. A
+    head's logits are Wbᵀ applied to f's output with a ones row appended,
+    and its gradient is that output times the logits' gradient, one matmul
+    each for a phase's adjacent heads."""
 
     BRANCHES = ("f1", "f2", "ft")
-    # phase -> (its heads' arena rows, the GradientGates field opening f to it)
-    PHASES = {"labeling": (slice(0, 2), "from_f1_f2"), "target": (slice(2, 3), "from_ft")}
+    # phase -> (its heads, the GradientGates field opening f to it)
+    PHASES = {"labeling": (("f1", "f2"), "from_f1_f2"), "target": (("ft",), "from_ft")}
 
     def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 50,
                  activation: str = "sigmoid", dropout_rate: float = 0.0, use_bn: bool = True,
@@ -66,17 +67,29 @@ class TriNet:
         self.lam = lam
         self.gates = gates or GradientGates()
         d, k = hidden_dim, num_classes
+        hk = (d + 1) * k
+        ends = np.cumsum([0, hk, hk, Sequential.size(in_dim, d, use_bn), hk]).tolist()
+        self.spans = {n: slice(a, b) for n, a, b in zip(("f1", "f2", "f", "ft"), ends, ends[1:])}
+        self.theta, self.grad = np.zeros(ends[-1]), np.zeros(ends[-1])
         # independent sub-seeds so the three heads start differently
         ss = np.random.SeedSequence(seed).spawn(4)
         self.f = Sequential(in_dim, d, activation, dropout_rate, use_bn,
-                            np.random.default_rng(ss[0]))
-        self.theta, self.grad = np.zeros((3, d * k + k)), np.zeros((3, d * k + k))
-        self.Wb, self.dWb = (a.reshape(3, d + 1, k) for a in (self.theta, self.grad))
-        self.W, self.dW = self.Wb[:, :d], self.dWb[:, :d]
-        self.b, self.db = self.Wb[:, d:], self.dWb[:, d:]
-        self.W[...] = [glorot_uniform(np.random.default_rng(s), d, k) for s in ss[1:]]
+                            np.random.default_rng(ss[0]),
+                            arena=(self.theta[self.spans["f"]], self.grad[self.spans["f"]]))
+        self.Wb, self.dWb = ({h: a[self.spans[h]].reshape(d + 1, k) for h in self.BRANCHES}
+                             for a in (self.theta, self.grad))
+        for h, s in zip(self.BRANCHES, ss[1:]):
+            self.Wb[h][:d] = glorot_uniform(np.random.default_rng(s), d, k)
         # the workspace of the last objective call's phase and batch size
         self._ws = None
+
+    def span(self, phase: str) -> tuple[tuple[str, ...], slice]:
+        """The networks `phase` steps, its heads then f if its gate is open,
+        and the one slice of the arena they fill."""
+        heads, gate = self.PHASES[phase]
+        names = (*heads, "f") if getattr(self.gates, gate) else heads
+        spans = [self.spans[n] for n in names]
+        return names, slice(min(s.start for s in spans), max(s.stop for s in spans))
 
     def features(self, x) -> np.ndarray:
         """Shared representation F(x) of the rows of x, (n, hidden), in
@@ -86,24 +99,29 @@ class TriNet:
     def forward(self, x) -> np.ndarray:
         """Every head's class probabilities for the rows of x, (3, n, k) in
         BRANCHES order, from one eval-mode pass of the shared extractor, one
-        stacked matmul and one softmax. Eval mode draws no randomness, so
-        sharing the pass changes no bits. Training goes through the two
-        objectives."""
+        stacked matmul of the heads' gathered matrices and one softmax. Eval
+        mode draws no randomness, so sharing the pass changes no bits.
+        Training goes through the two objectives."""
         h = self.f.forward(x, mode="eval", ones_row=True)
-        return softmax(np.matmul(self.Wb.swapaxes(-1, -2), h)).swapaxes(-1, -2)
+        Wb = np.stack([self.Wb[b] for b in self.BRANCHES])
+        return softmax(np.matmul(Wb.swapaxes(-1, -2), h)).swapaxes(-1, -2)
 
     # -- objectives ---------------------------------------------------------
 
     def _workspace(self, phase: str, n: int) -> dict:
-        """Buffers and views for n rows of `phase`: its gate field, its S heads'
-        Wbᵀ, dWb, W and logits (S, k, n), their `cross_entropy_buffers` (dz
-        first, also as dzᵀ) and dx (S, d, n)."""
-        rows, gate = self.PHASES[phase]
-        logits = np.empty((len(self.Wb[rows]), self.num_classes, n))
+        """Buffers and views for n rows of `phase`: its gate field, its S
+        adjacent heads' Wbᵀ, dWb, W and dW as (S, ...) blocks of the arena,
+        their logits (S, k, n), their `cross_entropy_buffers` (dz first,
+        also as dzᵀ) and dx (S, d, n)."""
+        heads, gate = self.PHASES[phase]
+        span = slice(self.spans[heads[0]].start, self.spans[heads[-1]].stop)
+        Wb, dWb = (a[span].reshape(len(heads), *self.Wb[heads[0]].shape)
+                   for a in (self.theta, self.grad))
+        logits = np.empty((len(heads), self.num_classes, n))
         ce = cross_entropy_buffers(logits.shape)
-        return {"key": (phase, n), "gate": gate, "WbT": self.Wb[rows].swapaxes(-1, -2),
-                "dWb": self.dWb[rows], "W": self.W[rows], "logits": logits, "ce": ce,
-                "dzT": ce[0].swapaxes(-1, -2), "dx": np.empty((len(logits), self.W.shape[1], n))}
+        return {"key": (phase, n), "gate": gate, "WbT": Wb.swapaxes(-1, -2), "dWb": dWb,
+                "W": Wb[:, :-1], "dW": dWb[:, :-1], "logits": logits, "ce": ce,
+                "dzT": ce[0].swapaxes(-1, -2), "dx": np.empty((len(heads), Wb.shape[1] - 1, n))}
 
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
         """Mean cross-entropy of each head of `phase`, from one train-mode pass
@@ -132,9 +150,9 @@ class TriNet:
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
         ce = self._heads_loss("labeling", x, y, rng)
-        penalty, grads = weight_divergence(self.W[0], self.W[1])
+        W, dW = self._ws["W"], self._ws["dW"]
+        penalty, grads = weight_divergence(W[0], W[1])
         grads *= self.lam
-        dW = self.dW[:2]
         np.add(dW, grads, out=dW)
         total = ce[0] + ce[1] + self.lam * penalty
         return total, {"ce_f1": ce[0], "ce_f2": ce[1], "penalty": penalty}

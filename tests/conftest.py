@@ -58,16 +58,15 @@ VIEWS = ("W", "b", "gamma", "beta")
 def named(net, which="params") -> dict[str, np.ndarray]:
     """`<net>/<view>` -> each parameter view, or with "grads" its gradient
     view (`dW`, `db`, ...), over the four networks of a TriNet, where head
-    `<h>/W` and `<h>/b` are views into the head's arena row; an extractor's
+    `<h>/W` and `<h>/b` are the rows of its matrix `Wb[h]`; an extractor's
     keys are its view names, `gamma` and `beta` only with batch norm."""
     seq = net.f if isinstance(net, TriNet) else net
     prefix = "f/" if isinstance(net, TriNet) else ""
     d = "" if which == "params" else "d"
     out = {prefix + k: getattr(seq, d + k) for k in VIEWS if getattr(seq, k) is not None}
     if isinstance(net, TriNet):
-        W, b = (net.W, net.b) if which == "params" else (net.dW, net.db)
-        for i, head in enumerate(TriNet.BRANCHES):
-            out[f"{head}/W"], out[f"{head}/b"] = W[i], b[i]
+        for head, Wb in (net.Wb if which == "params" else net.dWb).items():
+            out[f"{head}/W"], out[f"{head}/b"] = Wb[:-1], Wb[-1:]
     return out
 
 

@@ -37,9 +37,9 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("f_stepped_under_closed_gate", "src/tritrain/trainer.py",
-           "    if getattr(net.gates, gate):\n        params[\"f\"], grads[\"f\"]",
-           "    if True:\n        params[\"f\"], grads[\"f\"]",
+    Mutant("f_stepped_under_closed_gate", "src/tritrain/trinet.py",
+           "        names = (*heads, \"f\") if getattr(self.gates, gate) else heads",
+           "        names = (*heads, \"f\")",
            ("tests/test_trainer.py::test_closed_gate_leaves_shared_arena_and_its_slot_untouched",)),
     Mutant("f_backpropagated_under_closed_gate", "src/tritrain/trinet.py",
            "        if getattr(self.gates, ws[\"gate\"]):",
@@ -156,6 +156,34 @@ MUTANTS = (
            "        state.opt.lr, state.step = float(lr), step",
            "        state.step = step",
            ("tests/test_trinet.py::test_checkpoint_round_trip",)),
+    # one arena: each phase steps one slice of it, f's slot is one for both
+    # phases, and each step reads the lr assigned last
+    Mutant("labeling_slice_stops_before_f", "src/tritrain/trinet.py",
+           "        return names, slice(min(s.start for s in spans), max(s.stop for s in spans))",
+           "        return names, slice(min(s.start for s in spans),\n"
+           "                            max(s.stop for s in spans[:len(heads)]))",
+           ("tests/test_trainer.py::"
+            "test_a_phase_steps_its_heads_and_f_if_its_gate_is_open_and_nothing_else",
+            "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
+    Mutant("a_slot_for_f_per_phase", "src/tritrain/trainer.py",
+           "            bound = state.opt.bind({_ARENA: net.theta}, {_ARENA: net.grad}, span)\n",
+           "            key = _ARENA if phase == \"labeling\" else phase\n"
+           "            bound = state.opt.bind({key: net.theta}, {key: net.grad}, span)\n",
+           ("tests/test_trainer.py::test_both_phases_step_f_through_one_momentum_slot",
+            "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
+    Mutant("lr_taken_once_at_bind", "src/tritrain/nnlib.py",
+           "        for p, g, v, t in params if grads is None else self.bind(params, grads):\n"
+           "            v *= self.momentum\n"
+           "            # g·lr is lr·g, to the bit\n"
+           "            v -= np.multiply(g, self._lr, out=t[0])\n",
+           "        # the lr of a bound list's first step, as if bind had taken it\n"
+           "        lr = vars(self).setdefault(\"_lr_at_bind\", {}).setdefault(id(params), "
+           "float(self._lr))\n"
+           "        for p, g, v, t in params if grads is None else self.bind(params, grads):\n"
+           "            v *= self.momentum\n"
+           "            v -= np.multiply(g, lr, out=t[0])\n",
+           ("tests/test_nnlib.py::"
+            "test_lr_assigned_between_steps_of_one_bound_list_applies_to_the_next",)),
     Mutant("fault_injection_injects_nothing", "src/tritrain/cli.py",
            "    c_offset = -0.1 if args.inject_fault else 0.0",
            "    c_offset = 0.0",

@@ -537,7 +537,7 @@ def test_train_takes_the_class_count_from_the_dataset(tmp_path, capsys):
     cfg = write_cfg(tmp_path, f'data.dir = "{data}"\n' + TRAIN_CFG[len(DATA_CFG):])
     assert cli.main(["train", "--config", cfg, "--out", str(run)]) == cli.EXIT_OK
     state = trainer.load_state(run / "checkpoint.npz")
-    assert state.net.num_classes == 3 and state.net.W.shape[-1] == 3
+    assert state.net.num_classes == 3 and state.net.Wb["ft"].shape[-1] == 3
     capsys.readouterr()
     rc = cli.main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data),
                    "--branch", "all"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -311,6 +312,27 @@ def test_adagrad_two_steps_against_brute_force():
         acc += g * g
         w -= lr * g / (np.sqrt(acc) + eps)
     np.testing.assert_allclose(p["w"], [[w]], rtol=1e-15)
+
+
+@pytest.mark.parametrize("make_opt", [MomentumSGD, Adagrad])
+def test_lr_assigned_between_steps_of_one_bound_list_applies_to_the_next(make_opt):
+    # as `trainer.adapt_step` decays lr after a phase bound its arrays: the
+    # next step of that bound list uses the new value, and `lr` stays the
+    # float that a checkpoint writes as a JSON number
+    w, g = np.array([1.0]), np.array([1.0])
+    opt = make_opt(lr=0.1)
+    bound = opt.bind({"w": w}, {"w": g})
+    opt.step(bound)
+    assert w[0] == pytest.approx(0.9)
+    opt.lr = 0.01
+    opt.step(bound)
+    if make_opt is MomentumSGD:
+        # v = 0.9 * -0.1 - 0.01 = -0.1; with the old lr it would be -0.19
+        assert w[0] == pytest.approx(0.8, rel=1e-12)
+    else:
+        # the squared gradients sum to 2
+        assert w[0] == pytest.approx(0.9 - 0.01 / np.sqrt(2), rel=1e-8)
+    assert type(opt.lr) is float and json.dumps(opt.lr) == "0.01"
 
 
 def test_optimizer_shape_mismatch():

@@ -156,11 +156,43 @@ def test_closed_gate_leaves_shared_arena_and_its_slot_untouched(closed):
     state = init_state(cfg, 2, ds.num_classes)
     open_phase = "target" if closed == "labeling" else "labeling"
     trainer._phase(state, open_phase, ds.source_x, ds.source_y, 5, "pretrain")
-    theta, slot = state.net.f.theta.copy(), state.opt.slots["f"].copy()
+    theta, slot = state.net.f.theta.copy(), checkpoint_arrays(state)["opt/main/slot/f"].copy()
     assert np.any(slot)
     trainer._phase(state, closed, ds.source_x, ds.source_y, 5, "pretrain")
     np.testing.assert_array_equal(state.net.f.theta, theta)
-    np.testing.assert_array_equal(state.opt.slots["f"], slot)
+    np.testing.assert_array_equal(checkpoint_arrays(state)["opt/main/slot/f"], slot)
+
+
+@pytest.mark.parametrize("gates", [(True, True), (False, True), (True, False)],
+                         ids=["open", "f1_f2_closed", "ft_closed"])
+@pytest.mark.parametrize("phase", ["labeling", "target"])
+def test_a_phase_steps_its_heads_and_f_if_its_gate_is_open_and_nothing_else(phase, gates):
+    # each phase steps one slice of the arena; the networks it covers move,
+    # the others keep every bit, and they are recorded, heads first
+    ds = blobs_dataset()
+    state = init_state(small_cfg(gates=GradientGates(*gates)), 2, ds.num_classes)
+    net = state.net
+    before = net.theta.copy()
+    trainer._phase(state, phase, ds.source_x, ds.source_y, 5, "pretrain")
+    heads, gate = TriNet.PHASES[phase]
+    stepped = [*heads, "f"] if getattr(net.gates, gate) else [*heads]
+    moved = [n for n, s in net.spans.items() if net.theta[s].tobytes() != before[s].tobytes()]
+    assert sorted(moved) == sorted(stepped)
+    assert state.stepped == stepped
+
+
+def test_both_phases_step_f_through_one_momentum_slot():
+    # f's velocity carries from the labeling phase into the target phase,
+    # so one target batch leaves it at momentum * v - lr * g
+    ds = blobs_dataset(n=64)
+    state = init_state(small_cfg(), 2, ds.num_classes)
+    trainer._phase(state, "labeling", ds.source_x, ds.source_y, 1, "test")
+    v = checkpoint_arrays(state)["opt/main/slot/f"].copy()
+    assert np.any(v)
+    trainer._phase(state, "target", ds.source_x, ds.source_y, 1, "test")
+    expected = v * 0.9 - state.net.f.grad * 0.05
+    assert checkpoint_arrays(state)["opt/main/slot/f"].tobytes() == expected.tobytes()
+    assert state.stepped == ["f1", "f2", "f", "ft"]
 
 
 @pytest.mark.parametrize("phase", ["labeling", "target"])

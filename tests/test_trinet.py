@@ -5,7 +5,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from tritrain import datagen, nnlib
+from tritrain import datagen, nnlib, trainer
 from tritrain.labeler import LabelingConfig
 from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax, softmax_cross_entropy
 from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state, run,
@@ -38,18 +38,19 @@ def test_forward_probs_rows_sum_to_one():
 def test_forward_equals_per_head_pass(use_bn):
     # oracle: the extractor run again for each head, its (features, batch)
     # columns stacked on a row of ones, and the head as one 2-D matmul of
-    # its arena row read as W on b, then softmax; each head's (n, k) slice
+    # its arena part read as W on b, then softmax; each head's (n, k) slice
     # is that result transposed
     net = small_net(seed=4, use_bn=use_bn)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(12, 3))
-    net.b[...] = rng.normal(size=net.b.shape)
+    for Wb in net.Wb.values():
+        Wb[-1] = rng.normal(size=3)
     net.f.forward(x, mode="train")  # populate BN
     probs = net.forward(x)
     assert probs.shape == (len(TriNet.BRANCHES), 12, 3)
-    for i in range(len(TriNet.BRANCHES)):
+    for i, head in enumerate(TriNet.BRANCHES):
         h = np.vstack([net.f.forward(x, mode="eval"), np.ones((1, 12))])
-        Wb = np.vstack([net.W[i], net.b[i]])
+        Wb = net.theta[net.spans[head]].reshape(5, 3)
         ref = softmax(Wb.T @ h)
         assert probs[i].tobytes() == ref.T.tobytes()
 
@@ -87,29 +88,32 @@ def test_forward_reduces_to_logistic_regression():
     net.f.W[...] = np.eye(2)
     net.f.b[...] = np.zeros((1, 2))
     w = np.array([0.7, -1.3])
-    net.W[0] = np.column_stack([np.zeros(2), w])
-    net.b[0] = np.zeros((1, 2))
+    net.Wb["f1"][:-1] = np.column_stack([np.zeros(2), w])
+    net.Wb["f1"][-1] = 0.0
     x = np.random.default_rng(3).normal(size=(20, 2))
     np.testing.assert_allclose(net.forward(x)[0, :, 1], sigmoid(sigmoid(x) @ w), atol=1e-12)
 
 
 def test_branches_initialized_differently():
     net = small_net()
-    w1, w2, wt = net.W
+    w1, w2, wt = (net.Wb[h][:-1] for h in TriNet.BRANCHES)
     assert not np.array_equal(w1, w2)
     assert not np.array_equal(w1, wt)
 
 
 def test_each_head_row_starts_from_its_own_seed_stream():
-    # row i is the glorot draw of spawn key (i + 1,), with a zero bias, as
-    # a lone affine layer of its own would start
+    # head i's W is the glorot draw of spawn key (i + 1,), with a zero
+    # bias, as a lone affine layer of its own would start; the arena holds
+    # f1, f2, f and ft in that order, f with W (3, 4), b, gamma and beta
     net = small_net(seed=7)
     streams = np.random.SeedSequence(7).spawn(4)[1:]
-    for i, s in enumerate(streams):
+    for head, s in zip(TriNet.BRANCHES, streams):
         np.testing.assert_array_equal(
-            net.W[i], nnlib.glorot_uniform(np.random.default_rng(s), 4, 3))
-    assert not net.b.any()
-    assert net.theta.shape == net.grad.shape == (3, 4 * 3 + 3)
+            net.Wb[head][:-1], nnlib.glorot_uniform(np.random.default_rng(s), 4, 3))
+        assert not net.Wb[head][-1].any()
+    assert [(n, s.stop - s.start) for n, s in net.spans.items()] == [
+        ("f1", 15), ("f2", 15), ("f", 24), ("ft", 15)]
+    assert net.theta.shape == net.grad.shape == (69,)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +189,8 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     y = rng.integers(0, 3, size=8)
     total, parts = net.joint_labeling_loss(x, y)
     h = net.f.forward(x, mode="train")
-    ce1, _ = softmax_cross_entropy(nnlib.affine_forward(h, net.W[0], net.b[0]), y)
-    ce2, _ = softmax_cross_entropy(nnlib.affine_forward(h, net.W[1], net.b[1]), y)
+    ce1, ce2 = (softmax_cross_entropy(nnlib.affine_forward(h, net.Wb[n][:-1], net.Wb[n][-1:]),
+                                      y)[0] for n in ("f1", "f2"))
     assert total == pytest.approx(ce1 + ce2, rel=1e-9)
 
 
@@ -203,18 +207,15 @@ def test_joint_loss_lambda_scales_penalty():
 
 
 def _loss_with_param(net, x, y, kind, name, arr):
-    """Loss evaluated with one named parameter temporarily replaced."""
+    """Loss evaluated with one named parameter temporarily replaced, with
+    the dropout masks of `_objective`'s generator 0."""
     param = named(net)[name]
     saved = param.copy()
     param[...] = arr
     try:
-        if kind == "joint":
-            val, _ = net.joint_labeling_loss(x, y)
-        else:
-            val = net.target_loss(x, y)
+        return _objective(net, kind, x, y, seed=0)[0]
     finally:
         param[...] = saved
-    return val
 
 
 @pytest.mark.parametrize("use_bn", [False, True])
@@ -254,8 +255,8 @@ def test_target_loss_gradient_matches_fd():
 def test_target_loss_perfect_prediction():
     net = small_net(seed=9)
     # drive the true class logit sky-high
-    net.b[2] = np.array([[1000.0, 0.0, 0.0]])
-    net.W[2] = np.zeros((4, 3))
+    net.Wb["ft"][-1] = [1000.0, 0.0, 0.0]
+    net.Wb["ft"][:-1] = 0.0
     loss = net.target_loss(np.random.default_rng(8).normal(size=(4, 3)),
                            np.zeros(4, dtype=np.int64))
     assert loss == pytest.approx(0.0, abs=1e-9)
@@ -285,8 +286,8 @@ def test_objective_writes_its_gradients_not_adds_to_them(objective, extractor):
     call(twice, first, np.random.default_rng(0))
     call(twice, second, np.random.default_rng(1))
     call(once, second, np.random.default_rng(1))
-    rows = TriNet.PHASES["labeling" if objective == "joint" else "target"][0]
-    assert twice.grad[rows].tobytes() == once.grad[rows].tobytes()
+    _, span = twice.span("labeling" if objective == "joint" else "target")
+    assert twice.grad[span].tobytes() == once.grad[span].tobytes()
     assert twice.f.grad.tobytes() == once.f.grad.tobytes()
 
 
@@ -315,11 +316,11 @@ def test_returned_arrays_keep_their_values_after_the_next_call(kind):
     kept = copy.deepcopy(first)
     probs = net.forward(batches[0][0])
     kept_probs = probs.copy()
-    _, grads = weight_divergence(net.W[0], net.W[1])
+    _, grads = weight_divergence(net.Wb["f1"][:-1], net.Wb["f2"][:-1])
     kept_grads = grads.copy()
     _objective(net, kind, *batches[1], seed=2)
     net.forward(batches[1][0])
-    weight_divergence(net.W[1], net.W[2])
+    weight_divergence(net.Wb["f2"][:-1], net.Wb["ft"][:-1])
     assert first == kept
     assert probs.tobytes() == kept_probs.tobytes()
     assert grads.tobytes() == kept_grads.tobytes()
@@ -345,19 +346,20 @@ def test_objectives_at_changing_batch_sizes_equal_fresh_nets(extractor):
     for i, (kind, x, y) in enumerate(calls):
         fresh = make()
         assert _objective(net, kind, x, y, seed=i) == _objective(fresh, kind, x, y, seed=i)
-        rows = TriNet.PHASES["labeling" if kind == "joint" else "target"][0]
-        assert net.grad[rows].tobytes() == fresh.grad[rows].tobytes()
+        _, span = net.span("labeling" if kind == "joint" else "target")
+        assert net.grad[span].tobytes() == fresh.grad[span].tobytes()
         assert net.f.grad.tobytes() == fresh.f.grad.tobytes()
 
 
-def trained_net():
+def trained_net(**extractor):
     """The net of a short moons run, with 4 hidden units and batch norm,
-    after pretraining and two adaptation steps."""
+    and the extractor the `TrainConfig` fields `extractor` give, after
+    pretraining and two adaptation steps."""
     ds = datagen.generate(datagen.ShiftSpec(generator="two_moons", n_source=80, n_target=80,
                                             rotation_deg=30, noise_sigma=0.1, seed=5))
     cfg = TrainConfig(steps_k=2, pretrain_iters=200, iter_per_phase=50, batch_labeling=16,
                       batch_target=16, lr=0.1, hidden_dim=4, seed=5,
-                      labeling=LabelingConfig(n_init=40))
+                      labeling=LabelingConfig(n_init=40), **extractor)
     _, state = run(ds.source_x, ds.source_y, ds.target_x, cfg)
     return state.net
 
@@ -366,26 +368,30 @@ def trained_net():
 def test_gradients_match_fd_at_a_trained_state(kind):
     # at init the heads' b and f's beta are 0, gamma is 1 and the running
     # statistics are 0 and 1, so a gradient that drops or swaps one of them
-    # can pass there; after training none of them is near its init value
-    net = trained_net()
-    f = net.f
-    for a, init in ((net.b, 0.0), (f.gamma, 1.0), (f.beta, 0.0), (f.running[0], 0.0),
-                    (f.running[1], 1.0)):
-        assert np.abs(a - init).max() > 0.05
-    rng = np.random.default_rng(33)
-    x, y = rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)
-    # a call at another batch size first, so the checked calls reuse a
-    # workspace made for theirs rather than a fresh one
-    _objective(net, kind, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), seed=0)
-    _objective(net, kind, x, y, seed=0)
-    grads = {k: v.copy() for k, v in named(net, "grads").items()}
-    skip = ("ft/",) if kind == "joint" else ("f1/", "f2/")
-    for name, p in named(net).items():
-        if name.startswith(skip):
-            continue
-        num = finite_difference_gradient(
-            lambda v, n=name: _loss_with_param(net, x, y, kind, n, v), p.copy())
-        assert rel_err(grads[name], num) < 1e-4, name
+    # can pass there; after training none of them is near its init value.
+    # Both the sigmoid extractor and the acceptance suite's relu with
+    # dropout are checked, dropout with the masks of `_objective`'s seed 0
+    for extractor in ({}, {"activation": "relu", "dropout_rate": 0.2}):
+        net = trained_net(**extractor)
+        f = net.f
+        heads_b = np.array([Wb[-1] for Wb in net.Wb.values()])
+        for a, init in ((heads_b, 0.0), (f.gamma, 1.0), (f.beta, 0.0), (f.running[0], 0.0),
+                        (f.running[1], 1.0)):
+            assert np.abs(a - init).max() > 0.05, extractor
+        rng = np.random.default_rng(33)
+        x, y = rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)
+        # a call at another batch size first, so the checked calls reuse a
+        # workspace made for theirs rather than a fresh one
+        _objective(net, kind, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), seed=0)
+        _objective(net, kind, x, y, seed=0)
+        grads = {k: v.copy() for k, v in named(net, "grads").items()}
+        skip = ("ft/",) if kind == "joint" else ("f1/", "f2/")
+        for name, p in named(net).items():
+            if name.startswith(skip):
+                continue
+            num = finite_difference_gradient(
+                lambda v, n=name: _loss_with_param(net, x, y, kind, n, v), p.copy())
+            assert rel_err(grads[name], num) < 1e-4, (extractor, name)
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +450,14 @@ def test_training_decreases_joint_loss():
 
 def stepped_state(seed=6, lam=0.01, optimizer="momentum_sgd", **extractor):
     """A training state whose net is `small_net(lam, seed=seed)`, or the
-    extractor the `TrainConfig` fields `extractor` give, after one joint-loss
-    step on f1, f2 and f (so BN statistics and slots are set)."""
+    extractor the `TrainConfig` fields `extractor` give, after a labeling
+    phase of one batch, which steps f1, f2 and f (so BN statistics and slots
+    are set)."""
     state = init_state(TrainConfig(hidden_dim=4, lam=lam, seed=seed, optimizer=optimizer,
                                    **extractor), 3, 3)
-    net = state.net
     rng = np.random.default_rng(12)
-    # dropout draws from `rng` after the batch; nothing else does
-    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8), rng=rng)
-    # as `trainer._phase` steps them: f1 and f2 as one block of arena rows
-    state.opt.step({("f1", "f2"): net.theta[:2], "f": net.f.theta},
-                   {("f1", "f2"): net.grad[:2], "f": net.f.grad})
+    trainer._phase(state, "labeling", rng.normal(size=(8, 3)), rng.integers(0, 3, size=8), 1,
+                   "test")
     return state
 
 
@@ -521,19 +524,24 @@ def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
         assert {"opt/main/slot/f", "opt/main/slot/f1", "opt/main/slot/f2"} <= set(z.files)
     back = load_state(path)
     net = back.net
-    np.testing.assert_array_equal(net.f.theta, state.net.f.theta)
     np.testing.assert_array_equal(net.theta, state.net.theta)
+    f = net.spans["f"]
+    assert np.shares_memory(net.f.theta, net.theta[f])
+    assert np.shares_memory(net.f.grad, net.grad[f])
     for k in ("W", "b", "gamma", "beta"):
-        assert np.shares_memory(getattr(net.f, k), net.f.theta)
-        assert np.shares_memory(getattr(net.f, "d" + k), net.f.grad)
-    for view in (net.W, net.b):
-        assert np.shares_memory(view, net.theta)
-    for view in (net.dW, net.db):
-        assert np.shares_memory(view, net.grad)
+        assert np.shares_memory(getattr(net.f, k), net.theta[f])
+        assert np.shares_memory(getattr(net.f, "d" + k), net.grad[f])
+    for head in TriNet.BRANCHES:
+        assert np.shares_memory(net.Wb[head], net.theta[net.spans[head]])
+        assert np.shares_memory(net.dWb[head], net.grad[net.spans[head]])
     arrays = checkpoint_arrays(back)
-    for i, head in enumerate(TriNet.BRANCHES):
-        for k in ("W", "b"):
-            assert np.shares_memory(arrays[f"param/{head}/0/{k}"], net.theta[i])
+    for name, span in net.spans.items():
+        if name != "f":
+            for k in ("W", "b"):
+                assert np.shares_memory(arrays[f"param/{name}/0/{k}"], net.theta[span])
+        if name != "ft":
+            assert np.shares_memory(arrays[f"opt/main/slot/{name}"], back.opt.slots["net"][span])
+    assert back.stepped == state.stepped == ["f1", "f2", "f"]
     for k, v in state.opt.slots.items():
         np.testing.assert_array_equal(back.opt.slots[k], v)
 
