@@ -417,10 +417,15 @@ class Optimizer:
         return [(p[span], grads[n][span], self._slot(n, p, grads[n])[span],
                  np.empty((2, *p[span].shape))) for n, p in params.items()]
 
+    def step(self, params, grads=None):
+        raise NotImplementedError
+
     def _slot(self, name, param, grad):
         if grad.shape != param.shape:
             raise ShapeError(f"gradient shape {grad.shape} != param shape {param.shape} for {name}")
-        slot = self.slots.setdefault(name, np.zeros_like(param))
+        if name not in self.slots:
+            self.slots[name] = np.zeros_like(param)
+        slot = self.slots[name]
         if slot.shape != param.shape:
             raise ShapeError(f"optimizer slot {name} shape {slot.shape} != param {param.shape}")
         return slot
