@@ -277,10 +277,11 @@ class Sequential(Layer):
     Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
     then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
     `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
-    them; `arena`, an owner's zero-filled (theta, grad) views of `size`
-    elements, if given. Batch norm's running mean and variance are the rows
-    of `running` (2, hidden) and its batch count is `count` (1,). Without batch
-    norm, `gamma`, `beta`, their gradients, `running` and `count` are None.
+    them. An owner passes its zero-filled views of `size` elements as the
+    two, `arena` = (theta, grad). Batch norm's running mean and variance are
+    the rows of `running` (2, hidden) and its batch count is `count` (1,).
+    Without batch norm, `gamma`, `beta`, their gradients, `running` and
+    `count` are None.
     `backward` writes every gradient of `grad` it reaches; nothing adds."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,

@@ -385,6 +385,8 @@ def load_state(path) -> TrainState:
                 raise ShapeError(f"array {key} shape {arrays[key].shape} != {shape}, "
                                  f"the in_dim, hidden_dim and num_classes of __meta__")
         state = init_state(cfg, meta["in_dim"], meta["num_classes"])
+        # the networks that stepped, in the file's order, and the slot over
+        # the arena that holds theirs
         state.stepped = [k[len(_SLOT):] for k in arrays
                          if k.startswith(_SLOT) and k[len(_SLOT):] in state.net.spans]
         state.opt.slots[_ARENA] = np.zeros_like(state.net.theta)
