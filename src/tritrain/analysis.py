@@ -286,18 +286,24 @@ def _train_domain_classifiers(train_x, train_y, rngs):
     opt = nnlib.make_optimizer("adagrad", _LR)
     bound = opt.bind({"clf": theta}, {"clf": grad})
     fold = np.arange(folds)[:, None]
-    # the cross-entropy buffers of each batch size: _BATCH and the last batch's
-    ce = {m: nnlib.cross_entropy_buffers((folds, 2, m))
-          for m in {min(n, _BATCH), n % _BATCH or _BATCH}}
+    affine = nnlib.affine_buffers(W, b)
+    # each batch size's logits, their cross-entropy buffers and the affine
+    # gradient's buffers: _BATCH and the last batch's
+    ws = {}
+    for m in {min(n, _BATCH), n % _BATCH or _BATCH}:
+        ce = nnlib.cross_entropy_buffers(np.empty((folds, 2, m)))
+        ws[m] = ce, nnlib.affine_backward_buffers(ce.grad, None, (dW, db))
     for _ in range(_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
+        # the epoch's rows, gathered once in its order
+        xs, ys = train_x[fold, perm].swapaxes(-1, -2), train_y[fold, perm]
         for start in range(0, n, _BATCH):
-            idx = perm[:, start:start + _BATCH]
-            xb = train_x[fold, idx].swapaxes(-1, -2)
-            _, dz = softmax_cross_entropy(nnlib.affine_forward(xb, W, b), train_y[fold, idx],
-                                          ws=ce[idx.shape[1]])
+            xb, yb = xs[..., start:start + _BATCH], ys[:, start:start + _BATCH]
+            ce, grad_ws = ws[yb.shape[1]]
+            nnlib.affine_forward(xb, W, b, out=ce.logits, ws=affine)
+            _, dz = softmax_cross_entropy(ce.logits, yb, ws=ce)
             # without W, no input gradient is computed; nothing reads it
-            nnlib.affine_backward(dz, xb, out=(dW, db))
+            nnlib.affine_backward(dz, xb, ws=grad_ws)
             opt.step(bound)
     return W, b
 

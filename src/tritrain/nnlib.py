@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,52 +30,86 @@ class StateError(RuntimeError):
 # a Python number operand anew on every call, at about a small ufunc's cost.
 # Batch norm's variance offset and running-statistics decay in the extractor:
 BN_EPS, BN_MOMENTUM = np.array(1e-5), np.array(0.9)
-# the unit, and the floor of a log-probability
-_ONE, _LOG_P_MIN = np.array(1.0), np.array(-700.0)
+# zero, the unit, and the floor of a log-probability
+_ZERO, _ONE, _LOG_P_MIN = np.array(0.0), np.array(1.0), np.array(-700.0)
 
 
 # ---------------------------------------------------------------------------
 # functional ops
 
 
-def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """z = Wᵀx + b for x (..., d, n), one column per batch row, and W
-    (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k, n),
-    in `out` if given. W may carry leading model axes that a 2-D x lacks,
-    and then that x feeds every model. matmul runs one gemm per slice, with
-    the bits of the 2-D call on that slice."""
-    x = np.asarray(x, dtype=np.float64)
+class AffineBuffers(NamedTuple):
+    """`affine_forward`'s views of W (..., d, k) and b: Wᵀ (..., k, d) and
+    b as a column (..., k, 1)."""
+    WT: np.ndarray
+    b_col: np.ndarray
+
+
+def affine_buffers(W: np.ndarray, b) -> AffineBuffers:
+    """The views `affine_forward` applies, of W and b, (..., 1, k) as the
+    arenas store it or any shape of k entries per slice."""
+    b_col = np.asarray(b, dtype=np.float64).reshape(*W.shape[:-2], -1, 1)
+    if b_col.shape[-2] != W.shape[-1]:
+        raise ShapeError(f"affine: b {b_col.shape} incompatible with W {W.shape}")
+    return AffineBuffers(W.swapaxes(-1, -2), b_col)
+
+
+def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, out=None, ws=None) -> np.ndarray:
+    """z = Wᵀx + b for an array x (..., d, n), one column per batch row, and
+    W (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k,
+    n), in `out` if given. `ws`, the `affine_buffers` of W and b, holds the
+    views it applies; without it they are new. W may carry leading model
+    axes that a 2-D x lacks, and then that x feeds every model. matmul runs
+    one gemm per slice, with the bits of the 2-D call on that slice."""
     if (x.ndim < 2 or W.ndim < 2 or x.shape[:-2] not in ((), W.shape[:-2])
             or x.shape[-2] != W.shape[-2]):
         raise ShapeError(f"affine: x {x.shape} incompatible with W {W.shape}")
-    b = np.asarray(b, dtype=np.float64).reshape(*W.shape[:-2], -1, 1)
-    if b.shape[-2] != W.shape[-1]:
-        raise ShapeError(f"affine: b {b.shape} incompatible with W {W.shape}")
-    z = np.matmul(W.swapaxes(-1, -2), x, out=out)
-    z += b
+    WT, b_col = affine_buffers(W, b) if ws is None else ws
+    z = np.matmul(WT, x, out=out)
+    z += b_col
     return z
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, out=None):
+class AffineGradBuffers(NamedTuple):
+    """`affine_backward`'s arrays for an upstream gradient dout (..., k, n):
+    doutᵀ, dW and db in W's and b's stored shapes, and db's rows (..., k)."""
+    doutT: np.ndarray
+    dW: np.ndarray
+    db: np.ndarray
+    db_rows: np.ndarray
+
+
+def affine_backward_buffers(dout: np.ndarray, x, out=None) -> AffineGradBuffers:
+    """`affine_backward`'s arrays for dout, with dW and db those of `out`,
+    a (dW, db) pair such as arena views, or new ones that fit x, which is
+    read only then."""
+    if out is None:
+        lead, k = np.broadcast_shapes(x.shape[:-2], dout.shape[:-2]), dout.shape[-2]
+        out = np.empty((*lead, x.shape[-2], k)), np.empty((*lead, 1, k))
+    dW, db = out
+    return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db, db[..., 0, :])
+
+
+def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, out=None,
+                    ws=None):
     """Gradients of `affine_forward`, slice by slice over leading axes, with
     dW and db in W's and b's stored shapes. The input gradient dx needs W;
     without it dx is None, for a first layer whose input gradient nothing
-    reads. `out`, a (dW, db) pair of arrays in those shapes such as arena
-    views, receives the gradients in place of new arrays."""
+    reads. dW and db are written into `out`, a (dW, db) pair of arrays in
+    those shapes such as arena views, or new arrays; `ws`, the
+    `affine_backward_buffers` of dout, holds them and the views instead."""
+    doutT, dW, db, db_rows = affine_backward_buffers(dout, x, out) if ws is None else ws
     dx = None if W is None else W @ dout
-    if out is None:
-        return dx, x @ dout.swapaxes(-1, -2), np.add.reduce(dout, axis=-1)[..., None, :]
-    dW, db = out
-    np.matmul(x, dout.swapaxes(-1, -2), out=dW)
-    np.add.reduce(dout, axis=-1, out=db[..., 0, :])
+    np.matmul(x, doutT, out=dW)
+    np.add.reduce(dout, axis=-1, out=db_rows)
     return dx, dW, db
 
 
 def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """Overflow-free logistic: exp only ever sees -|x|. The numerator
-    max(e, sign(x)) is 1 for x >= 0, where e <= 1, and e below. `out` and
-    `scratch`, arrays of x's shape, receive the result and exp's."""
-    x = np.asarray(x, dtype=np.float64)
+    """Overflow-free logistic of a float64 array x: exp only ever sees
+    -|x|. The numerator max(e, sign(x)) is 1 for x >= 0, where e <= 1, and
+    e below. `out` and `scratch`, arrays of x's shape, receive the result
+    and exp's."""
     e = np.abs(x, out=scratch)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -102,13 +138,38 @@ def _label_base(shape: tuple) -> np.ndarray:
     return base
 
 
-def cross_entropy_buffers(shape: tuple):
-    """`softmax_cross_entropy`'s buffers for logits of `shape` (..., k, n):
-    shifted logits, later the gradient; column maxima, later sums; the labels'
-    flat indices and log-probabilities; the label base; n and -n."""
-    col, n = (*shape[:-2], shape[-1]), float(shape[-1])
-    return (np.empty(shape), np.empty(col), np.empty(col, dtype=np.int64), np.empty(col),
-            _label_base(tuple(shape)), np.array(n), np.array(-n))
+class CrossEntropyBuffers(NamedTuple):
+    """`softmax_cross_entropy`'s buffers and views for one logits array."""
+    logits: np.ndarray      # C-ordered float64 (..., k, n)
+    rows: tuple             # its k class rows, (..., n) each
+    grad: np.ndarray        # shifted logits, then their exp, then the gradient
+    grad_flat: np.ndarray   # grad's flat view
+    s: np.ndarray           # column maxima, later sums, (..., n)
+    s_col: np.ndarray       # s as (..., 1, n)
+    at: np.ndarray          # the labels' flat indices into grad, int64 (..., n)
+    logp: np.ndarray        # the labels' log-probabilities (..., n)
+    base: np.ndarray        # `_label_base`
+    label_shapes: tuple     # the label shapes that fit: (..., n) and its trailing parts
+    n_int: np.ndarray       # n, int64
+    n: np.ndarray           # n and -n, float64
+    neg_n: np.ndarray
+
+
+def cross_entropy_buffers(logits: np.ndarray) -> CrossEntropyBuffers:
+    """`softmax_cross_entropy`'s buffers for `logits`, a C-ordered float64
+    array (..., k, n) that they keep serving as it is rewritten."""
+    if logits.ndim < 2:
+        raise ShapeError("logits need a class and a batch axis")
+    *lead, k, n = shape = logits.shape
+    if k < 2:
+        raise ShapeError("need at least 2 classes")
+    col = (*lead, n)
+    grad, s = np.empty(shape), np.empty(col)
+    return CrossEntropyBuffers(
+        logits, tuple(logits[..., j, :] for j in range(k)), grad, grad.reshape(-1), s,
+        s[..., None, :], np.empty(col, dtype=np.int64), np.empty(col), _label_base(shape),
+        tuple(col[i:] for i in range(len(col))), np.array(n), np.array(float(n)),
+        np.array(-float(n)))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
@@ -118,86 +179,118 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
     of shape (..., k, n), one column per batch row, give one mean loss per
     leading slice. Labels have shape (..., n); a trailing part of it, such
     as (n,), labels every leading slice alike. Log-probabilities are clipped
-    at -700. `ws`, the `cross_entropy_buffers` of the logits' shape, holds
-    every intermediate, and grad is its first; without it they are new.
+    at -700. `ws`, the `cross_entropy_buffers` of `logits` itself, holds
+    every intermediate, and grad is its `grad`; the labels are then an int64
+    array. Without it the logits and labels are converted and the buffers
+    are new.
     """
-    # C order keeps each batch row contiguous and makes the flat indices
-    # below address `grad` itself
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim < 2:
-        raise ShapeError("logits need a class and a batch axis")
-    *lead, k, n = logits.shape
-    if k < 2:
-        raise ShapeError("need at least 2 classes")
-    if labels.ndim == 0 or labels.shape != (*lead, n)[-labels.ndim:]:
+    if ws is None:
+        # C order keeps each batch row contiguous and makes the flat indices
+        # below address `grad` itself
+        ws = cross_entropy_buffers(np.ascontiguousarray(logits, dtype=np.float64))
+        labels = np.asarray(labels, dtype=np.int64)
+    elif ws.logits is not logits:
+        raise ShapeError("the cross-entropy buffers belong to another logits array")
+    (logits, rows, grad, grad_flat, s, s_col, at, logp, base, label_shapes, n_int, n,
+     neg_n) = ws
+    if labels.shape not in label_shapes:
         raise ShapeError(f"labels {labels.shape} do not fit logits {logits.shape}")
     # read as unsigned, a negative label is 2**63 or more
-    if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
-    z, s, at, logp, base, n_op, neg_n = cross_entropy_buffers(logits.shape) if ws is None else ws
+    if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= len(rows):
+        raise ValueError(f"labels must lie in [0, {len(rows)})")
     # a fold of np.maximum over the class rows is the exact max; each call
     # runs numpy's inner loop once over a whole batch row
-    np.maximum(logits[..., 0, :], logits[..., 1, :], out=s)
-    for j in range(2, k):
-        np.maximum(s, logits[..., j, :], out=s)
-    np.subtract(logits, s[..., None, :], out=z)
+    np.maximum(rows[0], rows[1], out=s)
+    for row in rows[2:]:
+        np.maximum(s, row, out=s)
+    np.subtract(logits, s_col, out=grad)
     # flat index of each column's label entry: (slice * k + label) * n + column;
     # the labels were checked, so no index clips
-    np.multiply(labels, n, out=at)
+    np.multiply(labels, n_int, out=at)
     at += base
-    z.take(at, out=logp, mode="clip")
-    e = np.exp(z, out=z)
+    grad.take(at, out=logp, mode="clip")
+    np.exp(grad, out=grad)
     # a reduction over a non-contiguous axis adds the class rows in order
-    np.add.reduce(e, axis=-2, out=s)
-    grad = np.divide(e, s[..., None, :], out=e)
+    np.add.reduce(grad, axis=-2, out=s)
+    np.divide(grad, s_col, out=grad)
     logp -= np.log(s, out=s)
     np.maximum(logp, _LOG_P_MIN, out=logp)
     # a/-n is -(a/n), to the bit
     loss = np.add.reduce(logp, axis=-1) / neg_n
-    grad.reshape(-1)[at] -= _ONE
-    grad /= n_op
+    grad_flat[at] -= _ONE
+    grad /= n
     return loss, grad
 
 
-def batch_norm_buffers(d: int, n: int, momentum=BN_MOMENTUM):
-    """`batch_norm_train`'s buffers for x (d, n) and `momentum`: mean,
-    variance and inverse std as (d, 1) columns of one array; centred x,
-    later x̂; its square; n; 1 - momentum, the new statistics' weight."""
-    return (np.empty((3, d, 1)), np.empty((d, n)), np.empty((d, n)), np.array(float(n)),
-            np.array(_ONE - momentum))
+class BatchNormBuffers(NamedTuple):
+    """The buffers and views of `batch_norm_train` and `batch_norm_backward`
+    for one batch size; the train call returns them as its cache."""
+    xhat: np.ndarray        # the centred x, then x̂ (d, n)
+    inv_std: np.ndarray     # (d, 1) columns of one (3, d, 1) array
+    mean: np.ndarray
+    var: np.ndarray
+    stats: np.ndarray       # mean and variance as its (2, d) rows
+    sq: np.ndarray          # the squared centred x
+    n: np.ndarray           # n and 1 - momentum, the new statistics' weight
+    rate: np.ndarray
+    gammaT: np.ndarray      # gamma and beta as (d, 1) columns
+    betaT: np.ndarray
+    buf: np.ndarray         # backward's (2, d, n) buffer: dout·x̂ over dout, later dx
+    buf_xhat: np.ndarray
+    dx: np.ndarray
+    scale: np.ndarray       # gamma·inv_std/n (d, 1)
+    grads: np.ndarray       # the (2, d) rows of dgamma then dbeta
+    dgamma_col: np.ndarray  # their (d, 1) columns
+    dbeta_col: np.ndarray
+    dgamma: np.ndarray      # and their (1, d) rows
+    dbeta: np.ndarray
+
+
+def batch_norm_buffers(gamma, beta, n: int, momentum=BN_MOMENTUM, grads=None) -> BatchNormBuffers:
+    """Batch norm's workspace for x (d, n) with gamma and beta (1, d) as
+    stored, `momentum`, and `grads`, the (2, d) array, such as the arena
+    rows of dgamma then dbeta, that backward writes, or a new one."""
+    d = gamma.shape[-1]
+    stats, buf = np.empty((3, d, 1)), np.empty((2, d, n))
+    grads = np.empty((2, d)) if grads is None else grads
+    return BatchNormBuffers(
+        np.empty((d, n)), stats[2], stats[0], stats[1], stats[:2, :, 0], np.empty((d, n)),
+        np.array(float(n)), np.array(_ONE - momentum), gamma.T, beta.T, buf, buf[0], buf[1],
+        np.empty((d, 1)), grads, grads[0, :, None], grads[1, :, None], grads[:1], grads[1:])
 
 
 def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None, ws=None):
     """Standardize each feature row of x (d, n) with its batch statistics,
     then scale and shift by gamma and beta, (1, d) as stored, into `out`
-    if given. `ws`, the `batch_norm_buffers` of x and `momentum`, holds the
-    intermediates, x̂ among them; without it they are new.
+    if given. `ws`, the `batch_norm_buffers` of gamma, beta, n and
+    `momentum`, holds the intermediates, x̂ among them, and x is then a
+    C-ordered float64 array; without it x is converted and they are new.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
-    an exponential moving average. Returns (y, cache) where cache feeds
-    batch_norm_backward. Batch variance is the biased estimator.
+    an exponential moving average. Returns (y, cache), where the cache, the
+    workspace, feeds batch_norm_backward. Batch variance is the biased
+    estimator.
     """
-    # C order keeps each feature's batch row contiguous
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    if ws is None:
+        # C order keeps each feature's batch row contiguous
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        ws = batch_norm_buffers(gamma, beta, x.shape[-1], momentum)
     if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    stats, xc, sq, n, rate = batch_norm_buffers(*x.shape, momentum) if ws is None else ws
+    xhat, inv_std, mean, var, stats, sq, n, rate, gammaT, betaT = ws[:10]
     # sum / n is what mean() and var() compute, without their dispatch cost
-    mean, var, inv_std = stats[0], stats[1], stats[2]
     np.add.reduce(x, axis=-1, keepdims=True, out=mean)
     mean /= n
-    np.subtract(x, mean, out=xc)
-    np.add.reduce(np.multiply(xc, xc, out=sq), axis=-1, keepdims=True, out=var)
+    np.subtract(x, mean, out=xhat)
+    np.add.reduce(np.multiply(xhat, xhat, out=sq), axis=-1, keepdims=True, out=var)
     var /= n
     np.add(var, eps, out=inv_std)
     np.sqrt(inv_std, out=inv_std)
     np.divide(_ONE, inv_std, out=inv_std)
-    xhat = np.multiply(xc, inv_std, out=xc)
-    y = np.multiply(gamma.T, xhat, out=out)
-    y += beta.T
-    stats = stats[:2, :, 0]
+    np.multiply(xhat, inv_std, out=xhat)
+    y = np.multiply(gammaT, xhat, out=out)
+    y += betaT
     if count[0] == 0:
         running[...] = stats
     else:
@@ -205,33 +298,32 @@ def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None
         stats *= rate
         running += stats
     count[0] += 1
-    cache = (xhat, inv_std, gamma, n)
-    return y, cache
+    return y, ws
 
 
-def batch_norm_backward(dout, cache, out=None, buf=None):
+def batch_norm_backward(dout, cache):
     """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta, the
-    last two (1, d) as stored. `out`, a (2, d) array such as the arena rows
-    of dgamma then dbeta, receives those two, and `buf`, a (2, d, n) array,
-    the intermediates; dx is its second row.
+    last two (1, d) as stored, from its cache: dx is its `dx` row, and
+    dgamma and dbeta are the rows of its `grads`. A caller that writes dout
+    into `cache.dx` spares the copy there.
 
     With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
     ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
     and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
-    xhat, inv_std, gamma, n = cache
-    # both row sums from one reduction over the batch axis
-    buf = np.empty((2, *xhat.shape)) if buf is None else buf
-    np.multiply(dout, xhat, out=buf[0])
-    buf[1] = dout
-    sums = np.add.reduce(buf, axis=-1, out=out)
-    dgamma, dbeta = sums[..., None]
-    dx = np.multiply(dout, n, out=buf[1])
-    dx -= dbeta
-    dx -= np.multiply(xhat, dgamma, out=buf[0])
-    scale = gamma.T * inv_std
+    (xhat, inv_std, _, _, _, _, n, _, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col,
+     dbeta_col, dgamma, dbeta) = cache
+    # both row sums from one reduction over the batch axis; numpy copies
+    # nothing when dout already is the row it is assigned to
+    np.multiply(dout, xhat, out=buf_xhat)
+    dx[...] = dout
+    np.add.reduce(buf, axis=-1, out=grads)
+    np.multiply(dx, n, out=dx)
+    dx -= dbeta_col
+    dx -= np.multiply(xhat, dgamma_col, out=buf_xhat)
+    np.multiply(gammaT, inv_std, out=scale)
     scale /= n
     dx *= scale
-    return dx, sums[:1], sums[1:]
+    return dx, dgamma, dbeta
 
 
 def batch_norm_eval(x, gamma, beta, running, count, eps, out=None):
@@ -299,8 +391,9 @@ class Sequential(Layer):
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
                                           for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
-        # the train-mode workspace, kept while the batch size stays
-        self._ws = None
+        # the views the first layer applies, and the train-mode workspace,
+        # kept while the batch size stays
+        self._affine, self._ws = affine_buffers(self.W, self.b), None
         self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
         if use_bn:
             (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
@@ -318,61 +411,69 @@ class Sequential(Layer):
         return (in_dim + (3 if use_bn else 1)) * hidden_dim
 
     def forward(self, x, mode="train", rng=None, ones_row=False):
-        """f of the rows of x (n, in_dim), returned as columns (hidden, n).
-        With `ones_row` they are the first rows of a (hidden + 1, n) array
-        whose last row is 1, which maps through a head's (hidden + 1, k)
-        weights-then-bias matrix to logits in one matmul. Each part writes a
-        `_workspace` buffer, the last part those rows. Train mode draws
-        dropout masks from `rng`, uses batch statistics and keeps its
+        """f of the rows of an array x (n, in_dim), returned as columns
+        (hidden, n). With `ones_row` they are the first rows of a (hidden +
+        1, n) array whose last row is 1, which maps through a head's (hidden
+        + 1, k) weights-then-bias matrix to logits in one matmul. Each part
+        writes a `_workspace` buffer, the last part those rows. Train mode
+        draws dropout masks from `rng`, uses batch statistics and keeps its
         workspace, with what `backward` reads, while the batch size stays:
         the next such batch overwrites its output. Eval mode uses a new
         workspace and keeps nothing. Another mode is a ConfigError."""
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         train = mode == "train"
-        bn, drop = self.running is not None, train and self.dropout_rate > 0
-        if drop and rng is None:
+        if train and self.dropout_rate > 0 and rng is None:
             raise StateError("dropout in training mode needs an rng")
-        xt = np.asarray(x).T
+        xt = x.T
         ws = self._ws if train else None
-        if ws is None or ws["out"].shape[1] != xt.shape[-1]:
+        if ws is None or ws.n != xt.shape[-1]:
             ws = self._workspace(xt.shape[-1], train)
-        h = ws["h"]
-        z = affine_forward(xt, self.W, self.b, out=ws["z"])
-        # the last part of f, batch norm, else dropout, else the activation,
-        # writes into h. An activation before another part writes its own
-        # buffer: in place over z, sigmoid measured up to 2x slower
-        act_out = ws["act"] if bn or drop else h
-        # what the activation's backward reads: sigmoid's output, relu's mask
+        z = affine_forward(xt, self.W, self.b, ws.z, self._affine)
         if self.activation == "sigmoid":
-            z = act = sigmoid(z, out=act_out, scratch=ws["e"])
+            z = sigmoid(z, ws.act_out, ws.e)
         else:
-            act = np.greater(z, 0.0, out=ws.get("mask"))
-            z = np.maximum(z, 0.0, out=act_out)
-        mask = cache = None
-        if drop:
-            z, mask = dropout_train(z, self.dropout_rate, rng, out=ws["z"] if bn else h)
-        if bn and train:
-            _, cache = batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running,
-                                        self.count, BN_MOMENTUM, out=h, ws=ws["bn"])
-        elif bn:
-            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=h)
+            np.greater(z, _ZERO, out=ws.relu_mask)
+            z = np.maximum(z, _ZERO, out=ws.act_out)
+        mask = None
+        if ws.drop_out is not None:
+            z, mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
+        if ws.bn is not None:
+            batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running, self.count,
+                             BN_MOMENTUM, ws.h, ws.bn)
+        elif self.running is not None:
+            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=ws.h)
         if train:
-            self._ws, self._xt, self._act, self._mask, self._bn = ws, xt, act, mask, cache
-        return ws["out"] if ones_row else h
+            self._ws, self._xt, self._mask = ws, xt, mask
+        return ws.out if ones_row else ws.h
 
     def _workspace(self, n, train):
-        """A batch of n rows' buffers: `out` (hidden + 1, n), last row 1, first
-        rows `h`; `z`, `act`, sigmoid's `e`; in train mode relu's `mask` and
-        batch norm's, forward and backward."""
+        """A batch of n rows' buffers and views: `out` (hidden + 1, n), last
+        row 1, first rows `h`; the pre-activation `z`, the activation's
+        output `act_out` (`h` if it is f's last part) and sigmoid's scratch
+        `e`; relu's mask. In train mode also: the buffer dropout writes
+        (`z` before batch norm, else `h`), batch norm's buffers `bn`, what
+        the activation's backward reads (sigmoid's output, relu's mask),
+        `dout`, where a caller may write backward's incoming gradient in
+        place, and the first layer's gradient buffers. What a mode lacks is
+        None."""
         d = self.W.shape[1]
         out = np.empty((d + 1, n))
         out[-1] = 1.0
-        ws = {"out": out, "h": out[:-1], "z": np.empty((d, n)), "act": np.empty((d, n)),
-              "e": np.empty((d, n))}
+        h, z = out[:-1], np.empty((d, n))
+        bn = train and self.running is not None
+        drop = train and self.dropout_rate > 0
+        act_out = np.empty((d, n)) if bn or drop else h
+        ws = SimpleNamespace(
+            n=n, out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)),
+            relu_mask=np.empty((d, n), dtype=bool), drop_out=(z if bn else h) if drop else None,
+            bn=batch_norm_buffers(self.gamma, self.beta, n, grads=self._dbn) if bn else None,
+            act=None, dout=None, affine=None)
         if train:
-            ws.update(mask=np.empty((d, n), dtype=bool), bn=batch_norm_buffers(d, n),
-                      bwd=np.empty((2, d, n)))
+            ws.act = act_out if self.activation == "sigmoid" else ws.relu_mask
+            # f's incoming gradient is batch norm's dx row, else free space in z
+            ws.dout = ws.bn.dx if bn else z
+            ws.affine = affine_backward_buffers(z, None, (self.dW, self.db))
         return ws
 
     def backward(self, dout):
@@ -382,14 +483,14 @@ class Sequential(Layer):
         ws = self._ws
         if ws is None:
             raise StateError("backward needs a train-mode forward first")
-        if self.running is not None:
-            dout, _, _ = batch_norm_backward(dout, self._bn, out=self._dbn, buf=ws["bwd"])
+        if ws.bn is not None:
+            dout = batch_norm_backward(dout, ws.bn)[0]
         if self._mask is not None:
-            dout = np.multiply(dout, self._mask, out=ws["z"])
-        dout = np.multiply(dout, self._act, out=ws["z"])
+            dout = np.multiply(dout, self._mask, out=ws.z)
+        dout = np.multiply(dout, ws.act, out=ws.z)
         if self.activation == "sigmoid":
-            dout *= np.subtract(_ONE, self._act, out=ws["e"])
-        affine_backward(dout, self._xt, out=(self.dW, self.db))
+            dout *= np.subtract(_ONE, ws.act, out=ws.e)
+        affine_backward(dout, self._xt, ws=ws.affine)
 
     def zero_grads(self):
         self.grad.fill(0.0)

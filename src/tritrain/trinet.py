@@ -4,6 +4,8 @@ gradient gates on the shared trunk."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,23 +24,52 @@ class GradientGates:
             raise ConfigError("at least one gradient gate must stay open")
 
 
-def weight_divergence(W1: np.ndarray, W2: np.ndarray):
+class DivergenceBuffers(NamedTuple):
+    """`weight_divergence`'s buffers and views for two (d, k) weights."""
+    W1: np.ndarray          # the weights they serve, and W1ᵀ
+    W2: np.ndarray
+    W1T: np.ndarray
+    m: np.ndarray           # W1ᵀW2 (k, k)
+    sign: np.ndarray        # its sign, and that transposed
+    signT: np.ndarray
+    abs_m: np.ndarray       # its absolute value
+    grads: np.ndarray       # both subgradients, (2, d, k), and each
+    dW1: np.ndarray
+    dW2: np.ndarray
+
+
+def divergence_buffers(W1: np.ndarray, W2: np.ndarray) -> DivergenceBuffers:
+    """The buffers `weight_divergence` uses on W1 and W2 (d, k), which they
+    keep serving as the two are updated in place."""
+    if W1.shape != W2.shape:
+        raise ShapeError(f"weight shapes differ: {W1.shape} vs {W2.shape}")
+    k = W1.shape[1]
+    m, sign = np.empty((k, k)), np.empty((k, k))
+    grads = np.empty((2, *W1.shape))
+    return DivergenceBuffers(W1, W2, W1.T, m, sign, sign.T, np.empty((k, k)), grads, *grads)
+
+
+def weight_divergence(W1: np.ndarray, W2: np.ndarray, ws=None):
     """Entrywise absolute sum of W1^T W2 and its L1 subgradients (sign(0)=0)
-    w.r.t. W1 and W2, stacked as one (2, d, k) array.
+    w.r.t. W1 and W2, stacked as one (2, d, k) array. `ws`, the
+    `divergence_buffers` of W1 and W2 themselves, holds the intermediates
+    and the subgradients; without it they are new.
 
     W1, W2 are the first affine weights of the two labeling heads; the penalty
     pushes the heads toward orthogonal input weightings.
     """
-    if W1.shape != W2.shape:
-        raise ShapeError(f"weight shapes differ: {W1.shape} vs {W2.shape}")
-    m = W1.T @ W2
-    s = np.sign(m)
-    value = np.add.reduce(np.abs(m), axis=None)
+    if ws is None:
+        ws = divergence_buffers(W1, W2)
+    elif ws.W1 is not W1 or ws.W2 is not W2:
+        raise ShapeError("the divergence buffers belong to other weights")
+    _, _, W1T, m, sign, signT, abs_m, grads, dW1, dW2 = ws
+    np.matmul(W1T, W2, out=m)
+    np.sign(m, out=sign)
+    value = np.add.reduce(np.abs(m, out=abs_m), axis=None)
     # both subgradients in one buffer, so a caller can scale and add them
     # with one call each
-    grads = np.empty((2, *W1.shape))
-    np.matmul(W2, s.T, out=grads[0])
-    np.matmul(W1, s, out=grads[1])
+    np.matmul(W2, signT, out=dW1)
+    np.matmul(W1, sign, out=dW2)
     return value, grads
 
 
@@ -80,6 +111,13 @@ class TriNet:
                              for a in (self.theta, self.grad))
         for h, s in zip(self.BRANCHES, ss[1:]):
             self.Wb[h][:d] = glorot_uniform(np.random.default_rng(s), d, k)
+        # each phase's S adjacent heads as (S, d + 1, k) blocks of the arena
+        # and of its gradient, and the blocks' transposes
+        self._blocks = {}
+        for phase, (heads, _) in self.PHASES.items():
+            span = slice(self.spans[heads[0]].start, self.spans[heads[-1]].stop)
+            Wb, dWb = (a[span].reshape(len(heads), d + 1, k) for a in (self.theta, self.grad))
+            self._blocks[phase] = Wb, dWb, Wb.swapaxes(-1, -2)
         # the workspace of the last objective call's phase and batch size
         self._ws = None
 
@@ -99,50 +137,77 @@ class TriNet:
     def forward(self, x) -> np.ndarray:
         """Every head's class probabilities for the rows of x, (3, n, k) in
         BRANCHES order, from one eval-mode pass of the shared extractor, one
-        stacked matmul of the heads' gathered matrices and one softmax. Eval
-        mode draws no randomness, so sharing the pass changes no bits.
-        Training goes through the two objectives."""
+        matmul per phase's block of heads into its rows of one logits array,
+        and one softmax. Eval mode draws no randomness, so sharing the pass
+        changes no bits. Training goes through the two objectives."""
         h = self.f.forward(x, mode="eval", ones_row=True)
-        Wb = np.stack([self.Wb[b] for b in self.BRANCHES])
-        return softmax(np.matmul(Wb.swapaxes(-1, -2), h)).swapaxes(-1, -2)
+        logits = np.empty((len(self.BRANCHES), self.num_classes, h.shape[1]))
+        np.matmul(self._blocks["labeling"][2], h, out=logits[:2])
+        np.matmul(self._blocks["target"][2], h, out=logits[2:])
+        return softmax(logits).swapaxes(-1, -2)
 
     # -- objectives ---------------------------------------------------------
 
-    def _workspace(self, phase: str, n: int) -> dict:
-        """Buffers and views for n rows of `phase`: its gate field, its S
-        adjacent heads' Wbᵀ, dWb, W and dW as (S, ...) blocks of the arena,
-        their logits (S, k, n), their `cross_entropy_buffers` (dz first,
-        also as dzᵀ) and dx (S, d, n)."""
+    def _workspace(self, phase: str, n: int) -> SimpleNamespace:
+        """Buffers and views for n rows of `phase`: the labels' shape (n,),
+        its gate field, its S adjacent heads' Wbᵀ and dWb blocks, their
+        logits (S, k, n) and `cross_entropy_buffers` (dz, also as dzᵀ), the
+        heads' W and dW blocks (S, d, k), and f's incoming gradient's
+        sources: one head's W and dz, or two heads' dx (S, d, n) and its
+        rows. The labeling phase's also holds f1's and f2's W and the
+        `divergence_buffers` of the two."""
         heads, gate = self.PHASES[phase]
-        span = slice(self.spans[heads[0]].start, self.spans[heads[-1]].stop)
-        Wb, dWb = (a[span].reshape(len(heads), *self.Wb[heads[0]].shape)
-                   for a in (self.theta, self.grad))
+        Wb, dWb, WbT = self._blocks[phase]
         logits = np.empty((len(heads), self.num_classes, n))
-        ce = cross_entropy_buffers(logits.shape)
-        return {"key": (phase, n), "gate": gate, "WbT": Wb.swapaxes(-1, -2), "dWb": dWb,
-                "W": Wb[:, :-1], "dW": dWb[:, :-1], "logits": logits, "ce": ce,
-                "dzT": ce[0].swapaxes(-1, -2), "dx": np.empty((len(heads), Wb.shape[1] - 1, n))}
+        ce = cross_entropy_buffers(logits)
+        W, dx = Wb[:, :-1], None
+        if len(heads) > 1:
+            dx = np.empty((len(heads), W.shape[1], n))
+        ws = SimpleNamespace(phase=phase, n=n, y_shape=(n,), gate=gate, WbT=WbT, dWb=dWb,
+                             logits=logits, ce=ce, dzT=ce.grad.swapaxes(-1, -2), W=W,
+                             dW=dWb[:, :-1], W0=W[0], dz0=ce.grad[0], dx=dx)
+        if dx is not None:
+            ws.dx0, ws.dx1 = dx
+        if phase == "labeling":
+            ws.W1, ws.W2 = W
+            ws.div = divergence_buffers(ws.W1, ws.W2)
+        return ws
 
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
-        """Mean cross-entropy of each head of `phase`, from one train-mode pass
-        of f and one stacked matmul each way, in a workspace made again when
-        the phase or batch size changes. Writes the gradients of the phase's
-        heads and, if its gate is open, of f; every other keeps its value."""
-        if len(x) == 0:
+        """Mean cross-entropy of each head of `phase` on the rows of x, an
+        array (n, in_dim), and their int64 labels y (n,), from one train-mode
+        pass of f and one stacked matmul each way, in a workspace made again
+        when the phase or batch size changes. The labels are checked before
+        f's pass moves batch norm's running statistics. Writes the gradients
+        of the phase's heads and, if its gate is open, of f; every other
+        keeps its value."""
+        n = len(x)
+        if n == 0:
             raise ValueError("empty batch")
         ws = self._ws
-        if ws is None or ws["key"] != (phase, len(x)):
-            ws = self._ws = self._workspace(phase, len(x))
+        if ws is None or ws.phase != phase or ws.n != n:
+            ws = self._ws = self._workspace(phase, n)
+        if y.shape != ws.y_shape or y.dtype != np.int64:
+            raise ShapeError(f"labels {y.dtype} {y.shape} do not fit a batch of {n}: "
+                             f"int64 ({n},) needed")
+        # read as unsigned, a negative label is 2**63 or more
+        if np.maximum.reduce(y.view(np.uint64)) >= self.num_classes:
+            raise ValueError(f"labels must lie in [0, {self.num_classes})")
         # f's columns with their ones row, h (d + 1, n), and the labels y
         # (n,) serve every head as they are
         h = self.f.forward(x, mode="train", rng=rng, ones_row=True)
-        loss, dz = softmax_cross_entropy(np.matmul(ws["WbT"], h, out=ws["logits"]), y,
-                                         ws=ws["ce"])
-        np.matmul(h, ws["dzT"], out=ws["dWb"])
-        if getattr(self.gates, ws["gate"]):
-            dx = np.matmul(ws["W"], dz, out=ws["dx"])
-            # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
-            self.f.backward(dx[0] if len(dx) == 1 else np.add(dx[0], dx[1], out=dx[0]))
+        loss, dz = softmax_cross_entropy(np.matmul(ws.WbT, h, out=ws.logits), y, ws.ce)
+        np.matmul(h, ws.dzT, out=ws.dWb)
+        if getattr(self.gates, ws.gate):
+            # f's incoming gradient, written where its backward reads it
+            dout = self.f._ws.dout
+            if ws.dx is None:
+                np.matmul(ws.W0, ws.dz0, out=dout)
+            else:
+                np.matmul(ws.W, dz, out=ws.dx)
+                # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
+                np.add(ws.dx0, ws.dx1, out=dout)
+            self.f.backward(dout)
         return loss
 
     def joint_labeling_loss(self, x, y, rng=None):
@@ -150,10 +215,10 @@ class TriNet:
         penalty, applied once per batch. Populates grads for f1, f2 and,
         if the f1/f2 gate is open, the shared extractor."""
         ce = self._heads_loss("labeling", x, y, rng)
-        W, dW = self._ws["W"], self._ws["dW"]
-        penalty, grads = weight_divergence(W[0], W[1])
+        ws = self._ws
+        penalty, grads = weight_divergence(ws.W1, ws.W2, ws.div)
         grads *= self.lam
-        np.add(dW, grads, out=dW)
+        np.add(ws.dW, grads, out=ws.dW)
         total = ce[0] + ce[1] + self.lam * penalty
         return total, {"ce_f1": ce[0], "ce_f2": ce[1], "penalty": penalty}
 

@@ -1,4 +1,6 @@
+import ctypes
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,28 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def arithmetic_host() -> str:
+    """What decides the float bits of a pinned digest on this host: numpy's
+    version, the kernel OpenBLAS picked at run time (read from numpy's
+    bundled library; "unknown" without it) and numpy's active SIMD dispatch
+    targets."""
+    core = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+        break
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    active = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    return f"numpy {np.__version__}, OpenBLAS core {core}, dispatch targets {active}"
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

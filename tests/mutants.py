@@ -42,7 +42,7 @@ MUTANTS = (
            "        names = (*heads, \"f\")",
            ("tests/test_trainer.py::test_closed_gate_leaves_shared_arena_and_its_slot_untouched",)),
     Mutant("f_backpropagated_under_closed_gate", "src/tritrain/trinet.py",
-           "        if getattr(self.gates, ws[\"gate\"]):",
+           "        if getattr(self.gates, ws.gate):",
            "        if True:",
            ("tests/test_trinet.py::test_gate_blocks_shared_update_from_labeling_heads",
             "tests/test_trinet.py::test_gate_blocks_shared_update_from_target_head")),
@@ -61,45 +61,51 @@ MUTANTS = (
            ("tests/test_analysis.py::test_a_distance_stacked_folds_equal_fold_by_fold_training",)),
     # f's backward: the activations', dropout's and the first layer's dW
     Mutant("sigmoid_backward_without_its_derivative", "src/tritrain/nnlib.py",
-           "            dout *= np.subtract(_ONE, self._act, out=ws[\"e\"])\n",
+           "            dout *= np.subtract(_ONE, ws.act, out=ws.e)\n",
            "            pass\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("relu_backward_passes_every_unit", "src/tritrain/nnlib.py",
-           "            act = np.greater(z, 0.0, out=ws.get(\"mask\"))",
-           "            act = np.greater(z, -np.inf, out=ws.get(\"mask\"))",
+           "            np.greater(z, _ZERO, out=ws.relu_mask)",
+           "            np.greater(z, -np.inf, out=ws.relu_mask)",
            ("tests/test_nnlib.py::test_sigmoid_relu_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("dropout_backward_without_its_mask", "src/tritrain/nnlib.py",
-           "            dout = np.multiply(dout, self._mask, out=ws[\"z\"])",
+           "            dout = np.multiply(dout, self._mask, out=ws.z)",
            "            dout = dout",
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
-           "        affine_backward(dout, self._xt, out=(self.dW, self.db))\n",
-           "        affine_backward(dout, self._xt, out=(self.dW, self.db))\n        self.dW *= 0.5\n",
+           "        affine_backward(dout, self._xt, ws=ws.affine)\n",
+           "        affine_backward(dout, self._xt, ws=ws.affine)\n        self.dW *= 0.5\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
-           "    dx -= np.multiply(xhat, dgamma, out=buf[0])\n",
+           "    dx -= np.multiply(xhat, dgamma_col, out=buf_xhat)\n",
            "",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     Mutant("batch_norm_backward_without_its_gamma_factor", "src/tritrain/nnlib.py",
-           "    scale = gamma.T * inv_std\n",
-           "    scale = inv_std * 1.0\n",
+           "    np.multiply(gammaT, inv_std, out=scale)\n",
+           "    np.multiply(_ONE, inv_std, out=scale)\n",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
     # the workspace: each buffer holds what its readers expect, and a new
     # batch size gets new buffers
     Mutant("batch_norm_backward_reads_the_squared_deviations", "src/tritrain/nnlib.py",
-           "    cache = (xhat, inv_std, gamma, n)",
-           "    cache = (sq, inv_std, gamma, n)",
+           "    (xhat, inv_std, _, _, _, _, n, _, gammaT,",
+           "    (_, inv_std, _, _, _, xhat, n, _, gammaT,",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("workspace_kept_after_the_batch_size_changes", "src/tritrain/trinet.py",
-           "        if ws is None or ws[\"key\"] != (phase, len(x)):",
-           "        if ws is None or ws[\"key\"][0] != phase:",
+           "        if ws is None or ws.phase != phase or ws.n != n:",
+           "        if ws is None or ws.phase != phase:",
            ("tests/test_trinet.py::test_objectives_at_changing_batch_sizes_equal_fresh_nets",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    # a bad label must be refused before f's pass moves batch norm's
+    # running statistics
+    Mutant("labels_range_unchecked_before_the_forward_pass", "src/tritrain/trinet.py",
+           "        if np.maximum.reduce(y.view(np.uint64)) >= self.num_classes:",
+           "        if False:",
+           ("tests/test_trinet.py::test_a_bad_batch_raises_and_leaves_the_net_untouched",)),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",
@@ -114,15 +120,13 @@ MUTANTS = (
     # the (features, batch) layout: statistics and normalisation must run
     # over the right axis; both mutants keep every shape valid
     Mutant("batch_norm_statistics_over_the_feature_axis", "src/tritrain/nnlib.py",
-           "    mean, var, inv_std = stats[0], stats[1], stats[2]\n"
            "    np.add.reduce(x, axis=-1, keepdims=True, out=mean)\n    mean /= n\n"
-           "    np.subtract(x, mean, out=xc)\n"
-           "    np.add.reduce(np.multiply(xc, xc, out=sq), axis=-1, keepdims=True, out=var)\n",
-           "    stats = np.empty((3, 1, x.shape[1]))\n"
-           "    mean, var, inv_std = stats[0], stats[1], stats[2]\n"
+           "    np.subtract(x, mean, out=xhat)\n"
+           "    np.add.reduce(np.multiply(xhat, xhat, out=sq), axis=-1, keepdims=True, out=var)\n",
+           "    mean, var, inv_std = (np.empty((1, x.shape[1])) for _ in range(3))\n"
            "    np.add.reduce(x, axis=0, keepdims=True, out=mean)\n    mean /= n\n"
-           "    np.subtract(x, mean, out=xc)\n"
-           "    np.add.reduce(np.multiply(xc, xc, out=sq), axis=0, keepdims=True, out=var)\n",
+           "    np.subtract(x, mean, out=xhat)\n"
+           "    np.add.reduce(np.multiply(xhat, xhat, out=sq), axis=0, keepdims=True, out=var)\n",
            ("tests/test_nnlib.py::test_bn_normalizes_columns",)),
     Mutant("softmax_normalised_over_the_batch_axis", "src/tritrain/nnlib.py",
            "    return e / e.sum(axis=-2, keepdims=True)",
@@ -137,16 +141,16 @@ MUTANTS = (
            ("tests/test_trinet.py::test_forward_equals_per_head_pass",
             "tests/test_trinet.py::test_target_loss_perfect_prediction")),
     Mutant("objective_adds_into_its_gradient", "src/tritrain/trinet.py",
-           "        np.matmul(h, ws[\"dzT\"], out=ws[\"dWb\"])\n",
-           "        ws[\"dWb\"] += h @ ws[\"dzT\"]\n",
+           "        np.matmul(h, ws.dzT, out=ws.dWb)\n",
+           "        ws.dWb += h @ ws.dzT\n",
            ("tests/test_trinet.py::test_objective_writes_its_gradients_not_adds_to_them",)),
     Mutant("cross_entropy_gradient_unscaled", "src/tritrain/nnlib.py",
-           "    grad /= n_op\n",
+           "    grad /= n\n",
            "",
            ("tests/test_nnlib.py::test_ce_grad_matches_finite_differences",)),
     Mutant("weight_divergence_transposed_sign", "src/tritrain/trinet.py",
-           "np.matmul(W1, s, out=grads[1])",
-           "np.matmul(W1, s.T, out=grads[1])",
+           "    np.matmul(W1, sign, out=dW2)",
+           "    np.matmul(W1, signT, out=dW2)",
            ("tests/test_trinet.py::test_weight_divergence_grads_match_brute_force_and_fd",)),
     Mutant("no_checkpoint_version_check", "src/tritrain/trainer.py",
            "        if meta[\"version\"] != CHECKPOINT_VERSION:",

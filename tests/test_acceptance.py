@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import named, record_acceptance, rel_err
+from conftest import arithmetic_host, named, record_acceptance, rel_err
 from tritrain import analysis, cli, datagen, labeler, trainer, trinet
 from tritrain.labeler import LabelingConfig, candidate_count
 from tritrain.trainer import TrainConfig, evaluate, run
@@ -419,8 +419,8 @@ def test_benchmark_metrics_bytes_are_pinned(benchmark_runs, tmp_path):
         path = tmp_path / f"metrics_{r['seed']}.csv"
         trainer.write_metrics_csv(r["hist"], path)
         digests.append(_sha256(path))
-    # BLAS and numpy releases can move float bits, so name the version
-    assert tuple(digests) == BENCHMARK_METRICS_DIGESTS, f"numpy {np.__version__}"
+    # BLAS and numpy releases can move float bits, so name the arithmetic host
+    assert tuple(digests) == BENCHMARK_METRICS_DIGESTS, arithmetic_host()
 
 
 def test_benchmark_accuracy_columns_are_pinned(benchmark_runs):
@@ -430,7 +430,7 @@ def test_benchmark_accuracy_columns_are_pinned(benchmark_runs):
         digests.append(hashlib.sha256(repr(rows).encode()).hexdigest())
     moved = [seed for seed, (a, b) in enumerate(zip(digests, BENCHMARK_ACCURACY_DIGESTS))
              if a != b]
-    assert not moved, f"accuracy columns moved on seeds {moved}, numpy {np.__version__}"
+    assert not moved, f"accuracy columns moved on seeds {moved}, {arithmetic_host()}"
 
 
 def test_short_run_bytes_are_pinned(tmp_path):
@@ -439,7 +439,7 @@ def test_short_run_bytes_are_pinned(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     digests = {name: _sha256(out / name) for name in SHORT_RUN_DIGESTS}
-    assert digests == SHORT_RUN_DIGESTS, f"numpy {np.__version__}"
+    assert digests == SHORT_RUN_DIGESTS, arithmetic_host()
 
 
 def test_short_run_without_batch_norm_bytes_are_pinned(tmp_path):
@@ -448,7 +448,7 @@ def test_short_run_without_batch_norm_bytes_are_pinned(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
     digests = {name: _sha256(out / name) for name in SHORT_RUN_NO_BN_DIGESTS}
-    assert digests == SHORT_RUN_NO_BN_DIGESTS, f"numpy {np.__version__}"
+    assert digests == SHORT_RUN_NO_BN_DIGESTS, arithmetic_host()
 
 
 def test_blobs_run_bytes_are_pinned(tmp_path):
@@ -459,7 +459,7 @@ def test_blobs_run_bytes_are_pinned(tmp_path):
     sizes = [m.n_pseudo for m in trainer.read_metrics_csv(out / "metrics.csv")]
     assert sizes == [21, 6, 12, 16, 19]
     digests = {name: _sha256(out / name) for name in BLOBS_RUN_DIGESTS}
-    assert digests == BLOBS_RUN_DIGESTS, f"numpy {np.__version__}"
+    assert digests == BLOBS_RUN_DIGESTS, arithmetic_host()
 
 
 def test_momentum_run_bytes_are_pinned(tmp_path):
@@ -468,7 +468,7 @@ def test_momentum_run_bytes_are_pinned(tmp_path):
         slots = [k for k in z.files if k.startswith("opt/")]
     assert slots == [f"opt/main/slot/{n}" for n in ("f1", "f2", "f", "ft")]
     digests = {name: _sha256(out / name) for name in MOMENTUM_RUN_DIGESTS}
-    assert digests == MOMENTUM_RUN_DIGESTS, f"numpy {np.__version__}"
+    assert digests == MOMENTUM_RUN_DIGESTS, arithmetic_host()
 
 
 def test_run_in_which_ft_never_steps_writes_no_ft_slot_and_is_pinned(tmp_path):
@@ -479,7 +479,7 @@ def test_run_in_which_ft_never_steps_writes_no_ft_slot_and_is_pinned(tmp_path):
         slots = [k for k in z.files if k.startswith("opt/")]
     assert slots == [f"opt/main/slot/{n}" for n in ("f1", "f2", "f")]
     digests = {name: _sha256(out / name) for name in NO_TARGET_STEP_DIGESTS}
-    assert digests == NO_TARGET_STEP_DIGESTS, f"numpy {np.__version__}"
+    assert digests == NO_TARGET_STEP_DIGESTS, arithmetic_host()
 
 
 # ---------------------------------------------------------------------------

@@ -498,7 +498,7 @@ def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
         gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
         running, count = fresh_stats(d)
-        y, (xhat, inv_std, _, _) = batch_norm_train(x, gamma, beta, 1e-5, running, count)
+        y, (xhat, inv_std, *_) = batch_norm_train(x, gamma, beta, 1e-5, running, count)
         mean, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
         np.testing.assert_array_equal(running[0], mean[:, 0])
         np.testing.assert_array_equal(running[1], var[:, 0])

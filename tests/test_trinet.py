@@ -351,6 +351,35 @@ def test_objectives_at_changing_batch_sizes_equal_fresh_nets(extractor):
         assert net.f.grad.tobytes() == fresh.f.grad.tobytes()
 
 
+# a batch that must be refused by name after the workspace for its size
+# exists: (error, message pattern, edit of the good batch's (x, y))
+BAD_BATCHES = {
+    "label_of_k": (ValueError, "labels must lie", lambda x, y: (x, np.append(y[:-1], 3))),
+    "negative_label": (ValueError, "labels must lie", lambda x, y: (x, np.append(y[:-1], -1))),
+    "one_label_short": (nnlib.ShapeError, "labels", lambda x, y: (x, y[:-1])),
+    "x_one_column_wide": (nnlib.ShapeError, "affine", lambda x, y: (np.hstack([x, x[:, :1]]), y)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_BATCHES)
+@pytest.mark.parametrize("kind", ["joint", "target"])
+def test_a_bad_batch_raises_and_leaves_the_net_untouched(kind, bad):
+    # the labels are checked before f's pass, which moves batch norm's
+    # running statistics and count; nothing writes a gradient either
+    net = small_net(seed=6)
+    rng = np.random.default_rng(34)
+    x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
+    _objective(net, kind, x, y, seed=0)
+    f = net.f
+    kept = [a.copy() for a in (f.running, f.count, net.grad, net.theta)]
+    error, pattern, edit = BAD_BATCHES[bad]
+    with pytest.raises(error, match=pattern):
+        _objective(net, kind, *edit(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)),
+                   seed=1)
+    for before, after in zip(kept, (f.running, f.count, net.grad, net.theta)):
+        assert before.tobytes() == after.tobytes()
+
+
 def trained_net(**extractor):
     """The net of a short moons run, with 4 hidden units and batch norm,
     and the extractor the `TrainConfig` fields `extractor` give, after
