@@ -284,7 +284,7 @@ def _train_domain_classifiers(train_x, train_y, rngs):
         w[...] = nnlib.glorot_uniform(rng, dim, 2)
     b.fill(0.0)
     opt = nnlib.make_optimizer("adagrad", _LR)
-    bound = opt.bind({"clf": theta}, {"clf": grad})
+    bound = opt.bind(theta, grad)
     fold = np.arange(folds)[:, None]
     affine = nnlib.affine_buffers(W, b)
     # each batch size's logits, their cross-entropy buffers and the affine

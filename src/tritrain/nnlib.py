@@ -6,7 +6,6 @@ passes can be checked against central finite differences.
 """
 from __future__ import annotations
 
-import functools
 import math
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -90,15 +89,14 @@ def affine_backward_buffers(dout: np.ndarray, x, out=None) -> AffineGradBuffers:
     return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db, db[..., 0, :])
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, out=None,
-                    ws=None):
+def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, ws=None):
     """Gradients of `affine_forward`, slice by slice over leading axes, with
     dW and db in W's and b's stored shapes. The input gradient dx needs W;
     without it dx is None, for a first layer whose input gradient nothing
-    reads. dW and db are written into `out`, a (dW, db) pair of arrays in
-    those shapes such as arena views, or new arrays; `ws`, the
-    `affine_backward_buffers` of dout, holds them and the views instead."""
-    doutT, dW, db, db_rows = affine_backward_buffers(dout, x, out) if ws is None else ws
+    reads. dW and db are written into the arrays of `ws`, the
+    `affine_backward_buffers` of dout, such as arena views; without it they
+    are new."""
+    doutT, dW, db, db_rows = affine_backward_buffers(dout, x) if ws is None else ws
     dx = None if W is None else W @ dout
     np.matmul(x, doutT, out=dW)
     np.add.reduce(dout, axis=-1, out=db_rows)
@@ -127,17 +125,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-2, keepdims=True)
 
 
-@functools.lru_cache(maxsize=8)
-def _label_base(shape: tuple) -> np.ndarray:
-    """Flat index of each column's class-0 entry in a C-ordered array of
-    `shape` (..., k, n), as an (..., n) array: slice * k * n + column.
-    Read-only, since every call of a shape shares it."""
-    *lead, k, n = shape
-    base = (np.arange(math.prod(lead))[:, None] * (k * n) + np.arange(n)).reshape(*lead, n)
-    base.flags.writeable = False
-    return base
-
-
 class CrossEntropyBuffers(NamedTuple):
     """`softmax_cross_entropy`'s buffers and views for one logits array."""
     logits: np.ndarray      # C-ordered float64 (..., k, n)
@@ -148,7 +135,7 @@ class CrossEntropyBuffers(NamedTuple):
     s_col: np.ndarray       # s as (..., 1, n)
     at: np.ndarray          # the labels' flat indices into grad, int64 (..., n)
     logp: np.ndarray        # the labels' log-probabilities (..., n)
-    base: np.ndarray        # `_label_base`
+    base: np.ndarray        # each column's class-0 flat index, slice * k * n + column
     label_shapes: tuple     # the label shapes that fit: (..., n) and its trailing parts
     n_int: np.ndarray       # n, int64
     n: np.ndarray           # n and -n, float64
@@ -165,9 +152,10 @@ def cross_entropy_buffers(logits: np.ndarray) -> CrossEntropyBuffers:
         raise ShapeError("need at least 2 classes")
     col = (*lead, n)
     grad, s = np.empty(shape), np.empty(col)
+    base = (np.arange(math.prod(lead))[:, None] * (k * n) + np.arange(n)).reshape(col)
     return CrossEntropyBuffers(
         logits, tuple(logits[..., j, :] for j in range(k)), grad, grad.reshape(-1), s,
-        s[..., None, :], np.empty(col, dtype=np.int64), np.empty(col), _label_base(shape),
+        s[..., None, :], np.empty(col, dtype=np.int64), np.empty(col), base,
         tuple(col[i:] for i in range(len(col))), np.array(n), np.array(float(n)),
         np.array(-float(n)))
 
@@ -230,8 +218,8 @@ class BatchNormBuffers(NamedTuple):
     mean: np.ndarray
     var: np.ndarray
     stats: np.ndarray       # mean and variance as its (2, d) rows
-    sq: np.ndarray          # the squared centred x
-    n: np.ndarray           # n and 1 - momentum, the new statistics' weight
+    n: np.ndarray           # n, then momentum and 1 - momentum, the weights
+    momentum: np.ndarray    # of the running and of the new statistics
     rate: np.ndarray
     gammaT: np.ndarray      # gamma and beta as (d, 1) columns
     betaT: np.ndarray
@@ -248,37 +236,41 @@ class BatchNormBuffers(NamedTuple):
 
 def batch_norm_buffers(gamma, beta, n: int, momentum=BN_MOMENTUM, grads=None) -> BatchNormBuffers:
     """Batch norm's workspace for x (d, n) with gamma and beta (1, d) as
-    stored, `momentum`, and `grads`, the (2, d) array, such as the arena
-    rows of dgamma then dbeta, that backward writes, or a new one."""
+    stored, the running statistics' `momentum`, and `grads`, the (2, d)
+    array, such as the arena rows of dgamma then dbeta, that backward
+    writes, or a new one."""
     d = gamma.shape[-1]
     stats, buf = np.empty((3, d, 1)), np.empty((2, d, n))
     grads = np.empty((2, d)) if grads is None else grads
     return BatchNormBuffers(
-        np.empty((d, n)), stats[2], stats[0], stats[1], stats[:2, :, 0], np.empty((d, n)),
-        np.array(float(n)), np.array(_ONE - momentum), gamma.T, beta.T, buf, buf[0], buf[1],
-        np.empty((d, 1)), grads, grads[0, :, None], grads[1, :, None], grads[:1], grads[1:])
+        np.empty((d, n)), stats[2], stats[0], stats[1], stats[:2, :, 0], np.array(float(n)),
+        np.array(momentum, dtype=np.float64), np.array(_ONE - momentum), gamma.T, beta.T, buf,
+        buf[0], buf[1], np.empty((d, 1)), grads, grads[0, :, None], grads[1, :, None],
+        grads[:1], grads[1:])
 
 
-def batch_norm_train(x, gamma, beta, eps, running, count, momentum=0.9, out=None, ws=None):
+def batch_norm_train(x, gamma, beta, eps, running, count, out=None, ws=None):
     """Standardize each feature row of x (d, n) with its batch statistics,
     then scale and shift by gamma and beta, (1, d) as stored, into `out`
-    if given. `ws`, the `batch_norm_buffers` of gamma, beta, n and
-    `momentum`, holds the intermediates, x̂ among them, and x is then a
-    C-ordered float64 array; without it x is converted and they are new.
+    if given. `ws`, the `batch_norm_buffers` of gamma, beta and n, holds
+    the intermediates, x̂ among them, and x is then a C-ordered float64
+    array; without it x is converted and they are new, with `BN_MOMENTUM`.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
-    an exponential moving average. Returns (y, cache), where the cache, the
-    workspace, feeds batch_norm_backward. Batch variance is the biased
-    estimator.
+    an exponential moving average with the workspace's momentum. Returns
+    (y, cache), where the cache, the workspace, feeds batch_norm_backward.
+    Batch variance is the biased estimator.
     """
     if ws is None:
         # C order keeps each feature's batch row contiguous
         x = np.ascontiguousarray(x, dtype=np.float64)
-        ws = batch_norm_buffers(gamma, beta, x.shape[-1], momentum)
+        ws = batch_norm_buffers(gamma, beta, x.shape[-1])
     if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
-    xhat, inv_std, mean, var, stats, sq, n, rate, gammaT, betaT = ws[:10]
+    # the squared centred x go to backward's dout·x̂ row, unread until backward
+    # writes it
+    xhat, inv_std, mean, var, stats, n, momentum, rate, gammaT, betaT, _, sq = ws[:12]
     # sum / n is what mean() and var() compute, without their dispatch cost
     np.add.reduce(x, axis=-1, keepdims=True, out=mean)
     mean /= n
@@ -310,7 +302,7 @@ def batch_norm_backward(dout, cache):
     With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
     ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
     and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
-    (xhat, inv_std, _, _, _, _, n, _, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col,
+    (xhat, inv_std, _, _, _, n, _, _, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col,
      dbeta_col, dgamma, dbeta) = cache
     # both row sums from one reduction over the batch axis; numpy copies
     # nothing when dout already is the row it is assigned to
@@ -439,8 +431,8 @@ class Sequential(Layer):
         if ws.drop_out is not None:
             z, mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
         if ws.bn is not None:
-            batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running, self.count,
-                             BN_MOMENTUM, ws.h, ws.bn)
+            batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running, self.count, ws.h,
+                             ws.bn)
         elif self.running is not None:
             batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=ws.h)
         if train:
@@ -500,37 +492,41 @@ class Sequential(Layer):
 # optimizers
 
 
+def _finite_positive(name: str, v) -> float:
+    # written as `not (in range)` so that NaN fails too
+    if not 0 < v < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {v}")
+    return float(v)
+
+
 class Optimizer:
+    """An elementwise update of one parameter arena, with one `slot` array
+    over it, which the first `bind` makes."""
     # the float operands of an update are float64 0-d arrays; `lr` is the
     # learning rate's as a float, and each step reads it anew
-    lr = property(lambda self: float(self._lr), lambda self, lr: self._lr.fill(lr))
+    lr = property(lambda self: float(self._lr),
+                  lambda self, lr: self._lr.fill(_finite_positive("lr", lr)))
 
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise ConfigError("learning rate must be positive")
-        self._lr = np.array(float(lr))
-        self.slots: dict[str, np.ndarray] = {}
+        self._lr = np.array(_finite_positive("lr", lr))
+        self.slot: np.ndarray | None = None
 
-    def bind(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             span=slice(None)):
-        """(param, grad, slot, (2, *shape) scratch) of each param, checked by
-        `_slot`, each cut to `span` of its leading axis. While no array is
-        rebound, `step(bound)` is `step(params, grads)` on that span."""
-        return [(p[span], grads[n][span], self._slot(n, p, grads[n])[span],
-                 np.empty((2, *p[span].shape))) for n, p in params.items()]
+    def bind(self, theta: np.ndarray, grad: np.ndarray, span=slice(None)):
+        """(param, grad, slot, (2, *shape) scratch) over `span` of the leading
+        axis of the arena `theta` and its gradient `grad`, whose shapes, and
+        the slot's, are checked here once. While neither is rebound,
+        `step(bound)` updates that span."""
+        if grad.shape != theta.shape:
+            raise ShapeError(f"gradient shape {grad.shape} != param shape {theta.shape}")
+        if self.slot is None:
+            self.slot = np.zeros_like(theta)
+        elif self.slot.shape != theta.shape:
+            raise ShapeError(f"optimizer slot shape {self.slot.shape} != param {theta.shape}")
+        param = theta[span]
+        return param, grad[span], self.slot[span], np.empty((2, *param.shape))
 
-    def step(self, params, grads=None):
+    def step(self, bound):
         raise NotImplementedError
-
-    def _slot(self, name, param, grad):
-        if grad.shape != param.shape:
-            raise ShapeError(f"gradient shape {grad.shape} != param shape {param.shape} for {name}")
-        if name not in self.slots:
-            self.slots[name] = np.zeros_like(param)
-        slot = self.slots[name]
-        if slot.shape != param.shape:
-            raise ShapeError(f"optimizer slot {name} shape {slot.shape} != param {param.shape}")
-        return slot
 
 
 class MomentumSGD(Optimizer):
@@ -540,27 +536,25 @@ class MomentumSGD(Optimizer):
             raise ConfigError("momentum must lie in [0, 1)")
         self.momentum = np.array(float(momentum))
 
-    def step(self, params, grads=None):
-        for p, g, v, t in params if grads is None else self.bind(params, grads):
-            v *= self.momentum
-            # g·lr is lr·g, to the bit
-            v -= np.multiply(g, self._lr, out=t[0])
-            p += v
+    def step(self, bound):
+        p, g, v, t = bound
+        v *= self.momentum
+        # g·lr is lr·g, to the bit
+        v -= np.multiply(g, self._lr, out=t[0])
+        p += v
 
 
 class Adagrad(Optimizer):
     def __init__(self, lr: float, eps: float = 1e-8):
         super().__init__(lr)
-        if eps <= 0:
-            raise ConfigError("adagrad eps must be positive")
-        self.eps = np.array(float(eps))
+        self.eps = np.array(_finite_positive("adagrad eps", eps))
 
-    def step(self, params, grads=None):
-        for p, g, a, t in params if grads is None else self.bind(params, grads):
-            a += np.multiply(g, g, out=t[0])
-            root = np.sqrt(a, out=t[1])
-            root += self.eps
-            p -= np.divide(np.multiply(g, self._lr, out=t[0]), root, out=t[0])
+    def step(self, bound):
+        p, g, a, t = bound
+        a += np.multiply(g, g, out=t[0])
+        root = np.sqrt(a, out=t[1])
+        root += self.eps
+        p -= np.divide(np.multiply(g, self._lr, out=t[0]), root, out=t[0])
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9, eps: float = 1e-8) -> Optimizer:

@@ -106,7 +106,7 @@ class TrainState:
     rng_train: np.random.Generator
     rng_label: np.random.Generator
     step: int = 0
-    # the networks that have stepped, in first-step order, their slots' order
+    # the networks that have stepped, in first-step order, their slot names' order
     stepped: list[str] = field(default_factory=list)
 
 
@@ -167,7 +167,7 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
             raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
         if b == 0:
             # the arena is never rebound, so the first batch binds its span once
-            bound = state.opt.bind({_ARENA: net.theta}, {_ARENA: net.grad}, span)
+            bound = state.opt.bind(net.theta, net.grad, span)
             state.stepped += [n for n in names if n not in state.stepped]
         state.opt.step(bound)
         losses.append(loss)
@@ -299,19 +299,19 @@ def read_metrics_csv(path):
                 for row in csv.DictReader(fh)]
 
 
-# prefix of a network's optimizer slot, its span of the slot of the arena,
-# which the optimizer knows by the name _ARENA
-_SLOT, _ARENA = "opt/main/slot/", "net"
+# prefix of a network's optimizer slot, its span of the optimizer's slot
+# over the arena
+_SLOT = "opt/main/slot/"
 
 
 def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     """Every checkpoint array name, in file order, mapped to the live array
     it holds: `param/<net>/<layer>/<key>` views into the arena,
     `state/f/<layer>/running_{mean,var,count}` f's batch-norm statistics,
-    then `opt/main/slot/<net>` the slots of the networks that stepped, in
-    `state.stepped` order. <layer> is the part's position in f's chain: the
-    affine layer is 0, the activation 1, dropout 2 if any, then batch
-    norm."""
+    then `opt/main/slot/<net>` the slot spans of the networks that
+    stepped, in `state.stepped` order. <layer> is the part's position in
+    f's chain: the affine layer is 0, the activation 1, dropout 2 if any,
+    then batch norm."""
     net, f = state.net, state.net.f
     arrays = {"param/f/0/W": f.W, "param/f/0/b": f.b}
     bn = "f/3/" if f.dropout_rate > 0 else "f/2/"
@@ -322,7 +322,7 @@ def checkpoint_arrays(state: TrainState) -> dict[str, np.ndarray]:
     if f.running is not None:
         arrays |= {f"state/{bn}running_mean": f.running[0],
                    f"state/{bn}running_var": f.running[1], f"state/{bn}running_count": f.count}
-    arrays |= {_SLOT + name: state.opt.slots[_ARENA][net.spans[name]] for name in state.stepped}
+    arrays |= {_SLOT + name: state.opt.slot[net.spans[name]] for name in state.stepped}
     return arrays
 
 
@@ -389,7 +389,7 @@ def load_state(path) -> TrainState:
         # the arena that holds theirs
         state.stepped = [k[len(_SLOT):] for k in arrays
                          if k.startswith(_SLOT) and k[len(_SLOT):] in state.net.spans]
-        state.opt.slots[_ARENA] = np.zeros_like(state.net.theta)
+        state.opt.slot = np.zeros_like(state.net.theta)
         live = checkpoint_arrays(state)
         if live.keys() != arrays.keys():
             raise ValueError(f"arrays missing {sorted(live.keys() - arrays.keys())}, "

@@ -91,8 +91,8 @@ MUTANTS = (
     # the workspace: each buffer holds what its readers expect, and a new
     # batch size gets new buffers
     Mutant("batch_norm_backward_reads_the_squared_deviations", "src/tritrain/nnlib.py",
-           "    (xhat, inv_std, _, _, _, _, n, _, gammaT,",
-           "    (_, inv_std, _, _, _, xhat, n, _, gammaT,",
+           "    np.multiply(dout, xhat, out=buf_xhat)\n",
+           "    np.multiply(dout, buf_xhat, out=buf_xhat)\n",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("workspace_kept_after_the_batch_size_changes", "src/tritrain/trinet.py",
@@ -170,24 +170,31 @@ MUTANTS = (
             "test_a_phase_steps_its_heads_and_f_if_its_gate_is_open_and_nothing_else",
             "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
     Mutant("a_slot_for_f_per_phase", "src/tritrain/trainer.py",
-           "            bound = state.opt.bind({_ARENA: net.theta}, {_ARENA: net.grad}, span)\n",
-           "            key = _ARENA if phase == \"labeling\" else phase\n"
-           "            bound = state.opt.bind({key: net.theta}, {key: net.grad}, span)\n",
+           "            bound = state.opt.bind(net.theta, net.grad, span)\n",
+           "            bound = state.opt.bind(net.theta, net.grad, span)\n"
+           "            if phase == \"target\":\n"
+           "                # the target phase steps a slot of its own\n"
+           "                slot = vars(state).setdefault(\"target_slot\", np.zeros_like(net.theta))\n"
+           "                bound = (*bound[:2], slot[span], bound[3])\n",
            ("tests/test_trainer.py::test_both_phases_step_f_through_one_momentum_slot",
             "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
     Mutant("lr_taken_once_at_bind", "src/tritrain/nnlib.py",
-           "        for p, g, v, t in params if grads is None else self.bind(params, grads):\n"
-           "            v *= self.momentum\n"
-           "            # g·lr is lr·g, to the bit\n"
-           "            v -= np.multiply(g, self._lr, out=t[0])\n",
-           "        # the lr of a bound list's first step, as if bind had taken it\n"
-           "        lr = vars(self).setdefault(\"_lr_at_bind\", {}).setdefault(id(params), "
+           "        p, g, v, t = bound\n"
+           "        v *= self.momentum\n"
+           "        # g·lr is lr·g, to the bit\n"
+           "        v -= np.multiply(g, self._lr, out=t[0])\n",
+           "        # the lr of a bound tuple's first step, as if bind had taken it\n"
+           "        lr = vars(self).setdefault(\"_lr_at_bind\", {}).setdefault(id(bound), "
            "float(self._lr))\n"
-           "        for p, g, v, t in params if grads is None else self.bind(params, grads):\n"
-           "            v *= self.momentum\n"
-           "            v -= np.multiply(g, lr, out=t[0])\n",
+           "        p, g, v, t = bound\n"
+           "        v *= self.momentum\n"
+           "        v -= np.multiply(g, lr, out=t[0])\n",
            ("tests/test_nnlib.py::"
             "test_lr_assigned_between_steps_of_one_bound_list_applies_to_the_next",)),
+    Mutant("slot_shape_unchecked_at_bind", "src/tritrain/nnlib.py",
+           "        elif self.slot.shape != theta.shape:",
+           "        elif False:",
+           ("tests/test_nnlib.py::test_binding_an_arena_of_another_shape_than_the_slot_raises",)),
     Mutant("fault_injection_injects_nothing", "src/tritrain/cli.py",
            "    c_offset = -0.1 if args.inject_fault else 0.0",
            "    c_offset = 0.0",

@@ -539,11 +539,14 @@ def test_a_distance_is_seed_deterministic():
 
 def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, lr=0.1):
     """The reference: one fold's classifier trained alone, its W (dim, 2)
-    and b (1, 2) one flat buffer for the optimizer."""
+    and b (1, 2) one flat buffer for the optimizer, and their gradients
+    copied into another before each step."""
     rng = np.random.default_rng(seed)
     theta = np.concatenate([glorot_uniform(rng, dim, 2).ravel(), np.zeros(2)])
     W, b = theta[:2 * dim].reshape(dim, 2), theta[2 * dim:].reshape(1, 2)
+    grad = np.empty_like(theta)
     opt = make_optimizer("adagrad", lr)
+    bound = opt.bind(theta, grad)
     n = len(train_x)
     for _ in range(epochs):
         perm = rng.permutation(n)
@@ -553,7 +556,8 @@ def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, l
             xb = train_x[idx].T
             _, dz = softmax_cross_entropy(affine_forward(xb, W, b), train_y[idx])
             _, dW, db = affine_backward(dz, xb)
-            opt.step({"clf": theta}, {"clf": np.concatenate([dW.ravel(), db.ravel()])})
+            grad[...] = np.concatenate([dW.ravel(), db.ravel()])
+            opt.step(bound)
     return W, b
 
 

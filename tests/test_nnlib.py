@@ -7,7 +7,7 @@ import pytest
 from tritrain.nnlib import (Adagrad, ConfigError, MomentumSGD,
                             Sequential, ShapeError, StateError,
                             affine_backward, affine_forward,
-                            batch_norm_backward, batch_norm_eval,
+                            batch_norm_backward, batch_norm_buffers, batch_norm_eval,
                             batch_norm_train, dropout_train, sigmoid, softmax,
                             softmax_cross_entropy)
 
@@ -169,6 +169,18 @@ def test_bn_grads_match_finite_differences():
         assert rel_err(dbeta, finite_difference_gradient(lambda v: loss(b=v), beta.copy())) < 1e-5
 
 
+def test_bn_running_average_uses_the_momentum_of_its_workspace():
+    # the workspace is the one place momentum is set: both weights of the
+    # moving average come from it
+    gamma, beta = np.ones((1, 1)), np.zeros((1, 1))
+    running, count = fresh_stats(1)
+    ws = batch_norm_buffers(gamma, beta, 2, momentum=0.5)
+    # batch means 5 then 5.5, variances 1 then 0.25
+    for x in ([[4.0, 6.0]], [[5.0, 6.0]]):
+        batch_norm_train(np.array(x), gamma, beta, 1e-5, running, count, ws=ws)
+    np.testing.assert_array_equal(running, [[5.25], [0.625]])
+
+
 def test_bn_eval_at_running_mean_is_zero():
     stats = fresh_stats(2)
     rng = np.random.default_rng(5)
@@ -255,63 +267,65 @@ def test_dropout_rate_one_rejected():
 
 def test_momentum_zero_is_plain_sgd():
     opt = MomentumSGD(lr=0.1, momentum=0.0)
-    p = {"w": np.array([[1.0]])}
-    opt.step(p, {"w": np.array([[2.0]])})
-    np.testing.assert_allclose(p["w"], [[0.8]])
+    w = np.array([[1.0]])
+    opt.step(opt.bind(w, np.array([[2.0]])))
+    np.testing.assert_allclose(w, [[0.8]])
 
 
 def test_momentum_hand_computed_steps():
     opt = MomentumSGD(lr=0.1, momentum=0.9)
-    p = {"w": np.array([[1.0]])}
-    g = {"w": np.array([[1.0]])}
-    opt.step(p, g)
-    np.testing.assert_allclose(opt.slots["w"], [[-0.1]])
-    np.testing.assert_allclose(p["w"], [[0.9]])
-    opt.step(p, g)
-    np.testing.assert_allclose(opt.slots["w"], [[-0.19]])
-    np.testing.assert_allclose(p["w"], [[0.71]])
+    w = np.array([[1.0]])
+    bound = opt.bind(w, np.array([[1.0]]))
+    opt.step(bound)
+    np.testing.assert_allclose(opt.slot, [[-0.1]])
+    np.testing.assert_allclose(w, [[0.9]])
+    opt.step(bound)
+    np.testing.assert_allclose(opt.slot, [[-0.19]])
+    np.testing.assert_allclose(w, [[0.71]])
 
 
 def test_momentum_geometric_drift_after_gradient_stops():
     mu, lr = 0.9, 0.1
     opt = MomentumSGD(lr=lr, momentum=mu)
-    p = {"w": np.array([[1.0]])}
-    opt.step(p, {"w": np.array([[1.0]])})
-    v1 = opt.slots["w"].copy()
-    zero = {"w": np.zeros((1, 1))}
+    w, g = np.array([[1.0]]), np.array([[1.0]])
+    bound = opt.bind(w, g)
+    opt.step(bound)
+    v1 = opt.slot.copy()
+    g[...] = 0.0
     for _ in range(2000):
-        opt.step(p, zero)
+        opt.step(bound)
     # total extra drift converges to v1 * mu / (1 - mu)
     expected = 1.0 - lr + float(v1[0, 0]) * mu / (1 - mu)
-    np.testing.assert_allclose(p["w"], [[expected]], atol=1e-8)
+    np.testing.assert_allclose(w, [[expected]], atol=1e-8)
 
 
 def test_adagrad_zero_gradient_is_noop():
     opt = Adagrad(lr=0.5)
-    p = {"w": np.array([[3.0]])}
-    opt.step(p, {"w": np.zeros((1, 1))})
-    np.testing.assert_array_equal(p["w"], [[3.0]])
-    np.testing.assert_array_equal(opt.slots["w"], [[0.0]])
+    w = np.array([[3.0]])
+    opt.step(opt.bind(w, np.zeros((1, 1))))
+    np.testing.assert_array_equal(w, [[3.0]])
+    np.testing.assert_array_equal(opt.slot, [[0.0]])
 
 
 def test_adagrad_first_step_magnitude():
     opt = Adagrad(lr=0.1, eps=1e-12)
-    p = {"w": np.array([[0.0]])}
-    opt.step(p, {"w": np.array([[2.0]])})
-    np.testing.assert_allclose(p["w"], [[-0.1]], atol=1e-9)
+    w = np.array([[0.0]])
+    opt.step(opt.bind(w, np.array([[2.0]])))
+    np.testing.assert_allclose(w, [[-0.1]], atol=1e-9)
 
 
 def test_adagrad_two_steps_against_brute_force():
     lr, eps = 1.0, 1e-8
     opt = Adagrad(lr=lr, eps=eps)
-    p = {"w": np.array([[0.0]])}
-    grads = [1.0, 3.0]
-    acc, w = 0.0, 0.0
-    for g in grads:
-        opt.step(p, {"w": np.array([[g]])})
+    w, grad = np.array([[0.0]]), np.empty((1, 1))
+    bound = opt.bind(w, grad)
+    acc, expected = 0.0, 0.0
+    for g in (1.0, 3.0):
+        grad[...] = g
+        opt.step(bound)
         acc += g * g
-        w -= lr * g / (np.sqrt(acc) + eps)
-    np.testing.assert_allclose(p["w"], [[w]], rtol=1e-15)
+        expected -= lr * g / (np.sqrt(acc) + eps)
+    np.testing.assert_allclose(w, [[expected]], rtol=1e-15)
 
 
 @pytest.mark.parametrize("make_opt", [MomentumSGD, Adagrad])
@@ -321,7 +335,7 @@ def test_lr_assigned_between_steps_of_one_bound_list_applies_to_the_next(make_op
     # float that a checkpoint writes as a JSON number
     w, g = np.array([1.0]), np.array([1.0])
     opt = make_opt(lr=0.1)
-    bound = opt.bind({"w": w}, {"w": g})
+    bound = opt.bind(w, g)
     opt.step(bound)
     assert w[0] == pytest.approx(0.9)
     opt.lr = 0.01
@@ -338,17 +352,47 @@ def test_lr_assigned_between_steps_of_one_bound_list_applies_to_the_next(make_op
 def test_optimizer_shape_mismatch():
     opt = MomentumSGD(lr=0.1)
     with pytest.raises(ShapeError):
-        opt.step({"w": np.zeros((2, 2))}, {"w": np.zeros((3, 3))})
+        opt.bind(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+def test_binding_an_arena_of_another_shape_than_the_slot_raises():
+    opt = MomentumSGD(lr=0.1)
+    opt.bind(np.zeros(6), np.zeros(6), slice(2, 4))
+    for shape in ((5,), (6, 1), (2, 3)):
+        with pytest.raises(ShapeError, match="slot"):
+            opt.bind(np.zeros(shape), np.zeros(shape))
+    assert opt.slot.shape == (6,)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: MomentumSGD(lr=v), lambda v: Adagrad(lr=v), lambda v: Adagrad(lr=0.1, eps=v)],
+    ids=["momentum_lr", "adagrad_lr", "adagrad_eps"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+def test_optimizer_rejects_a_non_finite_or_non_positive_constructor_value(make, value):
+    with pytest.raises(ConfigError, match=f"got {value}"):
+        make(value)
+
+
+@pytest.mark.parametrize("make_opt", [MomentumSGD, Adagrad])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -5.0])
+def test_lr_assignment_rejects_a_non_finite_or_non_positive_value_and_keeps_the_old(
+        make_opt, value):
+    opt = make_opt(lr=0.1)
+    with pytest.raises(ConfigError, match=f"lr must be finite and > 0, got {value}"):
+        opt.lr = value
+    assert opt.lr == 0.1
 
 
 def test_optimizer_determinism():
     def run():
         rng = np.random.default_rng(11)
         opt = MomentumSGD(lr=0.01, momentum=0.9)
-        p = {"w": rng.normal(size=(3, 3))}
+        w, g = rng.normal(size=(3, 3)), np.empty((3, 3))
+        bound = opt.bind(w, g)
         for _ in range(10):
-            opt.step(p, {"w": rng.normal(size=(3, 3))})
-        return p["w"]
+            g[...] = rng.normal(size=(3, 3))
+            opt.step(bound)
+        return w
     np.testing.assert_array_equal(run(), run())
 
 
@@ -643,7 +687,7 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
     for call in range(4):
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
-        y, cache = batch_norm_train(x, gamma, beta, 1e-5, running, count, 0.9)
+        y, cache = batch_norm_train(x, gamma, beta, 1e-5, running, count)
         ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
         assert_same_bits(y, ref_y)
         for a, b in zip(cache[:2], ref_cache[:2]):
@@ -733,24 +777,29 @@ def test_arena_views_survive_zero_grads_set_params_and_steps():
     np.testing.assert_array_equal(net.theta, other.theta)
     for opt in (MomentumSGD(lr=0.1), Adagrad(lr=0.1)):
         _one_backward(net, rng)
-        opt.step({"net": net.theta}, {"net": net.grad})
+        opt.step(opt.bind(net.theta, net.grad))
         assert_views_of_arena(net)
 
 
 @pytest.mark.parametrize("make_opt", [lambda: MomentumSGD(lr=0.05, momentum=0.9),
                                       lambda: Adagrad(lr=0.05)])
 def test_flat_step_equals_per_parameter_step(make_opt):
+    # the whole arena in one step, against each view stepped by an optimizer
+    # of its own
     flat = arena_net(36)
     per = arena_net(36)
-    opt_flat, opt_per = make_opt(), make_opt()
+    opt_flat = make_opt()
+    bound_flat = opt_flat.bind(flat.theta, flat.grad)
+    opt_per = {k: make_opt() for k in named(per)}
+    bound_per = {k: opt_per[k].bind(p, named(per, "grads")[k]) for k, p in named(per).items()}
     rng = np.random.default_rng(37)
     for _ in range(5):
         g = rng.normal(size=flat.grad.shape)
         flat.grad[...] = g
         per.grad[...] = g
-        opt_flat.step({"net": flat.theta}, {"net": flat.grad})
-        opt_per.step(named(per), named(per, "grads"))
+        opt_flat.step(bound_flat)
+        for k, bound in bound_per.items():
+            opt_per[k].step(bound)
     np.testing.assert_array_equal(flat.theta, per.theta)
     np.testing.assert_array_equal(
-        opt_flat.slots["net"],
-        np.concatenate([opt_per.slots[k].ravel() for k in named(per)]))
+        opt_flat.slot, np.concatenate([opt.slot.ravel() for opt in opt_per.values()]))

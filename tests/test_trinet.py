@@ -438,10 +438,9 @@ def test_gate_blocks_shared_update_from_labeling_heads():
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
     before = {k: v.copy() for k, v in named(net.f).items()}
     net.joint_labeling_loss(x, y)
+    # the whole arena, f's slice with it
     opt = MomentumSGD(lr=0.1)
-    params = {k: v for k, v in named(net).items() if not k.startswith("ft/")}
-    grads = {k: v for k, v in named(net, "grads").items() if not k.startswith("ft/")}
-    opt.step(params, grads)
+    opt.step(opt.bind(net.theta, net.grad))
     for k, v in named(net.f).items():
         np.testing.assert_array_equal(v, before[k])
 
@@ -452,10 +451,9 @@ def test_gate_blocks_shared_update_from_target_head():
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
     before = {k: v.copy() for k, v in named(net.f).items()}
     net.target_loss(x, y)
+    # the whole arena, f's slice with it
     opt = MomentumSGD(lr=0.1)
-    params = {k: v for k, v in named(net).items() if k.startswith(("ft/", "f/"))}
-    grads = {k: v for k, v in named(net, "grads").items() if k.startswith(("ft/", "f/"))}
-    opt.step(params, grads)
+    opt.step(opt.bind(net.theta, net.grad))
     for k, v in named(net.f).items():
         np.testing.assert_array_equal(v, before[k])
 
@@ -472,7 +470,7 @@ def test_training_decreases_joint_loss():
         y = rng.integers(0, 3, size=16)
         e0, _ = net.joint_labeling_loss(x, y)
         opt = MomentumSGD(lr=1e-3, momentum=0.0)
-        opt.step(named(net), named(net, "grads"))
+        opt.step(opt.bind(net.theta, net.grad))
         e1, _ = net.joint_labeling_loss(x, y)
         assert e1 < e0
 
@@ -569,10 +567,9 @@ def test_checkpoint_loads_into_arena_views_with_flat_slots(tmp_path):
             for k in ("W", "b"):
                 assert np.shares_memory(arrays[f"param/{name}/0/{k}"], net.theta[span])
         if name != "ft":
-            assert np.shares_memory(arrays[f"opt/main/slot/{name}"], back.opt.slots["net"][span])
+            assert np.shares_memory(arrays[f"opt/main/slot/{name}"], back.opt.slot[span])
     assert back.stepped == state.stepped == ["f1", "f2", "f"]
-    for k, v in state.opt.slots.items():
-        np.testing.assert_array_equal(back.opt.slots[k], v)
+    np.testing.assert_array_equal(back.opt.slot, state.opt.slot)
 
 
 def test_checkpoint_of_previous_version_is_rejected(tmp_path):
