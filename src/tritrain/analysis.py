@@ -292,7 +292,7 @@ def _train_domain_classifiers(train_x, train_y, rngs):
     ws = {}
     for m in {min(n, _BATCH), n % _BATCH or _BATCH}:
         ce = nnlib.cross_entropy_buffers(np.empty((folds, 2, m)))
-        ws[m] = ce, nnlib.affine_backward_buffers(ce.grad, None, (dW, db))
+        ws[m] = ce, nnlib.affine_backward_buffers(ce.grad, dW, db)
     for _ in range(_EPOCHS):
         perm = np.stack([rng.permutation(n) for rng in rngs])
         # the epoch's rows, gathered once in its order
@@ -301,9 +301,8 @@ def _train_domain_classifiers(train_x, train_y, rngs):
             xb, yb = xs[..., start:start + _BATCH], ys[:, start:start + _BATCH]
             ce, grad_ws = ws[yb.shape[1]]
             nnlib.affine_forward(xb, W, b, out=ce.logits, ws=affine)
-            _, dz = softmax_cross_entropy(ce.logits, yb, ws=ce)
-            # without W, no input gradient is computed; nothing reads it
-            nnlib.affine_backward(dz, xb, ws=grad_ws)
+            _, dz = softmax_cross_entropy(ce.logits, yb, ce)
+            nnlib.affine_backward(dz, xb, grad_ws)
             opt.step(bound)
     return W, b
 

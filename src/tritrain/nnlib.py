@@ -31,6 +31,8 @@ class StateError(RuntimeError):
 BN_EPS, BN_MOMENTUM = np.array(1e-5), np.array(0.9)
 # zero, the unit, and the floor of a log-probability
 _ZERO, _ONE, _LOG_P_MIN = np.array(0.0), np.array(1.0), np.array(-700.0)
+# the weight of a batch's statistics in batch norm's moving average
+_BN_RATE = np.array(_ONE - BN_MOMENTUM)
 
 
 # ---------------------------------------------------------------------------
@@ -78,29 +80,21 @@ class AffineGradBuffers(NamedTuple):
     db_rows: np.ndarray
 
 
-def affine_backward_buffers(dout: np.ndarray, x, out=None) -> AffineGradBuffers:
-    """`affine_backward`'s arrays for dout, with dW and db those of `out`,
-    a (dW, db) pair such as arena views, or new ones that fit x, which is
-    read only then."""
-    if out is None:
-        lead, k = np.broadcast_shapes(x.shape[:-2], dout.shape[:-2]), dout.shape[-2]
-        out = np.empty((*lead, x.shape[-2], k)), np.empty((*lead, 1, k))
-    dW, db = out
+def affine_backward_buffers(dout: np.ndarray, dW, db) -> AffineGradBuffers:
+    """`affine_backward`'s arrays for dout, writing dW and db, arrays in
+    W's and b's stored shapes such as arena views."""
     return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db, db[..., 0, :])
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, W: np.ndarray | None = None, ws=None):
-    """Gradients of `affine_forward`, slice by slice over leading axes, with
-    dW and db in W's and b's stored shapes. The input gradient dx needs W;
-    without it dx is None, for a first layer whose input gradient nothing
-    reads. dW and db are written into the arrays of `ws`, the
-    `affine_backward_buffers` of dout, such as arena views; without it they
-    are new."""
-    doutT, dW, db, db_rows = affine_backward_buffers(dout, x) if ws is None else ws
-    dx = None if W is None else W @ dout
+def affine_backward(dout: np.ndarray, x: np.ndarray, ws: AffineGradBuffers):
+    """The parameter gradients of `affine_forward`, slice by slice over
+    leading axes, written into the dW and db of `ws`, the
+    `affine_backward_buffers` of dout, and returned. No caller reads an
+    affine layer's input gradient, so none is made."""
+    doutT, dW, db, db_rows = ws
     np.matmul(x, doutT, out=dW)
     np.add.reduce(dout, axis=-1, out=db_rows)
-    return dx, dW, db
+    return dW, db
 
 
 def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -160,29 +154,23 @@ def cross_entropy_buffers(logits: np.ndarray) -> CrossEntropyBuffers:
         np.array(-float(n)))
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws=None):
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws: CrossEntropyBuffers):
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
     of shape (..., k, n), one column per batch row, give one mean loss per
-    leading slice. Labels have shape (..., n); a trailing part of it, such
-    as (n,), labels every leading slice alike. Log-probabilities are clipped
-    at -700. `ws`, the `cross_entropy_buffers` of `logits` itself, holds
-    every intermediate, and grad is its `grad`; the labels are then an int64
-    array. Without it the logits and labels are converted and the buffers
-    are new.
+    leading slice. Labels are an int64 array of shape (..., n); a trailing
+    part of it, such as (n,), labels every leading slice alike.
+    Log-probabilities are clipped at -700. `ws`, the `cross_entropy_buffers`
+    of `logits` itself, holds every intermediate, and grad is its `grad`.
     """
-    if ws is None:
-        # C order keeps each batch row contiguous and makes the flat indices
-        # below address `grad` itself
-        ws = cross_entropy_buffers(np.ascontiguousarray(logits, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
-    elif ws.logits is not logits:
+    if ws.logits is not logits:
         raise ShapeError("the cross-entropy buffers belong to another logits array")
     (logits, rows, grad, grad_flat, s, s_col, at, logp, base, label_shapes, n_int, n,
      neg_n) = ws
-    if labels.shape not in label_shapes:
-        raise ShapeError(f"labels {labels.shape} do not fit logits {logits.shape}")
+    if labels.dtype != np.int64 or labels.shape not in label_shapes:
+        raise ShapeError(f"labels {labels.dtype} {labels.shape} do not fit logits "
+                         f"{logits.shape}: int64 needed")
     # read as unsigned, a negative label is 2**63 or more
     if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= len(rows):
         raise ValueError(f"labels must lie in [0, {len(rows)})")
@@ -218,9 +206,7 @@ class BatchNormBuffers(NamedTuple):
     mean: np.ndarray
     var: np.ndarray
     stats: np.ndarray       # mean and variance as its (2, d) rows
-    n: np.ndarray           # n, then momentum and 1 - momentum, the weights
-    momentum: np.ndarray    # of the running and of the new statistics
-    rate: np.ndarray
+    n: np.ndarray           # n, float64
     gammaT: np.ndarray      # gamma and beta as (d, 1) columns
     betaT: np.ndarray
     buf: np.ndarray         # backward's (2, d, n) buffer: dout·x̂ over dout, later dx
@@ -234,50 +220,42 @@ class BatchNormBuffers(NamedTuple):
     dbeta: np.ndarray
 
 
-def batch_norm_buffers(gamma, beta, n: int, momentum=BN_MOMENTUM, grads=None) -> BatchNormBuffers:
+def batch_norm_buffers(gamma, beta, n: int, grads) -> BatchNormBuffers:
     """Batch norm's workspace for x (d, n) with gamma and beta (1, d) as
-    stored, the running statistics' `momentum`, and `grads`, the (2, d)
-    array, such as the arena rows of dgamma then dbeta, that backward
-    writes, or a new one."""
+    stored, and `grads`, the (2, d) array, such as the arena rows of dgamma
+    then dbeta, that backward writes."""
     d = gamma.shape[-1]
     stats, buf = np.empty((3, d, 1)), np.empty((2, d, n))
-    grads = np.empty((2, d)) if grads is None else grads
     return BatchNormBuffers(
         np.empty((d, n)), stats[2], stats[0], stats[1], stats[:2, :, 0], np.array(float(n)),
-        np.array(momentum, dtype=np.float64), np.array(_ONE - momentum), gamma.T, beta.T, buf,
-        buf[0], buf[1], np.empty((d, 1)), grads, grads[0, :, None], grads[1, :, None],
-        grads[:1], grads[1:])
+        gamma.T, beta.T, buf, buf[0], buf[1], np.empty((d, 1)), grads, grads[0, :, None],
+        grads[1, :, None], grads[:1], grads[1:])
 
 
-def batch_norm_train(x, gamma, beta, eps, running, count, out=None, ws=None):
-    """Standardize each feature row of x (d, n) with its batch statistics,
-    then scale and shift by gamma and beta, (1, d) as stored, into `out`
-    if given. `ws`, the `batch_norm_buffers` of gamma, beta and n, holds
-    the intermediates, x̂ among them, and x is then a C-ordered float64
-    array; without it x is converted and they are new, with `BN_MOMENTUM`.
+def batch_norm_train(x, running, count, ws: BatchNormBuffers, out=None):
+    """Standardize each feature row of x (d, n), a C-ordered float64 array,
+    with its batch statistics, then scale and shift by the gamma and beta
+    of `ws`, their `batch_norm_buffers`, into `out` if given. `ws` holds the
+    intermediates, x̂ among them.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
-    an exponential moving average with the workspace's momentum. Returns
-    (y, cache), where the cache, the workspace, feeds batch_norm_backward.
-    Batch variance is the biased estimator.
+    an exponential moving average with `BN_MOMENTUM`. Returns (y, cache),
+    where the cache, the workspace, feeds batch_norm_backward. Batch
+    variance is the biased estimator.
     """
-    if ws is None:
-        # C order keeps each feature's batch row contiguous
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        ws = batch_norm_buffers(gamma, beta, x.shape[-1])
     if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
     # the squared centred x go to backward's dout·x̂ row, unread until backward
     # writes it
-    xhat, inv_std, mean, var, stats, n, momentum, rate, gammaT, betaT, _, sq = ws[:12]
+    xhat, inv_std, mean, var, stats, n, gammaT, betaT, _, sq = ws[:10]
     # sum / n is what mean() and var() compute, without their dispatch cost
     np.add.reduce(x, axis=-1, keepdims=True, out=mean)
     mean /= n
     np.subtract(x, mean, out=xhat)
     np.add.reduce(np.multiply(xhat, xhat, out=sq), axis=-1, keepdims=True, out=var)
     var /= n
-    np.add(var, eps, out=inv_std)
+    np.add(var, BN_EPS, out=inv_std)
     np.sqrt(inv_std, out=inv_std)
     np.divide(_ONE, inv_std, out=inv_std)
     np.multiply(xhat, inv_std, out=xhat)
@@ -286,8 +264,8 @@ def batch_norm_train(x, gamma, beta, eps, running, count, out=None, ws=None):
     if count[0] == 0:
         running[...] = stats
     else:
-        running *= momentum
-        stats *= rate
+        running *= BN_MOMENTUM
+        stats *= _BN_RATE
         running += stats
     count[0] += 1
     return y, ws
@@ -302,8 +280,8 @@ def batch_norm_backward(dout, cache):
     With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
     ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
     and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
-    (xhat, inv_std, _, _, _, n, _, _, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col,
-     dbeta_col, dgamma, dbeta) = cache
+    (xhat, inv_std, _, _, _, n, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col, dbeta_col,
+     dgamma, dbeta) = cache
     # both row sums from one reduction over the batch axis; numpy copies
     # nothing when dout already is the row it is assigned to
     np.multiply(dout, xhat, out=buf_xhat)
@@ -318,11 +296,11 @@ def batch_norm_backward(dout, cache):
     return dx, dgamma, dbeta
 
 
-def batch_norm_eval(x, gamma, beta, running, count, eps, out=None):
+def batch_norm_eval(x, gamma, beta, running, count, out=None):
     if count[0] == 0:
         raise StateError("batch norm running statistics are unpopulated; train first")
     mean, var = running[..., None]
-    xhat = (x - mean) / np.sqrt(var + eps)
+    xhat = (x - mean) / np.sqrt(var + BN_EPS)
     y = np.multiply(gamma.T, xhat, out=out)
     y += beta.T
     return y
@@ -431,10 +409,9 @@ class Sequential(Layer):
         if ws.drop_out is not None:
             z, mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
         if ws.bn is not None:
-            batch_norm_train(z, self.gamma, self.beta, BN_EPS, self.running, self.count, ws.h,
-                             ws.bn)
+            batch_norm_train(z, self.running, self.count, ws.bn, ws.h)
         elif self.running is not None:
-            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, BN_EPS, out=ws.h)
+            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, out=ws.h)
         if train:
             self._ws, self._xt, self._mask = ws, xt, mask
         return ws.out if ones_row else ws.h
@@ -459,13 +436,13 @@ class Sequential(Layer):
         ws = SimpleNamespace(
             n=n, out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)),
             relu_mask=np.empty((d, n), dtype=bool), drop_out=(z if bn else h) if drop else None,
-            bn=batch_norm_buffers(self.gamma, self.beta, n, grads=self._dbn) if bn else None,
+            bn=batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None,
             act=None, dout=None, affine=None)
         if train:
             ws.act = act_out if self.activation == "sigmoid" else ws.relu_mask
             # f's incoming gradient is batch norm's dx row, else free space in z
             ws.dout = ws.bn.dx if bn else z
-            ws.affine = affine_backward_buffers(z, None, (self.dW, self.db))
+            ws.affine = affine_backward_buffers(z, self.dW, self.db)
         return ws
 
     def backward(self, dout):
@@ -482,7 +459,7 @@ class Sequential(Layer):
         dout = np.multiply(dout, ws.act, out=ws.z)
         if self.activation == "sigmoid":
             dout *= np.subtract(_ONE, ws.act, out=ws.e)
-        affine_backward(dout, self._xt, ws=ws.affine)
+        affine_backward(dout, self._xt, ws.affine)
 
     def zero_grads(self):
         self.grad.fill(0.0)

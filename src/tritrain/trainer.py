@@ -71,8 +71,8 @@ class TrainConfig:
             raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         # written as `not (in range)` so that NaN fails too
         for name in ("lr", "adagrad_eps", "lr_decay_to"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         for name in ("dropout_rate", "momentum"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")

@@ -49,18 +49,16 @@ def divergence_buffers(W1: np.ndarray, W2: np.ndarray) -> DivergenceBuffers:
     return DivergenceBuffers(W1, W2, W1.T, m, sign, sign.T, np.empty((k, k)), grads, *grads)
 
 
-def weight_divergence(W1: np.ndarray, W2: np.ndarray, ws=None):
+def weight_divergence(W1: np.ndarray, W2: np.ndarray, ws: DivergenceBuffers):
     """Entrywise absolute sum of W1^T W2 and its L1 subgradients (sign(0)=0)
     w.r.t. W1 and W2, stacked as one (2, d, k) array. `ws`, the
     `divergence_buffers` of W1 and W2 themselves, holds the intermediates
-    and the subgradients; without it they are new.
+    and the subgradients.
 
     W1, W2 are the first affine weights of the two labeling heads; the penalty
     pushes the heads toward orthogonal input weightings.
     """
-    if ws is None:
-        ws = divergence_buffers(W1, W2)
-    elif ws.W1 is not W1 or ws.W2 is not W2:
+    if ws.W1 is not W1 or ws.W2 is not W2:
         raise ShapeError("the divergence buffers belong to other weights")
     _, _, W1T, m, sign, signT, abs_m, grads, dW1, dW2 = ws
     np.matmul(W1T, W2, out=m)

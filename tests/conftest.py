@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tritrain.nnlib import cross_entropy_buffers, softmax_cross_entropy
 from tritrain.trinet import TriNet
 
 # one visible line per acceptance criterion, flushed after the test run
@@ -53,6 +54,12 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def cross_entropy(logits, labels):
+    """`softmax_cross_entropy` of logits and int64 labels, in buffers of its
+    own that their constructor builds."""
+    return softmax_cross_entropy(logits, labels, cross_entropy_buffers(logits))
 
 
 def finite_difference_gradient(f, x, h=1e-5):

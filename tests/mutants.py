@@ -76,8 +76,8 @@ MUTANTS = (
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
-           "        affine_backward(dout, self._xt, ws=ws.affine)\n",
-           "        affine_backward(dout, self._xt, ws=ws.affine)\n        self.dW *= 0.5\n",
+           "        affine_backward(dout, self._xt, ws.affine)\n",
+           "        affine_backward(dout, self._xt, ws.affine)\n        self.dW *= 0.5\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
@@ -106,15 +106,21 @@ MUTANTS = (
            "        if np.maximum.reduce(y.view(np.uint64)) >= self.num_classes:",
            "        if False:",
            ("tests/test_trinet.py::test_a_bad_batch_raises_and_leaves_the_net_untouched",)),
+    # the kernel reads the labels' bytes as int64; another dtype must be
+    # refused by name, not misread
+    Mutant("cross_entropy_labels_dtype_unchecked", "src/tritrain/nnlib.py",
+           "    if labels.dtype != np.int64 or labels.shape not in label_shapes:",
+           "    if labels.shape not in label_shapes:",
+           ("tests/test_nnlib.py::test_labels_of_another_dtype_raise_a_shape_error_naming_it",)),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",
            ("tests/test_nnlib.py::test_sigmoid_bit_identical_to_reference",
             "tests/test_nnlib.py::test_sigmoid_bits_equal_the_where_formula")),
     Mutant("batch_norm_eval_on_batch_statistics", "src/tritrain/nnlib.py",
-           "    xhat = (x - mean) / np.sqrt(var + eps)",
+           "    xhat = (x - mean) / np.sqrt(var + BN_EPS)",
            "    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)"
-           " + eps)",
+           " + BN_EPS)",
            ("tests/test_nnlib.py::test_bn_eval_standardizes_with_the_running_statistics",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     # the (features, batch) layout: statistics and normalisation must run

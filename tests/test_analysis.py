@@ -16,8 +16,10 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                distance_from_error, emit_report,
                                empirical_hdh_distance, make_stump_class,
                                verify_rho_bound, verify_theorem1)
-from tritrain.nnlib import (affine_backward, affine_forward, glorot_uniform, make_optimizer,
-                            softmax_cross_entropy)
+from tritrain.nnlib import (affine_backward, affine_backward_buffers, affine_forward,
+                            glorot_uniform, make_optimizer)
+
+from conftest import cross_entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -540,11 +542,12 @@ def test_a_distance_is_seed_deterministic():
 def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, lr=0.1):
     """The reference: one fold's classifier trained alone, its W (dim, 2)
     and b (1, 2) one flat buffer for the optimizer, and their gradients
-    copied into another before each step."""
+    views of another."""
     rng = np.random.default_rng(seed)
     theta = np.concatenate([glorot_uniform(rng, dim, 2).ravel(), np.zeros(2)])
     W, b = theta[:2 * dim].reshape(dim, 2), theta[2 * dim:].reshape(1, 2)
     grad = np.empty_like(theta)
+    dW, db = grad[:2 * dim].reshape(dim, 2), grad[2 * dim:].reshape(1, 2)
     opt = make_optimizer("adagrad", lr)
     bound = opt.bind(theta, grad)
     n = len(train_x)
@@ -554,9 +557,8 @@ def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, l
             idx = perm[start:start + batch]
             # the batch's rows as (d, batch) columns
             xb = train_x[idx].T
-            _, dz = softmax_cross_entropy(affine_forward(xb, W, b), train_y[idx])
-            _, dW, db = affine_backward(dz, xb)
-            grad[...] = np.concatenate([dW.ravel(), db.ravel()])
+            _, dz = cross_entropy(affine_forward(xb, W, b), train_y[idx])
+            affine_backward(dz, xb, affine_backward_buffers(dz, dW, db))
             opt.step(bound)
     return W, b
 

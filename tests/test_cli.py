@@ -151,6 +151,12 @@ CONFIG_ERRORS = [
     ("train", ["train.adagrad_eps=0"], "adagrad_eps"),
     # a negative decayed rate used to run gradient ascent and exit 0
     ("train", ["train.lr_decay_step=0", "train.lr_decay_to=-1"], "lr_decay_to"),
+    # an infinite rate used to pass, and fail only after manifest.json was
+    # written, naming no key; an unused adagrad_eps, not at all
+    ("train", ["train.lr=Infinity"], "lr must be > 0 and finite, got inf"),
+    ("train", ["train.adagrad_eps=Infinity"], "adagrad_eps must be > 0 and finite"),
+    ("train", ["train.lr_decay_step=0", "train.lr_decay_to=Infinity"],
+     "lr_decay_to must be > 0 and finite"),
     ("bound-check", ["train.momentum=1"], "momentum"),
     # ShiftSpec ranges; train and bound-check used to check them only after
     # writing manifest.json, with messages that named no key

@@ -7,7 +7,8 @@ import of a name it patches on a module is patched too, a tiny traced run
 of each workload's code calls every span that workload expects, the
 benchmark trains with the acceptance fixture's config, and each snippet of
 the mutation table occurs once in `src/` and each of its test ids names a
-test function in its file."""
+test function in its file. Each kernel has the one calling form the
+program uses."""
 import ast
 import importlib.util
 import inspect
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from mutants import MUTANTS
-from tritrain import cli, datagen, nnlib, trainer
+from tritrain import cli, datagen, nnlib, trainer, trinet
 from tritrain.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -342,3 +343,32 @@ def test_every_mutant_snippet_occurs_once_in_src(mutant):
     # `python tests/mutants.py` would mutate nothing there
     assert mutant.file.startswith("src/")
     assert (ROOT / mutant.file).read_text().count(mutant.snippet) == 1
+
+
+def optional_workspaces(modules) -> list[str]:
+    """`<module>.<function>` for each module-level function of `modules`
+    whose `ws` parameter has a default, `affine_forward` aside: a_distance's
+    held-out prediction runs it without its views."""
+    out = []
+    for module in modules:
+        for name, f in vars(module).items():
+            if not inspect.isfunction(f) or f.__module__ != module.__name__:
+                continue
+            ws = inspect.signature(f).parameters.get("ws")
+            if ws is not None and ws.default is not ws.empty and name != "affine_forward":
+                out.append(f"{module.__name__}.{name}")
+    return out
+
+
+def test_each_kernel_has_the_one_calling_form_the_program_uses():
+    # a second form, converting its inputs and building its buffers, would
+    # be reached by tests alone; batch norm's eps and momentum are the
+    # constants BN_EPS and BN_MOMENTUM, and no caller reads an affine
+    # layer's input gradient
+    kernels = (nnlib.softmax_cross_entropy, nnlib.batch_norm_train, nnlib.affine_backward,
+               trinet.weight_divergence)
+    assert all("ws" in inspect.signature(f).parameters for f in kernels)
+    assert optional_workspaces([nnlib, trinet]) == []
+    for f in (nnlib.batch_norm_train, nnlib.batch_norm_eval, nnlib.batch_norm_buffers):
+        assert not {"eps", "momentum"} & inspect.signature(f).parameters.keys(), f.__name__
+    assert "W" not in inspect.signature(nnlib.affine_backward).parameters

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from tritrain.nnlib import (Adagrad, ConfigError, MomentumSGD,
+from tritrain.nnlib import (BN_EPS, BN_MOMENTUM, Adagrad, ConfigError, MomentumSGD,
                             Sequential, ShapeError, StateError,
-                            affine_backward, affine_forward,
+                            affine_backward, affine_backward_buffers, affine_forward,
                             batch_norm_backward, batch_norm_buffers, batch_norm_eval,
-                            batch_norm_train, dropout_train, sigmoid, softmax,
-                            softmax_cross_entropy)
+                            batch_norm_train, cross_entropy_buffers, dropout_train, sigmoid,
+                            softmax, softmax_cross_entropy)
 
-from conftest import finite_difference_gradient, named, rel_err
+from conftest import cross_entropy, finite_difference_gradient, named, rel_err
 
 
 def cols(a):
@@ -25,6 +25,25 @@ def fresh_stats(d):
     """Unpopulated running statistics: the (2, d) rows mean and variance,
     and the batch count."""
     return np.array([np.zeros(d), np.ones(d)]), np.zeros(1, dtype=np.int64)
+
+
+def bn_buffers(gamma, beta, n):
+    """`batch_norm_buffers` for a batch of n, with a (2, d) gradient array
+    of their own."""
+    return batch_norm_buffers(gamma, beta, n, np.empty((2, gamma.shape[-1])))
+
+
+def bn_train(x, gamma, beta, running, count):
+    """`batch_norm_train` of x (d, n) in a workspace of its own."""
+    return batch_norm_train(x, running, count, bn_buffers(gamma, beta, x.shape[-1]))
+
+
+def affine_grads(dout, x):
+    """`affine_backward`'s (dW, db), written into new arrays that fit x and
+    dout, stacked or not."""
+    lead, k = np.broadcast_shapes(x.shape[:-2], dout.shape[:-2]), dout.shape[-2]
+    dW, db = np.empty((*lead, x.shape[-2], k)), np.empty((*lead, 1, k))
+    return affine_backward(dout, x, affine_backward_buffers(dout, dW, db))
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +72,7 @@ def test_affine_grad_matches_finite_differences():
     W = rng.normal(size=(4, 2))
     b = rng.normal(size=(1, 2))
     dout = np.ones((2, 3))
-    _, dW, db = affine_backward(dout, x, W)
+    dW, db = affine_grads(dout, x)
     num_W = finite_difference_gradient(lambda w: affine_forward(x, w, b).sum(), W.copy())
     num_b = finite_difference_gradient(lambda bb: affine_forward(x, W, bb).sum(), b.copy())
     assert rel_err(dW, num_W) < 1e-6
@@ -68,11 +87,9 @@ def test_affine_grad_randomized_suite():
         W = rng.normal(size=(din, dout_d))
         b = rng.normal(size=(1, dout_d))
         up = cols(rng.normal(size=(n, dout_d)))
-        dx, dW, db = affine_backward(up, x, W)
+        dW, _ = affine_grads(up, x)
         f = lambda w: (affine_forward(x, w, b) * up).sum()
         assert rel_err(dW, finite_difference_gradient(f, W.copy())) < 1e-4
-        fx = lambda xx: (affine_forward(xx, W, b) * up).sum()
-        assert rel_err(dx, finite_difference_gradient(fx, x.copy())) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +97,31 @@ def test_affine_grad_randomized_suite():
 
 
 def test_uniform_logits_loss_is_log_k():
-    loss, _ = softmax_cross_entropy(np.zeros((10, 4)), np.array([0, 3, 9, 5]))
+    loss, _ = cross_entropy(np.zeros((10, 4)), np.array([0, 3, 9, 5]))
     assert loss == pytest.approx(np.log(10), abs=1e-12)
 
 
 def test_confident_correct_prediction():
     logits = np.zeros((3, 1))
     logits[1, 0] = 1000.0
-    loss, grad = softmax_cross_entropy(logits, np.array([1]))
+    loss, grad = cross_entropy(logits, np.array([1]))
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert np.abs(grad).max() < 1e-9
 
 
 def test_label_out_of_range():
     with pytest.raises(ValueError):
-        softmax_cross_entropy(np.zeros((3, 1)), np.array([3]))
+        cross_entropy(np.zeros((3, 1)), np.array([3]))
+
+
+def test_labels_of_another_dtype_raise_a_shape_error_naming_it():
+    # their bytes used to be read as int64: in-range int32 labels raised the
+    # range message, and an odd count of them numpy's view error
+    for labels in (np.array([0, 1, 1, 0], dtype=np.int32), np.array([0, 1, 1], dtype=np.int32),
+                   np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 1, 0], dtype=np.uint64)):
+        logits = np.zeros((2, len(labels)))
+        with pytest.raises(ShapeError, match=f"labels {labels.dtype} "):
+            softmax_cross_entropy(logits, labels, cross_entropy_buffers(logits))
 
 
 def test_softmax_rows_sum_to_one():
@@ -109,7 +136,7 @@ def test_ce_loss_nonnegative():
     for _ in range(10):
         logits = cols(rng.normal(scale=5, size=(6, 4)))
         labels = rng.integers(0, 4, size=6)
-        loss, _ = softmax_cross_entropy(logits, labels)
+        loss, _ = cross_entropy(logits, labels)
         assert loss >= 0.0
 
 
@@ -118,9 +145,9 @@ def test_ce_grad_matches_finite_differences():
         rng = np.random.default_rng(seed)
         logits = cols(rng.normal(size=(2, 3)))
         labels = rng.integers(0, 3, size=2)
-        _, grad = softmax_cross_entropy(logits, labels)
+        _, grad = cross_entropy(logits, labels)
         num = finite_difference_gradient(
-            lambda z: softmax_cross_entropy(z, labels)[0], logits.copy())
+            lambda z: cross_entropy(z, labels)[0], logits.copy())
         assert rel_err(grad, num) < 1e-6
 
 
@@ -130,22 +157,23 @@ def test_ce_grad_matches_finite_differences():
 
 def test_bn_constant_column_maps_to_beta():
     x = np.full((1, 5), 7.0)
-    y, _ = batch_norm_train(x, np.ones((1, 1)), np.full((1, 1), 5.0), 1e-5, *fresh_stats(1))
+    y, _ = bn_train(x, np.ones((1, 1)), np.full((1, 1), 5.0), *fresh_stats(1))
     np.testing.assert_allclose(y, 5.0, atol=1e-9)
 
 
 def test_bn_normalizes_columns():
     rng = np.random.default_rng(4)
     x = cols(rng.normal(loc=3.0, scale=2.0, size=(64, 3)))
-    y, _ = batch_norm_train(x, np.ones((1, 3)), np.zeros((1, 3)), 1e-10, *fresh_stats(3))
+    y, _ = bn_train(x, np.ones((1, 3)), np.zeros((1, 3)), *fresh_stats(3))
+    var = x.var(axis=1)
     assert np.abs(y.mean(axis=1)).max() < 1e-8
-    assert np.abs(y.var(axis=1) - 1.0).max() < 1e-6
+    # BN_EPS shrinks each row's variance from 1 to var / (var + BN_EPS)
+    assert np.abs(y.var(axis=1) - var / (var + BN_EPS)).max() < 1e-6
 
 
 def test_bn_requires_batch_of_two():
     with pytest.raises(ValueError):
-        batch_norm_train(np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 2)),
-                         1e-5, *fresh_stats(2))
+        bn_train(np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 2)), *fresh_stats(2))
 
 
 def test_bn_grads_match_finite_differences():
@@ -155,13 +183,12 @@ def test_bn_grads_match_finite_differences():
         gamma = rng.normal(size=(1, 3))
         beta = rng.normal(size=(1, 3))
         up = cols(rng.normal(size=(8, 3)))
-        _, cache = batch_norm_train(x, gamma, beta, 1e-5, *fresh_stats(3))
+        _, cache = bn_train(x, gamma, beta, *fresh_stats(3))
         dx, dgamma, dbeta = batch_norm_backward(up, cache)
 
         def loss(xx=None, g=None, b=None):
-            out, _ = batch_norm_train(x if xx is None else xx,
-                                      gamma if g is None else g,
-                                      beta if b is None else b, 1e-5, *fresh_stats(3))
+            out, _ = bn_train(x if xx is None else xx, gamma if g is None else g,
+                              beta if b is None else b, *fresh_stats(3))
             return (out * up).sum()
 
         assert rel_err(dx, finite_difference_gradient(lambda v: loss(xx=v), x.copy())) < 1e-5
@@ -169,25 +196,24 @@ def test_bn_grads_match_finite_differences():
         assert rel_err(dbeta, finite_difference_gradient(lambda v: loss(b=v), beta.copy())) < 1e-5
 
 
-def test_bn_running_average_uses_the_momentum_of_its_workspace():
-    # the workspace is the one place momentum is set: both weights of the
-    # moving average come from it
-    gamma, beta = np.ones((1, 1)), np.zeros((1, 1))
+def test_bn_running_average_weighs_by_bn_momentum():
+    # both weights of the moving average come from BN_MOMENTUM
+    ws = bn_buffers(np.ones((1, 1)), np.zeros((1, 1)), 2)
     running, count = fresh_stats(1)
-    ws = batch_norm_buffers(gamma, beta, 2, momentum=0.5)
     # batch means 5 then 5.5, variances 1 then 0.25
     for x in ([[4.0, 6.0]], [[5.0, 6.0]]):
-        batch_norm_train(np.array(x), gamma, beta, 1e-5, running, count, ws=ws)
-    np.testing.assert_array_equal(running, [[5.25], [0.625]])
+        batch_norm_train(np.array(x), running, count, ws)
+    assert BN_MOMENTUM == 0.9
+    np.testing.assert_array_equal(running, [[0.9 * 5.0 + (1 - 0.9) * 5.5],
+                                            [0.9 * 1.0 + (1 - 0.9) * 0.25]])
 
 
 def test_bn_eval_at_running_mean_is_zero():
     stats = fresh_stats(2)
     rng = np.random.default_rng(5)
-    batch_norm_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), 1e-5,
-                     *stats)
+    bn_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), *stats)
     # the running mean as a batch of one column
-    y = batch_norm_eval(cols(stats[0][:1]), np.ones((1, 2)), np.zeros((1, 2)), *stats, 1e-5)
+    y = batch_norm_eval(cols(stats[0][:1]), np.ones((1, 2)), np.zeros((1, 2)), *stats)
     np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
 
@@ -196,7 +222,7 @@ def test_bn_eval_standardizes_with_the_running_statistics():
     running = np.array([[0.5, -1.0, 2.0], [0.25, 4.0, 1.5]])
     gamma, beta = np.array([[1.5, -0.5, 2.0]]), np.array([[0.1, 0.2, -0.3]])
     x = cols(np.random.default_rng(8).normal(loc=10.0, scale=5.0, size=(6, 3)))
-    y = batch_norm_eval(x, gamma, beta, running, np.array([3]), 1e-5)
+    y = batch_norm_eval(x, gamma, beta, running, np.array([3]))
     expected = [[gamma[0, j] * ((x[j, i] - running[0, j]) / math.sqrt(running[1, j] + 1e-5))
                  + beta[0, j] for i in range(6)] for j in range(3)]
     np.testing.assert_array_equal(y, expected)
@@ -208,17 +234,15 @@ def test_bn_eval_standardizes_with_the_running_statistics():
 def test_bn_eval_gamma_zero_gives_beta():
     stats = fresh_stats(2)
     rng = np.random.default_rng(6)
-    batch_norm_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), 1e-5,
-                     *stats)
+    bn_train(cols(rng.normal(size=(16, 2))), np.ones((1, 2)), np.zeros((1, 2)), *stats)
     y = batch_norm_eval(cols(rng.normal(size=(4, 2))), np.zeros((1, 2)), np.full((1, 2), 2.5),
-                        *stats, 1e-5)
+                        *stats)
     np.testing.assert_allclose(y, 2.5, atol=1e-12)
 
 
 def test_bn_eval_unpopulated_stats_raise():
     with pytest.raises(StateError):
-        batch_norm_eval(np.zeros((2, 2)), np.ones((1, 2)), np.zeros((1, 2)),
-                        *fresh_stats(2), 1e-5)
+        batch_norm_eval(np.zeros((2, 2)), np.ones((1, 2)), np.zeros((1, 2)), *fresh_stats(2))
 
 
 def test_bn_eval_centering_converges_monte_carlo():
@@ -226,11 +250,11 @@ def test_bn_eval_centering_converges_monte_carlo():
     stats = fresh_stats(2)
     rng = np.random.default_rng(7)
     gamma, beta = np.ones((1, 2)), np.zeros((1, 2))
+    ws = bn_buffers(gamma, beta, 128)
     for _ in range(200):
-        batch_norm_train(cols(rng.normal(loc=1.5, scale=0.7, size=(128, 2))),
-                         gamma, beta, 1e-5, *stats)
+        batch_norm_train(cols(rng.normal(loc=1.5, scale=0.7, size=(128, 2))), *stats, ws)
     test_x = cols(rng.normal(loc=1.5, scale=0.7, size=(5000, 2)))
-    y = batch_norm_eval(test_x, gamma, beta, *stats, 1e-5)
+    y = batch_norm_eval(test_x, gamma, beta, *stats)
     assert np.abs(y.mean(axis=1)).max() < 0.1
 
 
@@ -530,7 +554,7 @@ def test_softmax_cross_entropy_bit_identical_to_reference(k):
     for scale in (1.0, 50.0, 1e4):
         logits = cols(rng.normal(scale=scale, size=(64, k)))
         labels = rng.integers(0, k, size=64)
-        loss, grad = softmax_cross_entropy(logits, labels)
+        loss, grad = cross_entropy(logits, labels)
         ref_loss, ref_grad = _cross_entropy_reference(logits, labels)
         assert loss == ref_loss
         np.testing.assert_array_equal(grad, ref_grad)
@@ -542,7 +566,7 @@ def test_batch_norm_train_statistics_bit_identical_to_mean_and_var():
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
         gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
         running, count = fresh_stats(d)
-        y, (xhat, inv_std, *_) = batch_norm_train(x, gamma, beta, 1e-5, running, count)
+        y, (xhat, inv_std, *_) = bn_train(x, gamma, beta, running, count)
         mean, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
         np.testing.assert_array_equal(running[0], mean[:, 0])
         np.testing.assert_array_equal(running[1], var[:, 0])
@@ -636,36 +660,36 @@ def test_softmax_cross_entropy_bits_equal_the_stacked_formula(k, lead):
         logits[..., :, 0] = 0.0
         logits[..., 0, 0] = -1000.0
         labels[..., 0] = 0
-        loss, grad = softmax_cross_entropy(logits, labels)
+        loss, grad = cross_entropy(logits, labels)
         ref_loss, ref_grad = _cross_entropy_stacked(logits, labels)
         assert_same_bits(loss, ref_loss)
         assert_same_bits(grad, ref_grad)
         # one label row shared by every slice, as the heads share theirs
         shared = labels[(0,) * len(lead)]
-        for a, b in zip(softmax_cross_entropy(logits, shared),
+        for a, b in zip(cross_entropy(logits, shared),
                         _cross_entropy_stacked(logits, shared)):
             assert_same_bits(a, b)
-    assert softmax_cross_entropy(logits[..., :1], labels[..., :1])[0].max() == 700.0
+    assert cross_entropy(logits[..., :1], labels[..., :1])[0].max() == 700.0
 
 
 def test_softmax_cross_entropy_of_a_strided_view_equals_that_of_a_copy():
     # a view whose batch axis is not contiguous, such as rows seen as columns
     rng = np.random.default_rng(44)
     rows, labels = rng.normal(size=(64, 3)), rng.integers(0, 3, size=64)
-    for a, b in zip(softmax_cross_entropy(rows.T, labels), softmax_cross_entropy(cols(rows), labels)):
+    for a, b in zip(cross_entropy(rows.T, labels), cross_entropy(cols(rows), labels)):
         assert_same_bits(a, b)
 
 
 def test_cross_entropy_results_keep_their_values_after_the_next_call():
-    # only a caller's workspace is reused; a call without one returns new
-    # arrays, at every shape
+    # the results live in their own workspace: a call in another, of any
+    # shape, leaves them as they are
     rng = np.random.default_rng(45)
     for shape in ((3, 64), (2, 2, 64)):
         first, second = (rng.normal(size=shape) for _ in range(2))
         labels = rng.integers(0, shape[-2], size=64)
-        loss, grad = softmax_cross_entropy(first, labels)
+        loss, grad = cross_entropy(first, labels)
         kept = loss.copy(), grad.copy()
-        softmax_cross_entropy(second, labels)
+        cross_entropy(second, labels)
         assert_same_bits(loss, kept[0])
         assert_same_bits(grad, kept[1])
 
@@ -675,7 +699,7 @@ def test_softmax_cross_entropy_rejects_labels_that_do_not_fit():
     for labels in (np.zeros(5, dtype=np.int64), np.zeros((3, 4), dtype=np.int64),
                    np.zeros((1, 4), dtype=np.int64), np.int64(0)):
         with pytest.raises(ShapeError):
-            softmax_cross_entropy(logits, labels)
+            cross_entropy(logits, labels)
 
 
 @pytest.mark.parametrize("n, d", [(64, 16), (128, 16), (2, 3), (37, 5), (64, 1), (16, 50)])
@@ -685,9 +709,11 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     running, count = fresh_stats(d)
     ref_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
     gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+    # one workspace for every call, as the extractor keeps its own
+    ws = bn_buffers(gamma, beta, n)
     for call in range(4):
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
-        y, cache = batch_norm_train(x, gamma, beta, 1e-5, running, count)
+        y, cache = batch_norm_train(x, running, count, ws)
         ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
         assert_same_bits(y, ref_y)
         for a, b in zip(cache[:2], ref_cache[:2]):
@@ -710,22 +736,22 @@ def test_stacked_kernels_equal_the_2d_call_on_each_slice():
         b = rng.normal(size=(folds, 1, k))
         labels = rng.integers(0, k, size=(folds, n))
         y = affine_forward(x, W, b)
-        loss, dz = softmax_cross_entropy(y, labels)
-        dx, dW, db = affine_backward(dz, x, W)
+        loss, dz = cross_entropy(y, labels)
+        dW, db = affine_grads(dz, x)
         assert loss.shape == (folds,)
         # one 2-D x feeding every slice, as f's output feeds the heads
         y_shared = affine_forward(x[0], W, b)
-        dx_s, dW_s, db_s = affine_backward(dz, x[0], W)
+        dW_s, db_s = affine_grads(dz, x[0])
         for f in range(folds):
             y_f = affine_forward(x[f], W[f], b[f])
-            loss_f, dz_f = softmax_cross_entropy(y_f, labels[f])
+            loss_f, dz_f = cross_entropy(y_f, labels[f])
             np.testing.assert_array_equal(y[f], y_f)
             assert loss[f] == loss_f
             np.testing.assert_array_equal(dz[f], dz_f)
-            for stacked, alone in zip((dx, dW, db), affine_backward(dz_f, x[f], W[f])):
+            for stacked, alone in zip((dW, db), affine_grads(dz_f, x[f])):
                 np.testing.assert_array_equal(stacked[f], alone)
             np.testing.assert_array_equal(y_shared[f], affine_forward(x[0], W[f], b[f]))
-            for shared, alone in zip((dx_s, dW_s, db_s), affine_backward(dz[f], x[0], W[f])):
+            for shared, alone in zip((dW_s, db_s), affine_grads(dz[f], x[0])):
                 np.testing.assert_array_equal(shared[f], alone)
 
 
@@ -757,7 +783,7 @@ def assert_views_of_arena(net):
 def _one_backward(net, rng):
     net.zero_grads()
     logits = net.forward(rng.normal(size=(8, 3)), mode="train")
-    _, dz = softmax_cross_entropy(logits, rng.integers(0, 5, size=8))
+    _, dz = cross_entropy(logits, rng.integers(0, 5, size=8))
     net.backward(dz)
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from tritrain import datagen, nnlib, trainer
 from tritrain.labeler import LabelingConfig
-from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax, softmax_cross_entropy
+from tritrain.nnlib import ConfigError, MomentumSGD, sigmoid, softmax
 from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_state, run,
                               save_state)
-from tritrain.trinet import GradientGates, TriNet, weight_divergence
+from tritrain.trinet import GradientGates, TriNet, divergence_buffers, weight_divergence
 
-from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS,
+from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, cross_entropy,
                       finite_difference_gradient, named, rel_err, rewrite_checkpoint)
 
 
@@ -120,30 +120,36 @@ def test_each_head_row_starts_from_its_own_seed_stream():
 # weight divergence penalty
 
 
+def divergence(W1, W2):
+    """`weight_divergence` of W1 and W2 in buffers of its own that their
+    constructor builds."""
+    return weight_divergence(W1, W2, divergence_buffers(W1, W2))
+
+
 def test_weight_divergence_orthogonal_and_zero():
     w1 = np.eye(2)
     w2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    value, _ = weight_divergence(w1, w2)
+    value, _ = divergence(w1, w2)
     assert value == pytest.approx(2.0)
-    value, _ = weight_divergence(w1, np.zeros((2, 2)))
+    value, _ = divergence(w1, np.zeros((2, 2)))
     assert value == 0.0
 
 
 def test_weight_divergence_identity():
     for d in (2, 5, 9):
-        value, _ = weight_divergence(np.eye(d), np.eye(d))
+        value, _ = divergence(np.eye(d), np.eye(d))
         assert value == pytest.approx(float(d))
 
 
 def test_weight_divergence_symmetry_and_permutation_invariance():
     rng = np.random.default_rng(4)
     w1, w2 = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    v12, (g1, g2) = weight_divergence(w1, w2)
-    v21, (h2, h1) = weight_divergence(w2, w1)
+    v12, (g1, g2) = divergence(w1, w2)
+    v21, (h2, h1) = divergence(w2, w1)
     assert v12 == pytest.approx(v21)
     np.testing.assert_allclose(g1, h1)
     perm = rng.permutation(3)
-    vp, _ = weight_divergence(w1[:, perm], w2[:, perm])
+    vp, _ = divergence(w1[:, perm], w2[:, perm])
     assert vp == pytest.approx(v12)
 
 
@@ -151,7 +157,7 @@ def test_weight_divergence_diagonal_lower_bound():
     rng = np.random.default_rng(5)
     for _ in range(10):
         w = rng.normal(size=(4, 3))
-        value, _ = weight_divergence(w, w)
+        value, _ = divergence(w, w)
         assert value >= (w ** 2).sum() - 1e-12
         assert value > 0
 
@@ -161,13 +167,13 @@ def test_weight_divergence_grads_match_brute_force_and_fd():
         rng = np.random.default_rng(seed)
         w1 = rng.normal(size=(3, 2)) + 0.5 * np.sign(rng.normal(size=(3, 2)))
         w2 = rng.normal(size=(3, 2)) + 0.5 * np.sign(rng.normal(size=(3, 2)))
-        value, (g1, g2) = weight_divergence(w1, w2)
+        value, (g1, g2) = divergence(w1, w2)
         # independent entrywise recomputation
         brute = sum(abs(sum(w1[a, i] * w2[a, j] for a in range(3)))
                     for i in range(2) for j in range(2))
         assert value == pytest.approx(brute)
-        num1 = finite_difference_gradient(lambda w: weight_divergence(w, w2)[0], w1.copy())
-        num2 = finite_difference_gradient(lambda w: weight_divergence(w1, w)[0], w2.copy())
+        num1 = finite_difference_gradient(lambda w: divergence(w, w2)[0], w1.copy())
+        num2 = finite_difference_gradient(lambda w: divergence(w1, w)[0], w2.copy())
         assert rel_err(g1, num1) < 1e-4
         assert rel_err(g2, num2) < 1e-4
 
@@ -175,7 +181,7 @@ def test_weight_divergence_grads_match_brute_force_and_fd():
 def test_weight_divergence_shape_mismatch():
     from tritrain.nnlib import ShapeError
     with pytest.raises(ShapeError):
-        weight_divergence(np.zeros((2, 2)), np.zeros((3, 2)))
+        divergence(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +195,8 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     y = rng.integers(0, 3, size=8)
     total, parts = net.joint_labeling_loss(x, y)
     h = net.f.forward(x, mode="train")
-    ce1, ce2 = (softmax_cross_entropy(nnlib.affine_forward(h, net.Wb[n][:-1], net.Wb[n][-1:]),
-                                      y)[0] for n in ("f1", "f2"))
+    ce1, ce2 = (cross_entropy(nnlib.affine_forward(h, net.Wb[n][:-1], net.Wb[n][-1:]), y)[0]
+                for n in ("f1", "f2"))
     assert total == pytest.approx(ce1 + ce2, rel=1e-9)
 
 
@@ -316,11 +322,11 @@ def test_returned_arrays_keep_their_values_after_the_next_call(kind):
     kept = copy.deepcopy(first)
     probs = net.forward(batches[0][0])
     kept_probs = probs.copy()
-    _, grads = weight_divergence(net.Wb["f1"][:-1], net.Wb["f2"][:-1])
+    _, grads = divergence(net.Wb["f1"][:-1], net.Wb["f2"][:-1])
     kept_grads = grads.copy()
     _objective(net, kind, *batches[1], seed=2)
     net.forward(batches[1][0])
-    weight_divergence(net.Wb["f2"][:-1], net.Wb["ft"][:-1])
+    divergence(net.Wb["f2"][:-1], net.Wb["ft"][:-1])
     assert first == kept
     assert probs.tobytes() == kept_probs.tobytes()
     assert grads.tobytes() == kept_grads.tobytes()
