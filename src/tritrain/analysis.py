@@ -300,8 +300,8 @@ def _train_domain_classifiers(train_x, train_y, rngs):
         for start in range(0, n, _BATCH):
             xb, yb = xs[..., start:start + _BATCH], ys[:, start:start + _BATCH]
             ce, grad_ws = ws[yb.shape[1]]
-            nnlib.affine_forward(xb, W, b, out=ce.logits, ws=affine)
-            _, dz = softmax_cross_entropy(ce.logits, yb, ce)
+            nnlib.affine_forward(xb, W, affine, out=ce.logits)
+            _, dz = softmax_cross_entropy(yb, ce)
             nnlib.affine_backward(dz, xb, grad_ws)
             opt.step(bound)
     return W, b
@@ -331,8 +331,8 @@ def a_distance(feats_s: np.ndarray, feats_t: np.ndarray, seed: int = 0) -> float
     if any(len(np.unique(y[rows])) < 2 for rows in (*held, *tr)):
         raise ValueError("a split ended up with fewer than 2 samples per domain")
     W, b = _train_domain_classifiers(x[tr], y[tr], [np.random.default_rng(s) for s in ss])
-    pred = nnlib.affine_forward(x[held].swapaxes(-1, -2), W, b).argmax(axis=-2)
-    errs = np.mean(pred != y[held], axis=-1)
+    logits = nnlib.affine_forward(x[held].swapaxes(-1, -2), W, nnlib.affine_buffers(W, b))
+    errs = np.mean(logits.argmax(axis=-2) != y[held], axis=-1)
     return distance_from_error(float(np.mean(errs)))
 
 

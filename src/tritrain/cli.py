@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import typing
 from pathlib import Path
@@ -93,13 +94,21 @@ def _literal(text: str):
         return text
 
 
+# a config line up to its comment: text outside JSON strings, where `#`
+# starts the comment, and whole strings, with their escapes
+_UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*')
+
+
 def parse_config_text(text: str) -> dict:
     """Flat `section.key = value` lines; values are JSON literals with a
-    bare-string fallback. Blank lines and # comments are ignored."""
+    bare-string fallback. Blank lines and # comments outside a string are
+    ignored; a string left open is a ConfigError naming its line."""
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = _UNCOMMENTED.match(raw)[0]
+        if raw[len(line):].startswith('"'):
+            raise ConfigError(f"config line {lineno}: unterminated string in {raw!r}")
+        if not line.strip():
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
@@ -310,6 +319,8 @@ def cmd_bound_check(args) -> int:
                           f"bound.max_samples={b.max_samples}")
     if ds.num_classes != 2:
         raise ConfigError("bound checking is defined for binary tasks")
+    if ds.target_y_hidden is None:
+        raise ConfigError("bound checking needs the target labels; the dataset has none")
     hyp = analysis.make_stump_class(np.vstack([ds.source_x, ds.target_x]),
                                     max_thresholds_per_dim=b.thresholds_per_dim)
     if len(hyp) > b.max_hypotheses:

@@ -55,17 +55,17 @@ def affine_buffers(W: np.ndarray, b) -> AffineBuffers:
     return AffineBuffers(W.swapaxes(-1, -2), b_col)
 
 
-def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, out=None, ws=None) -> np.ndarray:
+def affine_forward(x: np.ndarray, W: np.ndarray, ws: AffineBuffers, out=None) -> np.ndarray:
     """z = Wᵀx + b for an array x (..., d, n), one column per batch row, and
-    W (..., d, k), b (..., 1, k) as the arenas store them; returns (..., k,
-    n), in `out` if given. `ws`, the `affine_buffers` of W and b, holds the
-    views it applies; without it they are new. W may carry leading model
-    axes that a 2-D x lacks, and then that x feeds every model. matmul runs
-    one gemm per slice, with the bits of the 2-D call on that slice."""
+    W (..., d, k), b (..., 1, k) as the arenas store them, with `ws`, the
+    `affine_buffers` of W and b, holding the views it applies; returns (...,
+    k, n), in `out` if given. W may carry leading model axes that a 2-D x
+    lacks, and then that x feeds every model. matmul runs one gemm per
+    slice, with the bits of the 2-D call on that slice."""
     if (x.ndim < 2 or W.ndim < 2 or x.shape[:-2] not in ((), W.shape[:-2])
             or x.shape[-2] != W.shape[-2]):
         raise ShapeError(f"affine: x {x.shape} incompatible with W {W.shape}")
-    WT, b_col = affine_buffers(W, b) if ws is None else ws
+    WT, b_col = ws
     z = np.matmul(WT, x, out=out)
     z += b_col
     return z
@@ -154,18 +154,17 @@ def cross_entropy_buffers(logits: np.ndarray) -> CrossEntropyBuffers:
         np.array(-float(n)))
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray, ws: CrossEntropyBuffers):
-    """Mean negative log-likelihood and its gradient w.r.t. the logits.
+def softmax_cross_entropy(labels: np.ndarray, ws: CrossEntropyBuffers):
+    """Mean negative log-likelihood of the logits that `ws`, their
+    `cross_entropy_buffers`, serves, and its gradient w.r.t. them.
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
     of shape (..., k, n), one column per batch row, give one mean loss per
     leading slice. Labels are an int64 array of shape (..., n); a trailing
     part of it, such as (n,), labels every leading slice alike.
-    Log-probabilities are clipped at -700. `ws`, the `cross_entropy_buffers`
-    of `logits` itself, holds every intermediate, and grad is its `grad`.
+    Log-probabilities are clipped at -700. `ws` holds every intermediate,
+    and grad is its `grad`.
     """
-    if ws.logits is not logits:
-        raise ShapeError("the cross-entropy buffers belong to another logits array")
     (logits, rows, grad, grad_flat, s, s_col, at, logp, base, label_shapes, n_int, n,
      neg_n) = ws
     if labels.dtype != np.int64 or labels.shape not in label_shapes:
@@ -296,12 +295,12 @@ def batch_norm_backward(dout, cache):
     return dx, dgamma, dbeta
 
 
-def batch_norm_eval(x, gamma, beta, running, count, out=None):
+def batch_norm_eval(x, gamma, beta, running, count):
     if count[0] == 0:
         raise StateError("batch norm running statistics are unpopulated; train first")
     mean, var = running[..., None]
     xhat = (x - mean) / np.sqrt(var + BN_EPS)
-    y = np.multiply(gamma.T, xhat, out=out)
+    y = np.multiply(gamma.T, xhat)
     y += beta.T
     return y
 
@@ -361,9 +360,8 @@ class Sequential(Layer):
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
                                           for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
-        # the views the first layer applies, and the train-mode workspace,
-        # kept while the batch size stays
-        self._affine, self._ws = affine_buffers(self.W, self.b), None
+        # the views the first layer applies
+        self._affine = affine_buffers(self.W, self.b)
         self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
         if use_bn:
             (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
@@ -380,86 +378,77 @@ class Sequential(Layer):
     def size(in_dim: int, hidden_dim: int, use_bn: bool) -> int:
         return (in_dim + (3 if use_bn else 1)) * hidden_dim
 
-    def forward(self, x, mode="train", rng=None, ones_row=False):
-        """f of the rows of an array x (n, in_dim), returned as columns
-        (hidden, n). With `ones_row` they are the first rows of a (hidden +
-        1, n) array whose last row is 1, which maps through a head's (hidden
-        + 1, k) weights-then-bias matrix to logits in one matmul. Each part
-        writes a `_workspace` buffer, the last part those rows. Train mode
-        draws dropout masks from `rng`, uses batch statistics and keeps its
-        workspace, with what `backward` reads, while the batch size stays:
-        the next such batch overwrites its output. Eval mode uses a new
-        workspace and keeps nothing. Another mode is a ConfigError."""
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-        train = mode == "train"
-        if train and self.dropout_rate > 0 and rng is None:
+    def workspace(self, n):
+        """A training batch of n rows' buffers and views: `out` (hidden + 1,
+        n), last row 1, which maps through a head's (hidden + 1, k)
+        weights-then-bias matrix to logits in one matmul, and its first rows
+        `h`; the pre-activation `z`, the activation's output (`h` if f's last
+        part), sigmoid's scratch `e` and relu's mask; dropout's output and
+        batch norm's buffers, None without the part; `dout`, where a caller
+        writes backward's incoming gradient; the first layer's gradient
+        buffers; and the batch's columns `xt` and dropout `mask`, which
+        `forward` records."""
+        d = self.W.shape[1]
+        out = np.empty((d + 1, n))
+        out[-1] = 1.0
+        h, z = out[:-1], np.empty((d, n))
+        bn, drop = self.running is not None, self.dropout_rate > 0
+        act_out = np.empty((d, n)) if bn or drop else h
+        relu_mask = np.empty((d, n), dtype=bool)
+        bn_ws = batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None
+        return SimpleNamespace(
+            out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)), relu_mask=relu_mask,
+            drop_out=(z if bn else h) if drop else None, bn=bn_ws,
+            act=act_out if self.activation == "sigmoid" else relu_mask,
+            # f's incoming gradient is batch norm's dx row, else free space in z
+            dout=bn_ws.dx if bn else z, affine=affine_backward_buffers(z, self.dW, self.db),
+            xt=None, mask=None)
+
+    def forward(self, x, ws, rng=None):
+        """f of the rows of an array x (n, in_dim) in training mode, in `ws`,
+        their `workspace(n)`: each part writes its buffer, the last part the
+        first rows of `ws.out`, which is returned. Dropout draws its masks
+        from `rng`, batch norm uses batch statistics, and `ws` keeps what
+        `backward` reads, so the next batch in it overwrites its output."""
+        if self.dropout_rate > 0 and rng is None:
             raise StateError("dropout in training mode needs an rng")
-        xt = x.T
-        ws = self._ws if train else None
-        if ws is None or ws.n != xt.shape[-1]:
-            ws = self._workspace(xt.shape[-1], train)
-        z = affine_forward(xt, self.W, self.b, ws.z, self._affine)
+        ws.xt = xt = x.T
+        z = affine_forward(xt, self.W, self._affine, ws.z)
         if self.activation == "sigmoid":
             z = sigmoid(z, ws.act_out, ws.e)
         else:
             np.greater(z, _ZERO, out=ws.relu_mask)
             z = np.maximum(z, _ZERO, out=ws.act_out)
-        mask = None
         if ws.drop_out is not None:
-            z, mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
+            z, ws.mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
         if ws.bn is not None:
             batch_norm_train(z, self.running, self.count, ws.bn, ws.h)
-        elif self.running is not None:
-            batch_norm_eval(z, self.gamma, self.beta, self.running, self.count, out=ws.h)
-        if train:
-            self._ws, self._xt, self._mask = ws, xt, mask
-        return ws.out if ones_row else ws.h
+        return ws.out
 
-    def _workspace(self, n, train):
-        """A batch of n rows' buffers and views: `out` (hidden + 1, n), last
-        row 1, first rows `h`; the pre-activation `z`, the activation's
-        output `act_out` (`h` if it is f's last part) and sigmoid's scratch
-        `e`; relu's mask. In train mode also: the buffer dropout writes
-        (`z` before batch norm, else `h`), batch norm's buffers `bn`, what
-        the activation's backward reads (sigmoid's output, relu's mask),
-        `dout`, where a caller may write backward's incoming gradient in
-        place, and the first layer's gradient buffers. What a mode lacks is
-        None."""
-        d = self.W.shape[1]
-        out = np.empty((d + 1, n))
-        out[-1] = 1.0
-        h, z = out[:-1], np.empty((d, n))
-        bn = train and self.running is not None
-        drop = train and self.dropout_rate > 0
-        act_out = np.empty((d, n)) if bn or drop else h
-        ws = SimpleNamespace(
-            n=n, out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)),
-            relu_mask=np.empty((d, n), dtype=bool), drop_out=(z if bn else h) if drop else None,
-            bn=batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None,
-            act=None, dout=None, affine=None)
-        if train:
-            ws.act = act_out if self.activation == "sigmoid" else ws.relu_mask
-            # f's incoming gradient is batch norm's dx row, else free space in z
-            ws.dout = ws.bn.dx if bn else z
-            ws.affine = affine_backward_buffers(z, self.dW, self.db)
-        return ws
+    def eval(self, x):
+        """f of the rows of x (n, in_dim) without dropout and with batch norm's
+        running statistics, over a ones row: (hidden + 1, n), in new arrays."""
+        z = affine_forward(x.T, self.W, self._affine)
+        z = sigmoid(z) if self.activation == "sigmoid" else np.maximum(z, _ZERO)
+        if self.running is not None:
+            z = batch_norm_eval(z, self.gamma, self.beta, self.running, self.count)
+        return np.vstack([z, np.ones((1, z.shape[1]))])
 
-    def backward(self, dout):
-        """Write the parameter gradients of the last train-mode forward into
-        `grad`, from dout (hidden, n), in its workspace; a StateError if none
-        ran. f's input gradient is never read, so the first layer makes none."""
-        ws = self._ws
-        if ws is None:
-            raise StateError("backward needs a train-mode forward first")
+    def backward(self, ws):
+        """Write into `grad` the parameter gradients of the batch `forward`
+        ran in `ws`, from the gradient (hidden, n) a caller wrote in `ws.dout`;
+        a StateError if none ran. The first layer makes no input gradient."""
+        if ws.xt is None:
+            raise StateError("backward needs a train-mode forward in its workspace first")
+        dout = ws.dout
         if ws.bn is not None:
             dout = batch_norm_backward(dout, ws.bn)[0]
-        if self._mask is not None:
-            dout = np.multiply(dout, self._mask, out=ws.z)
+        if ws.mask is not None:
+            dout = np.multiply(dout, ws.mask, out=ws.z)
         dout = np.multiply(dout, ws.act, out=ws.z)
         if self.activation == "sigmoid":
             dout *= np.subtract(_ONE, ws.act, out=ws.e)
-        affine_backward(dout, self._xt, ws.affine)
+        affine_backward(dout, ws.xt, ws.affine)
 
     def zero_grads(self):
         self.grad.fill(0.0)

@@ -260,6 +260,8 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     model is the target-specific head. The heads have `num_classes` outputs,
     the dataset's class count; without it, the largest source label + 1.
     Each label array needs one label per row it labels, or nothing trains."""
+    if source_y is None:
+        raise ValueError("source_y is None: training needs the source labels")
     _check_labels("source_y", source_y, "source_x", source_x)
     _check_labels("target_y_hidden", target_y_hidden, "target_x", target_x)
     if eval_x is not None:

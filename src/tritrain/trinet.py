@@ -49,18 +49,16 @@ def divergence_buffers(W1: np.ndarray, W2: np.ndarray) -> DivergenceBuffers:
     return DivergenceBuffers(W1, W2, W1.T, m, sign, sign.T, np.empty((k, k)), grads, *grads)
 
 
-def weight_divergence(W1: np.ndarray, W2: np.ndarray, ws: DivergenceBuffers):
+def weight_divergence(ws: DivergenceBuffers):
     """Entrywise absolute sum of W1^T W2 and its L1 subgradients (sign(0)=0)
-    w.r.t. W1 and W2, stacked as one (2, d, k) array. `ws`, the
-    `divergence_buffers` of W1 and W2 themselves, holds the intermediates
-    and the subgradients.
+    w.r.t. W1 and W2, stacked as one (2, d, k) array, for the two weights
+    that `ws`, their `divergence_buffers`, serves; it holds the
+    intermediates and the subgradients.
 
     W1, W2 are the first affine weights of the two labeling heads; the penalty
     pushes the heads toward orthogonal input weightings.
     """
-    if ws.W1 is not W1 or ws.W2 is not W2:
-        raise ShapeError("the divergence buffers belong to other weights")
-    _, _, W1T, m, sign, signT, abs_m, grads, dW1, dW2 = ws
+    W1, W2, W1T, m, sign, signT, abs_m, grads, dW1, dW2 = ws
     np.matmul(W1T, W2, out=m)
     np.sign(m, out=sign)
     value = np.add.reduce(np.abs(m, out=abs_m), axis=None)
@@ -128,9 +126,8 @@ class TriNet:
         return names, slice(min(s.start for s in spans), max(s.stop for s in spans))
 
     def features(self, x) -> np.ndarray:
-        """Shared representation F(x) of the rows of x, (n, hidden), in
-        eval mode."""
-        return self.f.forward(x, mode="eval").T
+        """Shared representation F(x) of the rows of x, (n, hidden), in eval mode."""
+        return self.f.eval(x)[:-1].T
 
     def forward(self, x) -> np.ndarray:
         """Every head's class probabilities for the rows of x, (3, n, k) in
@@ -138,7 +135,7 @@ class TriNet:
         matmul per phase's block of heads into its rows of one logits array,
         and one softmax. Eval mode draws no randomness, so sharing the pass
         changes no bits. Training goes through the two objectives."""
-        h = self.f.forward(x, mode="eval", ones_row=True)
+        h = self.f.eval(x)
         logits = np.empty((len(self.BRANCHES), self.num_classes, h.shape[1]))
         np.matmul(self._blocks["labeling"][2], h, out=logits[:2])
         np.matmul(self._blocks["target"][2], h, out=logits[2:])
@@ -152,8 +149,8 @@ class TriNet:
         logits (S, k, n) and `cross_entropy_buffers` (dz, also as dzᵀ), the
         heads' W and dW blocks (S, d, k), and f's incoming gradient's
         sources: one head's W and dz, or two heads' dx (S, d, n) and its
-        rows. The labeling phase's also holds f1's and f2's W and the
-        `divergence_buffers` of the two."""
+        rows; f's `workspace(n)`, the one place its batch buffers live; and
+        in the labeling phase the `divergence_buffers` of f1's and f2's W."""
         heads, gate = self.PHASES[phase]
         Wb, dWb, WbT = self._blocks[phase]
         logits = np.empty((len(heads), self.num_classes, n))
@@ -163,12 +160,11 @@ class TriNet:
             dx = np.empty((len(heads), W.shape[1], n))
         ws = SimpleNamespace(phase=phase, n=n, y_shape=(n,), gate=gate, WbT=WbT, dWb=dWb,
                              logits=logits, ce=ce, dzT=ce.grad.swapaxes(-1, -2), W=W,
-                             dW=dWb[:, :-1], W0=W[0], dz0=ce.grad[0], dx=dx)
+                             dW=dWb[:, :-1], W0=W[0], dz0=ce.grad[0], dx=dx, f=self.f.workspace(n))
         if dx is not None:
             ws.dx0, ws.dx1 = dx
         if phase == "labeling":
-            ws.W1, ws.W2 = W
-            ws.div = divergence_buffers(ws.W1, ws.W2)
+            ws.div = divergence_buffers(*W)
         return ws
 
     def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
@@ -193,19 +189,19 @@ class TriNet:
             raise ValueError(f"labels must lie in [0, {self.num_classes})")
         # f's columns with their ones row, h (d + 1, n), and the labels y
         # (n,) serve every head as they are
-        h = self.f.forward(x, mode="train", rng=rng, ones_row=True)
-        loss, dz = softmax_cross_entropy(np.matmul(ws.WbT, h, out=ws.logits), y, ws.ce)
+        h = self.f.forward(x, ws.f, rng)
+        np.matmul(ws.WbT, h, out=ws.logits)
+        loss, dz = softmax_cross_entropy(y, ws.ce)
         np.matmul(h, ws.dzT, out=ws.dWb)
         if getattr(self.gates, ws.gate):
             # f's incoming gradient, written where its backward reads it
-            dout = self.f._ws.dout
             if ws.dx is None:
-                np.matmul(ws.W0, ws.dz0, out=dout)
+                np.matmul(ws.W0, ws.dz0, out=ws.f.dout)
             else:
                 np.matmul(ws.W, dz, out=ws.dx)
                 # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
-                np.add(ws.dx0, ws.dx1, out=dout)
-            self.f.backward(dout)
+                np.add(ws.dx0, ws.dx1, out=ws.f.dout)
+            self.f.backward(ws.f)
         return loss
 
     def joint_labeling_loss(self, x, y, rng=None):
@@ -214,7 +210,7 @@ class TriNet:
         if the f1/f2 gate is open, the shared extractor."""
         ce = self._heads_loss("labeling", x, y, rng)
         ws = self._ws
-        penalty, grads = weight_divergence(ws.W1, ws.W2, ws.div)
+        penalty, grads = weight_divergence(ws.div)
         grads *= self.lam
         np.add(ws.dW, grads, out=ws.dW)
         total = ce[0] + ce[1] + self.lam * penalty

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrain.nnlib import cross_entropy_buffers, softmax_cross_entropy
+from tritrain.nnlib import (affine_buffers, affine_forward, cross_entropy_buffers,
+                            softmax_cross_entropy)
 from tritrain.trinet import TriNet
 
 # one visible line per acceptance criterion, flushed after the test run
@@ -59,7 +60,21 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 def cross_entropy(logits, labels):
     """`softmax_cross_entropy` of logits and int64 labels, in buffers of its
     own that their constructor builds."""
-    return softmax_cross_entropy(logits, labels, cross_entropy_buffers(logits))
+    return softmax_cross_entropy(labels, cross_entropy_buffers(logits))
+
+
+def affine(x, W, b):
+    """`affine_forward` of x with W and b, through views of its own that
+    their constructor builds."""
+    return affine_forward(x, W, affine_buffers(W, b))
+
+
+def train_pass(f, x, rng=None):
+    """A train-mode `forward` of the extractor f on the rows of x, in a new
+    workspace for their count; returns that workspace."""
+    ws = f.workspace(len(x))
+    f.forward(x, ws, rng)
+    return ws
 
 
 def finite_difference_gradient(f, x, h=1e-5):

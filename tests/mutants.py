@@ -71,13 +71,13 @@ MUTANTS = (
            ("tests/test_nnlib.py::test_sigmoid_relu_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("dropout_backward_without_its_mask", "src/tritrain/nnlib.py",
-           "            dout = np.multiply(dout, self._mask, out=ws.z)",
+           "            dout = np.multiply(dout, ws.mask, out=ws.z)",
            "            dout = dout",
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
-           "        affine_backward(dout, self._xt, ws.affine)\n",
-           "        affine_backward(dout, self._xt, ws.affine)\n        self.dW *= 0.5\n",
+           "        affine_backward(dout, ws.xt, ws.affine)\n",
+           "        affine_backward(dout, ws.xt, ws.affine)\n        self.dW *= 0.5\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
@@ -139,13 +139,18 @@ MUTANTS = (
            "    return e / e.sum(axis=-1, keepdims=True)",
            ("tests/test_nnlib.py::test_softmax_rows_sum_to_one",
             "tests/test_trinet.py::test_forward_probs_rows_sum_to_one")),
-    # the heads' bias rides in their matmul on f's ones row; gradients are
-    # written, so a second batch must not see the first one's
+    # the heads' bias rides in their matmul on f's ones row, which a training
+    # batch's workspace and an eval pass each make; gradients are written,
+    # so a second batch must not see the first one's
     Mutant("heads_ones_row_written_as_zero", "src/tritrain/nnlib.py",
            "        out[-1] = 1.0\n",
            "        out[-1] = 0.0\n",
-           ("tests/test_trinet.py::test_forward_equals_per_head_pass",
-            "tests/test_trinet.py::test_target_loss_perfect_prediction")),
+           ("tests/test_trinet.py::test_target_loss_perfect_prediction",
+            "tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd")),
+    Mutant("eval_ones_row_written_as_zero", "src/tritrain/nnlib.py",
+           "        return np.vstack([z, np.ones((1, z.shape[1]))])",
+           "        return np.vstack([z, np.zeros((1, z.shape[1]))])",
+           ("tests/test_trinet.py::test_forward_equals_per_head_pass",)),
     Mutant("objective_adds_into_its_gradient", "src/tritrain/trinet.py",
            "        np.matmul(h, ws.dzT, out=ws.dWb)\n",
            "        ws.dWb += h @ ws.dzT\n",

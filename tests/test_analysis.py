@@ -16,10 +16,9 @@ from tritrain.analysis import (BoundReport, HypothesisClass, a_distance,
                                distance_from_error, emit_report,
                                empirical_hdh_distance, make_stump_class,
                                verify_rho_bound, verify_theorem1)
-from tritrain.nnlib import (affine_backward, affine_backward_buffers, affine_forward,
-                            glorot_uniform, make_optimizer)
+from tritrain.nnlib import affine_backward, affine_backward_buffers, glorot_uniform, make_optimizer
 
-from conftest import cross_entropy
+from conftest import affine, cross_entropy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -557,7 +556,7 @@ def _train_domain_classifier(train_x, train_y, dim, seed, epochs=30, batch=64, l
             idx = perm[start:start + batch]
             # the batch's rows as (d, batch) columns
             xb = train_x[idx].T
-            _, dz = cross_entropy(affine_forward(xb, W, b), train_y[idx])
+            _, dz = cross_entropy(affine(xb, W, b), train_y[idx])
             affine_backward(dz, xb, affine_backward_buffers(dz, dW, db))
             opt.step(bound)
     return W, b
@@ -575,7 +574,7 @@ def _a_distance_fold_by_fold(feats_s, feats_t, heldout_fraction=0.5, folds=5, se
         perm = np.random.default_rng(fold_seed).permutation(len(x))
         held, tr = perm[:n_held], perm[n_held:]
         W, b = _train_domain_classifier(x[tr], y[tr], x.shape[1], fold_seed)
-        errs.append(np.mean(affine_forward(x[held].T, W, b).argmax(axis=0) != y[held]))
+        errs.append(np.mean(affine(x[held].T, W, b).argmax(axis=0) != y[held]))
         trained.append((tr, (W, b)))
     return distance_from_error(float(np.mean(errs))), x, y, trained
 

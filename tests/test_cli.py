@@ -74,6 +74,19 @@ def test_parse_config_text_literals_and_comments():
     assert cfg == {"a.x": 3, "b.y": 0.5, "c.z": "s", "d.w": "plain"}
 
 
+def test_a_hash_inside_a_quoted_value_is_part_of_it():
+    # "/tmp/a#b" used to parse to '"/tmp/a', a stray quote kept and the
+    # rest of the path cut
+    cfg = cli.parse_config_text('data.dir = "/tmp/a#b"  # a comment\n'
+                                'a.x = "say \\"#1\\""#"\nb.y = [1, "#"] # "\n')
+    assert cfg == {"data.dir": "/tmp/a#b", "a.x": 'say "#1"', "b.y": [1, "#"]}
+
+
+def test_parse_config_text_rejects_an_unterminated_string_naming_its_line():
+    with pytest.raises(ConfigError, match="line 2: unterminated string"):
+        cli.parse_config_text('a.x = 1\ndata.dir = "/tmp/a # b\n')
+
+
 def test_parse_config_text_rejects_bad_line():
     with pytest.raises(ConfigError, match="line 2"):
         cli.parse_config_text("a.x = 1\nnot a key value\n")
@@ -371,6 +384,27 @@ def test_train_sparse_bow_without_dim_exits_config(tmp_path, capsys):
     rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
     assert rc == cli.EXIT_CONFIG
     assert "data.dim" in capsys.readouterr().err
+
+
+def unlabeled_dataset_cfg(tmp_path, cfg_text, which):
+    """A config reading, through data.dir, the dataset `cfg_text` generates,
+    saved with the label column of `which`.csv cut, as a user might."""
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path, cfg_text, "gen.cfg"),
+                     "--out", str(data)]) == 0
+    path = data / f"{which}.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+    rest = "".join(line + "\n" for line in cfg_text.splitlines() if not line.startswith("data."))
+    return write_cfg(tmp_path, f'data.dir = "{data}"\n' + rest, "dir.cfg")
+
+
+# both used to raise a TypeError in trainer.run and exit 1 with a traceback
+@pytest.mark.parametrize("command, cfg_text", [("train", TRAIN_CFG), ("bound-check", BOUND_CFG)])
+def test_a_dataset_without_source_labels_exits_config(tmp_path, capsys, command, cfg_text):
+    cfg = unlabeled_dataset_cfg(tmp_path, cfg_text, "source")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "source_y is None" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_diverged(tmp_path, capsys):
@@ -680,6 +714,17 @@ def test_bound_check_accepts_the_benchmark_config(tmp_path, capsys):
     text = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["BOUND_CONFIG"]
     cfg = write_cfg(tmp_path, text, "b.cfg")
     assert cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_bound_check_without_target_labels_exits_config_before_training(
+        tmp_path, capsys, monkeypatch):
+    # it used to pretrain first and then raise an IndexError in the risks
+    runs, run = [], trainer.run
+    monkeypatch.setattr(trainer, "run", lambda *a, **k: runs.append(1) or run(*a, **k))
+    cfg = unlabeled_dataset_cfg(tmp_path, BOUND_CFG, "target")
+    rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert (rc, runs) == (cli.EXIT_CONFIG, [])
+    assert "target labels" in capsys.readouterr().err
 
 
 def test_bound_check_rejects_oversized_instance(tmp_path, capsys):

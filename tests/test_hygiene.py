@@ -347,15 +347,14 @@ def test_every_mutant_snippet_occurs_once_in_src(mutant):
 
 def optional_workspaces(modules) -> list[str]:
     """`<module>.<function>` for each module-level function of `modules`
-    whose `ws` parameter has a default, `affine_forward` aside: a_distance's
-    held-out prediction runs it without its views."""
+    whose `ws` parameter has a default."""
     out = []
     for module in modules:
         for name, f in vars(module).items():
             if not inspect.isfunction(f) or f.__module__ != module.__name__:
                 continue
             ws = inspect.signature(f).parameters.get("ws")
-            if ws is not None and ws.default is not ws.empty and name != "affine_forward":
+            if ws is not None and ws.default is not ws.empty:
                 out.append(f"{module.__name__}.{name}")
     return out
 
@@ -363,12 +362,15 @@ def optional_workspaces(modules) -> list[str]:
 def test_each_kernel_has_the_one_calling_form_the_program_uses():
     # a second form, converting its inputs and building its buffers, would
     # be reached by tests alone; batch norm's eps and momentum are the
-    # constants BN_EPS and BN_MOMENTUM, and no caller reads an affine
-    # layer's input gradient
-    kernels = (nnlib.softmax_cross_entropy, nnlib.batch_norm_train, nnlib.affine_backward,
-               trinet.weight_divergence)
+    # constants BN_EPS and BN_MOMENTUM, no caller reads an affine layer's
+    # input gradient, and no kernel takes an array its workspace holds
+    kernels = (nnlib.affine_forward, nnlib.softmax_cross_entropy, nnlib.batch_norm_train,
+               nnlib.affine_backward, trinet.weight_divergence)
     assert all("ws" in inspect.signature(f).parameters for f in kernels)
     assert optional_workspaces([nnlib, trinet]) == []
     for f in (nnlib.batch_norm_train, nnlib.batch_norm_eval, nnlib.batch_norm_buffers):
         assert not {"eps", "momentum"} & inspect.signature(f).parameters.keys(), f.__name__
-    assert "W" not in inspect.signature(nnlib.affine_backward).parameters
+    for f, held in ((nnlib.affine_backward, {"W"}), (nnlib.affine_forward, {"b"}),
+                    (nnlib.softmax_cross_entropy, {"logits"}),
+                    (trinet.weight_divergence, {"W1", "W2"})):
+        assert not held & inspect.signature(f).parameters.keys(), f.__name__

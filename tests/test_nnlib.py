@@ -6,12 +6,13 @@ import pytest
 
 from tritrain.nnlib import (BN_EPS, BN_MOMENTUM, Adagrad, ConfigError, MomentumSGD,
                             Sequential, ShapeError, StateError,
-                            affine_backward, affine_backward_buffers, affine_forward,
+                            affine_backward, affine_backward_buffers,
                             batch_norm_backward, batch_norm_buffers, batch_norm_eval,
                             batch_norm_train, cross_entropy_buffers, dropout_train, sigmoid,
                             softmax, softmax_cross_entropy)
 
-from conftest import cross_entropy, finite_difference_gradient, named, rel_err
+from conftest import (affine, cross_entropy, finite_difference_gradient, named, rel_err,
+                      train_pass)
 
 
 def cols(a):
@@ -51,19 +52,19 @@ def affine_grads(dout, x):
 
 
 def test_affine_identity():
-    y = affine_forward(np.array([[1.0], [2.0]]), np.eye(2), np.zeros(2))
+    y = affine(np.array([[1.0], [2.0]]), np.eye(2), np.zeros(2))
     np.testing.assert_array_equal(y, [[1.0], [2.0]])
 
 
 def test_affine_zero_input_passes_bias():
     W = np.random.default_rng(0).normal(size=(2, 2))
-    y = affine_forward(np.zeros((2, 1)), W, np.array([3.0, -1.0]))
+    y = affine(np.zeros((2, 1)), W, np.array([3.0, -1.0]))
     np.testing.assert_array_equal(y, [[3.0], [-1.0]])
 
 
 def test_affine_shape_mismatch():
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((3, 1)), np.eye(2), np.zeros(2))
+        affine(np.zeros((3, 1)), np.eye(2), np.zeros(2))
 
 
 def test_affine_grad_matches_finite_differences():
@@ -73,8 +74,8 @@ def test_affine_grad_matches_finite_differences():
     b = rng.normal(size=(1, 2))
     dout = np.ones((2, 3))
     dW, db = affine_grads(dout, x)
-    num_W = finite_difference_gradient(lambda w: affine_forward(x, w, b).sum(), W.copy())
-    num_b = finite_difference_gradient(lambda bb: affine_forward(x, W, bb).sum(), b.copy())
+    num_W = finite_difference_gradient(lambda w: affine(x, w, b).sum(), W.copy())
+    num_b = finite_difference_gradient(lambda bb: affine(x, W, bb).sum(), b.copy())
     assert rel_err(dW, num_W) < 1e-6
     assert rel_err(db, num_b) < 1e-6
 
@@ -88,7 +89,7 @@ def test_affine_grad_randomized_suite():
         b = rng.normal(size=(1, dout_d))
         up = cols(rng.normal(size=(n, dout_d)))
         dW, _ = affine_grads(up, x)
-        f = lambda w: (affine_forward(x, w, b) * up).sum()
+        f = lambda w: (affine(x, w, b) * up).sum()
         assert rel_err(dW, finite_difference_gradient(f, W.copy())) < 1e-4
 
 
@@ -121,7 +122,7 @@ def test_labels_of_another_dtype_raise_a_shape_error_naming_it():
                    np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 1, 0], dtype=np.uint64)):
         logits = np.zeros((2, len(labels)))
         with pytest.raises(ShapeError, match=f"labels {labels.dtype} "):
-            softmax_cross_entropy(logits, labels, cross_entropy_buffers(logits))
+            softmax_cross_entropy(labels, cross_entropy_buffers(logits))
 
 
 def test_softmax_rows_sum_to_one():
@@ -453,10 +454,11 @@ def test_sigmoid_relu_grads_match_finite_differences():
         up = cols(rng.normal(size=(4, 3)))
         for kind in ("sigmoid", "relu"):
             f = Sequential(3, 3, kind, 0.0, False, rng)
-            f.forward(x)
-            f.backward(up)
+            ws = train_pass(f, x)
+            ws.dout[...] = up
+            f.backward(ws)
             # the differences perturb the live view f.W in place
-            num = finite_difference_gradient(lambda w: (f.forward(x) * up).sum(), f.W)
+            num = finite_difference_gradient(lambda w: (train_pass(f, x).h * up).sum(), f.W)
             assert rel_err(f.dW, num) < 1e-4
 
 
@@ -468,34 +470,21 @@ def test_extractor_rejects_an_unknown_activation_or_a_zero_width():
             Sequential(in_dim, hidden_dim, "sigmoid", 0.0, True, np.random.default_rng(0))
 
 
-def test_extractor_rejects_an_unknown_mode_by_name():
-    # "Train" used to run eval mode, update no statistics and keep no cache,
-    # so the next backward reused the previous batch's
-    rng = np.random.default_rng(14)
-    f = Sequential(3, 4, "sigmoid", 0.0, True, rng)
-    x = rng.normal(size=(8, 3))
-    f.forward(x, mode="train")
-    running, count = f.running.copy(), f.count.copy()
-    for mode in ("Train", "test", None):
-        with pytest.raises(ConfigError, match=repr(mode)):
-            f.forward(rng.normal(size=(8, 3)), mode=mode)
-    np.testing.assert_array_equal(f.running, running)
-    np.testing.assert_array_equal(f.count, count)
-
-
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_backward_without_a_train_mode_forward_is_a_state_error(use_bn):
     # it used to raise a bare AttributeError; an eval-mode forward keeps
     # nothing a backward could read
     rng = np.random.default_rng(15)
     f = Sequential(3, 4, "sigmoid", 0.0, use_bn, rng)
+    ws = f.workspace(8)
+    ws.dout.fill(1.0)
     with pytest.raises(StateError, match="train-mode forward"):
-        f.backward(np.ones((4, 8)))
+        f.backward(ws)
     if use_bn:
         f.count.fill(1)  # eval mode needs populated running statistics
-    f.forward(rng.normal(size=(8, 3)), mode="eval")
+    f.eval(rng.normal(size=(8, 3)))
     with pytest.raises(StateError, match="train-mode forward"):
-        f.backward(np.ones((4, 8)))
+        f.backward(ws)
     assert not f.grad.any()
 
 
@@ -511,7 +500,7 @@ def test_forward_outputs_stay_finite():
     rng = np.random.default_rng(13)
     net = Sequential(5, 7, "relu", 0.0, True, rng)
     for _ in range(5):
-        out = net.forward(rng.normal(scale=100, size=(16, 5)), mode="train")
+        out = train_pass(net, rng.normal(scale=100, size=(16, 5))).out
         assert np.all(np.isfinite(out))
 
 
@@ -709,7 +698,7 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     running, count = fresh_stats(d)
     ref_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
     gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
-    # one workspace for every call, as the extractor keeps its own
+    # one workspace for every call, as a phase's batches share f's
     ws = bn_buffers(gamma, beta, n)
     for call in range(4):
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
@@ -735,31 +724,31 @@ def test_stacked_kernels_equal_the_2d_call_on_each_slice():
         W = rng.normal(size=(folds, d, k))
         b = rng.normal(size=(folds, 1, k))
         labels = rng.integers(0, k, size=(folds, n))
-        y = affine_forward(x, W, b)
+        y = affine(x, W, b)
         loss, dz = cross_entropy(y, labels)
         dW, db = affine_grads(dz, x)
         assert loss.shape == (folds,)
         # one 2-D x feeding every slice, as f's output feeds the heads
-        y_shared = affine_forward(x[0], W, b)
+        y_shared = affine(x[0], W, b)
         dW_s, db_s = affine_grads(dz, x[0])
         for f in range(folds):
-            y_f = affine_forward(x[f], W[f], b[f])
+            y_f = affine(x[f], W[f], b[f])
             loss_f, dz_f = cross_entropy(y_f, labels[f])
             np.testing.assert_array_equal(y[f], y_f)
             assert loss[f] == loss_f
             np.testing.assert_array_equal(dz[f], dz_f)
             for stacked, alone in zip((dW, db), affine_grads(dz_f, x[f])):
                 np.testing.assert_array_equal(stacked[f], alone)
-            np.testing.assert_array_equal(y_shared[f], affine_forward(x[0], W[f], b[f]))
+            np.testing.assert_array_equal(y_shared[f], affine(x[0], W[f], b[f]))
             for shared, alone in zip((dW_s, db_s), affine_grads(dz[f], x[0])):
                 np.testing.assert_array_equal(shared[f], alone)
 
 
 def test_stacked_affine_rejects_mismatched_model_axes():
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((3, 2, 4)), np.zeros((2, 2, 5)), np.zeros((3, 1, 5)))
+        affine(np.zeros((3, 2, 4)), np.zeros((2, 2, 5)), np.zeros((2, 1, 5)))
     with pytest.raises(ShapeError):
-        affine_forward(np.zeros((3, 2, 4)), np.zeros((2, 5)), np.zeros(5))
+        affine(np.zeros((3, 2, 4)), np.zeros((2, 5)), np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +771,10 @@ def assert_views_of_arena(net):
 
 def _one_backward(net, rng):
     net.zero_grads()
-    logits = net.forward(rng.normal(size=(8, 3)), mode="train")
-    _, dz = cross_entropy(logits, rng.integers(0, 5, size=8))
-    net.backward(dz)
+    ws = train_pass(net, rng.normal(size=(8, 3)))
+    _, dz = cross_entropy(ws.h, rng.integers(0, 5, size=8))
+    ws.dout[...] = dz
+    net.backward(ws)
 
 
 def test_arena_views_survive_zero_grads_set_params_and_steps():

@@ -12,7 +12,7 @@ from tritrain.trainer import (TrainConfig, adapt_step, build_net, checkpoint_arr
                               write_metrics_csv)
 from tritrain.trinet import GradientGates, TriNet
 
-from conftest import named
+from conftest import named, train_pass
 
 
 def blobs_dataset(seed=0, rotation=0.0, n=400):
@@ -66,7 +66,7 @@ def test_config_rejects_tiny_batch_with_bn():
 
 def test_build_net_shapes():
     net = build_net(small_cfg(), in_dim=2, num_classes=3)
-    net.f.forward(np.zeros((4, 2)), mode="train")  # populate BN
+    train_pass(net.f, np.zeros((4, 2)))  # populate BN
     assert net.forward(np.zeros((4, 2))).shape == (3, 4, 3)
 
 
@@ -332,19 +332,19 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
     pseudo = PseudoLabelSet(indices=np.arange(50), labels=ds.target_y_hidden[:50], step=0)
-    modes = []
-    forward = state.net.f.forward
+    passes = []
+    eval_pass = state.net.f.eval
 
-    def spy(x, mode="train", **kwargs):
-        modes.append(mode)
-        return forward(x, mode=mode, **kwargs)
+    def spy(x):
+        passes.append(len(x))
+        return eval_pass(x)
 
-    monkeypatch.setattr(state.net.f, "forward", spy)
+    monkeypatch.setattr(state.net.f, "eval", spy)
     pseudo, mean_e, mean_p = adapt_step(state, ds.source_x, ds.source_y, ds.target_x,
                                         pseudo, 1)
     m = trainer._capture(state, pseudo, ds.target_x, ds.target_y_hidden,
                          ds.target_y_hidden, 1, mean_e, mean_p)
-    assert modes.count("eval") == 2
+    assert len(passes) == 2
     assert (m.acc_f1, m.acc_f2, m.acc_ft) == tuple(
         evaluate(state.net, ds.target_x, ds.target_y_hidden).values())
 
@@ -370,6 +370,13 @@ def test_run_rejects_labels_of_another_length_naming_them(name, length):
     with pytest.raises(ValueError, match=rf"^{name} has length {length}, but {rows} has 60 rows$"):
         run(ds.source_x, labels["source_y"], ds.target_x, small_cfg(), eval_x=ds.target_x,
             eval_y=labels["eval_y"], target_y_hidden=labels["target_y_hidden"])
+
+
+def test_run_without_source_labels_raises_naming_them():
+    # numpy used to raise a TypeError converting None to int64
+    ds = moons_60()
+    with pytest.raises(ValueError, match="^source_y is None"):
+        run(ds.source_x, None, ds.target_x, small_cfg())
 
 
 def test_evaluate_rejects_labels_of_another_length():

@@ -12,8 +12,9 @@ from tritrain.trainer import (TrainConfig, checkpoint_arrays, init_state, load_s
                               save_state)
 from tritrain.trinet import GradientGates, TriNet, divergence_buffers, weight_divergence
 
-from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, cross_entropy,
-                      finite_difference_gradient, named, rel_err, rewrite_checkpoint)
+from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, affine,
+                      cross_entropy, finite_difference_gradient, named, rel_err,
+                      rewrite_checkpoint, train_pass)
 
 
 def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
@@ -28,7 +29,7 @@ def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
 def test_forward_probs_rows_sum_to_one():
     net = small_net()
     x = np.random.default_rng(0).normal(size=(10, 3))
-    net.f.forward(x, mode="train")  # populate BN
+    train_pass(net.f, x)  # populate BN
     probs = net.forward(x)
     assert probs.shape == (len(TriNet.BRANCHES), 10, 3)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
@@ -45,11 +46,11 @@ def test_forward_equals_per_head_pass(use_bn):
     x = rng.normal(size=(12, 3))
     for Wb in net.Wb.values():
         Wb[-1] = rng.normal(size=3)
-    net.f.forward(x, mode="train")  # populate BN
+    train_pass(net.f, x)  # populate BN
     probs = net.forward(x)
     assert probs.shape == (len(TriNet.BRANCHES), 12, 3)
     for i, head in enumerate(TriNet.BRANCHES):
-        h = np.vstack([net.f.forward(x, mode="eval"), np.ones((1, 12))])
+        h = np.vstack([net.f.eval(x)[:-1], np.ones((1, 12))])
         Wb = net.theta[net.spans[head]].reshape(5, 3)
         ref = softmax(Wb.T @ h)
         assert probs[i].tobytes() == ref.T.tobytes()
@@ -77,7 +78,7 @@ def test_eval_forward_keeps_no_array_of_its_batch(activation, dropout_rate):
 def test_eval_forward_is_deterministic():
     net = small_net()
     x = np.random.default_rng(2).normal(size=(8, 3))
-    net.f.forward(x, mode="train")  # populate BN
+    train_pass(net.f, x)  # populate BN
     np.testing.assert_array_equal(net.forward(x), net.forward(x))
 
 
@@ -123,7 +124,7 @@ def test_each_head_row_starts_from_its_own_seed_stream():
 def divergence(W1, W2):
     """`weight_divergence` of W1 and W2 in buffers of its own that their
     constructor builds."""
-    return weight_divergence(W1, W2, divergence_buffers(W1, W2))
+    return weight_divergence(divergence_buffers(W1, W2))
 
 
 def test_weight_divergence_orthogonal_and_zero():
@@ -194,8 +195,8 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, 3, size=8)
     total, parts = net.joint_labeling_loss(x, y)
-    h = net.f.forward(x, mode="train")
-    ce1, ce2 = (cross_entropy(nnlib.affine_forward(h, net.Wb[n][:-1], net.Wb[n][-1:]), y)[0]
+    h = train_pass(net.f, x).h
+    ce1, ce2 = (cross_entropy(affine(h, net.Wb[n][:-1], net.Wb[n][-1:]), y)[0]
                 for n in ("f1", "f2"))
     assert total == pytest.approx(ce1 + ce2, rel=1e-9)
 
@@ -311,6 +312,22 @@ def _objective(net, kind, x, y, seed):
     return net.target_loss(x, y, rng=rng), None
 
 
+@pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
+def test_training_batches_leave_every_attribute_of_the_extractor_bound_as_it_was(extractor):
+    # a batch's buffers, its columns and its dropout mask live in the phase
+    # workspace alone; an extractor that cached them by batch size was a
+    # second owner of one batch's state
+    net = TriNet(3, num_classes=3, hidden_dim=4, lam=0.05, seed=2,
+                 **WRITING_EXTRACTORS[extractor])
+    before = dict(vars(net.f))
+    rng = np.random.default_rng(22)
+    for i, kind in enumerate(("joint", "target")):
+        _objective(net, kind, rng.normal(size=(8, 3)), rng.integers(0, 3, size=8), seed=i)
+    after = vars(net.f)
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+
 @pytest.mark.parametrize("kind", ["joint", "target"])
 def test_returned_arrays_keep_their_values_after_the_next_call(kind):
     # what a caller receives is its own; only f's train-mode output is the
@@ -330,8 +347,9 @@ def test_returned_arrays_keep_their_values_after_the_next_call(kind):
     assert first == kept
     assert probs.tobytes() == kept_probs.tobytes()
     assert grads.tobytes() == kept_grads.tobytes()
-    out = net.f.forward(batches[0][0], mode="train", rng=rng)
-    assert np.shares_memory(out, net.f.forward(batches[1][0], mode="train", rng=rng))
+    ws = net.f.workspace(64)
+    out = net.f.forward(batches[0][0], ws, rng)
+    assert out is net.f.forward(batches[1][0], ws, rng)
 
 
 @pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
@@ -536,7 +554,7 @@ def test_running_statistics_round_trip_byte_identical_and_stay_live(tmp_path):
     assert npz_members(tmp_path / "again.npz") == npz_members(path)
     x = np.random.default_rng(13).normal(size=(8, 3))
     for s, name in ((state, "a.npz"), (back, "b.npz")):
-        s.net.f.forward(x, mode="train")
+        train_pass(s.net.f, x)
         save_state(tmp_path / name, s)
     later = npz_members(tmp_path / "a.npz")
     assert later == npz_members(tmp_path / "b.npz")
