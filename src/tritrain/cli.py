@@ -86,12 +86,15 @@ def _check_key(key: str, val):
         raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
 
 
-def _literal(text: str):
-    """A JSON literal, or the bare string when `text` is not one."""
+def _literal(text: str, where: str):
+    """A JSON literal, or the bare string when `text` is not one and has no
+    `"`; else a ConfigError naming `where`, its config line or --set item."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
-        return text
+        if '"' not in text:
+            return text
+    raise ConfigError(f"{where}: a value with a quote must be one JSON literal, got {text}")
 
 
 # a config line up to its comment: text outside JSON strings, where `#`
@@ -100,8 +103,8 @@ _UNCOMMENTED = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*')
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat `section.key = value` lines; values are JSON literals with a
-    bare-string fallback. Blank lines and # comments outside a string are
+    """Flat `section.key = value` lines; values are JSON literals, or bare
+    strings if unquoted. Blank lines and # comments outside a string are
     ignored; a string left open is a ConfigError naming its line."""
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,7 +116,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, _, val = line.partition("=")
-        cfg[key.strip()] = _literal(val.strip())
+        cfg[key.strip()] = _literal(val.strip(), f"config line {lineno}")
     return cfg
 
 
@@ -169,7 +172,6 @@ def write_manifest(out_dir: Path, command: str, config: dict, config_path, seed)
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return manifest
 
 
 def _resolve(args) -> dict:
@@ -178,7 +180,7 @@ def _resolve(args) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        cfg[key.strip()] = _literal(val.strip())
+        cfg[key.strip()] = _literal(val.strip(), f"--set {item!r}")
     if args.seed is not None:
         # only a generator reads data.seed
         if not _on_disk(cfg):
@@ -186,8 +188,10 @@ def _resolve(args) -> dict:
         cfg["train.seed"] = args.seed
     for key, val in cfg.items():
         _check_key(key, val)
-    # the data-source rule: sparse_bow is the one format, and these three
-    # keys come with it and with nothing else
+    # the data-source rule: one dataset on disk at most; sparse_bow is the
+    # one format, and these three keys come with it and with nothing else
+    if len(_on_disk(cfg)) > 1:
+        raise ConfigError("config keys 'data.dir' and 'data.format' pick two datasets")
     sparse = "data.format" in cfg
     if sparse and cfg["data.format"] != "sparse_bow":
         raise ConfigError(f"config key 'data.format' must be \"sparse_bow\", "
@@ -234,7 +238,7 @@ def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
     if keys := _on_disk(cfg):
-        raise ConfigError(f"gen-data writes a generated dataset and takes no {' or '.join(keys)}")
+        raise ConfigError(f"gen-data writes a generated dataset and takes no {keys[0]}")
     spec = build_shift_spec(cfg)
     out = Path(args.out)
     write_manifest(out, "gen-data", cfg, args.config, spec.seed)
@@ -254,7 +258,7 @@ def cmd_train(args) -> int:
     ds = _load_dataset(cfg, spec)
     history, state = trainer.run(
         ds.source_x, ds.source_y, ds.target_x, tcfg,
-        eval_x=ds.target_x, eval_y=ds.target_y_hidden,
+        eval_x=None if ds.target_y_hidden is None else ds.target_x, eval_y=ds.target_y_hidden,
         target_y_hidden=ds.target_y_hidden, num_classes=ds.num_classes)
     trainer.write_metrics_csv(history, out / "metrics.csv")
     trainer.save_state(out / "checkpoint.npz", state)

@@ -215,8 +215,6 @@ class BatchNormBuffers(NamedTuple):
     grads: np.ndarray       # the (2, d) rows of dgamma then dbeta
     dgamma_col: np.ndarray  # their (d, 1) columns
     dbeta_col: np.ndarray
-    dgamma: np.ndarray      # and their (1, d) rows
-    dbeta: np.ndarray
 
 
 def batch_norm_buffers(gamma, beta, n: int, grads) -> BatchNormBuffers:
@@ -228,13 +226,13 @@ def batch_norm_buffers(gamma, beta, n: int, grads) -> BatchNormBuffers:
     return BatchNormBuffers(
         np.empty((d, n)), stats[2], stats[0], stats[1], stats[:2, :, 0], np.array(float(n)),
         gamma.T, beta.T, buf, buf[0], buf[1], np.empty((d, 1)), grads, grads[0, :, None],
-        grads[1, :, None], grads[:1], grads[1:])
+        grads[1, :, None])
 
 
-def batch_norm_train(x, running, count, ws: BatchNormBuffers, out=None):
+def batch_norm_train(x, running, count, ws: BatchNormBuffers, out):
     """Standardize each feature row of x (d, n), a C-ordered float64 array,
     with its batch statistics, then scale and shift by the gamma and beta
-    of `ws`, their `batch_norm_buffers`, into `out` if given. `ws` holds the
+    of `ws`, their `batch_norm_buffers`, into `out` (d, n). `ws` holds the
     intermediates, x̂ among them.
 
     `running` (2, d) holds the running mean and variance as its rows and
@@ -271,16 +269,16 @@ def batch_norm_train(x, running, count, ws: BatchNormBuffers, out=None):
 
 
 def batch_norm_backward(dout, cache):
-    """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta, the
-    last two (1, d) as stored, from its cache: dx is its `dx` row, and
-    dgamma and dbeta are the rows of its `grads`. A caller that writes dout
-    into `cache.dx` spares the copy there.
+    """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta from
+    its cache: returns dx, its `dx` row, and writes dgamma and dbeta into
+    the rows of its `grads`. A caller that writes dout into `cache.dx`
+    spares the copy there.
 
     With dxhat = dout·gamma, dx = (n·dxhat - Σdxhat - xhat·Σdxhat·xhat)
     ·inv_std/n (Ioffe & Szegedy 2015), so the row sums dgamma = Σdout·xhat
     and dbeta = Σdout are all it needs, and gamma joins inv_std/n once."""
-    (xhat, inv_std, _, _, _, n, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col, dbeta_col,
-     dgamma, dbeta) = cache
+    (xhat, inv_std, _, _, _, n, gammaT, _, buf, buf_xhat, dx, scale, grads, dgamma_col,
+     dbeta_col) = cache
     # both row sums from one reduction over the batch axis; numpy copies
     # nothing when dout already is the row it is assigned to
     np.multiply(dout, xhat, out=buf_xhat)
@@ -292,7 +290,7 @@ def batch_norm_backward(dout, cache):
     np.multiply(gammaT, inv_std, out=scale)
     scale /= n
     dx *= scale
-    return dx, dgamma, dbeta
+    return dx
 
 
 def batch_norm_eval(x, gamma, beta, running, count):
@@ -303,18 +301,6 @@ def batch_norm_eval(x, gamma, beta, running, count):
     y = np.multiply(gamma.T, xhat)
     y += beta.T
     return y
-
-
-def dropout_train(x, rate, rng, out=None):
-    """Inverted dropout: zero with probability `rate`, scale survivors by
-    1/(1-rate), into `out` if given. The uniforms are drawn in the
-    transposed order, so for an x (d, n) they come batch row by batch row,
-    as for the same batch stored (n, d)."""
-    if rate >= 1.0:
-        raise ConfigError("dropout rate must be < 1")
-    keep = rng.random(x.shape[::-1]).T >= rate
-    mask = keep / (1.0 - rate)
-    return np.multiply(x, mask, out=out), mask
 
 
 def glorot_uniform(rng, d_in, d_out):
@@ -338,23 +324,26 @@ class Sequential(Layer):
     Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
     then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
     `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
-    them. An owner passes its zero-filled views of `size` elements as the
-    two, `arena` = (theta, grad). Batch norm's running mean and variance are
-    the rows of `running` (2, hidden) and its batch count is `count` (1,).
+    them. Its owner passes zero-filled views of `size` elements as the two,
+    `arena` = (theta, grad). Batch norm's running mean and variance are the
+    rows of `running` (2, hidden) and its batch count is `count` (1,).
     Without batch norm, `gamma`, `beta`, their gradients, `running` and
     `count` are None.
     `backward` writes every gradient of `grad` it reaches; nothing adds."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
-                 use_bn: bool, rng, arena=None):
+                 use_bn: bool, rng, arena):
         if activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {activation!r}")
         if in_dim < 1 or hidden_dim < 1:
             raise ConfigError(f"the extractor needs in_dim and hidden_dim >= 1, "
                               f"got {in_dim} and {hidden_dim}")
+        if not 0 <= dropout_rate < 1:  # NaN fails too
+            raise ConfigError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
         d, h = in_dim, hidden_dim
         self.in_dim, self.activation, self.dropout_rate = in_dim, activation, dropout_rate
-        self.theta, self.grad = arena or (np.zeros(n := self.size(d, h, use_bn)), np.zeros(n))
+        self._rate, self._keep_rate = np.array(float(dropout_rate)), np.array(1.0 - dropout_rate)
+        self.theta, self.grad = arena
         self.W, self.dW = (a[:d * h].reshape(d, h) for a in (self.theta, self.grad))
         # the (1, h) rows after W: b, then gamma and beta
         (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
@@ -383,26 +372,30 @@ class Sequential(Layer):
         n), last row 1, which maps through a head's (hidden + 1, k)
         weights-then-bias matrix to logits in one matmul, and its first rows
         `h`; the pre-activation `z`, the activation's output (`h` if f's last
-        part), sigmoid's scratch `e` and relu's mask; dropout's output and
-        batch norm's buffers, None without the part; `dout`, where a caller
-        writes backward's incoming gradient; the first layer's gradient
-        buffers; and the batch's columns `xt` and dropout `mask`, which
-        `forward` records."""
+        part), sigmoid's scratch `e` and relu's mask; dropout's uniforms `u`
+        (n, hidden), `uT`, `keep`, `mask` and output, and batch norm's
+        buffers, None without the part; `dout`, where a caller writes
+        backward's incoming gradient; the first layer's gradient buffers;
+        and the batch's columns `xt`, which `forward` records."""
         d = self.W.shape[1]
         out = np.empty((d + 1, n))
         out[-1] = 1.0
         h, z = out[:-1], np.empty((d, n))
-        bn, drop = self.running is not None, self.dropout_rate > 0
-        act_out = np.empty((d, n)) if bn or drop else h
+        bn, dropout = self.running is not None, self.dropout_rate > 0
+        drop = dict.fromkeys(("u", "uT", "keep", "mask", "drop_out"))
+        if dropout:
+            u = np.empty((n, d))
+            drop = dict(u=u, uT=u.T, keep=np.empty((d, n), dtype=bool), mask=np.empty((d, n)),
+                        drop_out=z if bn else h)
+        act_out = np.empty((d, n)) if bn or dropout else h
         relu_mask = np.empty((d, n), dtype=bool)
         bn_ws = batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None
         return SimpleNamespace(
             out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)), relu_mask=relu_mask,
-            drop_out=(z if bn else h) if drop else None, bn=bn_ws,
-            act=act_out if self.activation == "sigmoid" else relu_mask,
+            **drop, bn=bn_ws, act=act_out if self.activation == "sigmoid" else relu_mask,
             # f's incoming gradient is batch norm's dx row, else free space in z
             dout=bn_ws.dx if bn else z, affine=affine_backward_buffers(z, self.dW, self.db),
-            xt=None, mask=None)
+            xt=None)
 
     def forward(self, x, ws, rng=None):
         """f of the rows of an array x (n, in_dim) in training mode, in `ws`,
@@ -419,8 +412,11 @@ class Sequential(Layer):
         else:
             np.greater(z, _ZERO, out=ws.relu_mask)
             z = np.maximum(z, _ZERO, out=ws.act_out)
-        if ws.drop_out is not None:
-            z, ws.mask = dropout_train(z, self.dropout_rate, rng, out=ws.drop_out)
+        if ws.mask is not None:
+            rng.random(out=ws.u)
+            np.greater_equal(ws.uT, self._rate, out=ws.keep)
+            np.divide(ws.keep, self._keep_rate, out=ws.mask)
+            z = np.multiply(z, ws.mask, out=ws.drop_out)
         if ws.bn is not None:
             batch_norm_train(z, self.running, self.count, ws.bn, ws.h)
         return ws.out
@@ -442,7 +438,7 @@ class Sequential(Layer):
             raise StateError("backward needs a train-mode forward in its workspace first")
         dout = ws.dout
         if ws.bn is not None:
-            dout = batch_norm_backward(dout, ws.bn)[0]
+            dout = batch_norm_backward(dout, ws.bn)
         if ws.mask is not None:
             dout = np.multiply(dout, ws.mask, out=ws.z)
         dout = np.multiply(dout, ws.act, out=ws.z)
@@ -467,7 +463,7 @@ def _finite_positive(name: str, v) -> float:
 
 class Optimizer:
     """An elementwise update of one parameter arena, with one `slot` array
-    over it, which the first `bind` makes."""
+    over it, which the first `bind` makes; each subclass defines `step`."""
     # the float operands of an update are float64 0-d arrays; `lr` is the
     # learning rate's as a float, and each step reads it anew
     lr = property(lambda self: float(self._lr),
@@ -490,9 +486,6 @@ class Optimizer:
             raise ShapeError(f"optimizer slot shape {self.slot.shape} != param {theta.shape}")
         param = theta[span]
         return param, grad[span], self.slot[span], np.empty((2, *param.shape))
-
-    def step(self, bound):
-        raise NotImplementedError
 
 
 class MomentumSGD(Optimizer):

@@ -243,7 +243,7 @@ def evaluate(net: TriNet, x, y) -> dict[str, float]:
 
 def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_p):
     accs = {b: float("nan") for b in TriNet.BRANCHES}
-    if eval_x is not None and eval_y is not None and len(eval_x) > 0:
+    if eval_x is not None and len(eval_x) > 0:
         accs = evaluate(state.net, eval_x, eval_y)
     lab_acc = float("nan")
     if target_y_hidden is not None:
@@ -259,13 +259,15 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head. The heads have `num_classes` outputs,
     the dataset's class count; without it, the largest source label + 1.
-    Each label array needs one label per row it labels, or nothing trains."""
+    Each label array needs one label per row it labels, or nothing trains;
+    `eval_x` and `eval_y` come together or not at all."""
     if source_y is None:
         raise ValueError("source_y is None: training needs the source labels")
     _check_labels("source_y", source_y, "source_x", source_x)
     _check_labels("target_y_hidden", target_y_hidden, "target_x", target_x)
-    if eval_x is not None:
-        _check_labels("eval_y", eval_y, "eval_x", eval_x)
+    if (eval_x is None) != (eval_y is None):
+        raise ValueError(f"{'eval_y' if eval_y is None else 'eval_x'} is None: pass both or none")
+    _check_labels("eval_y", eval_y, "eval_x", eval_x)
     source_y = np.asarray(source_y, dtype=np.int64)
     if num_classes is None:
         num_classes = int(source_y.max()) + 1 if len(source_y) else 2

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tritrain.nnlib import (affine_buffers, affine_forward, cross_entropy_buffers,
+from tritrain.nnlib import (Sequential, affine_buffers, affine_forward, cross_entropy_buffers,
                             softmax_cross_entropy)
 from tritrain.trinet import TriNet
 
@@ -67,6 +67,14 @@ def affine(x, W, b):
     """`affine_forward` of x with W and b, through views of its own that
     their constructor builds."""
     return affine_forward(x, W, affine_buffers(W, b))
+
+
+def extractor(in_dim, hidden_dim, activation, dropout_rate, use_bn, rng):
+    """A standalone `Sequential` over a zero-filled arena of its own, as a
+    `TriNet` hands it a slice of the net's."""
+    n = Sequential.size(in_dim, hidden_dim, use_bn)
+    return Sequential(in_dim, hidden_dim, activation, dropout_rate, use_bn, rng,
+                      (np.zeros(n), np.zeros(n)))
 
 
 def train_pass(f, x, rng=None):

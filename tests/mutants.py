@@ -75,6 +75,10 @@ MUTANTS = (
            "            dout = dout",
            ("tests/test_acceptance.py::test_acceptance_gradient_suite",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    Mutant("dropout_mask_scaled_by_the_drop_rate", "src/tritrain/nnlib.py",
+           "            np.divide(ws.keep, self._keep_rate, out=ws.mask)",
+           "            np.divide(ws.keep, self._rate, out=ws.mask)",
+           ("tests/test_acceptance.py::test_short_run_bytes_are_pinned",)),
     Mutant("first_layer_dW_halved", "src/tritrain/nnlib.py",
            "        affine_backward(dout, ws.xt, ws.affine)\n",
            "        affine_backward(dout, ws.xt, ws.affine)\n        self.dW *= 0.5\n",

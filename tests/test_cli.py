@@ -87,6 +87,22 @@ def test_parse_config_text_rejects_an_unterminated_string_naming_its_line():
         cli.parse_config_text('a.x = 1\ndata.dir = "/tmp/a # b\n')
 
 
+def test_a_quoted_value_that_is_not_one_json_literal_exits_config_naming_it(tmp_path, capsys):
+    # '"/tmp/x" junk' used to pass as a bare string and fail later as an
+    # I/O error on a path with quotes in it
+    for text in ('"/tmp/x" junk', '["a", 1] x', '/tmp/"x"'):
+        with pytest.raises(ConfigError, match="config line 2: a value with a quote"):
+            cli.parse_config_text(f"a.x = 1\ndata.dir = {text}\n")
+    item = 'data.dir="/tmp/x" junk'
+    rc = cli.main(["train", "--config", write_cfg(tmp_path, TRAIN_CFG), "--out",
+                   str(tmp_path / "o"), "--set", item])
+    assert rc == cli.EXIT_CONFIG
+    assert f"--set {item!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # a value without quotes keeps the bare-string fallback
+    assert cli.parse_config_text("d.w = plain text\n") == {"d.w": "plain text"}
+
+
 def test_parse_config_text_rejects_bad_line():
     with pytest.raises(ConfigError, match="line 2"):
         cli.parse_config_text("a.x = 1\nnot a key value\n")
@@ -377,6 +393,33 @@ def test_train_on_a_one_row_source_exits_config(tmp_path, capsys):
         rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / f"run{n}")])
         assert rc == cli.EXIT_CONFIG
         assert f"at least 2 source rows, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "bound-check"])
+def test_a_dataset_directory_with_a_sparse_bow_pair_exits_config_naming_both(tmp_path, capsys,
+                                                                             command):
+    # train used to read the directory, never the sparse files, and exit 0
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path, DATA_CFG, "gen.cfg"),
+                     "--out", str(data)]) == cli.EXIT_OK
+    bow = Path(sparse_bow_cfg(tmp_path, "1 0:1.0\n-1 1:1.0\n")).read_text()
+    text = f'data.dir = "{data}"\n' + bow
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": cli.parse_config_text(text)}))
+    # a config file, and a manifest re-run of the same keys
+    for cfg in (write_cfg(tmp_path, text, "both.cfg"), str(manifest)):
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "'data.dir' and 'data.format'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_train_on_a_dataset_without_target_labels_reports_no_accuracy(tmp_path):
+    cfg = unlabeled_dataset_cfg(tmp_path, TRAIN_CFG, "target")
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == cli.EXIT_OK
+    for m in trainer.read_metrics_csv(out / "metrics.csv"):
+        assert np.isnan([m.acc_f1, m.acc_f2, m.acc_ft, m.labeling_acc]).all()
 
 
 def test_train_sparse_bow_without_dim_exits_config(tmp_path, capsys):

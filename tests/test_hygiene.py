@@ -17,6 +17,7 @@ import textwrap
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mutants import MUTANTS
@@ -368,6 +369,17 @@ def test_each_kernel_has_the_one_calling_form_the_program_uses():
                nnlib.affine_backward, trinet.weight_divergence)
     assert all("ws" in inspect.signature(f).parameters for f in kernels)
     assert optional_workspaces([nnlib, trinet]) == []
+    # dropout runs inside the extractor, in its workspace; the extractor
+    # writes batch norm's output into its own buffer and lives in a
+    # TriNet's arena, and the program reads only batch norm's dx, the
+    # parameter gradients being the workspace's `grads` rows
+    assert not hasattr(nnlib, "dropout_train")
+    for f, name in ((nnlib.batch_norm_train, "out"), (nnlib.Sequential.__init__, "arena")):
+        assert inspect.signature(f).parameters[name].default is inspect.Parameter.empty, name
+    ws = nnlib.batch_norm_buffers(np.ones((1, 2)), np.zeros((1, 2)), 3, np.empty((2, 2)))
+    x = np.arange(6.0).reshape(2, 3)
+    nnlib.batch_norm_train(x, np.zeros((2, 2)), np.zeros(1, dtype=np.int64), ws, np.empty((2, 3)))
+    assert type(nnlib.batch_norm_backward(np.ones((2, 3)), ws)) is np.ndarray
     for f in (nnlib.batch_norm_train, nnlib.batch_norm_eval, nnlib.batch_norm_buffers):
         assert not {"eps", "momentum"} & inspect.signature(f).parameters.keys(), f.__name__
     for f, held in ((nnlib.affine_backward, {"W"}), (nnlib.affine_forward, {"b"}),

@@ -1,18 +1,20 @@
+import copy
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tritrain.nnlib import (BN_EPS, BN_MOMENTUM, Adagrad, ConfigError, MomentumSGD,
-                            Sequential, ShapeError, StateError,
+                            ShapeError, StateError,
                             affine_backward, affine_backward_buffers,
                             batch_norm_backward, batch_norm_buffers, batch_norm_eval,
-                            batch_norm_train, cross_entropy_buffers, dropout_train, sigmoid,
-                            softmax, softmax_cross_entropy)
+                            batch_norm_train, cross_entropy_buffers, sigmoid, softmax,
+                            softmax_cross_entropy)
 
-from conftest import (affine, cross_entropy, finite_difference_gradient, named, rel_err,
-                      train_pass)
+from conftest import (affine, cross_entropy, extractor, finite_difference_gradient, named,
+                      rel_err, train_pass)
 
 
 def cols(a):
@@ -35,8 +37,9 @@ def bn_buffers(gamma, beta, n):
 
 
 def bn_train(x, gamma, beta, running, count):
-    """`batch_norm_train` of x (d, n) in a workspace of its own."""
-    return batch_norm_train(x, running, count, bn_buffers(gamma, beta, x.shape[-1]))
+    """`batch_norm_train` of x (d, n) in a workspace and output of its own."""
+    return batch_norm_train(x, running, count, bn_buffers(gamma, beta, x.shape[-1]),
+                            np.empty(x.shape))
 
 
 def affine_grads(dout, x):
@@ -185,7 +188,8 @@ def test_bn_grads_match_finite_differences():
         beta = rng.normal(size=(1, 3))
         up = cols(rng.normal(size=(8, 3)))
         _, cache = bn_train(x, gamma, beta, *fresh_stats(3))
-        dx, dgamma, dbeta = batch_norm_backward(up, cache)
+        dx = batch_norm_backward(up, cache)
+        dgamma, dbeta = cache.grads[:1], cache.grads[1:]
 
         def loss(xx=None, g=None, b=None):
             out, _ = bn_train(x if xx is None else xx, gamma if g is None else g,
@@ -203,7 +207,7 @@ def test_bn_running_average_weighs_by_bn_momentum():
     running, count = fresh_stats(1)
     # batch means 5 then 5.5, variances 1 then 0.25
     for x in ([[4.0, 6.0]], [[5.0, 6.0]]):
-        batch_norm_train(np.array(x), running, count, ws)
+        batch_norm_train(np.array(x), running, count, ws, np.empty((1, 2)))
     assert BN_MOMENTUM == 0.9
     np.testing.assert_array_equal(running, [[0.9 * 5.0 + (1 - 0.9) * 5.5],
                                             [0.9 * 1.0 + (1 - 0.9) * 0.25]])
@@ -251,9 +255,9 @@ def test_bn_eval_centering_converges_monte_carlo():
     stats = fresh_stats(2)
     rng = np.random.default_rng(7)
     gamma, beta = np.ones((1, 2)), np.zeros((1, 2))
-    ws = bn_buffers(gamma, beta, 128)
+    ws, out = bn_buffers(gamma, beta, 128), np.empty((2, 128))
     for _ in range(200):
-        batch_norm_train(cols(rng.normal(loc=1.5, scale=0.7, size=(128, 2))), *stats, ws)
+        batch_norm_train(cols(rng.normal(loc=1.5, scale=0.7, size=(128, 2))), *stats, ws, out)
     test_x = cols(rng.normal(loc=1.5, scale=0.7, size=(5000, 2)))
     y = batch_norm_eval(test_x, gamma, beta, *stats)
     assert np.abs(y.mean(axis=1)).max() < 0.1
@@ -263,27 +267,58 @@ def test_bn_eval_centering_converges_monte_carlo():
 # dropout
 
 
-def test_dropout_rate_zero_is_identity():
-    x = np.random.default_rng(8).normal(size=(4, 5))
-    y, mask = dropout_train(x, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(y, x)
+def test_dropout_rate_zero_builds_no_dropout_part():
+    rng = np.random.default_rng(8)
+    f = extractor(3, 5, "sigmoid", 0.0, False, np.random.default_rng(0))
+    ws = f.workspace(4)
+    assert ws.u is ws.uT is ws.keep is ws.mask is ws.drop_out is None
+    x = rng.normal(size=(4, 3))
+    # no generator needed, and f's output is the activation itself
+    np.testing.assert_array_equal(train_pass(f, x).h, sigmoid(affine(x.T, f.W, f.b)))
 
 
 def test_dropout_preserves_mean():
-    x = np.ones((200, 100))
-    y, _ = dropout_train(x, 0.5, np.random.default_rng(9))
+    # every activation 1 before dropout: relu of a zero W and a unit bias
+    f = extractor(1, 100, "relu", 0.5, False, np.random.default_rng(0))
+    f.W[...], f.b[...] = 0.0, 1.0
+    y = train_pass(f, np.ones((200, 1)), np.random.default_rng(9)).h
     assert abs(y.mean() - 1.0) < 0.05
 
 
 def test_dropout_mask_values():
-    x = np.ones((50, 50))
-    _, mask = dropout_train(x, 0.25, np.random.default_rng(10))
-    assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
+    f = extractor(2, 50, "sigmoid", 0.25, True, np.random.default_rng(0))
+    ws = train_pass(f, np.ones((50, 2)), np.random.default_rng(10))
+    assert set(np.unique(ws.mask)) == {0.0, 1.0 / 0.75}
 
 
-def test_dropout_rate_one_rejected():
-    with pytest.raises(ConfigError):
-        dropout_train(np.ones((2, 2)), 1.0, np.random.default_rng(0))
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, math.nan])
+def test_dropout_rate_outside_zero_one_is_rejected_at_construction(rate):
+    # a rate of 1 used to fail only at the first batch, and a negative one
+    # meant no dropout
+    with pytest.raises(ConfigError, match="dropout rate"):
+        extractor(2, 2, "sigmoid", rate, True, np.random.default_rng(0))
+
+
+def test_dropout_batches_reuse_their_workspace_buffers_and_draw_the_inverted_mask():
+    rate, (n, d) = 0.2, (512, 64)
+    f = extractor(3, d, "relu", rate, True, np.random.default_rng(0))
+    ws, rng = f.workspace(n), np.random.default_rng(11)
+    buffers = ws.u, ws.keep, ws.mask
+    x = rng.normal(size=(n, 3))
+    for _ in range(2):
+        twin = copy.deepcopy(rng)
+        tracemalloc.start()
+        f.forward(x, ws, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # no array of the batch's size is made: the draws, flags and mask
+        # go into the workspace
+        assert peak < ws.mask.nbytes
+        assert all(a is b for a, b in zip((ws.u, ws.keep, ws.mask), buffers))
+        # the mask of the inverted-dropout formula, drawn (n, d) and transposed
+        keep = twin.random((n, d)).T >= rate
+        assert_same_bits(ws.mask, keep / (1.0 - rate))
+        assert twin.bit_generator.state == rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +488,7 @@ def test_sigmoid_relu_grads_match_finite_differences():
         # f's output is (hidden, n): one column per row of x
         up = cols(rng.normal(size=(4, 3)))
         for kind in ("sigmoid", "relu"):
-            f = Sequential(3, 3, kind, 0.0, False, rng)
+            f = extractor(3, 3, kind, 0.0, False, rng)
             ws = train_pass(f, x)
             ws.dout[...] = up
             f.backward(ws)
@@ -464,10 +499,10 @@ def test_sigmoid_relu_grads_match_finite_differences():
 
 def test_extractor_rejects_an_unknown_activation_or_a_zero_width():
     with pytest.raises(ConfigError, match="tanh"):
-        Sequential(2, 2, "tanh", 0.0, True, np.random.default_rng(0))
+        extractor(2, 2, "tanh", 0.0, True, np.random.default_rng(0))
     for in_dim, hidden_dim in ((0, 2), (2, 0)):
         with pytest.raises(ConfigError, match="in_dim and hidden_dim >= 1"):
-            Sequential(in_dim, hidden_dim, "sigmoid", 0.0, True, np.random.default_rng(0))
+            extractor(in_dim, hidden_dim, "sigmoid", 0.0, True, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("use_bn", [False, True])
@@ -475,7 +510,7 @@ def test_backward_without_a_train_mode_forward_is_a_state_error(use_bn):
     # it used to raise a bare AttributeError; an eval-mode forward keeps
     # nothing a backward could read
     rng = np.random.default_rng(15)
-    f = Sequential(3, 4, "sigmoid", 0.0, use_bn, rng)
+    f = extractor(3, 4, "sigmoid", 0.0, use_bn, rng)
     ws = f.workspace(8)
     ws.dout.fill(1.0)
     with pytest.raises(StateError, match="train-mode forward"):
@@ -489,8 +524,8 @@ def test_backward_without_a_train_mode_forward_is_a_state_error(use_bn):
 
 
 def test_sequential_seed_reproducibility():
-    a = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
-    b = Sequential(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
+    a = extractor(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
+    b = extractor(4, 8, "sigmoid", 0.0, True, np.random.default_rng(12))
     assert named(a).keys() == {"W", "b", "gamma", "beta"}
     for k, v in named(a).items():
         np.testing.assert_array_equal(v, named(b)[k])
@@ -498,7 +533,7 @@ def test_sequential_seed_reproducibility():
 
 def test_forward_outputs_stay_finite():
     rng = np.random.default_rng(13)
-    net = Sequential(5, 7, "relu", 0.0, True, rng)
+    net = extractor(5, 7, "relu", 0.0, True, rng)
     for _ in range(5):
         out = train_pass(net, rng.normal(scale=100, size=(16, 5))).out
         assert np.all(np.isfinite(out))
@@ -699,10 +734,10 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     ref_stats = {"mean": np.zeros(d), "var": np.ones(d), "count": 0}
     gamma, beta = rng.normal(size=(1, d)), rng.normal(size=(1, d))
     # one workspace for every call, as a phase's batches share f's
-    ws = bn_buffers(gamma, beta, n)
+    ws, out = bn_buffers(gamma, beta, n), np.empty((d, n))
     for call in range(4):
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
-        y, cache = batch_norm_train(x, running, count, ws)
+        y, cache = batch_norm_train(x, running, count, ws, out)
         ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
         assert_same_bits(y, ref_y)
         for a, b in zip(cache[:2], ref_cache[:2]):
@@ -711,8 +746,10 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
         assert_same_bits(running[1], ref_stats["var"])
         assert count[0] == ref_stats["count"] == call + 1
         up = cols(rng.normal(size=(n, d)))
-        for a, b in zip(batch_norm_backward(up, cache), _batch_norm_backward_sums(up, ref_cache)):
-            assert_same_bits(a, b)
+        ref_dx, ref_dgamma, ref_dbeta = _batch_norm_backward_sums(up, ref_cache)
+        assert_same_bits(batch_norm_backward(up, cache), ref_dx)
+        assert_same_bits(cache.grads[:1], ref_dgamma)
+        assert_same_bits(cache.grads[1:], ref_dbeta)
 
 
 def test_stacked_kernels_equal_the_2d_call_on_each_slice():
@@ -757,7 +794,7 @@ def test_stacked_affine_rejects_mismatched_model_axes():
 
 def arena_net(seed):
     """An extractor from 3 inputs to 5 units with batch norm."""
-    return Sequential(3, 5, "sigmoid", 0.0, True, np.random.default_rng(seed))
+    return extractor(3, 5, "sigmoid", 0.0, True, np.random.default_rng(seed))
 
 
 def assert_views_of_arena(net):

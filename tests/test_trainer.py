@@ -395,10 +395,19 @@ def test_evaluate_rejects_missing_labels():
 
 def test_run_without_eval_labels_reports_nan_accuracy():
     ds = blobs_dataset()
-    hist, _ = run(ds.source_x, ds.source_y, ds.target_x, small_cfg(steps_k=1),
-                  eval_x=ds.target_x, eval_y=None)
+    hist, _ = run(ds.source_x, ds.source_y, ds.target_x, small_cfg(steps_k=1))
     for m in hist:
         assert np.isnan([m.acc_f1, m.acc_f2, m.acc_ft]).all()
+
+
+@pytest.mark.parametrize("given", ["eval_x", "eval_y"])
+def test_run_with_only_one_of_eval_x_and_eval_y_raises_naming_the_other(given):
+    # either one alone used to run to the end with every accuracy NaN
+    ds = moons_60()
+    evaluation = {"eval_x": ds.target_x, "eval_y": ds.target_y_hidden}
+    missing = ({"eval_x", "eval_y"} - {given}).pop()
+    with pytest.raises(ValueError, match=f"^{missing} is None"):
+        run(ds.source_x, ds.source_y, ds.target_x, small_cfg(), **{given: evaluation[given]})
 
 
 def test_evaluate_rejects_empty():
