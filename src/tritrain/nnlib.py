@@ -86,15 +86,14 @@ def affine_backward_buffers(dout: np.ndarray, dW, db) -> AffineGradBuffers:
     return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db, db[..., 0, :])
 
 
-def affine_backward(dout: np.ndarray, x: np.ndarray, ws: AffineGradBuffers):
+def affine_backward(dout: np.ndarray, x: np.ndarray, ws: AffineGradBuffers) -> None:
     """The parameter gradients of `affine_forward`, slice by slice over
     leading axes, written into the dW and db of `ws`, the
-    `affine_backward_buffers` of dout, and returned. No caller reads an
-    affine layer's input gradient, so none is made."""
-    doutT, dW, db, db_rows = ws
+    `affine_backward_buffers` of dout. No caller reads an affine layer's
+    input gradient, so none is made."""
+    doutT, dW, _, db_rows = ws
     np.matmul(x, doutT, out=dW)
     np.add.reduce(dout, axis=-1, out=db_rows)
-    return dW, db
 
 
 def sigmoid(x: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -199,7 +198,7 @@ def softmax_cross_entropy(labels: np.ndarray, ws: CrossEntropyBuffers):
 
 class BatchNormBuffers(NamedTuple):
     """The buffers and views of `batch_norm_train` and `batch_norm_backward`
-    for one batch size; the train call returns them as its cache."""
+    for one batch size; the train call leaves backward's cache in them."""
     xhat: np.ndarray        # the centred x, then x̂ (d, n)
     inv_std: np.ndarray     # (d, 1) columns of one (3, d, 1) array
     mean: np.ndarray
@@ -229,17 +228,17 @@ def batch_norm_buffers(gamma, beta, n: int, grads) -> BatchNormBuffers:
         grads[1, :, None])
 
 
-def batch_norm_train(x, running, count, ws: BatchNormBuffers, out):
+def batch_norm_train(x, running, count, ws: BatchNormBuffers, out) -> None:
     """Standardize each feature row of x (d, n), a C-ordered float64 array,
     with its batch statistics, then scale and shift by the gamma and beta
     of `ws`, their `batch_norm_buffers`, into `out` (d, n). `ws` holds the
-    intermediates, x̂ among them.
+    intermediates, x̂ among them, and is the cache `batch_norm_backward`
+    reads.
 
     `running` (2, d) holds the running mean and variance as its rows and
     `count` (1,) the batches seen; both are updated in place, the rows by
-    an exponential moving average with `BN_MOMENTUM`. Returns (y, cache),
-    where the cache, the workspace, feeds batch_norm_backward. Batch
-    variance is the biased estimator.
+    an exponential moving average with `BN_MOMENTUM`. Batch variance is
+    the biased estimator.
     """
     if x.shape[-1] < 2:
         raise ValueError("batch norm needs a batch of at least 2 in training mode")
@@ -256,8 +255,8 @@ def batch_norm_train(x, running, count, ws: BatchNormBuffers, out):
     np.sqrt(inv_std, out=inv_std)
     np.divide(_ONE, inv_std, out=inv_std)
     np.multiply(xhat, inv_std, out=xhat)
-    y = np.multiply(gammaT, xhat, out=out)
-    y += betaT
+    np.multiply(gammaT, xhat, out=out)
+    out += betaT
     if count[0] == 0:
         running[...] = stats
     else:
@@ -265,7 +264,6 @@ def batch_norm_train(x, running, count, ws: BatchNormBuffers, out):
         stats *= _BN_RATE
         running += stats
     count[0] += 1
-    return y, ws
 
 
 def batch_norm_backward(dout, cache):
@@ -372,11 +370,12 @@ class Sequential(Layer):
         n), last row 1, which maps through a head's (hidden + 1, k)
         weights-then-bias matrix to logits in one matmul, and its first rows
         `h`; the pre-activation `z`, the activation's output (`h` if f's last
-        part), sigmoid's scratch `e` and relu's mask; dropout's uniforms `u`
-        (n, hidden), `uT`, `keep`, `mask` and output, and batch norm's
-        buffers, None without the part; `dout`, where a caller writes
-        backward's incoming gradient; the first layer's gradient buffers;
-        and the batch's columns `xt`, which `forward` records."""
+        part), and `act`, what backward multiplies by: sigmoid's output, or
+        relu's mask; sigmoid's scratch `e`, dropout's uniforms `u` (n,
+        hidden), `uT`, `keep`, `mask` and output, and batch norm's buffers,
+        None without the part; `dout`, where a caller writes backward's
+        incoming gradient; the first layer's gradient buffers; and the
+        batch's columns `xt`, which `forward` records."""
         d = self.W.shape[1]
         out = np.empty((d + 1, n))
         out[-1] = 1.0
@@ -388,11 +387,11 @@ class Sequential(Layer):
             drop = dict(u=u, uT=u.T, keep=np.empty((d, n), dtype=bool), mask=np.empty((d, n)),
                         drop_out=z if bn else h)
         act_out = np.empty((d, n)) if bn or dropout else h
-        relu_mask = np.empty((d, n), dtype=bool)
+        sig = self.activation == "sigmoid"
         bn_ws = batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None
         return SimpleNamespace(
-            out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)), relu_mask=relu_mask,
-            **drop, bn=bn_ws, act=act_out if self.activation == "sigmoid" else relu_mask,
+            out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)) if sig else None,
+            act=act_out if sig else np.empty((d, n), dtype=bool), **drop, bn=bn_ws,
             # f's incoming gradient is batch norm's dx row, else free space in z
             dout=bn_ws.dx if bn else z, affine=affine_backward_buffers(z, self.dW, self.db),
             xt=None)
@@ -410,7 +409,7 @@ class Sequential(Layer):
         if self.activation == "sigmoid":
             z = sigmoid(z, ws.act_out, ws.e)
         else:
-            np.greater(z, _ZERO, out=ws.relu_mask)
+            np.greater(z, _ZERO, out=ws.act)
             z = np.maximum(z, _ZERO, out=ws.act_out)
         if ws.mask is not None:
             rng.random(out=ws.u)

@@ -159,8 +159,8 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
         # the rows of x[idx], from a call that costs a fraction of indexing's
         xb, yb = x.take(idx, axis=0), y[idx]
         if phase == "labeling":
-            loss, parts = net.joint_labeling_loss(xb, yb, rng=state.rng_train)
-            penalties.append(parts["penalty"])
+            loss, penalty = net.joint_labeling_loss(xb, yb, rng=state.rng_train)
+            penalties.append(penalty)
         else:
             loss = net.target_loss(xb, yb, rng=state.rng_train)
         if not math.isfinite(loss):
@@ -228,6 +228,22 @@ def _check_labels(name: str, y, rows_name: str, rows) -> None:
         raise ValueError(f"{name} has length {len(y)}, but {rows_name} has {len(rows)} rows")
 
 
+def _class_labels(source_y, num_classes) -> np.ndarray:
+    """source_y as int64, or a ValueError naming it and its first value
+    that is not an integer in [0, num_classes), or >= 0 if that is None."""
+    y = np.asarray(source_y)
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"source_y holds {y.dtype} values, not integer class labels")
+    top = math.inf if num_classes is None else num_classes
+    # NaN and inf cast to an integer that differs from them
+    with np.errstate(invalid="ignore"):
+        labels = y.astype(np.int64)
+    bad = (labels != y) | (labels < 0) | (labels >= top)
+    if bad.any():
+        raise ValueError(f"source_y holds {y[bad][0].item()!r}, not an integer in [0, {top})")
+    return labels
+
+
 def evaluate(net: TriNet, x, y) -> dict[str, float]:
     """Each head's fraction of argmax-correct predictions, from one
     eval-mode pass."""
@@ -260,7 +276,8 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     model is the target-specific head. The heads have `num_classes` outputs,
     the dataset's class count; without it, the largest source label + 1.
     Each label array needs one label per row it labels, or nothing trains;
-    `eval_x` and `eval_y` come together or not at all."""
+    every source label is an integer in [0, num_classes); `eval_x` and
+    `eval_y` come together or not at all."""
     if source_y is None:
         raise ValueError("source_y is None: training needs the source labels")
     _check_labels("source_y", source_y, "source_x", source_x)
@@ -268,7 +285,7 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     if (eval_x is None) != (eval_y is None):
         raise ValueError(f"{'eval_y' if eval_y is None else 'eval_x'} is None: pass both or none")
     _check_labels("eval_y", eval_y, "eval_x", eval_x)
-    source_y = np.asarray(source_y, dtype=np.int64)
+    source_y = _class_labels(source_y, num_classes)
     if num_classes is None:
         num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     state = init_state(cfg, source_x.shape[1], num_classes)

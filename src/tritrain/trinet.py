@@ -88,8 +88,8 @@ class TriNet:
     def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 50,
                  activation: str = "sigmoid", dropout_rate: float = 0.0, use_bn: bool = True,
                  lam: float = 0.01, gates: GradientGates | None = None, seed: int = 0):
-        if lam < 0:
-            raise ConfigError("lambda must be non-negative")
+        if not lam >= 0:  # NaN fails too
+            raise ConfigError(f"lambda (lam) must be >= 0, got {lam}")
         self.num_classes = num_classes
         self.lam = lam
         self.gates = gates or GradientGates()
@@ -144,25 +144,21 @@ class TriNet:
     # -- objectives ---------------------------------------------------------
 
     def _workspace(self, phase: str, n: int) -> SimpleNamespace:
-        """Buffers and views for n rows of `phase`: the labels' shape (n,),
-        its gate field, its S adjacent heads' Wbᵀ and dWb blocks, their
-        logits (S, k, n) and `cross_entropy_buffers` (dz, also as dzᵀ), the
-        heads' W and dW blocks (S, d, k), and f's incoming gradient's
-        sources: one head's W and dz, or two heads' dx (S, d, n) and its
-        rows; f's `workspace(n)`, the one place its batch buffers live; and
-        in the labeling phase the `divergence_buffers` of f1's and f2's W."""
+        """Buffers and views for n rows of `phase`: its gate field, its S
+        adjacent heads' Wbᵀ and dWb blocks, their logits (S, k, n) and
+        `cross_entropy_buffers` (dz, also as dzᵀ), the heads' W and dW
+        blocks (S, d, k), and `dx` (S, d, n), each head's share of f's
+        incoming gradient; f's `workspace(n)`, the one place its batch
+        buffers live; and in the labeling phase the `divergence_buffers` of
+        f1's and f2's W. With one head, `dx` is f's `dout` itself."""
         heads, gate = self.PHASES[phase]
         Wb, dWb, WbT = self._blocks[phase]
         logits = np.empty((len(heads), self.num_classes, n))
         ce = cross_entropy_buffers(logits)
-        W, dx = Wb[:, :-1], None
-        if len(heads) > 1:
-            dx = np.empty((len(heads), W.shape[1], n))
-        ws = SimpleNamespace(phase=phase, n=n, y_shape=(n,), gate=gate, WbT=WbT, dWb=dWb,
-                             logits=logits, ce=ce, dzT=ce.grad.swapaxes(-1, -2), W=W,
-                             dW=dWb[:, :-1], W0=W[0], dz0=ce.grad[0], dx=dx, f=self.f.workspace(n))
-        if dx is not None:
-            ws.dx0, ws.dx1 = dx
+        W, f_ws = Wb[:, :-1], self.f.workspace(n)
+        dx = f_ws.dout[None] if len(heads) == 1 else np.empty((len(heads), W.shape[1], n))
+        ws = SimpleNamespace(phase=phase, n=n, gate=gate, WbT=WbT, dWb=dWb, logits=logits, ce=ce,
+                             dzT=ce.grad.swapaxes(-1, -2), W=W, dW=dWb[:, :-1], dx=dx, f=f_ws)
         if phase == "labeling":
             ws.div = divergence_buffers(*W)
         return ws
@@ -181,7 +177,7 @@ class TriNet:
         ws = self._ws
         if ws is None or ws.phase != phase or ws.n != n:
             ws = self._ws = self._workspace(phase, n)
-        if y.shape != ws.y_shape or y.dtype != np.int64:
+        if y.shape != (n,) or y.dtype != np.int64:
             raise ShapeError(f"labels {y.dtype} {y.shape} do not fit a batch of {n}: "
                              f"int64 ({n},) needed")
         # read as unsigned, a negative label is 2**63 or more
@@ -194,27 +190,26 @@ class TriNet:
         loss, dz = softmax_cross_entropy(y, ws.ce)
         np.matmul(h, ws.dzT, out=ws.dWb)
         if getattr(self.gates, ws.gate):
-            # f's incoming gradient, written where its backward reads it
-            if ws.dx is None:
-                np.matmul(ws.W0, ws.dz0, out=ws.f.dout)
-            else:
-                np.matmul(ws.W, dz, out=ws.dx)
+            # each head's share of f's incoming gradient; one head's is
+            # written where f's backward reads it, two heads' are added there
+            np.matmul(ws.W, dz, out=ws.dx)
+            if len(ws.dx) > 1:
                 # `+`, unlike a sum over the axis, keeps -0.0 + -0.0 == -0.0
-                np.add(ws.dx0, ws.dx1, out=ws.f.dout)
+                np.add(*ws.dx, out=ws.f.dout)
             self.f.backward(ws.f)
         return loss
 
     def joint_labeling_loss(self, x, y, rng=None):
         """Mean cross-entropy through both labeling heads plus the weight
-        penalty, applied once per batch. Populates grads for f1, f2 and,
-        if the f1/f2 gate is open, the shared extractor."""
+        penalty, applied once per batch, and the penalty. Populates grads
+        for f1, f2 and, if the f1/f2 gate is open, the shared extractor."""
         ce = self._heads_loss("labeling", x, y, rng)
         ws = self._ws
         penalty, grads = weight_divergence(ws.div)
         grads *= self.lam
         np.add(ws.dW, grads, out=ws.dW)
         total = ce[0] + ce[1] + self.lam * penalty
-        return total, {"ce_f1": ce[0], "ce_f2": ce[1], "penalty": penalty}
+        return total, penalty
 
     def target_loss(self, x, y, rng=None):
         """Mean cross-entropy through the target head. Populates grads for ft

@@ -66,8 +66,8 @@ MUTANTS = (
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
     Mutant("relu_backward_passes_every_unit", "src/tritrain/nnlib.py",
-           "            np.greater(z, _ZERO, out=ws.relu_mask)",
-           "            np.greater(z, -np.inf, out=ws.relu_mask)",
+           "            np.greater(z, _ZERO, out=ws.act)",
+           "            np.greater(z, -np.inf, out=ws.act)",
            ("tests/test_nnlib.py::test_sigmoid_relu_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("dropout_backward_without_its_mask", "src/tritrain/nnlib.py",
@@ -84,6 +84,18 @@ MUTANTS = (
            "        affine_backward(dout, ws.xt, ws.affine)\n        self.dW *= 0.5\n",
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_acceptance_gradient_suite")),
+    # f's incoming gradient: the heads' stacked product, in f's dout itself
+    # for one head, summed there for two
+    Mutant("one_labeling_head_reaches_f", "src/tritrain/trinet.py",
+           "                np.add(*ws.dx, out=ws.f.dout)",
+           "                np.copyto(ws.f.dout, ws.dx[0])",
+           ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
+            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    Mutant("target_head_gradient_kept_apart_from_f", "src/tritrain/trinet.py",
+           "        dx = f_ws.dout[None] if len(heads) == 1 else",
+           "        dx = np.empty((1, W.shape[1], n)) if len(heads) == 1 else",
+           ("tests/test_trinet.py::test_target_phase_f_gradient_is_the_2d_product_of_its_head",
+            "tests/test_trinet.py::test_target_loss_gradient_matches_fd")),
     Mutant("batch_norm_backward_without_the_xhat_term", "src/tritrain/nnlib.py",
            "    dx -= np.multiply(xhat, dgamma_col, out=buf_xhat)\n",
            "",

@@ -376,10 +376,29 @@ def test_each_kernel_has_the_one_calling_form_the_program_uses():
     assert not hasattr(nnlib, "dropout_train")
     for f, name in ((nnlib.batch_norm_train, "out"), (nnlib.Sequential.__init__, "arena")):
         assert inspect.signature(f).parameters[name].default is inspect.Parameter.empty, name
+    # each kernel writes into the buffers its caller passes and returns
+    # nothing the program would discard
     ws = nnlib.batch_norm_buffers(np.ones((1, 2)), np.zeros((1, 2)), 3, np.empty((2, 2)))
     x = np.arange(6.0).reshape(2, 3)
-    nnlib.batch_norm_train(x, np.zeros((2, 2)), np.zeros(1, dtype=np.int64), ws, np.empty((2, 3)))
+    assert nnlib.batch_norm_train(x, np.zeros((2, 2)), np.zeros(1, dtype=np.int64), ws,
+                                  np.empty((2, 3))) is None
     assert type(nnlib.batch_norm_backward(np.ones((2, 3)), ws)) is np.ndarray
+    grad_ws = nnlib.affine_backward_buffers(np.ones((2, 3)), np.empty((2, 2)), np.empty((1, 2)))
+    assert nnlib.affine_backward(np.ones((2, 3)), x, grad_ws) is None
+    # both phases run one stacked head path: no view of a lone head or of a
+    # row of the heads' gradients, and no label shape kept per batch size
+    net = trinet.TriNet(2, 2, hidden_dim=2)
+    for phase in net.PHASES:
+        assert not {"W0", "dz0", "dx0", "dx1", "y_shape"} & vars(net._workspace(phase, 3)).keys()
+    # an extractor's workspace holds only its activation's buffers: a
+    # sigmoid's no relu mask, a relu's no exp scratch
+    for activation in ("sigmoid", "relu"):
+        cfg = TrainConfig(hidden_dim=2, activation=activation)
+        f_ws = trainer.build_net(cfg, 2, 2).f.workspace(3)
+        masks = [k for k, v in vars(f_ws).items()
+                 if isinstance(v, np.ndarray) and v.dtype == bool]
+        assert masks == ([] if activation == "sigmoid" else ["act"]), activation
+        assert (f_ws.e is None) == (activation == "relu"), activation
     for f in (nnlib.batch_norm_train, nnlib.batch_norm_eval, nnlib.batch_norm_buffers):
         assert not {"eps", "momentum"} & inspect.signature(f).parameters.keys(), f.__name__
     for f, held in ((nnlib.affine_backward, {"W"}), (nnlib.affine_forward, {"b"}),

@@ -37,17 +37,20 @@ def bn_buffers(gamma, beta, n):
 
 
 def bn_train(x, gamma, beta, running, count):
-    """`batch_norm_train` of x (d, n) in a workspace and output of its own."""
-    return batch_norm_train(x, running, count, bn_buffers(gamma, beta, x.shape[-1]),
-                            np.empty(x.shape))
+    """`batch_norm_train` of x (d, n) in a workspace and output of its own:
+    (output, workspace)."""
+    out, ws = np.empty(x.shape), bn_buffers(gamma, beta, x.shape[-1])
+    batch_norm_train(x, running, count, ws, out)
+    return out, ws
 
 
 def affine_grads(dout, x):
-    """`affine_backward`'s (dW, db), written into new arrays that fit x and
-    dout, stacked or not."""
+    """The (dW, db) that `affine_backward` writes, into new arrays that fit
+    x and dout, stacked or not."""
     lead, k = np.broadcast_shapes(x.shape[:-2], dout.shape[:-2]), dout.shape[-2]
     dW, db = np.empty((*lead, x.shape[-2], k)), np.empty((*lead, 1, k))
-    return affine_backward(dout, x, affine_backward_buffers(dout, dW, db))
+    affine_backward(dout, x, affine_backward_buffers(dout, dW, db))
+    return dW, db
 
 
 # ---------------------------------------------------------------------------
@@ -737,19 +740,19 @@ def test_batch_norm_bits_equal_the_dict_formulas(n, d):
     ws, out = bn_buffers(gamma, beta, n), np.empty((d, n))
     for call in range(4):
         x = cols(rng.normal(loc=rng.normal(scale=10), scale=rng.uniform(0.01, 100), size=(n, d)))
-        y, cache = batch_norm_train(x, running, count, ws, out)
+        batch_norm_train(x, running, count, ws, out)
         ref_y, ref_cache = _batch_norm_train_dict(x, gamma, beta, 1e-5, ref_stats, 0.9)
-        assert_same_bits(y, ref_y)
-        for a, b in zip(cache[:2], ref_cache[:2]):
+        assert_same_bits(out, ref_y)
+        for a, b in zip(ws[:2], ref_cache[:2]):
             assert_same_bits(a, b)
         assert_same_bits(running[0], ref_stats["mean"])
         assert_same_bits(running[1], ref_stats["var"])
         assert count[0] == ref_stats["count"] == call + 1
         up = cols(rng.normal(size=(n, d)))
         ref_dx, ref_dgamma, ref_dbeta = _batch_norm_backward_sums(up, ref_cache)
-        assert_same_bits(batch_norm_backward(up, cache), ref_dx)
-        assert_same_bits(cache.grads[:1], ref_dgamma)
-        assert_same_bits(cache.grads[1:], ref_dbeta)
+        assert_same_bits(batch_norm_backward(up, ws), ref_dx)
+        assert_same_bits(ws.grads[:1], ref_dgamma)
+        assert_same_bits(ws.grads[1:], ref_dbeta)
 
 
 def test_stacked_kernels_equal_the_2d_call_on_each_slice():

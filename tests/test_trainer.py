@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -377,6 +378,39 @@ def test_run_without_source_labels_raises_naming_them():
     ds = moons_60()
     with pytest.raises(ValueError, match="^source_y is None"):
         run(ds.source_x, None, ds.target_x, small_cfg())
+
+
+def first_label(value):
+    """An edit of a label array: its first label set to `value`."""
+    def edit(y):
+        y = y.astype(type(value))
+        y[0] = value
+        return y
+    return edit
+
+
+# (edit of the source labels, TrainConfig fields, num_classes, the value the
+# error names). The first three used to train: labels truncated toward an
+# integer, a bad label no batch drew, and one that a one-pass phase drew
+# mid-pretraining, refused there without the argument's name
+BAD_SOURCE_LABELS = {
+    "fractional": (lambda y: y + 0.7, {}, None, "0.7"),
+    "negative_undrawn": (first_label(-3), dict(iter_per_phase=1, pretrain_iters=1,
+                                               batch_labeling=4, batch_target=4), None, "-3"),
+    "negative_drawn": (first_label(-3), dict(iter_per_phase=None, pretrain_iters=None), None,
+                       "-3"),
+    "num_classes": (lambda y: y * 2, {}, 2, "2"),
+    "nan": (first_label(math.nan), {}, None, "nan"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SOURCE_LABELS)
+def test_run_refuses_source_labels_that_are_not_class_indices_naming_them(bad):
+    ds = moons_60()
+    edit, fields, num_classes, value = BAD_SOURCE_LABELS[bad]
+    with pytest.raises(ValueError, match=rf"^source_y holds {value}, not an integer in \[0, "):
+        run(ds.source_x, edit(ds.source_y), ds.target_x, small_cfg(hidden_dim=4, **fields),
+            num_classes=num_classes)
 
 
 def test_evaluate_rejects_labels_of_another_length():

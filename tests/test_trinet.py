@@ -194,7 +194,7 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, 3, size=8)
-    total, parts = net.joint_labeling_loss(x, y)
+    total, _ = net.joint_labeling_loss(x, y)
     h = train_pass(net.f, x).h
     ce1, ce2 = (cross_entropy(affine(h, net.Wb[n][:-1], net.Wb[n][-1:]), y)[0]
                 for n in ("f1", "f2"))
@@ -207,10 +207,16 @@ def test_joint_loss_lambda_scales_penalty():
     y = rng.integers(0, 3, size=8)
     net0 = small_net(lam=0.0, seed=3)
     net1 = small_net(lam=0.01, seed=3)
-    e0, parts0 = net0.joint_labeling_loss(x, y)
-    e1, parts1 = net1.joint_labeling_loss(x, y)
-    assert parts0["penalty"] == pytest.approx(parts1["penalty"])
-    assert e1 == pytest.approx(e0 + 0.01 * parts1["penalty"], rel=1e-9)
+    e0, penalty0 = net0.joint_labeling_loss(x, y)
+    e1, penalty1 = net1.joint_labeling_loss(x, y)
+    assert penalty0 == pytest.approx(penalty1)
+    assert e1 == pytest.approx(e0 + 0.01 * penalty1, rel=1e-9)
+
+
+def test_nan_lambda_is_refused_by_name():
+    # `lam < 0` let NaN through, to a NaN loss and NaN gradients
+    with pytest.raises(ConfigError, match="lambda"):
+        TriNet(2, 2, hidden_dim=4, lam=float("nan"))
 
 
 def _loss_with_param(net, x, y, kind, name, arr):
@@ -298,6 +304,29 @@ def test_objective_writes_its_gradients_not_adds_to_them(objective, extractor):
     assert twice.f.grad.tobytes() == once.f.grad.tobytes()
 
 
+@pytest.mark.parametrize("extractor", ["sigmoid_bn", "relu_dropout_bn"])
+def test_target_phase_f_gradient_is_the_2d_product_of_its_head(extractor):
+    # the target head alone runs the stacked (1, d, k) @ (1, k, n) product
+    # into f's dout; its reference is the 2-D W[0] @ dz[0] into that buffer,
+    # and f's backward from it, on a twin net at the same dropout draws
+    def make():
+        return TriNet(3, num_classes=3, hidden_dim=4, seed=5, **WRITING_EXTRACTORS[extractor])
+
+    rng = np.random.default_rng(41)
+    x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
+    net, twin = make(), make()
+    incoming, backward = [], net.f.backward
+    net.f.backward = lambda ws: (incoming.append(ws.dout.copy()), backward(ws))
+    net.target_loss(x, y, rng=np.random.default_rng(0))
+    dz = net._ws.ce.grad
+    ws = twin.f.workspace(8)
+    twin.f.forward(x, ws, np.random.default_rng(0))
+    np.matmul(twin.Wb["ft"][:-1], dz[0], out=ws.dout)
+    assert len(incoming) == 1 and incoming[0].tobytes() == ws.dout.tobytes()
+    twin.f.backward(ws)
+    assert net.f.grad.tobytes() == twin.f.grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the objectives' workspace
 
@@ -307,8 +336,7 @@ def _objective(net, kind, x, y, seed):
     generator `seed`: (loss, penalty or None)."""
     rng = np.random.default_rng(seed)
     if kind == "joint":
-        loss, parts = net.joint_labeling_loss(x, y, rng=rng)
-        return loss, parts["penalty"]
+        return net.joint_labeling_loss(x, y, rng=rng)
     return net.target_loss(x, y, rng=rng), None
 
 
