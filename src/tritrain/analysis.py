@@ -299,10 +299,10 @@ def _train_domain_classifiers(train_x, train_y, rngs):
         xs, ys = train_x[fold, perm].swapaxes(-1, -2), train_y[fold, perm]
         for start in range(0, n, _BATCH):
             xb, yb = xs[..., start:start + _BATCH], ys[:, start:start + _BATCH]
-            ce, grad_ws = ws[yb.shape[1]]
+            ce, grad_bufs = ws[yb.shape[1]]
             nnlib.affine_forward(xb, W, affine, out=ce.logits)
             _, dz = softmax_cross_entropy(yb, ce)
-            nnlib.affine_backward(dz, xb, grad_ws)
+            nnlib.affine_backward(dz, xb, grad_bufs)
             opt.step(bound)
     return W, b
 
@@ -359,8 +359,7 @@ def _records_json(records: list[dict]) -> str:
 
 def emit_report(theorem1: BoundReport, rho: BoundReport, d_a: float, out_dir):
     """Write report.json: the rho report's summary and violations, the proxy
-    A-distance `d_A`, and the theorem-1 summary and violations. Returns the
-    dict written."""
+    A-distance `d_A`, and the theorem-1 summary and violations."""
     # num_steps is always 0 and stays only for the pinned report bytes; the
     # benchmark refresh (ROADMAP item 2) drops it
     summary = {"schema_version": REPORT_SCHEMA_VERSION, "num_steps": 0,
@@ -373,4 +372,3 @@ def emit_report(theorem1: BoundReport, rho: BoundReport, d_a: float, out_dir):
     for k in lists:
         text = text.replace(f'"{k}": "{k}"', f'"{k}": {_records_json(summary[k])}', 1)
     (Path(out_dir) / "report.json").write_text(text + "\n")
-    return summary

@@ -388,12 +388,12 @@ class Sequential(Layer):
                         drop_out=z if bn else h)
         act_out = np.empty((d, n)) if bn or dropout else h
         sig = self.activation == "sigmoid"
-        bn_ws = batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None
+        bn_bufs = batch_norm_buffers(self.gamma, self.beta, n, self._dbn) if bn else None
         return SimpleNamespace(
             out=out, h=h, z=z, act_out=act_out, e=np.empty((d, n)) if sig else None,
-            act=act_out if sig else np.empty((d, n), dtype=bool), **drop, bn=bn_ws,
+            act=act_out if sig else np.empty((d, n), dtype=bool), **drop, bn=bn_bufs,
             # f's incoming gradient is batch norm's dx row, else free space in z
-            dout=bn_ws.dx if bn else z, affine=affine_backward_buffers(z, self.dW, self.db),
+            dout=bn_bufs.dx if bn else z, affine=affine_backward_buffers(z, self.dW, self.db),
             xt=None)
 
     def forward(self, x, ws, rng=None):

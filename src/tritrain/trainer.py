@@ -127,10 +127,9 @@ def init_state(cfg: TrainConfig, in_dim: int, num_classes: int) -> TrainState:
 
 
 def _batches(n: int, batch: int, iters: int | None, rng):
-    """Mini-batch index draws. One shuffled pass when iters is None, otherwise
-    `iters` independent without-replacement draws. Batches under 2 rows are
-    dropped (batch norm needs >= 2)."""
-    batch = min(batch, n)
+    """Mini-batch index draws of `batch` <= n rows. One shuffled pass when
+    iters is None, otherwise `iters` independent without-replacement draws.
+    Batches under 2 rows are dropped (batch norm needs >= 2)."""
     if batch < 2:
         return
     if iters is None:
@@ -154,20 +153,23 @@ def _phase(state: TrainState, phase: str, x, y, iters, where: str):
     # leaves f's at this zero
     net.f.zero_grads()
     losses, penalties = [], []
-    batch = getattr(state.cfg, f"batch_{phase}")
+    batch = min(getattr(state.cfg, f"batch_{phase}"), len(x))
+    # the arena is never rebound; only a shorter last batch needs another workspace
+    bound = state.opt.bind(net.theta, net.grad, span)
+    ws = net.workspace(phase, batch)
     for b, idx in enumerate(_batches(len(x), batch, iters, state.rng_train)):
+        if len(idx) != ws.n:
+            ws = net.workspace(phase, len(idx))
         # the rows of x[idx], from a call that costs a fraction of indexing's
         xb, yb = x.take(idx, axis=0), y[idx]
         if phase == "labeling":
-            loss, penalty = net.joint_labeling_loss(xb, yb, rng=state.rng_train)
+            loss, penalty = net.joint_labeling_loss(xb, yb, ws, rng=state.rng_train)
             penalties.append(penalty)
         else:
-            loss = net.target_loss(xb, yb, rng=state.rng_train)
+            loss = net.target_loss(xb, yb, ws, rng=state.rng_train)
         if not math.isfinite(loss):
             raise DivergenceError(f"{phase} phase of {where}: loss {loss} at batch {b}")
         if b == 0:
-            # the arena is never rebound, so the first batch binds its span once
-            bound = state.opt.bind(net.theta, net.grad, span)
             state.stepped += [n for n in names if n not in state.stepped]
         state.opt.step(bound)
         losses.append(loss)
@@ -228,20 +230,39 @@ def _check_labels(name: str, y, rows_name: str, rows) -> None:
         raise ValueError(f"{name} has length {len(y)}, but {rows_name} has {len(rows)} rows")
 
 
-def _class_labels(source_y, num_classes) -> np.ndarray:
-    """source_y as int64, or a ValueError naming it and its first value
+def _class_labels(name: str, y, num_classes) -> np.ndarray:
+    """y as int64, or a ValueError naming it `name` and its first value
     that is not an integer in [0, num_classes), or >= 0 if that is None."""
-    y = np.asarray(source_y)
+    y = np.asarray(y)
     if y.dtype.kind not in "biuf":
-        raise ValueError(f"source_y holds {y.dtype} values, not integer class labels")
+        raise ValueError(f"{name} holds {y.dtype} values, not integer class labels")
     top = math.inf if num_classes is None else num_classes
     # NaN and inf cast to an integer that differs from them
     with np.errstate(invalid="ignore"):
         labels = y.astype(np.int64)
     bad = (labels != y) | (labels < 0) | (labels >= top)
     if bad.any():
-        raise ValueError(f"source_y holds {y[bad][0].item()!r}, not an integer in [0, {top})")
+        raise ValueError(f"{name} holds {y[bad][0].item()!r}, not an integer in [0, {top})")
     return labels
+
+
+def _check_features(source_x, target_x, eval_x) -> None:
+    """A ShapeError or ValueError naming the first feature array that is
+    not 2-D, as wide as source_x and of finite numbers; eval_x may be None."""
+    for name, x in (("source_x", source_x), ("target_x", target_x), ("eval_x", eval_x)):
+        if x is None and name == "eval_x":
+            continue
+        x = np.asarray(x)
+        if x.ndim != 2:
+            raise ShapeError(f"{name} has shape {x.shape}, not (rows, features)")
+        if x.shape[1] != np.shape(source_x)[1]:
+            raise ShapeError(f"{name} has {x.shape[1]} columns, but source_x has "
+                             f"{np.shape(source_x)[1]}")
+        if x.dtype.kind not in "biuf":
+            raise ValueError(f"{name} holds {x.dtype} values, not numbers")
+        bad = ~np.isfinite(x)
+        if bad.any():
+            raise ValueError(f"{name} holds {x[bad][0].item()!r}, not a finite number")
 
 
 def evaluate(net: TriNet, x, y) -> dict[str, float]:
@@ -275,9 +296,11 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     then steps_k adaptation steps. Returns (history, state); the reported
     model is the target-specific head. The heads have `num_classes` outputs,
     the dataset's class count; without it, the largest source label + 1.
-    Each label array needs one label per row it labels, or nothing trains;
-    every source label is an integer in [0, num_classes); `eval_x` and
-    `eval_y` come together or not at all."""
+    Before anything trains, each argument is checked and a bad one named:
+    the feature arrays are 2-D, of finite numbers and as wide as source_x;
+    each label array has one label per row it labels, every label is an
+    integer in [0, num_classes); `eval_x` and `eval_y` come together or not
+    at all."""
     if source_y is None:
         raise ValueError("source_y is None: training needs the source labels")
     _check_labels("source_y", source_y, "source_x", source_x)
@@ -285,9 +308,14 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
     if (eval_x is None) != (eval_y is None):
         raise ValueError(f"{'eval_y' if eval_y is None else 'eval_x'} is None: pass both or none")
     _check_labels("eval_y", eval_y, "eval_x", eval_x)
-    source_y = _class_labels(source_y, num_classes)
+    _check_features(source_x, target_x, eval_x)
+    source_y = _class_labels("source_y", source_y, num_classes)
     if num_classes is None:
         num_classes = int(source_y.max()) + 1 if len(source_y) else 2
+    if eval_y is not None:
+        eval_y = _class_labels("eval_y", eval_y, num_classes)
+    if target_y_hidden is not None:
+        target_y_hidden = _class_labels("target_y_hidden", target_y_hidden, num_classes)
     state = init_state(cfg, source_x.shape[1], num_classes)
     mean_e, mean_p = pretrain(state, source_x, source_y)
     pseudo = _relabel(state, target_x, 0)

@@ -114,8 +114,6 @@ class TriNet:
             span = slice(self.spans[heads[0]].start, self.spans[heads[-1]].stop)
             Wb, dWb = (a[span].reshape(len(heads), d + 1, k) for a in (self.theta, self.grad))
             self._blocks[phase] = Wb, dWb, Wb.swapaxes(-1, -2)
-        # the workspace of the last objective call's phase and batch size
-        self._ws = None
 
     def span(self, phase: str) -> tuple[tuple[str, ...], slice]:
         """The networks `phase` steps, its heads then f if its gate is open,
@@ -143,7 +141,7 @@ class TriNet:
 
     # -- objectives ---------------------------------------------------------
 
-    def _workspace(self, phase: str, n: int) -> SimpleNamespace:
+    def workspace(self, phase: str, n: int) -> SimpleNamespace:
         """Buffers and views for n rows of `phase`: its gate field, its S
         adjacent heads' Wbᵀ and dWb blocks, their logits (S, k, n) and
         `cross_entropy_buffers` (dz, also as dzᵀ), the heads' W and dW
@@ -155,28 +153,27 @@ class TriNet:
         Wb, dWb, WbT = self._blocks[phase]
         logits = np.empty((len(heads), self.num_classes, n))
         ce = cross_entropy_buffers(logits)
-        W, f_ws = Wb[:, :-1], self.f.workspace(n)
-        dx = f_ws.dout[None] if len(heads) == 1 else np.empty((len(heads), W.shape[1], n))
+        W, f_work = Wb[:, :-1], self.f.workspace(n)
+        dx = f_work.dout[None] if len(heads) == 1 else np.empty((len(heads), W.shape[1], n))
         ws = SimpleNamespace(phase=phase, n=n, gate=gate, WbT=WbT, dWb=dWb, logits=logits, ce=ce,
-                             dzT=ce.grad.swapaxes(-1, -2), W=W, dW=dWb[:, :-1], dx=dx, f=f_ws)
+                             dzT=ce.grad.swapaxes(-1, -2), W=W, dW=dWb[:, :-1], dx=dx, f=f_work)
         if phase == "labeling":
             ws.div = divergence_buffers(*W)
         return ws
 
-    def _heads_loss(self, phase: str, x, y, rng) -> np.ndarray:
+    def _heads_loss(self, phase: str, x, y, ws, rng) -> np.ndarray:
         """Mean cross-entropy of each head of `phase` on the rows of x, an
         array (n, in_dim), and their int64 labels y (n,), from one train-mode
-        pass of f and one stacked matmul each way, in a workspace made again
-        when the phase or batch size changes. The labels are checked before
-        f's pass moves batch norm's running statistics. Writes the gradients
-        of the phase's heads and, if its gate is open, of f; every other
-        keeps its value."""
+        pass of f and one stacked matmul each way, in `ws`, the `workspace`
+        of `phase` for n rows. The workspace and the labels are checked
+        before f's pass moves batch norm's running statistics. Writes the
+        gradients of the phase's heads and, if its gate is open, of f; every
+        other keeps its value."""
         n = len(x)
         if n == 0:
             raise ValueError("empty batch")
-        ws = self._ws
-        if ws is None or ws.phase != phase or ws.n != n:
-            ws = self._ws = self._workspace(phase, n)
+        if ws.phase != phase or ws.n != n:
+            raise ShapeError(f"a {ws.phase} workspace of {ws.n} rows for a {phase} batch of {n}")
         if y.shape != (n,) or y.dtype != np.int64:
             raise ShapeError(f"labels {y.dtype} {y.shape} do not fit a batch of {n}: "
                              f"int64 ({n},) needed")
@@ -199,19 +196,18 @@ class TriNet:
             self.f.backward(ws.f)
         return loss
 
-    def joint_labeling_loss(self, x, y, rng=None):
+    def joint_labeling_loss(self, x, y, ws, rng=None):
         """Mean cross-entropy through both labeling heads plus the weight
-        penalty, applied once per batch, and the penalty. Populates grads
-        for f1, f2 and, if the f1/f2 gate is open, the shared extractor."""
-        ce = self._heads_loss("labeling", x, y, rng)
-        ws = self._ws
+        penalty, applied once per batch, and the penalty, in labeling `ws`.
+        Populates grads for f1, f2 and, if the f1/f2 gate is open, f."""
+        ce = self._heads_loss("labeling", x, y, ws, rng)
         penalty, grads = weight_divergence(ws.div)
         grads *= self.lam
         np.add(ws.dW, grads, out=ws.dW)
         total = ce[0] + ce[1] + self.lam * penalty
         return total, penalty
 
-    def target_loss(self, x, y, rng=None):
-        """Mean cross-entropy through the target head. Populates grads for ft
-        and, if the ft gate is open, the shared extractor."""
-        return self._heads_loss("target", x, y, rng)[0]
+    def target_loss(self, x, y, ws, rng=None):
+        """Mean cross-entropy through the target head, in target `ws`. Populates
+        grads for ft and, if the ft gate is open, the shared extractor."""
+        return self._heads_loss("target", x, y, ws, rng)[0]

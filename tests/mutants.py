@@ -92,7 +92,7 @@ MUTANTS = (
            ("tests/test_trinet.py::test_joint_loss_full_gradient_matches_fd",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
     Mutant("target_head_gradient_kept_apart_from_f", "src/tritrain/trinet.py",
-           "        dx = f_ws.dout[None] if len(heads) == 1 else",
+           "        dx = f_work.dout[None] if len(heads) == 1 else",
            "        dx = np.empty((1, W.shape[1], n)) if len(heads) == 1 else",
            ("tests/test_trinet.py::test_target_phase_f_gradient_is_the_2d_product_of_its_head",
             "tests/test_trinet.py::test_target_loss_gradient_matches_fd")),
@@ -104,18 +104,23 @@ MUTANTS = (
            "    np.multiply(gammaT, inv_std, out=scale)\n",
            "    np.multiply(_ONE, inv_std, out=scale)\n",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",)),
-    # the workspace: each buffer holds what its readers expect, and a new
-    # batch size gets new buffers
+    # the workspace: each buffer holds what its readers expect, a phase's
+    # shorter last batch gets new buffers, and an objective refuses a
+    # workspace of another phase or size before anything moves
     Mutant("batch_norm_backward_reads_the_squared_deviations", "src/tritrain/nnlib.py",
            "    np.multiply(dout, xhat, out=buf_xhat)\n",
            "    np.multiply(dout, buf_xhat, out=buf_xhat)\n",
            ("tests/test_nnlib.py::test_bn_grads_match_finite_differences",
             "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
-    Mutant("workspace_kept_after_the_batch_size_changes", "src/tritrain/trinet.py",
-           "        if ws is None or ws.phase != phase or ws.n != n:",
-           "        if ws is None or ws.phase != phase:",
-           ("tests/test_trinet.py::test_objectives_at_changing_batch_sizes_equal_fresh_nets",
-            "tests/test_acceptance.py::test_short_run_bytes_are_pinned")),
+    Mutant("workspace_kept_after_the_batch_size_changes", "src/tritrain/trainer.py",
+           "        if len(idx) != ws.n:\n            ws = net.workspace(phase, len(idx))\n",
+           "",
+           ("tests/test_acceptance.py::test_short_run_bytes_are_pinned",
+            "tests/test_acceptance.py::test_short_run_without_batch_norm_bytes_are_pinned")),
+    Mutant("workspace_of_another_phase_or_size_accepted", "src/tritrain/trinet.py",
+           "        if ws.phase != phase or ws.n != n:",
+           "        if False:",
+           ("tests/test_trinet.py::test_a_workspace_of_another_phase_or_size_is_refused_by_name",)),
     # a bad label must be refused before f's pass moves batch norm's
     # running statistics
     Mutant("labels_range_unchecked_before_the_forward_pass", "src/tritrain/trinet.py",
@@ -197,12 +202,12 @@ MUTANTS = (
             "test_a_phase_steps_its_heads_and_f_if_its_gate_is_open_and_nothing_else",
             "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
     Mutant("a_slot_for_f_per_phase", "src/tritrain/trainer.py",
-           "            bound = state.opt.bind(net.theta, net.grad, span)\n",
-           "            bound = state.opt.bind(net.theta, net.grad, span)\n"
-           "            if phase == \"target\":\n"
-           "                # the target phase steps a slot of its own\n"
-           "                slot = vars(state).setdefault(\"target_slot\", np.zeros_like(net.theta))\n"
-           "                bound = (*bound[:2], slot[span], bound[3])\n",
+           "    bound = state.opt.bind(net.theta, net.grad, span)\n",
+           "    bound = state.opt.bind(net.theta, net.grad, span)\n"
+           "    if phase == \"target\":\n"
+           "        # the target phase steps a slot of its own\n"
+           "        slot = vars(state).setdefault(\"target_slot\", np.zeros_like(net.theta))\n"
+           "        bound = (*bound[:2], slot[span], bound[3])\n",
            ("tests/test_trainer.py::test_both_phases_step_f_through_one_momentum_slot",
             "tests/test_acceptance.py::test_momentum_run_bytes_are_pinned")),
     Mutant("lr_taken_once_at_bind", "src/tritrain/nnlib.py",

@@ -60,23 +60,24 @@ def test_step_zero_is_the_source_only_baseline(benchmark_runs, moons_benchmark_c
 # criterion 1: analytic gradients match finite differences
 
 
-def _loss(net, x, y, kind, seed):
-    """Joint or target loss, with the dropout masks of generator `seed`,
-    the same on every call."""
+def _loss(net, x, y, kind, seed, ws):
+    """Joint or target loss in `ws`, a workspace of its phase for the rows
+    of x, with the dropout masks of generator `seed`, the same on every
+    call."""
     rng = np.random.default_rng(seed)
     if kind == "joint":
-        loss, _ = net.joint_labeling_loss(x, y, rng=rng)
+        loss, _ = net.joint_labeling_loss(x, y, ws, rng=rng)
         return loss
-    return net.target_loss(x, y, rng=rng)
+    return net.target_loss(x, y, ws, rng=rng)
 
 
-def _loss_with_param(net, x, y, kind, name, arr, seed):
+def _loss_with_param(net, x, y, kind, name, arr, seed, ws):
     """`_loss` with one named parameter temporarily replaced."""
     params = named(net)
     original = params[name].copy()
     params[name][...] = arr
     try:
-        return _loss(net, x, y, kind, seed)
+        return _loss(net, x, y, kind, seed, ws)
     finally:
         params[name][...] = original
 
@@ -92,8 +93,10 @@ def _max_grad_rel_err(seed, activation, dropout_rate, use_bn):
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 3, size=6)
     worst = 0.0
-    for kind, skip in (("joint", ("ft/",)), ("target", ("f1/", "f2/"))):
-        _loss(net, x, y, kind, seed)
+    for kind, phase, skip in (("joint", "labeling", ("ft/",)),
+                              ("target", "target", ("f1/", "f2/"))):
+        ws = net.workspace(phase, len(x))
+        _loss(net, x, y, kind, seed, ws)
         grads = {k: v.copy() for k, v in named(net, "grads").items()}
         for name, p in named(net).items():
             if name.startswith(skip):
@@ -106,8 +109,8 @@ def _max_grad_rel_err(seed, activation, dropout_rate, use_bn):
                 up, dn = p.copy(), p.copy()
                 up[i] += h
                 dn[i] -= h
-                fd[i] = (_loss_with_param(net, x, y, kind, name, up, seed)
-                         - _loss_with_param(net, x, y, kind, name, dn, seed)) / (2 * h)
+                fd[i] = (_loss_with_param(net, x, y, kind, name, up, seed, ws)
+                         - _loss_with_param(net, x, y, kind, name, dn, seed, ws)) / (2 * h)
             worst = max(worst, rel_err(grads[name], fd))
     return worst
 

@@ -619,12 +619,19 @@ def reports(seed):
     return theorem1, verify_rho_bound(h, (tx, ty), ty, theorem1)
 
 
+def read_report(out_dir) -> dict:
+    with open(out_dir / "report.json") as fh:
+        return json.load(fh)
+
+
 def test_emit_report_files_and_contents(tmp_path):
     theorem1, rho = reports(17)
-    summary = emit_report(theorem1, rho, 1.23, tmp_path)
-    with open(tmp_path / "report.json") as fh:
-        on_disk = json.load(fh)
-    assert on_disk == summary
+    assert emit_report(theorem1, rho, 1.23, tmp_path) is None
+    on_disk = read_report(tmp_path)
+    assert on_disk == {"schema_version": 1, "num_steps": 0, **rho.summary(),
+                       "violations": rho.violations, "d_A": 1.23,
+                       "theorem1": theorem1.summary(),
+                       "theorem1_violations": theorem1.violations}
     for key in ("d_hdh", "C", "d_A", "num_violations", "violations",
                 "schema_version", "theorem1", "theorem1_violations"):
         assert key in on_disk
@@ -633,7 +640,8 @@ def test_emit_report_files_and_contents(tmp_path):
 
 
 def test_emit_report_rho_keys(tmp_path):
-    summary = emit_report(*reports(18), 0.5, tmp_path)
+    emit_report(*reports(18), 0.5, tmp_path)
+    summary = read_report(tmp_path)
     assert summary["rho"] == 0.0 and "C_prime" in summary
 
 
@@ -655,7 +663,10 @@ def test_emit_report_bytes_are_the_indented_encoders(tmp_path, counts):
     rho.violations = [{"hypothesis": i, "check": "risk_gap", "gap": 0.1 * i, "rho": 1 / 3}
                       if i % 2 else {"hypothesis": i, "check": "chained", "lhs": 2.5, "rhs": 1e300}
                       for i in range(counts[1])]
-    summary = emit_report(theorem1, rho, 0.25, tmp_path)
+    emit_report(theorem1, rho, 0.25, tmp_path)
+    summary = read_report(tmp_path)
+    assert summary["violations"] == rho.violations
+    assert summary["theorem1_violations"] == theorem1.violations
     expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "report.json").read_text() == expected
 

@@ -347,17 +347,32 @@ def test_every_mutant_snippet_occurs_once_in_src(mutant):
 
 
 def optional_workspaces(modules) -> list[str]:
-    """`<module>.<function>` for each module-level function of `modules`
-    whose `ws` parameter has a default."""
+    """`<module>.<function>` or `<module>.<class>.<method>` for each
+    function or method defined in `modules` whose `ws` parameter has a
+    default."""
     out = []
     for module in modules:
-        for name, f in vars(module).items():
-            if not inspect.isfunction(f) or f.__module__ != module.__name__:
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            ws = inspect.signature(f).parameters.get("ws")
-            if ws is not None and ws.default is not ws.empty:
-                out.append(f"{module.__name__}.{name}")
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for method, f in members:
+                if not inspect.isfunction(f):
+                    continue
+                ws = inspect.signature(f).parameters.get("ws")
+                if ws is not None and ws.default is not ws.empty:
+                    out.append(".".join(filter(None, (module.__name__, name, method))))
     return out
+
+
+def test_optional_workspaces_flags_a_function_and_a_method():
+    module = types.ModuleType("m")
+    exec("def kernel(x, ws=None): pass\n"
+         "def required(x, ws): pass\n"
+         "class Net:\n"
+         "    def loss(self, x, ws=None): pass\n"
+         "    def fixed(self, x, ws): pass\n", vars(module))
+    assert optional_workspaces([module]) == ["m.kernel", "m.Net.loss"]
 
 
 def test_each_kernel_has_the_one_calling_form_the_program_uses():
@@ -368,6 +383,7 @@ def test_each_kernel_has_the_one_calling_form_the_program_uses():
     kernels = (nnlib.affine_forward, nnlib.softmax_cross_entropy, nnlib.batch_norm_train,
                nnlib.affine_backward, trinet.weight_divergence)
     assert all("ws" in inspect.signature(f).parameters for f in kernels)
+    # the objectives, too, take the workspace their caller owns
     assert optional_workspaces([nnlib, trinet]) == []
     # dropout runs inside the extractor, in its workspace; the extractor
     # writes batch norm's output into its own buffer and lives in a
@@ -389,7 +405,7 @@ def test_each_kernel_has_the_one_calling_form_the_program_uses():
     # row of the heads' gradients, and no label shape kept per batch size
     net = trinet.TriNet(2, 2, hidden_dim=2)
     for phase in net.PHASES:
-        assert not {"W0", "dz0", "dx0", "dx1", "y_shape"} & vars(net._workspace(phase, 3)).keys()
+        assert not {"W0", "dz0", "dx0", "dx1", "y_shape"} & vars(net.workspace(phase, 3)).keys()
     # an extractor's workspace holds only its activation's buffers: a
     # sigmoid's no relu mask, a relu's no exp scratch
     for activation in ("sigmoid", "relu"):

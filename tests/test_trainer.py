@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tritrain import datagen, trainer
+from tritrain import datagen, nnlib, trainer, trinet
 from tritrain.labeler import LabelingConfig, PseudoLabelSet
-from tritrain.nnlib import ConfigError
+from tritrain.nnlib import ConfigError, ShapeError
 from tritrain.trainer import (TrainConfig, adapt_step, build_net, checkpoint_arrays,
                               evaluate, init_state, load_state, pretrain,
                               read_metrics_csv, run, save_state,
@@ -194,6 +194,87 @@ def test_both_phases_step_f_through_one_momentum_slot():
     expected = v * 0.9 - state.net.f.grad * 0.05
     assert checkpoint_arrays(state)["opt/main/slot/f"].tobytes() == expected.tobytes()
     assert state.stepped == ["f1", "f2", "f", "ft"]
+
+
+# (rows, iterations, the batch sizes a phase of 32-row batches builds a
+# workspace for): one pass's full batches, its shorter last one, a last row
+# dropped alone, and fixed iterations, whose batches are all full
+PHASE_WORKSPACES = [(64, None, [32]), (77, None, [32, 13]), (65, None, [32]), (77, 5, [32])]
+
+
+@pytest.mark.parametrize("rows, iters, sizes", PHASE_WORKSPACES)
+@pytest.mark.parametrize("phase", ["labeling", "target"])
+def test_a_phase_builds_one_workspace_per_batch_size_and_the_net_keeps_none(
+        phase, rows, iters, sizes, monkeypatch):
+    built, workspace = [], TriNet.workspace
+
+    def counted(net, *args):
+        built.append(workspace(net, *args))
+        return built[-1]
+
+    monkeypatch.setattr(TriNet, "workspace", counted)
+    ds = blobs_dataset(n=rows)
+    state = init_state(small_cfg(), 2, ds.num_classes)
+    for _ in range(2):
+        trainer._phase(state, phase, ds.source_x, ds.source_y, iters, "test")
+    assert [(ws.phase, ws.n) for ws in built] == [(phase, n) for n in sizes] * 2
+    # between phases no attribute of the net or its extractor, nor any item
+    # of one, holds a workspace
+    held = [*vars(state.net).values(), *vars(state.net.f).values()]
+    for v in list(held):
+        held += v.values() if isinstance(v, dict) else v if isinstance(v, (tuple, list)) else []
+    kept = {id(ws) for ws in built} | {id(ws.f) for ws in built}
+    assert not [v for v in held if id(v) in kept]
+
+
+class CountingNumpy:
+    """Stands in for a module's `np` global and counts, in `counter[0]`,
+    each call made through it: to a numpy function or ufunc (`np.matmul`,
+    `np.add`) or a ufunc method (`np.add.reduce`). Types and every other
+    attribute pass through uncounted. numpy itself is left unpatched, so
+    the count leaves out array methods (`x.take`, `y.view`), in-place
+    operators (`v *= m`), indexing, the calls numpy makes inside its own
+    functions and everything a Generator does (`rng.choice`)."""
+
+    def __init__(self, target, counter: list):
+        self._target, self._counter = target, counter
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if callable(attr) and not isinstance(attr, type):
+            return CountingNumpy(attr, self._counter)
+        return attr
+
+    def __call__(self, *args, **kwargs):
+        self._counter[0] += 1
+        return self._target(*args, **kwargs)
+
+
+# numpy calls per training batch through `nnlib`, `trinet` and `trainer` at
+# the benchmark shapes, each phase's own setup spread over its batches. A
+# change that adds calls raises its ceiling here and says why; one that
+# removes calls lowers it
+CALLS_PER_BATCH = {"labeling": 48.27, "target": 40.21}
+
+
+def test_numpy_calls_per_training_batch_stay_under_their_ceiling(
+        moons_benchmark_config, monkeypatch):
+    cfg = TrainConfig(**moons_benchmark_config)
+    ds = datagen.generate(datagen.ShiftSpec(generator="two_moons", n_source=500, n_target=500,
+                                            rotation_deg=30, noise_sigma=0.1, seed=0))
+    state = init_state(cfg, 2, ds.num_classes)
+    pretrain(state, ds.source_x, ds.source_y)
+    pseudo_y = state.net.forward(ds.target_x)[2].argmax(axis=1)
+    counter = [0]
+    for module in (nnlib, trinet, trainer):
+        monkeypatch.setattr(module, "np", CountingNumpy(np, counter))
+    calls = {}
+    for phase, x, y in (("labeling", ds.source_x, ds.source_y),
+                        ("target", ds.target_x, pseudo_y)):
+        before = counter[0]
+        trainer._phase(state, phase, x, y, cfg.iter_per_phase, "test")
+        calls[phase] = (counter[0] - before) / cfg.iter_per_phase
+    assert all(calls[p] <= CALLS_PER_BATCH[p] for p in calls), calls
 
 
 @pytest.mark.parametrize("phase", ["labeling", "target"])
@@ -411,6 +492,69 @@ def test_run_refuses_source_labels_that_are_not_class_indices_naming_them(bad):
     with pytest.raises(ValueError, match=rf"^source_y holds {value}, not an integer in \[0, "):
         run(ds.source_x, edit(ds.source_y), ds.target_x, small_cfg(hidden_dim=4, **fields),
             num_classes=num_classes)
+
+
+# (edit of a label array, the value the error names); both used to run to
+# the end, eval_y scoring every prediction wrong, acc_ft 0.0
+BAD_CLASS_LABELS = {"fractional": (lambda y: y + 0.5, r"[01]\.5"), "of_k": (first_label(2), "2")}
+
+
+@pytest.mark.parametrize("bad", BAD_CLASS_LABELS)
+@pytest.mark.parametrize("name", ["eval_y", "target_y_hidden"])
+def test_run_refuses_eval_and_hidden_labels_that_are_not_class_indices_naming_them(
+        name, bad, monkeypatch):
+    ds = moons_60()
+    labels = {"eval_y": ds.target_y_hidden, "target_y_hidden": ds.target_y_hidden}
+    edit, value = BAD_CLASS_LABELS[bad]
+    labels[name] = edit(labels[name])
+    # refused before anything trains
+    monkeypatch.setattr(trainer, "init_state", None)
+    with pytest.raises(ValueError, match=rf"^{name} holds {value}, not an integer in \[0, 2\)$"):
+        run(ds.source_x, ds.source_y, ds.target_x, small_cfg(hidden_dim=4, steps_k=1),
+            eval_x=ds.target_x, **labels)
+
+
+def with_value(value, column=0):
+    """An edit of a feature array: its first row's `column` set to `value`."""
+    def edit(x):
+        x = x.copy()
+        x[0, column] = value
+        return x
+    return edit
+
+
+# (argument, its edit, error, message). A 1-D source_x ended in an
+# IndexError; a NaN in source_x was reported as a divergence at batch 0,
+# one in eval_x was scored without a word, and a 3-column target_x or
+# eval_x failed after pretraining with a message naming no argument
+BAD_FEATURES = {
+    "source_x_1d": ("source_x", lambda x: x[:, 0], ShapeError,
+                    r"source_x has shape \(60,\), not \(rows, features\)"),
+    "source_x_nan": ("source_x", with_value(math.nan), ValueError,
+                     "source_x holds nan, not a finite number"),
+    "target_x_inf": ("target_x", with_value(-math.inf, 1), ValueError,
+                     "target_x holds -inf, not a finite number"),
+    "eval_x_nan": ("eval_x", with_value(math.nan, 1), ValueError,
+                   "eval_x holds nan, not a finite number"),
+    "target_x_3_columns": ("target_x", lambda x: np.hstack([x, x[:, :1]]), ShapeError,
+                           "target_x has 3 columns, but source_x has 2"),
+    "eval_x_3_columns": ("eval_x", lambda x: np.hstack([x, x[:, :1]]), ShapeError,
+                         "eval_x has 3 columns, but source_x has 2"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_FEATURES)
+def test_run_refuses_feature_arrays_that_are_not_finite_matrices_naming_them(bad, monkeypatch):
+    ds = moons_60()
+    arrays = {"source_x": ds.source_x, "target_x": ds.target_x, "eval_x": ds.target_x}
+    name, edit, error, message = BAD_FEATURES[bad]
+    arrays[name] = edit(arrays[name])
+    # refused before anything trains
+    monkeypatch.setattr(trainer, "init_state", None)
+    with pytest.raises(error, match=f"^{message}$"):
+        run(arrays["source_x"], ds.source_y, arrays["target_x"],
+            small_cfg(hidden_dim=4, steps_k=1), eval_x=arrays["eval_x"],
+            eval_y=ds.target_y_hidden, target_y_hidden=ds.target_y_hidden)
 
 
 def test_evaluate_rejects_labels_of_another_length():

@@ -22,6 +22,22 @@ def small_net(lam=0.01, gates=None, seed=0, use_bn=True):
                   seed=seed)
 
 
+# each objective's phase
+PHASE = {"joint": "labeling", "target": "target"}
+
+
+def _objective(net, kind, x, y, seed, ws=None):
+    """The joint or target objective on (x, y), with the dropout masks of
+    generator `seed`, in `ws` or a fresh workspace for its rows: (loss,
+    penalty or None)."""
+    rng = np.random.default_rng(seed)
+    if ws is None:
+        ws = net.workspace(PHASE[kind], len(x))
+    if kind == "joint":
+        return net.joint_labeling_loss(x, y, ws, rng=rng)
+    return net.target_loss(x, y, ws, rng=rng), None
+
+
 # ---------------------------------------------------------------------------
 # forward
 
@@ -63,7 +79,7 @@ def test_eval_forward_keeps_no_array_of_its_batch(activation, dropout_rate):
     net = TriNet(3, num_classes=3, hidden_dim=4, activation=activation,
                  dropout_rate=dropout_rate, seed=0)
     rng = np.random.default_rng(6)
-    net.joint_labeling_loss(rng.normal(size=(8, 3)), rng.integers(0, 3, 8), rng=rng)
+    _objective(net, "joint", rng.normal(size=(8, 3)), rng.integers(0, 3, 8), seed=0)
     x = rng.normal(size=(37, 3))
     net.forward(x)
     net.features(x)
@@ -194,7 +210,7 @@ def test_joint_loss_lambda_zero_is_sum_of_cross_entropies():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(8, 3))
     y = rng.integers(0, 3, size=8)
-    total, _ = net.joint_labeling_loss(x, y)
+    total, _ = _objective(net, "joint", x, y, seed=0)
     h = train_pass(net.f, x).h
     ce1, ce2 = (cross_entropy(affine(h, net.Wb[n][:-1], net.Wb[n][-1:]), y)[0]
                 for n in ("f1", "f2"))
@@ -207,8 +223,8 @@ def test_joint_loss_lambda_scales_penalty():
     y = rng.integers(0, 3, size=8)
     net0 = small_net(lam=0.0, seed=3)
     net1 = small_net(lam=0.01, seed=3)
-    e0, penalty0 = net0.joint_labeling_loss(x, y)
-    e1, penalty1 = net1.joint_labeling_loss(x, y)
+    e0, penalty0 = _objective(net0, "joint", x, y, seed=0)
+    e1, penalty1 = _objective(net1, "joint", x, y, seed=0)
     assert penalty0 == pytest.approx(penalty1)
     assert e1 == pytest.approx(e0 + 0.01 * penalty1, rel=1e-9)
 
@@ -219,14 +235,14 @@ def test_nan_lambda_is_refused_by_name():
         TriNet(2, 2, hidden_dim=4, lam=float("nan"))
 
 
-def _loss_with_param(net, x, y, kind, name, arr):
+def _loss_with_param(net, x, y, kind, name, arr, ws=None):
     """Loss evaluated with one named parameter temporarily replaced, with
-    the dropout masks of `_objective`'s generator 0."""
+    the dropout masks of `_objective`'s generator 0, in `ws` if given."""
     param = named(net)[name]
     saved = param.copy()
     param[...] = arr
     try:
-        return _objective(net, kind, x, y, seed=0)[0]
+        return _objective(net, kind, x, y, seed=0, ws=ws)[0]
     finally:
         param[...] = saved
 
@@ -238,7 +254,7 @@ def test_joint_loss_full_gradient_matches_fd(use_bn):
         net = small_net(lam=0.05, seed=seed, use_bn=use_bn)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
-        net.joint_labeling_loss(x, y)
+        _objective(net, "joint", x, y, seed=0)
         grads = {k: v.copy() for k, v in named(net, "grads").items()}
         params = named(net)
         for name, p in params.items():
@@ -255,7 +271,7 @@ def test_target_loss_gradient_matches_fd():
         net = small_net(lam=0.0, seed=seed)
         x = rng.normal(size=(6, 3))
         y = rng.integers(0, 3, size=6)
-        net.target_loss(x, y)
+        _objective(net, "target", x, y, seed=0)
         grads = {k: v.copy() for k, v in named(net, "grads").items()}
         for name, p in named(net).items():
             if name.startswith(("f1/", "f2/")):
@@ -270,8 +286,8 @@ def test_target_loss_perfect_prediction():
     # drive the true class logit sky-high
     net.Wb["ft"][-1] = [1000.0, 0.0, 0.0]
     net.Wb["ft"][:-1] = 0.0
-    loss = net.target_loss(np.random.default_rng(8).normal(size=(4, 3)),
-                           np.zeros(4, dtype=np.int64))
+    loss, _ = _objective(net, "target", np.random.default_rng(8).normal(size=(4, 3)),
+                         np.zeros(4, dtype=np.int64), seed=0)
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -283,23 +299,18 @@ WRITING_EXTRACTORS = {"sigmoid": {"use_bn": False}, "sigmoid_bn": {"use_bn": Tru
 @pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
 @pytest.mark.parametrize("objective", ["joint", "target"])
 def test_objective_writes_its_gradients_not_adds_to_them(objective, extractor):
-    # a second call on another batch of the same size, which reuses f's
-    # output array, leaves every gradient its phase steps as a fresh net's
-    # one call on that batch does, from the same seed and rng state
-    def call(net, batch, rng):
-        if objective == "joint":
-            net.joint_labeling_loss(*batch, rng=rng)
-        else:
-            net.target_loss(*batch, rng=rng)
-
+    # a second call on another batch of the same size, in the same
+    # workspace, leaves every gradient its phase steps as a fresh net's one
+    # call on that batch does, from the same seed and rng state
     rng = np.random.default_rng(21)
     first, second = ((rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)) for _ in range(2))
     twice, once = (TriNet(3, num_classes=3, hidden_dim=4, lam=0.05, seed=2,
                           **WRITING_EXTRACTORS[extractor]) for _ in range(2))
-    call(twice, first, np.random.default_rng(0))
-    call(twice, second, np.random.default_rng(1))
-    call(once, second, np.random.default_rng(1))
-    _, span = twice.span("labeling" if objective == "joint" else "target")
+    ws = twice.workspace(PHASE[objective], 8)
+    _objective(twice, objective, *first, seed=0, ws=ws)
+    _objective(twice, objective, *second, seed=1, ws=ws)
+    _objective(once, objective, *second, seed=1)
+    _, span = twice.span(PHASE[objective])
     assert twice.grad[span].tobytes() == once.grad[span].tobytes()
     assert twice.f.grad.tobytes() == once.f.grad.tobytes()
 
@@ -317,8 +328,9 @@ def test_target_phase_f_gradient_is_the_2d_product_of_its_head(extractor):
     net, twin = make(), make()
     incoming, backward = [], net.f.backward
     net.f.backward = lambda ws: (incoming.append(ws.dout.copy()), backward(ws))
-    net.target_loss(x, y, rng=np.random.default_rng(0))
-    dz = net._ws.ce.grad
+    net_ws = net.workspace("target", 8)
+    net.target_loss(x, y, net_ws, rng=np.random.default_rng(0))
+    dz = net_ws.ce.grad
     ws = twin.f.workspace(8)
     twin.f.forward(x, ws, np.random.default_rng(0))
     np.matmul(twin.Wb["ft"][:-1], dz[0], out=ws.dout)
@@ -329,15 +341,6 @@ def test_target_phase_f_gradient_is_the_2d_product_of_its_head(extractor):
 
 # ---------------------------------------------------------------------------
 # the objectives' workspace
-
-
-def _objective(net, kind, x, y, seed):
-    """The joint or target objective on (x, y), with the dropout masks of
-    generator `seed`: (loss, penalty or None)."""
-    rng = np.random.default_rng(seed)
-    if kind == "joint":
-        return net.joint_labeling_loss(x, y, rng=rng)
-    return net.target_loss(x, y, rng=rng), None
 
 
 @pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
@@ -359,17 +362,19 @@ def test_training_batches_leave_every_attribute_of_the_extractor_bound_as_it_was
 @pytest.mark.parametrize("kind", ["joint", "target"])
 def test_returned_arrays_keep_their_values_after_the_next_call(kind):
     # what a caller receives is its own; only f's train-mode output is the
-    # one array the next batch of that size overwrites, as its docstring says
+    # one array the next batch in that workspace overwrites, as its
+    # docstring says
     net = TriNet(3, num_classes=3, hidden_dim=4, dropout_rate=0.2, seed=3)
     rng = np.random.default_rng(31)
     batches = [(rng.normal(size=(64, 3)), rng.integers(0, 3, size=64)) for _ in range(2)]
-    first = _objective(net, kind, *batches[0], seed=1)
+    phase_ws = net.workspace(PHASE[kind], 64)
+    first = _objective(net, kind, *batches[0], seed=1, ws=phase_ws)
     kept = copy.deepcopy(first)
     probs = net.forward(batches[0][0])
     kept_probs = probs.copy()
     _, grads = divergence(net.Wb["f1"][:-1], net.Wb["f2"][:-1])
     kept_grads = grads.copy()
-    _objective(net, kind, *batches[1], seed=2)
+    _objective(net, kind, *batches[1], seed=2, ws=phase_ws)
     net.forward(batches[1][0])
     divergence(net.Wb["f2"][:-1], net.Wb["ft"][:-1])
     assert first == kept
@@ -382,10 +387,10 @@ def test_returned_arrays_keep_their_values_after_the_next_call(kind):
 
 @pytest.mark.parametrize("extractor", WRITING_EXTRACTORS)
 def test_objectives_at_changing_batch_sizes_equal_fresh_nets(extractor):
-    # batch sizes 64, 128, 64 through each objective in turn, so its phase's
-    # workspace is made, made again for the new size and again for the old
-    # one; every call gives the loss and gradients of a fresh net's single
-    # call
+    # batch sizes 64, 128, 64 through each objective in turn, each size in
+    # one workspace of its phase made once, so the one for 64 rows serves
+    # again after the one for 128 did; every call gives the loss and
+    # gradients of a fresh net's single call
     rng = np.random.default_rng(32)
     calls = [(kind, rng.normal(size=(n, 3)), rng.integers(0, 3, size=n))
              for kind in ("joint", "target") for n in (64, 128, 64)]
@@ -395,10 +400,12 @@ def test_objectives_at_changing_batch_sizes_equal_fresh_nets(extractor):
                       **WRITING_EXTRACTORS[extractor])
 
     net = make()
+    spaces = {(kind, n): net.workspace(PHASE[kind], n) for kind in PHASE for n in (64, 128)}
     for i, (kind, x, y) in enumerate(calls):
         fresh = make()
-        assert _objective(net, kind, x, y, seed=i) == _objective(fresh, kind, x, y, seed=i)
-        _, span = net.span("labeling" if kind == "joint" else "target")
+        assert (_objective(net, kind, x, y, seed=i, ws=spaces[kind, len(x)])
+                == _objective(fresh, kind, x, y, seed=i))
+        _, span = net.span(PHASE[kind])
         assert net.grad[span].tobytes() == fresh.grad[span].tobytes()
         assert net.f.grad.tobytes() == fresh.f.grad.tobytes()
 
@@ -421,13 +428,34 @@ def test_a_bad_batch_raises_and_leaves_the_net_untouched(kind, bad):
     net = small_net(seed=6)
     rng = np.random.default_rng(34)
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
-    _objective(net, kind, x, y, seed=0)
+    ws = net.workspace(PHASE[kind], 8)
+    _objective(net, kind, x, y, seed=0, ws=ws)
     f = net.f
     kept = [a.copy() for a in (f.running, f.count, net.grad, net.theta)]
     error, pattern, edit = BAD_BATCHES[bad]
     with pytest.raises(error, match=pattern):
         _objective(net, kind, *edit(rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)),
-                   seed=1)
+                   seed=1, ws=ws)
+    for before, after in zip(kept, (f.running, f.count, net.grad, net.theta)):
+        assert before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("wrong", ["phase", "size"])
+@pytest.mark.parametrize("kind", ["joint", "target"])
+def test_a_workspace_of_another_phase_or_size_is_refused_by_name(kind, wrong):
+    # refused before f's pass moves batch norm's running statistics and
+    # count, and before any gradient is written
+    net = small_net(seed=6)
+    rng = np.random.default_rng(35)
+    x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
+    _objective(net, kind, x, y, seed=0)
+    f = net.f
+    kept = [a.copy() for a in (f.running, f.count, net.grad, net.theta)]
+    other = {"labeling": "target", "target": "labeling"}[PHASE[kind]]
+    phase, n = (other, 8) if wrong == "phase" else (PHASE[kind], 9)
+    with pytest.raises(nnlib.ShapeError,
+                       match=f"^a {phase} workspace of {n} rows for a {PHASE[kind]} batch of 8$"):
+        _objective(net, kind, x, y, seed=1, ws=net.workspace(phase, n))
     for before, after in zip(kept, (f.running, f.count, net.grad, net.theta)):
         assert before.tobytes() == after.tobytes()
 
@@ -461,17 +489,18 @@ def test_gradients_match_fd_at_a_trained_state(kind):
             assert np.abs(a - init).max() > 0.05, extractor
         rng = np.random.default_rng(33)
         x, y = rng.normal(size=(6, 2)), rng.integers(0, 2, size=6)
-        # a call at another batch size first, so the checked calls reuse a
-        # workspace made for theirs rather than a fresh one
+        # a call at another batch size first, and the checked calls all in
+        # one workspace rather than each in a fresh one
         _objective(net, kind, rng.normal(size=(9, 2)), rng.integers(0, 2, size=9), seed=0)
-        _objective(net, kind, x, y, seed=0)
+        ws = net.workspace(PHASE[kind], 6)
+        _objective(net, kind, x, y, seed=0, ws=ws)
         grads = {k: v.copy() for k, v in named(net, "grads").items()}
         skip = ("ft/",) if kind == "joint" else ("f1/", "f2/")
         for name, p in named(net).items():
             if name.startswith(skip):
                 continue
             num = finite_difference_gradient(
-                lambda v, n=name: _loss_with_param(net, x, y, kind, n, v), p.copy())
+                lambda v, n=name: _loss_with_param(net, x, y, kind, n, v, ws), p.copy())
             assert rel_err(grads[name], num) < 1e-4, (extractor, name)
 
 
@@ -489,7 +518,7 @@ def test_gate_blocks_shared_update_from_labeling_heads():
     rng = np.random.default_rng(9)
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
     before = {k: v.copy() for k, v in named(net.f).items()}
-    net.joint_labeling_loss(x, y)
+    _objective(net, "joint", x, y, seed=0)
     # the whole arena, f's slice with it
     opt = MomentumSGD(lr=0.1)
     opt.step(opt.bind(net.theta, net.grad))
@@ -502,7 +531,7 @@ def test_gate_blocks_shared_update_from_target_head():
     rng = np.random.default_rng(10)
     x, y = rng.normal(size=(8, 3)), rng.integers(0, 3, size=8)
     before = {k: v.copy() for k, v in named(net.f).items()}
-    net.target_loss(x, y)
+    _objective(net, "target", x, y, seed=0)
     # the whole arena, f's slice with it
     opt = MomentumSGD(lr=0.1)
     opt.step(opt.bind(net.theta, net.grad))
@@ -520,10 +549,11 @@ def test_training_decreases_joint_loss():
         net = small_net(lam=0.01, seed=seed, use_bn=False)
         x = rng.normal(size=(16, 3))
         y = rng.integers(0, 3, size=16)
-        e0, _ = net.joint_labeling_loss(x, y)
+        ws = net.workspace("labeling", 16)
+        e0, _ = net.joint_labeling_loss(x, y, ws)
         opt = MomentumSGD(lr=1e-3, momentum=0.0)
         opt.step(opt.bind(net.theta, net.grad))
-        e1, _ = net.joint_labeling_loss(x, y)
+        e1, _ = net.joint_labeling_loss(x, y, ws)
         assert e1 < e0
 
 
