@@ -64,7 +64,6 @@ class BoundReport:
     d_hdh: float
     c_value: float
     best_hypothesis: int
-    risks_pseudo: np.ndarray | None = None
     c_prime: float | None = None
     rho: float | None = None
     violations: list = field(default_factory=list)
@@ -250,9 +249,8 @@ def verify_rho_bound(h: HypothesisClass, t_xy, pseudo_y, theorem1: BoundReport,
     bad = np.flatnonzero(lhs > chained + _EPS)
     violations += [{"hypothesis": i, "check": "chained", "lhs": l, "rhs": r}
                    for i, l, r in zip(bad.tolist(), lhs[bad].tolist(), chained[bad].tolist())]
-    return BoundReport(risks_source=rs, risks_target=rt, risks_pseudo=rtl,
-                       d_hdh=theorem1.d_hdh, c_value=c, best_hypothesis=best,
-                       c_prime=c_prime, rho=rho, violations=violations)
+    return BoundReport(risks_source=rs, risks_target=rt, d_hdh=theorem1.d_hdh, c_value=c,
+                       best_hypothesis=best, c_prime=c_prime, rho=rho, violations=violations)
 
 
 # ---------------------------------------------------------------------------

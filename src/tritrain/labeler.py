@@ -1,7 +1,9 @@
 """Pseudo-labeling engine: candidate schedule, resampling, and the
-agreement-plus-confidence filter applied to the two labeling heads."""
+agreement-plus-confidence filter applied to the two labeling heads; and
+`class_labels`, the rule every given array of class labels meets."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +36,25 @@ class PseudoLabelSet:
     indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     confidences: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    step: int = 0
 
     def __len__(self):
         return len(self.indices)
+
+
+def class_labels(name: str, y, num_classes) -> np.ndarray:
+    """y as int64, or a ValueError naming it `name` and its first value
+    that is not an integer in [0, num_classes), or >= 0 if that is None."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"{name} holds {y.dtype} values, not integer class labels")
+    top = math.inf if num_classes is None else num_classes
+    # NaN and inf cast to an integer that differs from them
+    with np.errstate(invalid="ignore"):
+        labels = y.astype(np.int64)
+    bad = (labels != y) | (labels < 0) | (labels >= top)
+    if bad.any():
+        raise ValueError(f"{name} holds {y[bad][0].item()!r}, not an integer in [0, {top})")
+    return labels
 
 
 def candidate_count(step_k: int, n_targets: int, cfg: LabelingConfig) -> int:
@@ -74,19 +91,22 @@ def assign_pseudo_labels(p1: np.ndarray, p2: np.ndarray, threshold: float):
     return rows, c1[rows], conf[rows]
 
 
-def label_candidates(net, target_x, candidate_idx, threshold: float, step: int) -> PseudoLabelSet:
+def label_candidates(net, target_x, candidate_idx, threshold: float) -> PseudoLabelSet:
     """Run both labeling heads over the sampled candidates and filter."""
     probs = net.forward(target_x[candidate_idx])
     rows, labels, conf = assign_pseudo_labels(probs[0], probs[1], threshold)
-    return PseudoLabelSet(indices=np.asarray(candidate_idx)[rows],
-                          labels=labels, confidences=conf, step=step)
+    return PseudoLabelSet(indices=np.asarray(candidate_idx)[rows], labels=labels,
+                          confidences=conf)
 
 
-def labeling_accuracy(pls: PseudoLabelSet, true_labels: np.ndarray) -> float:
+def labeling_accuracy(pls: PseudoLabelSet, true_labels) -> float:
     """Fraction of pseudo-labels matching the held-out truth; NaN when empty.
+    A true label that is not an integer >= 0 is a ValueError naming
+    `true_labels`, as `class_labels` words it.
 
     Evaluation harness only: true target labels never feed training.
     """
+    true_labels = class_labels("true_labels", true_labels, None)
     if len(pls) == 0:
         return float("nan")
-    return float(np.mean(pls.labels == np.asarray(true_labels)[pls.indices]))
+    return float(np.mean(pls.labels == true_labels[pls.indices]))

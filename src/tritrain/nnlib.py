@@ -73,17 +73,16 @@ def affine_forward(x: np.ndarray, W: np.ndarray, ws: AffineBuffers, out=None) ->
 
 class AffineGradBuffers(NamedTuple):
     """`affine_backward`'s arrays for an upstream gradient dout (..., k, n):
-    doutᵀ, dW and db in W's and b's stored shapes, and db's rows (..., k)."""
+    doutᵀ, dW in W's stored shape, and the rows (..., k) of db."""
     doutT: np.ndarray
     dW: np.ndarray
-    db: np.ndarray
     db_rows: np.ndarray
 
 
 def affine_backward_buffers(dout: np.ndarray, dW, db) -> AffineGradBuffers:
     """`affine_backward`'s arrays for dout, writing dW and db, arrays in
     W's and b's stored shapes such as arena views."""
-    return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db, db[..., 0, :])
+    return AffineGradBuffers(dout.swapaxes(-1, -2), dW, db[..., 0, :])
 
 
 def affine_backward(dout: np.ndarray, x: np.ndarray, ws: AffineGradBuffers) -> None:
@@ -91,7 +90,7 @@ def affine_backward(dout: np.ndarray, x: np.ndarray, ws: AffineGradBuffers) -> N
     leading axes, written into the dW and db of `ws`, the
     `affine_backward_buffers` of dout. No caller reads an affine layer's
     input gradient, so none is made."""
-    doutT, dW, _, db_rows = ws
+    doutT, dW, db_rows = ws
     np.matmul(x, doutT, out=dW)
     np.add.reduce(dout, axis=-1, out=db_rows)
 
@@ -129,7 +128,6 @@ class CrossEntropyBuffers(NamedTuple):
     at: np.ndarray          # the labels' flat indices into grad, int64 (..., n)
     logp: np.ndarray        # the labels' log-probabilities (..., n)
     base: np.ndarray        # each column's class-0 flat index, slice * k * n + column
-    label_shapes: tuple     # the label shapes that fit: (..., n) and its trailing parts
     n_int: np.ndarray       # n, int64
     n: np.ndarray           # n and -n, float64
     neg_n: np.ndarray
@@ -148,9 +146,8 @@ def cross_entropy_buffers(logits: np.ndarray) -> CrossEntropyBuffers:
     base = (np.arange(math.prod(lead))[:, None] * (k * n) + np.arange(n)).reshape(col)
     return CrossEntropyBuffers(
         logits, tuple(logits[..., j, :] for j in range(k)), grad, grad.reshape(-1), s,
-        s[..., None, :], np.empty(col, dtype=np.int64), np.empty(col), base,
-        tuple(col[i:] for i in range(len(col))), np.array(n), np.array(float(n)),
-        np.array(-float(n)))
+        s[..., None, :], np.empty(col, dtype=np.int64), np.empty(col), base, np.array(n),
+        np.array(float(n)), np.array(-float(n)))
 
 
 def softmax_cross_entropy(labels: np.ndarray, ws: CrossEntropyBuffers):
@@ -159,19 +156,16 @@ def softmax_cross_entropy(labels: np.ndarray, ws: CrossEntropyBuffers):
 
     Returns (loss, grad) with grad = (softmax - onehot) / batch_size. Logits
     of shape (..., k, n), one column per batch row, give one mean loss per
-    leading slice. Labels are an int64 array of shape (..., n); a trailing
-    part of it, such as (n,), labels every leading slice alike.
-    Log-probabilities are clipped at -700. `ws` holds every intermediate,
-    and grad is its `grad`.
+    leading slice. Log-probabilities are clipped at -700. `ws` holds every
+    intermediate, and grad is its `grad`.
+
+    Precondition, checked by the callers and not here: the labels are an
+    int64 array in [0, k), of shape (..., n) or a trailing part of it,
+    such as (n,), which labels every leading slice alike.
+    `TriNet._heads_loss` checks a training batch's before f's pass, and
+    `analysis.a_distance` builds its 0/1 domain labels itself.
     """
-    (logits, rows, grad, grad_flat, s, s_col, at, logp, base, label_shapes, n_int, n,
-     neg_n) = ws
-    if labels.dtype != np.int64 or labels.shape not in label_shapes:
-        raise ShapeError(f"labels {labels.dtype} {labels.shape} do not fit logits "
-                         f"{logits.shape}: int64 needed")
-    # read as unsigned, a negative label is 2**63 or more
-    if np.maximum.reduce(labels.view(np.uint64), axis=None, initial=0) >= len(rows):
-        raise ValueError(f"labels must lie in [0, {len(rows)})")
+    logits, rows, grad, grad_flat, s, s_col, at, logp, base, n_int, n, neg_n = ws
     # a fold of np.maximum over the class rows is the exact max; each call
     # runs numpy's inner loop once over a whole batch row
     np.maximum(rows[0], rows[1], out=s)
@@ -179,7 +173,7 @@ def softmax_cross_entropy(labels: np.ndarray, ws: CrossEntropyBuffers):
         np.maximum(s, row, out=s)
     np.subtract(logits, s_col, out=grad)
     # flat index of each column's label entry: (slice * k + label) * n + column;
-    # the labels were checked, so no index clips
+    # labels in [0, k) clip no index
     np.multiply(labels, n_int, out=at)
     at += base
     grad.take(at, out=logp, mode="clip")
@@ -266,7 +260,7 @@ def batch_norm_train(x, running, count, ws: BatchNormBuffers, out) -> None:
     count[0] += 1
 
 
-def batch_norm_backward(dout, cache):
+def batch_norm_backward(dout, cache: BatchNormBuffers):
     """Gradients of `batch_norm_train` w.r.t. x (d, n), gamma and beta from
     its cache: returns dx, its `dx` row, and writes dgamma and dbeta into
     the rows of its `grads`. A caller that writes dout into `cache.dx`

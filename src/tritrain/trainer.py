@@ -14,7 +14,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from . import labeler
-from .labeler import LabelingConfig, PseudoLabelSet, candidate_count, label_candidates, sample_candidates
+from .labeler import (LabelingConfig, PseudoLabelSet, candidate_count, class_labels,
+                      label_candidates, sample_candidates)
 from .nnlib import ConfigError, ShapeError, make_optimizer
 from .trinet import GradientGates, TriNet
 
@@ -197,7 +198,7 @@ def _relabel(state: TrainState, target_x, step_k: int) -> PseudoLabelSet:
     lab = state.cfg.labeling
     count = candidate_count(step_k, len(target_x), lab)
     cand = sample_candidates(len(target_x), count, state.rng_label)
-    return label_candidates(state.net, target_x, cand, lab.threshold, step_k)
+    return label_candidates(state.net, target_x, cand, lab.threshold)
 
 
 def adapt_step(state: TrainState, source_x, source_y, target_x,
@@ -230,22 +231,6 @@ def _check_labels(name: str, y, rows_name: str, rows) -> None:
         raise ValueError(f"{name} has length {len(y)}, but {rows_name} has {len(rows)} rows")
 
 
-def _class_labels(name: str, y, num_classes) -> np.ndarray:
-    """y as int64, or a ValueError naming it `name` and its first value
-    that is not an integer in [0, num_classes), or >= 0 if that is None."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "biuf":
-        raise ValueError(f"{name} holds {y.dtype} values, not integer class labels")
-    top = math.inf if num_classes is None else num_classes
-    # NaN and inf cast to an integer that differs from them
-    with np.errstate(invalid="ignore"):
-        labels = y.astype(np.int64)
-    bad = (labels != y) | (labels < 0) | (labels >= top)
-    if bad.any():
-        raise ValueError(f"{name} holds {y[bad][0].item()!r}, not an integer in [0, {top})")
-    return labels
-
-
 def _check_features(source_x, target_x, eval_x) -> None:
     """A ShapeError or ValueError naming the first feature array that is
     not 2-D, as wide as source_x and of finite numbers; eval_x may be None."""
@@ -267,13 +252,15 @@ def _check_features(source_x, target_x, eval_x) -> None:
 
 def evaluate(net: TriNet, x, y) -> dict[str, float]:
     """Each head's fraction of argmax-correct predictions, from one
-    eval-mode pass."""
+    eval-mode pass. `y` holds one label per row of x, each an integer in
+    [0, k) for the net's k classes, by the `class_labels` rule `run`
+    applies, whose ValueError names `y` and its first bad value."""
     if len(x) == 0:
         raise ValueError("empty evaluation set")
     if y is None:
         raise ValueError("evaluation needs labels; the dataset has none")
     _check_labels("y", y, "x", x)
-    y = np.asarray(y)
+    y = class_labels("y", y, net.num_classes)
     pred = net.forward(x).argmax(axis=-1)
     return {b: float(np.mean(pred[i] == y)) for i, b in enumerate(TriNet.BRANCHES)}
 
@@ -309,13 +296,13 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
         raise ValueError(f"{'eval_y' if eval_y is None else 'eval_x'} is None: pass both or none")
     _check_labels("eval_y", eval_y, "eval_x", eval_x)
     _check_features(source_x, target_x, eval_x)
-    source_y = _class_labels("source_y", source_y, num_classes)
+    source_y = class_labels("source_y", source_y, num_classes)
     if num_classes is None:
         num_classes = int(source_y.max()) + 1 if len(source_y) else 2
     if eval_y is not None:
-        eval_y = _class_labels("eval_y", eval_y, num_classes)
+        eval_y = class_labels("eval_y", eval_y, num_classes)
     if target_y_hidden is not None:
-        target_y_hidden = _class_labels("target_y_hidden", target_y_hidden, num_classes)
+        target_y_hidden = class_labels("target_y_hidden", target_y_hidden, num_classes)
     state = init_state(cfg, source_x.shape[1], num_classes)
     mean_e, mean_p = pretrain(state, source_x, source_y)
     pseudo = _relabel(state, target_x, 0)

@@ -127,12 +127,23 @@ MUTANTS = (
            "        if np.maximum.reduce(y.view(np.uint64)) >= self.num_classes:",
            "        if False:",
            ("tests/test_trinet.py::test_a_bad_batch_raises_and_leaves_the_net_untouched",)),
-    # the kernel reads the labels' bytes as int64; another dtype must be
-    # refused by name, not misread
-    Mutant("cross_entropy_labels_dtype_unchecked", "src/tritrain/nnlib.py",
-           "    if labels.dtype != np.int64 or labels.shape not in label_shapes:",
-           "    if labels.shape not in label_shapes:",
-           ("tests/test_nnlib.py::test_labels_of_another_dtype_raise_a_shape_error_naming_it",)),
+    # the cross-entropy kernel reads the labels' bytes as int64 and checks
+    # nothing; another dtype must be refused by name, not misread
+    Mutant("cross_entropy_labels_dtype_unchecked", "src/tritrain/trinet.py",
+           "        if y.shape != (n,) or y.dtype != np.int64:",
+           "        if y.shape != (n,):",
+           ("tests/test_trinet.py::test_a_bad_batch_raises_and_leaves_the_net_untouched",)),
+    # labels that are no class index must be refused by name, not scored
+    Mutant("evaluate_scores_labels_unchecked", "src/tritrain/trainer.py",
+           "    y = class_labels(\"y\", y, net.num_classes)",
+           "    y = np.asarray(y)",
+           ("tests/test_trainer.py::"
+            "test_evaluate_refuses_labels_that_are_not_class_indices_naming_them",)),
+    Mutant("labeling_accuracy_scores_true_labels_unchecked", "src/tritrain/labeler.py",
+           "    true_labels = class_labels(\"true_labels\", true_labels, None)",
+           "    true_labels = np.asarray(true_labels)",
+           ("tests/test_labeler.py::"
+            "test_labeling_accuracy_refuses_true_labels_that_are_not_class_indices_naming_them",)),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",

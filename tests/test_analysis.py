@@ -425,7 +425,6 @@ def test_rho_zero_when_pseudo_labels_exact():
     report = verify_rho_bound(h, (tx, ty), ty, verify_theorem1(h, s_xy, (tx, ty)))
     assert report.rho == 0.0
     assert report.violations == []
-    np.testing.assert_array_equal(report.risks_pseudo, report.risks_target)
 
 
 def test_rho_one_when_all_labels_flipped():

@@ -1,7 +1,9 @@
 """Source hygiene checks that need no linter: every import in `src/tritrain`
 sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
-by tests, every name the benchmark's tracer patches still exists, every
+by tests, every NamedTuple field and SimpleNamespace key built there is
+read there, no function there returns a value that every program call
+throws away, every name the benchmark's tracer patches still exists, every
 argument its counter hooks read sits where they read it, every by-name
 import of a name it patches on a module is patched too, a tiny traced run
 of each workload's code calls every span that workload expects, the
@@ -141,6 +143,190 @@ def test_checker_flags_an_unreached_definition_and_only_that():
 def test_every_definition_is_reached_by_the_program(path):
     program = [p.read_text() for p in PROGRAM]
     assert unreached(path.read_text(), program) == []
+
+
+def _own_nodes(node):
+    """The nodes of a function's body, without those of functions and
+    lambdas nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _dict_keys(node) -> set[str]:
+    """The keys of a `dict(k=...)`, `dict.fromkeys((...))` or `{...}` node."""
+    if isinstance(node, ast.Dict):
+        return {k.value for k in node.keys if isinstance(k, ast.Constant)}
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return {kw.arg for kw in node.keywords if kw.arg}
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "fromkeys":
+        return {e.value for e in getattr(node.args[0], "elts", []) if isinstance(e, ast.Constant)}
+    return set()
+
+
+def namespace_keys(f) -> set[str]:
+    """The keys of each SimpleNamespace that function `f` builds: the call's
+    keywords, the keys of a dict it splats that `f` builds, and the
+    attributes `f` then assigns on it."""
+    dicts, spaces, keys = {}, set(), set()
+    for n in ast.walk(f):
+        if isinstance(n, ast.Assign):
+            for t in n.targets:
+                if isinstance(t, ast.Name):
+                    dicts.setdefault(t.id, set()).update(_dict_keys(n.value))
+                    if getattr(getattr(n.value, "func", None), "id", None) == "SimpleNamespace":
+                        spaces.add(t.id)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "SimpleNamespace":
+            for kw in n.keywords:
+                keys |= {kw.arg} if kw.arg else dicts.get(getattr(kw.value, "id", None), set())
+    return keys | {t.attr for n in ast.walk(f) if isinstance(n, ast.Assign) for t in n.targets
+                   if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) in spaces}
+
+
+def positional_reads(f, classes) -> set[tuple[str, str]]:
+    """(class, field) for each field of a NamedTuple in `classes` that `f`
+    unpacks by position, from a parameter annotated with its class or a
+    `[:k]` slice of one, into a name `f` reads."""
+    params = {a.arg: a.annotation.id for a in f.args.args + f.args.kwonlyargs
+              if getattr(a.annotation, "id", None) in classes}
+    read = {n.id for n in ast.walk(f) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    out = set()
+    for n in ast.walk(f):
+        if not (isinstance(n, ast.Assign) and isinstance(n.targets[0], ast.Tuple)):
+            continue
+        value = n.value
+        if (isinstance(value, ast.Subscript) and isinstance(value.slice, ast.Slice)
+                and value.slice.lower is None and value.slice.step is None):
+            value = value.value
+        cls = params.get(getattr(value, "id", None))
+        for target, field in zip(n.targets[0].elts, classes.get(cls, ())):
+            if isinstance(target, ast.Starred):
+                break
+            if getattr(target, "id", None) in read:
+                out.add((cls, field))
+    return out
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """`<module>.<owner>.<field>` for each field of a NamedTuple class, and
+    each key of a SimpleNamespace a function builds, that `sources`, a
+    module name to source map, never read: read means by attribute on
+    anything but `self` (`self.db` is the owner's own attribute), or, for a
+    NamedTuple field, by the `positional_reads` of some function."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    classes, built, unpacked = {}, [], set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef)
+                    and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)):
+                classes[node.name] = [s.target.id for s in node.body
+                                      if isinstance(s, ast.AnnAssign)]
+                built += [(module, node.name, field) for field in classes[node.name]]
+    attrs = set()
+    for module, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                built += [(module, n.name, key) for key in sorted(namespace_keys(n))]
+                unpacked |= positional_reads(n, classes)
+            elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and getattr(n.value, "id", None) != "self"):
+                attrs.add(n.attr)
+    return sorted(f"{module}.{owner}.{field}" for module, owner, field in built
+                  if field not in attrs and (owner, field) not in unpacked)
+
+
+def test_checker_flags_an_unread_field_and_only_that():
+    source = ("class Bufs(NamedTuple):\n"
+              "    by_attr: int\n"
+              "    by_unpack: int\n"
+              "    as_blank: int\n"
+              "    into_unread: int\n"
+              "    on_self: int\n"
+              "def kernel(x, ws: Bufs, other):\n"
+              "    _, by_unpack, _, unread = ws[:4]\n"
+              "    on_self, as_blank, into_unread = other\n"
+              "    return ws.by_attr + by_unpack + on_self + as_blank + into_unread\n"
+              "class Net:\n"
+              "    def make(self, n):\n"
+              "        extra = dict(kept=n)\n"
+              "        none = dict.fromkeys(('unset',))\n"
+              "        ws = SimpleNamespace(key=n, **extra, **none)\n"
+              "        ws.later = self.on_self\n"
+              "        return ws\n"
+              "    def read(self, ws):\n"
+              "        return ws.key + ws.kept\n")
+    assert unread_fields({"m": source}) == ["m.Bufs.as_blank", "m.Bufs.into_unread",
+                                            "m.Bufs.on_self", "m.make.later", "m.make.unset"]
+
+
+def test_every_workspace_field_is_read_by_the_program():
+    # a field or key no program code reads is a buffer every batch fills
+    # or carries for nothing
+    assert unread_fields({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def _returns_a_value(f) -> bool:
+    return any(isinstance(n, ast.Return) and n.value is not None
+               and not (isinstance(n.value, ast.Constant) and n.value.value is None)
+               for n in _own_nodes(f))
+
+
+def discarded_returns(sources: dict[str, str], program_sources) -> list[str]:
+    """`<module>.<name>` for each function, or method as `<class>.<name>`,
+    defined at the top of `sources`, a module name to source map, that
+    returns a value while every call of its name in `program_sources` is
+    a statement of its own, the value thrown away. A name no program code
+    calls is `unreached`'s to flag, not this."""
+    called, used = set(), set()
+    for source in program_sources:
+        tree = ast.parse(source)
+        dropped = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                called.add(name)
+                if id(n) not in dropped:
+                    used.add(name)
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            members = [(None, node)]
+            if isinstance(node, ast.ClassDef):
+                members = [(node.name, m) for m in node.body]
+            for owner, f in members:
+                if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and f.name in called - used and _returns_a_value(f)):
+                    out.append(".".join(filter(None, (module, owner, f.name))))
+    return sorted(out)
+
+
+def test_checker_flags_a_discarded_return_and_only_that():
+    source = ("def dropped():\n"
+              "    return 1\n"
+              "def kept():\n"
+              "    return 2\n"
+              "def bare():\n"
+              "    def inner():\n"
+              "        return 3\n"
+              "    return\n"
+              "def uncalled():\n"
+              "    return 4\n"
+              "class A:\n"
+              "    def method(self):\n"
+              "        return 5\n"
+              "def main(a):\n"
+              "    dropped()\n"
+              "    kept()\n"
+              "    bare()\n"
+              "    a.method()\n"
+              "    return [kept()]\n")
+    assert discarded_returns({"m": source}, [source]) == ["m.A.method", "m.dropped"]
+
+
+def test_no_function_returns_a_value_every_program_call_discards():
+    program = [p.read_text() for p in PROGRAM]
+    assert discarded_returns({p.stem: p.read_text() for p in MODULES}, program) == []
 
 
 def load_bench(name):
@@ -385,27 +571,17 @@ def test_each_kernel_has_the_one_calling_form_the_program_uses():
     assert all("ws" in inspect.signature(f).parameters for f in kernels)
     # the objectives, too, take the workspace their caller owns
     assert optional_workspaces([nnlib, trinet]) == []
-    # dropout runs inside the extractor, in its workspace; the extractor
-    # writes batch norm's output into its own buffer and lives in a
-    # TriNet's arena, and the program reads only batch norm's dx, the
-    # parameter gradients being the workspace's `grads` rows
-    assert not hasattr(nnlib, "dropout_train")
+    # the extractor writes batch norm's output into its own buffer and
+    # lives in a TriNet's arena, and the program reads only batch norm's
+    # dx, the parameter gradients being the workspace's `grads` rows
     for f, name in ((nnlib.batch_norm_train, "out"), (nnlib.Sequential.__init__, "arena")):
         assert inspect.signature(f).parameters[name].default is inspect.Parameter.empty, name
-    # each kernel writes into the buffers its caller passes and returns
-    # nothing the program would discard
+    # batch norm's backward returns dx, the one array of its workspace the
+    # program reads
     ws = nnlib.batch_norm_buffers(np.ones((1, 2)), np.zeros((1, 2)), 3, np.empty((2, 2)))
-    x = np.arange(6.0).reshape(2, 3)
-    assert nnlib.batch_norm_train(x, np.zeros((2, 2)), np.zeros(1, dtype=np.int64), ws,
-                                  np.empty((2, 3))) is None
+    nnlib.batch_norm_train(np.arange(6.0).reshape(2, 3), np.zeros((2, 2)),
+                           np.zeros(1, dtype=np.int64), ws, np.empty((2, 3)))
     assert type(nnlib.batch_norm_backward(np.ones((2, 3)), ws)) is np.ndarray
-    grad_ws = nnlib.affine_backward_buffers(np.ones((2, 3)), np.empty((2, 2)), np.empty((1, 2)))
-    assert nnlib.affine_backward(np.ones((2, 3)), x, grad_ws) is None
-    # both phases run one stacked head path: no view of a lone head or of a
-    # row of the heads' gradients, and no label shape kept per batch size
-    net = trinet.TriNet(2, 2, hidden_dim=2)
-    for phase in net.PHASES:
-        assert not {"W0", "dz0", "dx0", "dx1", "y_shape"} & vars(net.workspace(phase, 3)).keys()
     # an extractor's workspace holds only its activation's buffers: a
     # sigmoid's no relu mask, a relu's no exp scratch
     for activation in ("sigmoid", "relu"):

@@ -172,7 +172,7 @@ def test_rule_matches_brute_force_on_random_pairs():
 
 def test_labeling_accuracy_all_correct():
     pls = PseudoLabelSet(indices=np.array([0, 2, 4]), labels=np.array([1, 0, 1]),
-                         confidences=np.full(3, 0.95), step=1)
+                         confidences=np.full(3, 0.95))
     truth = np.array([1, 0, 0, 0, 1])
     assert labeling_accuracy(pls, truth) == 1.0
 
@@ -181,12 +181,24 @@ def test_labeling_accuracy_empty_is_nan():
     assert math.isnan(labeling_accuracy(PseudoLabelSet(), np.array([0, 1])))
 
 
+@pytest.mark.parametrize("truth, value", [([1, 0, 0.5, 0, 1], "0.5"), ([1, 0, 0, -1, 1], "-1")],
+                         ids=["fractional", "negative"])
+def test_labeling_accuracy_refuses_true_labels_that_are_not_class_indices_naming_them(
+        truth, value):
+    # each used to count as a wrong pseudo-label, without a word
+    pls = PseudoLabelSet(indices=np.array([0, 2, 4]), labels=np.array([1, 0, 1]),
+                         confidences=np.full(3, 0.95))
+    with pytest.raises(ValueError,
+                       match=rf"^true_labels holds {value}, not an integer in \[0, inf\)$"):
+        labeling_accuracy(pls, np.array(truth))
+
+
 def test_labeling_accuracy_matches_brute_force():
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 3, size=50)
     idx = rng.choice(50, size=20, replace=False)
     labels = rng.integers(0, 3, size=20)
     pls = PseudoLabelSet(indices=idx, labels=labels,
-                         confidences=np.full(20, 0.91), step=2)
+                         confidences=np.full(20, 0.91))
     expected = sum(int(labels[i] == truth[idx[i]]) for i in range(20)) / 20
     assert labeling_accuracy(pls, truth) == pytest.approx(expected)

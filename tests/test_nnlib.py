@@ -10,8 +10,7 @@ from tritrain.nnlib import (BN_EPS, BN_MOMENTUM, Adagrad, ConfigError, MomentumS
                             ShapeError, StateError,
                             affine_backward, affine_backward_buffers,
                             batch_norm_backward, batch_norm_buffers, batch_norm_eval,
-                            batch_norm_train, cross_entropy_buffers, sigmoid, softmax,
-                            softmax_cross_entropy)
+                            batch_norm_train, sigmoid, softmax)
 
 from conftest import (affine, cross_entropy, extractor, finite_difference_gradient, named,
                       rel_err, train_pass)
@@ -114,21 +113,6 @@ def test_confident_correct_prediction():
     loss, grad = cross_entropy(logits, np.array([1]))
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert np.abs(grad).max() < 1e-9
-
-
-def test_label_out_of_range():
-    with pytest.raises(ValueError):
-        cross_entropy(np.zeros((3, 1)), np.array([3]))
-
-
-def test_labels_of_another_dtype_raise_a_shape_error_naming_it():
-    # their bytes used to be read as int64: in-range int32 labels raised the
-    # range message, and an odd count of them numpy's view error
-    for labels in (np.array([0, 1, 1, 0], dtype=np.int32), np.array([0, 1, 1], dtype=np.int32),
-                   np.array([0.0, 1.0, 1.0, 0.0]), np.array([0, 1, 1, 0], dtype=np.uint64)):
-        logits = np.zeros((2, len(labels)))
-        with pytest.raises(ShapeError, match=f"labels {labels.dtype} "):
-            softmax_cross_entropy(labels, cross_entropy_buffers(logits))
 
 
 def test_softmax_rows_sum_to_one():
@@ -719,14 +703,6 @@ def test_cross_entropy_results_keep_their_values_after_the_next_call():
         cross_entropy(second, labels)
         assert_same_bits(loss, kept[0])
         assert_same_bits(grad, kept[1])
-
-
-def test_softmax_cross_entropy_rejects_labels_that_do_not_fit():
-    logits = np.zeros((2, 3, 4))
-    for labels in (np.zeros(5, dtype=np.int64), np.zeros((3, 4), dtype=np.int64),
-                   np.zeros((1, 4), dtype=np.int64), np.int64(0)):
-        with pytest.raises(ShapeError):
-            cross_entropy(logits, labels)
 
 
 @pytest.mark.parametrize("n, d", [(64, 16), (128, 16), (2, 3), (37, 5), (64, 1), (16, 50)])

@@ -254,7 +254,7 @@ class CountingNumpy:
 # the benchmark shapes, each phase's own setup spread over its batches. A
 # change that adds calls raises its ceiling here and says why; one that
 # removes calls lowers it
-CALLS_PER_BATCH = {"labeling": 48.27, "target": 40.21}
+CALLS_PER_BATCH = {"labeling": 47.27, "target": 39.21}
 
 
 def test_numpy_calls_per_training_batch_stay_under_their_ceiling(
@@ -360,7 +360,7 @@ def test_oracle_pseudo_labels_recover_supervised_accuracy():
     pretrain(state, ds.source_x, ds.source_y)
     idx = np.arange(len(ds.target_x))
     oracle = PseudoLabelSet(indices=idx, labels=ds.target_y_hidden,
-                            confidences=np.ones(len(idx)), step=0)
+                            confidences=np.ones(len(idx)))
     for k in range(1, cfg.steps_k + 1):
         _, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x, oracle, k)
     acc_oracle = evaluate(state.net, ds.target_x, ds.target_y_hidden)["ft"]
@@ -376,7 +376,7 @@ def test_tiny_pseudo_set_skips_target_phase():
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
-    empty = PseudoLabelSet(step=0)
+    empty = PseudoLabelSet()
     before = {k: v.copy() for k, v in named(state.net).items()
               if k.startswith("ft/")}
     adapt_step(state, ds.source_x, ds.source_y, ds.target_x, empty, 1)
@@ -413,7 +413,7 @@ def test_one_extractor_eval_pass_per_labeling_and_per_capture(monkeypatch):
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
-    pseudo = PseudoLabelSet(indices=np.arange(50), labels=ds.target_y_hidden[:50], step=0)
+    pseudo = PseudoLabelSet(indices=np.arange(50), labels=ds.target_y_hidden[:50])
     passes = []
     eval_pass = state.net.f.eval
 
@@ -494,9 +494,12 @@ def test_run_refuses_source_labels_that_are_not_class_indices_naming_them(bad):
             num_classes=num_classes)
 
 
-# (edit of a label array, the value the error names); both used to run to
-# the end, eval_y scoring every prediction wrong, acc_ft 0.0
-BAD_CLASS_LABELS = {"fractional": (lambda y: y + 0.5, r"[01]\.5"), "of_k": (first_label(2), "2")}
+# (edit of a label array, the value the error names); the first two used to
+# run to the end, eval_y scoring every prediction wrong, acc_ft 0.0, and
+# `evaluate` scored each of them 0.0 on every head without a word
+BAD_CLASS_LABELS = {"fractional": (lambda y: y + 0.5, r"[01]\.5"), "of_k": (first_label(2), "2"),
+                    "of_k_and_above": (lambda y: y + 2, "[23]"),
+                    "nan": (first_label(math.nan), "nan")}
 
 
 @pytest.mark.parametrize("bad", BAD_CLASS_LABELS)
@@ -565,6 +568,15 @@ def test_evaluate_rejects_labels_of_another_length():
         evaluate(net, ds.target_x, ds.target_y_hidden[:1])
 
 
+@pytest.mark.parametrize("bad", BAD_CLASS_LABELS)
+def test_evaluate_refuses_labels_that_are_not_class_indices_naming_them(bad):
+    ds = moons_60()
+    net = build_net(small_cfg(use_bn=False), 2, 2)
+    edit, value = BAD_CLASS_LABELS[bad]
+    with pytest.raises(ValueError, match=rf"^y holds {value}, not an integer in \[0, 2\)$"):
+        evaluate(net, ds.target_x, edit(ds.target_y_hidden))
+
+
 def test_evaluate_rejects_missing_labels():
     net = build_net(small_cfg(), 2, 2)
     with pytest.raises(ValueError, match="labels"):
@@ -621,8 +633,7 @@ def test_checkpoint_resume_is_bit_identical(tmp_path):
     pretrain(state, ds.source_x, ds.source_y)
     count = trainer.candidate_count(0, len(ds.target_x), cfg.labeling)
     cand = trainer.sample_candidates(len(ds.target_x), count, state.rng_label)
-    pseudo = trainer.label_candidates(state.net, ds.target_x, cand,
-                                      cfg.labeling.threshold, 0)
+    pseudo = trainer.label_candidates(state.net, ds.target_x, cand, cfg.labeling.threshold)
     for k in (1, 2):
         pseudo, _, _ = adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, k)
     path = tmp_path / "ckpt.npz"
@@ -655,7 +666,7 @@ def test_divergence_in_adaptation_names_the_step(head, phase):
     cfg = small_cfg()
     state = init_state(cfg, 2, ds.num_classes)
     pretrain(state, ds.source_x, ds.source_y)
-    pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40], step=0)
+    pseudo = PseudoLabelSet(indices=np.arange(40), labels=ds.target_y_hidden[:40])
     named(state.net)[f"{head}/W"][0, 0] = np.nan
     with pytest.raises(trainer.DivergenceError, match=f"{phase} phase of step 2: loss nan at batch 0"):
         adapt_step(state, ds.source_x, ds.source_y, ds.target_x, pseudo, 2)

@@ -416,6 +416,7 @@ BAD_BATCHES = {
     "label_of_k": (ValueError, "labels must lie", lambda x, y: (x, np.append(y[:-1], 3))),
     "negative_label": (ValueError, "labels must lie", lambda x, y: (x, np.append(y[:-1], -1))),
     "one_label_short": (nnlib.ShapeError, "labels", lambda x, y: (x, y[:-1])),
+    "int32_labels": (nnlib.ShapeError, "labels int32", lambda x, y: (x, y.astype(np.int32))),
     "x_one_column_wide": (nnlib.ShapeError, "affine", lambda x, y: (np.hstack([x, x[:, :1]]), y)),
 }
 
