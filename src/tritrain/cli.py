@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, datagen, labeler, trainer, trinet
-from .nnlib import ConfigError
+from .nnlib import ConfigError, check_range
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,12 +37,11 @@ class BoundCheckConfig:
     pretrain_iters: int = 100
 
     def __post_init__(self):
-        if self.max_hypotheses > analysis.MAX_HYPOTHESES:
-            raise ConfigError(f"bound.max_hypotheses must be <= {analysis.MAX_HYPOTHESES}, "
-                              f"the most stumps a class may hold, got {self.max_hypotheses}")
-        if self.thresholds_per_dim < 1:
-            raise ConfigError(f"bound.thresholds_per_dim must be >= 1, "
-                              f"got {self.thresholds_per_dim}")
+        # a class holds at most analysis.MAX_HYPOTHESES stumps
+        for name, *interval in (("max_hypotheses", 1, analysis.MAX_HYPOTHESES + 1),
+                                ("max_samples", 1), ("thresholds_per_dim", 1),
+                                ("pretrain_iters", 0)):
+            check_range(f"bound.{name}", getattr(self, name), *interval)
 
 
 def _field_types(cls, skip=()) -> dict:
@@ -200,8 +199,8 @@ def _resolve(args) -> dict:
         if (key in cfg) != sparse:
             raise ConfigError(f'data.format = "sparse_bow" needs {key}' if sparse
                               else f'{key} needs data.format = "sparse_bow"')
-    if sparse and cfg["data.dim"] < 1:
-        raise ConfigError(f"config key 'data.dim' must be >= 1, got {cfg['data.dim']}")
+    if sparse:
+        check_range("data.dim", cfg["data.dim"], 1)
     return cfg
 
 
@@ -297,8 +296,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_adist(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    check_range("--seed", args.seed, 0)
     state, ds = _checkpoint_and_dataset(args, classes=False)
     d_raw = analysis.a_distance(ds.source_x, ds.target_x, seed=args.seed)
     d_feat = analysis.a_distance(state.net.features(ds.source_x),

@@ -6,13 +6,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .nnlib import ConfigError
+from .nnlib import ConfigError, check_range
 
 GENERATORS = ("two_moons", "gaussian_blobs")
 
@@ -40,25 +39,19 @@ class ShiftSpec:
         self.translation = tuple(self.translation)
         if len(self.translation) != 2:
             raise ConfigError(f"translation must have 2 entries, got {list(self.translation)}")
-        for name, values in (("rotation_deg", [self.rotation_deg]),
-                             ("translation", self.translation)):
-            if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} must hold finite numbers, got {list(values)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_range("rotation_deg", self.rotation_deg, -math.inf, low_open=True)
+        for v in self.translation:
+            check_range("translation", v, -math.inf, low_open=True)
+        check_range("seed", self.seed, 0)
         if self.generator not in GENERATORS:
             raise ConfigError(f"generator must be one of {GENERATORS}, got {self.generator!r}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        check_range("num_classes", self.num_classes, 2)
         if self.generator == "two_moons" and self.num_classes != 2:
             raise ConfigError(f"num_classes must be 2 for two_moons, got {self.num_classes}")
-        # written as `not (in range)` so that NaN fails too
-        if not self.noise_sigma > 0:
-            raise ConfigError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        check_range("noise_sigma", self.noise_sigma, 0, low_open=True)
         for name in ("n_source", "n_target"):
-            if getattr(self, name) < 2 * self.num_classes:
-                raise ConfigError(f"{name} must be >= 2 per class ({2 * self.num_classes}), "
-                                  f"got {getattr(self, name)}")
+            # 2 rows per class
+            check_range(name, getattr(self, name), 2 * self.num_classes)
 
 
 @dataclass
@@ -117,11 +110,17 @@ def _shift(x, spec: ShiftSpec):
 def generate(spec: ShiftSpec) -> DomainDataset:
     """Source from the base generator; target drawn the same way, then
     rotated/translated. True target labels are retained only as the hidden
-    evaluation field."""
+    evaluation field. A point that is not finite is a ConfigError naming
+    noise_sigma and the shift."""
     ss = np.random.SeedSequence(spec.seed).spawn(2)
     sx, sy = _draw(spec, spec.n_source, np.random.default_rng(ss[0]))
     tx, ty = _draw(spec, spec.n_target, np.random.default_rng(ss[1]))
     tx = _shift(tx, spec)
+    # a large noise_sigma or shift overflows float64
+    if not (np.isfinite(sx).all() and np.isfinite(tx).all()):
+        raise ConfigError(f"noise_sigma {spec.noise_sigma!r} with rotation_deg "
+                          f"{spec.rotation_deg!r} and translation {list(spec.translation)} "
+                          f"makes points that are not finite")
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
                          target_y_hidden=ty, num_classes=spec.num_classes)
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nnlib import ConfigError, ShapeError
+from .nnlib import ConfigError, ShapeError, check_range
 
 
 @dataclass
@@ -19,14 +19,12 @@ class LabelingConfig:
     steps_divisor: int = 20
 
     def __post_init__(self):
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
-        if self.n_init < 0:
-            raise ConfigError(f"n_init must be >= 0, got {self.n_init}")
+        check_range("threshold", self.threshold, 0, 1, low_open=True)
+        check_range("n_init", self.n_init, 0)
+        check_range("cap", self.cap, 0)
+        check_range("steps_divisor", self.steps_divisor, 1)
         if self.n_init > self.cap:
             raise ConfigError("n_init must not exceed the candidate cap")
-        if self.steps_divisor < 1:
-            raise ConfigError("steps_divisor must be >= 1")
 
 
 @dataclass
@@ -102,11 +100,17 @@ def label_candidates(net, target_x, candidate_idx, threshold: float) -> PseudoLa
 def labeling_accuracy(pls: PseudoLabelSet, true_labels) -> float:
     """Fraction of pseudo-labels matching the held-out truth; NaN when empty.
     A true label that is not an integer >= 0 is a ValueError naming
-    `true_labels`, as `class_labels` words it.
+    `true_labels`, as `class_labels` words it, and so is a `true_labels`
+    that is not 1-D or has no label for a row the pool indexes.
 
     Evaluation harness only: true target labels never feed training.
     """
     true_labels = class_labels("true_labels", true_labels, None)
+    if true_labels.ndim != 1:
+        raise ValueError(f"true_labels has shape {true_labels.shape}, not (rows,)")
     if len(pls) == 0:
         return float("nan")
+    if pls.indices.max() >= len(true_labels):
+        raise ValueError(f"true_labels has {len(true_labels)} labels, but the pool indexes "
+                         f"row {pls.indices.max()}")
     return float(np.mean(pls.labels == true_labels[pls.indices]))

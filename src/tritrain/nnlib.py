@@ -25,6 +25,21 @@ class StateError(RuntimeError):
     """Operation requires state that has not been populated yet."""
 
 
+# the types of a real number; a tuple test is cheaper than `numbers.Real`
+_REAL = (int, float, np.integer, np.floating)
+
+
+def check_range(name: str, v, low, high=math.inf, low_open=False):
+    """v, or a ConfigError naming the setting `name` and v unless v is a
+    real number in [low, high), or (low, high) if `low_open`. Written as
+    `not (in range)` with `high` exclusive, so NaN and +inf lie in no
+    interval, and -inf in none whose low end is open or finite."""
+    if not (isinstance(v, _REAL) and (low < v if low_open else low <= v) and v < high):
+        raise ConfigError(f"{name} must lie in {'(' if low_open else '['}{low}, {high}), "
+                          f"got {v!r}")
+    return v
+
+
 # Float operands of the training step are float64 0-d arrays: numpy converts
 # a Python number operand anew on every call, at about a small ufunc's cost.
 # Batch norm's variance offset and running-statistics decay in the extractor:
@@ -315,38 +330,36 @@ class Sequential(Layer):
 
     Parameters live in one flat float64 buffer `theta`, W (in_dim, hidden)
     then b, gamma and beta (1, hidden) each, and gradients in `grad`; `W`,
-    `b`, `gamma`, `beta` and `dW`, `db`, `dgamma`, `dbeta` are views into
-    them. Its owner passes zero-filled views of `size` elements as the two,
-    `arena` = (theta, grad). Batch norm's running mean and variance are the
-    rows of `running` (2, hidden) and its batch count is `count` (1,).
-    Without batch norm, `gamma`, `beta`, their gradients, `running` and
-    `count` are None.
+    `b`, `gamma`, `beta` and `dW`, `db` are views into them. Its owner
+    passes zero-filled views of `size` elements as the two, `arena` =
+    (theta, grad). Batch norm's running mean and variance are the rows of
+    `running` (2, hidden) and its batch count is `count` (1,). Without
+    batch norm, `gamma`, `beta`, `running` and `count` are None.
     `backward` writes every gradient of `grad` it reaches; nothing adds."""
 
     def __init__(self, in_dim: int, hidden_dim: int, activation: str, dropout_rate: float,
                  use_bn: bool, rng, arena):
         if activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {activation!r}")
-        if in_dim < 1 or hidden_dim < 1:
-            raise ConfigError(f"the extractor needs in_dim and hidden_dim >= 1, "
-                              f"got {in_dim} and {hidden_dim}")
-        if not 0 <= dropout_rate < 1:  # NaN fails too
-            raise ConfigError(f"dropout rate must lie in [0, 1), got {dropout_rate}")
+        check_range("in_dim", in_dim, 1)
+        check_range("hidden_dim", hidden_dim, 1)
+        check_range("dropout_rate", dropout_rate, 0, 1)
         d, h = in_dim, hidden_dim
         self.in_dim, self.activation, self.dropout_rate = in_dim, activation, dropout_rate
         self._rate, self._keep_rate = np.array(float(dropout_rate)), np.array(1.0 - dropout_rate)
         self.theta, self.grad = arena
         self.W, self.dW = (a[:d * h].reshape(d, h) for a in (self.theta, self.grad))
         # the (1, h) rows after W: b, then gamma and beta
-        (self.b, *bn), (self.db, *dbn) = (a[d * h:].reshape(-1, 1, h)
-                                          for a in (self.theta, self.grad))
+        (self.b, *bn), (self.db, *_) = (a[d * h:].reshape(-1, 1, h)
+                                        for a in (self.theta, self.grad))
         self.W[...] = glorot_uniform(rng, d, h)
         # the views the first layer applies
         self._affine = affine_buffers(self.W, self.b)
-        self.gamma = self.beta = self.dgamma = self.dbeta = self.running = self.count = None
+        self.gamma = self.beta = self.running = self.count = None
         if use_bn:
-            (self.gamma, self.beta), (self.dgamma, self.dbeta) = bn, dbn
-            # dgamma and dbeta as the rows of one array, for one reduction
+            self.gamma, self.beta = bn
+            # the gradients of gamma and beta as the rows of one array, for
+            # one reduction
             self._dbn = self.grad[d * h + h:].reshape(2, h)
             self.gamma.fill(1.0)
             # running mean and variance as the rows of one array, updated in
@@ -447,23 +460,16 @@ class Sequential(Layer):
 # optimizers
 
 
-def _finite_positive(name: str, v) -> float:
-    # written as `not (in range)` so that NaN fails too
-    if not 0 < v < math.inf:
-        raise ConfigError(f"{name} must be finite and > 0, got {v}")
-    return float(v)
-
-
 class Optimizer:
     """An elementwise update of one parameter arena, with one `slot` array
     over it, which the first `bind` makes; each subclass defines `step`."""
     # the float operands of an update are float64 0-d arrays; `lr` is the
     # learning rate's as a float, and each step reads it anew
     lr = property(lambda self: float(self._lr),
-                  lambda self, lr: self._lr.fill(_finite_positive("lr", lr)))
+                  lambda self, lr: self._lr.fill(check_range("lr", lr, 0, low_open=True)))
 
     def __init__(self, lr: float):
-        self._lr = np.array(_finite_positive("lr", lr))
+        self._lr = np.array(float(check_range("lr", lr, 0, low_open=True)))
         self.slot: np.ndarray | None = None
 
     def bind(self, theta: np.ndarray, grad: np.ndarray, span=slice(None)):
@@ -484,9 +490,7 @@ class Optimizer:
 class MomentumSGD(Optimizer):
     def __init__(self, lr: float, momentum: float = 0.9):
         super().__init__(lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        self.momentum = np.array(float(momentum))
+        self.momentum = np.array(float(check_range("momentum", momentum, 0, 1)))
 
     def step(self, bound):
         p, g, v, t = bound
@@ -499,7 +503,7 @@ class MomentumSGD(Optimizer):
 class Adagrad(Optimizer):
     def __init__(self, lr: float, eps: float = 1e-8):
         super().__init__(lr)
-        self.eps = np.array(_finite_positive("adagrad eps", eps))
+        self.eps = np.array(float(check_range("adagrad eps", eps, 0, low_open=True)))
 
     def step(self, bound):
         p, g, a, t = bound

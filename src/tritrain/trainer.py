@@ -16,7 +16,7 @@ import numpy as np
 from . import labeler
 from .labeler import (LabelingConfig, PseudoLabelSet, candidate_count, class_labels,
                       label_candidates, sample_candidates)
-from .nnlib import ConfigError, ShapeError, make_optimizer
+from .nnlib import ConfigError, ShapeError, check_range, make_optimizer
 from .trinet import GradientGates, TriNet
 
 log = logging.getLogger(__name__)
@@ -54,33 +54,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps_k < 0:
-            raise ConfigError("steps_k must be >= 0")
-        for name in ("iter_per_phase", "pretrain_iters"):
-            iters = getattr(self, name)
-            if iters is not None and iters < 0:
-                raise ConfigError(f"{name} must be >= 0, got {iters}")
-        for name in ("batch_labeling", "batch_target"):
-            size = getattr(self, name)
-            if size < 2:
-                raise ConfigError(f"{name} must be >= 2, got {size}")
+        # each number's interval as `check_range` takes it; None leaves an
+        # optional count unset
+        for name in ("iter_per_phase", "pretrain_iters", "lr_decay_step"):
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), 0)
+        for name, *interval in (("steps_k", 0), ("batch_labeling", 2), ("batch_target", 2),
+                                ("hidden_dim", 1), ("seed", 0), ("dropout_rate", 0, 1),
+                                ("momentum", 0, 1), ("lr", 0, math.inf, True),
+                                ("adagrad_eps", 0, math.inf, True),
+                                ("lr_decay_to", 0, math.inf, True)):
+            check_range(name, getattr(self, name), *interval)
+        check_range("lambda (lam)", self.lam, 0)
         if self.activation not in ("sigmoid", "relu"):
             raise ConfigError(f"unsupported activation {self.activation!r}")
         if self.optimizer not in ("momentum_sgd", "adagrad"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        # written as `not (in range)` so that NaN fails too
-        for name in ("lr", "adagrad_eps", "lr_decay_to"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
-        for name in ("dropout_rate", "momentum"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.lam >= 0:
-            raise ConfigError(f"lambda (lam) must be >= 0, got {self.lam}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.use_bn and _pretrain_iters(self) == 0:
             raise ConfigError("pretraining runs no batch (pretrain_iters, or iter_per_phase when "
                               "it is unset, is 0), so batch norm gets no running statistics")
@@ -128,11 +117,10 @@ def init_state(cfg: TrainConfig, in_dim: int, num_classes: int) -> TrainState:
 
 
 def _batches(n: int, batch: int, iters: int | None, rng):
-    """Mini-batch index draws of `batch` <= n rows. One shuffled pass when
-    iters is None, otherwise `iters` independent without-replacement draws.
-    Batches under 2 rows are dropped (batch norm needs >= 2)."""
-    if batch < 2:
-        return
+    """Mini-batch index draws of `batch` rows, 2 <= batch <= n. One shuffled
+    pass when iters is None, otherwise `iters` independent
+    without-replacement draws. Batches under 2 rows are dropped (batch norm
+    needs >= 2)."""
     if iters is None:
         perm = rng.permutation(n)
         # the last start is at most n - 2, so every chunk has >= 2 rows
@@ -442,9 +430,10 @@ def load_state(path) -> TrainState:
                 raise ValueError(f"array {key} holds a negative variance")
             dst[...] = a
         lr, step = meta["lr"], meta["step"]
-        # NaN fails the range too; a bool is no number here
-        if type(lr) not in (int, float) or not 0 < lr < math.inf:
-            raise ValueError(f"lr {lr!r} is not a finite number > 0")
+        # a bool is no number here
+        if type(lr) is bool:
+            raise ValueError(f"lr {lr!r} is not a number")
+        check_range("lr", lr, 0, low_open=True)
         if type(step) is not int or step < 0:
             raise ValueError(f"step {step!r} is not an integer >= 0")
         state.opt.lr, state.step = float(lr), step

@@ -9,8 +9,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nnlib import (ConfigError, Sequential, ShapeError, cross_entropy_buffers, glorot_uniform,
-                    softmax, softmax_cross_entropy)
+from .nnlib import (ConfigError, Sequential, ShapeError, check_range, cross_entropy_buffers,
+                    glorot_uniform, softmax, softmax_cross_entropy)
 
 
 @dataclass
@@ -76,10 +76,11 @@ class TriNet:
     the flat arena `theta` laid out f1 f2 | f | ft, gradients in `grad`, and
     `spans` maps each network to its slice. f takes its slices as its own
     `theta` and `grad`; a head's are W (d, k) then b (k), viewed as one
-    matrix `Wb[head]` (d + 1, k) whose last row is b, and `dWb[head]`. A
-    head's logits are Wbᵀ applied to f's output with a ones row appended,
-    and its gradient is that output times the logits' gradient, one matmul
-    each for a phase's adjacent heads."""
+    matrix `Wb[head]` (d + 1, k) whose last row is b, and so are their
+    gradients in `grad[spans[head]]`. A head's logits are Wbᵀ applied to
+    f's output with a ones row appended, and its gradient is that output
+    times the logits' gradient, one matmul each for a phase's adjacent
+    heads."""
 
     BRANCHES = ("f1", "f2", "ft")
     # phase -> (its heads, the GradientGates field opening f to it)
@@ -88,10 +89,8 @@ class TriNet:
     def __init__(self, in_dim: int, num_classes: int, hidden_dim: int = 50,
                  activation: str = "sigmoid", dropout_rate: float = 0.0, use_bn: bool = True,
                  lam: float = 0.01, gates: GradientGates | None = None, seed: int = 0):
-        if not lam >= 0:  # NaN fails too
-            raise ConfigError(f"lambda (lam) must be >= 0, got {lam}")
         self.num_classes = num_classes
-        self.lam = lam
+        self.lam = check_range("lambda (lam)", lam, 0)
         self.gates = gates or GradientGates()
         d, k = hidden_dim, num_classes
         hk = (d + 1) * k
@@ -103,8 +102,7 @@ class TriNet:
         self.f = Sequential(in_dim, d, activation, dropout_rate, use_bn,
                             np.random.default_rng(ss[0]),
                             arena=(self.theta[self.spans["f"]], self.grad[self.spans["f"]]))
-        self.Wb, self.dWb = ({h: a[self.spans[h]].reshape(d + 1, k) for h in self.BRANCHES}
-                             for a in (self.theta, self.grad))
+        self.Wb = {h: self.theta[self.spans[h]].reshape(d + 1, k) for h in self.BRANCHES}
         for h, s in zip(self.BRANCHES, ss[1:]):
             self.Wb[h][:d] = glorot_uniform(np.random.default_rng(s), d, k)
         # each phase's S adjacent heads as (S, d + 1, k) blocks of the arena

@@ -110,18 +110,22 @@ VIEWS = ("W", "b", "gamma", "beta")
 
 
 def named(net, which="params") -> dict[str, np.ndarray]:
-    """`<net>/<view>` -> each parameter view, or with "grads" its gradient
-    view (`dW`, `db`, ...), over the four networks of a TriNet, where head
-    `<h>/W` and `<h>/b` are the rows of its matrix `Wb[h]`; an extractor's
-    keys are its view names, `gamma` and `beta` only with batch norm."""
+    """`<net>/<view>` -> each parameter view, or with "grads" the view of the
+    gradient arena at the same place, over the four networks of a TriNet,
+    where head `<h>/W` and `<h>/b` are the rows of its matrix `Wb[h]`; an
+    extractor's keys are its view names, `gamma` and `beta` only with batch
+    norm."""
     seq = net.f if isinstance(net, TriNet) else net
     prefix = "f/" if isinstance(net, TriNet) else ""
-    d = "" if which == "params" else "d"
-    out = {prefix + k: getattr(seq, d + k) for k in VIEWS if getattr(seq, k) is not None}
+    out = {prefix + k: getattr(seq, k) for k in VIEWS if getattr(seq, k) is not None}
     if isinstance(net, TriNet):
-        for head, Wb in (net.Wb if which == "params" else net.dWb).items():
+        for head, Wb in net.Wb.items():
             out[f"{head}/W"], out[f"{head}/b"] = Wb[:-1], Wb[-1:]
-    return out
+    if which == "params":
+        return out
+    # every view is a contiguous run of `theta`; its gradient is the same run of `grad`
+    start = {k: (v.ctypes.data - net.theta.ctypes.data) // v.itemsize for k, v in out.items()}
+    return {k: net.grad[start[k]:start[k] + v.size].reshape(v.shape) for k, v in out.items()}
 
 
 def rewrite_checkpoint(path, edit):

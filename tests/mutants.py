@@ -144,6 +144,35 @@ MUTANTS = (
            "    true_labels = np.asarray(true_labels)",
            ("tests/test_labeler.py::"
             "test_labeling_accuracy_refuses_true_labels_that_are_not_class_indices_naming_them",)),
+    Mutant("labeling_accuracy_indexes_past_true_labels", "src/tritrain/labeler.py",
+           "    if pls.indices.max() >= len(true_labels):",
+           "    if False:",
+           ("tests/test_labeler.py::"
+            "test_labeling_accuracy_refuses_true_labels_that_miss_a_pooled_row_naming_them",)),
+    Mutant("labeling_accuracy_broadcasts_true_labels_of_2d", "src/tritrain/labeler.py",
+           "    if true_labels.ndim != 1:",
+           "    if False:",
+           ("tests/test_labeler.py::"
+            "test_labeling_accuracy_refuses_true_labels_that_are_not_1d_naming_them",)),
+    # one interval check for every settable number: NaN and +inf lie in none
+    Mutant("check_range_lets_inf_through", "src/tritrain/nnlib.py",
+           "(low < v if low_open else low <= v) and v < high)",
+           "(low < v if low_open else low <= v) and v <= high)",
+           ("tests/test_cli.py::"
+            "test_every_float_key_refuses_a_non_finite_value_by_name_before_any_output",
+            "tests/test_nnlib.py::"
+            "test_lr_assignment_rejects_a_non_finite_or_non_positive_value_and_keeps_the_old")),
+    Mutant("check_range_lets_nan_through", "src/tritrain/nnlib.py",
+           "    if not (isinstance(v, _REAL) and (low < v if low_open else low <= v) "
+           "and v < high):",
+           "    if not isinstance(v, _REAL) or (v <= low if low_open else v < low) or v >= high:",
+           ("tests/test_cli.py::test_every_numeric_config_field_refuses_nan_by_name",)),
+    # generated points must be finite, or gen-data writes a set its loader refuses
+    Mutant("generate_returns_points_that_are_not_finite", "src/tritrain/datagen.py",
+           "    if not (np.isfinite(sx).all() and np.isfinite(tx).all()):",
+           "    if False:",
+           ("tests/test_datagen.py::test_points_that_overflow_are_refused_naming_noise_sigma",
+            "tests/test_cli.py::test_gen_data_refuses_a_noise_sigma_whose_points_overflow")),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",

@@ -1,14 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import runpy
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tritrain import analysis, cli, datagen, trainer
+from tritrain import analysis, cli, datagen, labeler, trainer
 from tritrain.nnlib import ConfigError
 
 from conftest import (MALFORMED_CHECKPOINTS, UNKNOWN_ARRAYS, UNTRAINED_ARRAYS, arithmetic_host,
@@ -170,8 +172,8 @@ CONFIG_ERRORS = [
     ("gen-data", ["train.bogus=1"], "train.bogus"),
     ("train", ["bound.bogus=1"], "bound.bogus"),
     # range checks of TrainConfig, one per key
-    ("train", ["train.lr=0"], "lr must be > 0"),
-    ("train", ["train.lr=NaN"], "lr must be > 0"),
+    ("train", ["train.lr=0"], "lr must lie in (0, inf), got 0"),
+    ("train", ["train.lr=NaN"], "lr must lie in (0, inf), got nan"),
     ("train", ['train.optimizer="adam"'], "optimizer"),
     ("train", ["train.hidden_dim=0"], "hidden_dim"),
     ("train", ["train.dropout_rate=1"], "dropout_rate"),
@@ -182,10 +184,10 @@ CONFIG_ERRORS = [
     ("train", ["train.lr_decay_step=0", "train.lr_decay_to=-1"], "lr_decay_to"),
     # an infinite rate used to pass, and fail only after manifest.json was
     # written, naming no key; an unused adagrad_eps, not at all
-    ("train", ["train.lr=Infinity"], "lr must be > 0 and finite, got inf"),
-    ("train", ["train.adagrad_eps=Infinity"], "adagrad_eps must be > 0 and finite"),
+    ("train", ["train.lr=Infinity"], "lr must lie in (0, inf), got inf"),
+    ("train", ["train.adagrad_eps=Infinity"], "adagrad_eps must lie in (0, inf), got inf"),
     ("train", ["train.lr_decay_step=0", "train.lr_decay_to=Infinity"],
-     "lr_decay_to must be > 0 and finite"),
+     "lr_decay_to must lie in (0, inf), got inf"),
     ("bound-check", ["train.momentum=1"], "momentum"),
     # ShiftSpec ranges; train and bound-check used to check them only after
     # writing manifest.json, with messages that named no key
@@ -234,6 +236,56 @@ def test_every_command_checks_every_key_before_any_work(tmp_path, capsys, comman
     assert cli.main(args) == cli.EXIT_CONFIG
     assert named in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _base_type(tp):
+    """A field or key type without an optional's None: int for `int | None`."""
+    return (typing.get_args(tp) or (tp,))[0]
+
+
+# every float key of the schema, with each command that reads it
+FLOAT_KEYS = [(command, f"{section}.{key}") for section, types in cli.SCHEMA.items()
+              for key, tp in types.items() if _base_type(tp) is float
+              for command in ("gen-data", "train") if command == "train" or section == "data"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command, key", FLOAT_KEYS, ids=[" ".join(c) for c in FLOAT_KEYS])
+def test_every_float_key_refuses_a_non_finite_value_by_name_before_any_output(
+        tmp_path, capsys, command, key, value):
+    # train.lambda=Infinity used to train and exit 5, and
+    # data.noise_sigma=Infinity to exit 0 from gen-data with a dataset of
+    # inf and NaN
+    base = DATA_CFG if command == "gen-data" else TRAIN_CFG
+    args = [command, "--config", write_cfg(tmp_path, base), "--out", str(tmp_path / "o"),
+            "--set", f"{key}={value}"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key.partition(".")[2] in err and f"got {float(value)!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+CONFIG_CLASSES = (trainer.TrainConfig, labeler.LabelingConfig, datagen.ShiftSpec,
+                  cli.BoundCheckConfig)
+NUMERIC_FIELDS = [(cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+                  if _base_type(typing.get_type_hints(cls)[f.name]) in (int, float)]
+
+
+@pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
+def test_every_numeric_config_field_refuses_nan_by_name(cls, name):
+    # int fields such as steps_k and batch_labeling used to take NaN
+    with pytest.raises(ConfigError, match=rf"{name}\b.* got nan$"):
+        cls(**{name: math.nan})
+
+
+def test_gen_data_refuses_a_noise_sigma_whose_points_overflow(tmp_path, capsys):
+    # used to exit 0 and write a target set of inf and NaN
+    args = ["gen-data", "--config", write_cfg(tmp_path, DATA_CFG), "--out", str(tmp_path / "o"),
+            "--set", "data.noise_sigma=1e307"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "noise_sigma 1e+307 " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "source.csv").exists()
 
 
 def test_readme_config_table_lists_exactly_the_schema_keys():
@@ -635,7 +687,7 @@ def test_adist_rejects_a_negative_seed_by_name(trained_run, capsys):
     rc = cli.main(["adist", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data),
                    "--seed", "-1"])
     assert rc == cli.EXIT_CONFIG
-    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert "--seed must lie in [0, inf), got -1" in capsys.readouterr().err
 
 
 def test_adist_reports_both_distances(trained_run, capsys):

@@ -97,6 +97,13 @@ def test_rotated_moons_hurt_source_only_model():
     assert 0.5 < mean < 0.95  # hurt by the shift but above chance
 
 
+def test_points_that_overflow_are_refused_naming_noise_sigma():
+    # used to return a target set holding inf and NaN, which gen-data wrote
+    spec = ShiftSpec(rotation_deg=30, noise_sigma=1e307)
+    with pytest.raises(ConfigError, match=r"^noise_sigma 1e\+307 .* not finite$"):
+        generate(spec)
+
+
 def test_translation_moves_target_mean():
     base = generate(ShiftSpec(seed=3))
     shifted = generate(ShiftSpec(translation=(5.0, -1.0), seed=3))

@@ -2,7 +2,8 @@
 sits at module level and is used, every function, class and method there
 is named by the program itself (`src/`, `demos/` or `perfbench/`), not only
 by tests, every NamedTuple field and SimpleNamespace key built there is
-read there, no function there returns a value that every program call
+read there, every attribute a class there sets on `self` is read by the
+program, no function there returns a value that every program call
 throws away, every name the benchmark's tracer patches still exists, every
 argument its counter hooks read sits where they read it, every by-name
 import of a name it patches on a module is patched too, a tiny traced run
@@ -264,6 +265,44 @@ def test_every_workspace_field_is_read_by_the_program():
     # a field or key no program code reads is a buffer every batch fills
     # or carries for nothing
     assert unread_fields({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def unread_attributes(sources: dict[str, str], program_sources) -> list[str]:
+    """`<module>.<class>.<attr>` for each attribute that a class in
+    `sources`, a module name to source map, assigns on `self` and that no
+    code in `program_sources` reads by attribute, on `self` or anything
+    else."""
+    read = {n.attr for source in program_sources for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = set()
+    for module, source in sources.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef):
+                out |= {f"{module}.{cls.name}.{n.attr}" for n in ast.walk(cls)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and getattr(n.value, "id", None) == "self" and n.attr not in read}
+    return sorted(out)
+
+
+def test_checker_flags_an_unread_attribute_and_only_that():
+    source = ("class A:\n"
+              "    def __init__(self, x):\n"
+              "        self.kept, (self.unpacked, self.orphan) = x, x\n"
+              "        self.own: int = 0\n"
+              "        self.chained = self.unread = None\n"
+              "        self.kept[0] = 1\n"
+              "        other.assigned = 2\n"
+              "    def get(self):\n"
+              "        return self.own + self.chained\n")
+    caller = "A(1).kept, a.unpacked\n"
+    assert unread_attributes({"m": source}, [source, caller]) == ["m.A.orphan", "m.A.unread"]
+
+
+def test_every_attribute_a_class_sets_is_read_by_the_program():
+    # state no program code reads is memory, and a view of it a name, kept
+    # for nothing
+    program = [p.read_text() for p in PROGRAM]
+    assert unread_attributes({p.stem: p.read_text() for p in MODULES}, program) == []
 
 
 def _returns_a_value(f) -> bool:

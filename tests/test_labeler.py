@@ -193,6 +193,23 @@ def test_labeling_accuracy_refuses_true_labels_that_are_not_class_indices_naming
         labeling_accuracy(pls, np.array(truth))
 
 
+def test_labeling_accuracy_refuses_true_labels_that_miss_a_pooled_row_naming_them():
+    # used to fail in numpy's indexing, naming no argument
+    pls = PseudoLabelSet(indices=np.array([0, 2, 4]), labels=np.array([1, 0, 1]),
+                         confidences=np.full(3, 0.95))
+    with pytest.raises(ValueError,
+                       match=r"^true_labels has 3 labels, but the pool indexes row 4$"):
+        labeling_accuracy(pls, np.array([1, 0, 0]))
+
+
+def test_labeling_accuracy_refuses_true_labels_that_are_not_1d_naming_them():
+    # used to fail in numpy's broadcasting, naming no argument
+    pls = PseudoLabelSet(indices=np.array([0, 2, 4]), labels=np.array([1, 0, 1]),
+                         confidences=np.full(3, 0.95))
+    with pytest.raises(ValueError, match=r"^true_labels has shape \(5, 2\), not \(rows,\)$"):
+        labeling_accuracy(pls, np.zeros((5, 2), dtype=np.int64))
+
+
 def test_labeling_accuracy_matches_brute_force():
     rng = np.random.default_rng(4)
     truth = rng.integers(0, 3, size=50)
