@@ -209,15 +209,12 @@ def _on_disk(cfg: dict) -> list[str]:
     return sorted({"data.dir", "data.format"} & cfg.keys())
 
 
-def _generated_spec(cfg: dict) -> datagen.ShiftSpec | None:
-    """The ShiftSpec of a generated dataset, None for one read from disk.
-    Commands build it before any output, so a bad `data.*` value fails first."""
-    return None if _on_disk(cfg) else build_shift_spec(cfg)
-
-
-def _load_dataset(cfg: dict, spec: datagen.ShiftSpec | None):
-    if spec is not None:
-        return datagen.generate(spec)
+def _load_dataset(cfg: dict) -> datagen.DomainDataset:
+    """The dataset of `train` and `bound-check`: generated from the `data.*`
+    generator keys, or read from `data.dir` or a sparse_bow pair. Commands
+    call it before any output, so a bad input leaves none."""
+    if not _on_disk(cfg):
+        return datagen.generate(build_shift_spec(cfg))
     d = _section(cfg, "data")
     if "dir" in d:
         return datagen.load_dataset(d["dir"])
@@ -239,9 +236,9 @@ def cmd_gen_data(args) -> int:
     if keys := _on_disk(cfg):
         raise ConfigError(f"gen-data writes a generated dataset and takes no {keys[0]}")
     spec = build_shift_spec(cfg)
+    ds = datagen.generate(spec)
     out = Path(args.out)
     write_manifest(out, "gen-data", cfg, args.config, spec.seed)
-    ds = datagen.generate(spec)
     datagen.save_dataset(out, ds, spec)
     print(f"wrote dataset ({ds.source_x.shape[0]} source, "
           f"{ds.target_x.shape[0]} target) to {out}")
@@ -251,10 +248,9 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _resolve(args)
     tcfg = build_train_config(cfg)
-    spec = _generated_spec(cfg)
+    ds = _load_dataset(cfg)
     out = Path(args.out)
     write_manifest(out, "train", cfg, args.config, tcfg.seed)
-    ds = _load_dataset(cfg, spec)
     history, state = trainer.run(
         ds.source_x, ds.source_y, ds.target_x, tcfg,
         eval_x=None if ds.target_y_hidden is None else ds.target_x, eval_y=ds.target_y_hidden,
@@ -311,10 +307,7 @@ def cmd_bound_check(args) -> int:
     b = BoundCheckConfig(**_section(cfg, "bound"))
     # pseudo labels for the rho check come from a briefly pretrained net
     tcfg = build_train_config(cfg | {"train.steps_k": 0, "train.pretrain_iters": b.pretrain_iters})
-    spec = _generated_spec(cfg)
-    out = Path(args.out)
-    write_manifest(out, "bound-check", cfg, args.config, tcfg.seed)
-    ds = _load_dataset(cfg, spec)
+    ds = _load_dataset(cfg)
     n_total = len(ds.source_x) + len(ds.target_x)
     if n_total > b.max_samples:
         raise ConfigError(f"instance too large: {n_total} samples > "
@@ -328,6 +321,8 @@ def cmd_bound_check(args) -> int:
     if len(hyp) > b.max_hypotheses:
         raise ConfigError(f"instance too large: {len(hyp)} hypotheses > "
                           f"bound.max_hypotheses={b.max_hypotheses}")
+    out = Path(args.out)
+    write_manifest(out, "bound-check", cfg, args.config, tcfg.seed)
     # train before the exhaustive check, so a bad train.* value fails first;
     # each stage seeds itself, so the order moves no bits
     _, state = trainer.run(ds.source_x, ds.source_y, ds.target_x, tcfg,

@@ -113,10 +113,11 @@ def generate(spec: ShiftSpec) -> DomainDataset:
     evaluation field. A point that is not finite is a ConfigError naming
     noise_sigma and the shift."""
     ss = np.random.SeedSequence(spec.seed).spawn(2)
-    sx, sy = _draw(spec, spec.n_source, np.random.default_rng(ss[0]))
-    tx, ty = _draw(spec, spec.n_target, np.random.default_rng(ss[1]))
-    tx = _shift(tx, spec)
-    # a large noise_sigma or shift overflows float64
+    # a large noise_sigma or shift overflows float64, which the check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        sx, sy = _draw(spec, spec.n_source, np.random.default_rng(ss[0]))
+        tx, ty = _draw(spec, spec.n_target, np.random.default_rng(ss[1]))
+        tx = _shift(tx, spec)
     if not (np.isfinite(sx).all() and np.isfinite(tx).all()):
         raise ConfigError(f"noise_sigma {spec.noise_sigma!r} with rotation_deg "
                           f"{spec.rotation_deg!r} and translation {list(spec.translation)} "

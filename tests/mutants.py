@@ -173,6 +173,33 @@ MUTANTS = (
            "    if False:",
            ("tests/test_datagen.py::test_points_that_overflow_are_refused_naming_noise_sigma",
             "tests/test_cli.py::test_gen_data_refuses_a_noise_sigma_whose_points_overflow")),
+    Mutant("generate_without_its_errstate", "src/tritrain/datagen.py",
+           "    with np.errstate(over=\"ignore\", invalid=\"ignore\"):\n",
+           "    with np.errstate():\n",
+           ("tests/test_datagen.py::test_points_that_overflow_are_refused_naming_noise_sigma",
+            "tests/test_cli.py::test_gen_data_refuses_a_noise_sigma_whose_points_overflow")),
+    # every input is read and checked before the manifest, the first output
+    Mutant("gen_data_manifest_written_before_generate", "src/tritrain/cli.py",
+           "    ds = datagen.generate(spec)\n    out = Path(args.out)\n"
+           "    write_manifest(out, \"gen-data\", cfg, args.config, spec.seed)\n",
+           "    out = Path(args.out)\n"
+           "    write_manifest(out, \"gen-data\", cfg, args.config, spec.seed)\n"
+           "    ds = datagen.generate(spec)\n",
+           ("tests/test_cli.py::test_gen_data_refuses_a_noise_sigma_whose_points_overflow",)),
+    Mutant("train_manifest_written_before_the_dataset_is_loaded", "src/tritrain/cli.py",
+           "    ds = _load_dataset(cfg)\n    out = Path(args.out)\n"
+           "    write_manifest(out, \"train\", cfg, args.config, tcfg.seed)\n",
+           "    out = Path(args.out)\n"
+           "    write_manifest(out, \"train\", cfg, args.config, tcfg.seed)\n"
+           "    ds = _load_dataset(cfg)\n",
+           ("tests/test_cli.py::test_train_reads_its_dataset_before_any_output",)),
+    Mutant("bound_check_manifest_written_before_the_instance_checks", "src/tritrain/cli.py",
+           "    ds = _load_dataset(cfg)\n    n_total =",
+           "    ds = _load_dataset(cfg)\n"
+           "    write_manifest(Path(args.out), \"bound-check\", cfg, args.config, tcfg.seed)\n"
+           "    n_total =",
+           ("tests/test_cli.py::test_bound_check_rejects_oversized_instance",
+            "tests/test_cli.py::test_bound_check_rejects_multiclass")),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",

@@ -280,12 +280,15 @@ def test_every_numeric_config_field_refuses_nan_by_name(cls, name):
 
 
 def test_gen_data_refuses_a_noise_sigma_whose_points_overflow(tmp_path, capsys):
-    # used to exit 0 and write a target set of inf and NaN
+    # used to exit 0 and write a target set of inf and NaN, then to exit 2
+    # after numpy's overflow warnings, leaving a manifest of no dataset
     args = ["gen-data", "--config", write_cfg(tmp_path, DATA_CFG), "--out", str(tmp_path / "o"),
             "--set", "data.noise_sigma=1e307"]
+    # a numpy RuntimeWarning fails the test: pyproject.toml makes it an error
     assert cli.main(args) == cli.EXIT_CONFIG
-    assert "noise_sigma 1e+307 " in capsys.readouterr().err
-    assert not (tmp_path / "o" / "source.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: noise_sigma 1e+307 ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_readme_config_table_lists_exactly_the_schema_keys():
@@ -464,6 +467,29 @@ def test_a_dataset_directory_with_a_sparse_bow_pair_exits_config_naming_both(tmp
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
         assert "'data.dir' and 'data.format'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, code, named", [
+    ("missing", cli.EXIT_IO, "spec.json"),
+    ("malformed", cli.EXIT_CONFIG, "source.csv, line 3: 2 fields, header has 3")])
+def test_train_reads_its_dataset_before_any_output(tmp_path, capsys, fault, code, named):
+    # both used to exit with these codes, leaving a manifest of a run that
+    # read no dataset
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", write_cfg(tmp_path, DATA_CFG, "gen.cfg"),
+                     "--out", str(data)]) == cli.EXIT_OK
+    if fault == "missing":
+        data = tmp_path / "nowhere"
+    else:
+        rows = (data / "source.csv").read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0]
+        (data / "source.csv").write_text("\n".join(rows) + "\n")
+    cfg = write_cfg(tmp_path, f'data.dir = "{data}"\n' + TRAIN_CFG[len(DATA_CFG):])
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert named in err and str(data) in err
+    assert not out.exists()
 
 
 def test_train_on_a_dataset_without_target_labels_reports_no_accuracy(tmp_path):
@@ -739,6 +765,7 @@ def test_bound_check_names_the_size_of_a_class_over_the_enumeration_cap(tmp_path
     size = re.search(r"class of (\d+) stumps", err)
     assert size and int(size[1]) > analysis.MAX_HYPOTHESES
     assert "bound.max_hypotheses" in err
+    assert not (tmp_path / "o").exists()
 
 
 # sha256 of report.json for BOUND_CFG, clean and with --inject-fault: a
@@ -822,21 +849,30 @@ def test_bound_check_without_target_labels_exits_config_before_training(
     assert "target labels" in capsys.readouterr().err
 
 
+# both used to exit 2 only after writing manifest.json
 def test_bound_check_rejects_oversized_instance(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BOUND_CFG + "bound.max_samples = 10\n", "b.cfg")
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    assert "120 samples > bound.max_samples=10" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bound_check_rejects_multiclass(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BOUND_CFG + "data.num_classes = 3\n", "b.cfg")
     rc = cli.main(["bound-check", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    assert "defined for binary tasks" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_manifest_written_before_failure(tmp_path, capsys):
-    # the manifest lands even when the run itself errors out later
-    cfg = write_cfg(tmp_path, BOUND_CFG + "bound.max_samples = 10\n", "b.cfg")
+    # the manifest lands even when the run itself errors out later, after
+    # every input was read and checked
+    cfg = write_cfg(tmp_path, BOUND_CFG, "b.cfg")
     out = tmp_path / "o"
-    cli.main(["bound-check", "--config", cfg, "--out", str(out)])
+    with np.errstate(all="ignore"):
+        rc = cli.main(["bound-check", "--config", cfg, "--out", str(out),
+                       "--set", "train.lr=1e6"])
+    assert rc == cli.EXIT_DIVERGED
     assert (out / "manifest.json").exists()
