@@ -48,12 +48,11 @@ def _field_types(cls, skip=()) -> dict:
     return {k: t for k, t in typing.get_type_hints(cls).items() if k not in skip}
 
 
-# data keys that pick a dataset on disk instead of a generated ShiftSpec
-LOADER_TYPES = {"dir": str, "format": str, "source_path": str, "target_path": str, "dim": int}
 # config section -> key -> its type: every key a config may hold. Most are
-# dataclass fields; `train.lambda` sets TrainConfig.lam
+# dataclass fields; `data.dir` reads a dataset directory instead of
+# generating one, and `train.lambda` sets TrainConfig.lam
 SCHEMA = {
-    "data": _field_types(datagen.ShiftSpec) | LOADER_TYPES,
+    "data": _field_types(datagen.ShiftSpec) | {"dir": str},
     "train": _field_types(trainer.TrainConfig, skip=("lam", "labeling", "gates")) | {"lambda": float},
     "labeling": _field_types(labeler.LabelingConfig),
     "gates": _field_types(trinet.GradientGates),
@@ -147,8 +146,7 @@ def _section(cfg: dict, prefix: str) -> dict:
 
 
 def build_shift_spec(cfg: dict) -> datagen.ShiftSpec:
-    return datagen.ShiftSpec(**{k: v for k, v in _section(cfg, "data").items()
-                                if k not in LOADER_TYPES})
+    return datagen.ShiftSpec(**{k: v for k, v in _section(cfg, "data").items() if k != "dir"})
 
 
 def build_train_config(cfg: dict) -> trainer.TrainConfig:
@@ -182,49 +180,26 @@ def _resolve(args) -> dict:
         cfg[key.strip()] = _literal(val.strip(), f"--set {item!r}")
     if args.seed is not None:
         # only a generator reads data.seed
-        if not _on_disk(cfg):
+        if "data.dir" not in cfg:
             cfg["data.seed"] = args.seed
         cfg["train.seed"] = args.seed
     for key, val in cfg.items():
         _check_key(key, val)
-    # the data-source rule: one dataset on disk at most; sparse_bow is the
-    # one format, and these three keys come with it and with nothing else
-    if len(_on_disk(cfg)) > 1:
-        raise ConfigError("config keys 'data.dir' and 'data.format' pick two datasets")
-    sparse = "data.format" in cfg
-    if sparse and cfg["data.format"] != "sparse_bow":
-        raise ConfigError(f"config key 'data.format' must be \"sparse_bow\", "
-                          f"got {cfg['data.format']!r}")
-    for key in ("data.source_path", "data.target_path", "data.dim"):
-        if (key in cfg) != sparse:
-            raise ConfigError(f'data.format = "sparse_bow" needs {key}' if sparse
-                              else f'{key} needs data.format = "sparse_bow"')
-    if sparse:
-        check_range("data.dim", cfg["data.dim"], 1)
     return cfg
 
 
-def _on_disk(cfg: dict) -> list[str]:
-    """The keys that pick a dataset on disk instead of a generated one."""
-    return sorted({"data.dir", "data.format"} & cfg.keys())
-
-
 def _load_dataset(cfg: dict) -> datagen.DomainDataset:
-    """The dataset of `train` and `bound-check`: generated from the `data.*`
-    generator keys, or read from `data.dir` or a sparse_bow pair. Commands
-    call it before any output, so a bad input leaves none."""
-    if not _on_disk(cfg):
-        return datagen.generate(build_shift_spec(cfg))
-    d = _section(cfg, "data")
-    if "dir" in d:
-        return datagen.load_dataset(d["dir"])
-    sx, sy = datagen.load_sparse_bow(d["source_path"], d["dim"])
-    tx, ty = datagen.load_sparse_bow(d["target_path"], d["dim"])
-    # at least 2 classes, as a dataset directory must declare, so that an
-    # empty file reaches `run`'s row-count check
-    k = int(max(sy.max(initial=1), ty.max(initial=1))) + 1
-    return datagen.DomainDataset(source_x=sx, source_y=sy, target_x=tx, target_y_hidden=ty,
-                                 num_classes=k)
+    """The dataset of `train` and `bound-check`, generated from the `data.*`
+    generator keys or read from `data.dir`, after `trainer.check_inputs`
+    passes it as training data. Commands call it before any output, so a
+    bad input leaves none."""
+    if "data.dir" in cfg:
+        ds = datagen.load_dataset(cfg["data.dir"])
+    else:
+        ds = datagen.generate(build_shift_spec(cfg))
+    trainer.check_inputs(ds.source_x, ds.source_y, ds.target_x, None, None,
+                         ds.target_y_hidden, ds.num_classes)
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +208,8 @@ def _load_dataset(cfg: dict) -> datagen.DomainDataset:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    if keys := _on_disk(cfg):
-        raise ConfigError(f"gen-data writes a generated dataset and takes no {keys[0]}")
+    if "data.dir" in cfg:
+        raise ConfigError("gen-data writes a generated dataset and takes no data.dir")
     spec = build_shift_spec(cfg)
     ds = datagen.generate(spec)
     out = Path(args.out)

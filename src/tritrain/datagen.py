@@ -130,10 +130,10 @@ def generate(spec: ShiftSpec) -> DomainDataset:
 # sparse bag-of-words text format: `<label> (<index>:<value>)*`, 0-based
 
 
-def load_sparse_bow(path, dim: int):
+def load_sparse_bow(path, dim: int, num_classes: int):
     """Parse sparse text into a dense float64 matrix of width `dim` plus an
     integer label vector. Labels -1 are mapped to 0 (common binary encoding);
-    any other negative label is a ParseError."""
+    any other label outside [0, num_classes) is a ParseError."""
     rows, labels = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -144,8 +144,8 @@ def load_sparse_bow(path, dim: int):
                 label = int(fields[0])
             except ValueError:
                 raise ParseError(lineno, f"bad label field {fields[0]!r}", path) from None
-            if label < -1:
-                raise ParseError(lineno, f"label {label} is negative and not -1", path)
+            if not (label == -1 or 0 <= label < num_classes):
+                raise ParseError(lineno, f"label {label} outside [0, {num_classes})", path)
             row = np.zeros(dim)
             for tok in fields[1:]:
                 try:
@@ -235,6 +235,11 @@ def save_dataset(out_dir, ds: DomainDataset, spec: ShiftSpec | None = None):
 
 
 def load_dataset(data_dir) -> DomainDataset:
+    """A dataset directory: its spec.json declares `num_classes` and, for
+    sparse text, `"format": "sparse_bow"` and `dim`, whose rows are in
+    source.txt / target.txt; without a format, or with "csv", the rows are
+    in source.csv / target.csv. A spec.json that does not declare these is
+    a ParseError naming it."""
     data_dir = Path(data_dir)
     spec = data_dir / "spec.json"
     with open(spec) as fh:
@@ -245,7 +250,16 @@ def load_dataset(data_dir) -> DomainDataset:
     k = sidecar.get("num_classes") if isinstance(sidecar, dict) else None
     if type(k) is not int or k < 2:
         raise ParseError(1, f"num_classes must be an integer >= 2, got {k!r}", spec)
-    sx, sy = _read_csv(data_dir / "source.csv", k)
-    tx, ty = _read_csv(data_dir / "target.csv", k)
+    fmt = sidecar.get("format", "csv")
+    if fmt == "csv":
+        (sx, sy), (tx, ty) = (_read_csv(data_dir / f"{n}.csv", k) for n in ("source", "target"))
+    elif fmt == "sparse_bow":
+        dim = sidecar.get("dim")
+        if type(dim) is not int or dim < 1:
+            raise ParseError(1, f"dim must be an integer >= 1, got {dim!r}", spec)
+        (sx, sy), (tx, ty) = (load_sparse_bow(data_dir / f"{n}.txt", dim, k)
+                              for n in ("source", "target"))
+    else:
+        raise ParseError(1, f'format must be "csv" or "sparse_bow", got {fmt!r}', spec)
     return DomainDataset(source_x=sx, source_y=sy, target_x=tx,
                          target_y_hidden=ty, num_classes=k)

@@ -31,10 +31,12 @@ _REAL = (int, float, np.integer, np.floating)
 
 def check_range(name: str, v, low, high=math.inf, low_open=False):
     """v, or a ConfigError naming the setting `name` and v unless v is a
-    real number in [low, high), or (low, high) if `low_open`. Written as
-    `not (in range)` with `high` exclusive, so NaN and +inf lie in no
-    interval, and -inf in none whose low end is open or finite."""
-    if not (isinstance(v, _REAL) and (low < v if low_open else low <= v) and v < high):
+    real number in [low, high), or (low, high) if `low_open`; a bool is no
+    number. Written as `not (in range)` with `high` exclusive, so NaN and
+    +inf lie in no interval, and -inf in none whose low end is open or
+    finite."""
+    if not (isinstance(v, _REAL) and type(v) is not bool
+            and (low < v if low_open else low <= v) and v < high):
         raise ConfigError(f"{name} must lie in {'(' if low_open else '['}{low}, {high}), "
                           f"got {v!r}")
     return v

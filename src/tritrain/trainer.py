@@ -171,9 +171,6 @@ def _pretrain_iters(cfg: TrainConfig) -> int | None:
 
 def pretrain(state: TrainState, source_x, source_y):
     """Train all four networks on mini-batches from the labeled source set."""
-    if len(source_x) < 2:
-        # mini-batches under 2 rows are dropped, so nothing would train
-        raise ValueError(f"training needs at least 2 source rows, got {len(source_x)}")
     iters = _pretrain_iters(state.cfg)
     mean_e, mean_p = _phase(state, "labeling", source_x, source_y, iters, "pretrain")
     _phase(state, "target", source_x, source_y, iters, "pretrain")
@@ -265,17 +262,14 @@ def _capture(state, pseudo, eval_x, eval_y, target_y_hidden, step, mean_e, mean_
                        n_pseudo=len(pseudo), mean_E=mean_e, mean_penalty=mean_p)
 
 
-def run(source_x, source_y, target_x, cfg: TrainConfig,
-        eval_x=None, eval_y=None, target_y_hidden=None, num_classes=None):
-    """Full procedure: pretrain on source, label an initial candidate pool,
-    then steps_k adaptation steps. Returns (history, state); the reported
-    model is the target-specific head. The heads have `num_classes` outputs,
-    the dataset's class count; without it, the largest source label + 1.
-    Before anything trains, each argument is checked and a bad one named:
-    the feature arrays are 2-D, of finite numbers and as wide as source_x;
-    each label array has one label per row it labels, every label is an
-    integer in [0, num_classes); `eval_x` and `eval_y` come together or not
-    at all."""
+def check_inputs(source_x, source_y, target_x, eval_x, eval_y, target_y_hidden, num_classes):
+    """`run`'s arguments, checked before anything trains, or a ValueError or
+    ShapeError naming the first bad one: the feature arrays are 2-D, of
+    finite numbers and as wide as source_x; each label array has one label
+    per row it labels, every label is an integer in [0, num_classes);
+    `eval_x` and `eval_y` come together or not at all; the source has at
+    least 2 rows. Returns (source_y, eval_y, target_y_hidden) as int64 class
+    labels and num_classes, which None makes the largest source label + 1."""
     if source_y is None:
         raise ValueError("source_y is None: training needs the source labels")
     _check_labels("source_y", source_y, "source_x", source_x)
@@ -291,6 +285,21 @@ def run(source_x, source_y, target_x, cfg: TrainConfig,
         eval_y = class_labels("eval_y", eval_y, num_classes)
     if target_y_hidden is not None:
         target_y_hidden = class_labels("target_y_hidden", target_y_hidden, num_classes)
+    if len(source_x) < 2:
+        # mini-batches under 2 rows are dropped, so nothing would train
+        raise ValueError(f"training needs at least 2 source rows, got {len(source_x)}")
+    return source_y, eval_y, target_y_hidden, num_classes
+
+
+def run(source_x, source_y, target_x, cfg: TrainConfig,
+        eval_x=None, eval_y=None, target_y_hidden=None, num_classes=None):
+    """Full procedure: pretrain on source, label an initial candidate pool,
+    then steps_k adaptation steps. Returns (history, state); the reported
+    model is the target-specific head. The heads have `num_classes` outputs,
+    the dataset's class count; without it, the largest source label + 1.
+    `check_inputs` checks every argument first."""
+    source_y, eval_y, target_y_hidden, num_classes = check_inputs(
+        source_x, source_y, target_x, eval_x, eval_y, target_y_hidden, num_classes)
     state = init_state(cfg, source_x.shape[1], num_classes)
     mean_e, mean_p = pretrain(state, source_x, source_y)
     pseudo = _relabel(state, target_x, 0)
@@ -430,9 +439,6 @@ def load_state(path) -> TrainState:
                 raise ValueError(f"array {key} holds a negative variance")
             dst[...] = a
         lr, step = meta["lr"], meta["step"]
-        # a bool is no number here
-        if type(lr) is bool:
-            raise ValueError(f"lr {lr!r} is not a number")
         check_range("lr", lr, 0, low_open=True)
         if type(step) is not int or step < 0:
             raise ValueError(f"step {step!r} is not an integer >= 0")

@@ -163,9 +163,10 @@ MUTANTS = (
             "tests/test_nnlib.py::"
             "test_lr_assignment_rejects_a_non_finite_or_non_positive_value_and_keeps_the_old")),
     Mutant("check_range_lets_nan_through", "src/tritrain/nnlib.py",
-           "    if not (isinstance(v, _REAL) and (low < v if low_open else low <= v) "
-           "and v < high):",
-           "    if not isinstance(v, _REAL) or (v <= low if low_open else v < low) or v >= high:",
+           "    if not (isinstance(v, _REAL) and type(v) is not bool\n"
+           "            and (low < v if low_open else low <= v) and v < high):",
+           "    if not isinstance(v, _REAL) or type(v) is bool\\\n"
+           "            or (v <= low if low_open else v < low) or v >= high:",
            ("tests/test_cli.py::test_every_numeric_config_field_refuses_nan_by_name",)),
     # generated points must be finite, or gen-data writes a set its loader refuses
     Mutant("generate_returns_points_that_are_not_finite", "src/tritrain/datagen.py",
@@ -200,6 +201,25 @@ MUTANTS = (
            "    n_total =",
            ("tests/test_cli.py::test_bound_check_rejects_oversized_instance",
             "tests/test_cli.py::test_bound_check_rejects_multiclass")),
+    # one dataset directory for every command: spec.json picks its reader,
+    # the declared class count bounds every label, and the training inputs
+    # are checked before the manifest
+    Mutant("load_dataset_reads_csv_whatever_the_format", "src/tritrain/datagen.py",
+           "    if fmt == \"csv\":",
+           "    if True:",
+           ("tests/test_datagen.py::test_load_dataset_reads_a_sparse_bow_directory",
+            "tests/test_cli.py::test_every_command_reads_the_sparse_dataset_a_train_run_used")),
+    Mutant("sparse_bow_labels_unchecked_against_num_classes", "src/tritrain/datagen.py",
+           "            if not (label == -1 or 0 <= label < num_classes):",
+           "            if not (label == -1 or 0 <= label):",
+           ("tests/test_datagen.py::test_sparse_bow_rejects_a_label_of_no_declared_class",
+            "tests/test_cli.py::test_a_malformed_sparse_dataset_exits_config_naming_its_file")),
+    Mutant("load_dataset_without_the_training_input_check", "src/tritrain/cli.py",
+           "    trainer.check_inputs(ds.source_x, ds.source_y, ds.target_x, None, None,\n"
+           "                         ds.target_y_hidden, ds.num_classes)\n",
+           "",
+           ("tests/test_cli.py::test_train_on_a_one_row_source_exits_config",
+            "tests/test_cli.py::test_a_dataset_without_source_labels_exits_config")),
     Mutant("sigmoid_exp_of_plus_abs_x", "src/tritrain/nnlib.py",
            "    np.negative(e, out=e)\n",
            "",

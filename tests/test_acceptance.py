@@ -496,8 +496,8 @@ def test_acceptance_reviews_benchmark():
         record_acceptance("review-corpus benchmark (optional)", None,
                           "data/amazon/{books,dvd}.txt not present")
         pytest.skip("review corpus not available")
-    sx, sy = datagen.load_sparse_bow(books, dim=5000)
-    tx, ty = datagen.load_sparse_bow(dvd, dim=5000)
+    sx, sy = datagen.load_sparse_bow(books, dim=5000, num_classes=2)
+    tx, ty = datagen.load_sparse_bow(dvd, dim=5000, num_classes=2)
     accs = []
     for seed in range(10):
         cfg = TrainConfig(steps_k=10, pretrain_iters=500, iter_per_phase=100,

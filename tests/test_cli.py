@@ -164,10 +164,12 @@ CONFIG_ERRORS = [
     ("bound-check", ['bound.max_samples="abc"'], "bound.max_samples"),
     ("gen-data", ["data.translation=[1]"], "translation"),
     ("gen-data", ["data.translation=[1,2,3]"], "translation"),
-    ("train", ['data.format="sparse"'], "data.format"),
-    ("train", ['data.source_path="a.txt"'], "data.source_path"),
-    ("train", ['data.format="sparse_bow"', 'data.target_path="b.txt"', "data.dim=3"],
-     "data.source_path"),
+    # a sparse_bow dataset is a directory whose spec.json declares it; these
+    # keys picked one and are gone
+    ("train", ['data.format="sparse_bow"'], "unknown config key 'data.format'"),
+    ("train", ['data.source_path="a.txt"'], "unknown config key 'data.source_path'"),
+    ("train", ['data.target_path="b.txt"'], "unknown config key 'data.target_path'"),
+    ("bound-check", ["data.dim=3"], "unknown config key 'data.dim'"),
     ("train", ["data.dir=5"], "data.dir"),
     ("gen-data", ["train.bogus=1"], "train.bogus"),
     ("train", ["bound.bogus=1"], "bound.bogus"),
@@ -206,20 +208,10 @@ CONFIG_ERRORS = [
     ("train", ["train.seed=-1"], "seed"),
     # gen-data used to ignore these, exit 0 and write the default moons
     ("gen-data", ['data.dir="d0"'], "data.dir"),
-    ("gen-data", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
-                  'data.target_path="b.txt"', "data.dim=3"], "data.format"),
     # batch norm with no pretraining batch used to exit 2 only after
     # writing manifest.json
     ("train", ["train.pretrain_iters=0"], "pretrain_iters"),
     ("bound-check", ["bound.pretrain_iters=0"], "pretrain_iters"),
-    # a zero-width input used to fail only after writing manifest.json,
-    # naming no key
-    ("train", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
-               'data.target_path="b.txt"', "data.dim=0"], "data.dim"),
-    ("train", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
-               'data.target_path="b.txt"', "data.dim=-1"], "data.dim"),
-    ("bound-check", ['data.format="sparse_bow"', 'data.source_path="a.txt"',
-                     'data.target_path="b.txt"', "data.dim=0"], "data.dim"),
     # a cap above the enumeration limit used to fail only after writing
     # manifest.json, naming no key
     ("bound-check", ["bound.max_hypotheses=20000"], "bound.max_hypotheses"),
@@ -274,9 +266,11 @@ NUMERIC_FIELDS = [(cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.f
 @pytest.mark.parametrize("cls, name", NUMERIC_FIELDS,
                          ids=[f"{cls.__name__}.{name}" for cls, name in NUMERIC_FIELDS])
 def test_every_numeric_config_field_refuses_nan_by_name(cls, name):
-    # int fields such as steps_k and batch_labeling used to take NaN
-    with pytest.raises(ConfigError, match=rf"{name}\b.* got nan$"):
-        cls(**{name: math.nan})
+    # int fields such as steps_k and batch_labeling used to take NaN, and
+    # every field took a bool, such as lr=True, since a bool is an int
+    for value in (math.nan, True):
+        with pytest.raises(ConfigError, match=rf"{name}\b.* got {value!r}$"):
+            cls(**{name: value})
 
 
 def test_gen_data_refuses_a_noise_sigma_whose_points_overflow(tmp_path, capsys):
@@ -364,7 +358,7 @@ def test_config_sections_follow_the_dataclass_fields():
     assert keys["train"] >= {"steps_k", "lambda", "seed"} and "lam" not in keys["train"]
     assert not keys["train"] & {"labeling", "gates"}
     shift_fields = {f.name for f in dataclasses.fields(datagen.ShiftSpec)}
-    assert keys["data"] == shift_fields | set(cli.LOADER_TYPES)
+    assert keys["data"] == shift_fields | {"dir"}
     assert keys["gates"] == {"from_f1_f2", "from_ft"}
     cfg = cli.parse_config_text("train.lambda = 0.5\nlabeling.cap = 50000\ngates.from_ft = false\n")
     tcfg = cli.build_train_config(cfg)
@@ -433,40 +427,89 @@ def test_train_batch_size_under_two_exits_config_naming_the_key(tmp_path, capsys
     assert items[-1].split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
-def sparse_bow_cfg(tmp_path, source_rows, dim_line="data.dim = 3\n"):
-    (tmp_path / "a.txt").write_text(source_rows)
-    (tmp_path / "b.txt").write_text("1 0:1.0\n-1 1:2.0\n1 2:0.5\n-1 0:0.3\n")
-    data = (f'data.format = "sparse_bow"\ndata.source_path = "{tmp_path / "a.txt"}"\n'
-            f'data.target_path = "{tmp_path / "b.txt"}"\n' + dim_line)
-    return write_cfg(tmp_path, data + TRAIN_CFG[len(DATA_CFG):], "bow.cfg")
+SPARSE_SPEC = {"num_classes": 2, "format": "sparse_bow", "dim": 3}
 
 
-def test_train_on_a_one_row_source_exits_config(tmp_path, capsys):
-    # an empty file failed in numpy's max over zero labels
+def sparse_bow_cfg(tmp_path, source_rows, spec=SPARSE_SPEC, cfg_text=TRAIN_CFG):
+    """A config reading, through data.dir, a sparse_bow dataset directory:
+    `source_rows` as source.txt, four 3-wide target rows as target.txt and
+    `spec` as spec.json; the other keys are those of `cfg_text`."""
+    data = tmp_path / "bow"
+    data.mkdir(exist_ok=True)
+    (data / "source.txt").write_text(source_rows)
+    (data / "target.txt").write_text("1 0:1.0\n-1 1:2.0\n1 2:0.5\n-1 0:0.3\n")
+    (data / "spec.json").write_text(json.dumps(spec))
+    rest = "".join(line + "\n" for line in cfg_text.splitlines() if not line.startswith("data."))
+    return write_cfg(tmp_path, f'data.dir = "{data}"\n' + rest, "bow.cfg")
+
+
+SPARSE_SOURCE = "1 0:1.0 2:0.5\n-1 1:1.0\n1 0:0.7\n-1 1:0.4 2:0.1\n"
+
+
+@pytest.mark.parametrize("command, cfg_text", [("train", TRAIN_CFG), ("bound-check", BOUND_CFG)],
+                         ids=["train", "bound-check"])
+def test_train_on_a_one_row_source_exits_config(tmp_path, capsys, command, cfg_text):
+    # an empty file failed in numpy's max over zero labels; both exited 2
+    # only after writing manifest.json
     for rows, n in (("1 0:1.0\n", 1), ("", 0)):
-        cfg = sparse_bow_cfg(tmp_path, rows)
-        rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / f"run{n}")])
-        assert rc == cli.EXIT_CONFIG
-        assert f"at least 2 source rows, got {n}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["train", "bound-check"])
-def test_a_dataset_directory_with_a_sparse_bow_pair_exits_config_naming_both(tmp_path, capsys,
-                                                                             command):
-    # train used to read the directory, never the sparse files, and exit 0
-    data = tmp_path / "data"
-    assert cli.main(["gen-data", "--config", write_cfg(tmp_path, DATA_CFG, "gen.cfg"),
-                     "--out", str(data)]) == cli.EXIT_OK
-    bow = Path(sparse_bow_cfg(tmp_path, "1 0:1.0\n-1 1:1.0\n")).read_text()
-    text = f'data.dir = "{data}"\n' + bow
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"config": cli.parse_config_text(text)}))
-    # a config file, and a manifest re-run of the same keys
-    for cfg in (write_cfg(tmp_path, text, "both.cfg"), str(manifest)):
-        out = tmp_path / "o"
+        cfg = sparse_bow_cfg(tmp_path, rows, cfg_text=cfg_text)
+        out = tmp_path / f"run{n}"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
-        assert "'data.dir' and 'data.format'" in capsys.readouterr().err
+        assert f"at least 2 source rows, got {n}" in capsys.readouterr().err
         assert not out.exists()
+
+
+# a sparse_bow directory's spec.json and source rows, and the error naming
+# what is wrong with them
+BAD_SPARSE_DATASETS = {
+    "no dim": ({"num_classes": 2, "format": "sparse_bow"}, SPARSE_SOURCE, "spec.json, line 1: dim"),
+    "dim 0": (SPARSE_SPEC | {"dim": 0}, SPARSE_SOURCE, "spec.json, line 1: dim"),
+    "dim -1": (SPARSE_SPEC | {"dim": -1}, SPARSE_SOURCE, "spec.json, line 1: dim"),
+    "dim 2.5": (SPARSE_SPEC | {"dim": 2.5}, SPARSE_SOURCE, "spec.json, line 1: dim"),
+    "dim str": (SPARSE_SPEC | {"dim": "3"}, SPARSE_SOURCE, "spec.json, line 1: dim"),
+    "format": (SPARSE_SPEC | {"format": "libsvm"}, SPARSE_SOURCE, "spec.json, line 1: format"),
+    # the class count used to be inferred as the largest label + 1
+    "label": (SPARSE_SPEC, "1 0:1.0\n2 1:1.0\n", "source.txt, line 2: label 2 outside [0, 2)"),
+    "token": (SPARSE_SPEC, "1 0:1.0\n1 a:1.0\n", "source.txt, line 2: bad index:value token"),
+    "index": (SPARSE_SPEC, "1 0:1.0\n1 3:1.0\n", "source.txt, line 2: index 3 out of range"),
+    "nan": (SPARSE_SPEC, "1 0:1.0\n1 1:nan\n", "source.txt, line 2: non-finite feature value"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "bound-check", "eval", "adist"])
+@pytest.mark.parametrize("case", BAD_SPARSE_DATASETS)
+def test_a_malformed_sparse_dataset_exits_config_naming_its_file(request, tmp_path, capsys,
+                                                                 command, case):
+    spec, rows, named = BAD_SPARSE_DATASETS[case]
+    cfg = sparse_bow_cfg(tmp_path, rows, spec)
+    out = tmp_path / "o"
+    if command in ("eval", "adist"):
+        run = request.getfixturevalue("trained_run")[1]
+        args = [command, "--checkpoint", str(run / "checkpoint.npz"),
+                "--data", str(tmp_path / "bow")]
+    else:
+        args = [command, "--config", cfg, "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_command_reads_the_sparse_dataset_a_train_run_used(tmp_path, capsys):
+    # eval and adist read only source.csv / target.csv, and eval exited 3
+    cfg = sparse_bow_cfg(tmp_path, SPARSE_SOURCE)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(run)]) == cli.EXIT_OK
+    # -1 reads as class 0 in both files
+    ds = datagen.load_dataset(tmp_path / "bow")
+    assert ds.source_y.tolist() == [1, 0, 1, 0] and ds.target_y_hidden.tolist() == [1, 0, 1, 0]
+    capsys.readouterr()
+    ckpt = ["--checkpoint", str(run / "checkpoint.npz"), "--data", str(tmp_path / "bow")]
+    assert cli.main(["eval", *ckpt, "--branch", "all"]) == cli.EXIT_OK
+    state = trainer.load_state(run / "checkpoint.npz")
+    assert json.loads(capsys.readouterr().out) == trainer.evaluate(
+        state.net, ds.target_x, ds.target_y_hidden)
+    assert cli.main(["adist", *ckpt]) == cli.EXIT_OK
+    assert set(json.loads(capsys.readouterr().out)) == {"d_A_raw", "d_A_features"}
 
 
 @pytest.mark.parametrize("fault, code, named", [
@@ -500,13 +543,6 @@ def test_train_on_a_dataset_without_target_labels_reports_no_accuracy(tmp_path):
         assert np.isnan([m.acc_f1, m.acc_f2, m.acc_ft, m.labeling_acc]).all()
 
 
-def test_train_sparse_bow_without_dim_exits_config(tmp_path, capsys):
-    cfg = sparse_bow_cfg(tmp_path, "1 0:1.0\n-1 1:1.0\n", dim_line="")
-    rc = cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert rc == cli.EXIT_CONFIG
-    assert "data.dim" in capsys.readouterr().err
-
-
 def unlabeled_dataset_cfg(tmp_path, cfg_text, which):
     """A config reading, through data.dir, the dataset `cfg_text` generates,
     saved with the label column of `which`.csv cut, as a user might."""
@@ -523,9 +559,12 @@ def unlabeled_dataset_cfg(tmp_path, cfg_text, which):
 # both used to raise a TypeError in trainer.run and exit 1 with a traceback
 @pytest.mark.parametrize("command, cfg_text", [("train", TRAIN_CFG), ("bound-check", BOUND_CFG)])
 def test_a_dataset_without_source_labels_exits_config(tmp_path, capsys, command, cfg_text):
+    # and then, until trainer.check_inputs ran before the manifest, to exit 2
+    # leaving one
     cfg = unlabeled_dataset_cfg(tmp_path, cfg_text, "source")
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert "source_y is None" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_divergence_exits_diverged(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_translation_moves_target_mean():
 def test_sparse_bow_basic_parse(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("1 0:2.5 3:1.0\n-1 1:0.5\n\n0\n")
-    x, y = load_sparse_bow(path, dim=4)
+    x, y = load_sparse_bow(path, dim=4, num_classes=2)
     np.testing.assert_allclose(x, [[2.5, 0, 0, 1.0], [0, 0.5, 0, 0], [0, 0, 0, 0]])
     np.testing.assert_array_equal(y, [1, 0, 0])  # -1 maps to 0
 
@@ -126,7 +126,7 @@ def test_sparse_bow_basic_parse(tmp_path):
 def test_sparse_bow_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    x, y = load_sparse_bow(path, dim=7)
+    x, y = load_sparse_bow(path, dim=7, num_classes=2)
     assert x.shape == (0, 7) and y.shape == (0,)
 
 
@@ -134,7 +134,7 @@ def test_sparse_bow_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 0:1.0\n1 zero:1.0\n")
     with pytest.raises(ParseError, match="line 2") as e:
-        load_sparse_bow(path, dim=2)
+        load_sparse_bow(path, dim=2, num_classes=2)
     assert e.value.lineno == 2
 
 
@@ -142,7 +142,7 @@ def test_sparse_bow_rejects_bad_label(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("pos 0:1.0\n")
     with pytest.raises(ParseError, match="line 1"):
-        load_sparse_bow(path, dim=2)
+        load_sparse_bow(path, dim=2, num_classes=2)
 
 
 def test_sparse_bow_rejects_a_negative_label_other_than_minus_one(tmp_path):
@@ -150,7 +150,7 @@ def test_sparse_bow_rejects_a_negative_label_other_than_minus_one(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("-1 0:1.0\n-3 1:1.0\n")
     with pytest.raises(ParseError, match=r"bad\.txt, line 2: label -3") as e:
-        load_sparse_bow(path, dim=2)
+        load_sparse_bow(path, dim=2, num_classes=2)
     assert e.value.lineno == 2
 
 
@@ -158,7 +158,7 @@ def test_sparse_bow_rejects_out_of_range_index(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 5:1.0\n")
     with pytest.raises(ParseError, match="out of range"):
-        load_sparse_bow(path, dim=5)
+        load_sparse_bow(path, dim=5, num_classes=2)
 
 
 def save_sparse_bow(path, x, y):
@@ -175,9 +175,31 @@ def test_sparse_bow_round_trip(tmp_path):
     y = rng.integers(0, 2, size=20)
     path = tmp_path / "rt.txt"
     save_sparse_bow(path, x, y)
-    x2, y2 = load_sparse_bow(path, dim=15)
+    x2, y2 = load_sparse_bow(path, dim=15, num_classes=2)
     np.testing.assert_array_equal(x, x2)
     np.testing.assert_array_equal(y, y2)
+
+
+def test_sparse_bow_rejects_a_label_of_no_declared_class(tmp_path):
+    # the class count used to be inferred as the largest label + 1
+    path = tmp_path / "bad.txt"
+    path.write_text("1 0:1.0\n2 1:1.0\n")
+    with pytest.raises(ParseError, match=r"bad\.txt, line 2: label 2 outside \[0, 2\)"):
+        load_sparse_bow(path, dim=2, num_classes=2)
+
+
+def test_load_dataset_reads_a_sparse_bow_directory(tmp_path):
+    rng = np.random.default_rng(1)
+    xs = [np.where(rng.random((9, 6)) < 0.3, rng.random((9, 6)), 0.0) for _ in range(2)]
+    ys = [rng.integers(0, 3, size=9) for _ in range(2)]
+    for name, x, y in zip(("source", "target"), xs, ys):
+        save_sparse_bow(tmp_path / f"{name}.txt", x, y)
+    (tmp_path / "spec.json").write_text('{"num_classes": 3, "format": "sparse_bow", "dim": 6}')
+    ds = load_dataset(tmp_path)
+    for got, want in zip((ds.source_x, ds.source_y, ds.target_x, ds.target_y_hidden),
+                         (xs[0], ys[0], xs[1], ys[1])):
+        np.testing.assert_array_equal(got, want)
+    assert ds.num_classes == 3
 
 
 # ---------------------------------------------------------------------------

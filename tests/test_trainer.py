@@ -96,11 +96,12 @@ def test_zero_iters_leaves_params_unchanged():
         np.testing.assert_array_equal(before[k], after[k])
 
 
-def test_pretrain_rejects_empty_source():
-    cfg = small_cfg()
-    state = init_state(cfg, 2, 2)
-    with pytest.raises(ValueError):
-        pretrain(state, np.empty((0, 2)), np.empty(0, dtype=np.int64))
+@pytest.mark.parametrize("n", [0, 1])
+def test_run_rejects_a_source_of_under_two_rows_naming_the_count(n):
+    # pretraining drops batches under 2 rows, so nothing would train
+    x, y = np.zeros((n, 2)), np.zeros(n, dtype=np.int64)
+    with pytest.raises(ValueError, match=rf"^training needs at least 2 source rows, got {n}$"):
+        run(x, y, np.zeros((4, 2)), small_cfg())
 
 
 # ---------------------------------------------------------------------------
